@@ -869,6 +869,71 @@ func BenchmarkTupleIngestBatch(b *testing.B) {
 	b.ReportMetric(float64(results.Load()), "results")
 }
 
+// BenchmarkIngestPaneSteadyState pins the pane-window ingest path: one op is
+// one pooled 64-tuple batch merged into a sum operator's open slide on the
+// deterministic runtime, with virtual time stepping so that a slide closes
+// every 200 batches (ten or more closes at the CI gate's -benchtime). A
+// raw leaves nothing behind once merged and a close costs a handful of
+// allocations whatever the slide held, so the path must report 0 allocs/op
+// — CI-gated.
+func BenchmarkIngestPaneSteadyState(b *testing.B) {
+	const (
+		peers = 2
+		batch = 64
+		slide = 10 * time.Millisecond
+		step  = slide / 200
+	)
+	rt := simrt.NewPaper(1, peers, simrt.TopoOptions{Stubs: 2, Transits: 1})
+	fab, err := mortar.NewFabric(rt, nil, mortar.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var mass float64
+	fab.OnResult = func(r mortar.Result) {
+		if v, ok := r.Value.(float64); ok {
+			mass += v
+		}
+	}
+	meta := mortar.QueryMeta{
+		Name:      "bench",
+		Seq:       1,
+		OpName:    "sum",
+		Window:    tuple.WindowSpec{Kind: tuple.TimeWindow, Range: slide, Slide: slide},
+		Root:      0,
+		IssuedSim: rt.Now(),
+	}
+	def, err := fab.Compile(meta, nil, randomPoints(peers, rand.New(rand.NewSource(2))), 4, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := fab.Install(0, def); err != nil {
+		b.Fatal(err)
+	}
+	rt.RunFor(time.Second) // wire the trees
+	vals := []float64{1}
+	inject := func() {
+		raws := fab.GetRawBatch(batch)
+		for i := 0; i < batch; i++ {
+			raws = append(raws, tuple.Raw{Vals: vals})
+		}
+		fab.InjectBatch(1, raws)
+		rt.RunFor(step)
+	}
+	for i := 0; i < 400; i++ {
+		inject() // two slides of warm-up: pools filled, timeouts settled
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inject()
+	}
+	b.StopTimer()
+	rt.RunFor(5 * time.Second)
+	if want := float64((400 + b.N) * batch); mass != want {
+		b.Fatalf("root reported %v of %v tuples", mass, want)
+	}
+}
+
 // BenchmarkSaturationReplay answers the headline data-plane question: what
 // aggregate tuple rate can a live 8-peer federation sustain? The replay
 // driver ramps the offered rate (doubling, then binary search) against two

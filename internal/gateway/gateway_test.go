@@ -79,6 +79,7 @@ func TestSpecValidation(t *testing.T) {
 		{"empty name", `{"op":"count","window_ms":200}`},
 		{"unknown operator", `{"name":"a","op":"nonesuch","window_ms":200}`},
 		{"unknown source query", `{"name":"a","op":"count","window_ms":200,"source":"ghost"}`},
+		{"range not a multiple of slide", `{"name":"a","op":"count","window_ms":500,"slide_ms":200}`},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(ts.URL+"/v1/queries", "application/json", strings.NewReader(c.body))

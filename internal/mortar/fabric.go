@@ -321,8 +321,8 @@ type Fabric struct {
 	queryTraf map[string]*QueryTraffic
 
 	// batchMu guards batchFree, the fabric's pool of raw-tuple batch
-	// slices: drivers draw from it with GetRawBatch and injectRawBatch
-	// recycles every submitted batch once its tuples are absorbed, so a
+	// slices: drivers draw from it with GetRawBatch and the peer recycles
+	// every InjectBatch's slice once its tuples are absorbed, so a
 	// steady-state ingest driver allocates nothing per batch.
 	batchMu   sync.Mutex
 	batchFree [][]tuple.Raw
@@ -429,32 +429,67 @@ func (f *Fabric) LiveCount() int {
 	return n
 }
 
-// Inject delivers a raw sensor tuple to a peer's local source stream, from
-// any goroutine. The tuple's At field is stamped by the peer in its own
-// windowing frame. An out-of-range peer panics on every backend (the live
-// runtime's Exec would otherwise silently drop the tuple).
+// Inject delivers one raw sensor tuple to a peer's local source stream: an
+// InjectBatch of one, except that the tuple travels in the posted closure,
+// so no slice is made for it and none is recycled.
 func (f *Fabric) Inject(peer int, raw tuple.Raw) {
-	if peer < 0 || peer >= len(f.peers) {
-		panic(fmt.Sprintf("mortar: Inject peer %d out of range [0,%d)", peer, len(f.peers)))
-	}
-	f.Rt.Exec(peer, func() { f.peers[peer].injectRaw(raw) })
+	p := f.ingestPeer(peer)
+	f.Rt.Exec(peer, func() { p.injectRawBatch([]tuple.Raw{raw}) })
 }
 
-// InjectBatch delivers a batch of raw sensor tuples to one peer in a
-// single execution hop: one mailbox post and one lock acquisition on the
-// live backends, however many tuples the batch carries — the data-plane
-// ingest fast path. Ownership of the slice transfers permanently: once the
+// InjectBatch delivers a batch of raw sensor tuples to one peer's local
+// source stream, from any goroutine, in a single execution hop: one mailbox
+// post and one lock acquisition on the live backends, however many tuples
+// the batch carries. The peer stamps the tuples' At field in its own
+// windowing frame. Ownership of the slice transfers permanently: once the
 // peer has absorbed the tuples the slice is recycled into the fabric's
 // batch pool for the next GetRawBatch, so the caller must never touch a
-// submitted slice again. An out-of-range peer panics, like Inject.
+// submitted slice again. An out-of-range peer panics on every backend (the
+// live runtime's Exec would otherwise silently drop the batch).
 func (f *Fabric) InjectBatch(peer int, raws []tuple.Raw) {
-	if peer < 0 || peer >= len(f.peers) {
-		panic(fmt.Sprintf("mortar: InjectBatch peer %d out of range [0,%d)", peer, len(f.peers)))
-	}
+	p := f.ingestPeer(peer)
 	if len(raws) == 0 {
 		return
 	}
-	f.Rt.Exec(peer, func() { f.peers[peer].injectRawBatch(raws) })
+	j, ok := ingestPool.Get().(*ingestJob)
+	if !ok {
+		j = new(ingestJob)
+		j.run = j.deliver
+	}
+	j.p, j.raws = p, raws
+	if !f.Rt.Exec(peer, j.run) {
+		j.recycle()
+	}
+}
+
+func (f *Fabric) ingestPeer(peer int) *Peer {
+	if peer < 0 || peer >= len(f.peers) {
+		panic(fmt.Sprintf("mortar: inject peer %d out of range [0,%d)", peer, len(f.peers)))
+	}
+	return f.peers[peer]
+}
+
+// ingestJob carries one InjectBatch across the peer's mailbox. A closure
+// over (peer, raws) would be a heap allocation per batch; a pooled job
+// whose run func is bound once keeps the batch path allocation-free.
+type ingestJob struct {
+	p    *Peer
+	raws []tuple.Raw
+	run  func()
+}
+
+var ingestPool sync.Pool
+
+func (j *ingestJob) deliver() {
+	p, raws := j.p, j.raws
+	j.recycle()
+	p.injectRawBatch(raws)
+	p.fab.putRawBatch(raws)
+}
+
+func (j *ingestJob) recycle() {
+	j.p, j.raws = nil, nil
+	ingestPool.Put(j)
 }
 
 // maxFreeBatches bounds the batch pool; beyond it, retired batches fall to

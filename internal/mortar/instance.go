@@ -56,15 +56,34 @@ type instance struct {
 	// Full definition; held only at the query root / issuer (§6.1).
 	def *QueryDef
 
-	// Local source window state.
-	win        ops.Window
-	raws       []tuple.Raw // tuples currently inside the window range
-	rawInSlide bool        // saw a raw tuple during the current slide
-	everRaw    bool
+	// Local source window state. A time window is a run of panes, one per
+	// slide: win is the open slide's partial aggregate, and paneN/paneOff
+	// its raw count and Σ(arrival − slide start) — all the summary's
+	// mean-inception age needs, held as offsets so the sum stays small
+	// however far the frame clock has run. panes holds the values of the
+	// last k slides when Range = k·Slide with k > 1 (oldest first, nil for
+	// a slide without data; unused by tumbling windows). Nothing per-tuple
+	// survives the merge, so what a peer retains does not grow with its
+	// ingest rate.
+	win     ops.Window
+	paneN   int64
+	paneOff time.Duration
+	panes   []tuple.Value
+	everRaw bool
 
-	// Tuple-window state (§4.1): counts since the last emission, and the
+	// ownsValues reports that a value this instance emits or evicts is
+	// exclusively that summary's, so the time-space list and the staging
+	// buffer may fold later arrivals into it in place. It holds for tumbling
+	// time windows only (see newInstance).
+	ownsValues bool
+
+	// Tuple-window state (§4.1): the last RangeN arrivals (tuples leave a
+	// count window one at a time, so it keeps them), whether one arrived
+	// since the last stall tick, counts since the last emission, and the
 	// end of the last emitted validity interval so stall boundaries can
 	// extend it (§4.3).
+	raws       []tuple.Raw
+	rawInSlide bool
 	sinceSlide int
 	lastTE     time.Duration
 	stallTick  runtime.Timer
@@ -113,12 +132,21 @@ func (p *Peer) newInstance(meta QueryMeta) (*instance, error) {
 	if ip, ok := op.(ops.InPlaceCombiner); ok {
 		inst.combineIP = ip
 	}
-	// Time windows always produce slide-aligned indices, so TS-list
+	// Tumbling time windows produce slide-aligned indices, so TS-list
 	// entries never split and no value is ever shared between entries —
 	// the precondition for folding summaries into the entry's value in
 	// place. Tuple windows split unaligned intervals (cloneInterval shares
-	// the value), so they keep the copying combiner.
+	// the value), and a sliding window's value may be one of its retained
+	// panes (sealPane), so they keep the copying combiner: on every peer of
+	// such a query a value, once made, is never written again.
 	if meta.Window.Kind == tuple.TimeWindow {
+		k := int(meta.Window.Range / meta.Window.Slide)
+		if k > 1 {
+			inst.panes = make([]tuple.Value, k)
+		}
+		inst.ownsValues = k == 1
+	}
+	if inst.ownsValues {
 		inst.ts = tslist.New(ops.CombineInPlaceNilAware(op))
 	} else {
 		inst.ts = tslist.New(ops.CombineNilAware(op))
@@ -273,134 +301,131 @@ func (inst *instance) scheduleSlide() {
 	inst.slideTimer = inst.peer.rtc.After(delay, inst.closeSlide)
 }
 
-// injectRaw feeds a raw sensor tuple into every matching local operator.
-// During a migration both epochs of a query are fed: the old epoch keeps
-// producing complete windows while the new one wires up, so completeness
-// never dips (make-before-break). Draining instances open no new windows
-// and take no raws.
-func (p *Peer) injectRaw(raw tuple.Raw) {
-	p.fab.Stats.TuplesIngested.Add(1)
-	p.fab.Stats.IngestBatches.Add(1)
-	for _, inst := range p.insts {
-		inst.takeRaw(raw)
-	}
-}
-
 // injectRawBatch feeds a batch of raw tuples into every matching local
-// operator. The instance loop is outermost so the per-batch cost — the
-// instance-map walk, the frame-clock read, the filter checks' branch
-// history — is paid once per instance, not once per tuple. The batch slice
-// is recycled into the fabric pool once every instance has absorbed it.
+// operator. During a migration both epochs of a query are fed: the old
+// epoch keeps producing complete windows while the new one wires up, so
+// completeness never dips (make-before-break). Draining instances open no
+// new windows and take no raws. The instance loop is outermost so the
+// per-batch cost — the instance-map walk, the frame-clock read, the slide
+// boundary check — is paid once per instance, not once per tuple.
 func (p *Peer) injectRawBatch(raws []tuple.Raw) {
 	p.fab.Stats.TuplesIngested.Add(uint64(len(raws)))
 	p.fab.Stats.IngestBatches.Add(1)
 	for _, inst := range p.insts {
-		if inst.draining {
-			continue
-		}
-		at := inst.frameNow() // one clock read per batch: the tuples arrived together
-		for _, raw := range raws {
-			inst.takeRawAt(raw, at)
+		if !inst.draining {
+			inst.takeRaws(raws)
 		}
 	}
-	p.fab.putRawBatch(raws)
 }
 
-// takeRaw feeds one raw tuple into one instance (the shared per-tuple half
-// of injectRaw/injectRawBatch).
-func (inst *instance) takeRaw(raw tuple.Raw) {
-	inst.takeRawAt(raw, inst.frameNow())
+// takeRaws merges a batch into the instance's local window. The tuples
+// arrived together, so one frame-clock read stamps them all. A raw belongs
+// to the slide its arrival stamp falls in: a stamp at or past the open
+// slide's boundary means the close timer is running late, so that slide
+// closes first and the raw is counted in the next one — in exactly one
+// window, however late the timer.
+func (inst *instance) takeRaws(raws []tuple.Raw) {
+	at := inst.frameNow()
+	w := inst.meta.Window
+	tupleWin := w.Kind == tuple.TupleWindow
+	if !tupleWin {
+		for at >= time.Duration(inst.curSlide+1)*w.Slide {
+			inst.slideTimer.Cancel()
+			inst.closeSlide() // re-arms the timer for the next boundary
+		}
+	}
+	off := at - time.Duration(inst.curSlide)*w.Slide
+	for _, r := range raws {
+		if inst.meta.FilterKey != "" && r.Key != inst.meta.FilterKey {
+			continue // the select stage (§7.4) drops non-matching tuples
+		}
+		if r.SubKey != "" {
+			r.Key = r.SubKey // select consumed the match key; group by sub-key
+		}
+		r.At = at
+		inst.win.Merge(r)
+		inst.everRaw = true
+		if tupleWin {
+			inst.raws = append(inst.raws, r)
+			inst.rawInSlide = true
+			inst.tupleArrived()
+		} else {
+			inst.paneN++
+			inst.paneOff += off
+		}
+	}
 }
 
-// takeRawAt is takeRaw with the arrival frame time supplied by the caller,
-// letting the batch path stamp a whole batch with one clock read.
-func (inst *instance) takeRawAt(raw tuple.Raw, at time.Duration) {
-	if inst.draining {
-		return
-	}
-	if inst.meta.FilterKey != "" && raw.Key != inst.meta.FilterKey {
-		return // the select stage (§7.4) drops non-matching tuples
-	}
-	r := raw
-	if r.SubKey != "" {
-		r.Key = r.SubKey // select consumed the match key; group by sub-key
-	}
-	r.At = at
-	inst.win.Merge(r)
-	inst.raws = append(inst.raws, r)
-	inst.rawInSlide = true
-	inst.everRaw = true
-	if inst.meta.Window.Kind == tuple.TupleWindow {
-		inst.tupleArrived()
-	}
-}
-
-// closeSlide fires at each local slide boundary: expire raws that left the
-// window range, emit the window summary (or a boundary tuple if the source
-// stalled, §4.3), and reschedule.
+// closeSlide ends the open slide: it runs from the slide timer at each
+// local boundary (the only trigger an idle source has) or from takeRaws
+// when a raw stamped past the boundary gets there first. It seals the
+// slide's pane, emits the window summary (or a boundary tuple if the
+// source stalled, §4.3), and re-arms the timer.
 func (inst *instance) closeSlide() {
 	w := inst.meta.Window
 	n := inst.curSlide
 	inst.curSlide++
-	boundary := time.Duration(n+1) * w.Slide
-
-	// Expire raws older than the window range.
-	cutoff := boundary - w.Range
-	kept := inst.raws[:0]
-	for _, r := range inst.raws {
-		if r.At < cutoff {
-			inst.win.Remove(r)
-		} else {
-			kept = append(kept, r)
-		}
-	}
-	inst.raws = kept
-
-	idx := tuple.Index{TB: time.Duration(n) * w.Slide, TE: boundary}
-	val := inst.win.Value()
+	idx := tuple.Index{TB: time.Duration(n) * w.Slide, TE: time.Duration(n+1) * w.Slide}
+	now := inst.frameNow()
 	s := tuple.Summary{
 		Query: inst.meta.Name,
 		Index: idx,
 		Count: 1,
-		Hops:  0,
+		// Anchor mid-slide unless this slide's own raws say better: a
+		// stalled source, or a sliding window whose value comes from
+		// earlier panes only.
+		Age: now - (idx.TB + w.Slide/2),
 	}
-	// A summary's age is anchored at the mean inception time of its
-	// constituent raw tuples: downstream operators recover the window via
-	// index = (t_ref - age) / slide, so the age must place the summary in
-	// the middle of the data it represents, not at the moment of emission
-	// (§5.1: ages weight toward the majority of the constituent data).
-	now := inst.frameNow()
-	if val != nil {
-		s.Value = val
-		var sum time.Duration
-		cnt := 0
-		for _, r := range inst.raws {
-			if r.At >= idx.TB && r.At < idx.TE {
-				sum += now - r.At
-				cnt++
-			}
-		}
-		if cnt > 0 {
-			s.Age = sum / time.Duration(cnt)
-		} else {
-			// Value produced by raws from earlier slides still in range
-			// (sliding windows): anchor mid-window.
-			s.Age = now - (idx.TB + w.Slide/2)
-		}
-	} else {
-		// The stream stalled this window: inject a boundary tuple so
-		// downstream completeness still counts this participant. Only emit
-		// once the source has ever produced data (an idle peer with no
-		// sensor contributes nothing).
-		s.Boundary = true
-		s.Age = now - (idx.TB + w.Slide/2)
+	if inst.paneN > 0 {
+		// A summary's age is anchored at the mean inception time of its
+		// constituent raw tuples: downstream operators recover the window via
+		// index = (t_ref - age) / slide, so the age must place the summary in
+		// the middle of the data it represents, not at the moment of emission
+		// (§5.1: ages weight toward the majority of the constituent data).
+		s.Age = now - (idx.TB + inst.paneOff/time.Duration(inst.paneN))
 	}
-	inst.rawInSlide = false
+	s.Value = inst.sealPane()
+	// A stalled stream injects a boundary tuple so downstream completeness
+	// still counts this participant — but only once the source has ever
+	// produced data (an idle peer with no sensor contributes nothing).
+	s.Boundary = s.Value == nil
 	inst.foldNetDist()
-	if val != nil || inst.everRaw {
+	if s.Value != nil || inst.everRaw {
 		inst.absorb(s)
 	}
 	inst.scheduleSlide()
+}
+
+// sealPane closes the open slide's partial aggregate and returns the value
+// of the window that ends with it: the pane itself for a tumbling window,
+// the operator's Combine over the last k panes when Range = k·Slide. The
+// open window starts afresh; Remove is never called on this path. A sliding
+// window whose range holds one non-empty pane returns that pane itself,
+// which stays in inst.panes: nothing downstream may write to it (ownsValues
+// is false for such an instance).
+func (inst *instance) sealPane() tuple.Value {
+	var pane tuple.Value
+	if inst.paneN > 0 {
+		pane = inst.win.Value()
+		inst.win = inst.op.NewWindow()
+		inst.paneN, inst.paneOff = 0, 0
+	}
+	if inst.panes == nil {
+		return pane
+	}
+	copy(inst.panes, inst.panes[1:])
+	inst.panes[len(inst.panes)-1] = pane
+	var val tuple.Value
+	for _, v := range inst.panes {
+		switch {
+		case v == nil:
+		case val == nil:
+			val = v
+		default:
+			val = inst.op.Combine(val, v)
+		}
+	}
+	return val
 }
 
 // --- TS list management (§4.2, §4.3) ---
@@ -548,11 +573,11 @@ func (inst *instance) evictExpired() {
 				inst.report(n, s)
 			}
 		} else {
-			// Time-window entries never share values (slide-aligned indices,
-			// see newInstance), so an evicted value is exclusively this
-			// summary's; tuple-window splitting (cloneInterval) may leave the
-			// value shared with a live entry.
-			inst.routeNew(s, !tupleWin)
+			// A tumbling window's entries never share values (see newInstance),
+			// so an evicted value is exclusively this summary's; tuple-window
+			// splitting (cloneInterval) may leave the value shared with a live
+			// entry, and a sliding window's with a retained pane.
+			inst.routeNew(s, inst.ownsValues)
 		}
 		// The summary took its own Levels clone and the value travels on
 		// by reference; the entry shell goes back to the list's pool.

@@ -48,11 +48,15 @@ func (d *QueryDef) Validate() error {
 	if d.Meta.Name == "" {
 		return fmt.Errorf("mortar: query needs a name")
 	}
-	if !ops.Known(d.Meta.OpName) {
-		return fmt.Errorf("mortar: unknown operator %q", d.Meta.OpName)
+	op, err := ops.New(d.Meta.OpName, d.Meta.OpArgs)
+	if err != nil {
+		return fmt.Errorf("mortar: %v", err)
 	}
 	if err := d.Meta.Window.Validate(); err != nil {
 		return err
+	}
+	if err := ops.CheckWindow(op, d.Meta.Window); err != nil {
+		return fmt.Errorf("mortar: %v", err)
 	}
 	if d.Trees == nil || d.Trees.D() < 1 {
 		return fmt.Errorf("mortar: query needs a planned tree set")

@@ -83,6 +83,7 @@ func TestErrors(t *testing.T) {
 		{`query q as sum() from sensors window time 1s slide 1s banana 3`, "unexpected clause"},
 		{`query q as sum() from sensors window monthly 1 slide 1`, "'time' or 'tuples'"},
 		{`query q as sum() from sensors window time -1s slide 1s`, "positive range"},
+		{`query q as sum() from sensors window time 5s slide 2s`, "whole multiple of its slide"},
 		{`query q as sum("unterminated from sensors window time 1s slide 1s`, "unterminated string"},
 	}
 	for _, c := range cases {

@@ -9,6 +9,7 @@
 package ops
 
 import (
+	"errors"
 	"math"
 	"sort"
 
@@ -92,6 +93,17 @@ func CombineInPlaceNilAware(op Operator) func(a, b tuple.Value) tuple.Value {
 		}
 		return ip.CombineInto(a, b)
 	}
+}
+
+// CheckWindow rejects a window the operator cannot compute. A sliding time
+// window (Range > Slide) is kept as one partial per slide and combined, so
+// it needs a Combine that merges partial aggregates; Trilat's keeps one of
+// two positions, so trilat runs over tumbling windows only.
+func CheckWindow(op Operator, w tuple.WindowSpec) error {
+	if _, whole := op.(Trilat); whole && w.Kind == tuple.TimeWindow && w.Range != w.Slide {
+		return errors.New("ops: trilat does not combine per-slide partials: its time window needs range == slide")
+	}
+	return nil
 }
 
 func field(t tuple.Raw, i int) float64 {
@@ -317,7 +329,7 @@ type topkWindow struct {
 
 func (w *topkWindow) Merge(t tuple.Raw) {
 	w.all = append(w.all, t)
-	w.rebuild()
+	w.offer(t)
 }
 
 func (w *topkWindow) Remove(t tuple.Raw) {
@@ -327,22 +339,26 @@ func (w *topkWindow) Remove(t tuple.Raw) {
 			break
 		}
 	}
-	w.rebuild()
+	// The departed tuple may have held its key's best score; only a
+	// re-scan can tell what replaces it.
+	clear(w.best)
+	for _, r := range w.all {
+		w.offer(r)
+	}
 }
 
-func (w *topkWindow) rebuild() {
-	clear(w.best)
-	for _, t := range w.all {
-		score := field(t, w.op.Field)
+// offer makes t its key's entry in best if it outscores the current one
+// (the earliest arrival wins a tie).
+func (w *topkWindow) offer(t tuple.Raw) {
+	score := field(t, w.op.Field)
+	if old, ok := w.best[t.Key]; !ok || score > old.Score {
 		var payload []float64
 		for i, v := range t.Vals {
 			if i != w.op.Field {
 				payload = append(payload, v)
 			}
 		}
-		if old, ok := w.best[t.Key]; !ok || score > old.Score {
-			w.best[t.Key] = wire.ScoredEntry{Key: t.Key, Score: score, Payload: payload}
-		}
+		w.best[t.Key] = wire.ScoredEntry{Key: t.Key, Score: score, Payload: payload}
 	}
 }
 

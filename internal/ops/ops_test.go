@@ -3,6 +3,7 @@ package ops
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -311,6 +312,48 @@ func TestPropertyCombineEquivalence(t *testing.T) {
 		return ab == ba && ab == wAll.Value().(float64)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: a top-k window that updates its per-key best on every Merge
+// (and re-scans only on Remove) reports what a window rebuilt from the
+// surviving tuples reports, on random keyed streams with tied scores.
+func TestPropertyTopKIncrementalMatchesRebuilt(t *testing.T) {
+	op := TopK{K: 3, Field: 0}
+	f := func(seed int64, n uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		w := op.NewWindow()
+		var live []tuple.Raw
+		for i := 0; i < 1+int(n); i++ {
+			if len(live) > 0 && rng.Intn(4) == 0 {
+				j := rng.Intn(len(live))
+				w.Remove(live[j])
+				live = append(live[:j], live[j+1:]...)
+			} else {
+				tp := raw(string(rune('a'+rng.Intn(6))), time.Duration(i), float64(rng.Intn(8)), float64(i))
+				w.Merge(tp)
+				live = append(live, tp)
+			}
+			// Rebuilt from scratch: per key the earliest tuple with the top
+			// score, payload = the other fields.
+			best := map[string]wire.ScoredEntry{}
+			for _, tp := range live {
+				if old, ok := best[tp.Key]; !ok || tp.Vals[0] > old.Score {
+					best[tp.Key] = wire.ScoredEntry{Key: tp.Key, Score: tp.Vals[0], Payload: tp.Vals[1:]}
+				}
+			}
+			var want tuple.Value
+			if len(best) > 0 {
+				want = topOf(best, op.K)
+			}
+			if !reflect.DeepEqual(w.Value(), want) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

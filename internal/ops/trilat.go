@@ -25,8 +25,9 @@ func (Trilat) Name() string { return "trilat" }
 func (Trilat) NewWindow() Window { return &trilatWindow{} }
 
 // Combine implements Operator. Trilat runs at the query root consuming the
-// topK output stream, so Combine only needs to pick the better-supported
-// estimate when two partials meet (more contributing sniffers wins).
+// topK output stream, so Combine only needs to pick one estimate when two
+// meet. It is not a merge of partial aggregates, which is why CheckWindow
+// keeps trilat to tumbling windows.
 func (Trilat) Combine(a, b tuple.Value) tuple.Value {
 	x := a.(wire.Coord)
 	return x // positions for the same index are equivalent; keep the first

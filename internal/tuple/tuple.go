@@ -163,12 +163,17 @@ type WindowSpec struct {
 	SlideN int
 }
 
-// Validate reports whether the spec is well formed.
+// Validate reports whether the spec is well formed. A time window's range
+// must be a whole number of slides: operators keep one partial aggregate
+// per slide and build the window from the last Range/Slide of them.
 func (w WindowSpec) Validate() error {
 	switch w.Kind {
 	case TimeWindow:
 		if w.Range <= 0 || w.Slide <= 0 {
 			return fmt.Errorf("tuple: time window needs positive range (%v) and slide (%v)", w.Range, w.Slide)
+		}
+		if w.Range%w.Slide != 0 {
+			return fmt.Errorf("tuple: time window range (%v) must be a whole multiple of its slide (%v)", w.Range, w.Slide)
 		}
 	case TupleWindow:
 		if w.RangeN <= 0 || w.SlideN <= 0 {

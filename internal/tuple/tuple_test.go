@@ -36,6 +36,7 @@ func TestIndexPredicates(t *testing.T) {
 func TestWindowSpecValidate(t *testing.T) {
 	good := []WindowSpec{
 		{Kind: TimeWindow, Range: time.Second, Slide: time.Second},
+		{Kind: TimeWindow, Range: 3 * time.Second, Slide: time.Second},
 		{Kind: TupleWindow, RangeN: 20, SlideN: 10},
 	}
 	for _, w := range good {
@@ -46,6 +47,8 @@ func TestWindowSpecValidate(t *testing.T) {
 	bad := []WindowSpec{
 		{Kind: TimeWindow},
 		{Kind: TimeWindow, Range: time.Second, Slide: -time.Second},
+		{Kind: TimeWindow, Range: 5 * time.Second, Slide: 2 * time.Second},
+		{Kind: TimeWindow, Range: time.Second, Slide: 2 * time.Second},
 		{Kind: TupleWindow, RangeN: 5},
 		{Kind: WindowKind(9), Range: time.Second, Slide: time.Second},
 	}
