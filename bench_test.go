@@ -705,16 +705,16 @@ func BenchmarkControlBytesPerQuery(b *testing.B) {
 				p.Stubs = 6
 				p.Transits = 2
 				net := netem.New(sim, netem.GenerateTransitStub(p, rng))
-				fed, err := federation.New(net, prog, rng)
+				fed, err := federation.NewRuntime(simrt.New(net), prog, rng)
 				if err != nil {
 					b.Fatal(err)
 				}
 				fed.StartSensors(time.Second, func(int) tuple.Raw { return tuple.Raw{Vals: []float64{1}} }, rng)
 				const settle = 30 * time.Second
 				const window = 60 * time.Second
-				fed.Sim.RunUntil(settle)
+				sim.RunUntil(settle)
 				before := fed.Fab.Stats.ControlBytes.Load()
-				fed.Sim.RunUntil(settle + window)
+				sim.RunUntil(settle + window)
 				delta := fed.Fab.Stats.ControlBytes.Load() - before
 				perPeerSec = float64(delta) / float64(hosts) / window.Seconds()
 			}

@@ -84,6 +84,7 @@ import (
 	"repro/internal/netem"
 	"repro/internal/runtime/livert"
 	"repro/internal/runtime/netrt"
+	"repro/internal/runtime/simrt"
 	"repro/internal/tuple"
 )
 
@@ -118,6 +119,9 @@ func main() {
 		curveDir = flag.String("curve-dir", ".", "with -chaos: directory the coordinator writes CURVE_<scenario>.json into")
 	)
 	flag.Parse()
+	if err := checkMode(*peersFil != "", *live, *fail, *serve != "", *chaosF != ""); err != nil {
+		fatal(err)
+	}
 
 	if *pprofA != "" {
 		go func() {
@@ -172,17 +176,11 @@ func main() {
 		runLive(prog, rng, *peers, *duration, *fail, *seed, *loss, *dup, *replan, *driftThr, *serve, sched, *curveDir)
 		return
 	}
-	if *serve != "" {
-		fatal(fmt.Errorf("mortard: -serve needs a wall-clock backend (-live or -peers-file); the simulator compresses virtual time"))
-	}
-	if sched != nil {
-		fatal(fmt.Errorf("mortard: -chaos needs a wall-clock backend (-live or -peers-file); the simulator has its own scripted failures via -fail"))
-	}
 
 	sim := eventsim.New(*seed)
 	topo := netem.GenerateTransitStub(netem.PaperTopology(*peers), rng)
 	net := netem.New(sim, topo)
-	fed, err := federation.New(net, prog, rng)
+	fed, err := federation.NewRuntime(simrt.New(net), prog, rng)
 	if err != nil {
 		fatal(err)
 	}
@@ -203,6 +201,21 @@ func main() {
 		})
 	}
 	sim.RunUntil(*duration)
+}
+
+// checkMode refuses a flag the chosen backend would silently ignore: udp is
+// the -peers-file mode, live the -live mode, neither the simulator.
+func checkMode(udp, live bool, fail float64, serve, chaos bool) error {
+	sim := !udp && !live
+	switch {
+	case udp && fail > 0:
+		return fmt.Errorf("mortard: -fail does not reach across processes (-peers-file); script failures with a -chaos schedule every process replays")
+	case sim && serve:
+		return fmt.Errorf("mortard: -serve needs a wall-clock backend (-live or -peers-file); the simulator compresses virtual time")
+	case sim && chaos:
+		return fmt.Errorf("mortard: -chaos needs a wall-clock backend (-live or -peers-file); the simulator has its own scripted failures via -fail")
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -21,6 +21,7 @@ import (
 	"repro/internal/mortar"
 	"repro/internal/msl"
 	"repro/internal/netem"
+	"repro/internal/runtime/simrt"
 	"repro/internal/tuple"
 )
 
@@ -39,7 +40,7 @@ func main() {
 	rng := rand.New(rand.NewSource(5))
 	topo := netem.GenerateTransitStub(netem.PaperTopology(120), rng)
 	net := netem.New(sim, topo)
-	fed, err := federation.New(net, prog, rng)
+	fed, err := federation.NewRuntime(simrt.New(net), prog, rng)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

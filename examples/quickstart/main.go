@@ -18,6 +18,7 @@ import (
 	"repro/internal/federation"
 	"repro/internal/msl"
 	"repro/internal/netem"
+	"repro/internal/runtime/simrt"
 	"repro/internal/tuple"
 )
 
@@ -34,7 +35,7 @@ func main() {
 	rng := rand.New(rand.NewSource(7))
 	topo := netem.GenerateTransitStub(netem.PaperTopology(60), rng)
 	net := netem.New(sim, topo)
-	fed, err := federation.New(net, prog, rng)
+	fed, err := federation.NewRuntime(simrt.New(net), prog, rng)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -20,6 +20,7 @@ import (
 	"repro/internal/mortar"
 	"repro/internal/msl"
 	"repro/internal/netem"
+	"repro/internal/runtime/simrt"
 	"repro/internal/tuple"
 	"repro/internal/wifi"
 	"repro/internal/wire"
@@ -45,7 +46,7 @@ func main() {
 	rng := rand.New(rand.NewSource(11))
 	topo := netem.GenerateStar(sniffers, time.Millisecond, 100e6)
 	net := netem.New(sim, topo)
-	fed, err := federation.New(net, prog, rng)
+	fed, err := federation.NewRuntime(simrt.New(net), prog, rng)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

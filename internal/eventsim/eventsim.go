@@ -14,26 +14,12 @@ import (
 	"time"
 )
 
-// Clock is the narrow view of the simulator that most components need: read
-// virtual time and schedule callbacks. Peer code is written against Clock so
-// the same logic runs under simulation and under the live (wall-clock)
-// runtime.
-type Clock interface {
-	// Now returns the current virtual time, measured from the start of the
-	// simulation.
-	Now() time.Duration
-	// After schedules fn to run d from now and returns a handle that can
-	// cancel it. A non-positive d schedules fn for the current instant.
-	After(d time.Duration, fn func()) *Timer
-}
-
 // Timer is a handle to a scheduled callback.
 type Timer struct {
-	fn     func()
-	at     time.Duration
-	seq    uint64
-	index  int    // heap index; -1 once fired or cancelled
-	cancel func() // extra hook used by wall-clock timers
+	fn    func()
+	at    time.Duration
+	seq   uint64
+	index int // heap index; -1 once fired or cancelled
 }
 
 // Cancel prevents the timer's callback from running. Cancelling an
@@ -41,11 +27,6 @@ type Timer struct {
 func (t *Timer) Cancel() {
 	if t == nil {
 		return
-	}
-	if t.cancel != nil {
-		c := t.cancel
-		t.cancel = nil
-		c()
 	}
 	if t.index >= 0 {
 		t.fn = nil

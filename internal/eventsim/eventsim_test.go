@@ -168,25 +168,3 @@ func TestPropertyCancelSubset(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestWallClockAfterAndCancel(t *testing.T) {
-	w := NewWallClock()
-	ch := make(chan struct{})
-	w.After(time.Millisecond, func() { close(ch) })
-	select {
-	case <-ch:
-	case <-time.After(2 * time.Second):
-		t.Fatal("wall clock timer never fired")
-	}
-	fired := make(chan struct{})
-	tm := w.After(50*time.Millisecond, func() { close(fired) })
-	tm.Cancel()
-	select {
-	case <-fired:
-		t.Fatal("cancelled wall timer fired")
-	case <-time.After(100 * time.Millisecond):
-	}
-	if w.Now() <= 0 {
-		t.Fatal("wall clock did not advance")
-	}
-}

@@ -5,10 +5,9 @@
 // sensor injection and failure control. The mortard command and the
 // examples are thin wrappers around it.
 //
-// Two constructors mirror the two runtime backends: New wraps an emulated
-// netem network in the deterministic simulator runtime; NewRuntime accepts
-// any runtime.Runtime, which is how mortard -live drives a federation of
-// real goroutine peers.
+// The constructors take any runtime.Runtime — the deterministic simulator
+// (runtime/simrt), goroutine peers (runtime/livert) or UDP sockets
+// (runtime/netrt) — and the caller drives that backend's lifecycle.
 package federation
 
 import (
@@ -19,13 +18,10 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/eventsim"
 	"repro/internal/mortar"
 	"repro/internal/msl"
-	"repro/internal/netem"
 	"repro/internal/plan"
 	"repro/internal/runtime"
-	"repro/internal/runtime/simrt"
 	"repro/internal/tuple"
 	"repro/internal/vivaldi"
 )
@@ -65,9 +61,6 @@ type Federation struct {
 	Fab  *mortar.Fabric
 	Prog *msl.Program
 	Rt   runtime.Runtime
-	// Sim is the driving simulator; nil when the federation runs on a
-	// non-simulated backend (use the backend's own lifecycle then).
-	Sim *eventsim.Sim
 	// Model is the latency view the queries were *initially* planned
 	// against: coordinate distance when planning used gossiped
 	// coordinates, measured transport latency otherwise. It is set once
@@ -89,17 +82,6 @@ type Federation struct {
 	down     []int
 	seq      uint64
 	planRng  *rand.Rand // lazy; replanning only — never perturbs the setup rng stream
-}
-
-// New plans and installs every query of prog over net's hosts, driven by
-// the deterministic simulator backend.
-func New(net *netem.Network, prog *msl.Program, rng *rand.Rand) (*Federation, error) {
-	f, err := NewRuntime(simrt.New(net), prog, rng)
-	if err != nil {
-		return nil, err
-	}
-	f.Sim = net.Sim()
-	return f, nil
 }
 
 // NewRuntime plans and installs every query of prog over any runtime
@@ -200,15 +182,7 @@ func gossipedCoords(rt runtime.Runtime, n int) []cluster.Point {
 // recovered peers do. Only the coordinator — the process hosting the query
 // roots — runs NewRuntime.
 func NewWorker(rt runtime.Runtime) (*Federation, error) {
-	return NewWorkerCfg(rt, mortar.DefaultConfig())
-}
-
-// NewWorkerCfg is NewWorker with an explicit mortar configuration — how a
-// process still running an older release joins a federation: pinning
-// Config.WireCompat keeps its frames decodable by every peer while the
-// newer processes' frames remain decodable by it.
-func NewWorkerCfg(rt runtime.Runtime, cfg mortar.Config) (*Federation, error) {
-	fab, err := mortar.NewFabric(rt, nil, cfg)
+	fab, err := mortar.NewFabric(rt, nil, mortar.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -10,10 +10,11 @@ import (
 	"repro/internal/mortar"
 	"repro/internal/msl"
 	"repro/internal/netem"
+	"repro/internal/runtime/simrt"
 	"repro/internal/tuple"
 )
 
-func build(t *testing.T, src string, hosts int) (*Federation, *rand.Rand) {
+func build(t *testing.T, src string, hosts int) (*Federation, *eventsim.Sim, *rand.Rand) {
 	t.Helper()
 	prog, err := msl.Parse(src)
 	if err != nil {
@@ -26,19 +27,19 @@ func build(t *testing.T, src string, hosts int) (*Federation, *rand.Rand) {
 	p.Transits = 2
 	topo := netem.GenerateTransitStub(p, rng)
 	net := netem.New(sim, topo)
-	fed, err := New(net, prog, rng)
+	fed, err := NewRuntime(simrt.New(net), prog, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fed, rng
+	return fed, sim, rng
 }
 
 func TestEndToEndCountQuery(t *testing.T) {
-	fed, rng := build(t, `query n as count() from sensors window time 1s slide 1s`, 30)
+	fed, sim, rng := build(t, `query n as count() from sensors window time 1s slide 1s`, 30)
 	var last mortar.Result
 	fed.Fab.Subscribe("n", func(r mortar.Result) { last = r })
 	fed.StartSensors(time.Second, func(int) tuple.Raw { return tuple.Raw{Vals: []float64{1}} }, rng)
-	fed.Sim.RunUntil(20 * time.Second)
+	sim.RunUntil(20 * time.Second)
 	if last.Value == nil || last.Value.(float64) != 30 {
 		t.Fatalf("count = %v, want 30", last.Value)
 	}
@@ -48,7 +49,7 @@ func TestEndToEndCountQuery(t *testing.T) {
 }
 
 func TestChainedQueries(t *testing.T) {
-	fed, rng := build(t, `
+	fed, sim, rng := build(t, `
 		query loud as topk(2, 0) from sensors window time 1s slide 1s
 		query m as max(0) from loud window time 1s slide 1s
 	`, 20)
@@ -61,7 +62,7 @@ func TestChainedQueries(t *testing.T) {
 	fed.StartSensors(time.Second, func(peer int) tuple.Raw {
 		return tuple.Raw{Key: "p", Vals: []float64{float64(peer)}}
 	}, rng)
-	fed.Sim.RunUntil(20 * time.Second)
+	sim.RunUntil(20 * time.Second)
 	// Chained max over topk payload+score raws; the loudest peer is 19.
 	if got < 19 {
 		t.Fatalf("chained max = %v, want 19", got)
@@ -69,9 +70,9 @@ func TestChainedQueries(t *testing.T) {
 }
 
 func TestFailureControls(t *testing.T) {
-	fed, rng := build(t, `query n as count() from sensors window time 1s slide 1s`, 25)
+	fed, sim, rng := build(t, `query n as count() from sensors window time 1s slide 1s`, 25)
 	fed.StartSensors(time.Second, func(int) tuple.Raw { return tuple.Raw{Vals: []float64{1}} }, rng)
-	fed.Sim.RunUntil(10 * time.Second)
+	sim.RunUntil(10 * time.Second)
 	fed.FailRandom(5, rng)
 	if live := fed.Fab.LiveCount(); live != 20 {
 		t.Fatalf("live = %d after failing 5 of 25", live)
@@ -83,11 +84,11 @@ func TestFailureControls(t *testing.T) {
 }
 
 func TestPrintResults(t *testing.T) {
-	fed, rng := build(t, `query n as count() from sensors window time 1s slide 1s`, 10)
+	fed, sim, rng := build(t, `query n as count() from sensors window time 1s slide 1s`, 10)
 	var sb strings.Builder
 	fed.PrintResults(&sb)
 	fed.StartSensors(time.Second, func(int) tuple.Raw { return tuple.Raw{Vals: []float64{1}} }, rng)
-	fed.Sim.RunUntil(8 * time.Second)
+	sim.RunUntil(8 * time.Second)
 	if !strings.Contains(sb.String(), "query=n") {
 		t.Fatalf("no results printed: %q", sb.String())
 	}

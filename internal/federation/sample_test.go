@@ -8,11 +8,11 @@ import (
 )
 
 func TestWatchCompleteness(t *testing.T) {
-	fed, rng := build(t, `query n as count() from sensors window time 1s slide 1s`, 30)
+	fed, sim, rng := build(t, `query n as count() from sensors window time 1s slide 1s`, 30)
 	w := fed.WatchCompleteness("n")
 	defer w.Close()
 	fed.StartSensors(time.Second, func(int) tuple.Raw { return tuple.Raw{Vals: []float64{1}} }, rng)
-	fed.Sim.RunUntil(20 * time.Second)
+	sim.RunUntil(20 * time.Second)
 
 	if best := w.Best(); best != 30 {
 		t.Fatalf("best completeness = %d, want 30", best)
@@ -41,18 +41,18 @@ func TestWatchCompleteness(t *testing.T) {
 }
 
 func TestWatchCompletenessFold(t *testing.T) {
-	fed, rng := build(t, `query n as count() from sensors window time 1s slide 1s`, 20)
+	fed, sim, rng := build(t, `query n as count() from sensors window time 1s slide 1s`, 20)
 	w := fed.WatchCompleteness("")
 	fed.StartSensors(time.Second, func(int) tuple.Raw { return tuple.Raw{Vals: []float64{1}} }, rng)
-	fed.Sim.RunUntil(6 * time.Second)
+	sim.RunUntil(6 * time.Second)
 	fed.FailRandom(8, rng)
-	fed.Sim.RunUntil(14 * time.Second)
+	sim.RunUntil(14 * time.Second)
 	winDuring, during := w.Latest()
 	if during > 12 {
 		t.Fatalf("window %d completeness %d with 8 of 20 down", winDuring, during)
 	}
 	fed.RecoverAll()
-	fed.Sim.RunUntil(26 * time.Second)
+	sim.RunUntil(26 * time.Second)
 	_, after := w.Latest()
 	if after != 20 {
 		t.Fatalf("completeness %d after recovery, want 20", after)
@@ -61,7 +61,7 @@ func TestWatchCompletenessFold(t *testing.T) {
 	w.Close()
 	w.Close()
 	snapLen := len(w.Snapshot())
-	fed.Sim.RunUntil(30 * time.Second)
+	sim.RunUntil(30 * time.Second)
 	if len(w.Snapshot()) != snapLen {
 		t.Fatal("closed watch kept accumulating")
 	}

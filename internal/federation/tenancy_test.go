@@ -14,6 +14,7 @@ import (
 	"repro/internal/msl"
 	"repro/internal/netem"
 	"repro/internal/runtime/livert"
+	"repro/internal/runtime/simrt"
 	"repro/internal/tuple"
 )
 
@@ -207,16 +208,16 @@ func measureSteadyControl(t *testing.T, queries, hosts int) float64 {
 	p.Transits = 2
 	topo := netem.GenerateTransitStub(p, rng)
 	net := netem.New(sim, topo)
-	fed, err := New(net, prog, rng)
+	fed, err := NewRuntime(simrt.New(net), prog, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fed.StartSensors(time.Second, func(int) tuple.Raw { return tuple.Raw{Vals: []float64{1}} }, rng)
 	const settle = 30 * time.Second
 	const window = 60 * time.Second
-	fed.Sim.RunUntil(settle)
+	sim.RunUntil(settle)
 	before := fed.Fab.Stats.ControlBytes.Load()
-	fed.Sim.RunUntil(settle + window)
+	sim.RunUntil(settle + window)
 	delta := fed.Fab.Stats.ControlBytes.Load() - before
 	return float64(delta) / float64(hosts) / window.Seconds()
 }

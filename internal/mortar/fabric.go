@@ -79,19 +79,15 @@ type Config struct {
 	// queries' evictions cluster within milliseconds of each other, so a
 	// short hold captures most of the batching win without disturbing
 	// result phase. Zero picks the default (one hundredth of the heartbeat
-	// period); a negative value disables coalescing entirely, restoring
-	// the send-immediately path.
+	// period); a negative value flushes every summary the moment it parks,
+	// so nothing merges or batches — the uncoalesced reference the
+	// coalescing tests and benchmark measure against.
 	SummaryHold time.Duration
 	// SummaryBatchBytes is the staging buffer's flush threshold: a
 	// destination's parked summaries flush early once their estimated wire
 	// size reaches it. Capped against Transport.MaxFrame on bounded
 	// transports so a flushed batch always fits one frame.
 	SummaryBatchBytes int
-	// WireCompat pins the fabric's transmit wire version for rolling
-	// upgrades: wire.VersionNoBatch makes every frame decodable by v3
-	// peers (and disables summary coalescing, whose batches have no v3
-	// encoding). Zero means current (wire.Version).
-	WireCompat uint8
 }
 
 // DefaultConfig returns the paper's evaluation settings.
@@ -189,18 +185,13 @@ func (c Config) Validate() (Config, error) {
 	if c.SummaryHold == 0 {
 		c.SummaryHold = c.HeartbeatPeriod / 100
 	}
-	// Negative SummaryHold is a meaningful setting (coalescing off), not an
+	// Negative SummaryHold is a meaningful setting (flush at once), not an
 	// error.
 	if c.SummaryBatchBytes == 0 {
 		c.SummaryBatchBytes = def.SummaryBatchBytes
 	}
 	if c.SummaryBatchBytes < 0 {
 		return c, fmt.Errorf("mortar: SummaryBatchBytes %d must be positive", c.SummaryBatchBytes)
-	}
-	switch c.WireCompat {
-	case 0, wire.VersionNoBatch, wire.Version:
-	default:
-		return c, fmt.Errorf("mortar: WireCompat %d is not an encodable wire version", c.WireCompat)
 	}
 	return c, nil
 }
@@ -303,11 +294,8 @@ type Fabric struct {
 	// encode buffer and frame immediately.
 	consumesBytes bool
 
-	// wireVer is the version byte every transmitted frame is stamped with
-	// (Config.WireCompat); staging enables the hold-and-merge summary path
-	// (stage.go), and batchBytes is its resolved flush threshold.
-	wireVer    byte
-	staging    bool
+	// batchBytes is the staging buffers' resolved flush threshold
+	// (stage.go).
 	batchBytes int
 
 	subMu  sync.RWMutex
@@ -377,19 +365,12 @@ func NewFabric(rt runtime.Runtime, clocks []vclock.Clock, cfg Config) (*Fabric, 
 	if bc, ok := f.tr.(runtime.FrameBytesConsumer); ok {
 		f.consumesBytes = bc.ConsumesFrameBytes()
 	}
-	f.wireVer = wire.Version
-	if cfg.WireCompat != 0 {
-		f.wireVer = cfg.WireCompat
-	}
 	f.batchBytes = cfg.SummaryBatchBytes
 	if mf := f.tr.MaxFrame(); mf > 0 && f.batchBytes > mf-mf/8 {
 		// Leave headroom for the key table and frame header: the threshold
 		// is checked before the entry that crosses it is encoded.
 		f.batchBytes = mf - mf/8
 	}
-	// Envelope batches exist only at the current wire version, so a
-	// compat-pinned fabric sends every summary the moment it routes.
-	f.staging = cfg.SummaryHold > 0 && f.wireVer >= wire.Version
 	vr, _ := rt.(vivaldiRuntime)
 	for i := 0; i < n; i++ {
 		ck := vclock.Perfect()
@@ -546,7 +527,7 @@ var framePool = sync.Pool{New: func() any { return new(runtime.Frame) }}
 // could never cross a real wire.
 func (f *Fabric) send(from, to int, class runtime.Class, payload any) {
 	w := wire.GetBuffer()
-	if err := wire.EncodeMessageVersion(w, payload, f.wireVer); err != nil {
+	if err := wire.EncodeMessage(w, payload); err != nil {
 		wire.PutBuffer(w)
 		f.Stats.Dropped.Add(1)
 		return

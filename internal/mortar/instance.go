@@ -813,9 +813,6 @@ func (inst *instance) forward(s tuple.Summary, arrived int, ttlDown uint8, owned
 	}
 
 	maxStage := inst.peer.fab.Cfg.MaxStage
-	if maxStage < 1 {
-		maxStage = 4
-	}
 	// Stage 1 — same tree: route to P(t).
 	if arrived >= 0 && liveParent(arrived) {
 		inst.send(s, arrived, nb.Parents[arrived], ttlDown, owned)
@@ -868,18 +865,12 @@ func (inst *instance) forward(s tuple.Summary, arrived int, ttlDown uint8, owned
 	inst.peer.fab.Stats.Dropped.Add(1)
 }
 
-// send transmits the summary on tree t, recording the level visited. With
-// coalescing enabled the summary parks in the peer's staging buffer
-// instead of leaving immediately (see stage.go); owned as in routeNew.
+// send moves the summary toward peer `to` on tree t, recording the level
+// visited. It parks in the peer's staging buffer, which transmits it (see
+// stage.go); owned as in routeNew.
 func (inst *instance) send(s tuple.Summary, t, to int, ttlDown uint8, owned bool) {
 	if t < len(s.Levels) {
 		s.Levels[t] = int16(inst.nb.Levels[t])
 	}
-	p := inst.peer
-	if p.fab.staging {
-		p.stageSummary(inst, s, t, to, ttlDown, owned)
-		return
-	}
-	env := &envelope{S: s, Tree: t, TTLDown: ttlDown, SentAt: p.now(), Epoch: inst.meta.Epoch}
-	p.fab.send(p.id, to, runtime.ClassData, env)
+	inst.peer.stageSummary(inst, s, t, to, ttlDown, owned)
 }

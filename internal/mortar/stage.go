@@ -10,7 +10,7 @@ import (
 	"repro/internal/wire"
 )
 
-// Hold-and-merge coalescing for the upstream summary path. Instead of
+// Hold-and-merge coalescing: the one upstream summary path. Instead of
 // transmitting every summary the moment the routing policy picks its next
 // hop, interior peers park summaries in a small per-next-hop staging
 // buffer. While parked, a summary destined for the same (query, epoch,
@@ -24,7 +24,8 @@ import (
 // a fraction of the heartbeat period — the bound on added per-hop
 // latency), and the epoch-retirement barrier (beginDrain flushes so a
 // retiring epoch's last windows are not still parked when its drain
-// period starts counting).
+// period starts counting). A negative hold flushes at once: every summary
+// leaves alone in its own frame, the uncoalesced reference.
 //
 // Age bookkeeping is exact: each staged entry records when it was parked,
 // its age advances by the park time (local-frame, via the peer's clock
@@ -136,7 +137,7 @@ func (p *Peer) stageSummary(inst *instance, s tuple.Summary, t, to int, ttlDown 
 		owned:  owned,
 	})
 	buf.bytes += wire.SummaryWireSize(&s)
-	if buf.bytes >= p.fab.batchBytes {
+	if buf.bytes >= p.fab.batchBytes || p.fab.Cfg.SummaryHold < 0 {
 		p.flushStage(to, buf)
 		return
 	}

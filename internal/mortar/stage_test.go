@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/tuple"
-	"repro/internal/wire"
 )
 
 // coalesceRun executes the §7.2 microbenchmark with three co-hosted sum
@@ -56,12 +55,12 @@ func coalesceRun(t *testing.T, cfg Config) (*Fabric, map[string]float64, map[str
 
 // The tentpole claim at the unit level: with hold-and-merge on (the
 // default), a multi-query federation moves at least 3x fewer data-class
-// frames than the send-immediately ablation while reporting the identical
+// frames than the flush-at-once reference while reporting the identical
 // warm results. Summaries must actually merge in staging buffers and
 // leave in multi-summary batches, not merely be delayed.
 func TestCoalescingSavesFrames(t *testing.T) {
 	off := DefaultConfig()
-	off.SummaryHold = -1 // ablation: transmit the moment the policy routes
+	off.SummaryHold = -1 // reference: every summary flushes the moment it parks
 	fabOff, sumsOff, countsOff := coalesceRun(t, off)
 
 	// A batch-oriented hold: wide enough that an interior peer's window
@@ -82,8 +81,8 @@ func TestCoalescingSavesFrames(t *testing.T) {
 		}
 	}
 
-	if s := fabOff.Stats.SummariesStaged.Load(); s != 0 {
-		t.Fatalf("ablation staged %d summaries, want 0", s)
+	if c, b := fabOff.Stats.SummariesCoalesced.Load(), fabOff.Stats.BatchFrames.Load(); c != 0 || b != 0 {
+		t.Fatalf("reference run coalesced %d summaries and sent %d batches, want 0 and 0", c, b)
 	}
 	if fabOn.Stats.SummariesStaged.Load() == 0 {
 		t.Fatal("coalescing run staged nothing")
@@ -121,56 +120,61 @@ func TestCoalescingSavesFrames(t *testing.T) {
 	}
 }
 
-// The compat knobs: pinning the wire to v3 or setting a negative hold
-// must disable staging entirely — full completeness through the old
-// single-envelope path, zero touched staging counters — and out-of-range
-// settings must be rejected up front.
+// The hold knob: a negative hold sends every summary through the staging
+// path alone in its own frame and reports what the held run reports, a
+// zero hold picks the default, and out-of-range settings are rejected up
+// front.
 func TestCoalescingKnobs(t *testing.T) {
-	run := func(t *testing.T, cfg Config) *Fabric {
+	run := func(t *testing.T, cfg Config) (*Fabric, map[int64]float64) {
 		t.Helper()
 		fab, rt := testbed(t, 40, 5, cfg, nil)
 		var last Result
-		fab.OnResult = func(r Result) { last = r }
+		sums := map[int64]float64{}
+		fab.OnResult = func(r Result) {
+			last = r
+			sums[r.WindowIndex] = r.Value.(float64)
+		}
 		sumQuery(t, fab, rt, 4, 2)
 		rt.RunFor(25 * time.Second)
 		if last.Count != 40 {
 			t.Fatalf("warm completeness %d, want 40", last.Count)
 		}
-		return fab
+		return fab, sums
 	}
 
-	t.Run("wire-compat-v3", func(t *testing.T) {
-		cfg := DefaultConfig()
-		cfg.WireCompat = wire.VersionNoBatch
-		fab := run(t, cfg)
-		if s := fab.Stats.SummariesStaged.Load(); s != 0 {
-			t.Fatalf("v3-pinned fabric staged %d summaries", s)
-		}
-		if bfr := fab.Stats.BatchFrames.Load(); bfr != 0 {
-			t.Fatalf("v3-pinned fabric sent %d batch frames", bfr)
-		}
-	})
-
-	t.Run("negative-hold-disables", func(t *testing.T) {
+	t.Run("negative-hold-flushes-at-once", func(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.SummaryHold = -time.Millisecond
-		fab := run(t, cfg)
-		if s := fab.Stats.SummariesStaged.Load(); s != 0 {
-			t.Fatalf("hold-disabled fabric staged %d summaries", s)
+		fab, sums := run(t, cfg)
+		staged, frames := fab.Stats.SummariesStaged.Load(), fab.Stats.DataFrames.Load()
+		if staged == 0 || frames != staged {
+			t.Fatalf("%d data frames for %d staged summaries, want one each", frames, staged)
+		}
+		if b, c := fab.Stats.BatchFrames.Load(), fab.Stats.SummariesCoalesced.Load(); b != 0 || c != 0 {
+			t.Fatalf("flush-at-once fabric sent %d batches and coalesced %d summaries", b, c)
+		}
+		// The two runs stop mid-report, so their last window may differ;
+		// every window both reported must carry the same sum.
+		_, held := run(t, DefaultConfig())
+		shared := 0
+		for w, v := range sums {
+			if hv, ok := held[w]; ok {
+				shared++
+				if hv != v {
+					t.Fatalf("window %d: flush-at-once sum %v, held sum %v", w, v, hv)
+				}
+			}
+		}
+		if shared < 15 {
+			t.Fatalf("only %d windows reported by both runs", shared)
 		}
 	})
 
 	t.Run("rejects-nonsense", func(t *testing.T) {
-		for _, mut := range []func(*Config){
-			func(c *Config) { c.WireCompat = 2 },
-			func(c *Config) { c.WireCompat = wire.Version + 1 },
-			func(c *Config) { c.SummaryBatchBytes = -1 },
-		} {
-			c := DefaultConfig()
-			mut(&c)
-			if _, err := c.Validate(); err == nil {
-				t.Fatalf("invalid config accepted: %+v", c)
-			}
+		c := DefaultConfig()
+		c.SummaryBatchBytes = -1
+		if _, err := c.Validate(); err == nil {
+			t.Fatalf("invalid config accepted: %+v", c)
 		}
 	})
 

@@ -101,9 +101,6 @@ func (t *Topology) NumLinks() int { return len(t.links) }
 // Kind returns a node's kind.
 func (t *Topology) Kind(n NodeID) NodeKind { return t.kinds[n] }
 
-// LinkAt returns the i'th link.
-func (t *Topology) LinkAt(i int) Link { return t.links[i] }
-
 // Hosts returns all host-kind node IDs in increasing order.
 func (t *Topology) Hosts() []NodeID {
 	var hosts []NodeID

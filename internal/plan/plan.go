@@ -357,16 +357,6 @@ func Build(coords []cluster.Point, root, bf, d int, rng *rand.Rand) *Set {
 	return s
 }
 
-// BuildRandomSet builds d independent random trees (used by simulations and
-// ablations).
-func BuildRandomSet(n, root, bf, d int, rng *rand.Rand) *Set {
-	s := &Set{}
-	for i := 0; i < d; i++ {
-		s.Trees = append(s.Trees, BuildRandom(n, root, bf, rng))
-	}
-	return s
-}
-
 // D returns the tree-set size.
 func (s *Set) D() int { return len(s.Trees) }
 

@@ -70,15 +70,20 @@ const minMTU = 2 * fragHeadroom
 // streams and NACK-worthy gaps.
 const sweepInterval = 20 * time.Millisecond
 
+// defaultLatency is Latency's answer for pairs with no RTT measurement yet
+// (no traffic and no probe).
+const defaultLatency = time.Millisecond
+
+// rttAlpha is the EWMA weight for new RTT samples.
+const rttAlpha = 0.3
+
+// coalesceDelay bounds how long a frame may wait in a pending train.
+const coalesceDelay = time.Millisecond
+
 // Options tunes the socket runtime.
 type Options struct {
 	// Seed drives the planning random source.
 	Seed int64
-	// DefaultLatency is Latency's answer for pairs with no RTT measurement
-	// yet (no traffic and no probe). Default 1ms.
-	DefaultLatency time.Duration
-	// RTTAlpha is the EWMA weight for new RTT samples. Default 0.3.
-	RTTAlpha float64
 	// ReadBuffer, when positive, sets SO_RCVBUF on every local socket.
 	ReadBuffer int
 	// MTU is the largest datagram Send writes; frames that do not fit are
@@ -97,14 +102,10 @@ type Options struct {
 	// prove NACK repair end-to-end.
 	Loss float64
 	// MaxMessage bounds one logical frame through the fragmentation path
-	// (it is also Transport.MaxFrame). Default 4 MiB.
+	// (it is also Transport.MaxFrame). Default 4 MiB. Each local peer's
+	// partial-stream memory and the sent-fragment memory it holds for NACK
+	// service are bounded at twice this.
 	MaxMessage int
-	// ReassemblyBuffer bounds per-local-peer partial-stream memory.
-	// Default 2×MaxMessage.
-	ReassemblyBuffer int
-	// RetransmitBuffer bounds per-local-peer sent-fragment memory held for
-	// NACK service. Default 2×MaxMessage.
-	RetransmitBuffer int
 	// StaleAfter evicts an incomplete reassembly stream that has received
 	// nothing for this long. Default 3s.
 	StaleAfter time.Duration
@@ -128,23 +129,14 @@ type Options struct {
 	PeersPerSocket int
 	// Coalesce batches small frames bound for the same remote socket into
 	// one frameTrain datagram, flushed by the pacer when the train reaches
-	// the MTU or after CoalesceDelay. A 1k-peer heartbeat round then costs
+	// the MTU or after coalesceDelay. A 1k-peer heartbeat round then costs
 	// hundreds of datagrams instead of hundreds of thousands. Off by
 	// default: the pending delay inflates measured RTTs by up to
-	// 2×CoalesceDelay, which latency-sensitive tests do not want.
+	// 2×coalesceDelay, which latency-sensitive tests do not want.
 	Coalesce bool
-	// CoalesceDelay bounds how long a frame may wait in a pending train.
-	// Default 1ms.
-	CoalesceDelay time.Duration
 }
 
 func (o Options) withDefaults() Options {
-	if o.DefaultLatency <= 0 {
-		o.DefaultLatency = time.Millisecond
-	}
-	if o.RTTAlpha <= 0 || o.RTTAlpha > 1 {
-		o.RTTAlpha = 0.3
-	}
 	if o.MTU == 0 {
 		o.MTU = 1400
 	}
@@ -163,20 +155,11 @@ func (o Options) withDefaults() Options {
 	if o.MaxMessage <= 0 {
 		o.MaxMessage = 4 << 20
 	}
-	if o.ReassemblyBuffer < o.MaxMessage {
-		o.ReassemblyBuffer = 2 * o.MaxMessage
-	}
-	if o.RetransmitBuffer < o.MaxMessage {
-		o.RetransmitBuffer = 2 * o.MaxMessage
-	}
 	if o.StaleAfter <= 0 {
 		o.StaleAfter = 3 * time.Second
 	}
 	if o.PeersPerSocket <= 0 {
 		o.PeersPerSocket = 1
-	}
-	if o.CoalesceDelay <= 0 {
-		o.CoalesceDelay = time.Millisecond
 	}
 	return o
 }
@@ -429,10 +412,9 @@ func assemble(addrs []*net.UDPAddr, local []int, conns []*net.UDPConn, opt Optio
 		r.rtt[p] = make(map[int]time.Duration)
 		r.nodes[p] = vivaldi.NewNode(r.vcfg,
 			rand.New(rand.NewSource(opt.Seed*7919+int64(p)+1)))
-		r.frags[p] = newFragSender(opt.RetransmitBuffer)
+		r.frags[p] = newFragSender(2 * opt.MaxMessage)
 		r.reasm[p] = NewReassembler(ReasmOptions{
 			MaxMessage:     opt.MaxMessage,
-			MaxBytes:       opt.ReassemblyBuffer,
 			StaleAfter:     opt.StaleAfter,
 			MaxNackIndices: (opt.MTU - 32) / 5, // one NACK must fit one datagram
 		})
@@ -468,7 +450,7 @@ func assemble(addrs []*net.UDPAddr, local []int, conns []*net.UDPConn, opt Optio
 			loss:     opt.Loss,
 			seed:     opt.Seed*104729 + int64(si) + 1,
 			coalesce: opt.Coalesce,
-			delay:    opt.CoalesceDelay,
+			delay:    coalesceDelay,
 			mtu:      opt.MTU,
 		}, ct)
 		r.wg.Add(2)
@@ -747,16 +729,6 @@ func (r *Runtime) Local(peer int) bool {
 // LocalPeers returns the peer indices this Runtime hosts.
 func (r *Runtime) LocalPeers() []int { return append([]int(nil), r.local...) }
 
-// Directory returns the federation's address directory, with local entries
-// resolved to their actually-bound addresses.
-func (r *Runtime) Directory() []string {
-	out := make([]string, r.n)
-	for i, a := range r.addrs {
-		out[i] = a.String()
-	}
-	return out
-}
-
 // Clock returns a wall clock whose callbacks run in the peer's mailbox.
 // Clocks of non-local peers read time but cannot schedule.
 func (r *Runtime) Clock(peer int) runtime.Clock {
@@ -839,13 +811,13 @@ func (r *Runtime) Down(peer int) bool { return r.down[peer].Load() }
 
 // Latency returns the measured one-way latency (smoothed RTT/2) between
 // the pair when either side is local and has a measurement, and
-// DefaultLatency otherwise. Measurements accumulate passively from message
+// defaultLatency otherwise. Measurements accumulate passively from message
 // echoes and actively from ProbeAll.
 func (r *Runtime) Latency(a, b int) time.Duration {
 	if d, ok := r.Measured(a, b); ok {
 		return d
 	}
-	return r.opt.DefaultLatency
+	return defaultLatency
 }
 
 // Measured returns the smoothed one-way latency for a pair, if this
@@ -1036,8 +1008,7 @@ func (r *Runtime) noteRTT(local, remote int, sample time.Duration) {
 	}
 	r.peerMu[local].Lock()
 	if old, ok := r.rtt[local][remote]; ok {
-		a := r.opt.RTTAlpha
-		r.rtt[local][remote] = time.Duration((1-a)*float64(old) + a*float64(sample))
+		r.rtt[local][remote] = time.Duration((1-rttAlpha)*float64(old) + rttAlpha*float64(sample))
 	} else {
 		r.rtt[local][remote] = sample
 	}
@@ -1268,7 +1239,7 @@ func (r *Runtime) deliverWire(peer, src int, frame []byte) {
 // rewriteSentAt computes the receiver-frame transmit stamp for an arriving
 // summary: local time now minus the measured one-way flight to the sender.
 func (r *Runtime) rewriteSentAt(peer, src int) time.Duration {
-	flight := r.opt.DefaultLatency
+	flight := defaultLatency
 	if d, ok := r.Measured(peer, src); ok {
 		flight = d
 	}

@@ -106,22 +106,13 @@ type Summary struct {
 	Levels []int16
 }
 
-// MergeLevels returns the element-wise minimum of two level vectors,
-// treating -1 (never visited) as no constraint. Merged tuples inherit the
-// most conservative history of their constituents. Neither input is
-// mutated; callers that own the destination should use MergeLevelsInto.
-func MergeLevels(a, b []int16) []int16 {
-	if a == nil {
-		return append([]int16(nil), b...)
-	}
-	return MergeLevelsInto(append([]int16(nil), a...), b)
-}
-
-// MergeLevelsInto merges b into dst in place and returns dst, allocating
-// only when dst is nil (it then clones b, since b stays caller-owned).
-// This is the hot-path variant for callers that own dst — the TS-list
-// merge and the per-hop routing constraint both fold vectors into storage
-// they already hold.
+// MergeLevelsInto folds b into dst as the element-wise minimum of the two
+// level vectors, treating -1 (never visited) as no constraint: merged
+// tuples inherit the most conservative history of their constituents. It
+// works in place and returns dst, allocating only when dst is nil (it then
+// clones b, since b stays caller-owned) — the TS-list merge and the
+// per-hop routing constraint both fold vectors into storage they already
+// hold.
 func MergeLevelsInto(dst, b []int16) []int16 {
 	if dst == nil {
 		return append([]int16(nil), b...)

@@ -154,50 +154,6 @@ func TestEnvelopeBatchCorrupt(t *testing.T) {
 	if _, err := DecodeMessage(z.Bytes()); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("zero-entry batch: %v", err)
 	}
-
-	// The batch kind does not exist before v4.
-	b := sampleBatch(t)
-	var w3 Buffer
-	if err := EncodeMessage(&w3, b); err != nil {
-		t.Fatal(err)
-	}
-	frame := w3.Bytes()
-	frame[0] = VersionNoBatch
-	if _, err := DecodeMessage(frame); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("batch under v3: %v", err)
-	}
-}
-
-// EncodeMessageVersion emits v3 frames that v4 decoders read unchanged —
-// the sender side of a rolling upgrade. Batches have no v3 form.
-func TestEncodeMessageVersionCompat(t *testing.T) {
-	for _, msg := range sampleMessages() {
-		var w Buffer
-		err := EncodeMessageVersion(&w, msg, VersionNoBatch)
-		if _, isBatch := msg.(*EnvelopeBatch); isBatch {
-			if err == nil {
-				t.Fatal("batch encoded at v3")
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("encode %T at v3: %v", msg, err)
-		}
-		if v := w.Bytes()[0]; v != VersionNoBatch {
-			t.Fatalf("%T frame stamped v%d, want v%d", msg, v, VersionNoBatch)
-		}
-		got, err := DecodeMessage(w.Bytes())
-		if err != nil {
-			t.Fatalf("v3 %T rejected by v4 decoder: %v", msg, err)
-		}
-		if !reflect.DeepEqual(got, msg) {
-			t.Fatalf("v3 round trip %T:\n got %#v\nwant %#v", msg, got, msg)
-		}
-	}
-	var w Buffer
-	if err := EncodeMessageVersion(&w, Heartbeat{Seq: 1}, VersionNoEpoch); err == nil {
-		t.Fatal("v2 encoding accepted (payload layouts differ below v3)")
-	}
 }
 
 // The steady-state flush path encodes batches with zero allocations: the

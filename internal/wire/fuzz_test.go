@@ -35,6 +35,9 @@ func requireCorrupt(t *testing.T, err error) {
 func FuzzDecodeMessage(f *testing.F) {
 	for _, b := range seedFrames(f) {
 		f.Add(b)
+		prev := append([]byte(nil), b...)
+		prev[0] = Version - 1 // the other version decoders accept
+		f.Add(prev)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		msg, err := DecodeMessage(b)

@@ -21,48 +21,27 @@ import (
 // ErrCorrupt, and never panic on corrupt input (fuzz targets pin this).
 
 // Version is the wire-format version byte leading every message frame.
-// Decoders reject frames from unknown versions as corrupt but accept the
-// earlier versions (the rule, recorded since v2: a version bump may only
-// append fields, and decoders must read every prior version by filling the
-// missing fields with that version's semantics). The tolerance is
-// decode-side only: new binaries read old frames, while old binaries
-// reject the new version — so a rolling upgrade finishes cleanly once
-// every sender is upgraded, but a mixed federation is not a steady state.
+// The policy: a sender writes the current version; a decoder reads the
+// current and the previous one and rejects every other version as corrupt.
+// New binaries therefore read the frames of binaries one release behind,
+// while those reject the new version — a rolling upgrade finishes cleanly
+// once every sender is upgraded, but a mixed federation is not a steady
+// state.
 //
-// Version 3 adds the query epoch: QueryMeta carries Epoch (so install and
-// reconciliation frames key queries on (name, epoch)), envelopes carry the
-// epoch their summary belongs to, removes carry the highest epoch they
-// retire, topology requests/replies name the epoch they resolve, and the
-// new InstallAck kind reports a wired epoch back to the query root.
-// Version-2 frames decode with Epoch 0 (the only epoch that existed) and
-// with removals covering every epoch (a v2 remove was a whole-query
-// remove).
-//
-// Version 4 adds the EnvelopeBatch kind: N summaries bound for the same
+// Version 4 added the EnvelopeBatch kind: N summaries bound for the same
 // next-hop peer in one frame, with a per-batch query key table and level
-// vectors delta-encoded against the batch's base vector. Every v3 payload
-// is byte-identical under v4 — the bump only gates the new kind — so v3
-// frames decode unchanged and EncodeMessageVersion can emit v3 frames for
-// rolling upgrades (it refuses batches, which have no v3 form).
+// vectors delta-encoded against the batch's base vector. Every other
+// kind's payload is byte-identical between v3 and v4 — the bump only gates
+// the new kind — so the one thing a decoder checks about a previous-version
+// frame is that it does not carry a batch.
 const Version = 4
 
-// VersionNoBatch is the wire format before multi-summary envelope batches
-// (no EnvelopeBatch kind; single envelopes only). Payloads of all other
-// kinds are identical to Version 4. Decoders still accept it.
-const VersionNoBatch = 3
-
-// VersionNoEpoch is the wire format before query epochs: no Epoch fields
-// anywhere and no InstallAck kind. Decoders still accept it.
-const VersionNoEpoch = 2
-
-// VersionNoCoords is the wire format before the heartbeat Vivaldi
-// coordinate extension (heartbeats end after the reconciliation hash).
-// Decoders still accept it.
-const VersionNoCoords = 1
+// versionOK reports whether a decoder accepts frame version v: the
+// current version and the one before it.
+func versionOK(v byte) bool { return v == Version || v == Version-1 }
 
 // AllEpochs is the Remove.Epoch / RemovedMark.Epoch value meaning the
-// removal covers every epoch of the query — a whole-query removal, and the
-// semantics of every pre-epoch (v2) removal.
+// removal covers every epoch of the query — a whole-query removal.
 const AllEpochs = ^uint32(0)
 
 // Message kind tags.
@@ -164,7 +143,7 @@ type Install struct {
 // Remove multicasts a query removal along the same chunking. Epoch scopes
 // it: only instances with epoch <= Epoch are torn down, so a delayed
 // old-epoch removal can never take a newer epoch with it. AllEpochs means
-// a whole-query removal (and is what every v2 frame decodes to).
+// a whole-query removal.
 type Remove struct {
 	Name    string
 	Seq     uint64
@@ -298,30 +277,6 @@ func EncodeMessage(w *Buffer, msg any) error {
 	return nil
 }
 
-// EncodeMessageVersion appends a message frame carrying an explicit
-// version byte, for senders talking to peers that have not upgraded yet
-// (Config.WireCompat). Only VersionNoBatch is supported below the current
-// version — every other kind's payload is byte-identical between v3 and
-// v4, so the frame is re-stamped after a normal encode. Envelope batches
-// have no v3 form and are refused.
-func EncodeMessageVersion(w *Buffer, msg any, version byte) error {
-	if version == Version {
-		return EncodeMessage(w, msg)
-	}
-	if version != VersionNoBatch {
-		return fmt.Errorf("wire: cannot encode version %d frames", version)
-	}
-	if _, ok := msg.(*EnvelopeBatch); ok {
-		return fmt.Errorf("wire: envelope batch has no v%d encoding", version)
-	}
-	start := len(w.b)
-	if err := EncodeMessage(w, msg); err != nil {
-		return err
-	}
-	w.b[start] = version
-	return nil
-}
-
 // DecodeMessage decodes a complete message frame produced by
 // EncodeMessage. Envelopes come back as *Envelope, everything else by
 // value, so the result feeds a type switch directly. Trailing bytes after
@@ -329,7 +284,7 @@ func EncodeMessageVersion(w *Buffer, msg any, version byte) error {
 func DecodeMessage(b []byte) (any, error) {
 	r := NewReader(b)
 	v, err := r.Byte()
-	if err != nil || v < VersionNoCoords || v > Version {
+	if err != nil || !versionOK(v) {
 		return nil, fmt.Errorf("wire: bad version: %w", ErrCorrupt)
 	}
 	kind, err := r.Byte()
@@ -340,27 +295,27 @@ func DecodeMessage(b []byte) (any, error) {
 	switch kind {
 	case MsgEnvelope:
 		var e Envelope
-		if e, err = decodeEnvelopeVersion(r, v); err == nil {
+		if e, err = DecodeEnvelope(r); err == nil {
 			msg = &e
 		}
 	case MsgHeartbeat:
-		msg, err = decodeHeartbeatVersion(r, v)
+		msg, err = DecodeHeartbeat(r)
 	case MsgInstall:
-		msg, err = decodeInstallVersion(r, v)
+		msg, err = DecodeInstall(r)
 	case MsgRemove:
-		msg, err = decodeRemoveVersion(r, v)
+		msg, err = DecodeRemove(r)
 	case MsgReconSummary:
-		msg, err = decodeReconSummaryVersion(r, v)
+		msg, err = DecodeReconSummary(r)
 	case MsgReconDefs:
-		msg, err = decodeReconDefsVersion(r, v)
+		msg, err = DecodeReconDefs(r)
 	case MsgTopoRequest:
-		msg, err = decodeTopoRequestVersion(r, v)
+		msg, err = DecodeTopoRequest(r)
 	case MsgTopoReply:
-		msg, err = decodeTopoReplyVersion(r, v)
+		msg, err = DecodeTopoReply(r)
 	case MsgInstallAck:
 		msg, err = DecodeInstallAck(r)
 	case MsgEnvelopeBatch:
-		if v <= VersionNoBatch {
+		if v != Version {
 			return nil, fmt.Errorf("wire: envelope batch in a v%d frame: %w", v, ErrCorrupt)
 		}
 		var b *EnvelopeBatch
@@ -393,14 +348,8 @@ func EncodeEnvelope(w *Buffer, e *Envelope) error {
 	return nil
 }
 
-// DecodeEnvelope reads a current-version envelope payload.
-func DecodeEnvelope(r *Reader) (Envelope, error) {
-	return decodeEnvelopeVersion(r, Version)
-}
-
-// decodeEnvelopeVersion reads an envelope payload in the given frame
-// version: pre-epoch payloads end after the transmit timestamp.
-func decodeEnvelopeVersion(r *Reader, v byte) (e Envelope, err error) {
+// DecodeEnvelope reads an envelope payload.
+func DecodeEnvelope(r *Reader) (e Envelope, err error) {
 	if e.S, e.TTLDown, err = DecodeSummary(r); err != nil {
 		return
 	}
@@ -410,9 +359,6 @@ func decodeEnvelopeVersion(r *Reader, v byte) (e Envelope, err error) {
 	}
 	e.Tree = int(tree)
 	if e.SentAt, err = r.Duration(); err != nil {
-		return
-	}
-	if v <= VersionNoEpoch {
 		return
 	}
 	e.Epoch, err = r.epoch()
@@ -476,21 +422,12 @@ func EncodeHeartbeat(w *Buffer, m Heartbeat) {
 	w.PutCoordExt(m.Coord, m.CoordErr)
 }
 
-// DecodeHeartbeat reads a current-version heartbeat payload.
-func DecodeHeartbeat(r *Reader) (Heartbeat, error) {
-	return decodeHeartbeatVersion(r, Version)
-}
-
-// decodeHeartbeatVersion reads a heartbeat payload in the given frame
-// version: VersionNoCoords payloads end after the hash.
-func decodeHeartbeatVersion(r *Reader, v byte) (m Heartbeat, err error) {
+// DecodeHeartbeat reads a heartbeat payload.
+func DecodeHeartbeat(r *Reader) (m Heartbeat, err error) {
 	if m.Seq, err = r.Uvarint(); err != nil {
 		return
 	}
 	if m.Hash, err = r.Uvarint(); err != nil {
-		return
-	}
-	if v == VersionNoCoords {
 		return
 	}
 	m.Coord, m.CoordErr, err = r.CoordExt()
@@ -532,7 +469,7 @@ func DecodeHeartbeatInto(b []byte, m *Heartbeat) error {
 	var r Reader
 	r.b = b
 	v, err := r.Byte()
-	if err != nil || v < VersionNoCoords || v > Version {
+	if err != nil || !versionOK(v) {
 		return fmt.Errorf("wire: bad version: %w", ErrCorrupt)
 	}
 	kind, err := r.Byte()
@@ -548,9 +485,7 @@ func DecodeHeartbeatInto(b []byte, m *Heartbeat) error {
 	if m.Hash, err = r.Uvarint(); err != nil {
 		return err
 	}
-	if v == VersionNoCoords {
-		m.Coord, m.CoordErr = m.Coord[:0], 0
-	} else if m.Coord, m.CoordErr, err = r.CoordExtInto(m.Coord); err != nil {
+	if m.Coord, m.CoordErr, err = r.CoordExtInto(m.Coord); err != nil {
 		return err
 	}
 	if r.Remaining() != 0 {
@@ -581,25 +516,16 @@ func EncodeQueryMeta(w *Buffer, m QueryMeta) {
 	w.PutDuration(m.IssuedSim)
 }
 
-// DecodeQueryMeta reads current-version query metadata.
-func DecodeQueryMeta(r *Reader) (QueryMeta, error) {
-	return decodeQueryMetaVersion(r, Version)
-}
-
-// decodeQueryMetaVersion reads query metadata in the given frame version:
-// pre-epoch metadata has no Epoch field (it decodes as epoch 0, the only
-// epoch that existed).
-func decodeQueryMetaVersion(r *Reader, v byte) (m QueryMeta, err error) {
+// DecodeQueryMeta reads query metadata.
+func DecodeQueryMeta(r *Reader) (m QueryMeta, err error) {
 	if m.Name, err = r.String(); err != nil {
 		return
 	}
 	if m.Seq, err = r.Uvarint(); err != nil {
 		return
 	}
-	if v > VersionNoEpoch {
-		if m.Epoch, err = r.epoch(); err != nil {
-			return
-		}
+	if m.Epoch, err = r.epoch(); err != nil {
+		return
 	}
 	if m.OpName, err = r.String(); err != nil {
 		return
@@ -771,13 +697,9 @@ func EncodeInstall(w *Buffer, m Install) error {
 	return nil
 }
 
-// DecodeInstall reads a current-version install-chunk payload.
-func DecodeInstall(r *Reader) (Install, error) {
-	return decodeInstallVersion(r, Version)
-}
-
-func decodeInstallVersion(r *Reader, v byte) (m Install, err error) {
-	if m.Meta, err = decodeQueryMetaVersion(r, v); err != nil {
+// DecodeInstall reads an install-chunk payload.
+func DecodeInstall(r *Reader) (m Install, err error) {
+	if m.Meta, err = DecodeQueryMeta(r); err != nil {
 		return
 	}
 	var n uint64
@@ -811,26 +733,16 @@ func EncodeRemove(w *Buffer, m Remove) {
 	encodeForward(w, m.Forward)
 }
 
-// DecodeRemove reads a current-version remove-multicast payload.
-func DecodeRemove(r *Reader) (Remove, error) {
-	return decodeRemoveVersion(r, Version)
-}
-
-// decodeRemoveVersion reads a remove payload in the given frame version: a
-// pre-epoch remove has no Epoch field and was a whole-query removal, so it
-// decodes as AllEpochs.
-func decodeRemoveVersion(r *Reader, v byte) (m Remove, err error) {
+// DecodeRemove reads a remove-multicast payload.
+func DecodeRemove(r *Reader) (m Remove, err error) {
 	if m.Name, err = r.String(); err != nil {
 		return
 	}
 	if m.Seq, err = r.Uvarint(); err != nil {
 		return
 	}
-	m.Epoch = AllEpochs
-	if v > VersionNoEpoch {
-		if m.Epoch, err = r.epoch(); err != nil {
-			return
-		}
+	if m.Epoch, err = r.epoch(); err != nil {
+		return
 	}
 	m.Forward, err = decodeForward(r)
 	return
@@ -863,9 +775,8 @@ func encodeInstalled(w *Buffer, m map[QueryKey]uint64) {
 	}
 }
 
-// decodeInstalled reads the installed set: (name, epoch, seq) triples in
-// the current version, (name, seq) pairs — epoch 0 — before it.
-func decodeInstalled(r *Reader, v byte) (map[QueryKey]uint64, error) {
+// decodeInstalled reads the installed set: (name, epoch, seq) triples.
+func decodeInstalled(r *Reader) (map[QueryKey]uint64, error) {
 	n, err := r.Uvarint()
 	if err != nil || n > uint64(r.Remaining()) {
 		return nil, ErrCorrupt
@@ -879,10 +790,8 @@ func decodeInstalled(r *Reader, v byte) (map[QueryKey]uint64, error) {
 		if k.Name, err = r.String(); err != nil {
 			return nil, err
 		}
-		if v > VersionNoEpoch {
-			if k.Epoch, err = r.epoch(); err != nil {
-				return nil, err
-			}
+		if k.Epoch, err = r.epoch(); err != nil {
+			return nil, err
 		}
 		seq, err := r.Uvarint()
 		if err != nil {
@@ -923,10 +832,8 @@ func encodeRemovedMarks(w *Buffer, m map[string][]RemovedMark) {
 	}
 }
 
-// decodeRemovedMarks reads the removal set. Pre-epoch (v2) removals carry
-// one seq per name and were whole-query, so they decode as a single
-// {seq, AllEpochs} mark.
-func decodeRemovedMarks(r *Reader, v byte) (map[string][]RemovedMark, error) {
+// decodeRemovedMarks reads the removal set.
+func decodeRemovedMarks(r *Reader) (map[string][]RemovedMark, error) {
 	n, err := r.Uvarint()
 	if err != nil || n > uint64(r.Remaining()) {
 		return nil, ErrCorrupt
@@ -939,14 +846,6 @@ func decodeRemovedMarks(r *Reader, v byte) (map[string][]RemovedMark, error) {
 		name, err := r.String()
 		if err != nil {
 			return nil, err
-		}
-		if v <= VersionNoEpoch {
-			seq, err := r.Uvarint()
-			if err != nil {
-				return nil, err
-			}
-			m[name] = []RemovedMark{{Seq: seq, Epoch: AllEpochs}}
-			continue
 		}
 		cnt, err := r.Uvarint()
 		if err != nil || cnt > uint64(r.Remaining()) {
@@ -973,7 +872,7 @@ func encodeMetas(w *Buffer, metas []QueryMeta) {
 	}
 }
 
-func decodeMetas(r *Reader, v byte) ([]QueryMeta, error) {
+func decodeMetas(r *Reader) ([]QueryMeta, error) {
 	n, err := r.Uvarint()
 	if err != nil || n > uint64(r.Remaining()) {
 		return nil, ErrCorrupt
@@ -983,7 +882,7 @@ func decodeMetas(r *Reader, v byte) ([]QueryMeta, error) {
 	}
 	metas := make([]QueryMeta, n)
 	for i := range metas {
-		if metas[i], err = decodeQueryMetaVersion(r, v); err != nil {
+		if metas[i], err = DecodeQueryMeta(r); err != nil {
 			return nil, err
 		}
 	}
@@ -997,20 +896,15 @@ func EncodeReconSummary(w *Buffer, m ReconSummary) {
 	encodeMetas(w, m.Metas)
 }
 
-// DecodeReconSummary reads a current-version reconciliation-summary
-// payload.
-func DecodeReconSummary(r *Reader) (ReconSummary, error) {
-	return decodeReconSummaryVersion(r, Version)
-}
-
-func decodeReconSummaryVersion(r *Reader, v byte) (m ReconSummary, err error) {
-	if m.Installed, err = decodeInstalled(r, v); err != nil {
+// DecodeReconSummary reads a reconciliation-summary payload.
+func DecodeReconSummary(r *Reader) (m ReconSummary, err error) {
+	if m.Installed, err = decodeInstalled(r); err != nil {
 		return
 	}
-	if m.Removed, err = decodeRemovedMarks(r, v); err != nil {
+	if m.Removed, err = decodeRemovedMarks(r); err != nil {
 		return
 	}
-	m.Metas, err = decodeMetas(r, v)
+	m.Metas, err = decodeMetas(r)
 	return
 }
 
@@ -1020,16 +914,12 @@ func EncodeReconDefs(w *Buffer, m ReconDefs) {
 	encodeRemovedMarks(w, m.Removed)
 }
 
-// DecodeReconDefs reads a current-version reconciliation-reply payload.
-func DecodeReconDefs(r *Reader) (ReconDefs, error) {
-	return decodeReconDefsVersion(r, Version)
-}
-
-func decodeReconDefsVersion(r *Reader, v byte) (m ReconDefs, err error) {
-	if m.Metas, err = decodeMetas(r, v); err != nil {
+// DecodeReconDefs reads a reconciliation-reply payload.
+func DecodeReconDefs(r *Reader) (m ReconDefs, err error) {
+	if m.Metas, err = decodeMetas(r); err != nil {
 		return
 	}
-	m.Removed, err = decodeRemovedMarks(r, v)
+	m.Removed, err = decodeRemovedMarks(r)
 	return
 }
 
@@ -1042,19 +932,13 @@ func EncodeTopoRequest(w *Buffer, m TopoRequest) {
 	w.PutVarint(int64(m.Peer))
 }
 
-// DecodeTopoRequest reads a current-version topology-request payload.
-func DecodeTopoRequest(r *Reader) (TopoRequest, error) {
-	return decodeTopoRequestVersion(r, Version)
-}
-
-func decodeTopoRequestVersion(r *Reader, v byte) (m TopoRequest, err error) {
+// DecodeTopoRequest reads a topology-request payload.
+func DecodeTopoRequest(r *Reader) (m TopoRequest, err error) {
 	if m.Query, err = r.String(); err != nil {
 		return
 	}
-	if v > VersionNoEpoch {
-		if m.Epoch, err = r.epoch(); err != nil {
-			return
-		}
+	if m.Epoch, err = r.epoch(); err != nil {
+		return
 	}
 	var p int64
 	if p, err = r.Varint(); err != nil {
@@ -1073,19 +957,13 @@ func EncodeTopoReply(w *Buffer, m TopoReply) {
 	w.PutBool(m.Unknown)
 }
 
-// DecodeTopoReply reads a current-version topology-reply payload.
-func DecodeTopoReply(r *Reader) (TopoReply, error) {
-	return decodeTopoReplyVersion(r, Version)
-}
-
-func decodeTopoReplyVersion(r *Reader, v byte) (m TopoReply, err error) {
+// DecodeTopoReply reads a topology-reply payload.
+func DecodeTopoReply(r *Reader) (m TopoReply, err error) {
 	if m.Query, err = r.String(); err != nil {
 		return
 	}
-	if v > VersionNoEpoch {
-		if m.Epoch, err = r.epoch(); err != nil {
-			return
-		}
+	if m.Epoch, err = r.epoch(); err != nil {
+		return
 	}
 	if m.Seq, err = r.Uvarint(); err != nil {
 		return
@@ -1107,8 +985,7 @@ func EncodeInstallAck(w *Buffer, m InstallAck) {
 	w.PutVarint(int64(m.Peer))
 }
 
-// DecodeInstallAck reads an install-ack payload. The kind itself is new in
-// Version 3, so there is no prior version to tolerate.
+// DecodeInstallAck reads an install-ack payload.
 func DecodeInstallAck(r *Reader) (m InstallAck, err error) {
 	if m.Query, err = r.String(); err != nil {
 		return

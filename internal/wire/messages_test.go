@@ -181,31 +181,57 @@ func TestMessageTruncations(t *testing.T) {
 	}
 }
 
-// Version-1 frames predate the heartbeat coordinate extension; decoders
-// must still accept them (a federation can mix binaries across one format
-// step), while versions beyond the current stay corrupt.
-func TestHeartbeatVersionTolerance(t *testing.T) {
-	var w Buffer
-	w.b = append(w.b, VersionNoCoords, MsgHeartbeat)
-	w.PutUvarint(42)
-	w.PutUvarint(7)
-	got, err := DecodeMessage(w.Bytes())
-	if err != nil {
-		t.Fatalf("v1 heartbeat rejected: %v", err)
+// The decode policy is "the current version and the previous one". Every
+// kind re-stamped Version-1 decodes equal to its Version frame (no payload
+// changed across the step) except the batch kind, which Version-1 did not
+// have; frames two versions back or one ahead are refused. Both frame
+// entry points hold the same line.
+func TestDecodeVersionWindow(t *testing.T) {
+	versions := []struct {
+		v  byte
+		ok bool
+	}{{Version, true}, {Version - 1, true}, {Version - 2, false}, {Version + 1, false}}
+	for _, msg := range sampleMessages() {
+		var w Buffer
+		if err := EncodeMessage(&w, msg); err != nil {
+			t.Fatal(err)
+		}
+		_, isBatch := msg.(*EnvelopeBatch)
+		for _, tc := range versions {
+			frame := append([]byte(nil), w.Bytes()...)
+			frame[0] = tc.v
+			wantOK := tc.ok && (!isBatch || tc.v == Version)
+			check := func(entry string, got any, err error) {
+				t.Helper()
+				if !wantOK {
+					if !errors.Is(err, ErrCorrupt) {
+						t.Fatalf("%s, %T stamped v%d: err = %v, want ErrCorrupt", entry, msg, tc.v, err)
+					}
+				} else if err != nil || !reflect.DeepEqual(got, msg) {
+					t.Fatalf("%s, %T stamped v%d: got %#v, %v\nwant %#v", entry, msg, tc.v, got, err, msg)
+				}
+			}
+			got, err := DecodeMessage(frame)
+			check("DecodeMessage", got, err)
+			if _, isHeartbeat := msg.(Heartbeat); isHeartbeat {
+				var into Heartbeat
+				err := DecodeHeartbeatInto(frame, &into)
+				check("DecodeHeartbeatInto", into, err)
+			}
+		}
 	}
-	hb, ok := got.(Heartbeat)
-	if !ok || hb.Seq != 42 || hb.Hash != 7 || hb.Coord != nil {
-		t.Fatalf("v1 heartbeat decoded as %#v", got)
-	}
+}
 
-	// The same payload under the current version is truncated (the
-	// mandatory dimension count is missing).
-	w = Buffer{}
+// The heartbeat coordinate extension is mandatory and bounded.
+func TestHeartbeatCoordExtension(t *testing.T) {
+	// A payload that ends after the hash is truncated (the dimension count
+	// is missing).
+	var w Buffer
 	w.b = append(w.b, Version, MsgHeartbeat)
 	w.PutUvarint(42)
 	w.PutUvarint(7)
 	if _, err := DecodeMessage(w.Bytes()); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("v2 heartbeat without extension: %v", err)
+		t.Fatalf("heartbeat without extension: %v", err)
 	}
 
 	// A claimed dimensionality beyond the remaining bytes must not drive
@@ -220,113 +246,8 @@ func TestHeartbeatVersionTolerance(t *testing.T) {
 	}
 }
 
-// encodeV2 builds a version-2 frame by hand: the pre-epoch layouts, which
-// v3 decoders must still read with epoch 0 (installs) / AllEpochs
-// (removals).
-func encodeV2(kind byte, payload func(w *Buffer)) []byte {
-	var w Buffer
-	w.b = append(w.b, VersionNoEpoch, kind)
-	payload(&w)
-	return w.Bytes()
-}
-
-// putV2Meta appends query metadata in the v2 layout (no Epoch field).
-func putV2Meta(w *Buffer, name string, seq uint64) {
-	w.PutString(name)
-	w.PutUvarint(seq)
-	w.PutString("count")
-	w.PutUvarint(0) // no op args
-	w.PutByte(byte(tuple.TimeWindow))
-	w.PutDuration(time.Second) // range
-	w.PutDuration(time.Second) // slide
-	w.PutVarint(0)             // RangeN
-	w.PutVarint(0)             // SlideN
-	w.PutString("")            // filter key
-	w.PutVarint(0)             // root
-	w.PutDuration(0)           // issued
-}
-
-// Version-2 frames predate query epochs; v3 decoders must read every kind
-// that grew an epoch field, filling it with that version's semantics:
-// epoch 0 for installs and topology traffic (the only epoch that existed),
-// AllEpochs for removals (a v2 remove was a whole-query remove).
-func TestEpochVersionTolerance(t *testing.T) {
-	// Install: meta without epoch, no members, no forward edges.
-	b := encodeV2(MsgInstall, func(w *Buffer) {
-		putV2Meta(w, "q", 5)
-		w.PutUvarint(0)
-		w.PutUvarint(0)
-	})
-	got, err := DecodeMessage(b)
-	if err != nil {
-		t.Fatalf("v2 install rejected: %v", err)
-	}
-	if m := got.(Install); m.Meta.Name != "q" || m.Meta.Seq != 5 || m.Meta.Epoch != 0 {
-		t.Fatalf("v2 install decoded as %#v", m.Meta)
-	}
-
-	// Remove: no epoch field -> whole-query removal.
-	b = encodeV2(MsgRemove, func(w *Buffer) {
-		w.PutString("q")
-		w.PutUvarint(9)
-		w.PutUvarint(0) // empty forward map
-	})
-	if got, err = DecodeMessage(b); err != nil {
-		t.Fatalf("v2 remove rejected: %v", err)
-	}
-	if m := got.(Remove); m.Epoch != AllEpochs || m.Seq != 9 {
-		t.Fatalf("v2 remove decoded as %#v", m)
-	}
-
-	// ReconSummary: name->seq pairs, no epochs.
-	b = encodeV2(MsgReconSummary, func(w *Buffer) {
-		w.PutUvarint(1) // installed
-		w.PutString("q")
-		w.PutUvarint(5)
-		w.PutUvarint(1) // removed
-		w.PutString("gone")
-		w.PutUvarint(3)
-		w.PutUvarint(0) // metas
-	})
-	if got, err = DecodeMessage(b); err != nil {
-		t.Fatalf("v2 recon summary rejected: %v", err)
-	}
-	rs := got.(ReconSummary)
-	if rs.Installed[QueryKey{Name: "q"}] != 5 {
-		t.Fatalf("v2 installed decoded as %#v", rs.Installed)
-	}
-	if len(rs.Removed["gone"]) != 1 || rs.Removed["gone"][0] != (RemovedMark{Seq: 3, Epoch: AllEpochs}) {
-		t.Fatalf("v2 removed decoded as %#v", rs.Removed)
-	}
-
-	// Envelope: ends after SentAt; epoch 0.
-	b = encodeV2(MsgEnvelope, func(w *Buffer) {
-		if err := EncodeSummary(w, tuple.Summary{Query: "q", Count: 1, Levels: []int16{0}}, 0); err != nil {
-			t.Fatal(err)
-		}
-		w.PutVarint(1)
-		w.PutDuration(time.Millisecond)
-	})
-	if got, err = DecodeMessage(b); err != nil {
-		t.Fatalf("v2 envelope rejected: %v", err)
-	}
-	if e := got.(*Envelope); e.Epoch != 0 || e.Tree != 1 {
-		t.Fatalf("v2 envelope decoded as %#v", e)
-	}
-
-	// TopoRequest: no epoch field.
-	b = encodeV2(MsgTopoRequest, func(w *Buffer) {
-		w.PutString("q")
-		w.PutVarint(4)
-	})
-	if got, err = DecodeMessage(b); err != nil {
-		t.Fatalf("v2 topo request rejected: %v", err)
-	}
-	if m := got.(TopoRequest); m.Epoch != 0 || m.Peer != 4 {
-		t.Fatalf("v2 topo request decoded as %#v", m)
-	}
-
-	// An epoch field beyond uint32 is corrupt, not silently truncated.
+// An epoch field beyond uint32 is corrupt, not silently truncated.
+func TestOversizedEpochIsCorrupt(t *testing.T) {
 	var w Buffer
 	w.b = append(w.b, Version, MsgRemove)
 	w.PutString("q")
