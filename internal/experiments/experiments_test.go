@@ -154,11 +154,24 @@ func TestFigure13Shape(t *testing.T) {
 	}
 }
 
+// noEmptyBuckets fails when a rolling-series row prints zero completeness
+// or path length while nodes are live: that is a second in which the root
+// happened to report nothing, read as a measurement.
+func noEmptyBuckets(t *testing.T, tab *Table) {
+	t.Helper()
+	for i := range tab.Rows {
+		if cell(t, tab, i, 1) > 0 && (cell(t, tab, i, 2) == 0 || cell(t, tab, i, 3) == 0) {
+			t.Errorf("%s: row %v reads an empty bucket as zero", tab.Title, tab.Rows[i])
+		}
+	}
+}
+
 func TestFigure14Shape(t *testing.T) {
 	tab := Figure14(quick())
 	if len(tab.Rows) < 10 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
+	noEmptyBuckets(t, tab)
 	// Path length ~ tree height early on; load positive.
 	foundLoad := false
 	for i := range tab.Rows {
@@ -182,6 +195,7 @@ func TestFigure15Shape(t *testing.T) {
 	if len(tab.Rows) < 8 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
+	noEmptyBuckets(t, tab)
 	// Final completeness stays high relative to live nodes under churn.
 	last := len(tab.Rows) - 1
 	if v := cell(t, tab, last, 2); v < 75 {

@@ -12,7 +12,10 @@ import (
 
 // rollingSeries runs a sum query and drives a failure schedule, recording
 // per-second completeness, live fraction, tuple path length, and total
-// network load.
+// network load. The tables read completeness and path length through
+// Series.Range: a second in which the root reported nothing — its report
+// phase moves whenever a failure switches windows between the timer and the
+// complete path — repeats the last known value instead of printing as zero.
 type rollingSeries struct {
 	tb       *testbed
 	compl    *metrics.Series
@@ -101,14 +104,13 @@ func Figure14(opt Options) *Table {
 		step = 5 * time.Second
 	}
 	acct := tb.Net.Accounting()
+	compl, hops := rs.compl.Range(0, end, 0), rs.hops.Range(0, end, 0)
 	for ts := step; ts < end; ts += step {
-		c, _ := rs.compl.At(ts)
-		h, _ := rs.hops.At(ts)
 		t.AddRow(
 			fmt.Sprintf("%.0f", ts.Seconds()),
 			f1(rs.livePct(ts)),
-			f1(c),
-			f2(h),
+			f1(compl[ts/time.Second]),
+			f2(hops[ts/time.Second]),
 			f2(acct.Mbps(ts)),
 		)
 	}
@@ -193,10 +195,10 @@ func Figure15(opt Options) *Table {
 		Title:   "Figure 15: accuracy under 10% churn (5% swapped every 10s)",
 		Columns: []string{"t(s)", "live%", "completeness%", "path len"},
 	}
+	compl, hops := rs.compl.Range(0, end, 0), rs.hops.Range(0, end, 0)
 	for ts := 5 * time.Second; ts < end; ts += 5 * time.Second {
-		c, _ := rs.compl.At(ts)
-		h, _ := rs.hops.At(ts)
-		t.AddRow(fmt.Sprintf("%.0f", ts.Seconds()), f1(rs.livePct(ts)), f1(c), f2(h))
+		i := ts / time.Second
+		t.AddRow(fmt.Sprintf("%.0f", ts.Seconds()), f1(rs.livePct(ts)), f1(compl[i]), f2(hops[i]))
 	}
 	var tail []float64
 	for ts := end - 20*time.Second; ts < end; ts += time.Second {

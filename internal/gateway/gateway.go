@@ -639,8 +639,8 @@ type classByteSource interface {
 }
 
 // Stats is the /v1/stats payload: the fabric's byte accounting (per-class
-// and per-query), the shared-mesh share, and — when the runtime reports it
-// — actual wire bytes by class.
+// and per-query), the shared-mesh share, which path the roots reported on,
+// and — when the runtime reports it — actual wire bytes by class.
 type Stats struct {
 	Peers          int    `json:"peers"`
 	Live           int    `json:"live"`
@@ -650,6 +650,13 @@ type Stats struct {
 	SharedCtlBytes uint64 `json:"shared_ctl_bytes"`
 	WireCtlBytes   uint64 `json:"wire_ctl_bytes,omitempty"`
 	WireDataBytes  uint64 `json:"wire_data_bytes,omitempty"`
+	// Which path reported: ResultsReportedComplete of ResultsReported left
+	// the root the moment every member was counted; the rest waited out its
+	// timeout, as every window of a query with a dead, silent or sensorless
+	// member does. LateAtRoot arrived after its window had been reported.
+	ResultsReported         uint64 `json:"results_reported"`
+	ResultsReportedComplete uint64 `json:"results_reported_complete"`
+	LateAtRoot              uint64 `json:"late_at_root"`
 	// Upstream summary coalescing (hold-and-merge + wire-v4 batches).
 	// FramesSaved is the frames the feature avoided: summaries merged away
 	// in staging buffers plus summaries that shared a batch frame.
@@ -670,6 +677,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		CtlBytes:       fab.Stats.ControlBytes.Load(),
 		DataBytes:      fab.Stats.DataBytes.Load(),
 		SharedCtlBytes: fab.Stats.SharedCtlBytes.Load(),
+
+		ResultsReported:         fab.Stats.ResultsReported.Load(),
+		ResultsReportedComplete: fab.Stats.ReportedComplete.Load(),
+		LateAtRoot:              fab.Stats.LateAtRoot.Load(),
 
 		SummariesStaged:    fab.Stats.SummariesStaged.Load(),
 		SummariesCoalesced: fab.Stats.SummariesCoalesced.Load(),

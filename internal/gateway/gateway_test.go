@@ -384,4 +384,10 @@ func TestStatsReportsCoalescing(t *testing.T) {
 	if st.SummariesCoalesced+st.BatchedSummaries > st.SummariesStaged {
 		t.Fatalf("flushed population exceeds staged: %+v", st)
 	}
+	// Which path reported: all four peers run a sensor, so some of the
+	// windows read above left the root on completeness, not on its timer.
+	if st.ResultsReported < 3 || st.ResultsReportedComplete == 0 || st.ResultsReportedComplete > st.ResultsReported {
+		t.Fatalf("results_reported = %d, results_reported_complete = %d, late_at_root = %d after three windows of a fully live query",
+			st.ResultsReported, st.ResultsReportedComplete, st.LateAtRoot)
+	}
 }

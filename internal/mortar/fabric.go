@@ -202,6 +202,10 @@ func (c Config) Validate() (Config, error) {
 type Stats struct {
 	// ResultsReported counts results emitted by query roots.
 	ResultsReported atomic.Uint64
+	// ReportedComplete counts the results among them that a root reported
+	// the moment every member was counted (instance.evictComplete); the
+	// rest, ResultsReported - ReportedComplete, waited out their timeout.
+	ReportedComplete atomic.Uint64
 	// LateAtRoot counts summaries that reached the root after their window
 	// had been reported (data lost to the result).
 	LateAtRoot atomic.Uint64

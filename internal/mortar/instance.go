@@ -430,8 +430,8 @@ func (inst *instance) sealPane() tuple.Value {
 
 // --- TS list management (§4.2, §4.3) ---
 
-// absorb inserts a summary (local or remote) into the time-space list and
-// arms the eviction timer.
+// absorb inserts a summary (local or remote) into the time-space list,
+// reports what that completed (root only) and arms the eviction timer.
 func (inst *instance) absorb(s tuple.Summary) {
 	if s.Levels == nil && inst.wired {
 		s.Levels = inst.ownLevels()
@@ -447,6 +447,7 @@ func (inst *instance) absorb(s tuple.Summary) {
 	}
 	dl := now + inst.timeoutFor(s, now)
 	inst.ts.Insert(s, now, dl)
+	inst.evictComplete(now)
 	inst.armEvict()
 }
 
@@ -548,42 +549,68 @@ func (inst *instance) armEvict() {
 
 func (inst *instance) evictExpired() {
 	now := inst.frameNow()
-	tupleWin := inst.meta.Window.Kind == tuple.TupleWindow
 	// Pop with a small tolerance: converting local-frame deadlines to
 	// simulator delays through a skewed clock rounds, so at timer fire the
 	// frame clock can sit an epsilon short of the deadline; without the
 	// tolerance the evict timer would re-arm with zero delay forever.
 	for _, e := range inst.ts.PopExpired(now + time.Millisecond) {
-		var n int64
-		if tupleWin {
-			// Tuple-window indices are unaligned intervals; order reports
-			// by interval start at millisecond granularity.
-			n = int64(e.Index.TB / time.Millisecond)
-		} else {
-			n = int64(e.Index.TB / inst.meta.Window.Slide)
-		}
-		if n > inst.lastEvicted {
-			inst.lastEvicted = n
-		}
-		s := e.Summary(inst.meta.Name, now)
-		if inst.isRoot() {
-			if tupleWin {
-				inst.reportInterval(n, s)
-			} else {
-				inst.report(n, s)
-			}
-		} else {
-			// A tumbling window's entries never share values (see newInstance),
-			// so an evicted value is exclusively this summary's; tuple-window
-			// splitting (cloneInterval) may leave the value shared with a live
-			// entry, and a sliding window's with a retained pane.
-			inst.routeNew(s, inst.ownsValues)
-		}
-		// The summary took its own Levels clone and the value travels on
-		// by reference; the entry shell goes back to the list's pool.
-		inst.ts.Recycle(e)
+		inst.evict(e, now, false)
 	}
+	// An expired entry may have been all that held back complete ones.
+	inst.evictComplete(now)
 	inst.armEvict()
+}
+
+// evictComplete is the root's fast path for time windows: an entry every
+// member is counted in (boundary tuples count a stalled source) can gain
+// nothing by waiting out its timeout, so it is reported at once. Only the
+// leading run of complete entries goes — an older window that is still open
+// keeps newer complete ones behind it until its own timer fires — so reports
+// stay in index order, and a dead, silent or lost member leaves its windows
+// to evictExpired. Only the root holds the definition, hence the count.
+func (inst *instance) evictComplete(now time.Duration) {
+	if inst.def == nil || inst.meta.Window.Kind == tuple.TupleWindow || !inst.isRoot() {
+		return
+	}
+	// One entry at a time: a result subscriber may feed this peer (Chain),
+	// and on the simulator that re-enters absorb before report returns.
+	need := len(inst.def.Members)
+	for e := inst.ts.PopLeading(need); e != nil; e = inst.ts.PopLeading(need) {
+		inst.evict(e, now, true)
+	}
+}
+
+// evict sends an entry popped from the time-space list on its way: the root
+// reports it, every other operator routes it upstream. complete marks an
+// entry popped by evictComplete rather than by its timeout.
+func (inst *instance) evict(e *tslist.Entry, now time.Duration, complete bool) {
+	tupleWin := inst.meta.Window.Kind == tuple.TupleWindow
+	unit := inst.meta.Window.Slide
+	if tupleWin {
+		// Tuple-window indices are unaligned intervals; order reports
+		// by interval start at millisecond granularity.
+		unit = time.Millisecond
+	}
+	n := int64(e.Index.TB / unit)
+	if n > inst.lastEvicted {
+		inst.lastEvicted = n
+	}
+	s := e.Summary(inst.meta.Name, now)
+	switch {
+	case !inst.isRoot():
+		// A tumbling window's entries never share values (see newInstance),
+		// so an evicted value is exclusively this summary's; tuple-window
+		// splitting (cloneInterval) may leave the value shared with a live
+		// entry, and a sliding window's with a retained pane.
+		inst.routeNew(s, inst.ownsValues)
+	case tupleWin:
+		inst.reportInterval(n, s)
+	default:
+		inst.report(n, s, complete)
+	}
+	// The summary took its own Levels clone and the value travels on
+	// by reference; the entry shell goes back to the list's pool.
+	inst.ts.Recycle(e)
 }
 
 // noteReport updates the root's completeness view and, for a migrating
@@ -638,8 +665,8 @@ func (inst *instance) isRoot() bool {
 
 // report emits a final result from the root operator. Each window is
 // reported at most once, in order; data evicted for an already-reported
-// window is counted as late.
-func (inst *instance) report(n int64, s tuple.Summary) {
+// window is counted as late. complete as in evict.
+func (inst *instance) report(n int64, s tuple.Summary, complete bool) {
 	f := inst.peer.fab
 	if n <= inst.lastReported {
 		f.Stats.LateAtRoot.Add(1)
@@ -648,6 +675,9 @@ func (inst *instance) report(n int64, s tuple.Summary) {
 	inst.lastReported = n
 	inst.noteReport(s.Count)
 	f.Stats.ResultsReported.Add(1)
+	if complete {
+		f.Stats.ReportedComplete.Add(1)
+	}
 	val := s.Value
 	if inst.fin != nil && val != nil {
 		val = inst.fin.Finalize(val)

@@ -6,19 +6,23 @@ import (
 )
 
 // FuzzTSListInvariants drives a list through an arbitrary interleaving of
-// Insert, ExtendLast, PopExpired and Recycle (the full entry life cycle,
-// pool included) and checks the structural invariants after every step:
-// entries stay sorted and non-overlapping (Validate), and value mass —
-// the integral of value over time — is conserved between the list and what
-// has been popped, so no interval is ever counted twice or dropped
+// Insert, ExtendLast, PopExpired, PopLeading and Recycle (the full entry
+// life cycle, pool included) and checks the structural invariants after
+// every step: entries stay sorted and non-overlapping (Validate), and value
+// mass — the integral of value over time — is conserved between the list
+// and what has been popped, so no interval is ever counted twice or dropped
 // (§4.2: "values are counted only once for any given interval of time").
+// PopLeading called until nil must also return exactly the leading run that
+// reached the count: in order, nothing under the count, and stopping at the
+// first entry under it.
 //
 // Each operation consumes three bytes of fuzz input: an opcode and two
 // operands that choose the interval, value and deadline.
 func FuzzTSListInvariants(f *testing.F) {
-	f.Add([]byte{0, 3, 7, 0, 3, 7, 3, 9, 0})              // merge then pop
-	f.Add([]byte{0, 0, 4, 2, 4, 2, 0, 2, 9})              // insert, extend, overlap
-	f.Add([]byte{1, 10, 3, 1, 12, 3, 3, 40, 0, 0, 10, 3}) // pop then refill from pool
+	f.Add([]byte{0, 3, 7, 0, 3, 7, 3, 9, 0})                   // merge then pop
+	f.Add([]byte{0, 0, 4, 2, 4, 2, 0, 2, 9})                   // insert, extend, overlap
+	f.Add([]byte{1, 10, 3, 1, 12, 3, 3, 40, 0, 0, 10, 3})      // pop then refill from pool
+	f.Add([]byte{0, 0, 4, 0, 0, 4, 0, 8, 4, 4, 1, 0, 0, 0, 4}) // merge, leading-pop, refill
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l := New(sumCombine)
 		var ctr Counters
@@ -26,7 +30,7 @@ func FuzzTSListInvariants(f *testing.F) {
 		var now time.Duration
 		var wantMass, gotPopped float64
 		for i := 0; i+2 < len(data); i += 3 {
-			op, a, b := data[i]%4, data[i+1], data[i+2]
+			op, a, b := data[i]%5, data[i+1], data[i+2]
 			switch op {
 			case 0, 1: // insert (double weight: it drives everything else)
 				tb := time.Duration(a % 48)
@@ -54,6 +58,24 @@ func FuzzTSListInvariants(f *testing.F) {
 				for _, e := range l.PopExpired(now) {
 					gotPopped += e.Value.(float64) * float64(e.Index.Duration())
 					l.Recycle(e)
+				}
+			case 4: // pop the leading run of entries counted at least 1 + a%3 times
+				count := 1 + int(a%3)
+				run := 0
+				for run < l.Len() && l.Entries()[run].Count >= count {
+					run++
+				}
+				popped, last := 0, time.Duration(-1)
+				for e := l.PopLeading(count); e != nil; e = l.PopLeading(count) {
+					if e.Count < count || e.Index.TB <= last {
+						t.Fatalf("PopLeading(%d) returned %v (count %d) after TB %v", count, e.Index, e.Count, last)
+					}
+					popped, last = popped+1, e.Index.TB
+					gotPopped += e.Value.(float64) * float64(e.Index.Duration())
+					l.Recycle(e)
+				}
+				if popped != run {
+					t.Fatalf("PopLeading(%d) popped %d entries, the leading run is %d", count, popped, run)
 				}
 			}
 			if err := l.Validate(); err != nil {

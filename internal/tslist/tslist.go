@@ -103,7 +103,7 @@ func (l *List) Len() int { return len(l.entries) }
 // callers must not mutate it.
 func (l *List) Entries() []*Entry { return l.entries }
 
-// Recycle returns an entry previously removed by PopExpired or PopAll to
+// Recycle returns an entry previously removed by a Pop method to
 // the list's free pool. The caller must be done with the entry (and must
 // not recycle it twice); its Levels backing array is retained for reuse
 // but Value is dropped.
@@ -306,6 +306,23 @@ func (l *List) PopExpired(now time.Duration) []*Entry {
 	l.entries = kept
 	l.popped = out
 	return out
+}
+
+// PopLeading removes and returns the list's first (oldest) entry if its
+// Count has reached count, and returns nil otherwise — however many later
+// entries have, so calling it until nil pops the leading run of counted
+// entries in index order and never one newer than an entry left behind. It
+// uses no scratch storage, so a caller may be re-entered between calls.
+// Recycle the entry once done with it.
+func (l *List) PopLeading(count int) *Entry {
+	if len(l.entries) == 0 || l.entries[0].Count < count {
+		return nil
+	}
+	e := l.entries[0]
+	n := copy(l.entries, l.entries[1:])
+	l.entries[n] = nil
+	l.entries = l.entries[:n]
+	return e
 }
 
 // PopAll removes and returns every entry in index order.

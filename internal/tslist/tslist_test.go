@@ -197,6 +197,52 @@ func TestPopExpired(t *testing.T) {
 	}
 }
 
+// PopLeading, called until nil, takes the leading run of entries that
+// reached the count and nothing behind the first that has not, in index
+// order, leaves the rest sorted, and hands back entries the pool can reuse.
+func TestPopLeading(t *testing.T) {
+	l := New(sumCombine)
+	for w := time.Duration(0); w < 5; w++ {
+		l.Insert(sum(1, w*5, w*5+5), 0, 100) // windows 0..4, Count 1
+	}
+	for _, w := range []time.Duration{0, 1, 3, 4} { // window 2 stays at Count 1
+		l.Insert(sum(1, w*5, w*5+5), 0, 100)
+	}
+	popRun := func(count int) (tbs []time.Duration) {
+		for e := l.PopLeading(count); e != nil; e = l.PopLeading(count) {
+			tbs = append(tbs, e.Index.TB)
+			l.Recycle(e)
+		}
+		if err := l.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		return tbs
+	}
+	if got := popRun(3); got != nil {
+		t.Fatalf("popped %v below the count", got)
+	}
+	if got := popRun(2); len(got) != 2 || got[0] != 0 || got[1] != 5 {
+		t.Fatalf("popped %v, want windows 0 and 1 in order", got)
+	}
+	// Windows 3 and 4 are complete but sit behind 2: nothing more pops
+	// until 2 is complete or gone.
+	if l.Len() != 3 || l.Entries()[0].Index.TB != 10 {
+		t.Fatalf("left %d entries starting at %v, want 3 starting at window 2", l.Len(), l.Entries()[0].Index.TB)
+	}
+	l.Insert(sum(1, 10, 15), 0, 100)
+	if got := popRun(2); len(got) != 3 || got[0] != 10 || got[2] != 20 {
+		t.Fatalf("popped %v, want windows 2, 3, 4", got)
+	}
+	if l.Len() != 0 {
+		t.Fatalf("len = %d after popping everything", l.Len())
+	}
+	// The recycled shells back the next inserts without carrying state over.
+	l.Insert(sum(7, 0, 5), 0, 100)
+	if e := l.Entries()[0]; e.Count != 1 || e.Value.(float64) != 7 {
+		t.Fatalf("reused entry = %+v", e)
+	}
+}
+
 func TestMergeKeepsEarliestDeadline(t *testing.T) {
 	l := New(sumCombine)
 	l.Insert(sum(1, 0, 5), 0, 50)
