@@ -347,9 +347,10 @@ func BenchmarkWireEncodeHeartbeat(b *testing.B) {
 	}
 }
 
-// BenchmarkWireDecodeHeartbeat decodes into a reused struct — the shape
-// every peer's heartbeat receive path runs per beat. The coordinate slice
-// is allocated once and reused, so steady state is allocation-free.
+// BenchmarkWireDecodeHeartbeat decodes a coordinate-bearing heartbeat frame
+// through wire.DecodeMessage — what netrt's receive path runs per beat. The
+// coordinate slice and the boxed message allocate, so this row is in the
+// ns/op regression set, not on the 0 allocs/op gate.
 func BenchmarkWireDecodeHeartbeat(b *testing.B) {
 	var w wire.Buffer
 	if err := wire.EncodeMessage(&w, wire.Heartbeat{
@@ -359,19 +360,17 @@ func BenchmarkWireDecodeHeartbeat(b *testing.B) {
 		b.Fatal(err)
 	}
 	buf := w.Bytes()
-	var hb wire.Heartbeat
-	if err := wire.DecodeHeartbeatInto(buf, &hb); err != nil { // pre-size Coord
-		b.Fatal(err)
-	}
+	var msg any
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := wire.DecodeHeartbeatInto(buf, &hb); err != nil {
+		var err error
+		if msg, err = wire.DecodeMessage(buf); err != nil {
 			b.Fatal(err)
 		}
 	}
-	if hb.Seq != 123456 || len(hb.Coord) != 3 {
-		b.Fatalf("decoded %+v", hb)
+	if hb, ok := msg.(wire.Heartbeat); !ok || hb.Seq != 123456 || len(hb.Coord) != 3 {
+		b.Fatalf("decoded %+v", msg)
 	}
 }
 

@@ -1,35 +1,227 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
+	"net"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// Each backend refuses the flags it cannot honour and names the flag that
-// does the job there; every other combination starts.
+// lockedBuffer takes the concurrent Writes run makes.
+type lockedBuffer struct {
+	mu sync.Mutex
+	bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.Buffer.Write(p)
+}
+
+// mortard parses args and runs them to completion in-process, returning
+// everything the run wrote.
+func mortard(args ...string) (string, error) {
+	cfg, err := parseFlags("mortard", args)
+	if err != nil {
+		return "", err
+	}
+	var out lockedBuffer
+	err = run(cfg, &out)
+	return out.String(), err
+}
+
+// Each backend refuses the flags it cannot honour, naming the flag; every
+// other combination passes.
 func TestCheckMode(t *testing.T) {
 	for _, tc := range []struct {
-		name         string
-		udp, live    bool
-		fail         float64
-		serve, chaos bool
-		wantErr      string // substring; "" means accepted
+		args    string
+		wantErr string // substring; "" means accepted
 	}{
-		{name: "sim"},
-		{name: "sim fail", fail: 0.2},
-		{name: "sim serve", serve: true, wantErr: "-serve needs a wall-clock backend"},
-		{name: "sim chaos", chaos: true, wantErr: "-chaos needs a wall-clock backend"},
-		{name: "live everything", live: true, fail: 0.2, serve: true, chaos: true},
-		{name: "udp serve chaos", udp: true, serve: true, chaos: true},
-		{name: "udp fail", udp: true, fail: 0.2, wantErr: "-chaos"},
-		{name: "udp fail with chaos", udp: true, fail: 0.2, chaos: true, wantErr: "-fail"},
+		{args: ""},
+		{args: "-fail 0.2"},
+		{args: "-serve :0", wantErr: "-serve needs a wall-clock backend"},
+		{args: "-chaos f", wantErr: "-chaos needs a wall-clock backend"},
+		{args: "-replan", wantErr: "-replan needs a wall-clock backend"},
+		{args: "-loss 0.5", wantErr: "-loss tunes the -live transport"},
+		{args: "-dup 0.5", wantErr: "-dup tunes the -live transport"},
+		{args: "-host 0-3", wantErr: "-host is a UDP-mode flag"},
+		{args: "-listen :0", wantErr: "-listen is a UDP-mode flag"},
+		{args: "-join :0", wantErr: "-join is a UDP-mode flag"},
+		{args: "-vivaldi", wantErr: "-vivaldi is a UDP-mode flag"},
+		{args: "-mtu 160", wantErr: "-mtu is a UDP-mode flag"},
+		{args: "-pace 1", wantErr: "-pace is a UDP-mode flag"},
+		{args: "-vivaldi-height", wantErr: "-vivaldi-height is a UDP-mode flag"},
+		{args: "-coalesce", wantErr: "-coalesce is a UDP-mode flag"},
+		{args: "-probe-rounds 0", wantErr: "-probe-rounds is a UDP-mode flag"},
+		{args: "-live -fail 0.2 -serve :0 -chaos f -replan -loss 0.1 -dup 0.1"},
+		{args: "-live -coalesce", wantErr: "-coalesce is a UDP-mode flag"},
+		{args: "-peers-file f -host 0-3 -listen :0 -vivaldi -mtu 160 -pace 1 -vivaldi-height -coalesce -probe-rounds 0 -serve :0 -chaos f -replan"},
+		{args: "-peers-file f -host 4-7 -join :0 -chaos f"},
+		{args: "-peers-file f -host 0-3 -fail 0.2", wantErr: "-chaos"},
+		{args: "-peers-file f -host 0-3 -fail 0.2 -chaos f", wantErr: "-fail"},
+		{args: "-peers-file f -host 0-3 -live", wantErr: "-live is dropped by -peers-file"},
+		{args: "-peers-file f -host 0-3 -loss 0.5", wantErr: "-loss tunes the -live transport"},
+		{args: "-peers-file f", wantErr: "-peers-file requires -host"},
+		{args: "-peers-file f -host 4-7 -serve :0", wantErr: "-serve runs on the coordinator"},
 	} {
-		err := checkMode(tc.udp, tc.live, tc.fail, tc.serve, tc.chaos)
+		cfg, err := parseFlags("mortard", strings.Fields(tc.args))
+		if err != nil {
+			t.Fatalf("%q: %v", tc.args, err)
+		}
+		err = cfg.check()
 		switch {
 		case tc.wantErr == "" && err != nil:
-			t.Errorf("%s: refused: %v", tc.name, err)
+			t.Errorf("%q: refused: %v", tc.args, err)
 		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
-			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.wantErr)
+			t.Errorf("%q: err = %v, want one naming %q", tc.args, err, tc.wantErr)
+		}
+	}
+}
+
+// The simulator is deterministic from its seed, and its output — every
+// result row, and with -fail the instant and order of the disconnect and
+// reconnect among them — is what the parent of the one-run-path change
+// printed.
+func TestSimulatorGolden(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"testdata/sim-seed3.txt", []string{"-peers", "60", "-seed", "3"}},
+		{"testdata/sim-seed3-fail.txt", []string{"-peers", "60", "-seed", "3", "-fail", "0.2"}},
+	} {
+		want, err := os.ReadFile(tc.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			got, err := mortard(tc.args...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Errorf("%v, run %d, differs from %s:\n%s", tc.args, i, tc.golden, got)
+			}
+		}
+	}
+}
+
+// counters reads the name=value integers of the first line starting with
+// prefix.
+func counters(t *testing.T, out, prefix string) map[string]int {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.HasPrefix(line, prefix) {
+			continue
+		}
+		m := map[string]int{}
+		for _, kv := range regexp.MustCompile(`(\w+)=(\d+)`).FindAllStringSubmatch(line, -1) {
+			m[kv[1]], _ = strconv.Atoi(kv[2])
+		}
+		return m
+	}
+	t.Fatalf("no %q line in:\n%s", prefix, out)
+	return nil
+}
+
+// wantCompleteness fails unless some result row counted every peer.
+func wantCompleteness(t *testing.T, out string, peers int) {
+	t.Helper()
+	if !strings.Contains(out, fmt.Sprintf(" completeness=%d ", peers)) {
+		t.Errorf("no window reached completeness=%d:\n%s", peers, out)
+	}
+}
+
+// The live backend counts every peer, and after Shutdown its transport
+// ledger reconciles. (The first full window reports ≈ 3.5 s in.)
+func TestLiveRun(t *testing.T) {
+	t.Parallel()
+	out, err := mortard("-live", "-peers", "12", "-duration", "5s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCompleteness(t, out, 12)
+	c := counters(t, out, "# live transport:")
+	if c["sent"] == 0 || c["delivered"]+c["dropped"] != c["sent"]+c["duplicated"] {
+		t.Errorf("ledger does not reconcile: %v", c)
+	}
+}
+
+// A coordinator and a worker, each one run over its half of a generated
+// peers file, exchange real datagrams on loopback: the coordinator counts
+// every peer, and hanging up ends the worker's run.
+func TestUDPCoordinatorAndWorker(t *testing.T) {
+	if testing.Short() {
+		t.Skip("binds loopback sockets and runs 6 s of wall clock")
+	}
+	t.Parallel()
+	const peers = 8
+	ln, err := net.Listen("tcp", "127.0.0.1:0") // a free port for the join barrier
+	if err != nil {
+		t.Fatal(err)
+	}
+	join := ln.Addr().String()
+	ln.Close()
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0") // and one for the first of the two sockets
+	if err != nil {
+		t.Fatal(err)
+	}
+	basePort := pc.LocalAddr().(*net.UDPAddr).Port
+	pc.Close()
+	file := filepath.Join(t.TempDir(), "peers.txt")
+	if _, err := mortard("-gen-peers-file", file, "-peers", strconv.Itoa(peers), "-peers-per-socket", "4", "-base-port", strconv.Itoa(basePort)); err != nil {
+		t.Fatal(err)
+	}
+
+	type result struct {
+		out string
+		err error
+	}
+	worker := make(chan result, 1)
+	go func() {
+		out, err := mortard("-peers-file", file, "-host", "4-7", "-join", join, "-duration", "60s")
+		worker <- result{out, err}
+	}()
+	out, err := mortard("-peers-file", file, "-host", "0-3", "-listen", join, "-duration", "6s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCompleteness(t, out, peers)
+	if c := counters(t, out, "# udp transport:"); c["sent"] == 0 || c["delivered"] == 0 {
+		t.Errorf("no datagrams crossed the sockets: %v", c)
+	}
+	w := <-worker
+	if w.err != nil || !strings.Contains(w.out, "# worker hosting peers 4..7") {
+		t.Errorf("worker: err = %v, output:\n%s", w.err, w.out)
+	}
+}
+
+// What used to exit the process from a helper now comes back from run.
+func TestRunReturnsErrors(t *testing.T) {
+	dir := t.TempDir()
+	badChaos := filepath.Join(dir, "chaos.json")
+	if err := os.WriteFile(badChaos, []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	for _, args := range [][]string{
+		{"-msl", filepath.Join(dir, "missing.msl")},
+		{"-live", "-peers", "4", "-chaos", badChaos},
+		{"-live", "-peers", "4", "-duration", "1s", "-serve", ln.Addr().String()},
+	} {
+		if _, err := mortard(args...); err == nil {
+			t.Errorf("%v: run returned no error", args)
 		}
 	}
 }

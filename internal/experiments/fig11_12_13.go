@@ -8,6 +8,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mortar"
 	"repro/internal/plan"
+	"repro/internal/wire"
 )
 
 // Figure11 measures query installation rate and coverage while a fraction
@@ -38,7 +39,8 @@ func Figure11(opt Options) *Table {
 					}
 				}
 			}
-			cov := 100 * float64(tb.Fab.InstalledCount("q")) / float64(hosts)
+			installed, _ := tb.Fab.Counts("q", wire.AllEpochs)
+			cov := 100 * float64(installed) / float64(hosts)
 			vals = append(vals, cov)
 			if k == 40 && s == 25 {
 				cov40at29 = cov

@@ -97,39 +97,16 @@ func NewRuntime(rt runtime.Runtime, prog *msl.Program, rng *rand.Rand) (*Federat
 // installs arriving later through InstallQuery — the gateway's
 // multi-tenant mode, where every query enters over HTTP.
 func NewRuntimeCfg(rt runtime.Runtime, prog *msl.Program, rng *rand.Rand, cfg mortar.Config) (*Federation, error) {
-	fab, err := mortar.NewFabric(rt, nil, cfg)
+	f, err := newFederation(rt, cfg)
 	if err != nil {
 		return nil, err
 	}
-	f := &Federation{
-		Fab:      fab,
-		Prog:     prog,
-		Rt:       rt,
-		defs:     map[string]*mortar.QueryDef{},
-		chains:   map[string]func(){},
-		chainSrc: map[string]string{},
-	}
+	f.Prog = prog
 
 	// Network coordinates for planning, as the prototype sources them from
-	// Vivaldi (§3.1). On a runtime whose peers gossip coordinates (netrt)
-	// the decentralized embedding is consumed directly; otherwise a
-	// coordinator-local embedding is computed over the transport's latency
-	// oracle, which only prices pairs this process can measure.
-	n := rt.NumPeers()
-	tr := rt.Transport()
-	coords := gossipedCoords(rt, n)
-	if coords != nil {
-		f.PlannedFromCoords = true
-		f.Model = plan.CoordModel{Coords: coords, Height: coordHeight(rt)}
-	} else {
-		sys := vivaldi.NewSystem(n, vivaldi.DefaultConfig(), rng)
-		sys.Run(10, 8, func(i, j int) time.Duration { return tr.Latency(i, j) })
-		coords = make([]cluster.Point, n)
-		for i, c := range sys.Coordinates() {
-			coords[i] = cluster.Point(c)
-		}
-		f.Model = plan.LatencyFunc(tr.Latency)
-	}
+	// Vivaldi (§3.1) — the same view a later replan or tenant install takes.
+	var coords []cluster.Point
+	coords, f.Model, f.PlannedFromCoords = f.currentView(rng)
 
 	if prog != nil {
 		now := rt.Clock(0).Now()
@@ -152,6 +129,21 @@ func NewRuntimeCfg(rt runtime.Runtime, prog *msl.Program, rng *rand.Rand, cfg mo
 		}
 	}
 	return f, nil
+}
+
+// newFederation builds the fabric and an empty query table over rt.
+func newFederation(rt runtime.Runtime, cfg mortar.Config) (*Federation, error) {
+	fab, err := mortar.NewFabric(rt, nil, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Federation{
+		Fab:      fab,
+		Rt:       rt,
+		defs:     map[string]*mortar.QueryDef{},
+		chains:   map[string]func(){},
+		chainSrc: map[string]string{},
+	}, nil
 }
 
 // gossipedCoords returns planning points from the runtime's gossiped
@@ -182,11 +174,7 @@ func gossipedCoords(rt runtime.Runtime, n int) []cluster.Point {
 // recovered peers do. Only the coordinator — the process hosting the query
 // roots — runs NewRuntime.
 func NewWorker(rt runtime.Runtime) (*Federation, error) {
-	fab, err := mortar.NewFabric(rt, nil, mortar.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	return &Federation{Fab: fab, Rt: rt, defs: map[string]*mortar.QueryDef{}, chains: map[string]func(){}, chainSrc: map[string]string{}}, nil
+	return newFederation(rt, mortar.DefaultConfig())
 }
 
 // Def returns the compiled definition of a query — the newest epoch's.

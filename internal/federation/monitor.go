@@ -73,7 +73,9 @@ func (f *Federation) replanRngLocked() *rand.Rand {
 // currentView returns the planner's present latency view: the gossiped
 // Vivaldi embedding when the runtime covers every peer (the decentralized
 // path), else a coordinator-local embedding over the transport's measured
-// latencies — the same fallback NewRuntime plans with.
+// latencies, which only prices pairs this process can measure. NewRuntime
+// plans from it too, so a partially gossiped coordinate set never places the
+// unheard peers at arbitrary positions.
 func (f *Federation) currentView(rng *rand.Rand) ([]cluster.Point, plan.LatencyModel, bool) {
 	n := f.Rt.NumPeers()
 	if coords := gossipedCoords(f.Rt, n); coords != nil {

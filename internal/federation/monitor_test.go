@@ -125,7 +125,7 @@ func TestMonitorReplansOnDrift(t *testing.T) {
 		return fed.Fab.Stats.EpochsRetired.Load() >= 1
 	})
 	waitCond(t, 30*time.Second, "old epoch drained", func() bool {
-		installed, _ := fed.Fab.EpochCounts("q", 0)
+		installed, _ := fed.Fab.Counts("q", 0)
 		return installed == 0
 	})
 	waitCond(t, 20*time.Second, "new epoch completeness", func() bool {
@@ -136,10 +136,10 @@ func TestMonitorReplansOnDrift(t *testing.T) {
 	mon.Stop()
 	rt.Shutdown()
 
-	if got := fed.Fab.EpochInstalledCount("q", 0); got != 0 {
+	if got, _ := fed.Fab.Counts("q", 0); got != 0 {
 		t.Fatalf("epoch 0 still installed on %d peers", got)
 	}
-	if got := fed.Fab.EpochWiredCount("q", 1); got != peers {
+	if _, got := fed.Fab.Counts("q", 1); got != peers {
 		t.Fatalf("epoch 1 wired on %d of %d peers", got, peers)
 	}
 

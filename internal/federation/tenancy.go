@@ -209,7 +209,7 @@ func (f *Federation) Queries() []QueryStatus {
 		if def != nil {
 			st.Epoch = def.Meta.Epoch
 			st.Members = len(def.Members)
-			st.Installed, st.Wired = f.Fab.EpochCounts(name, def.Meta.Epoch)
+			st.Installed, st.Wired = f.Fab.Counts(name, def.Meta.Epoch)
 		}
 		st.CtlBytes, st.DataBytes = f.Fab.QueryTraffic(name)
 		out = append(out, st)

@@ -16,6 +16,7 @@ import (
 	"repro/internal/runtime/livert"
 	"repro/internal/runtime/simrt"
 	"repro/internal/tuple"
+	"repro/internal/wire"
 )
 
 // countStatements builds an MSL program of q identical count queries.
@@ -170,7 +171,7 @@ func TestConcurrentQueryLifecycle(t *testing.T) {
 	})
 	waitCond(t, 20*time.Second, "removed queries drained", func() bool {
 		for name := range removed {
-			if fed.Fab.InstalledAnywhere(name) {
+			if installed, _ := fed.Fab.Counts(name, wire.AllEpochs); installed > 0 {
 				return false
 			}
 		}

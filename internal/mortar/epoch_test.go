@@ -55,7 +55,7 @@ func TestEpochMigrationMakeBeforeBreak(t *testing.T) {
 		startSensor(fab, rt, i)
 	}
 	rt.RunFor(20 * time.Second)
-	if got := fab.EpochWiredCount("mig", 0); got != peers {
+	if _, got := fab.Counts("mig", 0); got != peers {
 		t.Fatalf("epoch 0 wired on %d of %d peers before migration", got, peers)
 	}
 
@@ -69,14 +69,14 @@ func TestEpochMigrationMakeBeforeBreak(t *testing.T) {
 	if got := fab.Stats.EpochsRetired.Load(); got != 1 {
 		t.Fatalf("EpochsRetired = %d, want 1", got)
 	}
-	if got := fab.EpochInstalledCount("mig", 0); got != 0 {
+	if got, _ := fab.Counts("mig", 0); got != 0 {
 		t.Fatalf("epoch 0 still installed on %d peers after retirement", got)
 	}
-	if got := fab.EpochWiredCount("mig", 1); got != peers {
+	if _, got := fab.Counts("mig", 1); got != peers {
 		t.Fatalf("epoch 1 wired on %d of %d peers", got, peers)
 	}
-	if got := fab.InstalledCount("mig"); got != peers {
-		t.Fatalf("InstalledCount (any epoch) = %d, want %d", got, peers)
+	if got, _ := fab.Counts("mig", wire.AllEpochs); got != peers {
+		t.Fatalf("installed (any epoch) = %d, want %d", got, peers)
 	}
 	if !epochSeen[0] || !epochSeen[1] {
 		t.Fatalf("results seen per epoch: %v — both epochs must report", epochSeen)
@@ -114,7 +114,7 @@ func TestStaleRemoveIsNoOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.RunFor(10 * time.Second)
-	if got := fab.InstalledCount("mig"); got != peers {
+	if got, _ := fab.Counts("mig", wire.AllEpochs); got != peers {
 		t.Fatalf("installed on %d of %d peers", got, peers)
 	}
 	// seq 5 == install seq: stale (removal must carry a NEWER seq to win).
@@ -122,10 +122,10 @@ func TestStaleRemoveIsNoOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.RunFor(20 * time.Second)
-	if got := fab.InstalledCount("mig"); got != peers {
+	if got, _ := fab.Counts("mig", wire.AllEpochs); got != peers {
 		t.Fatalf("stale remove tore down the query: %d of %d peers still host it", got, peers)
 	}
-	if got := fab.WiredCount("mig"); got != peers {
+	if _, got := fab.Counts("mig", wire.AllEpochs); got != peers {
 		t.Fatalf("stale remove unwired the query: %d of %d", got, peers)
 	}
 }
@@ -152,7 +152,7 @@ func TestDelayedOldEpochRemoveSparesNewEpoch(t *testing.T) {
 		rt.Exec(i, func() { fab.Peer(i).removeLocal("mig", 99, 0) })
 	}
 	rt.RunFor(20 * time.Second)
-	if got := fab.EpochWiredCount("mig", 1); got != peers {
+	if _, got := fab.Counts("mig", 1); got != peers {
 		t.Fatalf("delayed old-epoch remove damaged epoch 1: wired on %d of %d peers", got, peers)
 	}
 	// The removal mark must not have poisoned epoch-1 adoption either: a
@@ -229,7 +229,7 @@ func TestWholeRemoveCoversBothEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.RunFor(30 * time.Second)
-	if got := fab.InstalledCount("mig"); got != 0 {
+	if got, _ := fab.Counts("mig", wire.AllEpochs); got != 0 {
 		t.Fatalf("%d peers still host the removed query", got)
 	}
 	if got := fab.Stats.EpochsRetired.Load(); got > 1 {

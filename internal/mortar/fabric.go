@@ -700,100 +700,35 @@ func (f *Fabric) Remove(issuer int, name string, seq uint64) error {
 	return err
 }
 
-// InstalledCount returns how many peers currently host an operator for the
-// query — any epoch of it (Figure 11's y-axis). It reads peer state
-// directly: call it only while the runtime is quiescent (the simulator
-// between steps, or a live runtime after Shutdown).
-func (f *Fabric) InstalledCount(name string) int {
-	n := 0
-	for _, p := range f.peers {
-		for k := range p.insts {
-			if k.name == name {
-				n++
-				break
-			}
-		}
-	}
-	return n
-}
-
-// WiredCount returns how many peers host at least one wired operator for
-// the query. Quiescent-only, like InstalledCount.
-func (f *Fabric) WiredCount(name string) int {
-	n := 0
-	for _, p := range f.peers {
-		for k, inst := range p.insts {
-			if k.name == name && inst.wired {
-				n++
-				break
-			}
-		}
-	}
-	return n
-}
-
-// EpochInstalledCount returns how many peers host the given epoch of the
-// query. Quiescent-only, like InstalledCount.
-func (f *Fabric) EpochInstalledCount(name string, epoch uint32) int {
-	n := 0
-	for _, p := range f.peers {
-		if _, ok := p.insts[instKey{name: name, epoch: epoch}]; ok {
-			n++
-		}
-	}
-	return n
-}
-
-// EpochWiredCount returns how many of those operators know their tree
-// positions. Quiescent-only.
-func (f *Fabric) EpochWiredCount(name string, epoch uint32) int {
-	n := 0
-	for _, p := range f.peers {
-		if inst, ok := p.insts[instKey{name: name, epoch: epoch}]; ok && inst.wired {
-			n++
-		}
-	}
-	return n
-}
-
-// EpochCounts reports, live-safely, how many of this process's local peers
-// host (and have wired) the given epoch: each count runs inside the
-// peer's serialization domain, so callers may poll it while the federation
-// is running — how tests watch a migration complete. Peers hosted by other
-// processes are not visible.
-func (f *Fabric) EpochCounts(name string, epoch uint32) (installed, wired int) {
+// Counts reports how many of this process's peers host the given epoch of
+// the query and how many of those have it wired; with wire.AllEpochs a peer
+// counts once when any epoch of the query qualifies (Figure 11's y-axis).
+// Each read runs inside the peer's serialization domain, so callers may
+// poll while the federation runs — how tests watch a migration or a removal
+// complete. Once the runtime refuses the Exec (after Shutdown, when the
+// Spawner contract lets peer state be inspected from the caller's
+// goroutine) the peer is read directly. Peers hosted by other processes
+// are not visible.
+func (f *Fabric) Counts(name string, epoch uint32) (installed, wired int) {
 	for i, p := range f.peers {
-		p := p
-		runtime.ExecWait(f.Rt, i, func() {
-			if inst, ok := p.insts[instKey{name: name, epoch: epoch}]; ok {
-				installed++
-				if inst.wired {
-					wired++
+		read := func() {
+			has, hasWired := false, false
+			for k, inst := range p.insts {
+				if k.name == name && (epoch == wire.AllEpochs || k.epoch == epoch) {
+					has = true
+					hasWired = hasWired || inst.wired
 				}
 			}
-		})
+			if has {
+				installed++
+			}
+			if hasWired {
+				wired++
+			}
+		}
+		if !runtime.ExecWait(f.Rt, i, read) {
+			read()
+		}
 	}
 	return installed, wired
-}
-
-// InstalledAnywhere reports, live-safely, whether any local peer still
-// hosts any epoch of the query — how a removal is watched draining to
-// completion while the federation keeps running.
-func (f *Fabric) InstalledAnywhere(name string) bool {
-	found := false
-	for i, p := range f.peers {
-		p := p
-		runtime.ExecWait(f.Rt, i, func() {
-			for k := range p.insts {
-				if k.name == name {
-					found = true
-					break
-				}
-			}
-		})
-		if found {
-			return true
-		}
-	}
-	return false
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/runtime/simrt"
 	"repro/internal/tuple"
 	"repro/internal/vclock"
+	"repro/internal/wire"
 )
 
 // testbed builds a small fabric over a simulated transit-stub topology.
@@ -75,10 +76,10 @@ func TestInstallCoversAllLiveNodes(t *testing.T) {
 	fab, rt := testbed(t, 60, 1, DefaultConfig(), nil)
 	sumQuery(t, fab, rt, 4, 2)
 	rt.RunFor(5 * time.Second)
-	if got := fab.InstalledCount("sum1"); got != 60 {
+	if got, _ := fab.Counts("sum1", wire.AllEpochs); got != 60 {
 		t.Fatalf("installed = %d, want 60", got)
 	}
-	if got := fab.WiredCount("sum1"); got != 60 {
+	if _, got := fab.Counts("sum1", wire.AllEpochs); got != 60 {
 		t.Fatalf("wired = %d, want 60", got)
 	}
 }
@@ -188,7 +189,7 @@ func TestReconciliationInstallsOnRecoveredNodes(t *testing.T) {
 	}
 	sumQuery(t, fab, rt, 4, 2)
 	rt.RunFor(10 * time.Second)
-	got := fab.InstalledCount("sum1")
+	got, _ := fab.Counts("sum1", wire.AllEpochs)
 	if got > 30 {
 		t.Fatalf("installed %d while 10 peers down", got)
 	}
@@ -197,10 +198,10 @@ func TestReconciliationInstallsOnRecoveredNodes(t *testing.T) {
 		fab.SetDown(v, false)
 	}
 	rt.RunFor(60 * time.Second)
-	if got := fab.InstalledCount("sum1"); got != 40 {
+	if got, _ := fab.Counts("sum1", wire.AllEpochs); got != 40 {
 		t.Fatalf("installed = %d after recovery, want 40", got)
 	}
-	if got := fab.WiredCount("sum1"); got != 40 {
+	if _, got := fab.Counts("sum1", wire.AllEpochs); got != 40 {
 		t.Fatalf("wired = %d after recovery, want 40", got)
 	}
 }
@@ -217,7 +218,7 @@ func TestRemoveEventuallyEverywhere(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.RunFor(10 * time.Second)
-	remaining := fab.InstalledCount("sum1")
+	remaining, _ := fab.Counts("sum1", wire.AllEpochs)
 	if remaining == 0 {
 		t.Fatal("down peers should still hold the query")
 	}
@@ -225,7 +226,7 @@ func TestRemoveEventuallyEverywhere(t *testing.T) {
 		fab.SetDown(v, false)
 	}
 	rt.RunFor(120 * time.Second)
-	if got := fab.InstalledCount("sum1"); got != 0 {
+	if got, _ := fab.Counts("sum1", wire.AllEpochs); got != 0 {
 		t.Fatalf("%d peers still hold the removed query", got)
 	}
 }
@@ -346,7 +347,7 @@ func TestScopedQueryOnlyInvolvesMembers(t *testing.T) {
 	// Non-members also produce data; it must not leak into the query.
 	startSensor(fab, rt, 5)
 	rt.RunFor(30 * time.Second)
-	if got := fab.InstalledCount("scoped"); got != len(members) {
+	if got, _ := fab.Counts("scoped", wire.AllEpochs); got != len(members) {
 		t.Fatalf("installed on %d peers, want %d", got, len(members))
 	}
 	if last.Value == nil || last.Value.(float64) != float64(len(members)) {

@@ -433,7 +433,8 @@ func (p *Peer) pruneNeighborState() {
 
 // NeighborStateSize reports the number of liveness and duplicate-
 // suppression entries currently held — an introspection hook for leak
-// tests and operational debugging. Quiescent-only, like InstalledCount.
+// tests and operational debugging. Quiescent-only: call it on the
+// simulator between steps, or on a live runtime after Shutdown.
 func (p *Peer) NeighborStateSize() int { return len(p.lastHeard) + len(p.hbSeqSeen) }
 
 // LivenessEntries reports only the liveness entries; after a query's

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/runtime/simrt"
 	"repro/internal/tuple"
+	"repro/internal/wire"
 )
 
 // lossyTestbed builds a fabric whose links drop a fraction of packets —
@@ -169,7 +170,7 @@ func TestRemoveSupersedesLaterLowSeqInstall(t *testing.T) {
 	if _, ok := fab.Peer(7).insts[instKey{name: "q"}]; ok {
 		t.Fatal("removed query re-installed by a stale message")
 	}
-	if got := fab.InstalledCount("q"); got != 0 {
+	if got, _ := fab.Counts("q", wire.AllEpochs); got != 0 {
 		t.Fatalf("%d peers still host the removed query", got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/tuple"
+	"repro/internal/wire"
 )
 
 // runSeeded executes the §7.2 microbenchmark over the simulated backend
@@ -122,7 +123,7 @@ func TestRemovePrunesNeighborState(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.RunFor(30 * time.Second)
-	if got := fab.InstalledCount("sum1"); got != 0 {
+	if got, _ := fab.Counts("sum1", wire.AllEpochs); got != 0 {
 		t.Fatalf("%d peers still host the removed query", got)
 	}
 	for i := 0; i < fab.NumPeers(); i++ {

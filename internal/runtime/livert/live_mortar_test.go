@@ -9,6 +9,7 @@ import (
 	"repro/internal/mortar"
 	"repro/internal/runtime/livert"
 	"repro/internal/tuple"
+	"repro/internal/wire"
 )
 
 // liveConfig shrinks the paper's timing constants so a live federation
@@ -89,10 +90,10 @@ func TestLiveFederationEndToEnd(t *testing.T) {
 	rt.Shutdown()
 
 	// Post-shutdown the runtime is quiescent: aggregate inspection is safe.
-	if got := fab.InstalledCount("live-sum"); got != peers {
+	if got, _ := fab.Counts("live-sum", wire.AllEpochs); got != peers {
 		t.Fatalf("installed on %d of %d peers", got, peers)
 	}
-	if got := fab.WiredCount("live-sum"); got != peers {
+	if _, got := fab.Counts("live-sum", wire.AllEpochs); got != peers {
 		t.Fatalf("wired on %d of %d peers", got, peers)
 	}
 	mu.Lock()
@@ -171,7 +172,7 @@ func TestLiveRemovePrunesNeighborState(t *testing.T) {
 	}
 	time.Sleep(300 * time.Millisecond)
 	rt.Shutdown()
-	if got := fab.InstalledCount("q"); got != 0 {
+	if got, _ := fab.Counts("q", wire.AllEpochs); got != 0 {
 		t.Fatalf("%d peers still host the removed query", got)
 	}
 	for i := 0; i < peers; i++ {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/mortar"
 	"repro/internal/runtime/livert"
 	"repro/internal/tuple"
+	"repro/internal/wire"
 )
 
 // Regression for the Rand()/Send() race: compile a second query while the
@@ -40,7 +41,7 @@ func TestRandDoesNotRaceWithTransport(t *testing.T) {
 	time.Sleep(200 * time.Millisecond)
 	rt.Shutdown()
 	for q := 0; q < 5; q++ {
-		if got := fab.InstalledCount("q" + string(rune('a'+q))); got == 0 {
+		if got, _ := fab.Counts("q"+string(rune('a'+q)), wire.AllEpochs); got == 0 {
 			t.Fatalf("query %d installed nowhere", q)
 		}
 	}

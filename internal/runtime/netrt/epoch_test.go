@@ -198,7 +198,7 @@ func TestDriftReplanMigratesEpoch(t *testing.T) {
 	feds := []*federation.Federation{fed, w1, w2}
 	waitUntil(t, 30*time.Second, "old epoch drained everywhere", func() bool {
 		for _, f := range feds {
-			if installed, _ := f.Fab.EpochCounts("q", 0); installed != 0 {
+			if installed, _ := f.Fab.Counts("q", 0); installed != 0 {
 				return false
 			}
 		}
@@ -218,10 +218,10 @@ func TestDriftReplanMigratesEpoch(t *testing.T) {
 	// Post-shutdown state: old epoch fully gone, new epoch wired on every
 	// runtime's local peers (each fabric sees only the 3 peers it hosts).
 	for gi, f := range feds {
-		if got := f.Fab.EpochInstalledCount("q", 0); got != 0 {
+		if got, _ := f.Fab.Counts("q", 0); got != 0 {
 			t.Fatalf("runtime %d: epoch 0 still installed on %d peers", gi, got)
 		}
-		if got := f.Fab.EpochWiredCount("q", 1); got != 3 {
+		if _, got := f.Fab.Counts("q", 1); got != 3 {
 			t.Fatalf("runtime %d: epoch 1 wired on %d of its 3 peers", gi, got)
 		}
 	}
@@ -354,7 +354,7 @@ func TestReplanUnderChurnReachesCompleteness(t *testing.T) {
 	feds := []*federation.Federation{fed, w1, w2}
 	waitUntil(t, 30*time.Second, "old epoch drained everywhere", func() bool {
 		for _, f := range feds {
-			if installed, _ := f.Fab.EpochCounts("q", 0); installed != 0 {
+			if installed, _ := f.Fab.Counts("q", 0); installed != 0 {
 				return false
 			}
 		}
@@ -364,7 +364,7 @@ func TestReplanUnderChurnReachesCompleteness(t *testing.T) {
 		rt.Shutdown()
 	}
 	for gi, f := range feds {
-		if got := f.Fab.EpochInstalledCount("q", 0); got != 0 {
+		if got, _ := f.Fab.Counts("q", 0); got != 0 {
 			t.Fatalf("runtime %d: epoch 0 survived the churned migration on %d peers", gi, got)
 		}
 	}

@@ -677,13 +677,13 @@ func TestInstallCrossesSockets(t *testing.T) {
 		rt.Shutdown()
 	}
 	// Post-shutdown state inspection is safe.
-	if got := coord.Fab.InstalledCount("peers"); got != 3 {
+	if got, _ := coord.Fab.Counts("peers", wire.AllEpochs); got != 3 {
 		t.Fatalf("coordinator hosts %d of its 3 peers' operators", got)
 	}
-	if got := worker.Fab.InstalledCount("peers"); got != 3 {
+	if got, _ := worker.Fab.Counts("peers", wire.AllEpochs); got != 3 {
 		t.Fatalf("worker hosts %d of its 3 peers' operators", got)
 	}
-	if got := worker.Fab.WiredCount("peers"); got != 3 {
+	if _, got := worker.Fab.Counts("peers", wire.AllEpochs); got != 3 {
 		t.Fatalf("worker wired %d of its 3 operators", got)
 	}
 }

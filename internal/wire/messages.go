@@ -434,66 +434,6 @@ func DecodeHeartbeat(r *Reader) (m Heartbeat, err error) {
 	return
 }
 
-// CoordExtInto reads a coordinate extension into c's backing array,
-// reusing its capacity; it is the allocation-free counterpart of CoordExt
-// for callers that decode the same message struct repeatedly. A zero
-// dimension count yields c[:0].
-func (r *Reader) CoordExtInto(c []float64) ([]float64, float64, error) {
-	d, err := r.Uvarint()
-	if err != nil || d > uint64(r.Remaining())/8 {
-		return nil, 0, ErrCorrupt
-	}
-	c = c[:0]
-	if d == 0 {
-		return c, 0, nil
-	}
-	for i := uint64(0); i < d; i++ {
-		v, err := r.F64()
-		if err != nil {
-			return nil, 0, err
-		}
-		c = append(c, v)
-	}
-	e, err := r.F64()
-	if err != nil {
-		return nil, 0, err
-	}
-	return c, e, nil
-}
-
-// DecodeHeartbeatInto decodes a complete heartbeat frame (version byte,
-// kind tag, payload) into m, reusing m.Coord's capacity so steady-state
-// heartbeat receive costs 0 allocs/op. It enforces the same version, kind,
-// and trailing-byte checks as DecodeMessage.
-func DecodeHeartbeatInto(b []byte, m *Heartbeat) error {
-	var r Reader
-	r.b = b
-	v, err := r.Byte()
-	if err != nil || !versionOK(v) {
-		return fmt.Errorf("wire: bad version: %w", ErrCorrupt)
-	}
-	kind, err := r.Byte()
-	if err != nil {
-		return err
-	}
-	if kind != MsgHeartbeat {
-		return fmt.Errorf("wire: kind %d is not a heartbeat: %w", kind, ErrCorrupt)
-	}
-	if m.Seq, err = r.Uvarint(); err != nil {
-		return err
-	}
-	if m.Hash, err = r.Uvarint(); err != nil {
-		return err
-	}
-	if m.Coord, m.CoordErr, err = r.CoordExtInto(m.Coord); err != nil {
-		return err
-	}
-	if r.Remaining() != 0 {
-		return fmt.Errorf("wire: %d trailing bytes: %w", r.Remaining(), ErrCorrupt)
-	}
-	return nil
-}
-
 // --- QueryMeta / Neighbors ---
 
 // EncodeQueryMeta appends query metadata.

@@ -90,51 +90,3 @@ func TestBufferPoolReuse(t *testing.T) {
 	PutBuffer(big) // must not panic; the buffer is simply discarded
 	PutBuffer(nil) // nil is tolerated
 }
-
-func TestDecodeHeartbeatIntoMatchesDecodeMessage(t *testing.T) {
-	hb := Heartbeat{Seq: 42, Hash: 7, Coord: []float64{1.5, -2.25, 0.5}, CoordErr: 0.125}
-	var w Buffer
-	if err := EncodeMessage(&w, hb); err != nil {
-		t.Fatal(err)
-	}
-	var m Heartbeat
-	m.Coord = make([]float64, 0, 8)
-	if err := DecodeHeartbeatInto(w.Bytes(), &m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Seq != hb.Seq || m.Hash != hb.Hash || m.CoordErr != hb.CoordErr {
-		t.Fatalf("decoded %+v, want %+v", m, hb)
-	}
-	if len(m.Coord) != len(hb.Coord) {
-		t.Fatalf("coord dims %d, want %d", len(m.Coord), len(hb.Coord))
-	}
-	for i := range hb.Coord {
-		if m.Coord[i] != hb.Coord[i] {
-			t.Fatalf("coord[%d] = %v, want %v", i, m.Coord[i], hb.Coord[i])
-		}
-	}
-	// The same struct decodes a coordinate-free heartbeat without keeping
-	// stale components.
-	var w2 Buffer
-	if err := EncodeMessage(&w2, Heartbeat{Seq: 43, Hash: 9}); err != nil {
-		t.Fatal(err)
-	}
-	if err := DecodeHeartbeatInto(w2.Bytes(), &m); err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Coord) != 0 || m.CoordErr != 0 {
-		t.Fatalf("stale coordinate survived reuse: %+v", m)
-	}
-	// Non-heartbeat frames and trailing garbage are rejected.
-	var w3 Buffer
-	if err := EncodeMessage(&w3, Remove{Name: "q"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := DecodeHeartbeatInto(w3.Bytes(), &m); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("wrong-kind err = %v, want ErrCorrupt", err)
-	}
-	trailing := append(append([]byte(nil), w.Bytes()...), 0xFF)
-	if err := DecodeHeartbeatInto(trailing, &m); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("trailing-bytes err = %v, want ErrCorrupt", err)
-	}
-}
