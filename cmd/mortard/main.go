@@ -584,8 +584,8 @@ func printDataPathStats(out io.Writer, fab *mortar.Fabric, peakRate float64) {
 		fab.Stats.TuplesIngested.Load(), fab.Stats.IngestBatches.Load(),
 		fab.DataPath.Inserts.Load(), fab.DataPath.Merges.Load(), peakRate)
 	coalesced, batched, batchFrames := fab.Stats.SummariesCoalesced.Load(), fab.Stats.BatchedSummaries.Load(), fab.Stats.BatchFrames.Load()
-	fmt.Fprintf(out, "# summary path: staged=%d coalesced=%d data_frames=%d batch_frames=%d batched=%d frames_saved=%d\n",
-		fab.Stats.SummariesStaged.Load(), coalesced, fab.Stats.DataFrames.Load(), batchFrames, batched,
+	fmt.Fprintf(out, "# summary path: staged=%d relayed=%d coalesced=%d data_frames=%d batch_frames=%d batched=%d frames_saved=%d\n",
+		fab.Stats.SummariesStaged.Load(), fab.Stats.Relayed.Load(), coalesced, fab.Stats.DataFrames.Load(), batchFrames, batched,
 		coalesced+batched-batchFrames)
 }
 

@@ -659,8 +659,12 @@ type Stats struct {
 	LateAtRoot              uint64 `json:"late_at_root"`
 	// Upstream summary coalescing (hold-and-merge + wire-v4 batches).
 	// FramesSaved is the frames the feature avoided: summaries merged away
-	// in staging buffers plus summaries that shared a batch frame.
+	// in staging buffers plus summaries that shared a batch frame. Relayed of
+	// SummariesStaged were forwarded unmerged, their window having already
+	// left the operator they reached: near zero while the federation
+	// aggregates in-network, a large share when operators sit on their timers.
 	SummariesStaged    uint64      `json:"summaries_staged"`
+	Relayed            uint64      `json:"relayed"`
 	SummariesCoalesced uint64      `json:"summaries_coalesced"`
 	DataFrames         uint64      `json:"data_frames"`
 	BatchFrames        uint64      `json:"batch_frames"`
@@ -683,6 +687,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		LateAtRoot:              fab.Stats.LateAtRoot.Load(),
 
 		SummariesStaged:    fab.Stats.SummariesStaged.Load(),
+		Relayed:            fab.Stats.Relayed.Load(),
 		SummariesCoalesced: fab.Stats.SummariesCoalesced.Load(),
 		DataFrames:         fab.Stats.DataFrames.Load(),
 		BatchFrames:        fab.Stats.BatchFrames.Load(),

@@ -390,4 +390,10 @@ func TestStatsReportsCoalescing(t *testing.T) {
 		t.Fatalf("results_reported = %d, results_reported_complete = %d, late_at_root = %d after three windows of a fully live query",
 			st.ResultsReported, st.ResultsReportedComplete, st.LateAtRoot)
 	}
+	// And every operator below forwarded on completeness: next to nothing
+	// reached a parent after its window had left.
+	if 10*st.Relayed > st.SummariesStaged {
+		t.Fatalf("relayed = %d of summaries_staged = %d on a fully live query: operators are not aggregating in-network",
+			st.Relayed, st.SummariesStaged)
+	}
 }

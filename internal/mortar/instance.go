@@ -109,7 +109,7 @@ type instance struct {
 	netDist   time.Duration
 	sampleMax time.Duration
 
-	stripe int // round-robin tree pointer for newly created tuples
+	stripe int // round-robin tree pointer for tuple-window summaries (routeNew)
 }
 
 func (p *Peer) newInstance(meta QueryMeta) (*instance, error) {
@@ -431,7 +431,7 @@ func (inst *instance) sealPane() tuple.Value {
 // --- TS list management (§4.2, §4.3) ---
 
 // absorb inserts a summary (local or remote) into the time-space list,
-// reports what that completed (root only) and arms the eviction timer.
+// sends on what that completed and arms the eviction timer.
 func (inst *instance) absorb(s tuple.Summary) {
 	if s.Levels == nil && inst.wired {
 		s.Levels = inst.ownLevels()
@@ -489,14 +489,18 @@ func (inst *instance) timeoutFor(s tuple.Summary, frameNow time.Duration) time.D
 	return to + cfg.TimeoutSlack
 }
 
-// observe records an arriving summary's delay sample toward the per-slide
-// maximum.
-func (inst *instance) observe(s tuple.Summary, frameNow time.Duration) {
-	var sample time.Duration
-	if inst.peer.fab.Cfg.Syncless {
-		sample = s.Age
-	} else {
-		sample = frameNow - s.Index.TE // how late this window's data runs
+// observe records one delay sample toward the per-slide maximum: a
+// summary's age on arrival (syncless) or how late its window's data runs
+// (timestamp mode). The root and tuple windows sample every arriving
+// summary. An interior time-window operator samples only the windows it
+// evicts complete, by their slowest constituent (evict): a timed-out
+// partial's age is somebody's hold, not network distance, and an operator
+// that learned from it would hold longer, age what it forwards, and teach
+// its parent the same — holds stacking level by level.
+func (inst *instance) observe(age, te, frameNow time.Duration) {
+	sample := age
+	if !inst.peer.fab.Cfg.Syncless {
+		sample = frameNow - te // how late this window's data runs
 	}
 	if sample < 0 {
 		sample = 0
@@ -530,10 +534,14 @@ func (inst *instance) foldNetDist() {
 	inst.sampleMax = 0
 }
 
-// armEvict keeps a single timer pointed at the earliest entry deadline.
+// armEvict keeps a single timer pointed at the earliest entry deadline, and
+// none while the list is empty.
 func (inst *instance) armEvict() {
 	dl, ok := inst.ts.NextDeadline()
 	if !ok {
+		if inst.evictTimer != nil {
+			inst.evictTimer.Cancel()
+		}
 		return
 	}
 	delay := inst.peer.runtimeDelayForLocal(dl - inst.frameNow())
@@ -561,21 +569,41 @@ func (inst *instance) evictExpired() {
 	inst.armEvict()
 }
 
-// evictComplete is the root's fast path for time windows: an entry every
-// member is counted in (boundary tuples count a stalled source) can gain
-// nothing by waiting out its timeout, so it is reported at once. Only the
-// leading run of complete entries goes — an older window that is still open
-// keeps newer complete ones behind it until its own timer fires — so reports
-// stay in index order, and a dead, silent or lost member leaves its windows
-// to evictExpired. Only the root holds the definition, hence the count.
+// windowTree is the tree window n of a time-window query travels on, at
+// every operator: n mod d, floored. Agreeing on the tree is what lets a
+// parent know which subtree to expect in a window's entry.
+func (inst *instance) windowTree(n int64) int {
+	d := int64(len(inst.nb.Parents))
+	return int((n%d + d) % d)
+}
+
+// evictComplete is the fast path for time windows: an entry that has counted
+// every member of this operator's subtree on the window's tree (boundary
+// tuples count a stalled source) can gain nothing by waiting out its timeout,
+// so it leaves at once — a leaf's own summary at slide close, the root's
+// report when the whole query is in. Only the leading run of complete entries
+// goes — an older window that is still open keeps newer complete ones behind
+// it until its own timer fires — so windows leave in index order, and a dead,
+// silent or lost descendant leaves its ancestors' windows to evictExpired. A
+// summary re-striped here from a sibling tree can push an entry over its count
+// early; the entry leaves and the rest of the subtree is relayed behind it.
+// An operator wired without subtree counts (a v4 install) has only its timer.
 func (inst *instance) evictComplete(now time.Duration) {
-	if inst.def == nil || inst.meta.Window.Kind == tuple.TupleWindow || !inst.isRoot() {
+	if inst.meta.Window.Kind == tuple.TupleWindow || len(inst.nb.Subtree) == 0 {
 		return
 	}
 	// One entry at a time: a result subscriber may feed this peer (Chain),
 	// and on the simulator that re-enters absorb before report returns.
-	need := len(inst.def.Members)
-	for e := inst.ts.PopLeading(need); e != nil; e = inst.ts.PopLeading(need) {
+	for inst.ts.Len() > 0 {
+		n := int64(inst.ts.Entries()[0].Index.TB / inst.meta.Window.Slide)
+		need := inst.nb.Subtree[inst.windowTree(n)]
+		if need <= 0 {
+			return
+		}
+		e := inst.ts.PopLeading(need)
+		if e == nil {
+			return
+		}
 		inst.evict(e, now, true)
 	}
 }
@@ -598,11 +626,14 @@ func (inst *instance) evict(e *tslist.Entry, now time.Duration, complete bool) {
 	s := e.Summary(inst.meta.Name, now)
 	switch {
 	case !inst.isRoot():
+		if complete {
+			inst.observe(e.MaxAge, e.Index.TE, now)
+		}
 		// A tumbling window's entries never share values (see newInstance),
 		// so an evicted value is exclusively this summary's; tuple-window
 		// splitting (cloneInterval) may leave the value shared with a live
 		// entry, and a sliding window's with a retained pane.
-		inst.routeNew(s, inst.ownsValues)
+		inst.routeNew(s, n, inst.ownsValues)
 	case tupleWin:
 		inst.reportInterval(n, s)
 	default:
@@ -719,7 +750,7 @@ func (p *Peer) handleSummary(src int, env *envelope) {
 		// Tuple-window summaries keep their arrival-span indices; the
 		// TS list's overlap splitting reconciles the unaligned intervals
 		// of different sources (§4.2).
-		inst.observe(s, now)
+		inst.observe(s.Age, s.Index.TE, now)
 		inst.absorb(s)
 		return
 	}
@@ -741,13 +772,16 @@ func (p *Peer) handleSummary(src int, env *envelope) {
 		n = int64(s.Index.TB / inst.meta.Window.Slide)
 	}
 
+	root := inst.isRoot()
+	if root {
+		// The root is where completeness is finally judged, so it alone
+		// learns from every arrival, stragglers included, and stretches its
+		// timeout to the slowest end-to-end path.
+		inst.observe(s.Age, s.Index.TE, now)
+	}
 	if n <= inst.lastEvicted {
 		// Late for this operator: the window was already sent upstream.
-		if inst.isRoot() {
-			// The root is where completeness is finally judged, so it
-			// alone learns from stragglers and stretches its timeout to
-			// the slowest end-to-end path.
-			inst.observe(s, now)
+		if root {
 			p.fab.Stats.LateAtRoot.Add(1)
 			return
 		}
@@ -768,17 +802,19 @@ func (p *Peer) handleSummary(src int, env *envelope) {
 		inst.forward(s, env.Tree, env.TTLDown, false)
 		return
 	}
-	inst.observe(s, now)
 	inst.absorb(s)
 }
 
 // --- Dynamic tuple striping (§3.3) ---
 
 // routeNew sends a freshly created (merged) summary toward the root,
-// striping across trees in round-robin order and falling back to the
-// staged policy when the preferred parent is unreachable. owned reports
-// whether s.Value is exclusively the caller's (see stagedEnv.owned).
-func (inst *instance) routeNew(s tuple.Summary, owned bool) {
+// striping across trees and falling back to the staged policy when the
+// preferred parent is unreachable. Window n of a time-window query starts
+// from windowTree(n), the same tree at every operator; tuple windows share
+// no window number (a TB-derived one would alias with periodic sources), so
+// they stripe round-robin from a per-instance pointer. owned reports whether
+// s.Value is exclusively the caller's (see stagedEnv.owned).
+func (inst *instance) routeNew(s tuple.Summary, n int64, owned bool) {
 	if !inst.wired {
 		inst.peer.fab.Stats.Dropped.Add(1)
 		return
@@ -787,11 +823,18 @@ func (inst *instance) routeNew(s tuple.Summary, owned bool) {
 	// the routing constraint folds in place.
 	s.Levels = tuple.MergeLevelsInto(s.Levels, inst.ownLevels())
 	d := len(inst.nb.Parents)
+	tupleWin := inst.meta.Window.Kind == tuple.TupleWindow
+	start := inst.windowTree(n)
+	if tupleWin {
+		start = inst.stripe
+	}
 	if inst.peer.fab.Cfg.MaxStage == 1 {
 		// Ablation: stage 1 alone cannot migrate stripes — the tuple uses
-		// its round-robin tree or nothing, like static striping.
-		t := inst.stripe
-		inst.stripe = (t + 1) % d
+		// its own tree or nothing, like static striping.
+		t := start
+		if tupleWin {
+			inst.stripe = (t + 1) % d
+		}
 		pa := inst.nb.Parents[t]
 		if pa >= 0 && inst.peer.alive(pa) {
 			inst.send(s, t, pa, 0, owned)
@@ -804,14 +847,15 @@ func (inst *instance) routeNew(s tuple.Summary, owned bool) {
 		}
 		return
 	}
-	// Default policy: stripe newly created tuples round-robin across trees
-	// with a live parent ("the operator migrates the stripe to a
-	// remaining, live parent").
+	// Default policy: the first tree from start with a live parent ("the
+	// operator migrates the stripe to a remaining, live parent").
 	for i := 0; i < d; i++ {
-		t := (inst.stripe + i) % d
+		t := (start + i) % d
 		pa := inst.nb.Parents[t]
 		if pa >= 0 && inst.peer.alive(pa) {
-			inst.stripe = (t + 1) % d
+			if tupleWin {
+				inst.stripe = (t + 1) % d
+			}
 			inst.send(s, t, pa, 0, owned)
 			return
 		}

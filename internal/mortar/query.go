@@ -83,19 +83,32 @@ func (d *QueryDef) memberIndex(peer int) int {
 }
 
 // neighbors is one peer's position in a query's tree set: its parent,
-// children, and level per tree. This is what the install multicast carries
-// per node and what the topology service returns during recovery. The
-// shape (and its codec) lives in internal/wire as wire.Neighbors.
+// children, level and subtree size per tree. This is what the install
+// multicast carries per node and what the topology service returns during
+// recovery. The shape (and its codec) lives in internal/wire as
+// wire.Neighbors.
 type neighbors = wire.Neighbors
 
+// subtreeSizes returns every member's subtree size on every tree of the
+// set, indexed [tree][member]: one pass per tree, shared by all the members
+// a caller extracts positions for.
+func (d *QueryDef) subtreeSizes() [][]int {
+	sizes := make([][]int, d.Trees.D())
+	for i, t := range d.Trees.Trees {
+		sizes[i] = t.SubtreeSizes()
+	}
+	return sizes
+}
+
 // neighborsFor extracts a member's position, translating member indices to
-// peer IDs.
-func neighborsFor(d *QueryDef, memberIdx int) neighbors {
+// peer IDs; sizes is d.subtreeSizes().
+func neighborsFor(d *QueryDef, sizes [][]int, memberIdx int) neighbors {
 	s := d.Trees
 	nb := neighbors{
 		Parents:  make([]int, s.D()),
 		Children: make([][]int, s.D()),
 		Levels:   make([]int, s.D()),
+		Subtree:  make([]int, s.D()),
 	}
 	for i, t := range s.Trees {
 		if pa := t.Parent[memberIdx]; pa >= 0 {
@@ -107,6 +120,7 @@ func neighborsFor(d *QueryDef, memberIdx int) neighbors {
 			nb.Children[i] = append(nb.Children[i], d.Members[c])
 		}
 		nb.Levels[i] = t.Level[memberIdx]
+		nb.Subtree[i] = sizes[i][memberIdx]
 	}
 	return nb
 }

@@ -86,6 +86,7 @@ func buildChunks(def *QueryDef, nchunks, budgetBytes int) []*chunk {
 		chunks = append(chunks, c)
 		return len(chunks) - 1
 	}
+	subtrees := def.subtreeSizes()
 	sizes := []int{}
 	queue := []int{primary.Root}
 	chunkOf[primary.Root] = newChunk(primary.Root)
@@ -96,7 +97,7 @@ func buildChunks(def *QueryDef, nchunks, budgetBytes int) []*chunk {
 		ci := chunkOf[v]
 		c := chunks[ci]
 		peer := def.Members[v]
-		nb := neighborsFor(def, v)
+		nb := neighborsFor(def, subtrees, v)
 		c.members[peer] = nb
 		if budgetBytes > 0 {
 			sizes[ci] += memberCost(nb)
@@ -633,7 +634,7 @@ func (p *Peer) handleTopoRequest(src int, m msgTopoRequest) {
 		Query: m.Query,
 		Epoch: m.Epoch,
 		Seq:   inst.meta.Seq,
-		NB:    neighborsFor(inst.def, mi),
+		NB:    neighborsFor(inst.def, inst.def.subtreeSizes(), mi),
 	})
 }
 

@@ -13,11 +13,12 @@ import (
 	"repro/internal/wire"
 )
 
-// When the root reports a window: the moment every member is counted, in
-// index order, otherwise on its dynamic timeout. These tests pin both paths
-// on the deterministic backend. Values marked "parent" were recorded by
-// running the same scenario at the commit before the complete path existed
-// (ff66e2b), where evictExpired was the only thing that ever reported.
+// When a window leaves an operator: the moment its entry has counted the
+// operator's whole subtree on the window's tree — the root's report when
+// every member is in — in index order, otherwise on its dynamic timeout.
+// These tests pin both paths on the deterministic backend. Values marked
+// "PR 14" were recorded at commit 5108743, where only the root left its
+// timer.
 
 const reportSlide = 250 * time.Millisecond
 
@@ -61,9 +62,10 @@ func reportFed(t *testing.T, seed int64, peers, bf, d int, leafDown bool) (*Fabr
 // leafOf returns a member that parents nobody in any tree of the plan.
 func leafOf(t *testing.T, def *QueryDef) int {
 	t.Helper()
+	sizes := def.subtreeSizes()
 	for mi := len(def.Members) - 1; mi > 0; mi-- {
 		leaf := true
-		for _, kids := range neighborsFor(def, mi).Children {
+		for _, kids := range neighborsFor(def, sizes, mi).Children {
 			leaf = leaf && len(kids) == 0
 		}
 		if leaf {
@@ -74,6 +76,9 @@ func leafOf(t *testing.T, def *QueryDef) int {
 	return -1
 }
 
+// repInst is peer i's operator of reportFed's query.
+func repInst(fab *Fabric, i int) *instance { return fab.Peer(i).insts[instKey{name: "rep"}] }
+
 func medianAge(rs []Result) time.Duration {
 	ages := make([]float64, len(rs))
 	for i, r := range rs {
@@ -82,34 +87,44 @@ func medianAge(rs []Result) time.Duration {
 	return time.Duration(metrics.Percentile(ages, 50))
 }
 
-// (a) All 64 members live: every warm window leaves the root on the complete
-// path with everyone counted, in order, nothing late, and half as old as it
-// was when the root waited out its timer.
+// requireExact fails unless every result counts `members` members with five
+// raws each, in index order with none skipped or repeated.
+func requireExact(t *testing.T, rs []Result, members int) {
+	t.Helper()
+	for i, r := range rs {
+		if r.Count != members || r.Value.(float64) != float64(5*members) {
+			t.Fatalf("window %d: count %d value %v, want %d members and %d", r.WindowIndex, r.Count, r.Value, members, 5*members)
+		}
+		if i > 0 && r.WindowIndex != rs[i-1].WindowIndex+1 {
+			t.Fatalf("window %d reported after %d", r.WindowIndex, rs[i-1].WindowIndex)
+		}
+	}
+}
+
+// (a) All 64 members live: every warm window leaves every operator on the
+// complete path. The root reports it with everyone counted, in order, nothing
+// late; nothing is relayed and exactly one summary per non-root member is
+// staged per window — in-network aggregation by definition (PR 14: 153 and 90
+// a window) — and the result is half as old as when only the root left its
+// timer.
 func TestCompleteWindowsReportAtOnce(t *testing.T) {
 	const (
 		warm = 5 * time.Second
-		// parentMedianAge is what this scenario's warm windows read at the
-		// parent, every one of them reported by evictExpired.
-		parentMedianAge = 1237111 * time.Microsecond
+		// pr14MedianAge is what this scenario's warm windows read at PR 14.
+		pr14MedianAge = 669100 * time.Microsecond
 	)
 	fab, rt, results := reportFed(t, 1, 64, 4, 2, false)
 	rt.RunFor(warm)
 	n0 := len(*results)
 	late0 := fab.Stats.LateAtRoot.Load()
 	rep0, fast0 := fab.Stats.ResultsReported.Load(), fab.Stats.ReportedComplete.Load()
+	staged0, relayed0 := fab.Stats.SummariesStaged.Load(), fab.Stats.Relayed.Load()
 	rt.RunFor(25 * time.Second)
 	warmed := (*results)[n0:]
 	if len(warmed) < 95 {
 		t.Fatalf("%d windows in 25 s of 250 ms slides", len(warmed))
 	}
-	for i, r := range warmed {
-		if r.Count != 64 || r.Value.(float64) != 5*64 {
-			t.Fatalf("window %d: count %d value %v, want 64 members and 320", r.WindowIndex, r.Count, r.Value)
-		}
-		if i > 0 && r.WindowIndex != warmed[i-1].WindowIndex+1 {
-			t.Fatalf("window %d reported after %d", r.WindowIndex, warmed[i-1].WindowIndex)
-		}
-	}
+	requireExact(t, warmed, 64)
 	if late := fab.Stats.LateAtRoot.Load() - late0; late != 0 {
 		t.Fatalf("%d summaries late at the root", late)
 	}
@@ -117,25 +132,42 @@ func TestCompleteWindowsReportAtOnce(t *testing.T) {
 	if rep != uint64(len(warmed)) || fast != rep {
 		t.Fatalf("%d results, %d reported, %d of them on the complete path", len(warmed), rep, fast)
 	}
+	staged, relayed := fab.Stats.SummariesStaged.Load()-staged0, fab.Stats.Relayed.Load()-relayed0
+	if relayed != 0 || staged != 63*rep {
+		t.Fatalf("%d summaries staged and %d relayed over %d windows, want 63 a window and none", staged, relayed, rep)
+	}
 	got := medianAge(warmed)
-	t.Logf("median Result.Age %v (parent %v)", got, parentMedianAge)
-	if float64(got) > 0.65*float64(parentMedianAge) {
-		t.Fatalf("median Result.Age %v, want at most 0.65 of the parent's %v", got, parentMedianAge)
+	t.Logf("median Result.Age %v (PR 14 %v)", got, pr14MedianAge)
+	if float64(got) > 0.55*float64(pr14MedianAge) {
+		t.Fatalf("median Result.Age %v, want at most 0.55 of PR 14's %v", got, pr14MedianAge)
 	}
 }
 
-// (b) One leaf down from before the install: no window ever counts all 64,
-// the complete path never fires, and the timer path reports what it
-// reported at the parent, to the nanosecond.
+// (b) One leaf down from before the install: no window ever counts all 64 and
+// the root never reports on the complete path, yet every operator without a
+// dead descendant still forwards on completeness — 63 summaries staged a
+// window and one relayed, the partial the dead leaf's parent timed out with
+// (PR 14: 151 and 89). And no hold stacks: an interior operator learns
+// netDist only from the windows it completed, so the dead leaf's ancestors
+// keep the hold their live subtrees taught them. Were they to learn from
+// in-time arrivals, the partial (as old as its sender's hold) would teach
+// each level a longer hold than the one below: interior netDist up to 1158 ms,
+// the root's 1884 ms, results 1957 ms old.
 func TestTimerPathUnchangedWhenAMemberIsMissing(t *testing.T) {
 	const (
-		// Recorded at the parent for seed 1: how many results 30 s give and
-		// the FNV-1a digest of every result's WindowIndex, At, Count and Value.
-		parentResults = 115
-		parentDigest  = 0xb74ef8ccbf8983a2
+		warm = 5 * time.Second
+		// Recorded at PR 14 for seed 1: the FNV-1a digest of every result's
+		// WindowIndex, Count and Value for windows 2 to 114 (the first two
+		// windows count more members now, and 30 s fit one more), and the
+		// warm windows' median age.
+		pr14Digest    = 0x977176b4766416e5
+		pr14MedianAge = 1237100 * time.Microsecond
 	)
 	fab, rt, results := reportFed(t, 1, 64, 4, 2, true)
-	rt.RunFor(30 * time.Second)
+	rt.RunFor(warm)
+	n0 := len(*results)
+	staged0, relayed0 := fab.Stats.SummariesStaged.Load(), fab.Stats.Relayed.Load()
+	rt.RunFor(25 * time.Second)
 	if fast := fab.Stats.ReportedComplete.Load(); fast != 0 {
 		t.Fatalf("%d results took the complete path with a member down", fast)
 	}
@@ -144,11 +176,152 @@ func TestTimerPathUnchangedWhenAMemberIsMissing(t *testing.T) {
 		if r.Count >= 64 {
 			t.Fatalf("window %d counted %d with a member down", r.WindowIndex, r.Count)
 		}
-		fmt.Fprintln(h, r.WindowIndex, int64(r.At), r.Count, r.Value)
+		if r.WindowIndex >= 2 && r.WindowIndex <= 114 {
+			fmt.Fprintln(h, r.WindowIndex, r.Count, r.Value)
+		}
 	}
-	if len(*results) != parentResults || h.Sum64() != uint64(parentDigest) {
-		t.Fatalf("timer path moved: %d results, digest %#x; the parent gave %d, %#x",
-			len(*results), h.Sum64(), parentResults, uint64(parentDigest))
+	if h.Sum64() != uint64(pr14Digest) {
+		t.Fatalf("windows 2-114 moved: digest %#x, PR 14 gave %#x", h.Sum64(), uint64(pr14Digest))
+	}
+	warmed := (*results)[n0:]
+	requireExact(t, warmed, 63)
+	w := uint64(len(warmed))
+	staged, relayed := fab.Stats.SummariesStaged.Load()-staged0, fab.Stats.Relayed.Load()-relayed0
+	if staged != 63*w || relayed != w {
+		t.Fatalf("%d summaries staged and %d relayed over %d windows, want 63 and 1 a window", staged, relayed, w)
+	}
+	for i := 1; i < fab.NumPeers(); i++ {
+		if inst := repInst(fab, i); inst != nil && inst.netDist > 300*time.Millisecond {
+			t.Fatalf("peer %d holds for a netDist of %v: holds are stacking", i, inst.netDist)
+		}
+	}
+	got := medianAge(warmed)
+	t.Logf("median Result.Age %v (PR 14 %v), root netDist %v", got, pr14MedianAge, repInst(fab, 0).netDist)
+	if got > pr14MedianAge {
+		t.Fatalf("median Result.Age %v, worse than PR 14's %v", got, pr14MedianAge)
+	}
+}
+
+// interiorOf returns a non-root peer with at least kids0 children on tree 0
+// and kids1 on tree 1, and its operator.
+func interiorOf(t *testing.T, fab *Fabric, kids0, kids1 int) (int, *instance) {
+	t.Helper()
+	for i := 1; i < fab.NumPeers(); i++ {
+		if inst := repInst(fab, i); len(inst.nb.Children[0]) >= kids0 && len(inst.nb.Children[1]) >= kids1 {
+			return i, inst
+		}
+	}
+	t.Fatalf("no interior operator with %d and %d children on the two trees", kids0, kids1)
+	return -1, nil
+}
+
+// (c) An interior operator dies after warm-up. Its children on that tree
+// re-stripe their windows to their parent on the sibling tree, whose entry
+// for the window expects a different subtree: the foreign summary inflates
+// its count, so it may forward before its own subtree is in and relay the
+// rest. Nothing is lost to that: once liveness has noticed, every window the
+// root reports is exact over the 63 live members.
+func TestRestripedSummaryLosesNothing(t *testing.T) {
+	fab, rt, results := reportFed(t, 1, 64, 4, 2, false)
+	rt.RunFor(5 * time.Second)
+	victim, inst := interiorOf(t, fab, 1, 0)
+	child := inst.nb.Children[0][0]
+	if foster := repInst(fab, child).nb.Parents[1]; foster < 0 || foster == victim {
+		// The child's sibling-tree parent must be someone else for the
+		// scenario to be a re-stripe at all; the seed gives one.
+		t.Fatalf("peer %d's child %d has sibling-tree parent %d", victim, child, foster)
+	}
+	fab.SetDown(victim, true)
+	rt.RunFor(10 * time.Second) // liveness times out, the root's hold settles
+	n0 := len(*results)
+	late0, relayed0 := fab.Stats.LateAtRoot.Load(), fab.Stats.Relayed.Load()
+	rt.RunFor(15 * time.Second)
+	settled := (*results)[n0:]
+	if len(settled) < 55 {
+		t.Fatalf("%d windows in 15 s of 250 ms slides", len(settled))
+	}
+	requireExact(t, settled, 63)
+	if late := fab.Stats.LateAtRoot.Load() - late0; late != 0 {
+		t.Fatalf("%d summaries late at the root", late)
+	}
+	if fab.Stats.Relayed.Load() == relayed0 {
+		t.Fatal("nothing relayed: the dead operator's ancestors cannot have completed their windows")
+	}
+}
+
+// (d) An operator whose frame runs one slide ahead of everyone else's — what
+// a mis-aged install or a drifting oscillator does — numbers every window
+// one off, so it expects each on the other tree than the one its children
+// sent it on. Its windows fall back to the timer and relay paths; nothing is
+// lost and nothing is reported twice.
+func TestFrameOneSlideOffFallsBackToTimer(t *testing.T) {
+	fab, rt, results := reportFed(t, 1, 64, 4, 2, false)
+	rt.RunFor(5 * time.Second)
+	_, inst := interiorOf(t, fab, 2, 2)
+	inst.refBase += reportSlide
+	rt.RunFor(5 * time.Second) // the root's hold stretches to the relayed stragglers
+	n0 := len(*results)
+	late0, relayed0 := fab.Stats.LateAtRoot.Load(), fab.Stats.Relayed.Load()
+	rt.RunFor(20 * time.Second)
+	settled := (*results)[n0:]
+	if len(settled) < 75 {
+		t.Fatalf("%d windows in 20 s of 250 ms slides", len(settled))
+	}
+	requireExact(t, settled, 64)
+	for i, r := range *results {
+		if i > 0 && r.WindowIndex <= (*results)[i-1].WindowIndex {
+			t.Fatalf("window %d reported after %d", r.WindowIndex, (*results)[i-1].WindowIndex)
+		}
+	}
+	if late := fab.Stats.LateAtRoot.Load() - late0; late != 0 {
+		t.Fatalf("%d summaries late at the root", late)
+	}
+	if fab.Stats.Relayed.Load() == relayed0 {
+		t.Fatal("nothing relayed: the shifted operator cannot have been out of step")
+	}
+}
+
+// An operator holds an evict timer only while it holds an entry. A leaf's
+// summary leaves on the complete path at slide close, so in steady state its
+// timer is never armed. An operator wired without subtree counts — what a v4
+// install decodes to — has only its timer: the next insert arms it, the
+// window waits it out, and its summaries, relayed as stragglers, still reach
+// the root. Given its counts back, the operator's held windows leave with the
+// next insert and the timer is cancelled, not left to fire into an empty list.
+func TestEvictTimerArmedOnlyWhileHolding(t *testing.T) {
+	fab, rt, results := reportFed(t, 1, 64, 4, 2, false)
+	rt.RunFor(5*time.Second + 10*time.Millisecond) // just past a slide boundary
+	leaf := repInst(fab, leafOf(t, repInst(fab, 0).def))
+	if leaf.ts.Len() != 0 || leaf.evictTimer != nil {
+		t.Fatalf("leaf holds %d entries and an evict timer (%v); want neither", leaf.ts.Len(), leaf.evictTimer != nil)
+	}
+
+	counts := leaf.nb.Subtree
+	leaf.nb.Subtree = nil
+	rt.RunFor(reportSlide)
+	if leaf.ts.Len() != 1 || leaf.evictTimer.Stopped() {
+		t.Fatalf("leaf without subtree counts holds %d entries, evict timer stopped=%v; want its window on an armed timer",
+			leaf.ts.Len(), leaf.evictTimer.Stopped())
+	}
+	cfg := fab.Cfg
+	if wait := leaf.evictTimer.When() - rt.Now(); wait < cfg.MinTimeout || wait > cfg.MinTimeout+cfg.TimeoutSlack {
+		t.Fatalf("evict timer due in %v, want a timeout of up to %v", wait, cfg.MinTimeout+cfg.TimeoutSlack)
+	}
+	rt.RunFor(5 * time.Second)
+	n0 := len(*results)
+	rt.RunFor(5 * time.Second)
+	requireExact(t, (*results)[n0:], 64)
+
+	// Mid-slide the leaf holds one window, due well after the next boundary.
+	rt.RunFor(150 * time.Millisecond)
+	if due := leaf.evictTimer.When() - rt.Now(); leaf.ts.Len() != 1 || due < 150*time.Millisecond {
+		t.Fatalf("leaf holds %d entries due in %v; want one, due after the next slide closes", leaf.ts.Len(), due)
+	}
+	leaf.nb.Subtree = counts
+	rt.RunFor(100 * time.Millisecond) // past the boundary, short of the armed deadline
+	if leaf.ts.Len() != 0 || !leaf.evictTimer.Stopped() {
+		t.Fatalf("leaf holds %d entries, evict timer stopped=%v; want none and the timer cancelled",
+			leaf.ts.Len(), leaf.evictTimer.Stopped())
 	}
 }
 

@@ -10,14 +10,17 @@ import (
 	"repro/internal/wire"
 )
 
-// Hold-and-merge coalescing: the one upstream summary path. Instead of
+// Hold-and-batch staging: the one upstream summary path. Instead of
 // transmitting every summary the moment the routing policy picks its next
-// hop, interior peers park summaries in a small per-next-hop staging
-// buffer. While parked, a summary destined for the same (query, epoch,
-// window, tree) merges in place through the operator's combine — a bf-16
-// interior node sends one merged summary where it used to send 16 — and
-// everything still distinct at flush time leaves as one multi-summary
-// envelope batch (wire v4) instead of one frame each.
+// hop, peers park summaries in a small per-next-hop staging buffer, and
+// everything parked at flush time leaves as one multi-summary envelope
+// batch instead of one frame each — the summaries co-planned tenants send a
+// shared parent within milliseconds of each other, above all. Merging
+// across space happens in the time-space list, which forwards a window
+// once, when its subtree is counted (instance.evictComplete); what still
+// merges here, in place through the operator's combine, is a summary
+// parked for the same (query, epoch, window, tree) as another: stragglers
+// relayed past an operator whose window had already left.
 //
 // Three events flush a buffer: the batch approaching the configured byte
 // ceiling (Config.SummaryBatchBytes), the hold timer (Config.SummaryHold,

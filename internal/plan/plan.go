@@ -97,6 +97,27 @@ func (t *Tree) Height() int {
 	return h
 }
 
+// SubtreeSizes returns, per peer, how many peers its subtree holds, itself
+// included: the root's is NumPeers, a leaf's is 1. One post-order pass —
+// peers are visited in breadth-first order and folded into their parents
+// in reverse.
+func (t *Tree) SubtreeSizes() []int {
+	order := make([]int, 0, len(t.Parent))
+	order = append(order, t.Root)
+	for i := 0; i < len(order); i++ {
+		order = append(order, t.Children[order[i]]...)
+	}
+	size := make([]int, len(t.Parent))
+	for i := len(order) - 1; i >= 0; i-- {
+		p := order[i]
+		size[p]++
+		if pa := t.Parent[p]; pa >= 0 {
+			size[pa] += size[p]
+		}
+	}
+	return size
+}
+
 // Validate checks structural invariants: a single root, parent/child
 // symmetry, all peers reachable, and levels consistent with parents.
 func (t *Tree) Validate() error {

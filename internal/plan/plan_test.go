@@ -315,3 +315,40 @@ func TestQualityScoresPlans(t *testing.T) {
 		t.Fatal("empty set must score 0")
 	}
 }
+
+// SubtreeSizes against a brute-force walk: for every peer of random trees of
+// random shape, the count of peers whose path to the root passes through it;
+// and on every tree of a planned set — primary and rotated siblings alike —
+// the root's subtree is the whole node set.
+func TestSubtreeSizes(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 50; trial++ {
+		n, bf := 1+rng.Intn(120), 2+rng.Intn(7)
+		tr := BuildRandom(n, rng.Intn(n), bf, rng)
+		want := make([]int, n)
+		for p := 0; p < n; p++ {
+			for a := p; a >= 0; a = tr.Parent[a] {
+				want[a]++
+			}
+		}
+		got := tr.SubtreeSizes()
+		for p := range want {
+			if got[p] != want[p] {
+				t.Fatalf("trial %d (n=%d bf=%d): peer %d subtree %d, brute force %d", trial, n, bf, p, got[p], want[p])
+			}
+		}
+	}
+	coords := gridCoords(rng, 150, 12)
+	set := Build(coords, 3, 4, 4, rng)
+	for i, tr := range set.Trees {
+		sizes := tr.SubtreeSizes()
+		if sizes[tr.Root] != 150 {
+			t.Fatalf("tree %d: root's subtree is %d of 150", i, sizes[tr.Root])
+		}
+		for p, kids := range tr.Children {
+			if len(kids) == 0 && sizes[p] != 1 {
+				t.Fatalf("tree %d: leaf %d has subtree %d", i, p, sizes[p])
+			}
+		}
+	}
+}

@@ -35,8 +35,9 @@ func requireCorrupt(t *testing.T, err error) {
 func FuzzDecodeMessage(f *testing.F) {
 	for _, b := range seedFrames(f) {
 		f.Add(b)
-		prev := append([]byte(nil), b...)
-		prev[0] = Version - 1 // the other version decoders accept
+	}
+	for _, msg := range sampleMessages() {
+		prev, _ := prevFrame(f, msg) // the other version decoders accept
 		f.Add(prev)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -67,16 +68,29 @@ func fuzzDecoder[T any](f *testing.F, dec func(*Reader) (T, error)) {
 	})
 }
 
+// bothVersions adapts a decoder that takes the frame version: the payload
+// is read as the previous version's first (from a copy of the reader), then
+// as the current one's, and either error fails the run.
+func bothVersions[T any](dec func(*Reader, byte) (T, error)) func(*Reader) (T, error) {
+	return func(r *Reader) (T, error) {
+		prev := *r
+		if m, err := dec(&prev, Version-1); err != nil && !errors.Is(err, ErrCorrupt) {
+			return m, err
+		}
+		return dec(r, Version)
+	}
+}
+
 func FuzzDecodeEnvelope(f *testing.F)     { fuzzDecoder(f, DecodeEnvelope) }
 func FuzzDecodeHeartbeat(f *testing.F)    { fuzzDecoder(f, DecodeHeartbeat) }
-func FuzzDecodeInstall(f *testing.F)      { fuzzDecoder(f, DecodeInstall) }
+func FuzzDecodeInstall(f *testing.F)      { fuzzDecoder(f, bothVersions(DecodeInstall)) }
 func FuzzDecodeRemove(f *testing.F)       { fuzzDecoder(f, DecodeRemove) }
 func FuzzDecodeReconSummary(f *testing.F) { fuzzDecoder(f, DecodeReconSummary) }
 func FuzzDecodeReconDefs(f *testing.F)    { fuzzDecoder(f, DecodeReconDefs) }
 func FuzzDecodeTopoRequest(f *testing.F)  { fuzzDecoder(f, DecodeTopoRequest) }
-func FuzzDecodeTopoReply(f *testing.F)    { fuzzDecoder(f, DecodeTopoReply) }
+func FuzzDecodeTopoReply(f *testing.F)    { fuzzDecoder(f, bothVersions(DecodeTopoReply)) }
 func FuzzDecodeQueryMeta(f *testing.F)    { fuzzDecoder(f, DecodeQueryMeta) }
-func FuzzDecodeNeighbors(f *testing.F)    { fuzzDecoder(f, DecodeNeighbors) }
+func FuzzDecodeNeighbors(f *testing.F)    { fuzzDecoder(f, bothVersions(DecodeNeighbors)) }
 func FuzzDecodeInstallAck(f *testing.F)   { fuzzDecoder(f, DecodeInstallAck) }
 
 func FuzzDecodeEnvelopeBatch(f *testing.F) {

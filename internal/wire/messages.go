@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -28,13 +29,17 @@ import (
 // once every sender is upgraded, but a mixed federation is not a steady
 // state.
 //
-// Version 4 added the EnvelopeBatch kind: N summaries bound for the same
-// next-hop peer in one frame, with a per-batch query key table and level
-// vectors delta-encoded against the batch's base vector. Every other
-// kind's payload is byte-identical between v3 and v4 — the bump only gates
-// the new kind — so the one thing a decoder checks about a previous-version
-// frame is that it does not carry a batch.
-const Version = 4
+// Version 5 added the per-tree subtree member count to the neighbors
+// record (Neighbors.Subtree), which install chunks and topology replies
+// carry; every other payload is byte-identical between v4 and v5. The three
+// decoders that read a neighbors record take the frame's version: a v4
+// record decodes with no counts, and the operator wired from it evicts on
+// its timer only.
+const Version = 5
+
+// versionSubtree is the first version whose neighbors record carries
+// subtree counts.
+const versionSubtree = 5
 
 // versionOK reports whether a decoder accepts frame version v: the
 // current version and the one before it.
@@ -92,12 +97,18 @@ type QueryMeta struct {
 }
 
 // Neighbors is one peer's position in a query's tree set: its parent,
-// children, and level per tree. This is what the install multicast carries
-// per node and what the topology service returns during recovery.
+// children, level and subtree size per tree. This is what the install
+// multicast carries per node and what the topology service returns during
+// recovery.
 type Neighbors struct {
 	Parents  []int   // per tree; -1 at the root
 	Children [][]int // per tree
 	Levels   []int   // per tree
+	// Subtree is how many members the peer's subtree holds on each tree,
+	// itself included: the Count at which a window's entry has heard from
+	// everyone below and can leave without waiting out its timeout. Nil when
+	// decoded from a v4 frame (counts unknown).
+	Subtree []int
 }
 
 // Envelope wraps a summary tuple with its per-hop routing state (§3.3):
@@ -301,7 +312,7 @@ func DecodeMessage(b []byte) (any, error) {
 	case MsgHeartbeat:
 		msg, err = DecodeHeartbeat(r)
 	case MsgInstall:
-		msg, err = DecodeInstall(r)
+		msg, err = DecodeInstall(r, v)
 	case MsgRemove:
 		msg, err = DecodeRemove(r)
 	case MsgReconSummary:
@@ -311,13 +322,10 @@ func DecodeMessage(b []byte) (any, error) {
 	case MsgTopoRequest:
 		msg, err = DecodeTopoRequest(r)
 	case MsgTopoReply:
-		msg, err = DecodeTopoReply(r)
+		msg, err = DecodeTopoReply(r, v)
 	case MsgInstallAck:
 		msg, err = DecodeInstallAck(r)
 	case MsgEnvelopeBatch:
-		if v != Version {
-			return nil, fmt.Errorf("wire: envelope batch in a v%d frame: %w", v, ErrCorrupt)
-		}
 		var b *EnvelopeBatch
 		if b, err = DecodeEnvelopeBatch(r); err == nil {
 			msg = b
@@ -516,12 +524,18 @@ func DecodeQueryMeta(r *Reader) (m QueryMeta, err error) {
 
 // EncodeNeighbors appends a neighbors record. Parents, Children, and
 // Levels must be parallel (one entry per tree), as neighborsFor builds
-// them.
+// them; a record without subtree counts (decoded from a v4 frame) encodes
+// them as 0, unknown.
 func EncodeNeighbors(w *Buffer, nb Neighbors) {
 	w.PutUvarint(uint64(len(nb.Parents)))
 	for t := range nb.Parents {
 		w.PutVarint(int64(nb.Parents[t]))
 		w.PutVarint(int64(nb.Levels[t]))
+		var sub int
+		if t < len(nb.Subtree) && nb.Subtree[t] > 0 {
+			sub = nb.Subtree[t]
+		}
+		w.PutUvarint(uint64(sub))
 		w.PutUvarint(uint64(len(nb.Children[t])))
 		for _, c := range nb.Children[t] {
 			w.PutVarint(int64(c))
@@ -529,8 +543,8 @@ func EncodeNeighbors(w *Buffer, nb Neighbors) {
 	}
 }
 
-// DecodeNeighbors reads a neighbors record.
-func DecodeNeighbors(r *Reader) (nb Neighbors, err error) {
+// DecodeNeighbors reads a neighbors record from a frame of version ver.
+func DecodeNeighbors(r *Reader, ver byte) (nb Neighbors, err error) {
 	var d uint64
 	if d, err = r.Uvarint(); err != nil || d > uint64(r.Remaining()) {
 		err = ErrCorrupt
@@ -542,6 +556,9 @@ func DecodeNeighbors(r *Reader) (nb Neighbors, err error) {
 	nb.Parents = make([]int, d)
 	nb.Children = make([][]int, d)
 	nb.Levels = make([]int, d)
+	if ver >= versionSubtree {
+		nb.Subtree = make([]int, d)
+	}
 	for t := uint64(0); t < d; t++ {
 		var v int64
 		if v, err = r.Varint(); err != nil {
@@ -553,6 +570,13 @@ func DecodeNeighbors(r *Reader) (nb Neighbors, err error) {
 		}
 		nb.Levels[t] = int(v)
 		var n uint64
+		if ver >= versionSubtree {
+			if n, err = r.Uvarint(); err != nil || n > math.MaxInt32 {
+				err = ErrCorrupt
+				return
+			}
+			nb.Subtree[t] = int(n)
+		}
 		if n, err = r.Uvarint(); err != nil || n > uint64(r.Remaining()) {
 			err = ErrCorrupt
 			return
@@ -637,8 +661,8 @@ func EncodeInstall(w *Buffer, m Install) error {
 	return nil
 }
 
-// DecodeInstall reads an install-chunk payload.
-func DecodeInstall(r *Reader) (m Install, err error) {
+// DecodeInstall reads an install-chunk payload from a frame of version ver.
+func DecodeInstall(r *Reader, ver byte) (m Install, err error) {
 	if m.Meta, err = DecodeQueryMeta(r); err != nil {
 		return
 	}
@@ -656,7 +680,7 @@ func DecodeInstall(r *Reader) (m Install, err error) {
 			return
 		}
 		var nb Neighbors
-		if nb, err = DecodeNeighbors(r); err != nil {
+		if nb, err = DecodeNeighbors(r, ver); err != nil {
 			return
 		}
 		m.Members[int(p)] = nb
@@ -897,8 +921,8 @@ func EncodeTopoReply(w *Buffer, m TopoReply) {
 	w.PutBool(m.Unknown)
 }
 
-// DecodeTopoReply reads a topology-reply payload.
-func DecodeTopoReply(r *Reader) (m TopoReply, err error) {
+// DecodeTopoReply reads a topology-reply payload from a frame of version ver.
+func DecodeTopoReply(r *Reader, ver byte) (m TopoReply, err error) {
 	if m.Query, err = r.String(); err != nil {
 		return
 	}
@@ -908,7 +932,7 @@ func DecodeTopoReply(r *Reader) (m TopoReply, err error) {
 	if m.Seq, err = r.Uvarint(); err != nil {
 		return
 	}
-	if m.NB, err = DecodeNeighbors(r); err != nil {
+	if m.NB, err = DecodeNeighbors(r, ver); err != nil {
 		return
 	}
 	m.Unknown, err = r.Bool()

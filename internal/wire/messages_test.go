@@ -30,6 +30,7 @@ func sampleNeighbors() Neighbors {
 		Parents:  []int{-1, 4},
 		Children: [][]int{{1, 2, 9}, nil},
 		Levels:   []int{0, 3},
+		Subtree:  []int{64, 1},
 	}
 }
 
@@ -96,7 +97,7 @@ func sampleMessages() []any {
 			Meta: sampleMeta(),
 			Members: map[int]Neighbors{
 				3: sampleNeighbors(),
-				9: {Parents: []int{3, 3}, Children: [][]int{nil, nil}, Levels: []int{1, 1}},
+				9: {Parents: []int{3, 3}, Children: [][]int{nil, nil}, Levels: []int{1, 1}, Subtree: []int{1, 300}},
 			},
 			Forward: map[int][]int{3: {9, 12}, 9: {14}},
 		},
@@ -183,34 +184,114 @@ func TestMessageTruncations(t *testing.T) {
 	}
 }
 
-// The decode policy is "the current version and the previous one". Every
-// kind re-stamped Version-1 decodes equal to its Version frame (no payload
-// changed across the step) except the batch kind, which Version-1 did not
-// have; frames two versions back or one ahead are refused.
+// encodeNeighborsPrev writes a neighbors record the way a Version-1 (v4)
+// sender did: no subtree counts.
+func encodeNeighborsPrev(w *Buffer, nb Neighbors) {
+	w.PutUvarint(uint64(len(nb.Parents)))
+	for t := range nb.Parents {
+		w.PutVarint(int64(nb.Parents[t]))
+		w.PutVarint(int64(nb.Levels[t]))
+		w.PutUvarint(uint64(len(nb.Children[t])))
+		for _, c := range nb.Children[t] {
+			w.PutVarint(int64(c))
+		}
+	}
+}
+
+// prevFrame encodes msg as a Version-1 sender would have, and returns with
+// it the message a current decoder must read out of that frame: the two
+// kinds that carry a neighbors record lose their subtree counts, every other
+// kind's payload did not change across the step.
+func prevFrame(t testing.TB, msg any) ([]byte, any) {
+	t.Helper()
+	var w Buffer
+	switch m := msg.(type) {
+	case Install:
+		w.b = append(w.b, Version-1, MsgInstall)
+		EncodeQueryMeta(&w, m.Meta)
+		w.PutUvarint(uint64(len(m.Members)))
+		want := Install{Meta: m.Meta, Members: map[int]Neighbors{}, Forward: m.Forward}
+		for _, p := range sortedPeers(m.Members) {
+			w.PutVarint(int64(p))
+			encodeNeighborsPrev(&w, m.Members[p])
+			nb := m.Members[p]
+			nb.Subtree = nil
+			want.Members[p] = nb
+		}
+		encodeForward(&w, m.Forward)
+		return w.Bytes(), want
+	case TopoReply:
+		w.b = append(w.b, Version-1, MsgTopoReply)
+		w.PutString(m.Query)
+		w.PutUvarint(uint64(m.Epoch))
+		w.PutUvarint(m.Seq)
+		encodeNeighborsPrev(&w, m.NB)
+		w.PutBool(m.Unknown)
+		m.NB.Subtree = nil
+		return w.Bytes(), m
+	}
+	if err := EncodeMessage(&w, msg); err != nil {
+		t.Fatal(err)
+	}
+	w.b[0] = Version - 1
+	return w.Bytes(), msg
+}
+
+// The decode policy is "the current version and the previous one": 5 and 4
+// decode, 3 and 6 are refused. A v4 install or topology reply decodes with
+// nil Subtree — that operator stays on its timer — and every other kind
+// decodes equal to its v5 frame.
 func TestDecodeVersionWindow(t *testing.T) {
-	versions := []struct {
-		v  byte
-		ok bool
-	}{{Version, true}, {Version - 1, true}, {Version - 2, false}, {Version + 1, false}}
+	sawInstall := false
 	for _, msg := range sampleMessages() {
 		var w Buffer
 		if err := EncodeMessage(&w, msg); err != nil {
 			t.Fatal(err)
 		}
-		_, isBatch := msg.(*EnvelopeBatch)
-		for _, tc := range versions {
-			frame := append([]byte(nil), w.Bytes()...)
-			frame[0] = tc.v
-			wantOK := tc.ok && (!isBatch || tc.v == Version)
-			got, err := DecodeMessage(frame)
-			if !wantOK {
-				if !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("%T stamped v%d: err = %v, want ErrCorrupt", msg, tc.v, err)
+		if got, err := DecodeMessage(w.Bytes()); err != nil || !reflect.DeepEqual(got, msg) {
+			t.Fatalf("%T stamped v%d: got %#v, %v\nwant %#v", msg, Version, got, err, msg)
+		}
+		prev, want := prevFrame(t, msg)
+		got, err := DecodeMessage(prev)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%T from a v%d sender: got %#v, %v\nwant %#v", msg, Version-1, got, err, want)
+		}
+		if in, ok := got.(Install); ok {
+			sawInstall = true
+			for p, nb := range in.Members {
+				if nb.Subtree != nil || len(nb.Parents) == 0 {
+					t.Fatalf("v%d install, member %d: %#v, want a position with nil Subtree", Version-1, p, nb)
 				}
-			} else if err != nil || !reflect.DeepEqual(got, msg) {
-				t.Fatalf("%T stamped v%d: got %#v, %v\nwant %#v", msg, tc.v, got, err, msg)
 			}
 		}
+		for _, v := range []byte{Version - 2, Version + 1} {
+			frame := append([]byte(nil), w.Bytes()...)
+			frame[0] = v
+			if _, err := DecodeMessage(frame); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%T stamped v%d: err = %v, want ErrCorrupt", msg, v, err)
+			}
+		}
+	}
+	if !sawInstall {
+		t.Fatal("no install among the sample messages")
+	}
+}
+
+// A subtree count that does not fit an int32 is corrupt, not truncated.
+func TestOversizedSubtreeIsCorrupt(t *testing.T) {
+	var w Buffer
+	w.appendKind(MsgTopoReply)
+	w.PutString("q")
+	w.PutUvarint(0)
+	w.PutUvarint(1)
+	w.PutUvarint(1)       // one tree
+	w.PutVarint(-1)       // parent
+	w.PutVarint(0)        // level
+	w.PutUvarint(1 << 31) // subtree
+	w.PutUvarint(0)       // children
+	w.PutBool(false)
+	if _, err := DecodeMessage(w.Bytes()); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("oversized subtree count: %v", err)
 	}
 }
 
@@ -313,7 +394,7 @@ func TestPropertyInstallRoundTrip(t *testing.T) {
 			m.Members = map[int]Neighbors{}
 			m.Forward = map[int][]int{}
 			for _, p := range peers {
-				nb := Neighbors{Parents: []int{int(p) - 1}, Children: [][]int{nil}, Levels: []int{int(p) % 7}}
+				nb := Neighbors{Parents: []int{int(p) - 1}, Children: [][]int{nil}, Levels: []int{int(p) % 7}, Subtree: []int{int(p) * int(fanout)}}
 				for c := 0; c < int(fanout)%4; c++ {
 					nb.Children[0] = append(nb.Children[0], c)
 				}

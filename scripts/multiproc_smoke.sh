@@ -15,7 +15,12 @@
 # The coordinator also runs -serve: the smoke installs a second query over
 # plain HTTP with curl, reads three windows from its NDJSON stream, removes
 # both queries, and asserts the list endpoint empties — the serving plane
-# exercised end-to-end across real processes.
+# exercised end-to-end across real processes. Before the removal it reads
+# /v1/stats: windows must have left the root on completeness and under a
+# tenth of the coordinator's staged summaries may have been relayed — the
+# subtree counts of the install crossed the process boundary. A worker that
+# decoded its install without them would sit on its timer, and its summaries
+# would reach the coordinator's operators after their windows had left.
 #
 # Usage: scripts/multiproc_smoke.sh   (from the repo root)
 # Env:   SMOKE_BASE_PORT (default 47300), SMOKE_DURATION (default 45s)
@@ -90,6 +95,16 @@ if [ "$ok" = 1 ]; then
   if [ "$windows" -lt 3 ]; then
     echo "FAIL: stream served $windows windows, want >= 3"; cat "$tmp/stream.log"; dump_logs; exit 1
   fi
+  stats="$(curl -fsS "http://$GW/v1/stats")"
+  stat() { echo "$stats" | grep -o "\"$1\":[0-9]*" | head -1 | cut -d: -f2; }
+  complete="$(stat results_reported_complete)"
+  staged="$(stat summaries_staged)"
+  relayed="$(stat relayed)"
+  if [ "${complete:-0}" -le 0 ] || [ "${staged:-0}" -le 0 ] || [ $((10 * ${relayed:-0})) -ge "${staged:-0}" ]; then
+    echo "FAIL: results_reported_complete=${complete:-?} summaries_staged=${staged:-?} relayed=${relayed:-?}:" \
+      "want windows reported on completeness and relayed < 10% of staged"
+    echo "$stats"; dump_logs; exit 1
+  fi
   curl -fsS -X DELETE "http://$GW/v1/queries/gw" > /dev/null
   curl -fsS -X DELETE "http://$GW/v1/queries/peers" > /dev/null
   if [ "$(curl -fsS "http://$GW/v1/queries")" != "[]" ]; then
@@ -135,4 +150,4 @@ if [ "$gw_ok" != 1 ]; then
   echo "FAIL: serving-plane checks never ran"
   exit 1
 fi
-echo "OK: multi-process run reached completeness=$PEERS from gossip-planned trees, installs crossed the fragmentation path, and the gateway served install/stream/remove over HTTP"
+echo "OK: multi-process run reached completeness=$PEERS from gossip-planned trees, installs crossed the fragmentation path, operators forwarded on completeness (complete=$complete staged=$staged relayed=$relayed), and the gateway served install/stream/remove over HTTP"
