@@ -1017,24 +1017,21 @@ func BenchmarkSaturationReplay(b *testing.B) {
 	b.Logf("saturation: batched %.0f tuples/s, per-tuple %.0f tuples/s", batched, perTuple)
 }
 
-// BenchmarkMultiHopCoalescing measures what the upstream staging path
-// (hold-and-merge plus envelope batches) saves on a deep overlay over real
-// sockets: 64 peers in bf-4 trees (three hops leaf to root), three
-// co-hosted tenant queries planned onto the same trees — the multi-tenant
-// shape where one next-hop receives several summaries per window. The same
-// federation runs with staging on and with the send-immediately ablation;
-// the bench reports the per-query-window summary byte cost
+// BenchmarkMultiHopCoalescing measures what a window's summaries cost on a
+// deep overlay over real sockets: 64 peers in bf-4 trees (three hops leaf to
+// root), three co-hosted tenant queries planned onto the same trees — the
+// multi-tenant shape where one next hop receives several summaries per
+// window. It reports the per-query-window summary byte cost
 // (summary-bytes/window, lower is better, gated in CI against the previous
-// run) and the frame reduction (frame-reduction-x, a trend metric). Since
-// operators forward a window the moment their subtree is counted, each sends
-// one summary per tenant per window and the time-space list has already done
-// the merging across space, so what staging saves is the three tenants
-// sharing a frame: frame-reduction-x reads at most about 3 by construction
-// (it read 2.5-4.0x when every operator held to its timeout and staging
-// merged the stragglers that were relayed), and summary-bytes/window fell
-// by a third with the relays. That staging moves at least 2.5x fewer data
-// frames is asserted where frames can be counted exactly, on simrt:
-// mortar.TestCoalescingSavesFrames.
+// run). Operators forward a window the moment their subtree is counted, so
+// each sends one summary per tenant per window, and a summary leaves in the
+// turn that routed it (mortar/stage.go): frames are shared only by what one
+// turn routes to one next hop, which on a lossless run is next to nothing.
+// The name dates from hold-and-merge staging, when the same federation also
+// ran a flush-at-once reference and reported a frame-reduction-x; there is
+// one setting now, so one run. That a turn's summaries share a frame is
+// asserted where frames can be counted exactly, on simrt:
+// mortar.TestTurnSharesAFrame.
 func BenchmarkMultiHopCoalescing(b *testing.B) {
 	const (
 		peers   = 64
@@ -1045,7 +1042,7 @@ func BenchmarkMultiHopCoalescing(b *testing.B) {
 		warmup  = 1500 * time.Millisecond
 		measure = 3 * time.Second
 	)
-	run := func(hold time.Duration) (frames, bytes uint64) {
+	run := func() (frames, bytes uint64) {
 		hosts := make([]int, peers)
 		for i := range hosts {
 			hosts[i] = i
@@ -1058,7 +1055,6 @@ func BenchmarkMultiHopCoalescing(b *testing.B) {
 		defer rt.Shutdown()
 		cfg := mortar.DefaultConfig()
 		cfg.HeartbeatPeriod = 500 * time.Millisecond
-		cfg.SummaryHold = hold
 		fab, err := mortar.NewFabric(rt, nil, cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -1100,16 +1096,12 @@ func BenchmarkMultiHopCoalescing(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		offFrames, _ := run(-1)
-		onFrames, onBytes := run(100 * time.Millisecond)
-		if onFrames == 0 || offFrames == 0 {
-			b.Fatalf("no data frames measured: on=%d off=%d", onFrames, offFrames)
+		frames, bytes := run()
+		if frames == 0 {
+			b.Fatal("no data frames measured")
 		}
 		windows := float64(tenants) * measure.Seconds() / slide.Seconds()
-		ratio := float64(offFrames) / float64(onFrames)
-		b.ReportMetric(float64(onBytes)/windows, "summary-bytes/window")
-		b.ReportMetric(ratio, "frame-reduction-x")
-		b.Logf("multi-hop: %d frames unstaged, %d staged (%.1fx), %.0f summary bytes/window",
-			offFrames, onFrames, ratio, float64(onBytes)/windows)
+		b.ReportMetric(float64(bytes)/windows, "summary-bytes/window")
+		b.Logf("multi-hop: %d data frames, %.0f summary bytes/window", frames, float64(bytes)/windows)
 	}
 }

@@ -578,15 +578,15 @@ func startDataPathSampler(fab *mortar.Fabric) func() float64 {
 
 // printDataPathStats emits the data-plane summary: tuples ingested and the
 // mailbox hops that carried them (their ratio is the batching factor),
-// time-space list activity, the peak ingest rate, and upstream coalescing.
+// time-space list activity, the peak ingest rate, and upstream batching.
 func printDataPathStats(out io.Writer, fab *mortar.Fabric, peakRate float64) {
 	fmt.Fprintf(out, "# data path: tuples=%d batches=%d ts_inserts=%d ts_merges=%d peak_rate=%.0f tuples/s\n",
 		fab.Stats.TuplesIngested.Load(), fab.Stats.IngestBatches.Load(),
 		fab.DataPath.Inserts.Load(), fab.DataPath.Merges.Load(), peakRate)
-	coalesced, batched, batchFrames := fab.Stats.SummariesCoalesced.Load(), fab.Stats.BatchedSummaries.Load(), fab.Stats.BatchFrames.Load()
-	fmt.Fprintf(out, "# summary path: staged=%d relayed=%d coalesced=%d data_frames=%d batch_frames=%d batched=%d frames_saved=%d\n",
-		fab.Stats.SummariesStaged.Load(), fab.Stats.Relayed.Load(), coalesced, fab.Stats.DataFrames.Load(), batchFrames, batched,
-		coalesced+batched-batchFrames)
+	batched, batchFrames := fab.Stats.BatchedSummaries.Load(), fab.Stats.BatchFrames.Load()
+	fmt.Fprintf(out, "# summary path: staged=%d relayed=%d data_frames=%d batch_frames=%d batched=%d frames_saved=%d\n",
+		fab.Stats.SummariesStaged.Load(), fab.Stats.Relayed.Load(), fab.Stats.DataFrames.Load(), batchFrames, batched,
+		batched-batchFrames)
 }
 
 // startReplanMonitor arms drift-triggered live replanning, logging every

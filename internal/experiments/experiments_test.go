@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"strconv"
 	"strings"
 	"testing"
@@ -213,6 +214,17 @@ func TestFigure16Shape(t *testing.T) {
 	}
 	if over <= 100 {
 		t.Fatalf("SDIMS never over-counted (max %.1f%%); churn should push past 100%%", over)
+	}
+}
+
+// Figure 16 must read the same twice: the SDIMS comparator once drew its
+// routing entries in map order, so two runs of one seed differed in 20 rows.
+func TestFigure16Deterministic(t *testing.T) {
+	var a, b bytes.Buffer
+	Figure16(quick()).Print(&a)
+	Figure16(quick()).Print(&b)
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("two runs of Figure 16 (quick, seed 42) differ:\n%s\n--- vs ---\n%s", a.String(), b.String())
 	}
 }
 

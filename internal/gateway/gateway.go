@@ -657,20 +657,19 @@ type Stats struct {
 	ResultsReported         uint64 `json:"results_reported"`
 	ResultsReportedComplete uint64 `json:"results_reported_complete"`
 	LateAtRoot              uint64 `json:"late_at_root"`
-	// Upstream summary coalescing (hold-and-merge + wire-v4 batches).
-	// FramesSaved is the frames the feature avoided: summaries merged away
-	// in staging buffers plus summaries that shared a batch frame. Relayed of
-	// SummariesStaged were forwarded unmerged, their window having already
-	// left the operator they reached: near zero while the federation
-	// aggregates in-network, a large share when operators sit on their timers.
-	SummariesStaged    uint64      `json:"summaries_staged"`
-	Relayed            uint64      `json:"relayed"`
-	SummariesCoalesced uint64      `json:"summaries_coalesced"`
-	DataFrames         uint64      `json:"data_frames"`
-	BatchFrames        uint64      `json:"batch_frames"`
-	BatchedSummaries   uint64      `json:"batched_summaries"`
-	FramesSaved        uint64      `json:"frames_saved"`
-	PerQuery           []QueryInfo `json:"per_query"`
+	// Upstream summary batching: what one turn of a peer routes to one next
+	// hop shares a frame. FramesSaved is the frames that avoided,
+	// BatchedSummaries - BatchFrames. Relayed of SummariesStaged were
+	// forwarded unmerged, their window having already left the operator they
+	// reached: near zero while the federation aggregates in-network, a large
+	// share when operators sit on their timers.
+	SummariesStaged  uint64      `json:"summaries_staged"`
+	Relayed          uint64      `json:"relayed"`
+	DataFrames       uint64      `json:"data_frames"`
+	BatchFrames      uint64      `json:"batch_frames"`
+	BatchedSummaries uint64      `json:"batched_summaries"`
+	FramesSaved      uint64      `json:"frames_saved"`
+	PerQuery         []QueryInfo `json:"per_query"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -686,16 +685,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		ResultsReportedComplete: fab.Stats.ReportedComplete.Load(),
 		LateAtRoot:              fab.Stats.LateAtRoot.Load(),
 
-		SummariesStaged:    fab.Stats.SummariesStaged.Load(),
-		Relayed:            fab.Stats.Relayed.Load(),
-		SummariesCoalesced: fab.Stats.SummariesCoalesced.Load(),
-		DataFrames:         fab.Stats.DataFrames.Load(),
-		BatchFrames:        fab.Stats.BatchFrames.Load(),
-		BatchedSummaries:   fab.Stats.BatchedSummaries.Load(),
+		SummariesStaged:  fab.Stats.SummariesStaged.Load(),
+		Relayed:          fab.Stats.Relayed.Load(),
+		DataFrames:       fab.Stats.DataFrames.Load(),
+		BatchFrames:      fab.Stats.BatchFrames.Load(),
+		BatchedSummaries: fab.Stats.BatchedSummaries.Load(),
 
 		PerQuery: []QueryInfo{},
 	}
-	st.FramesSaved = st.SummariesCoalesced + st.BatchedSummaries - st.BatchFrames
+	st.FramesSaved = st.BatchedSummaries - st.BatchFrames
 	if cb, ok := s.fed.Rt.(classByteSource); ok {
 		st.WireCtlBytes, st.WireDataBytes = cb.ClassBytes()
 	}

@@ -351,10 +351,11 @@ func TestStreamLifecycle(t *testing.T) {
 	}
 }
 
-// The stats payload surfaces the upstream coalescing counters: after a few
+// The stats payload surfaces the upstream batching counters: after a few
 // windows of traffic the fabric must have staged summaries, and the
 // frames-saved figure must hold its defining identity against the raw
-// counters it derives from.
+// counters it derives from. (The name dates from hold-and-merge staging;
+// nothing merges there now and summaries_coalesced is gone from the payload.)
 func TestStatsReportsCoalescing(t *testing.T) {
 	_, _, ts := newTestPlane(t, 4, Options{})
 	if resp := install(t, ts, countSpec("q")); resp.StatusCode != http.StatusCreated {
@@ -368,20 +369,27 @@ func TestStatsReportsCoalescing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(body, []byte("summaries_coalesced")) {
+		t.Fatalf("stats still carry summaries_coalesced, a counter nothing increments:\n%s", body)
+	}
 	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.SummariesStaged == 0 {
-		t.Fatal("stats report zero staged summaries on a default (coalescing-on) plane")
+		t.Fatal("stats report zero staged summaries after three result windows")
 	}
 	if st.DataFrames == 0 {
 		t.Fatal("stats report zero data frames after three result windows")
 	}
-	if want := st.SummariesCoalesced + st.BatchedSummaries - st.BatchFrames; st.FramesSaved != want {
-		t.Fatalf("frames_saved = %d, want coalesced+batched-batch_frames = %d", st.FramesSaved, want)
+	if want := st.BatchedSummaries - st.BatchFrames; st.FramesSaved != want {
+		t.Fatalf("frames_saved = %d, want batched_summaries-batch_frames = %d", st.FramesSaved, want)
 	}
-	if st.SummariesCoalesced+st.BatchedSummaries > st.SummariesStaged {
+	if st.BatchedSummaries > st.SummariesStaged {
 		t.Fatalf("flushed population exceeds staged: %+v", st)
 	}
 	// Which path reported: all four peers run a sensor, so some of the

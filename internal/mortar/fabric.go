@@ -73,20 +73,15 @@ type Config struct {
 	// backend) sizes components by encoded bytes from that bound instead,
 	// so every install message fits one Send.
 	InstallChunks int
-	// SummaryHold is how long an interior peer may park an upstream summary
-	// in its staging buffer waiting for merge partners and batchmates (see
-	// stage.go) — the bound on per-hop latency coalescing adds. Co-hosted
-	// queries' evictions cluster within milliseconds of each other, so a
-	// short hold captures most of the batching win without disturbing
-	// result phase. Zero picks the default (one hundredth of the heartbeat
-	// period); a negative value flushes every summary the moment it parks,
-	// so nothing merges or batches — the uncoalesced reference the
-	// coalescing tests and benchmark measure against.
+	// SummaryHold was the per-hop staging hold. A summary now leaves in the
+	// turn that routed it (stage.go), so the only valid value is 0 and
+	// Validate refuses any other; the field survives because bench/, which
+	// may not change with the code it measures, compiles against it.
 	SummaryHold time.Duration
-	// SummaryBatchBytes is the staging buffer's flush threshold: a
-	// destination's parked summaries flush early once their estimated wire
-	// size reaches it. Capped against Transport.MaxFrame on bounded
-	// transports so a flushed batch always fits one frame.
+	// SummaryBatchBytes is the staging buffer's flush threshold: what a turn
+	// has parked for one destination flushes before the turn ends once its
+	// estimated wire size reaches it. Capped against Transport.MaxFrame on
+	// bounded transports so a flushed batch always fits one frame.
 	SummaryBatchBytes int
 }
 
@@ -105,7 +100,6 @@ func DefaultConfig() Config {
 		MaxStage:            4,
 		Syncless:            true,
 		InstallChunks:       16,
-		SummaryHold:         20 * time.Millisecond,
 		SummaryBatchBytes:   1200,
 	}
 }
@@ -182,11 +176,9 @@ func (c Config) Validate() (Config, error) {
 	if c.InstallChunks < 0 {
 		return c, fmt.Errorf("mortar: InstallChunks %d must be positive", c.InstallChunks)
 	}
-	if c.SummaryHold == 0 {
-		c.SummaryHold = c.HeartbeatPeriod / 100
+	if c.SummaryHold != 0 {
+		return c, fmt.Errorf("mortar: SummaryHold %v must be 0: summaries leave in the turn that routed them, there is no hold to set", c.SummaryHold)
 	}
-	// Negative SummaryHold is a meaningful setting (flush at once), not an
-	// error.
 	if c.SummaryBatchBytes == 0 {
 		c.SummaryBatchBytes = def.SummaryBatchBytes
 	}
@@ -241,13 +233,13 @@ type Stats struct {
 	// data-plane batching factor.
 	TuplesIngested atomic.Uint64
 	IngestBatches  atomic.Uint64
-	// Upstream coalescing (stage.go). SummariesStaged counts summaries that
-	// entered a staging buffer; SummariesCoalesced counts those that merged
-	// into an already-parked summary (frames and bytes that never existed).
-	// DataFrames counts data-class frames actually transmitted, BatchFrames
-	// the subset that were multi-summary envelope batches, and
-	// BatchedSummaries the summaries those batches carried. Frames saved by
-	// the feature = SummariesCoalesced + (BatchedSummaries - BatchFrames).
+	// Upstream batching (stage.go). SummariesStaged counts summaries that
+	// entered a staging buffer. DataFrames counts data-class frames actually
+	// transmitted, BatchFrames the subset that were multi-summary envelope
+	// batches, and BatchedSummaries the summaries those batches carried.
+	// Frames saved by batching = BatchedSummaries - BatchFrames.
+	// SummariesCoalesced is never incremented — nothing merges in staging —
+	// and survives only because bench/ compiles against it.
 	SummariesStaged    atomic.Uint64
 	SummariesCoalesced atomic.Uint64
 	DataFrames         atomic.Uint64

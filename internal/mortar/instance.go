@@ -19,10 +19,6 @@ type instance struct {
 	meta QueryMeta
 	op   ops.Operator
 	fin  ops.Finalizer // nil when the partial value is the final value
-	// combineIP is the operator's in-place combiner when it has one; the
-	// staging buffer uses it to fold a parked summary's value without
-	// allocating, provided the parked value is exclusively owned.
-	combineIP ops.InPlaceCombiner
 
 	// Tree position; zero until wired (install multicast carries it; peers
 	// adopted via reconciliation fetch it from the root topology service).
@@ -72,9 +68,9 @@ type instance struct {
 	everRaw bool
 
 	// ownsValues reports that a value this instance emits or evicts is
-	// exclusively that summary's, so the time-space list and the staging
-	// buffer may fold later arrivals into it in place. It holds for tumbling
-	// time windows only (see newInstance).
+	// exclusively that summary's, so the time-space list may fold later
+	// arrivals into it in place. It holds for tumbling time windows only (see
+	// newInstance).
 	ownsValues bool
 
 	// Tuple-window state (§4.1): the last RangeN arrivals (tuples leave a
@@ -128,9 +124,6 @@ func (p *Peer) newInstance(meta QueryMeta) (*instance, error) {
 	}
 	if f, ok := op.(ops.Finalizer); ok {
 		inst.fin = f
-	}
-	if ip, ok := op.(ops.InPlaceCombiner); ok {
-		inst.combineIP = ip
 	}
 	// Tumbling time windows produce slide-aligned indices, so TS-list
 	// entries never split and no value is ever shared between entries —
@@ -220,10 +213,6 @@ func (inst *instance) beginDrain(drain time.Duration) {
 		inst.stallTick.Cancel()
 	}
 	p := inst.peer
-	// Retirement barrier: anything parked in the staging buffers leaves now,
-	// so the retiring epoch's last windows are in flight before its drain
-	// period starts counting.
-	p.flushStages()
 	key := instKey{name: inst.meta.Name, epoch: inst.meta.Epoch}
 	inst.drainTimer = p.rtc.After(drain, func() {
 		if cur, ok := p.insts[key]; ok && cur == inst {
@@ -254,6 +243,7 @@ func (inst *instance) scheduleStall() {
 		inst.rawInSlide = false
 		inst.foldNetDist()
 		inst.scheduleStall()
+		inst.peer.flushStages()
 	})
 }
 
@@ -316,6 +306,7 @@ func (p *Peer) injectRawBatch(raws []tuple.Raw) {
 			inst.takeRaws(raws)
 		}
 	}
+	p.flushStages()
 }
 
 // takeRaws merges a batch into the instance's local window. The tuples
@@ -394,6 +385,7 @@ func (inst *instance) closeSlide() {
 		inst.absorb(s)
 	}
 	inst.scheduleSlide()
+	inst.peer.flushStages()
 }
 
 // sealPane closes the open slide's partial aggregate and returns the value
@@ -567,6 +559,7 @@ func (inst *instance) evictExpired() {
 	// An expired entry may have been all that held back complete ones.
 	inst.evictComplete(now)
 	inst.armEvict()
+	inst.peer.flushStages()
 }
 
 // windowTree is the tree window n of a time-window query travels on, at
@@ -629,11 +622,7 @@ func (inst *instance) evict(e *tslist.Entry, now time.Duration, complete bool) {
 		if complete {
 			inst.observe(e.MaxAge, e.Index.TE, now)
 		}
-		// A tumbling window's entries never share values (see newInstance),
-		// so an evicted value is exclusively this summary's; tuple-window
-		// splitting (cloneInterval) may leave the value shared with a live
-		// entry, and a sliding window's with a retained pane.
-		inst.routeNew(s, n, inst.ownsValues)
+		inst.routeNew(s, n)
 	case tupleWin:
 		inst.reportInterval(n, s)
 	default:
@@ -797,9 +786,7 @@ func (p *Peer) handleSummary(src int, env *envelope) {
 		// that duplicates delivery hands the same envelope (and Levels
 		// array) to this handler twice.
 		s.Levels = append([]int16(nil), s.Levels...)
-		// The value still aliases the received envelope (a duplicate delivery
-		// would hand it to us again), so downstream must not mutate it.
-		inst.forward(s, env.Tree, env.TTLDown, false)
+		inst.forward(s, env.Tree, env.TTLDown)
 		return
 	}
 	inst.absorb(s)
@@ -812,15 +799,14 @@ func (p *Peer) handleSummary(src int, env *envelope) {
 // preferred parent is unreachable. Window n of a time-window query starts
 // from windowTree(n), the same tree at every operator; tuple windows share
 // no window number (a TB-derived one would alias with periodic sources), so
-// they stripe round-robin from a per-instance pointer. owned reports whether
-// s.Value is exclusively the caller's (see stagedEnv.owned).
-func (inst *instance) routeNew(s tuple.Summary, n int64, owned bool) {
+// they stripe round-robin from a per-instance pointer.
+func (inst *instance) routeNew(s tuple.Summary, n int64) {
 	if !inst.wired {
 		inst.peer.fab.Stats.Dropped.Add(1)
 		return
 	}
-	// s.Levels is caller-owned (cloned at eviction or freshly decoded), so
-	// the routing constraint folds in place.
+	// s.Levels is the caller's alone (cloned at eviction or freshly decoded),
+	// so the routing constraint folds in place.
 	s.Levels = tuple.MergeLevelsInto(s.Levels, inst.ownLevels())
 	d := len(inst.nb.Parents)
 	tupleWin := inst.meta.Window.Kind == tuple.TupleWindow
@@ -837,11 +823,11 @@ func (inst *instance) routeNew(s tuple.Summary, n int64, owned bool) {
 		}
 		pa := inst.nb.Parents[t]
 		if pa >= 0 && inst.peer.alive(pa) {
-			inst.send(s, t, pa, 0, owned)
+			inst.send(s, t, pa, 0)
 		} else if pa < 0 {
 			// This operator is the root on tree t but not overall; fall
 			// through to another tree to avoid self-delivery artifacts.
-			inst.forward(s, t, 0, owned)
+			inst.forward(s, t, 0)
 		} else {
 			inst.peer.fab.Stats.Dropped.Add(1)
 		}
@@ -856,18 +842,18 @@ func (inst *instance) routeNew(s tuple.Summary, n int64, owned bool) {
 			if tupleWin {
 				inst.stripe = (t + 1) % d
 			}
-			inst.send(s, t, pa, 0, owned)
+			inst.send(s, t, pa, 0)
 			return
 		}
 	}
 	// No live parent on any tree: let the staged policy explore downward.
-	inst.forward(s, -1, 0, owned)
+	inst.forward(s, -1, 0)
 }
 
 // forward applies the staged multipath routing policy (Figure 5) for a
 // tuple that arrived on tree `arrived` (-1 for locally created tuples with
-// no preferred tree). owned as in routeNew.
-func (inst *instance) forward(s tuple.Summary, arrived int, ttlDown uint8, owned bool) {
+// no preferred tree).
+func (inst *instance) forward(s tuple.Summary, arrived int, ttlDown uint8) {
 	if !inst.wired {
 		inst.peer.fab.Stats.Dropped.Add(1)
 		return
@@ -889,7 +875,7 @@ func (inst *instance) forward(s tuple.Summary, arrived int, ttlDown uint8, owned
 	maxStage := inst.peer.fab.Cfg.MaxStage
 	// Stage 1 — same tree: route to P(t).
 	if arrived >= 0 && liveParent(arrived) {
-		inst.send(s, arrived, nb.Parents[arrived], ttlDown, owned)
+		inst.send(s, arrived, nb.Parents[arrived], ttlDown)
 		return
 	}
 	// Stage 2 — up*: a tree at least as close to the root as the arrival
@@ -902,7 +888,7 @@ func (inst *instance) forward(s tuple.Summary, arrived int, ttlDown uint8, owned
 			}
 		}
 		if best >= 0 {
-			inst.send(s, best, nb.Parents[best], ttlDown, owned)
+			inst.send(s, best, nb.Parents[best], ttlDown)
 			return
 		}
 	}
@@ -916,7 +902,7 @@ func (inst *instance) forward(s tuple.Summary, arrived int, ttlDown uint8, owned
 			}
 		}
 		if best >= 0 {
-			inst.send(s, best, nb.Parents[best], ttlDown, owned)
+			inst.send(s, best, nb.Parents[best], ttlDown)
 			return
 		}
 	}
@@ -929,7 +915,7 @@ func (inst *instance) forward(s tuple.Summary, arrived int, ttlDown uint8, owned
 			for _, c := range nb.Children[t] {
 				if inst.peer.alive(c) {
 					inst.peer.fab.Stats.FlexDownHops.Add(1)
-					inst.send(s, t, c, ttlDown+1, owned)
+					inst.send(s, t, c, ttlDown+1)
 					return
 				}
 			}
@@ -940,11 +926,11 @@ func (inst *instance) forward(s tuple.Summary, arrived int, ttlDown uint8, owned
 }
 
 // send moves the summary toward peer `to` on tree t, recording the level
-// visited. It parks in the peer's staging buffer, which transmits it (see
-// stage.go); owned as in routeNew.
-func (inst *instance) send(s tuple.Summary, t, to int, ttlDown uint8, owned bool) {
+// visited. It parks in the peer's staging buffer, which transmits it when
+// the turn ends (stage.go).
+func (inst *instance) send(s tuple.Summary, t, to int, ttlDown uint8) {
 	if t < len(s.Levels) {
 		s.Levels[t] = int16(inst.nb.Levels[t])
 	}
-	inst.peer.stageSummary(inst, s, t, to, ttlDown, owned)
+	inst.peer.stageSummary(inst, s, t, to, ttlDown)
 }

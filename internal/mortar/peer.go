@@ -51,9 +51,11 @@ type Peer struct {
 	// root.
 	pendingTopo map[instKey]bool
 
-	// stage holds summaries parked for coalescing, one buffer (with its own
-	// hold timer) per next-hop peer (stage.go).
-	stage map[int]*stageBuf
+	// stage holds the summaries the current turn has parked, one buffer per
+	// next-hop peer; staged lists the destinations parked into since the last
+	// flushStages. Both are empty between turns (stage.go).
+	stage  map[int]*stageBuf
+	staged []int
 
 	// nc is the peer's Vivaldi coordinate state on runtimes that run the
 	// decentralized protocol (runtime/netrt); nil elsewhere. The node is
@@ -169,6 +171,7 @@ func (p *Peer) deliver(src int, payload any, size int) {
 		p.markHeard(src)
 		p.handleInstallAck(src, m)
 	}
+	p.flushStages()
 	// A peer hosting nothing has no ticker to ride for periodic pruning;
 	// drop liveness state stragglers re-add so an idle peer holds no
 	// per-neighbor memory. Heartbeat dedup seqs are deliberately kept: a

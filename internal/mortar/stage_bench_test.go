@@ -10,16 +10,15 @@ import (
 )
 
 // The staging fast path must not allocate in steady state: parked entries
-// live by value in a recycled slice, merge folds through the operator's
-// in-place combiner, and the flushed batch shell, wire buffer, and frame
-// all come from pools on byte-consuming transports. The benchmark drives
-// stage-merge-flush cycles over a stub runtime whose transport consumes
-// frame bytes like a socket backend but discards them, and whose clock
-// hands out free timers — so the measurement isolates the staging layer
-// itself (timer arming costs whatever the chosen backend charges).
+// live by value in a recycled slice, and the flushed batch shell, wire
+// buffer, and frame all come from pools on byte-consuming transports. The
+// benchmark drives one turn's worth of staging per cycle — three summaries
+// parked for one next hop, then the turn-end flush — over a stub runtime
+// whose transport consumes frame bytes like a socket backend but discards
+// them, so the measurement isolates the staging layer itself.
 
 // benchTimer and benchTicker satisfy the runtime interfaces without
-// scheduling anything; the benchmark flushes buffers explicitly.
+// scheduling anything.
 type benchTimer struct{}
 
 func (benchTimer) Cancel()             {}
@@ -94,9 +93,9 @@ func BenchmarkStageFlushSteadyState(b *testing.B) {
 		b.Fatal("no instance installed")
 	}
 
-	// Two child partials for one window (they merge in the buffer through
-	// the sketch's in-place combine) plus one for the next window (it
-	// stays distinct, so every flush transmits a two-entry batch).
+	// Two partials for one window (nothing merges in staging: they travel
+	// side by side) plus one for the next, so every flush transmits one
+	// three-entry batch.
 	mkSum := func(w int64) tuple.Summary {
 		d := inst.op.NewWindow()
 		for i := 0; i < 32; i++ {
@@ -114,10 +113,10 @@ func BenchmarkStageFlushSteadyState(b *testing.B) {
 
 	// One warm-up cycle sizes the buffer, pools, and traffic counters.
 	cycle := func() {
-		p.stageSummary(inst, s1, 0, 1, 0, true)
-		p.stageSummary(inst, s2, 0, 1, 0, true)
-		p.stageSummary(inst, s3, 0, 1, 0, true)
-		p.flushStage(1, p.stage[1])
+		p.stageSummary(inst, s1, 0, 1, 0)
+		p.stageSummary(inst, s2, 0, 1, 0)
+		p.stageSummary(inst, s3, 0, 1, 0)
+		p.flushStages()
 	}
 	cycle()
 
@@ -127,9 +126,6 @@ func BenchmarkStageFlushSteadyState(b *testing.B) {
 		cycle()
 	}
 	b.StopTimer()
-	if got := fab.Stats.SummariesCoalesced.Load(); got < uint64(b.N) {
-		b.Fatalf("merge path not exercised: coalesced %d over %d cycles", got, b.N)
-	}
 	if got := fab.Stats.BatchFrames.Load(); got < uint64(b.N) {
 		b.Fatalf("batch path not exercised: %d batch frames over %d cycles", got, b.N)
 	}

@@ -143,8 +143,9 @@ func (s *State) Rebuild() {
 	}
 	// Collect candidates per (row, col); choose uniformly among them so
 	// different nodes hold different entries (as proximity-based Pastry
-	// tables do).
-	buckets := map[[2]int][]int{}
+	// tables do). Buckets draw in (row, col) order — a map here would hand
+	// each bucket a different draw from run to run.
+	var buckets [digits][16][]int
 	for p, id := range s.ring.IDs {
 		if p == s.self || s.dead[p] {
 			continue
@@ -157,11 +158,14 @@ func (s *State) Rebuild() {
 		if s.table[row][col] >= 0 {
 			continue // live entry kept
 		}
-		key := [2]int{row, col}
-		buckets[key] = append(buckets[key], p)
+		buckets[row][col] = append(buckets[row][col], p)
 	}
-	for key, cands := range buckets {
-		s.table[key[0]][key[1]] = cands[s.rng.Intn(len(cands))]
+	for row := range buckets {
+		for col, cands := range buckets[row] {
+			if len(cands) > 0 {
+				s.table[row][col] = cands[s.rng.Intn(len(cands))]
+			}
+		}
 	}
 	s.rebuildLeaf()
 }
@@ -223,8 +227,8 @@ func (s *State) MarkAlive(p int) {
 // BelievedDead reports the current belief about p.
 func (s *State) BelievedDead(p int) bool { return s.dead[p] }
 
-// Neighbors returns the peers this node monitors: leaf set plus populated
-// routing entries (the ping targets).
+// Neighbors returns the peers this node monitors, ascending: leaf set plus
+// populated routing entries (the ping targets).
 func (s *State) Neighbors() []int {
 	set := map[int]struct{}{}
 	for _, p := range s.leaf {

@@ -253,9 +253,9 @@ type Runtime struct {
 	// Per-class wire bytes transmitted (frame header + body, before
 	// fragmentation overhead): the split the serving plane reports so
 	// control-plane cost is observable per process (ClassBytes). The frame
-	// counts alongside them make upstream coalescing observable at the
-	// transport: with hold-and-merge on, DataFrames falls well below the
-	// summary count (see NetStats).
+	// counts alongside them make upstream batching observable at the
+	// transport: DataFrames falls below the summary count by what shared a
+	// frame (see NetStats).
 	ctlBytes, dataBytes   atomic.Uint64
 	ctlFrames, dataFrames atomic.Uint64
 
@@ -479,8 +479,8 @@ type NetStats struct {
 	Sockets     int
 	// Per-class frame counts (a frame is one transport Send; a train packs
 	// several into one datagram). DataFrames is the number the upstream
-	// summary path's hold-and-merge coalescing drives down: merged and
-	// batched summaries share frames instead of taking one each.
+	// summary path's per-turn batching drives down: the summaries one turn
+	// routes to one next hop share a frame instead of taking one each.
 	CtlFrames  uint64
 	DataFrames uint64
 }

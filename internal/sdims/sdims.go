@@ -16,6 +16,7 @@ package sdims
 
 import (
 	"math/rand"
+	"sort"
 	"time"
 
 	"repro/internal/eventsim"
@@ -208,8 +209,15 @@ func (n *node) subtotal() (float64, int) {
 		c = 1
 	}
 	now := n.sys.Sim.Now()
-	for _, e := range n.children {
-		if e.expires > now {
+	// Ascending child order: a float sum taken in map order could differ in
+	// its last bit from run to run.
+	kids := make([]int, 0, len(n.children))
+	for k := range n.children {
+		kids = append(kids, k)
+	}
+	sort.Ints(kids)
+	for _, k := range kids {
+		if e := n.children[k]; e.expires > now {
 			v += e.value
 			c += e.count
 		}
