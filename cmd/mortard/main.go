@@ -33,7 +33,7 @@
 //
 //	# one federation, two processes, via UDP on a shared peers file:
 //	mortard -peers-file peers.txt -host 8-15 -join 127.0.0.1:9000
-//	mortard -peers-file peers.txt -host 0-7 -listen 127.0.0.1:9000 -vivaldi -duration 10s
+//	mortard -peers-file peers.txt -host 0-7 -listen 127.0.0.1:9000 -duration 10s
 package main
 
 import (
@@ -82,13 +82,13 @@ func main() {
 
 // config is the command line, parsed.
 type config struct {
-	peers, perSock, basePort, mtu, pace, probeRounds int
-	seed                                             int64
-	duration                                         time.Duration
-	fail, loss, dup, driftThr                        float64
-	live, vivaldi, height, replan, coalesce          bool
-	msl, peersFile, host, listen, join               string
-	pprof, serve, genPeers, chaos, curveDir          string
+	peers, perSock, basePort, mtu, pace     int
+	seed                                    int64
+	duration                                time.Duration
+	fail, loss, dup, driftThr               float64
+	live, height, replan                    bool
+	msl, peersFile, host, listen, join      string
+	pprof, serve, genPeers, chaos, curveDir string
 
 	set map[string]bool // flags named on the command line
 }
@@ -109,14 +109,11 @@ func parseFlags(name string, args []string) (*config, error) {
 	fs.StringVar(&c.host, "host", "", "UDP mode: peer range this process hosts, e.g. 0-15")
 	fs.StringVar(&c.listen, "listen", "", "UDP mode, coordinator: TCP address to accept worker joins on")
 	fs.StringVar(&c.join, "join", "", "UDP mode, worker: coordinator TCP address to join")
-	fs.BoolVar(&c.vivaldi, "vivaldi", false, "UDP mode: run decentralized Vivaldi — every process gossips coordinates, the coordinator plans from them (no coordinator-local probing) and logs convergence")
 	fs.IntVar(&c.mtu, "mtu", 0, "UDP mode: datagram MTU — frames that do not fit are fragmented, NACK-repaired, and reassembled (0 = netrt default, 1400)")
 	fs.IntVar(&c.pace, "pace", 0, "UDP mode: outgoing token-bucket rate in bytes/sec per local peer (0 = netrt default, 8 MiB/s; negative = unpaced)")
 	fs.BoolVar(&c.height, "vivaldi-height", false, "UDP mode: embed with Vivaldi height-vector coordinates (models access-link latency; all processes must agree)")
 	fs.BoolVar(&c.replan, "replan", false, "coordinator: monitor the embedding for drift and live-replan queries into new epochs (make-before-break migration)")
 	fs.Float64Var(&c.driftThr, "drift-threshold", 0.25, "with -replan: relative cost degradation of the deployed plan versus a fresh candidate that triggers a replan")
-	fs.BoolVar(&c.coalesce, "coalesce", false, "UDP mode: batch small frames to one remote socket into coalesced train datagrams")
-	fs.IntVar(&c.probeRounds, "probe-rounds", 5, "UDP mode, coordinator without -vivaldi: ProbeAll rounds before planning (0 skips probing — planning falls back to default latencies; use at scales where all-pairs probing is prohibitive)")
 	fs.StringVar(&c.pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for hot-path profiles during scale runs")
 	fs.StringVar(&c.serve, "serve", "", "HTTP serving plane address (e.g. localhost:8080): install/list/remove queries and stream results over JSON — -live or UDP coordinator mode; with no -msl the federation starts empty and every query arrives over HTTP")
 	fs.StringVar(&c.genPeers, "gen-peers-file", "", "write a ranged peers file for -peers peers multiplexed -peers-per-socket per address starting at -base-port, then exit")
@@ -143,7 +140,7 @@ var modeRules = []struct {
 	{"replan", "live udp", "%s needs a wall-clock backend (-live or -peers-file); the simulator's latencies never drift"},
 	{"loss dup", "live", "%s tunes the -live transport; no other backend reads it"},
 	{"live", "sim live", "%s is dropped by -peers-file; choose one backend"},
-	{"host listen join vivaldi mtu pace vivaldi-height coalesce probe-rounds", "udp", "%s is a UDP-mode flag; it does nothing without -peers-file"},
+	{"host listen join mtu pace vivaldi-height", "udp", "%s is a UDP-mode flag; it does nothing without -peers-file"},
 }
 
 // check refuses a command line the chosen backend would silently ignore
@@ -341,12 +338,15 @@ func (c *config) backend(rng *rand.Rand, out io.Writer) (*backend, error) {
 	return &backend{rt: simrt.New(netem.New(sim, topo)), pass: sim.RunFor}, nil
 }
 
-// udpBackend binds sockets for the peers in -host. The process hosting peer
-// 0 coordinates: it waits for workers to cover the peers file, learns
-// latencies (gossiped Vivaldi coordinates, RTT probes, or defaults), plans
-// and installs. Every other process is a worker: operators arrive over the
-// network via install multicast and reconciliation, and the run lasts until
-// the coordinator hangs up.
+// udpBackend binds sockets for the peers in -host. Every process gossips
+// Vivaldi coordinates (fit): a peer's coordinate is fitted only from RTTs
+// its own process measures. The process hosting peer 0 coordinates: it
+// waits for workers to cover the peers file, fits, plans from the gossiped
+// coordinates (from a coordinator-local embedding when they do not cover
+// every peer; the log says which) and installs. Every other process is a
+// worker: it joins, fits beside the coordinator and keeps gossiping,
+// operators arrive over the network via install multicast and
+// reconciliation, and the run lasts until the coordinator hangs up.
 func (c *config) udpBackend(out io.Writer) (*backend, error) {
 	dir, err := netrt.LoadDirectory(c.peersFile)
 	if err != nil {
@@ -357,14 +357,26 @@ func (c *config) udpBackend(out io.Writer) (*backend, error) {
 		return nil, err
 	}
 	rt, err := netrt.New(dir, local, netrt.Options{
-		Seed: c.seed, MTU: c.mtu, Pace: c.pace, VivaldiHeight: c.height, Coalesce: c.coalesce,
+		Seed: c.seed, MTU: c.mtu, Pace: c.pace, VivaldiHeight: c.height,
 	})
 	if err != nil {
 		return nil, err
 	}
+	// fit is the gossip every process runs before the coordinator plans — the
+	// paper let Vivaldi run "for at least ten rounds before interconnecting
+	// operators" — logging convergence against the RTTs measured under it.
+	// A local peer probes 16 others a round: all of a small federation, a
+	// sample at scale, where all-pairs rounds cost O(n²) datagrams each.
+	fit := func() {
+		for round := 1; round <= 10; round++ {
+			rt.Gossip(1, 16, 100*time.Millisecond)
+			med, pairs := rt.CoordError()
+			fmt.Fprintf(out, "# vivaldi round %d: median |coord dist - measured| = %.3fms over %d pairs\n", round, med, pairs)
+		}
+	}
 	// Background gossip, so coordinates track the network for the whole run.
 	keepGossiping := func() {
-		go rt.Gossip(int(c.duration/(500*time.Millisecond))+10, 3, 500*time.Millisecond)
+		rt.Gossip(int(c.duration/(500*time.Millisecond))+10, 3, 500*time.Millisecond)
 	}
 	// The runtime is the injector: its locality filter gates only the peers
 	// this process hosts; the other processes replay the schedule over theirs.
@@ -374,9 +386,6 @@ func (c *config) udpBackend(out io.Writer) (*backend, error) {
 		b.worker = true
 		b.plan = func(*msl.Program, *rand.Rand) (*federation.Federation, error) {
 			fmt.Fprintf(out, "# worker hosting peers %d..%d\n", local[0], local[len(local)-1])
-			if c.vivaldi {
-				keepGossiping()
-			}
 			if c.join != "" {
 				conn, err := netrt.JoinBarrier(c.join, local, 30*time.Second)
 				if err != nil {
@@ -386,6 +395,12 @@ func (c *config) udpBackend(out io.Writer) (*backend, error) {
 				// fallback in case it never does.
 				b.pass = func(d time.Duration) { netrt.WaitHangup(conn, d+time.Minute) }
 			}
+			// The barrier is complete: every process's sockets answer and all
+			// fit from now, so these peers are fitted when the coordinator plans.
+			go func() {
+				fit()
+				keepGossiping()
+			}()
 			return federation.NewWorker(rt)
 		}
 		return b, nil
@@ -404,34 +419,15 @@ func (c *config) udpBackend(out io.Writer) (*backend, error) {
 				return nil, err
 			}
 		}
-		switch {
-		case c.vivaldi:
-			// The paper let Vivaldi run "for at least ten rounds before
-			// interconnecting operators"; log convergence as the embedding
-			// settles against the RTTs measured under the gossip.
-			fmt.Fprintf(out, "# coordinator hosting %d of %d peers; gossiping Vivaldi coordinates\n", len(local), len(dir))
-			for round := 1; round <= 10; round++ {
-				rt.Gossip(1, 0, 100*time.Millisecond)
-				med, pairs := rt.CoordError()
-				fmt.Fprintf(out, "# vivaldi round %d: median |coord dist - measured| = %.3fms over %d pairs\n", round, med, pairs)
-			}
-		case c.probeRounds > 0:
-			fmt.Fprintf(out, "# coordinator hosting %d of %d peers; probing RTTs\n", len(local), len(dir))
-			rt.ProbeAll(c.probeRounds, 100*time.Millisecond)
-		default:
-			// At scales where all-pairs probing is prohibitive the planner falls
-			// back to uniform default latencies (coordinator-local embedding).
-			fmt.Fprintf(out, "# coordinator hosting %d of %d peers; probing skipped, planning from default latencies\n", len(local), len(dir))
-		}
+		fmt.Fprintf(out, "# coordinator hosting %d of %d peers; gossiping Vivaldi coordinates\n", len(local), len(dir))
+		fit()
 		fed, err := federation.NewRuntime(rt, prog, rng)
 		if err != nil {
 			return nil, err
 		}
-		if c.vivaldi {
-			fmt.Fprintf(out, "# planned from gossiped coordinates: %v\n", fed.PlannedFromCoords)
-		}
+		fmt.Fprintf(out, "# planned from gossiped coordinates: %v\n", fed.PlannedFromCoords)
 		if c.replan {
-			keepGossiping() // the monitor needs the coordinator's view to keep tracking
+			go keepGossiping() // the monitor needs the coordinator's view to keep tracking
 		}
 		return fed, nil
 	}
@@ -453,10 +449,8 @@ func (c *config) udpBackend(out io.Writer) (*backend, error) {
 		goruntime.ReadMemStats(&ms)
 		fmt.Fprintf(out, "# memstats: heap_alloc=%dKiB total_alloc=%dKiB mallocs=%d gc=%d\n",
 			ms.HeapAlloc>>10, ms.TotalAlloc>>10, ms.Mallocs, ms.NumGC)
-		if c.vivaldi {
-			med, pairs := rt.CoordError()
-			fmt.Fprintf(out, "# vivaldi final: median |coord dist - measured| = %.3fms over %d pairs\n", med, pairs)
-		}
+		med, pairs := rt.CoordError()
+		fmt.Fprintf(out, "# vivaldi final: median |coord dist - measured| = %.3fms over %d pairs\n", med, pairs)
 	}
 	return b, nil
 }

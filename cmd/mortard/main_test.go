@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // lockedBuffer takes the concurrent Writes run makes.
@@ -54,15 +55,11 @@ func TestCheckMode(t *testing.T) {
 		{args: "-host 0-3", wantErr: "-host is a UDP-mode flag"},
 		{args: "-listen :0", wantErr: "-listen is a UDP-mode flag"},
 		{args: "-join :0", wantErr: "-join is a UDP-mode flag"},
-		{args: "-vivaldi", wantErr: "-vivaldi is a UDP-mode flag"},
 		{args: "-mtu 160", wantErr: "-mtu is a UDP-mode flag"},
 		{args: "-pace 1", wantErr: "-pace is a UDP-mode flag"},
 		{args: "-vivaldi-height", wantErr: "-vivaldi-height is a UDP-mode flag"},
-		{args: "-coalesce", wantErr: "-coalesce is a UDP-mode flag"},
-		{args: "-probe-rounds 0", wantErr: "-probe-rounds is a UDP-mode flag"},
 		{args: "-live -fail 0.2 -serve :0 -chaos f -replan -loss 0.1 -dup 0.1"},
-		{args: "-live -coalesce", wantErr: "-coalesce is a UDP-mode flag"},
-		{args: "-peers-file f -host 0-3 -listen :0 -vivaldi -mtu 160 -pace 1 -vivaldi-height -coalesce -probe-rounds 0 -serve :0 -chaos f -replan"},
+		{args: "-peers-file f -host 0-3 -listen :0 -mtu 160 -pace 1 -vivaldi-height -serve :0 -chaos f -replan"},
 		{args: "-peers-file f -host 4-7 -join :0 -chaos f"},
 		{args: "-peers-file f -host 0-3 -fail 0.2", wantErr: "-chaos"},
 		{args: "-peers-file f -host 0-3 -fail 0.2 -chaos f", wantErr: "-fail"},
@@ -156,10 +153,12 @@ func TestLiveRun(t *testing.T) {
 
 // A coordinator and a worker, each one run over its half of a generated
 // peers file, exchange real datagrams on loopback: the coordinator counts
-// every peer, and hanging up ends the worker's run.
+// every peer, and hanging up ends the worker's run. No transport flag is
+// set: both processes gossip, so the coordinator plans from coordinates
+// every process fitted for its own peers.
 func TestUDPCoordinatorAndWorker(t *testing.T) {
 	if testing.Short() {
-		t.Skip("binds loopback sockets and runs 6 s of wall clock")
+		t.Skip("binds loopback sockets and runs 9 s of wall clock")
 	}
 	t.Parallel()
 	const peers = 8
@@ -194,12 +193,75 @@ func TestUDPCoordinatorAndWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantCompleteness(t, out, peers)
+	if !strings.Contains(out, "# planned from gossiped coordinates: true\n") {
+		t.Errorf("coordinator did not plan from gossiped coordinates:\n%s", out)
+	}
 	if c := counters(t, out, "# udp transport:"); c["sent"] == 0 || c["delivered"] == 0 {
 		t.Errorf("no datagrams crossed the sockets: %v", c)
 	}
 	w := <-worker
 	if w.err != nil || !strings.Contains(w.out, "# worker hosting peers 4..7") {
 		t.Errorf("worker: err = %v, output:\n%s", w.err, w.out)
+	}
+
+	// Alone, with nobody answering for peers 4-7, the coordinator's gossip
+	// cannot cover the federation: it still plans, from its local
+	// embedding, and says so.
+	out, err = mortard("-peers-file", file, "-host", "0-3", "-duration", "1s")
+	if err != nil || !strings.Contains(out, "# planned from gossiped coordinates: false\n") {
+		t.Errorf("lone coordinator: err = %v, output:\n%s", err, out)
+	}
+}
+
+// Staggered starts: a worker that joins 1.5 s before the last one does not
+// start its ten logged gossip rounds until the barrier completes. Started at
+// its own join, those rounds (1 s) would be over before the late worker's
+// sockets were bound, and its tenth line could compare at most the 4 × 7
+// pairs that end at its own and the coordinator's peers.
+func TestEarlyWorkerFitsAfterTheBarrier(t *testing.T) {
+	if testing.Short() {
+		t.Skip("binds loopback sockets and runs 5 s of wall clock")
+	}
+	t.Parallel()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	join := ln.Addr().String()
+	ln.Close()
+	pc, err := net.ListenPacket("udp", "127.0.0.1:0") // the first of three sockets
+	if err != nil {
+		t.Fatal(err)
+	}
+	basePort := pc.LocalAddr().(*net.UDPAddr).Port
+	pc.Close()
+	file := filepath.Join(t.TempDir(), "peers.txt")
+	if _, err := mortard("-gen-peers-file", file, "-peers", "12", "-peers-per-socket", "4", "-base-port", strconv.Itoa(basePort)); err != nil {
+		t.Fatal(err)
+	}
+	early := make(chan string, 1)
+	go func() {
+		out, _ := mortard("-peers-file", file, "-host", "4-7", "-join", join, "-duration", "60s")
+		early <- out
+	}()
+	go func() {
+		time.Sleep(1500 * time.Millisecond)
+		mortard("-peers-file", file, "-host", "8-11", "-join", join, "-duration", "60s")
+	}()
+	out, err := mortard("-peers-file", file, "-host", "0-3", "-listen", join, "-duration", "2s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "# planned from gossiped coordinates: true\n") {
+		t.Errorf("coordinator did not plan from gossiped coordinates:\n%s", out)
+	}
+	w := <-early
+	m := regexp.MustCompile(`# vivaldi round 10: .* over (\d+) pairs`).FindStringSubmatch(w)
+	if m == nil {
+		t.Fatalf("early worker logged no tenth round:\n%s", w)
+	}
+	if pairs, _ := strconv.Atoi(m[1]); pairs <= 4*7 {
+		t.Errorf("early worker's tenth round compared %d pairs: none reach the late worker's peers:\n%s", pairs, w)
 	}
 }
 

@@ -372,7 +372,7 @@ func (p *Peer) noteCoord(src int, coord []float64, errEst float64) {
 
 // Coordinate returns the peer's Vivaldi coordinate and error estimate;
 // ok is false when the runtime maintains no coordinates. Safe from any
-// goroutine (mortard's -vivaldi convergence logging reads it live).
+// goroutine (every mortard UDP process logs convergence from it, live).
 func (p *Peer) Coordinate() (vivaldi.Coordinate, float64, bool) {
 	if p.nc == nil {
 		return nil, 0, false

@@ -145,7 +145,6 @@ func TestThousandPeerCompletenessUnderFailure(t *testing.T) {
 	rts, _, err := netrt.NewGroup(ranges, netrt.Options{
 		Seed:           4099,
 		PeersPerSocket: 125,
-		Coalesce:       true,
 		ReadBuffer:     4 << 20,
 	})
 	if err != nil {

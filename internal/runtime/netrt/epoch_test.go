@@ -37,7 +37,7 @@ func delayByResidue(a, b int) time.Duration {
 
 // gossipUntilStopped keeps every runtime's Vivaldi gossip running in the
 // background so the coordinator's view tracks the embedding for the whole
-// run (what `mortard -vivaldi` workers do). Gossip returns on Shutdown.
+// run (what mortard's workers do). Gossip returns on Shutdown.
 func gossipUntilStopped(rts []*netrt.Runtime, stop <-chan struct{}, wg *sync.WaitGroup) {
 	for _, rt := range rts {
 		wg.Add(1)
@@ -317,12 +317,28 @@ func TestReplanUnderChurnReachesCompleteness(t *testing.T) {
 		return epochFull[0]
 	})
 
-	// Shift the topology, then replan with two peers down — their install
-	// chunks and acks vanish mid-migration (FailRandom on the worker
+	// Shift the topology and let every process measure it — ten gossip
+	// rounds, as mortard's processes run before anyone plans — so the replan
+	// decides from a fitted view. (Left to the passive echoes of the first
+	// windows, the view depended on which window completed first: one
+	// measured pair when it was window 1, six a window later, and under one
+	// pair every candidate ties with the deployed plan. A GC cycle inside the
+	// set-up above stretches it from 8 ms to 30 and moves the sensors' fixed
+	// phases across that line.) Then replan with two peers down — their
+	// install chunks and acks vanish mid-migration (FailRandom on the worker
 	// runtimes: the owning runtime's gate blocks both directions).
 	for _, rt := range rts {
 		rt.SetPairDelay(delayByResidue)
 	}
+	var fit sync.WaitGroup
+	for _, rt := range rts {
+		fit.Add(1)
+		go func(rt *netrt.Runtime) {
+			defer fit.Done()
+			rt.Gossip(10, 0, 100*time.Millisecond)
+		}(rt)
+	}
+	fit.Wait()
 	downed := []struct{ rt, peer int }{{1, 4}, {2, 7}}
 	for _, d := range downed {
 		rts[d.rt].SetDown(d.peer, true)
@@ -331,8 +347,8 @@ func TestReplanUnderChurnReachesCompleteness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Epoch != 1 {
-		t.Fatalf("replan produced epoch %d", res.Epoch)
+	if res.Epoch != 1 || !res.FromCoords {
+		t.Fatalf("replan produced epoch %d (from gossiped coordinates: %v)", res.Epoch, res.FromCoords)
 	}
 	time.Sleep(2 * time.Second) // migration proceeds against the holes
 	if fed.Fab.Stats.EpochsRetired.Load() != 0 {

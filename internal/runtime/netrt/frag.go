@@ -3,8 +3,6 @@ package netrt
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
-	"math/rand"
 	"net"
 	"net/netip"
 	"sync"
@@ -376,10 +374,10 @@ func (fs *fragSender) lookup(stream uint64, to int) [][]byte {
 
 // packet is one frame queued for a paced write. buf, when non-nil, is the
 // pooled buffer backing b: the pacer takes ownership on submit and returns
-// it to the pool once the bytes are written, coalesced, or dropped.
-// Fragment datagrams travel with buf == nil because the retransmit buffer
-// retains them for NACK service. dst is the destination address-group id
-// used as the coalescing key; -1 means never coalesce.
+// it to the pool once the bytes are written, packed into a train, or
+// dropped. Fragment datagrams travel with buf == nil because the retransmit
+// buffer retains them for NACK service. dst is the destination
+// address-group id — the key frames share a train under.
 type packet struct {
 	b   []byte
 	buf *wire.Buffer
@@ -387,8 +385,8 @@ type packet struct {
 	dst int
 }
 
-// pendTrain is a coalesced datagram under construction for one remote
-// socket: the frameTrain kind byte followed by length-prefixed frames.
+// pendTrain is a datagram under construction for one remote socket: the
+// frameTrain kind byte followed by length-prefixed frames.
 type pendTrain struct {
 	buf    *wire.Buffer
 	to     netip.AddrPort
@@ -405,13 +403,9 @@ type pacerCounters struct {
 
 // pacerOptions tunes one paced socket writer.
 type pacerOptions struct {
-	rate     float64 // bytes per second; 0 = unpaced
-	burst    float64
-	loss     float64
-	seed     int64
-	coalesce bool
-	delay    time.Duration // max time a frame waits in a pending train
-	mtu      int
+	rate  float64 // bytes per second; 0 = unpaced
+	burst float64
+	mtu   int
 }
 
 // pacer is one shared socket's single writer: every outgoing frame of
@@ -420,66 +414,55 @@ type pacerOptions struct {
 // bucket, so a multi-fragment install drains at the configured rate
 // instead of bursting into the first full queue. Submission never blocks;
 // a full queue drops the frame (the loss path NACK repair and
-// reconciliation already handle). The pacer also owns the simulated-loss
-// roll — rolled per frame before coalescing, giving tests a precise
-// every-frame loss point — and, when coalescing is on, batches small
-// frames bound for the same remote socket into one frameTrain datagram,
-// flushed when the train would exceed the MTU, when the delay timer
-// fires, or before a pass-through write to the same destination (so
-// per-destination ordering holds).
+// reconciliation already handle). It only paces and packs: simulated loss
+// was rolled before the frame got here (Runtime.xmit).
+//
+// The writer works in drain passes: the frame that woke it plus whatever
+// was queued behind it at that instant — the depth is read once, so a
+// producer that keeps the queue non-empty cannot hold a train back. Every
+// small frame of the pass joins its destination socket's train. A train is
+// written when the next frame would push it past the MTU and when the pass
+// ends, and every started train is written before a frame too large for
+// one is written through — per-destination order holds, and a heartbeat
+// never sits out a paced fragment burst queued behind it. No timer: a frame
+// that finds the socket idle is a pass of one, written at once as the bare
+// frame it was; a backlogged socket shares datagrams as its backlog allows.
 //
 // Timestamps (transmit stamps, echo holds) are taken when a frame is
-// built, so time spent queued or pending here counts toward the RTT the
-// far side measures. That is deliberate: pacer queueing is genuine path
-// delay, the same congestion any real bottleneck adds, and the RTT EWMA
-// smooths the transient inflation a bulk transfer causes. Consumers
-// wanting uncongested floors should probe when idle (ProbeAll/Gossip
-// already do), ideally with coalescing off.
+// built, so time spent queued here counts toward the RTT the far side
+// measures. That is deliberate: pacer queueing is genuine path delay, the
+// same congestion any real bottleneck adds, and the RTT EWMA smooths the
+// transient inflation a bulk transfer causes. Consumers wanting uncongested
+// floors should probe when idle, as Gossip before planning does.
 type pacer struct {
 	conn *net.UDPConn
 	opt  pacerOptions
-	rng  *rand.Rand // owned by the drain goroutine
 	ch   chan packet
 	done chan struct{}
 	ct   pacerCounters
 
-	// loss is the live datagram-loss probability (float64 bits), seeded
-	// from opt.loss and swappable mid-run via setLoss — how a chaos
-	// schedule's loss ramp reaches a running socket.
-	loss atomic.Uint64
-
-	// Drain-goroutine state: the token bucket and the pending trains.
+	// Drain-goroutine state: the token bucket, one train per destination
+	// address group (entries are reused forever), and the trains started
+	// since the last flushStarted (one cut by the MTU and started again is
+	// listed twice; the empty entry is skipped).
 	tokens  float64
 	last    time.Time
-	pending map[int]*pendTrain // by destination address-group id
-	live    int                // pending trains holding frames
-	timer   *time.Timer
-	timerC  <-chan time.Time // nil when coalescing is off
-	armed   bool
+	pending map[int]*pendTrain
+	started []*pendTrain
 }
 
 // pacerQueue bounds the frames queued behind a paced socket.
 const pacerQueue = 8192
 
 func newPacer(conn *net.UDPConn, opt pacerOptions, ct pacerCounters) *pacer {
-	p := &pacer{
-		conn: conn,
-		opt:  opt,
-		rng:  rand.New(rand.NewSource(opt.seed)),
-		ch:   make(chan packet, pacerQueue),
-		done: make(chan struct{}),
-		ct:   ct,
+	return &pacer{
+		conn:    conn,
+		opt:     opt,
+		ch:      make(chan packet, pacerQueue),
+		done:    make(chan struct{}),
+		ct:      ct,
+		pending: map[int]*pendTrain{},
 	}
-	p.loss.Store(math.Float64bits(opt.loss))
-	if opt.coalesce {
-		p.pending = map[int]*pendTrain{}
-		p.timer = time.NewTimer(time.Hour)
-		if !p.timer.Stop() {
-			<-p.timer.C
-		}
-		p.timerC = p.timer.C
-	}
-	return p
 }
 
 // submit queues one frame; it reports false (and counts a drop, releasing
@@ -495,7 +478,7 @@ func (p *pacer) submit(b []byte, buf *wire.Buffer, to netip.AddrPort, dst int) b
 	}
 }
 
-// loop drains the queue until the pacer is stopped.
+// loop runs drain passes until the pacer is stopped.
 func (p *pacer) loop() {
 	p.tokens = p.opt.burst
 	p.last = time.Now()
@@ -503,48 +486,49 @@ func (p *pacer) loop() {
 		select {
 		case <-p.done:
 			return
-		case <-p.timerC:
-			p.armed = false
-			p.flushAll()
 		case pkt := <-p.ch:
+			// The queue's only reader: the frames counted here never block.
+			n := len(p.ch)
 			p.handle(pkt)
+			for ; n > 0; n-- {
+				p.handle(<-p.ch)
+			}
+			p.flushStarted()
 		}
 	}
 }
 
-// handle disposes of one submitted frame: loss roll, then either append it
-// to the destination's pending train or write it through.
-// setLoss swaps the loss probability; the drain goroutine sees it on its
-// next frame.
-func (p *pacer) setLoss(v float64) { p.loss.Store(math.Float64bits(v)) }
-
-func (p *pacer) handle(pkt packet) {
-	if loss := math.Float64frombits(p.loss.Load()); loss > 0 && p.rng.Float64() < loss {
-		p.ct.dropped.Add(1)
-		wire.PutBuffer(pkt.buf)
-		return
-	}
-	if p.pending != nil && pkt.dst >= 0 && 1+trainItem(len(pkt.b)) <= p.opt.mtu {
-		p.appendTrain(pkt)
-		return
-	}
-	// Pass-through: flush any train pending for the same destination first
-	// so frames to one remote socket are written in submission order.
-	if p.pending != nil {
-		if t := p.pending[pkt.dst]; t != nil && t.frames > 0 {
+// flushStarted writes every train the pass has started and not yet written.
+func (p *pacer) flushStarted() {
+	for _, t := range p.started {
+		if t.frames > 0 {
 			p.flushTrain(t)
 		}
 	}
+	p.started = p.started[:0]
+}
+
+// handle disposes of one frame of a pass: a frame that fits the MTU behind
+// the train's kind byte and its own length prefix joins its destination's
+// train, anything larger is written through.
+func (p *pacer) handle(pkt packet) {
+	if 1+trainItem(len(pkt.b)) <= p.opt.mtu {
+		p.appendTrain(pkt)
+		return
+	}
+	// Everything appended so far leaves first (order, and no small frame
+	// waits out the token bucket behind a burst of these).
+	p.flushStarted()
 	p.write(pkt.b, pkt.to)
 	wire.PutBuffer(pkt.buf)
 }
 
-// appendTrain adds a frame to its destination's pending train, flushing
-// the train first when the frame would push it past the MTU.
+// appendTrain adds a frame to its destination's train, writing the train
+// out first when the frame would push it past the MTU.
 func (p *pacer) appendTrain(pkt packet) {
 	t := p.pending[pkt.dst]
 	if t == nil {
-		t = &pendTrain{} // one map entry per destination, reused forever
+		t = &pendTrain{}
 		p.pending[pkt.dst] = t
 	}
 	if t.frames > 0 && t.buf.Len()+trainItem(len(pkt.b)) > p.opt.mtu {
@@ -554,32 +538,16 @@ func (p *pacer) appendTrain(pkt packet) {
 		t.buf = wire.GetBuffer()
 		t.buf.PutByte(frameTrain)
 		t.to = pkt.to
-		p.live++
-		if !p.armed {
-			p.timer.Reset(p.opt.delay)
-			p.armed = true
-		}
+		p.started = append(p.started, t)
 	}
 	t.buf.PutBytes(pkt.b)
 	t.frames++
 	wire.PutBuffer(pkt.buf)
 }
 
-// flushAll writes out every pending train (the delay timer fired).
-func (p *pacer) flushAll() {
-	if p.live == 0 {
-		return
-	}
-	for _, t := range p.pending {
-		if t.frames > 0 {
-			p.flushTrain(t)
-		}
-	}
-}
-
-// flushTrain writes one pending train. A train holding a single frame is
-// unwrapped to the bare frame — the train framing would cost bytes and a
-// decode step for nothing.
+// flushTrain writes one train. A train holding a single frame is unwrapped
+// to the bare frame — the train framing would cost bytes and a decode step
+// for nothing.
 func (p *pacer) flushTrain(t *pendTrain) {
 	b := t.buf.Bytes()
 	if t.frames == 1 {
@@ -592,7 +560,6 @@ func (p *pacer) flushTrain(t *pendTrain) {
 	}
 	wire.PutBuffer(t.buf)
 	t.buf, t.to, t.frames = nil, netip.AddrPort{}, 0
-	p.live--
 }
 
 // trainItem is the train-datagram cost of an n-byte frame: the frame plus
@@ -643,6 +610,5 @@ func (p *pacer) write(b []byte, to netip.AddrPort) {
 	p.ct.datagrams.Add(1)
 }
 
-// stop ends the drain goroutine; queued frames and pending trains are
-// abandoned.
+// stop ends the drain goroutine; queued frames are abandoned.
 func (p *pacer) stop() { close(p.done) }

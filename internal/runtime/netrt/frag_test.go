@@ -226,17 +226,15 @@ func TestReassemblerRejectsForgedCount(t *testing.T) {
 // retransmit buffer serves it, and the receiver hands up the reassembled
 // message.
 func TestLargeFrameSurvivesLoss(t *testing.T) {
-	rts, _, err := netrt.NewGroup([][]int{{0}, {1}}, netrt.Options{
-		Seed: 5,
-		MTU:  512,
-		Loss: 0.10,
-	})
+	rts, _, err := netrt.NewGroup([][]int{{0}, {1}}, netrt.Options{Seed: 5, MTU: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, b := rts[0], rts[1]
 	defer a.Shutdown()
 	defer b.Shutdown()
+	a.SetLoss(0.10)
+	b.SetLoss(0.10)
 
 	vals := make([]float64, 40_000) // ~320 KB encoded
 	for i := range vals {
@@ -295,8 +293,7 @@ func TestLargeInstallUnderLossReachesCompleteness(t *testing.T) {
 		peers = 9
 		mtu   = 512
 	)
-	opt := netrt.Options{Seed: 99, MTU: mtu, Loss: 0.10}
-	rts, _, err := netrt.NewGroup([][]int{{0, 1, 2}, {3, 4, 5}, {6, 7, 8}}, opt)
+	rts, _, err := netrt.NewGroup([][]int{{0, 1, 2}, {3, 4, 5}, {6, 7, 8}}, netrt.Options{Seed: 99, MTU: mtu})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,6 +302,9 @@ func TestLargeInstallUnderLossReachesCompleteness(t *testing.T) {
 			rt.Shutdown()
 		}
 	}()
+	for _, rt := range rts {
+		rt.SetLoss(0.10)
+	}
 
 	cfg := mortar.DefaultConfig()
 	cfg.HeartbeatPeriod = 500 * time.Millisecond

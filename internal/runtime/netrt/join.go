@@ -11,18 +11,19 @@ import (
 // The join barrier is how a multi-process federation starts in lockstep:
 // worker processes dial the coordinator over TCP and announce the peer
 // range they host ("JOIN lo-hi\n"); the coordinator accepts until its own
-// range plus the joined ranges cover the whole directory, then plans. The
-// accepted connections stay open for the run — the coordinator hanging up
-// is the end-of-run signal workers wait on.
+// range plus the joined ranges cover the whole directory, answers every
+// worker "GO\n" (only now is every socket of the federation bound, so this
+// is when all processes start gossiping) and plans. The connections stay
+// open for the run — the coordinator hanging up is the end-of-run signal.
 
 // AwaitWorkers accepts JOIN lines on a TCP listener until the local range
 // plus the joined ranges cover every peer of an n-peer directory, or until
 // timeout (when positive) elapses. Malformed join lines are dropped and
 // the connection closed; overlapping or duplicate ranges are counted once.
-// On success the accepted connections are returned still open; closing
-// them signals the end of the run. On timeout the error reports how many
-// peers were still uncovered, and every accepted connection is closed — a
-// worker joining after the barrier timed out finds nobody listening.
+// On success every worker is sent GO and the accepted connections are
+// returned still open. On timeout the error reports how many peers were
+// still uncovered and every accepted connection is closed — a late joiner
+// finds nobody listening.
 func AwaitWorkers(listen string, local []int, n int, timeout time.Duration) ([]net.Conn, error) {
 	covered := make([]bool, n)
 	remaining := n
@@ -92,13 +93,17 @@ func AwaitWorkers(listen string, local []int, n int, timeout time.Duration) ([]n
 		}
 		conns = append(conns, c)
 	}
+	for _, c := range conns {
+		fmt.Fprintln(c, "GO") // a worker that died since will miss its hang-up too
+	}
 	return conns, nil
 }
 
 // JoinBarrier dials the coordinator's barrier address, retrying until
-// timeout (the coordinator may start after its workers), and announces the
-// local peer range. The returned connection stays open; the coordinator
-// hanging up on it signals the end of the run (WaitHangup blocks on that).
+// timeout (the coordinator may start after its workers), announces the
+// local peer range and waits for GO — bounded by the coordinator, whose own
+// barrier timeout closes the connection. The returned connection stays
+// open until the coordinator hangs up (WaitHangup blocks on that).
 func JoinBarrier(addr string, local []int, timeout time.Duration) (net.Conn, error) {
 	if len(local) == 0 {
 		return nil, fmt.Errorf("netrt: join with no local peers")
@@ -120,6 +125,10 @@ func JoinBarrier(addr string, local []int, timeout time.Duration) (net.Conn, err
 		conn.Close()
 		return nil, err
 	}
+	if _, err := bufio.NewReader(conn).ReadString('\n'); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("netrt: join barrier at %s closed before it completed: %w", addr, err)
+	}
 	return conn, nil
 }
 
@@ -127,13 +136,6 @@ func JoinBarrier(addr string, local []int, timeout time.Duration) (net.Conn, err
 // end-of-run signal) or the fallback timeout elapses, then closes conn.
 func WaitHangup(conn net.Conn, fallback time.Duration) {
 	defer conn.Close()
-	done := make(chan struct{})
-	go func() {
-		_, _ = bufio.NewReader(conn).ReadString('\n')
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(fallback):
-	}
+	_ = conn.SetReadDeadline(time.Now().Add(fallback))
+	_, _ = bufio.NewReader(conn).ReadString('\n')
 }

@@ -217,6 +217,56 @@ func TestJoinBarrierHandshake(t *testing.T) {
 	}
 }
 
+// JoinBarrier returns when the barrier is complete, not when its own line is
+// written: an early worker that started gossiping at once would spend its
+// logged rounds on sockets the late worker has not bound. And a barrier the
+// coordinator abandons fails the early worker's join instead of hanging it.
+func TestJoinBarrierWaitsForTheLastWorker(t *testing.T) {
+	addr := freePort(t)
+	go func() {
+		cs, err := netrt.AwaitWorkers(addr, []int{0}, 3, 10*time.Second)
+		if err != nil {
+			t.Error(err)
+		}
+		for _, c := range cs {
+			defer c.Close()
+		}
+		time.Sleep(time.Second) // hold the run open past the joins
+	}()
+	early := make(chan error, 1)
+	go func() {
+		c, err := netrt.JoinBarrier(addr, []int{1}, 10*time.Second)
+		if err == nil {
+			c.Close()
+		}
+		early <- err
+	}()
+	select {
+	case err := <-early:
+		t.Fatalf("early worker's join returned (%v) with peer 2 uncovered", err)
+	case <-time.After(500 * time.Millisecond):
+	}
+	late, err := netrt.JoinBarrier(addr, []int{2}, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	late.Close()
+	select {
+	case err := <-early:
+		if err != nil {
+			t.Fatalf("early worker's join failed once the barrier completed: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("early worker never heard the barrier complete")
+	}
+
+	addr = freePort(t)
+	go netrt.AwaitWorkers(addr, []int{0}, 3, 600*time.Millisecond)
+	if _, err := netrt.JoinBarrier(addr, []int{1}, 10*time.Second); err == nil || !strings.Contains(err.Error(), "closed before it completed") {
+		t.Fatalf("join against an abandoned barrier returned %v", err)
+	}
+}
+
 // A connection that joins the barrier but never sends its JOIN line (a
 // port scan, a hung worker) must not hold the barrier open past its
 // timeout: the read is bounded by the same deadline as the accept loop.

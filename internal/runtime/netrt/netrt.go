@@ -12,16 +12,18 @@
 // decode -> mailbox, demuxed on the destination index every frame carries)
 // and one paced writer; per local peer it runs a mailbox goroutine (the
 // peer's serialization domain, shared machinery with runtime/livert via
-// runtime/actor). With Options.Coalesce the writer batches small frames
-// bound for the same remote socket into one frameTrain datagram, so peer
-// density scales without a matching datagram storm. Datagrams carry a small
-// transport header ahead of the wire frame: sender/destination indices and
-// three timestamp fields implementing UdpCC-style passive RTT measurement —
-// each frame echoes the newest timestamp received from the destination plus
-// the local hold time, so any two peers with bidirectional traffic converge
-// on a smoothed RTT without dedicated probes. Explicit ping/pong probes
-// (ProbeAll) prime the table before traffic flows, and Latency feeds the
-// measured half-RTTs to the planner (Vivaldi's input in the prototype).
+// runtime/actor). The writer packs the small frames it finds queued
+// together for one remote socket into one frameTrain datagram and writes a
+// frame that arrives alone at once (see pacer), so peer density scales
+// without a matching datagram storm and an idle socket adds no hold.
+// Datagrams carry a small transport header ahead of the wire frame:
+// sender/destination indices and three timestamp fields implementing
+// UdpCC-style passive RTT measurement — each frame echoes the newest
+// timestamp received from the destination plus the local hold time, so any
+// two peers with bidirectional traffic converge on a smoothed RTT without
+// dedicated probes. Coordinate-carrying ping/pong probes (Gossip) prime the
+// table and fit every peer's Vivaldi coordinate before traffic flows: the
+// planner reads the coordinates, Latency serves the measured half-RTTs.
 //
 // Frames larger than the configured MTU do not fit one datagram; they take
 // the reliable large-message path (frag.go): MTU-sized fragments,
@@ -77,9 +79,6 @@ const defaultLatency = time.Millisecond
 // rttAlpha is the EWMA weight for new RTT samples.
 const rttAlpha = 0.3
 
-// coalesceDelay bounds how long a frame may wait in a pending train.
-const coalesceDelay = time.Millisecond
-
 // Options tunes the socket runtime.
 type Options struct {
 	// Seed drives the planning random source.
@@ -96,11 +95,6 @@ type Options struct {
 	// burst-dropping at the first full queue. Default 8 MiB/s; negative
 	// disables pacing.
 	Pace int
-	// Loss simulates datagram loss: every outgoing datagram (messages,
-	// fragments, probes, NACKs alike) is dropped with this probability
-	// just before the socket write. Zero in production; tests use it to
-	// prove NACK repair end-to-end.
-	Loss float64
 	// MaxMessage bounds one logical frame through the fragmentation path
 	// (it is also Transport.MaxFrame). Default 4 MiB. Each local peer's
 	// partial-stream memory and the sent-fragment memory it holds for NACK
@@ -127,13 +121,6 @@ type Options struct {
 	// Default 1 — one socket per peer, the pre-multiplexing layout. New
 	// ignores it: there the directory decides which peers share an address.
 	PeersPerSocket int
-	// Coalesce batches small frames bound for the same remote socket into
-	// one frameTrain datagram, flushed by the pacer when the train reaches
-	// the MTU or after coalesceDelay. A 1k-peer heartbeat round then costs
-	// hundreds of datagrams instead of hundreds of thousands. Off by
-	// default: the pending delay inflates measured RTTs by up to
-	// 2×coalesceDelay, which latency-sensitive tests do not want.
-	Coalesce bool
 }
 
 func (o Options) withDefaults() Options {
@@ -201,9 +188,9 @@ type Runtime struct {
 
 	// The shared local sockets, each with its receive loop and paced
 	// writer; sockOf maps a local peer to its socket (-1 for non-local
-	// peers), addrID maps every peer to its address group — the coalescing
-	// destination key, shared by peers multiplexed behind one remote
-	// socket.
+	// peers), addrID maps every peer to its address group — the key frames
+	// share a train under, common to the peers multiplexed behind one
+	// remote socket.
 	socks  []*lsock
 	sockOf []int
 	addrID []int
@@ -239,14 +226,19 @@ type Runtime struct {
 	// swappable mid-run via SetPairDelay.
 	pairDelay atomic.Pointer[func(from, to int) time.Duration]
 
-	// peerLoss holds per-peer datagram-loss overrides (float64 bits; 0 =
-	// no override): every outgoing datagram of local peer p is dropped
-	// with this probability before it reaches the paced writer. The chaos
-	// harness uses it to ramp loss on individual peers while the rest of
-	// the federation stays clean.
+	// Simulated loss (float64 bits; 0 = none), rolled in lost: loss for
+	// every outgoing frame (SetLoss), peerLoss on top for the frames local
+	// peer p originates (SetPeerLoss) — the chaos harness ramps both.
+	loss     atomic.Uint64
 	peerLoss []atomic.Uint64
 	lossMu   sync.Mutex
 	lossRng  *rand.Rand
+
+	// gossipRng draws Gossip's probe targets — here, not per call, so
+	// successive calls reach fresh peers; guarded because a background
+	// Gossip goroutine can overlap the planning loop's calls.
+	gossipMu  sync.Mutex
+	gossipRng *rand.Rand
 
 	sent, delivered, dropped atomic.Uint64
 
@@ -260,7 +252,7 @@ type Runtime struct {
 	ctlFrames, dataFrames atomic.Uint64
 
 	// Datagram-level counters (see NetStats): datagrams actually written,
-	// coalesced trains among them, and the frames those trains carried.
+	// trains among them, and the frames those trains carried.
 	datagrams, trains, trainFrames atomic.Uint64
 }
 
@@ -296,13 +288,7 @@ func New(directory []string, local []int, opt Options) (*Runtime, error) {
 	isLocal := make([]bool, len(directory))
 	conns := make([]*net.UDPConn, len(directory))
 	fail := func(err error) (*Runtime, error) {
-		closed := map[*net.UDPConn]bool{}
-		for _, c := range conns {
-			if c != nil && !closed[c] {
-				closed[c] = true
-				c.Close()
-			}
-		}
+		closeConns(conns)
 		return nil, err
 	}
 	byAddr := map[string]*net.UDPConn{}
@@ -339,6 +325,18 @@ func New(directory []string, local []int, opt Options) (*Runtime, error) {
 	return assemble(addrs, local, conns, opt), nil
 }
 
+// closeConns closes the sockets New or NewGroup bound before failing.
+// conns is indexed by peer, so a shared socket appears once per peer.
+func closeConns(conns []*net.UDPConn) {
+	closed := map[*net.UDPConn]bool{}
+	for _, c := range conns {
+		if c != nil && !closed[c] {
+			closed[c] = true
+			c.Close()
+		}
+	}
+}
+
 // assemble wires an already-bound socket set into a running Runtime.
 // conns is indexed by peer; local peers sharing a socket hold the same
 // *net.UDPConn, and assemble groups them into one lsock with one receive
@@ -371,6 +369,7 @@ func assemble(addrs []*net.UDPAddr, local []int, conns []*net.UDPConn, opt Optio
 		peerErrs:   make([]float64, n),
 		peerLoss:   make([]atomic.Uint64, n),
 		lossRng:    rand.New(rand.NewSource(opt.Seed*31337 + 17)),
+		gossipRng:  rand.New(rand.NewSource(opt.Seed ^ 0x5deece66d)),
 	}
 	r.vcfg = vivaldi.DefaultConfig()
 	r.vcfg.Height = opt.VivaldiHeight
@@ -378,7 +377,7 @@ func assemble(addrs []*net.UDPAddr, local []int, conns []*net.UDPConn, opt Optio
 		pd := opt.PairDelay
 		r.pairDelay.Store(&pd)
 	}
-	// Address groups: peers sharing a remote socket share a coalescing
+	// Address groups: peers sharing a remote socket share a train
 	// destination.
 	groups := map[string]int{}
 	r.ports = make([]netip.AddrPort, n)
@@ -435,7 +434,7 @@ func assemble(addrs []*net.UDPAddr, local []int, conns []*net.UDPConn, opt Optio
 		trains:      &r.trains,
 		trainFrames: &r.trainFrames,
 	}
-	for si, s := range r.socks {
+	for _, s := range r.socks {
 		if opt.ReadBuffer > 0 {
 			_ = s.conn.SetReadBuffer(opt.ReadBuffer)
 		}
@@ -445,13 +444,9 @@ func assemble(addrs []*net.UDPAddr, local []int, conns []*net.UDPConn, opt Optio
 			burst = 16 << 20
 		}
 		s.pacer = newPacer(s.conn, pacerOptions{
-			rate:     float64(opt.Pace) * k,
-			burst:    burst,
-			loss:     opt.Loss,
-			seed:     opt.Seed*104729 + int64(si) + 1,
-			coalesce: opt.Coalesce,
-			delay:    coalesceDelay,
-			mtu:      opt.MTU,
+			rate:  float64(opt.Pace) * k,
+			burst: burst,
+			mtu:   opt.MTU,
 		}, ct)
 		r.wg.Add(2)
 		go r.recvLoop(s)
@@ -468,10 +463,10 @@ func assemble(addrs []*net.UDPAddr, local []int, conns []*net.UDPConn, opt Optio
 }
 
 // NetStats is the datagram-level view of the transport: how many
-// datagrams actually hit the wire, how many were coalesced trains, how
-// many frames those trains carried, and how many sockets host the local
-// peers. With coalescing effective, Datagrams is well below the frame
-// count (sent + probes + NACKs).
+// datagrams actually hit the wire, how many were trains, how many frames
+// those trains carried, and how many sockets host the local peers. On a
+// backlogged socket Datagrams is well below the frame count (sent + probes
+// + NACKs).
 type NetStats struct {
 	Datagrams   uint64
 	Trains      uint64
@@ -510,38 +505,43 @@ func (r *Runtime) SetPairDelay(f func(from, to int) time.Duration) {
 	r.pairDelay.Store(&f)
 }
 
-// SetLoss replaces the simulated datagram-loss probability (Options.Loss)
-// on every local socket at run time — the knob loss ramps in a chaos
-// schedule turn. Values outside [0, 1) are clamped.
-func (r *Runtime) SetLoss(p float64) {
-	if p < 0 {
-		p = 0
-	}
-	if p >= 1 {
-		p = 1
-	}
-	for _, s := range r.socks {
-		s.pacer.setLoss(p)
-	}
-}
+// SetLoss simulates datagram loss: every outgoing frame of every local peer
+// — messages, fragments, probes, NACKs alike — is dropped with probability
+// p (clamped to [0, 1]) before it reaches the paced writer. Zero in
+// production; tests prove NACK repair with it and chaos schedules ramp it.
+func (r *Runtime) SetLoss(p float64) { r.loss.Store(lossBits(p)) }
 
-// SetPeerLoss overrides the datagram-loss probability for one local peer:
-// every outgoing datagram of that peer — messages, fragments, probes,
-// NACKs — is dropped with probability p before it reaches the paced
-// writer, while the rest of the federation keeps the socket-wide rate. 0
-// removes the override. A no-op for peers this process does not host.
+// SetPeerLoss adds a loss probability for the frames one local peer
+// originates, rolled independently of the runtime-wide rate the rest of the
+// federation keeps. 0 removes it. A no-op for peers hosted elsewhere.
 func (r *Runtime) SetPeerLoss(peer int, p float64) {
 	if peer < 0 || peer >= r.n || !r.isLocal[peer] {
 		return
 	}
+	r.peerLoss[peer].Store(lossBits(p))
+}
+
+// lossBits clamps a loss probability to [0, 1] and returns its bits.
+func lossBits(p float64) uint64 {
 	if p <= 0 {
-		r.peerLoss[peer].Store(0)
-		return
+		return 0
 	}
-	if p > 1 {
-		p = 1
+	return math.Float64bits(math.Min(p, 1))
+}
+
+// lost is the one loss point: the runtime-wide roll and the sending peer's
+// own, independently, once per frame — before the pair delay and before the
+// pacer packs it, so loss statistics do not depend on how many frames share
+// a datagram. With no loss set it costs two atomic loads.
+func (r *Runtime) lost(from int) bool {
+	all, peer := r.loss.Load(), r.peerLoss[from].Load()
+	if all|peer == 0 {
+		return false
 	}
-	r.peerLoss[peer].Store(math.Float64bits(p))
+	r.lossMu.Lock()
+	defer r.lossMu.Unlock()
+	return r.lossRng.Float64() < math.Float64frombits(all) ||
+		r.lossRng.Float64() < math.Float64frombits(peer)
 }
 
 // AddressGroups returns the federation's peers grouped by shared directory
@@ -564,43 +564,33 @@ func (r *Runtime) AddressGroups() [][]int {
 	return groups
 }
 
-// xmit submits one outgoing frame to the sending peer's paced writer,
-// first holding it for the synthetic pair delay when a topology is
-// configured. buf, when non-nil, is the pooled buffer backing b — the
-// pacer takes ownership of it whether or not the frame is accepted.
-// c1/c2 (either may be nil) increment only when the frame is accepted by
-// the pacer, exactly as direct submission would. The common no-delay path
+// xmit sends one outgoing frame: the simulated-loss roll, the hold for the
+// synthetic pair delay when a topology is configured, then the sending
+// peer's paced writer. buf, when non-nil, is the pooled buffer backing b —
+// xmit owns it whether or not the frame gets through. c1/c2 (either may be
+// nil) increment only when the pacer accepts the frame. The no-delay path
 // stays closure- and allocation-free — this sits under every heartbeat,
 // fragment, probe, and NACK.
 func (r *Runtime) xmit(from, to int, b []byte, buf *wire.Buffer, c1, c2 *atomic.Uint64) {
+	if r.lost(from) {
+		r.dropped.Add(1)
+		wire.PutBuffer(buf)
+		return
+	}
 	if pd := r.pairDelay.Load(); pd != nil {
 		if d := (*pd)(from, to); d > 0 {
 			// A held datagram that outlives Shutdown lands in a stopped
 			// pacer's queue and is never written — dropped like any other
 			// in-flight packet at process death.
-			time.AfterFunc(d, func() { r.xmitNow(from, to, b, buf, c1, c2) })
+			time.AfterFunc(d, func() { r.submit(from, to, b, buf, c1, c2) })
 			return
 		}
 	}
-	r.xmitNow(from, to, b, buf, c1, c2)
+	r.submit(from, to, b, buf, c1, c2)
 }
 
-func (r *Runtime) xmitNow(from, to int, b []byte, buf *wire.Buffer, c1, c2 *atomic.Uint64) {
-	// Per-peer loss override (SetPeerLoss): rolled here rather than in the
-	// pacer because the pacer serves a whole shared socket and only the
-	// frame's origin identifies the faulted peer. Zero (the default) costs
-	// one atomic load on the hot path.
-	if bits := r.peerLoss[from].Load(); bits != 0 {
-		p := math.Float64frombits(bits)
-		r.lossMu.Lock()
-		drop := r.lossRng.Float64() < p
-		r.lossMu.Unlock()
-		if drop {
-			r.dropped.Add(1)
-			wire.PutBuffer(buf)
-			return
-		}
-	}
+// submit hands a frame that survived xmit to the sending peer's pacer.
+func (r *Runtime) submit(from, to int, b []byte, buf *wire.Buffer, c1, c2 *atomic.Uint64) {
 	if r.socks[r.sockOf[from]].pacer.submit(b, buf, r.ports[to], r.addrID[to]) {
 		if c1 != nil {
 			c1.Add(1)
@@ -676,22 +666,13 @@ func NewGroup(ranges [][]int, opt Options) ([]*Runtime, []string, error) {
 	}
 	addrs := make([]*net.UDPAddr, n)
 	conns := make([]*net.UDPConn, n)
-	fail := func(err error) ([]*Runtime, []string, error) {
-		closed := map[*net.UDPConn]bool{}
-		for _, c := range conns {
-			if c != nil && !closed[c] {
-				closed[c] = true
-				c.Close()
-			}
-		}
-		return nil, nil, err
-	}
 	for _, g := range ranges {
 		for i, p := range g {
 			if i%perSock == 0 {
 				c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 0})
 				if err != nil {
-					return fail(fmt.Errorf("netrt: bind peer %d: %w", p, err))
+					closeConns(conns)
+					return nil, nil, fmt.Errorf("netrt: bind peer %d: %w", p, err)
 				}
 				conns[p] = c
 				addrs[p] = c.LocalAddr().(*net.UDPAddr)
@@ -812,7 +793,7 @@ func (r *Runtime) Down(peer int) bool { return r.down[peer].Load() }
 // Latency returns the measured one-way latency (smoothed RTT/2) between
 // the pair when either side is local and has a measurement, and
 // defaultLatency otherwise. Measurements accumulate passively from message
-// echoes and actively from ProbeAll.
+// echoes and actively from Gossip.
 func (r *Runtime) Latency(a, b int) time.Duration {
 	if d, ok := r.Measured(a, b); ok {
 		return d
@@ -1315,27 +1296,6 @@ func (r *Runtime) readCoord(rd *wire.Reader) (vivaldi.Coordinate, float64, bool)
 // height-aware latency model).
 func (r *Runtime) VivaldiHeight() bool { return r.vcfg.Height }
 
-// ProbeAll primes the RTT table: every local peer pings every other peer,
-// rounds times, sleeping wait between rounds for the pongs to land. Run it
-// before planning so Latency answers from measurement instead of the
-// default (the prototype let Vivaldi run "for at least ten rounds before
-// interconnecting operators").
-func (r *Runtime) ProbeAll(rounds int, wait time.Duration) {
-	for k := 0; k < rounds; k++ {
-		if r.closed.Load() {
-			return
-		}
-		for _, p := range r.local {
-			for q := 0; q < r.n; q++ {
-				if q != p {
-					r.sendPing(p, q)
-				}
-			}
-		}
-		time.Sleep(wait)
-	}
-}
-
 // --- decentralized Vivaldi ---
 
 // VivaldiNode returns a local peer's Vivaldi coordinate state (nil for
@@ -1348,21 +1308,25 @@ func (r *Runtime) VivaldiNode(peer int) *vivaldi.Node {
 	return r.nodes[peer]
 }
 
-// Gossip runs coordinate gossip rounds: each local peer probes fanout
-// random peers (every peer when fanout <= 0) with a coordinate-carrying
-// ping; each pong delivers an RTT sample plus the responder's coordinate —
-// one Vivaldi update. Every process of a federation gossips, so worker
-// peers embed themselves from their own measurements; the prototype let
-// Vivaldi run "for at least ten rounds before interconnecting operators".
+// Gossip runs coordinate gossip rounds, sleeping wait after each for the
+// pongs to land: each local peer probes fanout random peers (every peer
+// when fanout <= 0), drawn afresh every round of every call, with a
+// coordinate-carrying ping; each pong delivers an RTT sample (Latency's
+// table) plus the responder's coordinate — one Vivaldi update. Every
+// process of a federation gossips: a peer's coordinate is only fitted from
+// RTTs its own process measures. The prototype let Vivaldi run "for at
+// least ten rounds before interconnecting operators".
 func (r *Runtime) Gossip(rounds, fanout int, wait time.Duration) {
-	rng := rand.New(rand.NewSource(r.opt.Seed ^ 0x5deece66d))
 	for k := 0; k < rounds; k++ {
 		if r.closed.Load() {
 			return
 		}
 		for _, p := range r.local {
+			r.gossipMu.Lock()
+			targets := r.gossipRng.Perm(r.n)
+			r.gossipMu.Unlock()
 			sent := 0
-			for _, q := range rng.Perm(r.n) {
+			for _, q := range targets {
 				if q == p {
 					continue
 				}

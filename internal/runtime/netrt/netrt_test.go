@@ -3,6 +3,7 @@ package netrt_test
 import (
 	"math/rand"
 	"net"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -156,11 +157,12 @@ func TestSharedSocketMultiplexedDelivery(t *testing.T) {
 	}
 }
 
-// With Coalesce on, a burst of small frames to one remote socket must
-// travel in far fewer datagrams than frames — the train layer working —
-// while every frame still arrives.
+// A burst of small frames to one remote socket backs up behind the writer
+// and must travel in far fewer datagrams than frames — the train layer
+// working — while every frame still arrives, in the order it was sent, and
+// with nothing left behind in a train once the sender goes quiet.
 func TestCoalescedSmallFramesShareDatagrams(t *testing.T) {
-	rts, _, err := netrt.NewGroup([][]int{{0, 1}}, netrt.Options{Seed: 9, PeersPerSocket: 2, Coalesce: true})
+	rts, _, err := netrt.NewGroup([][]int{{0, 1}}, netrt.Options{Seed: 9, PeersPerSocket: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,13 +170,29 @@ func TestCoalescedSmallFramesShareDatagrams(t *testing.T) {
 	defer rt.Shutdown()
 	const frames = 200
 	var delivered atomic.Uint64
-	rt.Handle(1, func(from int, payload any, size int) { delivered.Add(1) })
+	var misordered atomic.Uint64
+	rt.Handle(1, func(from int, payload any, size int) {
+		if payload.(wire.Heartbeat).Seq != delivered.Add(1) {
+			misordered.Add(1)
+		}
+	})
 	for i := 0; i < frames; i++ {
 		if !rt.Send(0, 1, runtime.ClassControl, 0, wire.Heartbeat{Seq: uint64(i + 1)}) {
 			t.Fatalf("send %d refused", i)
 		}
 	}
+	// No further sends: the pass that packed a frame is the pass that
+	// writes it, so every frame arrives with nothing to push it out.
 	waitFor(t, 10*time.Second, func() bool { return delivered.Load() == frames })
+	if n := misordered.Load(); n != 0 {
+		t.Fatalf("%d of %d frames to one peer arrived out of submission order", n, frames)
+	}
+	// Every frame was written, in a train or bare. (A datagram is counted
+	// just after its write, which delivery can outrun.)
+	waitFor(t, 5*time.Second, func() bool {
+		st := rt.NetStats()
+		return st.TrainFrames+st.Datagrams-st.Trains == frames
+	})
 	st := rt.NetStats()
 	if st.Trains == 0 {
 		t.Fatal("no coalesced trains were written")
@@ -184,6 +202,92 @@ func TestCoalescedSmallFramesShareDatagrams(t *testing.T) {
 	}
 	if st.Datagrams >= frames {
 		t.Fatalf("coalescing did not reduce datagrams: %d datagrams for %d frames", st.Datagrams, frames)
+	}
+}
+
+// A frame that finds its socket idle is written at once as the bare frame
+// it is: no train, and no hold in the writer — the echo round trip of a
+// quiet loopback pair stays well under the millisecond any flush timer
+// would add to each direction.
+func TestIdleSocketAddsNoHold(t *testing.T) {
+	rts, _, err := netrt.NewGroup([][]int{{0}, {1}}, netrt.Options{Seed: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := rts[0], rts[1]
+	defer a.Shutdown()
+	defer b.Shutdown()
+	back := make(chan struct{}, 1)
+	b.Handle(1, func(from int, payload any, size int) {
+		b.Send(1, 0, runtime.ClassControl, 0, payload)
+	})
+	a.Handle(0, func(from int, payload any, size int) { back <- struct{}{} })
+
+	const probes = 50
+	rtts := make([]time.Duration, probes)
+	for i := range rtts {
+		start := time.Now()
+		if !a.Send(0, 1, runtime.ClassControl, 0, wire.Heartbeat{Seq: uint64(i + 1)}) {
+			t.Fatalf("send %d refused", i)
+		}
+		select {
+		case <-back:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("echo %d never came back", i)
+		}
+		rtts[i] = time.Since(start)
+	}
+	for _, rt := range rts {
+		// A datagram is counted just after its write, which the last echo
+		// can outrun.
+		waitFor(t, 5*time.Second, func() bool { return rt.NetStats().Datagrams >= probes })
+		if st := rt.NetStats(); st.Datagrams != probes || st.Trains != 0 {
+			t.Fatalf("%d frames sent one at a time on a quiet socket: %+v, want %d bare datagrams", probes, st, probes)
+		}
+	}
+	sort.Slice(rtts, func(i, j int) bool { return rtts[i] < rtts[j] })
+	if med := rtts[probes/2]; med >= time.Millisecond {
+		t.Fatalf("median echo round trip on an idle loopback pair = %v, want < 1ms", med)
+	}
+}
+
+// Simulated loss is rolled once per frame, before the frame reaches the
+// pair delay (an hour here: a frame rolled after its hold would still be
+// waiting) or the writer: at loss 1 no datagram of any kind is written and
+// every lost frame is counted as one drop.
+func TestLossRolledOncePerFrameBeforeTheWriter(t *testing.T) {
+	rts, _, err := netrt.NewGroup([][]int{{0, 1}, {2, 3}}, netrt.Options{
+		Seed:      13,
+		PairDelay: func(from, to int) time.Duration { return time.Hour },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := rts[0], rts[1]
+	defer a.Shutdown()
+	defer b.Shutdown()
+	var got atomic.Uint64
+	b.Handle(2, func(from int, payload any, size int) { got.Add(1) })
+
+	a.SetLoss(1)
+	const frames = 100
+	for i := 0; i < frames; i++ {
+		a.Send(i%2, 2, runtime.ClassControl, 0, wire.Heartbeat{Seq: uint64(i + 1)})
+	}
+	a.Gossip(1, 0, 20*time.Millisecond) // 2 local peers ping 3 others each
+	if _, _, dropped := a.Stats(); dropped != frames+6 {
+		t.Fatalf("dropped = %d after %d messages and 6 pings at loss 1", dropped, frames)
+	}
+	if st := a.NetStats(); st.Datagrams != 0 || got.Load() != 0 {
+		t.Fatalf("loss 1 let %d datagrams reach the writer (%d delivered)", st.Datagrams, got.Load())
+	}
+
+	a.SetLoss(0)
+	a.SetPairDelay(nil)
+	a.Send(0, 2, runtime.ClassControl, 0, wire.Heartbeat{Seq: frames + 1})
+	waitFor(t, 5*time.Second, func() bool { return got.Load() == 1 })
+	if _, _, dropped := a.Stats(); dropped != frames+6 {
+		t.Fatalf("dropped moved to %d with loss back at 0", dropped)
 	}
 }
 
@@ -257,9 +361,8 @@ func TestDownAndShutdown(t *testing.T) {
 	rt.Shutdown() // idempotent
 }
 
-// ProbeAll must produce measured RTTs across runtimes (the directory pairs
-// a coordinator can feed to Vivaldi), and message echoes must measure
-// passively once traffic flows both ways.
+// Gossip must produce measured RTTs across runtimes (Vivaldi's input), and
+// message echoes must measure passively once traffic flows both ways.
 func TestRTTMeasurement(t *testing.T) {
 	rts, _, err := netrt.NewGroup([][]int{{0}, {1}}, netrt.Options{Seed: 3})
 	if err != nil {
@@ -275,10 +378,10 @@ func TestRTTMeasurement(t *testing.T) {
 	if a.Latency(0, 1) != time.Millisecond {
 		t.Fatalf("default latency = %v", a.Latency(0, 1))
 	}
-	a.ProbeAll(3, 20*time.Millisecond)
+	a.Gossip(3, 0, 20*time.Millisecond)
 	d, ok := a.Measured(0, 1)
 	if !ok {
-		t.Fatal("ProbeAll produced no measurement")
+		t.Fatal("Gossip produced no measurement")
 	}
 	if d <= 0 || d > 100*time.Millisecond {
 		t.Fatalf("implausible loopback latency %v", d)
@@ -300,6 +403,21 @@ func TestRTTMeasurement(t *testing.T) {
 		_, ok := b.Measured(1, 0)
 		return ok
 	})
+}
+
+// gossipAll runs rounds of all-pairs gossip on every runtime at once: every
+// process of a federation gossips, because a peer's coordinate is only
+// fitted from RTTs its own process measures.
+func gossipAll(rts []*netrt.Runtime, rounds int) {
+	var wg sync.WaitGroup
+	for _, rt := range rts {
+		wg.Add(1)
+		go func(rt *netrt.Runtime) {
+			defer wg.Done()
+			rt.Gossip(rounds, 0, 20*time.Millisecond)
+		}(rt)
+	}
+	wg.Wait()
 }
 
 // runFederations starts sensors on every federation, watches the first
@@ -349,7 +467,7 @@ func TestNetFederationMatchesLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rts[0].ProbeAll(3, 20*time.Millisecond) // latency-aware planning input
+	gossipAll(rts, 3) // latency-aware planning input
 	coord, err := federation.NewRuntime(rts[0], prog, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
@@ -373,8 +491,8 @@ func TestNetFederationMatchesLive(t *testing.T) {
 }
 
 // The multiplexed data path must be a drop-in: the same federation as
-// TestNetFederationMatchesLive, but with peers sharing sockets and
-// coalescing on, must still reach full completeness.
+// TestNetFederationMatchesLive, but with peers sharing sockets (and so
+// sharing trains), must still reach full completeness.
 func TestMultiplexedCoalescedFederation(t *testing.T) {
 	const peers = 12
 	prog, err := msl.Parse("query peers as count() from sensors window time 1s slide 1s trees 4 bf 16")
@@ -383,7 +501,7 @@ func TestMultiplexedCoalescedFederation(t *testing.T) {
 	}
 	rts, _, err := netrt.NewGroup(
 		[][]int{{0, 1, 2, 3}, {4, 5, 6, 7}, {8, 9, 10, 11}},
-		netrt.Options{Seed: 42, PeersPerSocket: 2, Coalesce: true})
+		netrt.Options{Seed: 42, PeersPerSocket: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +518,7 @@ func TestMultiplexedCoalescedFederation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rts[0].ProbeAll(3, 20*time.Millisecond)
+	gossipAll(rts, 3)
 	coord, err := federation.NewRuntime(rts[0], prog, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
@@ -417,9 +535,9 @@ func TestMultiplexedCoalescedFederation(t *testing.T) {
 
 // The tentpole acceptance: a 1,000-peer federation on one machine over
 // real sockets — two runtime "processes" of 500 peers each, 125 peers per
-// socket, coalescing on — joins, installs, and reaches full completeness,
-// with coalescing holding the datagram count under the frame count. No
-// probing or gossip runs (O(n²) datagrams at this scale); planning falls
+// socket — joins, installs, and reaches full completeness, with the trains
+// a backlogged writer packs holding the datagram count under the frame
+// count. No gossip runs (this test is about the sockets); planning falls
 // back to the coordinator-local embedding over default latencies.
 func TestThousandPeerMultiplexedFederation(t *testing.T) {
 	if testing.Short() {
@@ -437,7 +555,6 @@ func TestThousandPeerMultiplexedFederation(t *testing.T) {
 	rts, _, err := netrt.NewGroup(ranges, netrt.Options{
 		Seed:           1009,
 		PeersPerSocket: 125,
-		Coalesce:       true,
 		ReadBuffer:     4 << 20,
 	})
 	if err != nil {
@@ -521,12 +638,12 @@ func livertBaseline(t *testing.T, prog *msl.Program, peers int) int {
 }
 
 // The Vivaldi tentpole acceptance: a multi-runtime federation plans its
-// trees from gossiped coordinates with no ProbeAll anywhere on the
-// planning path. Every "process" gossips concurrently — worker peers embed
-// themselves from RTTs they measure, which the coordinator cannot — then
-// the coordinator's view must cover all peers, the embedding must predict
-// measured latency within tolerance, planning must consume the gossiped
-// coordinates, and the run must reach the livert completeness baseline.
+// trees from gossiped coordinates. Every "process" gossips concurrently —
+// worker peers embed themselves from RTTs they measure, which the
+// coordinator cannot — then the coordinator's view must cover all peers,
+// the embedding must predict measured latency within tolerance, planning
+// must consume the gossiped coordinates, and the run must reach the livert
+// completeness baseline.
 func TestVivaldiFederationPlansFromGossipedCoords(t *testing.T) {
 	const peers = 12
 	prog, err := msl.Parse("query peers as count() from sensors window time 1s slide 1s trees 4 bf 16")
@@ -551,15 +668,7 @@ func TestVivaldiFederationPlansFromGossipedCoords(t *testing.T) {
 	// Decentralized Vivaldi: all processes gossip concurrently, ten rounds
 	// each (the prototype let Vivaldi run "for at least ten rounds before
 	// interconnecting operators").
-	var wg sync.WaitGroup
-	for _, rt := range rts {
-		wg.Add(1)
-		go func(rt *netrt.Runtime) {
-			defer wg.Done()
-			rt.Gossip(10, 0, 20*time.Millisecond)
-		}(rt)
-	}
-	wg.Wait()
+	gossipAll(rts, 10)
 
 	_, _, known := rts[0].Coordinates()
 	for p, k := range known {
@@ -731,6 +840,97 @@ func TestForeignDimensionCoordinateRejected(t *testing.T) {
 	if known[1] {
 		t.Fatal("foreign-dimension coordinate was cached")
 	}
-	rt.ProbeAll(1, 20*time.Millisecond)
+	rt.Gossip(1, 0, 20*time.Millisecond)
 	_, _ = rt.CoordError() // must not panic
+}
+
+// Gossip draws its probe targets afresh on every call, not only on every
+// round of one call: a caller logging convergence between single-round
+// calls (mortard's coordinator) must reach new peers each time, or its
+// bounded fan-out never covers the federation.
+func TestGossipDrawsFreshTargets(t *testing.T) {
+	const peers = 32
+	ranges := make([][]int, 2)
+	for p := 0; p < peers; p++ {
+		ranges[p/(peers/2)] = append(ranges[p/(peers/2)], p)
+	}
+	rts, _, err := netrt.NewGroup(ranges, netrt.Options{Seed: 61, PeersPerSocket: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := rts[0] // hosts half; the other half only answers
+	defer rt.Shutdown()
+	defer rts[1].Shutdown()
+
+	rt.Gossip(1, 1, 50*time.Millisecond)
+	_, once := rt.CoordError()
+	rt.Gossip(1, 1, 50*time.Millisecond)
+	_, twice := rt.CoordError()
+	if once == 0 || twice <= once {
+		t.Fatalf("measured pairs after one fan-out-1 call = %d, after two = %d: the second call pinged the first one's targets", once, twice)
+	}
+
+	for round := 0; round < 10; round++ {
+		rt.Gossip(1, 4, 20*time.Millisecond)
+	}
+	_, _, known := rt.Coordinates()
+	for p, k := range known {
+		if !k {
+			t.Fatalf("ten fan-out-4 calls from %d local peers never reached peer %d", peers/2, p)
+		}
+	}
+}
+
+// Every process is fitted before anyone plans. Two runtimes of four peers
+// over a 2-14 ms topology are driven as mortard drives a coordinator and a
+// worker: both run ten rounds at fan-out 16 side by side, the worker in the
+// background and dropping to its slow pace afterwards. Once the
+// coordinator's rounds are done no peer, seen from either side, still
+// carries the error estimate 1.0 a coordinate is constructed with, and both
+// embeddings predict their own measurements. (A coordinator that probes
+// alone — silent workers, as a default mortard run was before every process
+// gossiped — hears a coordinate from all four worker peers, so planning
+// takes the gossiped path, and every one of them is the random initial
+// position at error 1.0.)
+func TestEveryProcessFittedBeforePlanning(t *testing.T) {
+	const peers = 8
+	delay := func(a, b int) time.Duration { // peers on a line, 2 ms apart per step
+		if a > b {
+			a, b = b, a
+		}
+		return time.Duration(b-a) * 2 * time.Millisecond
+	}
+	rts, _, err := netrt.NewGroup([][]int{{0, 1, 2, 3}, {4, 5, 6, 7}}, netrt.Options{Seed: 67, PairDelay: delay})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, worker := rts[0], rts[1]
+	var wg sync.WaitGroup
+	defer func() {
+		coord.Shutdown()
+		worker.Shutdown() // ends the background gossip
+		wg.Wait()
+	}()
+
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		worker.Gossip(10, 16, 100*time.Millisecond)
+		worker.Gossip(1<<20, 3, 500*time.Millisecond)
+	}()
+	for round := 0; round < 10; round++ {
+		coord.Gossip(1, 16, 100*time.Millisecond)
+	}
+
+	for name, rt := range map[string]*netrt.Runtime{"coordinator": coord, "worker": worker} {
+		_, errs, known := rt.Coordinates()
+		for p := 0; p < peers; p++ {
+			if !known[p] || errs[p] == 1.0 {
+				t.Errorf("%s: peer %d known=%v error=%v — never fitted", name, p, known[p], errs[p])
+			}
+		}
+		if med, pairs := rt.CoordError(); pairs == 0 || med > 2.0 {
+			t.Errorf("%s: median |coord dist - measured| = %.3fms over %d pairs", name, med, pairs)
+		}
+	}
 }

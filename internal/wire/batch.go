@@ -300,7 +300,7 @@ func durationWireSize(d time.Duration) int {
 }
 
 // valueWireSize is the encoded length of a summary value, computed
-// arithmetically (SizeOfValue allocates a scratch buffer, which the
+// arithmetically (encoding into a scratch buffer would allocate, which the
 // 0-alloc staging path cannot afford). Unknown types get a conservative
 // guess; PutValue will reject them at encode time anyway.
 func valueWireSize(v any) int {

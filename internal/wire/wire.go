@@ -396,13 +396,3 @@ func (r *Reader) Value() (any, error) {
 		return nil, fmt.Errorf("wire: unknown value kind %d: %w", kind, ErrCorrupt)
 	}
 }
-
-// SizeOfValue returns the encoded size of a value without retaining the
-// encoding.
-func SizeOfValue(v any) int {
-	var w Buffer
-	if err := w.PutValue(v); err != nil {
-		return 16 // conservative default for exotic values
-	}
-	return w.Len()
-}

@@ -65,7 +65,7 @@ cat > "$tmp/chaos.json" <<EOF
 }
 EOF
 
-common=(-peers-file "$tmp/peers.txt" -coalesce -probe-rounds 0 -msl "$tmp/query.msl" -chaos "$tmp/chaos.json")
+common=(-peers-file "$tmp/peers.txt" -msl "$tmp/query.msl" -chaos "$tmp/chaos.json")
 "$tmp/mortard" "${common[@]}" -host "$HALF-$((PEERS - 1))" -join "$JOIN" -duration 300s \
   > "$tmp/worker.log" 2>&1 &
 pids+=($!)

@@ -3,8 +3,8 @@
 # coordinator plus two workers over localhost UDP (three real processes,
 # every message a real datagram), and assert the coordinator's count query
 # reaches full completeness — the livert baseline, where every peer's
-# sensor contributes to the window. Runs with -vivaldi, so planning comes
-# from gossiped coordinates and convergence is logged.
+# sensor contributes to the window. Every process gossips Vivaldi
+# coordinates, so planning comes from them and convergence is logged.
 #
 # The run deliberately squeezes the MTU (-mtu 160) and plans deep trees
 # (bf 2), so the query's install messages exceed one datagram: the install
@@ -60,11 +60,11 @@ done > "$tmp/peers.txt"
 echo "query peers as count() from sensors window time 1s slide 1s trees 6 bf 2" > "$tmp/query.msl"
 
 # Workers outlive the coordinator's -duration; its hang-up ends their run.
-"$tmp/mortard" -peers-file "$tmp/peers.txt" -host 4-7 -join "$JOIN" -vivaldi -mtu "$MTU" -msl "$tmp/query.msl" -duration 90s > "$tmp/w1.log" 2>&1 &
+"$tmp/mortard" -peers-file "$tmp/peers.txt" -host 4-7 -join "$JOIN" -mtu "$MTU" -msl "$tmp/query.msl" -duration 90s > "$tmp/w1.log" 2>&1 &
 pids+=($!)
-"$tmp/mortard" -peers-file "$tmp/peers.txt" -host 8-11 -join "$JOIN" -vivaldi -mtu "$MTU" -msl "$tmp/query.msl" -duration 90s > "$tmp/w2.log" 2>&1 &
+"$tmp/mortard" -peers-file "$tmp/peers.txt" -host 8-11 -join "$JOIN" -mtu "$MTU" -msl "$tmp/query.msl" -duration 90s > "$tmp/w2.log" 2>&1 &
 pids+=($!)
-"$tmp/mortard" -peers-file "$tmp/peers.txt" -host 0-3 -listen "$JOIN" -vivaldi -mtu "$MTU" -msl "$tmp/query.msl" -duration "$DUR" -serve "$GW" > "$tmp/coord.log" 2>&1 &
+"$tmp/mortard" -peers-file "$tmp/peers.txt" -host 0-3 -listen "$JOIN" -mtu "$MTU" -msl "$tmp/query.msl" -duration "$DUR" -serve "$GW" > "$tmp/coord.log" 2>&1 &
 coord=$!
 pids+=("$coord")
 

@@ -3,11 +3,12 @@
 # mortard, generates a ranged peers file (-gen-peers-file) multiplexing 150
 # peers behind each UDP socket, and runs one 600-peer federation as two
 # real processes — a coordinator hosting peers 0-299 and a worker hosting
-# 300-599 — with train coalescing on and all-pairs probing off (the
-# planner falls back to default latencies, the scale-run setting). The
-# count query must reach full completeness: every peer joined through a
-# shared socket and its sensor reached the root, so shared-socket demux,
-# coalesced trains, and the install multicast all worked end to end.
+# 300-599 — with no transport flag set: both gossip Vivaldi coordinates at
+# a bounded fan-out and the coordinator must plan from them, and the
+# writers pack whatever backs up behind them into trains. The count query
+# must reach full completeness: every peer joined through a shared socket
+# and its sensor reached the root, so shared-socket demux, trains, and the
+# install multicast all worked end to end.
 #
 # Usage: scripts/scale_smoke.sh   (from the repo root)
 # Env:   SCALE_PEERS (default 600), SCALE_PER_SOCK (default 150),
@@ -46,7 +47,7 @@ cat "$tmp/peers.txt"
 # gives every sensor a slide to land in before the first result.
 echo "query peers as count() from sensors window time 2s slide 2s trees 2 bf 32" > "$tmp/query.msl"
 
-common=(-peers-file "$tmp/peers.txt" -coalesce -probe-rounds 0 -msl "$tmp/query.msl")
+common=(-peers-file "$tmp/peers.txt" -msl "$tmp/query.msl")
 "$tmp/mortard" "${common[@]}" -host "$HALF-$((PEERS - 1))" -join "$JOIN" -duration 180s \
   > "$tmp/worker.log" 2>&1 &
 pids+=($!)
@@ -79,8 +80,8 @@ if [ "$ok" != 1 ]; then
   exit 1
 fi
 # The transport summary prints when the coordinator's -duration elapses;
-# wait for it so the coalescing counters can be judged — but bounded: a
-# wedged coordinator must fail with logs, not hang CI.
+# wait for it so the train counters can be judged — but bounded: a wedged
+# coordinator must fail with logs, not hang CI.
 deadline=$(( $(date +%s) + 120 ))
 while kill -0 "$coord" 2>/dev/null; do
   if [ "$(date +%s)" -ge "$deadline" ]; then
@@ -93,9 +94,20 @@ done
 wait "$coord" 2>/dev/null || true
 echo "---- coordinator transport summary ----"
 tail -6 "$tmp/coord.log"
-if ! grep -Eq "sockets=[0-9]+ datagrams=[0-9]+ trains=[1-9]" "$tmp/coord.log"; then
+if ! grep -q "planned from gossiped coordinates: true" "$tmp/coord.log"; then
   dump_logs
-  echo "FAIL: coordinator sent no coalesced trains with -coalesce on"
+  echo "FAIL: the bounded gossip did not cover the federation — planning fell back to the local embedding"
   exit 1
 fi
-echo "OK: $PEERS peers over $((PEERS / PER_SOCK)) shared sockets reached completeness=$PEERS with coalesced trains"
+sockets_line="$(grep '# udp sockets:' "$tmp/coord.log" | tail -1)"
+if ! grep -Eq "sockets=[0-9]+ datagrams=[0-9]+ trains=[1-9]" <<< "$sockets_line"; then
+  dump_logs
+  echo "FAIL: coordinator's writers packed no trains"
+  exit 1
+fi
+field() { sed -En "s/.* $1=([0-9]+).*/\1/p" <<< "$sockets_line"; }
+datagrams="$(field datagrams)"
+# Every frame left in a train or as a bare datagram of its own.
+frames=$(( $(field train_frames) + datagrams - $(field trains) ))
+per_dgram="$(awk -v f="$frames" -v d="$datagrams" 'BEGIN { printf "%.1f", f / d }')"
+echo "OK: $PEERS peers over $((PEERS / PER_SOCK)) shared sockets reached completeness=$PEERS from gossip-planned trees; coordinator wrote $frames frames in $datagrams datagrams ($per_dgram per datagram)"
