@@ -262,8 +262,14 @@ func (m *Monitor) loop() {
 			return
 		case <-t.C:
 		}
-		for _, name := range m.f.queryNames() {
-			if m.degraded(name, rng) {
+		names := m.f.queryNames()
+		if len(names) == 0 {
+			continue
+		}
+		// One view per poll: every query is judged against the same one.
+		coords, model, _ := m.f.currentView(rng)
+		for _, name := range names {
+			if m.degraded(name, coords, model, rng) {
 				breaches[name]++
 			} else {
 				breaches[name] = 0
@@ -313,9 +319,9 @@ func (f *Federation) queryNames() []string {
 }
 
 // degraded scores one query's deployed plan against a fresh candidate
-// under the current latency view and reports whether the deployed cost
+// under the poll's latency view and reports whether the deployed cost
 // exceeds the candidate's by more than the threshold.
-func (m *Monitor) degraded(name string, rng *rand.Rand) bool {
+func (m *Monitor) degraded(name string, coords []cluster.Point, model plan.LatencyModel, rng *rand.Rand) bool {
 	f := m.f
 	f.mu.Lock()
 	def := f.defs[name]
@@ -323,7 +329,6 @@ func (m *Monitor) degraded(name string, rng *rand.Rand) bool {
 	if def == nil || len(def.Members) < 2 {
 		return false
 	}
-	coords, model, _ := f.currentView(rng)
 	memberCoords := make([]cluster.Point, len(def.Members))
 	rootIdx := -1
 	for i, mm := range def.Members {

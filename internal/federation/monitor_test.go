@@ -1,7 +1,9 @@
 package federation
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/runtime/livert"
 	"repro/internal/tuple"
+	"repro/internal/vivaldi"
 )
 
 // shiftTopo is a PairDelay topology whose clustering can be flipped
@@ -161,6 +164,57 @@ func TestMonitorReplansOnDrift(t *testing.T) {
 		if winMax[w] != peers {
 			t.Fatalf("window %d best completeness %d of %d — dipped during migration", w, winMax[w], peers)
 		}
+	}
+}
+
+// countingCoords is a livert runtime that also serves a fixed, complete
+// coordinate set, counting how often it is read.
+type countingCoords struct {
+	*livert.Runtime
+	coords []vivaldi.Coordinate
+	calls  atomic.Int64
+}
+
+func (c *countingCoords) Coordinates() ([]vivaldi.Coordinate, []float64, []bool) {
+	c.calls.Add(1)
+	known := make([]bool, len(c.coords))
+	for i := range known {
+		known[i] = true
+	}
+	return c.coords, make([]float64, len(c.coords)), known
+}
+
+// The monitor takes one latency view per poll and judges every query
+// against it: with eight queries, each poll reads the coordinates once.
+func TestMonitorOneViewPerPoll(t *testing.T) {
+	const peers, queries, interval = 8, 8, 50 * time.Millisecond
+	rt := &countingCoords{Runtime: livert.New(peers, livert.Options{Seed: 3})}
+	defer rt.Shutdown()
+	for i := 0; i < peers; i++ {
+		rt.coords = append(rt.coords, vivaldi.Coordinate{float64(i), 0, 0})
+	}
+	var src strings.Builder
+	for q := 0; q < queries; q++ {
+		fmt.Fprintf(&src, "query q%d as count() from sensors window time 1s slide 1s trees 2 bf 4\n", q)
+	}
+	prog, err := msl.Parse(src.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed, err := NewRuntime(rt, prog, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.calls.Store(0)
+	start := time.Now()
+	// No candidate beats a threshold this high, so Replan, which takes its
+	// own view, never runs.
+	mon := fed.StartMonitor(MonitorOptions{Interval: interval, Threshold: 1e9})
+	waitCond(t, 10*time.Second, "three polls", func() bool { return rt.calls.Load() >= 3 })
+	mon.Stop()
+	polls := int64(time.Since(start) / interval) // the most ticks that can have fired
+	if calls := rt.calls.Load(); calls > polls {
+		t.Fatalf("%d coordinate reads in at most %d polls of %d queries, want one per poll", calls, polls, queries)
 	}
 }
 

@@ -13,27 +13,8 @@ import (
 	"repro/internal/tslist"
 	"repro/internal/tuple"
 	"repro/internal/vclock"
-	"repro/internal/vivaldi"
 	"repro/internal/wire"
 )
-
-// vivaldiRuntime is implemented by runtimes (runtime/netrt) whose peers
-// run decentralized Vivaldi. The fabric piggybacks each local peer's
-// coordinate on the heartbeats it already sends and folds heartbeat-borne
-// remote coordinates back into the peer's node, so coordinates spread on
-// the traffic of the running system instead of dedicated probes.
-type vivaldiRuntime interface {
-	// VivaldiNode returns the peer's coordinate state, nil for peers this
-	// process does not host.
-	VivaldiNode(peer int) *vivaldi.Node
-}
-
-// pairMeasurer is implemented by transports that can distinguish a real
-// pair measurement from Latency's default answer; heartbeat coordinate
-// updates only run on measured samples.
-type pairMeasurer interface {
-	Measured(a, b int) (time.Duration, bool)
-}
 
 // Config tunes the peer runtime. Defaults reproduce the paper's settings:
 // 2-second heartbeats, reconciliation every third heartbeat, netDist EWMA
@@ -268,9 +249,6 @@ type Fabric struct {
 	peers []*Peer
 	tr    runtime.Transport
 	rng   *rand.Rand
-	// measure is the transport's measured-pair oracle, nil when the
-	// backend cannot tell measurements from defaults.
-	measure pairMeasurer
 
 	// OnResult receives every root-reported result. Set it before
 	// installing queries; under a live runtime it is invoked from the root
@@ -357,7 +335,6 @@ func NewFabric(rt runtime.Runtime, clocks []vclock.Clock, cfg Config) (*Fabric, 
 		rng:       rt.Rand(),
 		queryTraf: map[string]*QueryTraffic{},
 	}
-	f.measure, _ = f.tr.(pairMeasurer)
 	if bc, ok := f.tr.(runtime.FrameBytesConsumer); ok {
 		f.consumesBytes = bc.ConsumesFrameBytes()
 	}
@@ -367,16 +344,12 @@ func NewFabric(rt runtime.Runtime, clocks []vclock.Clock, cfg Config) (*Fabric, 
 		// is checked before the entry that crosses it is encoded.
 		f.batchBytes = mf - mf/8
 	}
-	vr, _ := rt.(vivaldiRuntime)
 	for i := 0; i < n; i++ {
 		ck := vclock.Perfect()
 		if clocks != nil {
 			ck = clocks[i]
 		}
 		p := newPeer(f, i, rt.Clock(i), ck)
-		if vr != nil {
-			p.nc = vr.VivaldiNode(i)
-		}
 		f.peers = append(f.peers, p)
 		f.tr.Handle(i, p.deliver)
 	}

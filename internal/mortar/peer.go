@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/runtime"
 	"repro/internal/vclock"
-	"repro/internal/vivaldi"
 	"repro/internal/wire"
 )
 
@@ -56,12 +55,6 @@ type Peer struct {
 	// flushStages. Both are empty between turns (stage.go).
 	stage  map[int]*stageBuf
 	staged []int
-
-	// nc is the peer's Vivaldi coordinate state on runtimes that run the
-	// decentralized protocol (runtime/netrt); nil elsewhere. The node is
-	// internally synchronized: the transport's receive path updates it
-	// concurrently with this peer's heartbeat sends.
-	nc *vivaldi.Node
 }
 
 func newPeer(f *Fabric, id int, rtc runtime.Clock, ck vclock.Clock) *Peer {
@@ -255,16 +248,8 @@ func (p *Peer) sendHeartbeats() {
 		// in-flight traffic re-added after an unwire or removal.
 		p.pruneNeighborState()
 	}
-	// Piggyback this peer's Vivaldi coordinate on every heartbeat (§3.1):
-	// the children measure the parent's RTT passively, so coordinate plus
-	// sample is one decentralized Vivaldi update with no extra packets.
-	var coord vivaldi.Coordinate
-	var coordErr float64
-	if p.nc != nil {
-		coord, coordErr = p.nc.Snapshot()
-	}
 	for _, c := range p.uniqueChildren() {
-		hb := msgHeartbeat{Seq: p.hbSeqOut, Coord: coord, CoordErr: coordErr}
+		hb := msgHeartbeat{Seq: p.hbSeqOut}
 		if withHash {
 			hb.Hash = p.pairHashAsParent(c)
 		}
@@ -351,34 +336,9 @@ func (p *Peer) handleHeartbeat(src int, m msgHeartbeat) {
 	}
 	p.hbSeqSeen[src] = m.Seq
 	p.markHeard(src)
-	p.noteCoord(src, m.Coord, m.CoordErr)
 	if m.Hash != 0 && m.Hash != p.pairHashAsChild(src) {
 		p.fab.send(p.id, src, runtime.ClassControl, p.reconSummary())
 	}
-}
-
-// noteCoord folds a heartbeat-borne remote coordinate into this peer's
-// Vivaldi node. The latency sample is the transport's passively measured
-// one-way latency to the sender; without a real measurement (or a node to
-// update) the coordinate is ignored — a default would poison the embedding.
-func (p *Peer) noteCoord(src int, coord []float64, errEst float64) {
-	if p.nc == nil || len(coord) == 0 || p.fab.measure == nil {
-		return
-	}
-	if d, ok := p.fab.measure.Measured(p.id, src); ok {
-		p.nc.Update(d, vivaldi.Coordinate(coord), errEst)
-	}
-}
-
-// Coordinate returns the peer's Vivaldi coordinate and error estimate;
-// ok is false when the runtime maintains no coordinates. Safe from any
-// goroutine (every mortard UDP process logs convergence from it, live).
-func (p *Peer) Coordinate() (vivaldi.Coordinate, float64, bool) {
-	if p.nc == nil {
-		return nil, 0, false
-	}
-	c, e := p.nc.Snapshot()
-	return c, e, true
 }
 
 // pruneNeighborState drops liveness and duplicate-suppression entries for

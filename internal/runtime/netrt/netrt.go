@@ -22,8 +22,9 @@
 // timestamp received from the destination plus the local hold time, so any
 // two peers with bidirectional traffic converge on a smoothed RTT without
 // dedicated probes. Coordinate-carrying ping/pong probes (Gossip) prime the
-// table and fit every peer's Vivaldi coordinate before traffic flows: the
-// planner reads the coordinates, Latency serves the measured half-RTTs.
+// table and fit every peer's Vivaldi coordinate, which every later echo
+// refits; the Runtime alone owns the coordinates the planner reads, and
+// Latency serves the measured half-RTTs.
 //
 // Frames larger than the configured MTU do not fit one datagram; they take
 // the reliable large-message path (frag.go): MTU-sized fragments,
@@ -40,6 +41,7 @@ import (
 	"math/rand"
 	"net"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -1269,8 +1271,7 @@ func (r *Runtime) sendPing(from, to int) {
 	r.xmit(from, to, w.Bytes(), w, nil, nil)
 }
 
-// putCoord appends a coordinate extension to a probe frame (the same
-// wire.PutCoordExt layout heartbeats use).
+// putCoord appends a coordinate extension to a probe frame.
 func putCoord(w *wire.Buffer, n *vivaldi.Node) {
 	c, e := n.Snapshot()
 	w.PutCoordExt(c, e)
@@ -1298,16 +1299,6 @@ func (r *Runtime) VivaldiHeight() bool { return r.vcfg.Height }
 
 // --- decentralized Vivaldi ---
 
-// VivaldiNode returns a local peer's Vivaldi coordinate state (nil for
-// peers this process does not host). The peer core piggybacks the
-// coordinate on heartbeats and updates it from measured RTTs.
-func (r *Runtime) VivaldiNode(peer int) *vivaldi.Node {
-	if peer < 0 || peer >= r.n {
-		return nil
-	}
-	return r.nodes[peer]
-}
-
 // Gossip runs coordinate gossip rounds, sleeping wait after each for the
 // pongs to land: each local peer probes fanout random peers (every peer
 // when fanout <= 0), drawn afresh every round of every call, with a
@@ -1317,27 +1308,41 @@ func (r *Runtime) VivaldiNode(peer int) *vivaldi.Node {
 // RTTs its own process measures. The prototype let Vivaldi run "for at
 // least ten rounds before interconnecting operators".
 func (r *Runtime) Gossip(rounds, fanout int, wait time.Duration) {
+	var targets []int
 	for k := 0; k < rounds; k++ {
 		if r.closed.Load() {
 			return
 		}
 		for _, p := range r.local {
-			r.gossipMu.Lock()
-			targets := r.gossipRng.Perm(r.n)
-			r.gossipMu.Unlock()
-			sent := 0
+			targets = r.drawTargets(targets[:0], p, fanout)
 			for _, q := range targets {
-				if q == p {
-					continue
-				}
 				r.sendPing(p, q)
-				if sent++; fanout > 0 && sent >= fanout {
-					break
-				}
 			}
 		}
 		time.Sleep(wait)
 	}
+}
+
+// drawTargets appends local peer p's probe targets for one round to dst:
+// fanout distinct others, drawn one at a time so a round costs its fan-out,
+// or every other peer in random order when fanout <= 0 or reaches them all.
+func (r *Runtime) drawTargets(dst []int, p, fanout int) []int {
+	r.gossipMu.Lock()
+	defer r.gossipMu.Unlock()
+	if fanout <= 0 || fanout >= r.n-1 {
+		for _, q := range r.gossipRng.Perm(r.n) {
+			if q != p {
+				dst = append(dst, q)
+			}
+		}
+		return dst
+	}
+	for len(dst) < fanout {
+		if q := r.gossipRng.Intn(r.n); q != p && !slices.Contains(dst, q) {
+			dst = append(dst, q)
+		}
+	}
+	return dst
 }
 
 // Coordinates returns this process's view of every peer's coordinate:

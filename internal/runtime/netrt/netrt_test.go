@@ -3,6 +3,7 @@ package netrt_test
 import (
 	"math/rand"
 	"net"
+	goruntime "runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -705,11 +706,12 @@ func TestVivaldiFederationPlansFromGossipedCoords(t *testing.T) {
 	}
 }
 
-// Heartbeats piggyback the sender's coordinate, so once trees are wired a
-// child keeps updating its Vivaldi node from its parent's beats with no
-// probe traffic at all: worker-side coordinates must keep being touched
-// after gossip stops.
-func TestHeartbeatsCarryCoordinates(t *testing.T) {
+// Every frame echoes the newest stamp it heard from its destination, and
+// netrt's observe turns each echo into a Vivaldi update against the
+// coordinate gossip cached. So once trees are wired, protocol traffic
+// alone keeps fitting coordinates with no probe traffic at all:
+// worker-side coordinates must keep being touched after gossip stops.
+func TestProtocolTrafficMovesCoordinates(t *testing.T) {
 	const peers = 6
 	rts, _, err := netrt.NewGroup([][]int{{0, 1, 2}, {3, 4, 5}}, netrt.Options{Seed: 23})
 	if err != nil {
@@ -735,9 +737,9 @@ func TestHeartbeatsCarryCoordinates(t *testing.T) {
 	before := make([]vivaldi.Coordinate, peers)
 	cc, _, _ := rts[1].Coordinates()
 	copy(before, cc)
-	// Heartbeats flow every 2s once wiring lands; wait long enough for a
-	// few beats, then require some worker-local coordinate to have moved —
-	// updates driven purely by coordinate-carrying protocol traffic.
+	// Heartbeats flow every 2s once wiring lands, summaries every window;
+	// require some worker-local coordinate to have moved — updates driven
+	// purely by the echo samples protocol frames carry.
 	deadline := time.Now().Add(10 * time.Second)
 	moved := false
 	for time.Now().Before(deadline) && !moved {
@@ -754,7 +756,7 @@ func TestHeartbeatsCarryCoordinates(t *testing.T) {
 		rt.Shutdown()
 	}
 	if !moved {
-		t.Fatal("worker coordinates never moved after gossip stopped; heartbeat piggyback inert")
+		t.Fatal("worker coordinates never moved after gossip stopped; protocol traffic's echo samples fit nothing")
 	}
 }
 
@@ -878,6 +880,39 @@ func TestGossipDrawsFreshTargets(t *testing.T) {
 		if !k {
 			t.Fatalf("ten fan-out-4 calls from %d local peers never reached peer %d", peers/2, p)
 		}
+	}
+}
+
+// A gossip round costs its fan-out, not the federation size: a process
+// hosting one of 10,000 peers allocates under a tenth of one n-int
+// permutation per fan-out-3 round.
+func TestGossipRoundCostsItsFanout(t *testing.T) {
+	const peers, rounds = 10000, 100
+	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	dir := make([]string, peers)
+	dir[0] = "127.0.0.1:0"
+	for p := 1; p < peers; p++ {
+		dir[p] = sink.LocalAddr().String()
+	}
+	rt, err := netrt.New(dir, []int{0}, netrt.Options{Seed: 79})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Shutdown()
+
+	rt.Gossip(1, 3, 0) // warm the buffer pools
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		rt.Gossip(1, 3, 0)
+	}
+	goruntime.ReadMemStats(&after)
+	if perRound, limit := (after.TotalAlloc-before.TotalAlloc)/rounds, uint64(peers*8/10); perRound >= limit {
+		t.Fatalf("a fan-out-3 gossip round allocates %d B at %d peers, want under %d", perRound, peers, limit)
 	}
 }
 

@@ -155,7 +155,7 @@ func (n *Node) Error() float64 {
 }
 
 // Snapshot returns the coordinate (copied) and error estimate read under
-// one lock, so the pair is consistent — what heartbeat piggybacking sends.
+// one lock, so the pair is consistent — what a probe frame sends.
 func (n *Node) Snapshot() (Coordinate, float64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

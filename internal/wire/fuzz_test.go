@@ -11,7 +11,8 @@ import (
 // in short smoke mode (-fuzztime 10s); locally, go test -fuzz digs deeper.
 
 // seedFrames returns valid encodings of every message kind as fuzz seeds,
-// so mutation starts from structurally interesting input.
+// so mutation starts from structurally interesting input, plus a heartbeat
+// whose coordinate slot an older sender filled.
 func seedFrames(t interface{ Fatal(...any) }) [][]byte {
 	var out [][]byte
 	for _, msg := range sampleMessages() {
@@ -21,7 +22,7 @@ func seedFrames(t interface{ Fatal(...any) }) [][]byte {
 		}
 		out = append(out, w.Bytes())
 	}
-	return out
+	return append(out, filledSlotHeartbeat(Version))
 }
 
 // requireCorrupt fails the fuzz run when a decode error does not wrap
@@ -40,6 +41,7 @@ func FuzzDecodeMessage(f *testing.F) {
 		prev, _ := prevFrame(f, msg) // the other version decoders accept
 		f.Add(prev)
 	}
+	f.Add(filledSlotHeartbeat(Version - 1))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		msg, err := DecodeMessage(b)
 		requireCorrupt(t, err)

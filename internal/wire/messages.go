@@ -127,18 +127,12 @@ type Envelope struct {
 }
 
 // Heartbeat flows parent -> child every heartbeat period. Every few beats
-// it piggybacks the reconciliation hash of the sender's query set. On
-// runtimes that run decentralized Vivaldi (runtime/netrt) it also carries
-// the sender's network coordinate, the way the prototype gossiped Bamboo's
-// Vivaldi state on the traffic peers already exchange.
+// it piggybacks the reconciliation hash of the sender's query set. It
+// carries no network coordinate: runtime/netrt fits and spreads those on
+// its own probe frames and the RTT echo every frame carries.
 type Heartbeat struct {
 	Seq  uint64
 	Hash uint64 // 0 when not piggybacked this beat
-	// Coord is the sender's Vivaldi coordinate in milliseconds, empty when
-	// the sending runtime maintains none. CoordErr is the sender's error
-	// estimate, meaningful only when Coord is present.
-	Coord    []float64
-	CoordErr float64
 }
 
 // Install carries a chunk of the install multicast: per-member metadata
@@ -384,10 +378,9 @@ func (r *Reader) epoch() (uint32, error) {
 
 // --- Heartbeat ---
 
-// PutCoordExt appends the Vivaldi coordinate extension shared by
-// heartbeats and netrt's probe frames: a dimension count (0 when no
-// coordinate is attached), the components, then the error estimate (only
-// when a coordinate is present).
+// PutCoordExt appends the Vivaldi coordinate extension netrt's probe
+// frames carry: a dimension count (0 when no coordinate is attached), the
+// components, then the error estimate (only when a coordinate is present).
 func (w *Buffer) PutCoordExt(c []float64, errEst float64) {
 	w.PutUvarint(uint64(len(c)))
 	for _, v := range c {
@@ -422,15 +415,17 @@ func (r *Reader) CoordExt() ([]float64, float64, error) {
 	return c, e, nil
 }
 
-// EncodeHeartbeat appends a heartbeat payload: seq, hash, then the
-// coordinate extension.
+// EncodeHeartbeat appends a heartbeat payload: seq, hash, then the v5
+// layout's coordinate slot, written empty (one zero byte). The slot goes
+// at the next version bump.
 func EncodeHeartbeat(w *Buffer, m Heartbeat) {
 	w.PutUvarint(m.Seq)
 	w.PutUvarint(m.Hash)
-	w.PutCoordExt(m.Coord, m.CoordErr)
+	w.PutByte(0)
 }
 
-// DecodeHeartbeat reads a heartbeat payload.
+// DecodeHeartbeat reads a heartbeat payload. The coordinate slot is read
+// and discarded: older senders still fill it.
 func DecodeHeartbeat(r *Reader) (m Heartbeat, err error) {
 	if m.Seq, err = r.Uvarint(); err != nil {
 		return
@@ -438,7 +433,7 @@ func DecodeHeartbeat(r *Reader) (m Heartbeat, err error) {
 	if m.Hash, err = r.Uvarint(); err != nil {
 		return
 	}
-	m.Coord, m.CoordErr, err = r.CoordExt()
+	_, _, err = r.CoordExt()
 	return
 }
 

@@ -92,7 +92,6 @@ func sampleMessages() []any {
 		},
 		Heartbeat{Seq: 300, Hash: 0xdeadbeefcafe},
 		Heartbeat{Seq: 1}, // no piggybacked hash
-		Heartbeat{Seq: 2, Coord: []float64{3.25, -1.5, 40}, CoordErr: 0.4},
 		Install{
 			Meta: sampleMeta(),
 			Members: map[int]Neighbors{
@@ -295,8 +294,28 @@ func TestOversizedSubtreeIsCorrupt(t *testing.T) {
 	}
 }
 
-// The heartbeat coordinate extension is mandatory and bounded.
+// filledSlotHeartbeat is a heartbeat frame stamped version v the way
+// senders that still carried a coordinate wrote it: a 3-D coordinate and
+// its error estimate in the slot after the hash.
+func filledSlotHeartbeat(v byte) []byte {
+	var w Buffer
+	w.b = append(w.b, v, MsgHeartbeat)
+	w.PutUvarint(2)
+	w.PutUvarint(0xdeadbeefcafe)
+	w.PutCoordExt([]float64{3.25, -1.5, 40}, 0.4)
+	return w.Bytes()
+}
+
+// The heartbeat coordinate slot is mandatory and bounded, and a filled one
+// from an older sender decodes with the coordinate discarded.
 func TestHeartbeatCoordExtension(t *testing.T) {
+	want := Heartbeat{Seq: 2, Hash: 0xdeadbeefcafe}
+	for _, v := range []byte{Version, Version - 1} {
+		if got, err := DecodeMessage(filledSlotHeartbeat(v)); err != nil || got != any(want) {
+			t.Fatalf("v%d heartbeat with a filled slot: got %#v, %v; want %#v", v, got, err, want)
+		}
+	}
+
 	// A payload that ends after the hash is truncated (the dimension count
 	// is missing).
 	var w Buffer
