@@ -85,7 +85,9 @@ func TestCheckMode(t *testing.T) {
 // The simulator is deterministic from its seed, and its output — every
 // result row, and with -fail the instant and order of the disconnect and
 // reconnect among them — is what the parent of the one-run-path change
-// printed.
+// printed, except that the -fail rows, whose windows wait on timers, were
+// re-recorded when a timed-out window's deadline became its end plus the
+// learned lag.
 func TestSimulatorGolden(t *testing.T) {
 	for _, tc := range []struct {
 		golden string

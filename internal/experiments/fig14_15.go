@@ -12,10 +12,11 @@ import (
 
 // rollingSeries runs a sum query and drives a failure schedule, recording
 // per-second completeness, live fraction, tuple path length, and total
-// network load. The tables read completeness and path length through
-// Series.Range: a second in which the root reported nothing — its report
-// phase moves whenever a failure switches windows between the timer and the
-// complete path — repeats the last known value instead of printing as zero.
+// network load. Each result is filed under its window's due second — the
+// second its window ends — not the second the root reported it, so a row
+// compares the same windows however long the root waited on them. The tables
+// read completeness and path length through Series.Range: a second no window
+// is due in repeats the last known value instead of printing as zero.
 type rollingSeries struct {
 	tb       *testbed
 	compl    *metrics.Series
@@ -46,9 +47,9 @@ func startRolling(seed int64, hosts, d int) *rollingSeries {
 		if v, ok := rs.liveHist[int64(due/time.Second)]; ok {
 			live = v
 		}
-		rs.compl.Add(r.At, metrics.Completeness(r.Count, live))
-		rs.hops.Add(r.At, float64(r.Hops))
-		rs.lat.Add(r.At, (r.At - due).Seconds())
+		rs.compl.Add(due, metrics.Completeness(r.Count, live))
+		rs.hops.Add(due, float64(r.Hops))
+		rs.lat.Add(due, (r.At - due).Seconds())
 	}
 	tb.Sim.Every(time.Second, func() {
 		rs.liveHist[int64(tb.Sim.Now()/time.Second)] = tb.Fab.LiveCount()

@@ -40,7 +40,6 @@ func TestConcurrentQueryLifecycle(t *testing.T) {
 	cfg.HeartbeatPeriod = 50 * time.Millisecond
 	cfg.MinTimeout = 20 * time.Millisecond
 	cfg.MaxTimeout = 2 * time.Second
-	cfg.TimeoutSlack = 30 * time.Millisecond
 	rt := livert.New(peers, livert.Options{Seed: 21, MinDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond})
 	defer rt.Shutdown()
 	fed, err := NewRuntimeCfg(rt, nil, rand.New(rand.NewSource(21)), cfg)

@@ -26,7 +26,6 @@ func liveConfig() mortar.Config {
 	cfg.HeartbeatPeriod = 50 * time.Millisecond
 	cfg.MinTimeout = 20 * time.Millisecond
 	cfg.MaxTimeout = 2 * time.Second
-	cfg.TimeoutSlack = 30 * time.Millisecond
 	return cfg
 }
 

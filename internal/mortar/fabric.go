@@ -28,17 +28,23 @@ type Config struct {
 	// LivenessMultiple: a parent is presumed unreachable after
 	// HeartbeatPeriod * LivenessMultiple of silence.
 	LivenessMultiple float64
-	// NetDistAlpha is the EWMA weight for the netDist estimate (§4.3,
-	// footnote: alpha = 10% worked well in practice).
+	// NetDistAlpha is the EWMA weight of both halves of the netDist
+	// estimate, the mean and the mean absolute deviation of how late past a
+	// window's end its slowest contribution arrives (§4.3, footnote: alpha =
+	// 10% worked well in practice). A window waiting on its timer leaves at
+	// TE + netDist + 4·deviation, so one straggler moves that deadline by at
+	// most 5·NetDistAlpha of its excess.
 	NetDistAlpha float64
-	// MinTimeout and MaxTimeout clamp TS-list entry timeouts; TimeoutSlack
-	// is added on top. TimeoutFactor scales netDist-age ("the TS list sets
-	// the timeout in proportion to netDist - T.age", §4.3); values above 1
-	// give each operator headroom over the most-delayed path.
-	MinTimeout    time.Duration
-	MaxTimeout    time.Duration
-	TimeoutSlack  time.Duration
-	TimeoutFactor float64
+	// MinTimeout and MaxTimeout clamp that deadline, measured from the
+	// moment the entry opens: a window waits at least MinTimeout for its
+	// stragglers and never longer than MaxTimeout.
+	MinTimeout time.Duration
+	MaxTimeout time.Duration
+	// TimeoutSlack was a fixed wait added to every timeout. The deadline now
+	// carries its own margin, so the only valid value is 0 and Validate
+	// refuses any other; the field survives because bench/, which may not
+	// change with the code it measures, compiles against it.
+	TimeoutSlack time.Duration
 	// TTLDownMax bounds flex-down steps before a tuple is dropped (§3.3).
 	// Zero disables flex-down descent entirely (an ablation setting).
 	TTLDownMax int
@@ -75,8 +81,6 @@ func DefaultConfig() Config {
 		NetDistAlpha:        0.10,
 		MinTimeout:          100 * time.Millisecond,
 		MaxTimeout:          60 * time.Second,
-		TimeoutSlack:        250 * time.Millisecond,
-		TimeoutFactor:       1.5,
 		TTLDownMax:          3,
 		MaxStage:            4,
 		Syncless:            true,
@@ -89,9 +93,9 @@ func DefaultConfig() Config {
 // knobs pick up the paper defaults (so Config{} is usable), negative or
 // out-of-range values are errors: without this a zero HeartbeatPeriod
 // would panic the ticker and a zero ReconcileEveryBeats would divide by
-// zero once peers are long-lived live processes. TTLDownMax and
-// TimeoutSlack may legitimately be zero (ablations use both) and are only
-// checked for sign; Syncless false is a meaningful mode, not a zero value.
+// zero once peers are long-lived live processes. TTLDownMax may
+// legitimately be zero (an ablation uses it) and is only checked for sign;
+// Syncless false is a meaningful mode, not a zero value.
 func (c Config) Validate() (Config, error) {
 	def := DefaultConfig()
 	fill := func(v *time.Duration, d time.Duration, name string) error {
@@ -115,8 +119,8 @@ func (c Config) Validate() (Config, error) {
 	if c.MaxTimeout < c.MinTimeout {
 		return c, fmt.Errorf("mortar: MaxTimeout %v < MinTimeout %v", c.MaxTimeout, c.MinTimeout)
 	}
-	if c.TimeoutSlack < 0 {
-		return c, fmt.Errorf("mortar: TimeoutSlack %v must not be negative", c.TimeoutSlack)
+	if c.TimeoutSlack != 0 {
+		return c, fmt.Errorf("mortar: TimeoutSlack %v must be 0: a window's deadline carries its own margin, there is no slack to set", c.TimeoutSlack)
 	}
 	if c.ReconcileEveryBeats == 0 {
 		c.ReconcileEveryBeats = def.ReconcileEveryBeats
@@ -135,12 +139,6 @@ func (c Config) Validate() (Config, error) {
 	}
 	if c.NetDistAlpha < 0 || c.NetDistAlpha > 1 {
 		return c, fmt.Errorf("mortar: NetDistAlpha %v outside [0, 1]", c.NetDistAlpha)
-	}
-	if c.TimeoutFactor == 0 {
-		c.TimeoutFactor = def.TimeoutFactor
-	}
-	if c.TimeoutFactor < 0 {
-		return c, fmt.Errorf("mortar: TimeoutFactor %v must not be negative", c.TimeoutFactor)
 	}
 	if c.TTLDownMax < 0 {
 		return c, fmt.Errorf("mortar: TTLDownMax %d must not be negative", c.TTLDownMax)

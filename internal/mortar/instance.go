@@ -98,12 +98,19 @@ type instance struct {
 	lastEvicted  int64 // highest window index already evicted (late detection)
 	lastReported int64 // highest window index reported (root only)
 
-	// netDist: EWMA of the maximum received age sample (syncless) or of
-	// the maximum timestamp lag (timestamp mode). Samples accumulate into
-	// sampleMax and fold into the EWMA once per slide, so one straggler
-	// cannot ratchet the estimate permanently.
-	netDist   time.Duration
-	sampleMax time.Duration
+	// netDist and netDev estimate how late past a window's end, in this
+	// operator's frame, the window's slowest contribution reaches it: the
+	// EWMA mean and EWMA absolute deviation (Jacobson–Karels, RFC 6298) of
+	// the maximum lag of each round (foldNetDist). Samples accumulate into
+	// sampleMax (negative: none yet this round) and fold once a round, so
+	// one straggler moves the deadline one EWMA step. learned is false until
+	// the first fold.
+	netDist, netDev time.Duration
+	sampleMax       time.Duration
+	learned         bool
+
+	// firstSlide is the slide the operator started in; see closeSlide.
+	firstSlide int64
 
 	stripe int // round-robin tree pointer for tuple-window summaries (routeNew)
 }
@@ -121,6 +128,7 @@ func (p *Peer) newInstance(meta QueryMeta) (*instance, error) {
 		installLocal: p.localNow(),
 		lastEvicted:  math.MinInt64,
 		lastReported: math.MinInt64,
+		sampleMax:    -1,
 	}
 	if f, ok := op.(ops.Finalizer); ok {
 		inst.fin = f
@@ -178,6 +186,7 @@ func (inst *instance) start() {
 	if now < 0 {
 		inst.curSlide--
 	}
+	inst.firstSlide = inst.curSlide
 	inst.scheduleSlide()
 }
 
@@ -363,11 +372,15 @@ func (inst *instance) closeSlide() {
 		Index: idx,
 		Count: 1,
 		// Anchor mid-slide unless this slide's own raws say better: a
-		// stalled source, or a sliding window whose value comes from
-		// earlier panes only.
+		// stalled source, a sliding window whose value comes from earlier
+		// panes only, or the slide the operator started in. That slide's
+		// raws cover only its tail, so their mean inception can sit next
+		// to TE, and a parent whose frame runs a few ms ahead would index
+		// the summary into the next window, beside this operator's own
+		// summary for it: one member counted twice.
 		Age: now - (idx.TB + w.Slide/2),
 	}
-	if inst.paneN > 0 {
+	if inst.paneN > 0 && n != inst.firstSlide {
 		// A summary's age is anchored at the mean inception time of its
 		// constituent raw tuples: downstream operators recover the window via
 		// index = (t_ref - age) / slide, so the age must place the summary in
@@ -380,7 +393,16 @@ func (inst *instance) closeSlide() {
 	// still counts this participant — but only once the source has ever
 	// produced data (an idle peer with no sensor contributes nothing).
 	s.Boundary = s.Value == nil
-	inst.foldNetDist()
+	// Fold once a round of d slides (foldNetDist). An interior operator's
+	// windows where it is a leaf complete at once with a lag of zero; in the
+	// partial round it started in, that zero can be the only sample and
+	// would seed an estimate that times out every window of its deeper tree,
+	// which then never teaches it. So it folds its first round only once the
+	// round is full; the root has no such windows.
+	d := max(int64(len(inst.nb.Parents)), 1)
+	if inst.curSlide%d == 0 && (inst.isRoot() || inst.curSlide > inst.firstSlide+d) {
+		inst.foldNetDist()
+	}
 	if s.Value != nil || inst.everRaw {
 		inst.absorb(s)
 	}
@@ -437,8 +459,7 @@ func (inst *instance) absorb(s tuple.Summary) {
 			return
 		}
 	}
-	dl := now + inst.timeoutFor(s, now)
-	inst.ts.Insert(s, now, dl)
+	inst.ts.Insert(s, now, inst.deadline(s, now))
 	inst.evictComplete(now)
 	inst.armEvict()
 }
@@ -458,72 +479,60 @@ func (inst *instance) cacheOwnLevels() {
 	}
 }
 
-// timeoutFor computes the dynamic timeout for a newly opened entry. For
-// syncless operation it is proportional to netDist - T.age: by the time
-// this tuple arrived, age time had already passed, so the most delayed
-// tuple should already be in flight (§4.3). For timestamp operation it is
-// the observed timestamp lag.
-func (inst *instance) timeoutFor(s tuple.Summary, frameNow time.Duration) time.Duration {
+// deadline is when an entry opened by s leaves on the timer path, in this
+// operator's frame: TE + netDist + 4·netDev, once the window's slowest
+// contribution should be in, clamped to [MinTimeout, MaxTimeout] from now —
+// §4.3's "netDist − T.age" measured from the window's end, not from an age
+// that also carries where in the slide s's raws fell. Before the first
+// sample a time window holds one slide past TE, a tuple window MinTimeout.
+func (inst *instance) deadline(s tuple.Summary, now time.Duration) time.Duration {
 	cfg := inst.peer.fab.Cfg
-	var to time.Duration
-	if cfg.Syncless {
-		to = time.Duration(cfg.TimeoutFactor * float64(inst.netDist-s.Age))
-	} else {
-		// Hold the window open until its end plus the observed lag.
-		to = (s.Index.TE - frameNow) + time.Duration(cfg.TimeoutFactor*float64(inst.netDist))
+	dl := now
+	switch {
+	case inst.learned:
+		dl = s.Index.TE + inst.netDist + 4*inst.netDev
+	case inst.meta.Window.Kind == tuple.TimeWindow:
+		dl = s.Index.TE + inst.meta.Window.Slide
 	}
-	if to < cfg.MinTimeout {
-		to = cfg.MinTimeout
-	}
-	if to > cfg.MaxTimeout {
-		to = cfg.MaxTimeout
-	}
-	return to + cfg.TimeoutSlack
+	return min(max(dl, now+cfg.MinTimeout), now+cfg.MaxTimeout)
 }
 
-// observe records one delay sample toward the per-slide maximum: a
-// summary's age on arrival (syncless) or how late its window's data runs
-// (timestamp mode). The root and tuple windows sample every arriving
-// summary. An interior time-window operator samples only the windows it
-// evicts complete, by their slowest constituent (evict): a timed-out
-// partial's age is somebody's hold, not network distance, and an operator
-// that learned from it would hold longer, age what it forwards, and teach
-// its parent the same — holds stacking level by level.
-func (inst *instance) observe(age, te, frameNow time.Duration) {
-	sample := age
-	if !inst.peer.fab.Cfg.Syncless {
-		sample = frameNow - te // how late this window's data runs
-	}
-	if sample < 0 {
-		sample = 0
-	}
-	if sample > inst.sampleMax {
-		inst.sampleMax = sample
-	}
-	if inst.netDist == 0 {
-		// Cold start: adopt the first sample immediately so early windows
-		// are not all evicted at the minimum timeout.
-		inst.netDist = sample
-	}
-	if sample > inst.netDist && inst.isRoot() {
-		// The root judges final completeness and its hold feeds no other
-		// operator's estimate, so it can safely jump straight to the
-		// slowest observed end-to-end path. Interior operators must not:
-		// with mutual parent pairs across sibling trees, jump-to-max there
-		// ratchets holds without bound (see handleSummary).
-		inst.netDist = sample
-	}
+// observe records, toward the round's maximum, the lag past its window's
+// end te at which a contribution reached this operator. The root and tuple
+// windows sample every arriving summary, stragglers included. An interior
+// time-window operator samples only the windows it evicts complete (evict),
+// at the arrival that completed them: a timed-out partial arrives as late
+// as its sender's hold, not its network distance, and an operator that
+// learned from it would hold longer and teach its parent the same — holds
+// stacking level by level.
+func (inst *instance) observe(te, now time.Duration) {
+	inst.sampleMax = max(inst.sampleMax, now-te, 0)
 }
 
-// foldNetDist folds the per-slide maximum sample into the EWMA ("an EWMA
-// of the maximum received sample", §4.3; alpha = 10%).
+// foldNetDist folds the round's maximum lag into the estimate ("an EWMA of
+// the maximum received sample", §4.3; alpha = 10%). A time window's round is
+// one slide per tree (closeSlide): window n travels on tree n mod d, so the
+// maximum over d slides is the slowest tree's lag, where one slide's would
+// alternate between trees — a leaf's own windows and a deep subtree's, a
+// tree with a dead member and one without — and pass the alternation off as
+// deviation. A tuple window's round is its stall period. The first sample
+// seeds the estimate as (s, s/2), RFC 6298's first RTT measurement.
 func (inst *instance) foldNetDist() {
-	if inst.sampleMax == 0 {
+	s := inst.sampleMax
+	if s < 0 {
+		return
+	}
+	inst.sampleMax = -1
+	if !inst.learned {
+		inst.netDist, inst.netDev, inst.learned = s, s/2, true
 		return
 	}
 	a := inst.peer.fab.Cfg.NetDistAlpha
-	inst.netDist = time.Duration((1-a)*float64(inst.netDist) + a*float64(inst.sampleMax))
-	inst.sampleMax = 0
+	ewma := func(old, sample time.Duration) time.Duration {
+		return time.Duration((1-a)*float64(old) + a*float64(sample))
+	}
+	inst.netDev = ewma(inst.netDev, (s - inst.netDist).Abs())
+	inst.netDist = ewma(inst.netDist, s)
 }
 
 // armEvict keeps a single timer pointed at the earliest entry deadline, and
@@ -620,7 +629,7 @@ func (inst *instance) evict(e *tslist.Entry, now time.Duration, complete bool) {
 	switch {
 	case !inst.isRoot():
 		if complete {
-			inst.observe(e.MaxAge, e.Index.TE, now)
+			inst.observe(e.Index.TE, now)
 		}
 		inst.routeNew(s, n)
 	case tupleWin:
@@ -739,7 +748,7 @@ func (p *Peer) handleSummary(src int, env *envelope) {
 		// Tuple-window summaries keep their arrival-span indices; the
 		// TS list's overlap splitting reconciles the unaligned intervals
 		// of different sources (§4.2).
-		inst.observe(s.Age, s.Index.TE, now)
+		inst.observe(s.Index.TE, now)
 		inst.absorb(s)
 		return
 	}
@@ -764,9 +773,8 @@ func (p *Peer) handleSummary(src int, env *envelope) {
 	root := inst.isRoot()
 	if root {
 		// The root is where completeness is finally judged, so it alone
-		// learns from every arrival, stragglers included, and stretches its
-		// timeout to the slowest end-to-end path.
-		inst.observe(s.Age, s.Index.TE, now)
+		// learns from every arrival, stragglers included.
+		inst.observe(s.Index.TE, now)
 	}
 	if n <= inst.lastEvicted {
 		// Late for this operator: the window was already sent upstream.
@@ -778,9 +786,9 @@ func (p *Peer) handleSummary(src int, env *envelope) {
 		// feeding it into their own netDist. Interior operators waiting
 		// for relayed (cross-tree) paths would deadlock-by-creep: with
 		// mutual parent pairs across sibling trees, each operator would
-		// wait for the other's hold plus slack, ratcheting result latency
-		// without bound. Stragglers keep moving; only the root waits for
-		// them.
+		// wait for the other's hold plus its own margin, ratcheting result
+		// latency without bound. Stragglers keep moving; only the root
+		// waits for them.
 		p.fab.Stats.Relayed.Add(1)
 		// Clone before forward mutates the vector: an in-process transport
 		// that duplicates delivery hands the same envelope (and Levels

@@ -2,6 +2,7 @@ package mortar
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -51,7 +52,6 @@ func TestConfigValidate(t *testing.T) {
 	def := DefaultConfig()
 	def.Syncless = false // bools cannot be defaulted; zero keeps timestamp mode
 	def.TTLDownMax = 0   // zero is the flex-down-disabled ablation, preserved
-	def.TimeoutSlack = 0 // zero slack is likewise a legal setting
 	if got != def {
 		t.Fatalf("zero config normalized to %+v, want paper defaults", got)
 	}
@@ -75,6 +75,16 @@ func TestConfigValidate(t *testing.T) {
 	for i, c := range bad {
 		if _, err := c.Validate(); err == nil {
 			t.Fatalf("bad config %d accepted: %+v", i, c)
+		}
+	}
+
+	// There is no slack to set: the deadline carries its own margin, and any
+	// TimeoutSlack but 0 is refused by name rather than silently ignored.
+	for _, slack := range []time.Duration{-1, time.Millisecond} {
+		c := DefaultConfig()
+		c.TimeoutSlack = slack
+		if _, err := c.Validate(); err == nil || !strings.Contains(err.Error(), "TimeoutSlack") {
+			t.Fatalf("TimeoutSlack %v: err = %v, want a refusal naming the field", slack, err)
 		}
 	}
 }

@@ -326,11 +326,13 @@ func TestTurnSharesAFrame(t *testing.T) {
 	t.Run("timer-expiring-two-windows", func(t *testing.T) {
 		fab, rt, _, insts, frames := setup(t)
 		inst := insts[0]
-		// Two windows one member short, opened in the same instant: they
-		// share a deadline, so one evictExpired pops both.
+		// Two windows one member short, each more than a slide past its
+		// end, opened in the same instant: both deadlines clamp to
+		// MinTimeout from now, so they share it and one evictExpired pops
+		// both.
 		now := inst.frameNow()
 		for w := int64(0); w < 2; w++ {
-			n := int64(now/time.Second) - 1 - w
+			n := int64(now/time.Second) - 2 - w
 			inst.absorb(tuple.Summary{
 				Query: inst.meta.Name,
 				Index: tuple.Index{TB: time.Duration(n) * time.Second, TE: time.Duration(n+1) * time.Second},
@@ -447,7 +449,6 @@ func TestLiveNothingParksBetweenTurns(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.HeartbeatPeriod = 50 * time.Millisecond
 	cfg.MinTimeout = 20 * time.Millisecond
-	cfg.TimeoutSlack = 30 * time.Millisecond
 	fab, err := NewFabric(rt, nil, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -12,10 +12,10 @@ import (
 // mass — the integral of value over time — is conserved between the list
 // and what has been popped, so no interval is ever counted twice or dropped
 // (§4.2: "values are counted only once for any given interval of time").
-// The slowest-path bookkeeping is held to the same standard: an entry's
-// MaxAge is the largest age among exactly the inserts that cover it, through
-// merges, splits, extensions and pool reuse — checked against a per-time-unit
-// shadow when the entry is popped and for everything left at the end.
+// Coverage is held to the same standard: every time unit an insert or an
+// extension covered is in exactly one entry, through merges, splits and pool
+// reuse — checked against a per-time-unit shadow when the entry is popped
+// and for everything left at the end.
 // PopLeading called until nil must also return exactly the leading run that
 // reached the count: in order, nothing under the count, and stopping at the
 // first entry under it.
@@ -33,15 +33,14 @@ func FuzzTSListInvariants(f *testing.F) {
 		l.SetCounters(&ctr)
 		var now time.Duration
 		var wantMass, gotPopped float64
-		// slowest[u] is the largest age inserted over time unit u since u
-		// last left the list.
-		slowest := map[time.Duration]time.Duration{}
-		checkSlowest := func(e *Entry) {
+		// covered holds the time units inserted since they last left the list.
+		covered := map[time.Duration]bool{}
+		checkCovered := func(e *Entry) {
 			for u := e.Index.TB; u < e.Index.TE; u++ {
-				if want, ok := slowest[u]; !ok || want != e.MaxAge {
-					t.Fatalf("entry %v carries MaxAge %v, unit %v was inserted with %v (covered=%v)", e.Index, e.MaxAge, u, want, ok)
+				if !covered[u] {
+					t.Fatalf("entry %v holds unit %v, which no insert covers", e.Index, u)
 				}
-				delete(slowest, u)
+				delete(covered, u)
 			}
 		}
 		for i := 0; i+2 < len(data); i += 3 {
@@ -52,24 +51,18 @@ func FuzzTSListInvariants(f *testing.F) {
 				te := tb + time.Duration(1+b%16)
 				v := float64(1 + b%8)
 				dl := now + time.Duration(1+a%32)
-				s := sum(v, tb, te)
-				s.Age = time.Duration(a/48+b/16) % 7
-				l.Insert(s, now, dl)
+				l.Insert(sum(v, tb, te), now, dl)
 				wantMass += v * float64(te-tb)
 				for u := tb; u < te; u++ {
-					if old, ok := slowest[u]; !ok || s.Age > old {
-						slowest[u] = s.Age
-					}
+					covered[u] = true
 				}
 			case 2: // extend the entry ending exactly at tb, when one exists
 				tb := time.Duration(a % 48)
 				te := tb + time.Duration(1+b%8)
 				var v float64
-				var age time.Duration
 				for _, e := range l.Entries() {
 					if e.Index.TE == tb {
 						v = e.Value.(float64) // TEs are strictly increasing: at most one match
-						age = e.MaxAge
 					}
 				}
 				if l.ExtendLast(tb, te) {
@@ -77,14 +70,14 @@ func FuzzTSListInvariants(f *testing.F) {
 					// interval, adding mass without an insert.
 					wantMass += v * float64(te-tb)
 					for u := tb; u < te; u++ {
-						slowest[u] = age
+						covered[u] = true
 					}
 				}
 			case 3: // advance time, pop, recycle through the pool
 				now += time.Duration(a % 16)
 				for _, e := range l.PopExpired(now) {
 					gotPopped += e.Value.(float64) * float64(e.Index.Duration())
-					checkSlowest(e)
+					checkCovered(e)
 					l.Recycle(e)
 				}
 			case 4: // pop the leading run of entries counted at least 1 + a%3 times
@@ -100,7 +93,7 @@ func FuzzTSListInvariants(f *testing.F) {
 					}
 					popped, last = popped+1, e.Index.TB
 					gotPopped += e.Value.(float64) * float64(e.Index.Duration())
-					checkSlowest(e)
+					checkCovered(e)
 					l.Recycle(e)
 				}
 				if popped != run {
@@ -114,10 +107,10 @@ func FuzzTSListInvariants(f *testing.F) {
 		var gotList float64
 		for _, e := range l.Entries() {
 			gotList += e.Value.(float64) * float64(e.Index.Duration())
-			checkSlowest(e)
+			checkCovered(e)
 		}
-		if len(slowest) != 0 {
-			t.Fatalf("%d time units were inserted and are in no entry, popped or held", len(slowest))
+		if len(covered) != 0 {
+			t.Fatalf("%d time units were inserted and are in no entry, popped or held", len(covered))
 		}
 		if got := gotList + gotPopped; got != wantMass {
 			t.Fatalf("mass: list %v + popped %v = %v, want %v",

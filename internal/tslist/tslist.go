@@ -43,10 +43,6 @@ type Entry struct {
 	// age at local time t is ageSum/n + t.
 	ageSum time.Duration
 	n      int
-	// MaxAge is the largest age any constituent had when it arrived: how
-	// long the slowest path into this entry took. An operator that evicts
-	// the entry complete learns its netDist from it.
-	MaxAge time.Duration
 
 	// Deadline is the local time at which the entry should be evicted; the
 	// runtime sets it when the first tuple for the index arrives and keeps
@@ -206,7 +202,6 @@ func (l *List) newEntry(idx tuple.Index, s tuple.Summary, now, dl time.Duration)
 		Boundary: s.Boundary,
 		ageSum:   s.Age - now,
 		n:        1,
-		MaxAge:   s.Age,
 		Deadline: dl,
 		HopMax:   s.Hops,
 		Levels:   reuseLevels(e.Levels, s.Levels),
@@ -233,7 +228,6 @@ func (l *List) cloneInterval(e *Entry, idx tuple.Index) *Entry {
 		Boundary: e.Boundary,
 		ageSum:   e.ageSum,
 		n:        e.n,
-		MaxAge:   e.MaxAge,
 		Deadline: e.Deadline,
 		HopMax:   e.HopMax,
 		Levels:   lv,
@@ -253,9 +247,6 @@ func (l *List) mergeInto(e *Entry, s tuple.Summary, now time.Duration) {
 	e.Count += s.Count
 	e.ageSum += s.Age - now
 	e.n++
-	if s.Age > e.MaxAge {
-		e.MaxAge = s.Age
-	}
 	if s.Hops > e.HopMax {
 		e.HopMax = s.Hops
 	}

@@ -243,49 +243,6 @@ func TestPopLeading(t *testing.T) {
 	}
 }
 
-// An entry's MaxAge is the largest age any constituent arrived with: it
-// survives merges in either order, a split copies it to both halves before
-// the overlap merges, and a recycled shell does not carry it into its next
-// use.
-func TestMaxAgeIsTheSlowestConstituent(t *testing.T) {
-	aged := func(age, tb, te time.Duration) tuple.Summary {
-		s := sum(1, tb, te)
-		s.Age = age
-		return s
-	}
-	l := New(sumCombine)
-	l.Insert(aged(40, 0, 10), 0, 100)
-	l.Insert(aged(90, 0, 10), 5, 100) // a slower path
-	l.Insert(aged(20, 0, 10), 7, 100) // a faster one changes nothing
-	if got := l.Entries()[0].MaxAge; got != 90 {
-		t.Fatalf("MaxAge after merges = %v, want 90", got)
-	}
-	// [5, 15) splits [0, 10): the untouched head keeps 90, the overlap takes
-	// the newcomer's 120, the new tail has only the newcomer.
-	l.Insert(aged(120, 5, 15), 8, 100)
-	var got []time.Duration
-	for _, e := range l.Entries() {
-		got = append(got, e.MaxAge)
-	}
-	if len(got) != 3 || got[0] != 90 || got[1] != 120 || got[2] != 120 {
-		t.Fatalf("MaxAge across the split = %v, want [90 120 120]", got)
-	}
-	// A split by a faster arrival leaves both clones the original's.
-	l.Insert(aged(10, 2, 3), 9, 100)
-	for _, e := range l.Entries()[:3] { // [0,2) [2,3) [3,5)
-		if e.MaxAge != 90 {
-			t.Fatalf("entry %v MaxAge = %v, want the original's 90", e.Index, e.MaxAge)
-		}
-	}
-	for _, e := range l.PopExpired(1000) {
-		l.Recycle(e)
-	}
-	l.Insert(aged(5, 0, 10), 0, 100)
-	if e := l.Entries()[0]; e.MaxAge != 5 {
-		t.Fatalf("reused entry MaxAge = %v, want 5", e.MaxAge)
-	}
-}
-
 func TestMergeKeepsEarliestDeadline(t *testing.T) {
 	l := New(sumCombine)
 	l.Insert(sum(1, 0, 5), 0, 50)
