@@ -232,7 +232,7 @@ func BenchmarkAblationNetDistAlpha(b *testing.B) {
 // BenchmarkLiveThroughput measures end-to-end tuple throughput of a
 // federation running on the goroutine-per-peer live runtime: every
 // injected tuple crosses a peer mailbox, is windowed, and its summaries
-// traverse the concurrent in-process transport toward the root. The timed
+// cross the runtime's loopback UDP socket toward the root. The timed
 // section ends only after a drain barrier clears every mailbox, so the
 // metric reflects tuples processed, not merely enqueued.
 func BenchmarkLiveThroughput(b *testing.B) {

@@ -5,8 +5,10 @@
 //   - default: the deterministic discrete-event emulation the experiments
 //     use, compressing minutes of virtual time into milliseconds;
 //   - -live: real concurrency — every peer is a goroutine with a mailbox,
-//     timers fire on the wall clock, and messages cross an in-process
-//     lossy transport. The run takes -duration of real time.
+//     timers fire on the wall clock, and messages cross one loopback UDP
+//     socket hosting every peer (the -peers-file transport minus the
+//     directory, with -loss and -dup injected at its fault point). The run
+//     takes -duration of real time.
 //   - -peers-file: the multi-process UDP mode — every process binds the
 //     sockets of its -host peer range from the shared peers file (one
 //     host:port per line, line i = peer i; or ranged lines "host:port
@@ -180,8 +182,7 @@ func (c *config) coordinator() bool {
 // (coordinator or worker); run does the rest once.
 type backend struct {
 	rt     runtime.Runtime
-	inj    chaos.Injector // what -chaos gates; nil: the fabric, one process hosting every peer
-	worker bool           // hosts no query root: plans nothing, measures nothing
+	worker bool // hosts no query root: plans nothing, measures nothing
 	// plan does what must precede planning and returns the federation; nil
 	// means federation.NewRuntime.
 	plan func(prog *msl.Program, rng *rand.Rand) (*federation.Federation, error)
@@ -322,16 +323,8 @@ func (c *config) backend(rng *rand.Rand, out io.Writer) (*backend, error) {
 	case c.live:
 		rt := livert.New(c.peers, livert.Options{
 			Seed: c.seed, MinDelay: 500 * time.Microsecond, MaxDelay: 10 * time.Millisecond, Loss: c.loss, CtrlDup: c.dup,
-		})
-		return &backend{rt: rt, pass: time.Sleep, summary: func(out io.Writer, fed *federation.Federation, peakRate float64) {
-			st := &fed.Fab.Stats
-			sent, delivered, dropped, duplicated := rt.Stats()
-			fmt.Fprintf(out, "# live transport: sent=%d delivered=%d dropped=%d duplicated=%d epochs_retired=%d\n",
-				sent, delivered, dropped, duplicated, st.EpochsRetired.Load())
-			fmt.Fprintf(out, "# fabric bytes: ctl=%d data=%d shared_ctl=%d\n",
-				st.ControlBytes.Load(), st.DataBytes.Load(), st.SharedCtlBytes.Load())
-			printDataPathStats(out, fed.Fab, peakRate)
-		}}, nil
+		}).Runtime
+		return &backend{rt: rt, pass: time.Sleep, summary: netSummary(rt)}, nil
 	}
 	sim := eventsim.New(c.seed)
 	topo := netem.GenerateTransitStub(netem.PaperTopology(c.peers), rng)
@@ -378,9 +371,7 @@ func (c *config) udpBackend(out io.Writer) (*backend, error) {
 	keepGossiping := func() {
 		rt.Gossip(int(c.duration/(500*time.Millisecond))+10, 3, 500*time.Millisecond)
 	}
-	// The runtime is the injector: its locality filter gates only the peers
-	// this process hosts; the other processes replay the schedule over theirs.
-	b := &backend{rt: rt, inj: rt, pass: time.Sleep}
+	b := &backend{rt: rt, pass: time.Sleep}
 
 	if !rt.Local(0) {
 		b.worker = true
@@ -431,20 +422,36 @@ func (c *config) udpBackend(out io.Writer) (*backend, error) {
 		}
 		return fed, nil
 	}
-	b.summary = func(out io.Writer, fed *federation.Federation, peakRate float64) {
+	b.summary = netSummary(rt)
+	return b, nil
+}
+
+// netSummary prints the end-of-run lines of a socket runtime, -live's or a
+// -peers-file process's.
+func netSummary(rt *netrt.Runtime) func(out io.Writer, fed *federation.Federation, peakRate float64) {
+	return func(out io.Writer, fed *federation.Federation, peakRate float64) {
 		st := &fed.Fab.Stats
 		sent, delivered, dropped := rt.Stats()
 		fs := rt.FragStats()
 		ns := rt.NetStats()
-		fmt.Fprintf(out, "# udp transport: sent=%d delivered=%d dropped=%d frag streams=%d frags=%d retrans=%d nacks=%d reassembled=%d epochs_retired=%d\n",
-			sent, delivered, dropped, fs.StreamsSent, fs.FragsSent, fs.Retransmits, fs.NacksSent, fs.Reassembled,
+		fmt.Fprintf(out, "# udp transport: sent=%d delivered=%d dropped=%d duplicated=%d frag streams=%d frags=%d retrans=%d nacks=%d reassembled=%d epochs_retired=%d\n",
+			sent, delivered, dropped, ns.Duplicated, fs.StreamsSent, fs.FragsSent, fs.Retransmits, fs.NacksSent, fs.Reassembled,
 			st.EpochsRetired.Load())
 		fmt.Fprintf(out, "# udp sockets: sockets=%d datagrams=%d trains=%d train_frames=%d\n",
 			ns.Sockets, ns.Datagrams, ns.Trains, ns.TrainFrames)
 		wctl, wdata := rt.ClassBytes()
 		fmt.Fprintf(out, "# udp class bytes: ctl=%d data=%d (fabric ctl=%d data=%d shared_ctl=%d)\n",
 			wctl, wdata, st.ControlBytes.Load(), st.DataBytes.Load(), st.SharedCtlBytes.Load())
-		printDataPathStats(out, fed.Fab, peakRate)
+		// The data plane: tuples ingested and the mailbox hops that carried
+		// them (their ratio is the batching factor), time-space list
+		// activity, the peak ingest rate, and upstream batching.
+		fmt.Fprintf(out, "# data path: tuples=%d batches=%d ts_inserts=%d ts_merges=%d peak_rate=%.0f tuples/s\n",
+			st.TuplesIngested.Load(), st.IngestBatches.Load(),
+			fed.Fab.DataPath.Inserts.Load(), fed.Fab.DataPath.Merges.Load(), peakRate)
+		batched, batchFrames := st.BatchedSummaries.Load(), st.BatchFrames.Load()
+		fmt.Fprintf(out, "# summary path: staged=%d relayed=%d data_frames=%d batch_frames=%d batched=%d frames_saved=%d\n",
+			st.SummariesStaged.Load(), st.Relayed.Load(), st.DataFrames.Load(), batchFrames, batched,
+			batched-batchFrames)
 		var ms goruntime.MemStats
 		goruntime.ReadMemStats(&ms)
 		fmt.Fprintf(out, "# memstats: heap_alloc=%dKiB total_alloc=%dKiB mallocs=%d gc=%d\n",
@@ -452,7 +459,6 @@ func (c *config) udpBackend(out io.Writer) (*backend, error) {
 		med, pairs := rt.CoordError()
 		fmt.Fprintf(out, "# vivaldi final: median |coord dist - measured| = %.3fms over %d pairs\n", med, pairs)
 	}
-	return b, nil
 }
 
 // writePeersFile emits a ranged peers file multiplexing -peers-per-socket
@@ -497,17 +503,16 @@ func startGateway(fed *federation.Federation, addr string, out io.Writer) (func(
 	}, nil
 }
 
-// startChaos replays sched against the backend's injector until the
-// returned stop func is called. Every process of a UDP run expands the
-// schedule identically and gates only the peers it hosts; the one hosting
-// the roots also samples root completeness against the schedule-truth live
-// count, and its stop func writes CURVE_<scenario>.json into -curve-dir and
-// prints the summary line the smoke gates parse.
+// startChaos replays sched against the backend's runtime until the returned
+// stop func is called. Every backend that takes -chaos runs on netrt, so
+// loss, gate and socket actions all land at its one fault point. Every
+// process of a UDP run expands the schedule identically and gates only the
+// peers it hosts; the one hosting the roots also samples root completeness
+// against the schedule-truth live count, and its stop func writes
+// CURVE_<scenario>.json into -curve-dir and prints the summary line the smoke
+// gates parse.
 func (c *config) startChaos(b *backend, fed *federation.Federation, sched *chaos.Schedule, out io.Writer) (func(), error) {
-	inj := b.inj
-	if inj == nil {
-		inj = fed.Fab
-	}
+	inj := b.rt.(chaos.Injector)
 	runner, err := chaos.Start(inj, sched)
 	if err != nil {
 		return nil, err
@@ -568,19 +573,6 @@ func startDataPathSampler(fab *mortar.Fabric) func() float64 {
 		close(done)
 		return float64(best.Load())
 	}
-}
-
-// printDataPathStats emits the data-plane summary: tuples ingested and the
-// mailbox hops that carried them (their ratio is the batching factor),
-// time-space list activity, the peak ingest rate, and upstream batching.
-func printDataPathStats(out io.Writer, fab *mortar.Fabric, peakRate float64) {
-	fmt.Fprintf(out, "# data path: tuples=%d batches=%d ts_inserts=%d ts_merges=%d peak_rate=%.0f tuples/s\n",
-		fab.Stats.TuplesIngested.Load(), fab.Stats.IngestBatches.Load(),
-		fab.DataPath.Inserts.Load(), fab.DataPath.Merges.Load(), peakRate)
-	batched, batchFrames := fab.Stats.BatchedSummaries.Load(), fab.Stats.BatchFrames.Load()
-	fmt.Fprintf(out, "# summary path: staged=%d relayed=%d data_frames=%d batch_frames=%d batched=%d frames_saved=%d\n",
-		fab.Stats.SummariesStaged.Load(), fab.Stats.Relayed.Load(), fab.Stats.DataFrames.Load(), batchFrames, batched,
-		batched-batchFrames)
 }
 
 // startReplanMonitor arms drift-triggered live replanning, logging every

@@ -138,18 +138,67 @@ func wantCompleteness(t *testing.T, out string, peers int) {
 	}
 }
 
-// The live backend counts every peer, and after Shutdown its transport
-// ledger reconciles. (The first full window reports ≈ 3.5 s in.)
+// The live backend counts every peer, and prints the UDP backend's summary:
+// with no loss injected, every frame delivered or dropped is one the pacer
+// accepted. (The first full window reports ≈ 3 s in; at -loss 0 no install
+// frame is lost, so completeness does not wait on reconciliation.)
 func TestLiveRun(t *testing.T) {
 	t.Parallel()
-	out, err := mortard("-live", "-peers", "12", "-duration", "5s")
+	out, err := mortard("-live", "-peers", "12", "-duration", "5s", "-loss", "0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantCompleteness(t, out, 12)
-	c := counters(t, out, "# live transport:")
-	if c["sent"] == 0 || c["delivered"]+c["dropped"] != c["sent"]+c["duplicated"] {
+	c := counters(t, out, "# udp transport:")
+	if c["sent"] == 0 || c["delivered"] == 0 || c["delivered"]+c["dropped"] > c["sent"] || c["duplicated"] != 0 {
 		t.Errorf("ledger does not reconcile: %v", c)
+	}
+}
+
+// resultRow matches one printed root result: its time and completeness.
+var resultRow = regexp.MustCompile(`(?m)^t=(\S+)\s+query=.* completeness=(\d+) `)
+
+// -chaos on -live reaches the transport's fault point: a 0.9 loss-ramp
+// drops frames, and every window reported once it holds misses peers that
+// the windows before it counted in full.
+func TestLiveChaosLossRamp(t *testing.T) {
+	t.Parallel()
+	const peers, rampAt = 8, 4500 * time.Millisecond
+	dir := t.TempDir()
+	sched := filepath.Join(dir, "loss.json")
+	if err := os.WriteFile(sched, []byte(fmt.Sprintf(`{"scenario": "live-loss", "seed": 1, "events": [
+		{"kind": "loss-ramp", "at_ms": %d, "until_ms": %d, "from": 0.9, "to": 0.9, "step_ms": 1}]}`,
+		rampAt.Milliseconds(), rampAt.Milliseconds()+1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := mortard("-live", "-peers", strconv.Itoa(peers), "-duration", "8s", "-loss", "0",
+		"-chaos", sched, "-curve-dir", dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := counters(t, out, "# udp transport:"); c["dropped"] == 0 {
+		t.Errorf("a 0.9 loss-ramp dropped no frame: %v", c)
+	}
+	fullBefore, after := false, 0
+	for _, m := range resultRow.FindAllStringSubmatch(out, -1) {
+		at, err := time.ParseDuration(m[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, _ := strconv.Atoi(m[2])
+		switch {
+		case at < rampAt:
+			fullBefore = fullBefore || n == peers
+		case at > rampAt+time.Second: // a window filled under the loss
+			after++
+			if n >= peers {
+				t.Errorf("t=%v: completeness %d of %d with 90%% of frames lost", at, n, peers)
+			}
+		}
+	}
+	if !fullBefore || after == 0 {
+		t.Errorf("want full windows before the ramp and windows after it (full before: %v, after: %d):\n%s",
+			fullBefore, after, out)
 	}
 }
 

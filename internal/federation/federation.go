@@ -6,8 +6,9 @@
 // examples are thin wrappers around it.
 //
 // The constructors take any runtime.Runtime — the deterministic simulator
-// (runtime/simrt), goroutine peers (runtime/livert) or UDP sockets
-// (runtime/netrt) — and the caller drives that backend's lifecycle.
+// (runtime/simrt) or goroutine peers over UDP sockets (runtime/netrt, whole
+// federations in one process through runtime/livert) — and the caller
+// drives that backend's lifecycle.
 package federation
 
 import (

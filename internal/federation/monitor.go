@@ -207,7 +207,7 @@ func (o MonitorOptions) withDefaults() MonitorOptions {
 
 // Monitor watches the federation's latency view and replans queries whose
 // deployed trees have drifted materially from what the current embedding
-// would plan. Wall-clock driven: use it on live runtimes (livert, netrt),
+// would plan. Wall-clock driven: use it on the live runtime (netrt),
 // not inside the discrete-event simulator.
 type Monitor struct {
 	f   *Federation

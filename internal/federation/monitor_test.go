@@ -13,6 +13,7 @@ import (
 	"repro/internal/msl"
 	"repro/internal/plan"
 	"repro/internal/runtime/livert"
+	"repro/internal/runtime/netrt"
 	"repro/internal/tuple"
 	"repro/internal/vivaldi"
 )
@@ -38,16 +39,41 @@ func (s *shiftTopo) delay(a, b int) time.Duration {
 	return 40 * time.Millisecond
 }
 
-// The drift monitor on a live runtime: a 12-peer federation plans for one
-// topology, the topology shifts, and the monitor must notice the deployed
-// plan's degradation, replan into the next epoch with a strictly lower
-// predicted cost, and complete the make-before-break migration — full
-// completeness throughout, old epoch drained to zero. Run under -race by
-// the tier-1 suite.
+// The drift monitor on a live runtime: a 12-peer federation on one netrt
+// runtime, every datagram held for its pair's delay, plans from the Vivaldi
+// embedding gossip fits to one topology; the topology shifts, and the
+// monitor must notice from the re-fitted embedding that the deployed plan
+// has degraded, replan into the next epoch with a strictly lower predicted
+// cost, and complete the make-before-break migration — full completeness
+// throughout, old epoch drained to zero. Run under -race by the tier-1
+// suite.
 func TestMonitorReplansOnDrift(t *testing.T) {
 	const peers = 12
 	topo := &shiftTopo{}
-	rt := livert.New(peers, livert.Options{Seed: 5, PairDelay: topo.delay})
+	all := make([]int, peers)
+	for i := range all {
+		all[i] = i
+	}
+	rts, _, err := netrt.NewGroup([][]int{all}, netrt.Options{Seed: 5, PeersPerSocket: peers, PairDelay: topo.delay})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := rts[0]
+	// Gossip for the whole run, so the embedding tracks the topology (what
+	// mortard's coordinator does under -replan); it returns at Shutdown.
+	gossiped := make(chan struct{})
+	go func() {
+		defer close(gossiped)
+		rt.Gossip(1<<20, 0, 50*time.Millisecond)
+	}()
+	defer func() {
+		rt.Shutdown()
+		<-gossiped
+	}()
+	waitCond(t, 15*time.Second, "embedding fit", func() bool {
+		med, pairs := rt.CoordError()
+		return pairs == peers*(peers-1) && med < 2 // every pair measured, not just the near ones
+	})
 	prog, err := msl.Parse("query q as count() from sensors window time 500ms slide 500ms trees 2 bf 4")
 	if err != nil {
 		t.Fatal(err)
@@ -55,6 +81,9 @@ func TestMonitorReplansOnDrift(t *testing.T) {
 	fed, err := NewRuntime(rt, prog, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !fed.PlannedFromCoords {
+		t.Fatal("planning did not read the gossiped embedding")
 	}
 
 	var mu sync.Mutex
@@ -82,9 +111,12 @@ func TestMonitorReplansOnDrift(t *testing.T) {
 
 	var results []ReplanResult
 	var rmu sync.Mutex
+	// The embedding prices a fresh plan within a few percent of the deployed
+	// one before the shift and the deployed one ≈ 1.5–1.8× a fresh one
+	// after it, so the default threshold separates the two.
 	mon := fed.StartMonitor(MonitorOptions{
 		Interval:          150 * time.Millisecond,
-		Threshold:         0.5,
+		Threshold:         0.25,
 		Hysteresis:        2,
 		MinReplanInterval: 2 * time.Second,
 		OnReplan: func(r ReplanResult) {
@@ -167,8 +199,9 @@ func TestMonitorReplansOnDrift(t *testing.T) {
 	}
 }
 
-// countingCoords is a livert runtime that also serves a fixed, complete
-// coordinate set, counting how often it is read.
+// countingCoords is a live runtime that serves a fixed, complete
+// coordinate set instead of its own embedding, counting how often it is
+// read.
 type countingCoords struct {
 	*livert.Runtime
 	coords []vivaldi.Coordinate
@@ -230,13 +263,36 @@ func waitCond(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("%s not reached within %v", what, d)
 }
 
+// topoCoords is a live runtime whose coordinate view is shiftTopo's
+// clustering, exactly: each cluster one corner of a 40 ms triangle. Replan's
+// decisions over it are a function of the topology and its seeded
+// candidates alone.
+type topoCoords struct {
+	*livert.Runtime
+	topo *shiftTopo
+}
+
+func (c topoCoords) Coordinates() ([]vivaldi.Coordinate, []float64, []bool) {
+	corners := [3]vivaldi.Coordinate{{0, 0, 0}, {40, 0, 0}, {20, 34.641, 0}}
+	n := c.NumPeers()
+	coords, known := make([]vivaldi.Coordinate, n), make([]bool, n)
+	for i := range coords {
+		cluster := i % 3
+		if c.topo.shifted.Load() {
+			cluster = i / 4
+		}
+		coords[i], known[i] = corners[cluster].Clone(), true
+	}
+	return coords, make([]float64, n), known
+}
+
 // Replan on an unknown query fails cleanly; on a drifted topology it
 // installs a strictly better plan; and when no candidate improves on the
 // deployed plan it refuses with ErrNoImprovement, spending no epoch — a
 // migration is only ever worth a strictly better tree set.
 func TestReplanErrors(t *testing.T) {
 	topo := &shiftTopo{}
-	rt := livert.New(12, livert.Options{Seed: 9, PairDelay: topo.delay})
+	rt := topoCoords{Runtime: livert.New(12, livert.Options{Seed: 9}), topo: topo}
 	defer rt.Shutdown()
 	prog, err := msl.Parse("query q as count() from sensors window time 1s slide 1s trees 2 bf 4")
 	if err != nil {

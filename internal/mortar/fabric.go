@@ -238,7 +238,7 @@ type QueryTraffic struct {
 
 // Fabric is a Mortar federation: one peer per runtime slot. The same fabric
 // code runs single-threaded inside the discrete-event simulator
-// (runtime/simrt) or with one goroutine per peer (runtime/livert); which
+// (runtime/simrt) or with one goroutine per peer (runtime/netrt); which
 // one is chosen by the runtime handed to NewFabric.
 type Fabric struct {
 	Rt  runtime.Runtime

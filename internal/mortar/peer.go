@@ -22,7 +22,7 @@ type instKey struct {
 // Peer is one Mortar process: a single-threaded event-driven actor hosting
 // query operators. All its methods run inside the peer's runtime
 // serialization domain — simulator callbacks under simrt, the peer's own
-// goroutine under livert.
+// goroutine under netrt.
 type Peer struct {
 	fab   *Fabric
 	id    int

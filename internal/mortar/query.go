@@ -9,8 +9,8 @@
 // Peers are single-threaded event-driven actors, mirroring the prototype's
 // SEDA design, written against the internal/runtime interfaces: the same
 // Fabric runs inside the deterministic simulator backend (runtime/simrt,
-// used by the figure experiments) or with one goroutine per peer over a
-// concurrent in-process transport (runtime/livert).
+// used by the figure experiments) or with one goroutine per peer over UDP
+// sockets (runtime/netrt; runtime/livert hosts a whole federation on one).
 package mortar
 
 import (

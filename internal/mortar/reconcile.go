@@ -27,7 +27,7 @@ type chunk struct {
 // chunkBudget returns the per-chunk encoded-size budget for the install
 // multicast. A transport that bounds a frame (Transport.MaxFrame > 0)
 // gets chunks sized to its ceiling, with headroom for the per-member
-// estimate being approximate; unbounded transports (simrt, livert) return
+// estimate being approximate; the unbounded simulator transport returns
 // 0, keeping the paper's fixed InstallChunks count.
 func (f *Fabric) chunkBudget() int {
 	mf := f.tr.MaxFrame()

@@ -1,9 +1,8 @@
-// Package actor provides the building blocks shared by the live runtime
-// backends (runtime/livert, runtime/netrt): an unbounded per-peer mailbox
-// whose single draining goroutine is the peer's serialization domain, and a
-// wall-clock scheduler whose callbacks post into that domain. Both backends
-// give every peer one Mailbox and one Clock; they differ only in how
-// messages travel between peers (in-process closures vs UDP datagrams).
+// Package actor provides the building blocks of the wall-clock runtime
+// backend (runtime/netrt): an unbounded per-peer mailbox whose single
+// draining goroutine is the peer's serialization domain, and a wall-clock
+// scheduler whose callbacks post into that domain. Every local peer gets one
+// Mailbox and one Clock.
 package actor
 
 import (

@@ -1,292 +1,50 @@
-// Package livert is the real-concurrency runtime backend: each peer is a
-// goroutine draining an unbounded mailbox, timers fire on the wall clock,
-// and an in-process transport injects configurable latency, loss, and
-// control-plane duplication. Everything a peer does — message handling,
-// timer callbacks, externally Exec'd work — funnels through its mailbox, so
-// peer code keeps the single-threaded semantics it was written for while
-// the federation as a whole runs genuinely parallel. The package is safe
-// under the race detector by construction: cross-peer communication happens
-// only through mailboxes and atomics. The mailbox and wall-clock machinery
-// is shared with the socket backend (runtime/netrt) via runtime/actor.
+// Package livert hosts a whole federation in one netrt runtime, behind one loopback UDP socket.
 package livert
 
 import (
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/runtime"
-	"repro/internal/runtime/actor"
+	"repro/internal/runtime/netrt"
 )
 
-// Options tunes the in-process transport and the runtime's random stream.
+// Options: each frame is held a uniform [MinDelay, MaxDelay]; Loss and CtrlDup are netrt's.
 type Options struct {
-	// Seed drives loss, duplication, and per-message delay jitter.
-	Seed int64
-	// MinDelay and MaxDelay bound the uniformly drawn one-way message
-	// delay. Defaults: 200µs .. 2ms. Ignored when PairDelay is set.
+	Seed               int64
 	MinDelay, MaxDelay time.Duration
-	// PairDelay, when non-nil, gives the deterministic base one-way delay
-	// between an ordered pair of peers — an in-process stand-in for a real
-	// topology. Each message is delayed PairDelay(from, to) plus a uniform
-	// draw from [0, Jitter], and Latency reports the pair's configured
-	// delay (plus mean jitter), so planners see the injected topology
-	// instead of a constant mean.
-	PairDelay func(from, to int) time.Duration
-	// Jitter bounds the per-message random delay added on top of
-	// PairDelay. Zero means deterministic per-pair delays.
-	Jitter time.Duration
-	// Loss is the probability a message is silently dropped.
-	Loss float64
-	// CtrlDup is the probability a control-plane message is delivered
-	// twice, modelling datagram duplication; the peer protocol must
-	// suppress duplicates (heartbeat sequence numbers) or be idempotent
-	// (install, remove, reconciliation). Data envelopes are never
-	// duplicated, matching a transport that dedups the data plane.
-	CtrlDup float64
+	Loss, CtrlDup      float64
 }
 
-func (o Options) withDefaults() Options {
-	if o.MinDelay <= 0 {
-		o.MinDelay = 200 * time.Microsecond
-	}
-	if o.MaxDelay == 0 {
-		o.MaxDelay = o.MinDelay + 1800*time.Microsecond
-	}
-	if o.MaxDelay < o.MinDelay {
-		panic("livert: MaxDelay < MinDelay")
-	}
-	if o.Jitter < 0 {
-		panic("livert: negative Jitter")
-	}
-	return o
-}
+// Runtime is a netrt runtime hosting every peer.
+type Runtime struct{ *netrt.Runtime }
 
-// Runtime runs n peers on their own goroutines. It implements
-// runtime.Runtime and runtime.Transport.
-type Runtime struct {
-	n     int
-	start time.Time
-	opt   Options
-
-	// Per-sender transport RNGs: sends normally originate from the
-	// sender's own goroutine, so striping the lock by sender keeps the
-	// hot data path from serializing the whole federation on one mutex
-	// while still honouring Send's any-goroutine contract.
-	sendMu []sync.Mutex
-	rngs   []*rand.Rand
-
-	// planRng is a separate stream for Rand(): the driving goroutine's
-	// planning draws must not race with the transport's per-sender
-	// draws on peer goroutines.
-	planRng *rand.Rand
-
-	hmu   sync.RWMutex
-	hands []runtime.Handler
-
-	down  []atomic.Bool
-	boxes []*actor.Mailbox
-	wg    sync.WaitGroup
-	// inflight tracks delivery timers not yet resolved; flmu orders Add
-	// against Shutdown's Wait (a bare Add concurrent with a zero-counter
-	// Wait is WaitGroup misuse).
-	flmu     sync.Mutex
-	inflight sync.WaitGroup
-	closed   atomic.Bool
-
-	sent, delivered, dropped, duplicated atomic.Uint64
-}
-
-var _ runtime.Runtime = (*Runtime)(nil)
-var _ runtime.Transport = (*Runtime)(nil)
-
-// New starts a live runtime of n peers. Peer goroutines start immediately
-// and idle until work arrives; register transport handlers before sending.
+// New starts n peers behind one deep-buffered socket; it panics if it cannot bind.
 func New(n int, opt Options) *Runtime {
-	r := &Runtime{
-		n:      n,
-		start:  time.Now(),
-		opt:    opt.withDefaults(),
-		sendMu: make([]sync.Mutex, n),
-		rngs:   make([]*rand.Rand, n),
-		hands:  make([]runtime.Handler, n),
-		down:   make([]atomic.Bool, n),
-		boxes:  make([]*actor.Mailbox, n),
+	var mu sync.Mutex
+	rng := rand.New(rand.NewSource(opt.Seed ^ 0x6c697665))
+	delay := func(int, int) time.Duration {
+		mu.Lock()
+		defer mu.Unlock()
+		return opt.MinDelay + time.Duration(rng.Int63n(int64(max(opt.MaxDelay-opt.MinDelay, 0))+1))
 	}
-	// All streams derive from one seeded source before any goroutine
-	// runs, so the unsynchronized draws here are safe.
-	seeder := rand.New(rand.NewSource(opt.Seed))
-	for i := range r.rngs {
-		r.rngs[i] = rand.New(rand.NewSource(seeder.Int63()))
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
 	}
-	r.planRng = rand.New(rand.NewSource(seeder.Int63()))
-	for i := range r.boxes {
-		r.boxes[i] = actor.NewMailbox()
-		r.wg.Add(1)
-		go func(box *actor.Mailbox) {
-			defer r.wg.Done()
-			box.Loop()
-		}(r.boxes[i])
+	rts, _, err := netrt.NewGroup([][]int{all}, netrt.Options{Seed: opt.Seed, PeersPerSocket: n, PairDelay: delay, ReadBuffer: 4 << 20})
+	if err != nil {
+		panic(err)
 	}
-	return r
+	rts[0].SetLoss(opt.Loss)
+	rts[0].SetCtrlDup(opt.CtrlDup)
+	return &Runtime{rts[0]}
 }
 
-// --- runtime.Runtime ---
-
-// NumPeers returns the federation size.
-func (r *Runtime) NumPeers() int { return r.n }
-
-// Clock returns a wall clock whose callbacks run in the peer's mailbox.
-func (r *Runtime) Clock(peer int) runtime.Clock {
-	return actor.Clock{
-		Start:  r.start,
-		Post:   func(fn func()) bool { return r.Exec(peer, fn) },
-		Closed: r.closed.Load,
-	}
-}
-
-// Transport returns the in-process transport.
-func (r *Runtime) Transport() runtime.Transport { return r }
-
-// Rand returns the runtime's planning random source. Unsynchronized:
-// driving goroutine only. It is a stream of its own — the transport's
-// loss/delay draws on peer goroutines never touch it.
-func (r *Runtime) Rand() *rand.Rand { return r.planRng }
-
-// Exec posts fn to the peer's mailbox.
-func (r *Runtime) Exec(peer int, fn func()) bool {
-	if peer < 0 || peer >= r.n {
-		return false
-	}
-	return r.boxes[peer].Post(fn)
-}
-
-// Shutdown stops delivery, resolves in-flight messages (bounded by
-// MaxDelay), lets every mailbox drain, and waits for all peer goroutines
-// to exit. Afterwards peer state may be inspected from the caller's
-// goroutine (the joins establish the happens-before edge), and the Stats
-// ledger reconciles: delivered + dropped == sent + duplicated (each
-// injected duplicate adds a second delivery outcome to one send).
-func (r *Runtime) Shutdown() {
-	if r.closed.Swap(true) {
-		return
-	}
-	for _, b := range r.boxes {
-		b.Close()
-	}
-	// Barrier: any deliverAfter that won the race against closed has
-	// finished registering with inflight once we can take flmu.
-	r.flmu.Lock()
-	r.flmu.Unlock() //nolint:staticcheck // empty critical section is the barrier
-	r.inflight.Wait()
-	r.wg.Wait()
-}
-
-// Stats returns cumulative transport counters: sent, delivered, dropped,
-// and duplicate deliveries injected. After Shutdown the ledger satisfies
-// delivered + dropped == sent + duplicated.
+// Stats is the frame ledger: dropped is every copy no mailbox got.
 func (r *Runtime) Stats() (sent, delivered, dropped, duplicated uint64) {
-	return r.sent.Load(), r.delivered.Load(), r.dropped.Load(), r.duplicated.Load()
-}
-
-// --- runtime.Transport ---
-
-// Handle registers a peer's delivery handler.
-func (r *Runtime) Handle(peer int, h runtime.Handler) {
-	r.hmu.Lock()
-	r.hands[peer] = h
-	r.hmu.Unlock()
-}
-
-// SetDown disconnects or reconnects a peer.
-func (r *Runtime) SetDown(peer int, down bool) { r.down[peer].Store(down) }
-
-// Down reports whether a peer is disconnected.
-func (r *Runtime) Down(peer int) bool { return r.down[peer].Load() }
-
-// Latency reports the configured one-way delay for a pair: PairDelay plus
-// mean jitter when a pair-delay topology is configured, otherwise the
-// uniform draw's mean. This is the planner's latency estimate, so with
-// PairDelay set, live planning sees the injected topology (Vivaldi
-// embedding in the prototype).
-func (r *Runtime) Latency(a, b int) time.Duration {
-	if r.opt.PairDelay != nil {
-		return r.opt.PairDelay(a, b) + r.opt.Jitter/2
-	}
-	return (r.opt.MinDelay + r.opt.MaxDelay) / 2
-}
-
-// MaxFrame reports the in-process transport as unbounded: payloads move
-// between mailboxes by reference, never through a datagram.
-func (r *Runtime) MaxFrame() int { return 0 }
-
-// Send draws loss, duplication, and delay, then schedules delivery into the
-// destination's mailbox. Safe to call from any goroutine.
-func (r *Runtime) Send(from, to int, class runtime.Class, size int, payload any) bool {
-	if from == to || from < 0 || from >= r.n || to < 0 || to >= r.n {
-		return false
-	}
-	if r.closed.Load() || r.down[from].Load() {
-		return false
-	}
-	r.sent.Add(1)
-	r.sendMu[from].Lock()
-	rng := r.rngs[from]
-	lost := r.opt.Loss > 0 && rng.Float64() < r.opt.Loss
-	dup := class == runtime.ClassControl && r.opt.CtrlDup > 0 && rng.Float64() < r.opt.CtrlDup
-	var delay time.Duration
-	if r.opt.PairDelay != nil {
-		delay = r.opt.PairDelay(from, to)
-		if r.opt.Jitter > 0 {
-			delay += time.Duration(rng.Int63n(int64(r.opt.Jitter) + 1))
-		}
-	} else {
-		delay = r.opt.MinDelay
-		if span := int64(r.opt.MaxDelay - r.opt.MinDelay); span > 0 {
-			delay += time.Duration(rng.Int63n(span + 1))
-		}
-	}
-	r.sendMu[from].Unlock()
-	if lost {
-		r.dropped.Add(1)
-		return true
-	}
-	r.deliverAfter(delay, from, to, payload, size)
-	if dup {
-		r.duplicated.Add(1)
-		r.deliverAfter(delay+delay/2, from, to, payload, size)
-	}
-	return true
-}
-
-func (r *Runtime) deliverAfter(delay time.Duration, from, to int, payload any, size int) {
-	r.flmu.Lock()
-	if r.closed.Load() {
-		r.flmu.Unlock()
-		r.dropped.Add(1)
-		return
-	}
-	r.inflight.Add(1)
-	r.flmu.Unlock()
-	time.AfterFunc(delay, func() {
-		defer r.inflight.Done()
-		if r.down[to].Load() {
-			r.dropped.Add(1)
-			return
-		}
-		r.hmu.RLock()
-		h := r.hands[to]
-		r.hmu.RUnlock()
-		if h == nil {
-			r.dropped.Add(1)
-			return
-		}
-		if r.boxes[to].Post(func() { h(from, payload, size) }) {
-			r.delivered.Add(1)
-		} else {
-			// Mailbox already closed by Shutdown: the message is lost.
-			r.dropped.Add(1)
-		}
-	})
+	_, delivered, _ = r.Runtime.Stats()
+	ns := r.NetStats()
+	sent, duplicated = ns.CtlFrames+ns.DataFrames, ns.Duplicated
+	return sent, delivered, sent + duplicated - min(delivered, sent+duplicated), duplicated
 }

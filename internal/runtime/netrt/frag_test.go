@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -281,11 +282,45 @@ func TestLargeFrameSurvivesLoss(t *testing.T) {
 	}
 }
 
+// Duplication is rolled once per frame, so a control frame over the MTU is
+// sent as two whole trains and reassembled and delivered twice, and a data
+// frame over the MTU once.
+func TestDuplicatedFrameOverTheMTU(t *testing.T) {
+	rts, _, err := netrt.NewGroup([][]int{{0, 1}}, netrt.Options{Seed: 6, MTU: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := rts[0]
+	defer rt.Shutdown()
+	rt.SetCtrlDup(1)
+	env := &wire.Envelope{S: tuple.Summary{Query: "big", Value: make([]float64, 1000), Count: 1}}
+	var w wire.Buffer
+	if err := wire.EncodeMessage(&w, env); err != nil {
+		t.Fatal(err)
+	}
+	var got [2]atomic.Int64 // by class
+	for class := range got {
+		rt.Handle(1, func(from int, payload any, size int) { got[class].Add(1) })
+		if !rt.Send(0, 1, runtime.Class(class), w.Len(), &runtime.Frame{Payload: env, Bytes: w.Bytes()}) {
+			t.Fatal("send refused")
+		}
+		want := int64(1 + class) // runtime.ClassControl == 1
+		waitFor(t, 5*time.Second, func() bool { return got[class].Load() == want })
+	}
+	time.Sleep(50 * time.Millisecond)
+	if d, c := got[runtime.ClassData].Load(), got[runtime.ClassControl].Load(); d != 1 || c != 2 {
+		t.Fatalf("data frame delivered %d times, control frame %d; want 1 and 2", d, c)
+	}
+	if st, fs := rt.NetStats(), rt.FragStats(); st.Duplicated != 1 || fs.StreamsSent != 2 || fs.Reassembled != 3 {
+		t.Fatalf("duplicated=%d streams=%d reassembled=%d; want 1, 2 and 3", st.Duplicated, fs.StreamsSent, fs.Reassembled)
+	}
+}
+
 // The tentpole acceptance test: a three-"process" loopback federation
 // installs a query whose encoded install message is more than 3× the
 // configured MTU, under 10% simulated datagram loss on every datagram, and
-// still reaches full completeness — the livert baseline, where every live
-// peer's sensor reaches the window (livertBaseline pins that at the
+// still reaches full completeness — the simulator's baseline, where every
+// live peer's sensor reaches the window (simBaseline pins that at the
 // federation size). The install multicast, heartbeats, reconciliation, and
 // the fat data envelopes all share the fragmentation path.
 func TestLargeInstallUnderLossReachesCompleteness(t *testing.T) {
@@ -392,7 +427,7 @@ func TestLargeInstallUnderLossReachesCompleteness(t *testing.T) {
 	got := best
 	mu.Unlock()
 	if got != peers {
-		t.Fatalf("completeness %d, want the livert-level baseline %d", got, peers)
+		t.Fatalf("completeness %d, want the simulator-level baseline %d", got, peers)
 	}
 
 	fs := rts[0].FragStats()

@@ -6,16 +6,18 @@
 // address directory — peers whose directory entries share one address are
 // multiplexed behind one socket — and several processes, or several
 // Runtimes in one process for loopback tests, form one federation by
-// agreeing on that directory.
+// agreeing on that directory. It is the one wall-clock backend:
+// runtime/livert only builds a Runtime hosting every peer behind one
+// loopback socket.
 //
 // Per shared socket the Runtime runs one receive goroutine (socket ->
 // decode -> mailbox, demuxed on the destination index every frame carries)
 // and one paced writer; per local peer it runs a mailbox goroutine (the
-// peer's serialization domain, shared machinery with runtime/livert via
-// runtime/actor). The writer packs the small frames it finds queued
-// together for one remote socket into one frameTrain datagram and writes a
-// frame that arrives alone at once (see pacer), so peer density scales
-// without a matching datagram storm and an idle socket adds no hold.
+// peer's serialization domain, runtime/actor). The writer packs the small
+// frames it finds queued together for one remote socket into one
+// frameTrain datagram and writes a frame that arrives alone at once (see
+// pacer), so peer density scales without a matching datagram storm and an
+// idle socket adds no hold.
 // Datagrams carry a small transport header ahead of the wire frame:
 // sender/destination indices and three timestamp fields implementing
 // UdpCC-style passive RTT measurement — each frame echoes the newest
@@ -230,9 +232,11 @@ type Runtime struct {
 
 	// Simulated loss (float64 bits; 0 = none), rolled in lost: loss for
 	// every outgoing frame (SetLoss), peerLoss on top for the frames local
-	// peer p originates (SetPeerLoss) — the chaos harness ramps both.
+	// peer p originates (SetPeerLoss) — the chaos harness ramps both — and
+	// ctrlDup (SetCtrlDup) is rolled in duplicate from the same source.
 	loss     atomic.Uint64
 	peerLoss []atomic.Uint64
+	ctrlDup  atomic.Uint64
 	lossMu   sync.Mutex
 	lossRng  *rand.Rand
 
@@ -249,9 +253,9 @@ type Runtime struct {
 	// control-plane cost is observable per process (ClassBytes). The frame
 	// counts alongside them make upstream batching observable at the
 	// transport: DataFrames falls below the summary count by what shared a
-	// frame (see NetStats).
-	ctlBytes, dataBytes   atomic.Uint64
-	ctlFrames, dataFrames atomic.Uint64
+	// frame (see NetStats). duplicated counts the control frames sent twice.
+	ctlBytes, dataBytes               atomic.Uint64
+	ctlFrames, dataFrames, duplicated atomic.Uint64
 
 	// Datagram-level counters (see NetStats): datagrams actually written,
 	// trains among them, and the frames those trains carried.
@@ -480,6 +484,8 @@ type NetStats struct {
 	// routes to one next hop share a frame instead of taking one each.
 	CtlFrames  uint64
 	DataFrames uint64
+	// Duplicated counts the control frames sent twice (SetCtrlDup).
+	Duplicated uint64
 }
 
 // NetStats returns the datagram-level counters.
@@ -491,6 +497,7 @@ func (r *Runtime) NetStats() NetStats {
 		Sockets:     len(r.socks),
 		CtlFrames:   r.ctlFrames.Load(),
 		DataFrames:  r.dataFrames.Load(),
+		Duplicated:  r.duplicated.Load(),
 	}
 }
 
@@ -523,6 +530,11 @@ func (r *Runtime) SetPeerLoss(peer int, p float64) {
 	r.peerLoss[peer].Store(lossBits(p))
 }
 
+// SetCtrlDup sends every control-class frame of a local peer twice with
+// probability p (clamped to [0, 1]), exercising the peers' duplicate
+// suppression and idempotent control handlers; data frames never are.
+func (r *Runtime) SetCtrlDup(p float64) { r.ctrlDup.Store(lossBits(p)) }
+
 // lossBits clamps a loss probability to [0, 1] and returns its bits.
 func lossBits(p float64) uint64 {
 	if p <= 0 {
@@ -544,6 +556,22 @@ func (r *Runtime) lost(from int) bool {
 	defer r.lossMu.Unlock()
 	return r.lossRng.Float64() < math.Float64frombits(all) ||
 		r.lossRng.Float64() < math.Float64frombits(peer)
+}
+
+// duplicate is the duplication roll, once per control frame beside the loss
+// roll, counting the frames it doubles; unset it costs one atomic load.
+func (r *Runtime) duplicate() bool {
+	p := r.ctrlDup.Load()
+	if p == 0 {
+		return false
+	}
+	r.lossMu.Lock()
+	dup := r.lossRng.Float64() < math.Float64frombits(p)
+	r.lossMu.Unlock()
+	if dup {
+		r.duplicated.Add(1)
+	}
+	return dup
 }
 
 // AddressGroups returns the federation's peers grouped by shared directory
@@ -570,36 +598,47 @@ func (r *Runtime) AddressGroups() [][]int {
 // synthetic pair delay when a topology is configured, then the sending
 // peer's paced writer. buf, when non-nil, is the pooled buffer backing b —
 // xmit owns it whether or not the frame gets through. c1/c2 (either may be
-// nil) increment only when the pacer accepts the frame. The no-delay path
-// stays closure- and allocation-free — this sits under every heartbeat,
-// fragment, probe, and NACK.
-func (r *Runtime) xmit(from, to int, b []byte, buf *wire.Buffer, c1, c2 *atomic.Uint64) {
+// nil) increment only when the pacer accepts the frame. dup sends a copy
+// right behind the frame, under the same loss roll and the same hold. The
+// no-delay path stays closure- and allocation-free — this sits under every
+// heartbeat, fragment, probe, and NACK.
+func (r *Runtime) xmit(from, to int, b []byte, buf *wire.Buffer, c1, c2 *atomic.Uint64, dup bool) {
 	if r.lost(from) {
 		r.dropped.Add(1)
 		wire.PutBuffer(buf)
 		return
+	}
+	var cp *wire.Buffer
+	if dup {
+		cp = wire.GetBuffer()
+		cp.PutRaw(b)
 	}
 	if pd := r.pairDelay.Load(); pd != nil {
 		if d := (*pd)(from, to); d > 0 {
 			// A held datagram that outlives Shutdown lands in a stopped
 			// pacer's queue and is never written — dropped like any other
 			// in-flight packet at process death.
-			time.AfterFunc(d, func() { r.submit(from, to, b, buf, c1, c2) })
+			time.AfterFunc(d, func() { r.submit(from, to, b, buf, c1, c2, cp) })
 			return
 		}
 	}
-	r.submit(from, to, b, buf, c1, c2)
+	r.submit(from, to, b, buf, c1, c2, cp)
 }
 
-// submit hands a frame that survived xmit to the sending peer's pacer.
-func (r *Runtime) submit(from, to int, b []byte, buf *wire.Buffer, c1, c2 *atomic.Uint64) {
-	if r.socks[r.sockOf[from]].pacer.submit(b, buf, r.ports[to], r.addrID[to]) {
+// submit hands a frame that survived xmit to the sending peer's pacer, and
+// its copy, when xmit made one, right behind it.
+func (r *Runtime) submit(from, to int, b []byte, buf *wire.Buffer, c1, c2 *atomic.Uint64, cp *wire.Buffer) {
+	pc := r.socks[r.sockOf[from]].pacer
+	if pc.submit(b, buf, r.ports[to], r.addrID[to]) {
 		if c1 != nil {
 			c1.Add(1)
 		}
 		if c2 != nil {
 			c2.Add(1)
 		}
+	}
+	if cp != nil {
+		pc.submit(cp.Bytes(), cp, r.ports[to], r.addrID[to])
 	}
 }
 
@@ -634,7 +673,7 @@ func (r *Runtime) sendNack(from int, req NackRequest) {
 	w.PutUvarint(uint64(from))
 	w.PutUvarint(uint64(req.Src))
 	wire.EncodeNack(w, wire.Nack{Stream: req.Stream, Missing: req.Missing})
-	r.xmit(from, req.Src, w.Bytes(), w, &r.nacksSent, nil)
+	r.xmit(from, req.Src, w.Bytes(), w, &r.nacksSent, nil, false)
 }
 
 // NewGroup builds one federation of several Runtimes inside a single
@@ -877,13 +916,14 @@ func (r *Runtime) Send(from, to int, class runtime.Class, size int, payload any)
 		r.ctlBytes.Add(uint64(w.Len()))
 		r.ctlFrames.Add(1)
 	}
+	dup := class == runtime.ClassControl && r.duplicate()
 	if w.Len() <= r.opt.MTU {
-		r.xmit(from, to, w.Bytes(), w, &r.sent, nil)
+		r.xmit(from, to, w.Bytes(), w, &r.sent, nil, dup)
 		return true
 	}
 	// The fragment datagrams embed copies of the body, so the frame buffer
 	// can go back to the pool as soon as the split is done.
-	r.sendFragmented(from, to, w.Bytes()[head:])
+	r.sendFragmented(from, to, w.Bytes()[head:], dup)
 	wire.PutBuffer(w)
 	return true
 }
@@ -898,8 +938,9 @@ func (r *Runtime) ConsumesFrameBytes() bool { return true }
 
 // sendFragmented splits an over-MTU frame into a fragment train, registers
 // it with the sender's retransmit buffer, and submits every fragment to
-// the paced writer.
-func (r *Runtime) sendFragmented(from, to int, body []byte) {
+// the paced writer. dup sends the train a second time behind the first, so
+// the far side reassembles and delivers the frame twice.
+func (r *Runtime) sendFragmented(from, to int, body []byte, dup bool) {
 	fs := r.frags[from]
 	stream := fs.nextID()
 	frags := SplitFragments(stream, body, r.opt.fragPayload())
@@ -918,7 +959,12 @@ func (r *Runtime) sendFragmented(from, to int, body []byte) {
 	// are built in plain (unpooled) buffers and travel with buf == nil.
 	fs.register(stream, to, dgrams)
 	for _, d := range dgrams {
-		r.xmit(from, to, d, nil, &r.sent, &r.fragsSent)
+		r.xmit(from, to, d, nil, &r.sent, &r.fragsSent, false)
+	}
+	if dup {
+		for _, d := range dgrams {
+			r.xmit(from, to, d, nil, nil, nil, false)
+		}
 	}
 	r.fragStreams.Add(1)
 	for {
@@ -1099,7 +1145,7 @@ func (r *Runtime) handleFrame(b []byte) {
 		w.PutVarint(stamp)
 		w.PutVarint(0) // replied immediately: no hold
 		putCoord(w, r.nodes[peer])
-		r.xmit(peer, src, w.Bytes(), w, nil, nil)
+		r.xmit(peer, src, w.Bytes(), w, nil, nil, false)
 
 	case framePong:
 		stamp, err := rd.Varint()
@@ -1244,7 +1290,7 @@ func (r *Runtime) resendFragments(peer, src int, n wire.Nack) {
 			continue
 		}
 		// Retransmit buffer keeps owning the datagram: buf stays nil.
-		r.xmit(peer, src, dgrams[idx], nil, &r.retransmits, nil)
+		r.xmit(peer, src, dgrams[idx], nil, &r.retransmits, nil, false)
 	}
 }
 
@@ -1268,7 +1314,7 @@ func (r *Runtime) sendPing(from, to int) {
 	w.PutUvarint(uint64(to))
 	w.PutVarint(stampNow(r.start))
 	putCoord(w, r.nodes[from])
-	r.xmit(from, to, w.Bytes(), w, nil, nil)
+	r.xmit(from, to, w.Bytes(), w, nil, nil, false)
 }
 
 // putCoord appends a coordinate extension to a probe frame.

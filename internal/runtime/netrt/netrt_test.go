@@ -10,13 +10,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/eventsim"
 	"repro/internal/federation"
 	"repro/internal/mortar"
 	"repro/internal/msl"
+	"repro/internal/netem"
 	"repro/internal/plan"
 	"repro/internal/runtime"
-	"repro/internal/runtime/livert"
 	"repro/internal/runtime/netrt"
+	"repro/internal/runtime/simrt"
 	"repro/internal/tuple"
 	"repro/internal/vivaldi"
 	"repro/internal/wire"
@@ -444,9 +446,9 @@ func runFederations(feds []*federation.Federation, target int, shutdown func()) 
 // hosting a peer range, every message crossing the kernel's UDP stack on
 // loopback — run the default MSL count query end to end. The coordinator
 // process plans and installs; the workers' operators arrive over the wire.
-// Result completeness must reach the live-node count and match a livert
+// Result completeness must reach the live-node count and match a simulator
 // run of the same program.
-func TestNetFederationMatchesLive(t *testing.T) {
+func TestNetFederationMatchesSim(t *testing.T) {
 	const peers = 12
 	prog, err := msl.Parse("query peers as count() from sensors window time 1s slide 1s trees 4 bf 16")
 	if err != nil {
@@ -483,16 +485,14 @@ func TestNetFederationMatchesLive(t *testing.T) {
 		t.Fatalf("worker runtime moved no datagrams: sent=%d delivered=%d", sent, delivered)
 	}
 
-	// --- livert: the same program in-process ---
-	liveBest := livertBaseline(t, prog, peers)
-
-	if netBest != liveBest {
-		t.Fatalf("netrt completeness %d != livert completeness %d", netBest, liveBest)
+	// --- simrt: the same program on the deterministic simulator ---
+	if simBest := simBaseline(t, prog, peers); netBest != simBest {
+		t.Fatalf("netrt completeness %d != simulator completeness %d", netBest, simBest)
 	}
 }
 
 // The multiplexed data path must be a drop-in: the same federation as
-// TestNetFederationMatchesLive, but with peers sharing sockets (and so
+// TestNetFederationMatchesSim, but with peers sharing sockets (and so
 // sharing trains), must still reach full completeness.
 func TestMultiplexedCoalescedFederation(t *testing.T) {
 	const peers = 12
@@ -621,21 +621,30 @@ func TestThousandPeerMultiplexedFederation(t *testing.T) {
 	}
 }
 
-// livertBaseline runs the program on the in-process live runtime and
-// returns the completeness it reaches — the baseline socket runs are held
-// to.
-func livertBaseline(t *testing.T, prog *msl.Program, peers int) int {
+// simBaseline runs the program on the deterministic simulator, over the
+// paper's transit-stub topology, for as long as runFederations gives a
+// socket run, and returns the completeness it reaches — the independent
+// baseline socket runs are held to.
+func simBaseline(t *testing.T, prog *msl.Program, peers int) int {
 	t.Helper()
-	lrt := livert.New(peers, livert.Options{Seed: 42, MinDelay: 200 * time.Microsecond, MaxDelay: 2 * time.Millisecond})
-	lfed, err := federation.NewRuntime(lrt, prog, rand.New(rand.NewSource(1)))
+	rng := rand.New(rand.NewSource(1))
+	sim := eventsim.New(42)
+	rt := simrt.New(netem.New(sim, netem.GenerateTransitStub(netem.PaperTopology(peers), rng)))
+	fed, err := federation.NewRuntime(rt, prog, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	best := runFederations([]*federation.Federation{lfed}, peers, lrt.Shutdown)
-	if best != peers {
-		t.Fatalf("livert run reached completeness %d of %d", best, peers)
+	watch := fed.WatchCompleteness("")
+	defer watch.Close()
+	fed.StartSensors(500*time.Millisecond, func(peer int) tuple.Raw {
+		return tuple.Raw{Vals: []float64{1}}
+	}, rand.New(rand.NewSource(100)))
+	sim.RunFor(12 * time.Second)
+	rt.Shutdown()
+	if best := watch.Best(); best != peers {
+		t.Fatalf("simulator run reached completeness %d of %d", best, peers)
 	}
-	return best
+	return peers
 }
 
 // The Vivaldi tentpole acceptance: a multi-runtime federation plans its
@@ -643,8 +652,8 @@ func livertBaseline(t *testing.T, prog *msl.Program, peers int) int {
 // worker peers embed themselves from RTTs they measure, which the
 // coordinator cannot — then the coordinator's view must cover all peers,
 // the embedding must predict measured latency within tolerance, planning
-// must consume the gossiped coordinates, and the run must reach the livert
-// completeness baseline.
+// must consume the gossiped coordinates, and the run must reach the
+// simulator's completeness baseline.
 func TestVivaldiFederationPlansFromGossipedCoords(t *testing.T) {
 	const peers = 12
 	prog, err := msl.Parse("query peers as count() from sensors window time 1s slide 1s trees 4 bf 16")
@@ -701,8 +710,8 @@ func TestVivaldiFederationPlansFromGossipedCoords(t *testing.T) {
 			rt.Shutdown()
 		}
 	})
-	if liveBest := livertBaseline(t, prog, peers); netBest != liveBest {
-		t.Fatalf("gossip-planned completeness %d != livert completeness %d", netBest, liveBest)
+	if simBest := simBaseline(t, prog, peers); netBest != simBest {
+		t.Fatalf("gossip-planned completeness %d != simulator completeness %d", netBest, simBest)
 	}
 }
 

@@ -12,10 +12,10 @@
 //     loop, so a whole federation runs single-threaded and every run is
 //     exactly reproducible from a seed. The figure experiments and most
 //     tests use it.
-//   - runtime/livert runs each peer as its own goroutine with a mailbox,
-//     timers on real time, and an in-process loss/latency/duplication
-//     injecting transport. It is the skeleton of a deployable system and is
-//     exercised under the race detector.
+//   - runtime/netrt runs each local peer as a goroutine with a mailbox and
+//     wall-clock timers, and sends every message as a UDP datagram;
+//     runtime/livert hosts a whole federation on one loopback socket. It is
+//     what deploys, and runs under the race detector.
 //
 // The peer core (internal/mortar) imports only this package, never a
 // backend, so the same protocol code runs simulated or live.
@@ -140,8 +140,8 @@ type Transport interface {
 	// for planner input (Vivaldi measurements in the prototype).
 	Latency(a, b int) time.Duration
 	// MaxFrame returns the largest encoded frame, in bytes, one Send can
-	// carry, or 0 when the transport is unbounded. In-process backends
-	// (simrt, livert) pass payloads by reference and return 0; socket
+	// carry, or 0 when the transport is unbounded. The simulator (simrt)
+	// passes payloads by reference and returns 0; socket
 	// backends return the ceiling of their fragmentation path. Senders of
 	// bulk messages — the install multicast — size their messages from
 	// this hint instead of assuming a frame fits anywhere.

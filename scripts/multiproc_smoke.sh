@@ -2,8 +2,8 @@
 # Multi-process smoke: build mortard, write a temp peers file, launch a
 # coordinator plus two workers over localhost UDP (three real processes,
 # every message a real datagram), and assert the coordinator's count query
-# reaches full completeness — the livert baseline, where every peer's
-# sensor contributes to the window. Every process gossips Vivaldi
+# reaches full completeness — the simulator's baseline, where every
+# peer's sensor contributes to the window. Every process gossips Vivaldi
 # coordinates, so planning comes from them and convergence is logged.
 #
 # The run deliberately squeezes the MTU (-mtu 160) and plans deep trees
