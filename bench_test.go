@@ -994,14 +994,12 @@ func BenchmarkSaturationReplay(b *testing.B) {
 // window. It reports the per-query-window summary byte cost
 // (summary-bytes/window, lower is better, gated in CI against the previous
 // run). Operators forward a window the moment their subtree is counted, so
-// each sends one summary per tenant per window, and a summary leaves in the
-// turn that routed it (mortar/stage.go): frames are shared only by what one
-// turn routes to one next hop, which on a lossless run is next to nothing.
-// The name dates from hold-and-merge staging, when the same federation also
-// ran a flush-at-once reference and reported a frame-reduction-x; there is
-// one setting now, so one run. That a turn's summaries share a frame is
-// asserted where frames can be counted exactly, on simrt:
-// mortar.TestTurnSharesAFrame.
+// each sends one summary per tenant per window, and every summary leaves the
+// moment it is routed as a frame of its own (mortar's instance.send). The
+// name dates from hold-and-merge staging, when the same federation also ran a
+// flush-at-once reference and reported a frame-reduction-x; there is one
+// setting now, so one run. That each summary is one frame is asserted where
+// frames can be counted exactly, on simrt: mortar.TestEachSummaryIsOneFrame.
 func BenchmarkMultiHopCoalescing(b *testing.B) {
 	const (
 		peers   = 64

@@ -444,14 +444,12 @@ func netSummary(rt *netrt.Runtime) func(out io.Writer, fed *federation.Federatio
 			wctl, wdata, st.ControlBytes.Load(), st.DataBytes.Load(), st.SharedCtlBytes.Load())
 		// The data plane: tuples ingested and the mailbox hops that carried
 		// them (their ratio is the batching factor), time-space list
-		// activity, the peak ingest rate, and upstream batching.
+		// activity, the peak ingest rate, and the upstream summaries.
 		fmt.Fprintf(out, "# data path: tuples=%d batches=%d ts_inserts=%d ts_merges=%d peak_rate=%.0f tuples/s\n",
 			st.TuplesIngested.Load(), st.IngestBatches.Load(),
 			fed.Fab.DataPath.Inserts.Load(), fed.Fab.DataPath.Merges.Load(), peakRate)
-		batched, batchFrames := st.BatchedSummaries.Load(), st.BatchFrames.Load()
-		fmt.Fprintf(out, "# summary path: staged=%d relayed=%d data_frames=%d batch_frames=%d batched=%d frames_saved=%d\n",
-			st.SummariesStaged.Load(), st.Relayed.Load(), st.DataFrames.Load(), batchFrames, batched,
-			batched-batchFrames)
+		fmt.Fprintf(out, "# summary path: staged=%d relayed=%d data_frames=%d\n",
+			st.SummariesStaged.Load(), st.Relayed.Load(), st.DataFrames.Load())
 		var ms goruntime.MemStats
 		goruntime.ReadMemStats(&ms)
 		fmt.Fprintf(out, "# memstats: heap_alloc=%dKiB total_alloc=%dKiB mallocs=%d gc=%d\n",

@@ -350,11 +350,12 @@ func TestStreamLifecycle(t *testing.T) {
 	}
 }
 
-// The stats payload surfaces the upstream batching counters: after a few
-// windows of traffic the fabric must have staged summaries, and the
-// frames-saved figure must hold its defining identity against the raw
-// counters it derives from. (The name dates from hold-and-merge staging;
-// nothing merges there now and summaries_coalesced is gone from the payload.)
+// The stats payload surfaces the upstream summary counters: after a few
+// windows of traffic the fabric must have sent summaries, each as its own
+// data frame. (The name dates from hold-and-merge staging; nothing merges or
+// batches now, and the counters that would read zero for it —
+// summaries_coalesced, batch_frames, batched_summaries, frames_saved — are
+// gone from the payload.)
 func TestStatsReportsCoalescing(t *testing.T) {
 	_, _, ts := newTestPlane(t, 4, Options{})
 	if resp := install(t, ts, countSpec("q")); resp.StatusCode != http.StatusCreated {
@@ -372,8 +373,10 @@ func TestStatsReportsCoalescing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(body, []byte("summaries_coalesced")) {
-		t.Fatalf("stats still carry summaries_coalesced, a counter nothing increments:\n%s", body)
+	for _, dead := range []string{"summaries_coalesced", "batch_frames", "batched_summaries", "frames_saved"} {
+		if bytes.Contains(body, []byte(dead)) {
+			t.Fatalf("stats still carry %s, a counter that is constant zero:\n%s", dead, body)
+		}
 	}
 	var st Stats
 	if err := json.Unmarshal(body, &st); err != nil {
@@ -385,11 +388,14 @@ func TestStatsReportsCoalescing(t *testing.T) {
 	if st.DataFrames == 0 {
 		t.Fatal("stats report zero data frames after three result windows")
 	}
-	if want := st.BatchedSummaries - st.BatchFrames; st.FramesSaved != want {
-		t.Fatalf("frames_saved = %d, want batched_summaries-batch_frames = %d", st.FramesSaved, want)
-	}
-	if st.BatchedSummaries > st.SummariesStaged {
-		t.Fatalf("flushed population exceeds staged: %+v", st)
+	// One data frame per summary. The handler loads the two counters one
+	// after the other while peers keep sending, so a read can straddle a
+	// send; some read of a few must see them equal.
+	for i := 0; st.SummariesStaged != st.DataFrames; i++ {
+		if i == 50 {
+			t.Fatalf("summaries_staged = %d, data_frames = %d on every read; want one frame per summary", st.SummariesStaged, st.DataFrames)
+		}
+		getJSON(t, ts, "/v1/stats", &st)
 	}
 	// Which path reported: all four peers run a sensor, so some of the
 	// windows read above left the root on completeness, not on its timer.

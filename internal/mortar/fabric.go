@@ -60,16 +60,11 @@ type Config struct {
 	// backend) sizes components by encoded bytes from that bound instead,
 	// so every install message fits one Send.
 	InstallChunks int
-	// SummaryHold was the per-hop staging hold. A summary now leaves in the
-	// turn that routed it (stage.go), so the only valid value is 0 and
+	// SummaryHold was the per-hop staging hold. A summary now leaves the
+	// moment it is routed (instance.send), so the only valid value is 0 and
 	// Validate refuses any other; the field survives because bench/, which
 	// may not change with the code it measures, compiles against it.
 	SummaryHold time.Duration
-	// SummaryBatchBytes is the staging buffer's flush threshold: what a turn
-	// has parked for one destination flushes before the turn ends once its
-	// estimated wire size reaches it. Capped against Transport.MaxFrame on
-	// bounded transports so a flushed batch always fits one frame.
-	SummaryBatchBytes int
 }
 
 // DefaultConfig returns the paper's evaluation settings.
@@ -85,7 +80,6 @@ func DefaultConfig() Config {
 		MaxStage:            4,
 		Syncless:            true,
 		InstallChunks:       16,
-		SummaryBatchBytes:   1200,
 	}
 }
 
@@ -156,13 +150,7 @@ func (c Config) Validate() (Config, error) {
 		return c, fmt.Errorf("mortar: InstallChunks %d must be positive", c.InstallChunks)
 	}
 	if c.SummaryHold != 0 {
-		return c, fmt.Errorf("mortar: SummaryHold %v must be 0: summaries leave in the turn that routed them, there is no hold to set", c.SummaryHold)
-	}
-	if c.SummaryBatchBytes == 0 {
-		c.SummaryBatchBytes = def.SummaryBatchBytes
-	}
-	if c.SummaryBatchBytes < 0 {
-		return c, fmt.Errorf("mortar: SummaryBatchBytes %d must be positive", c.SummaryBatchBytes)
+		return c, fmt.Errorf("mortar: SummaryHold %v must be 0: a summary leaves the moment it is routed, there is no hold to set", c.SummaryHold)
 	}
 	return c, nil
 }
@@ -212,13 +200,13 @@ type Stats struct {
 	// data-plane batching factor.
 	TuplesIngested atomic.Uint64
 	IngestBatches  atomic.Uint64
-	// Upstream batching (stage.go). SummariesStaged counts summaries that
-	// entered a staging buffer. DataFrames counts data-class frames actually
-	// transmitted, BatchFrames the subset that were multi-summary envelope
-	// batches, and BatchedSummaries the summaries those batches carried.
-	// Frames saved by batching = BatchedSummaries - BatchFrames.
-	// SummariesCoalesced is never incremented — nothing merges in staging —
-	// and survives only because bench/ compiles against it.
+	// The upstream summary path (instance.send). SummariesStaged counts
+	// summaries sent upstream, one data frame each; DataFrames counts
+	// data-class frames transmitted, so the two are equal. The name stays
+	// because bench/, the gateway JSON and the smoke scripts read it.
+	// SummariesCoalesced, BatchFrames and BatchedSummaries are never
+	// incremented — nothing merges, and no batch is sent — and survive only
+	// because bench/ compiles against them.
 	SummariesStaged    atomic.Uint64
 	SummariesCoalesced atomic.Uint64
 	DataFrames         atomic.Uint64
@@ -265,10 +253,6 @@ type Fabric struct {
 	// inside Send (runtime.FrameBytesConsumer), letting send recycle its
 	// encode buffer and frame immediately.
 	consumesBytes bool
-
-	// batchBytes is the staging buffers' resolved flush threshold
-	// (stage.go).
-	batchBytes int
 
 	subMu  sync.RWMutex
 	subs   []subEntry
@@ -335,12 +319,6 @@ func NewFabric(rt runtime.Runtime, clocks []vclock.Clock, cfg Config) (*Fabric, 
 	}
 	if bc, ok := f.tr.(runtime.FrameBytesConsumer); ok {
 		f.consumesBytes = bc.ConsumesFrameBytes()
-	}
-	f.batchBytes = cfg.SummaryBatchBytes
-	if mf := f.tr.MaxFrame(); mf > 0 && f.batchBytes > mf-mf/8 {
-		// Leave headroom for the key table and frame header: the threshold
-		// is checked before the entry that crosses it is encoded.
-		f.batchBytes = mf - mf/8
 	}
 	for i := 0; i < n; i++ {
 		ck := vclock.Perfect()
@@ -528,19 +506,6 @@ func (f *Fabric) account(payload any, class runtime.Class, size int) {
 	switch m := payload.(type) {
 	case *envelope:
 		f.queryTraffic(m.S.Query).DataBytes.Add(sz)
-	case *wire.EnvelopeBatch:
-		f.Stats.BatchFrames.Add(1)
-		f.Stats.BatchedSummaries.Add(uint64(len(m.Envelopes)))
-		// Split the frame's bytes evenly across the summaries it carries;
-		// the rounding remainder lands on the first entry's query.
-		per := sz / uint64(len(m.Envelopes))
-		for i := range m.Envelopes {
-			b := per
-			if i == 0 {
-				b += sz - per*uint64(len(m.Envelopes))
-			}
-			f.queryTraffic(m.Envelopes[i].S.Query).DataBytes.Add(b)
-		}
 	case msgInstall:
 		f.queryTraffic(m.Meta.Name).ControlBytes.Add(sz)
 	case msgRemove:

@@ -2,6 +2,7 @@ package mortar
 
 import (
 	"math"
+	"sync"
 	"time"
 
 	"repro/internal/ops"
@@ -252,7 +253,6 @@ func (inst *instance) scheduleStall() {
 		inst.rawInSlide = false
 		inst.foldNetDist()
 		inst.scheduleStall()
-		inst.peer.flushStages()
 	})
 }
 
@@ -315,7 +315,6 @@ func (p *Peer) injectRawBatch(raws []tuple.Raw) {
 			inst.takeRaws(raws)
 		}
 	}
-	p.flushStages()
 }
 
 // takeRaws merges a batch into the instance's local window. The tuples
@@ -407,7 +406,6 @@ func (inst *instance) closeSlide() {
 		inst.absorb(s)
 	}
 	inst.scheduleSlide()
-	inst.peer.flushStages()
 }
 
 // sealPane closes the open slide's partial aggregate and returns the value
@@ -568,7 +566,6 @@ func (inst *instance) evictExpired() {
 	// An expired entry may have been all that held back complete ones.
 	inst.evictComplete(now)
 	inst.armEvict()
-	inst.peer.flushStages()
 }
 
 // windowTree is the tree window n of a time-window query travels on, at
@@ -790,10 +787,6 @@ func (p *Peer) handleSummary(src int, env *envelope) {
 		// latency without bound. Stragglers keep moving; only the root
 		// waits for them.
 		p.fab.Stats.Relayed.Add(1)
-		// Clone before forward mutates the vector: an in-process transport
-		// that duplicates delivery hands the same envelope (and Levels
-		// array) to this handler twice.
-		s.Levels = append([]int16(nil), s.Levels...)
 		inst.forward(s, env.Tree, env.TTLDown)
 		return
 	}
@@ -933,12 +926,33 @@ func (inst *instance) forward(s tuple.Summary, arrived int, ttlDown uint8) {
 	inst.peer.fab.Stats.Dropped.Add(1)
 }
 
+// envPool recycles envelope shells on transports that consume frame bytes
+// inside Send; in-process backends keep the payload in the receiver's
+// mailbox and get a fresh one.
+var envPool = sync.Pool{New: func() any { return new(envelope) }}
+
 // send moves the summary toward peer `to` on tree t, recording the level
-// visited. It parks in the peer's staging buffer, which transmits it when
-// the turn ends (stage.go).
+// visited. It is the one upstream transmit: the summary leaves at once as one
+// data frame, a single envelope stamped with the sender's time now — the turn
+// that computed its age — so the receiver's flight-time addition and
+// syncless re-indexing see the age the operator produced. Nothing parks and
+// nothing batches; an envelope batch is only ever received (Peer.deliver).
 func (inst *instance) send(s tuple.Summary, t, to int, ttlDown uint8) {
 	if t < len(s.Levels) {
 		s.Levels[t] = int16(inst.nb.Levels[t])
 	}
-	inst.peer.stageSummary(inst, s, t, to, ttlDown)
+	p, fab := inst.peer, inst.peer.fab
+	fab.Stats.SummariesStaged.Add(1)
+	var env *envelope
+	if fab.consumesBytes {
+		env = envPool.Get().(*envelope)
+	} else {
+		env = new(envelope)
+	}
+	*env = envelope{S: s, Tree: t, TTLDown: ttlDown, Epoch: inst.meta.Epoch, SentAt: p.now()}
+	fab.send(p.id, to, runtime.ClassData, env)
+	if fab.consumesBytes {
+		*env = envelope{}
+		envPool.Put(env)
+	}
 }

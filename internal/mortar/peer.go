@@ -49,12 +49,6 @@ type Peer struct {
 	// pendingTopo tracks instances awaiting a topology reply from their
 	// root.
 	pendingTopo map[instKey]bool
-
-	// stage holds the summaries the current turn has parked, one buffer per
-	// next-hop peer; staged lists the destinations parked into since the last
-	// flushStages. Both are empty between turns (stage.go).
-	stage  map[int]*stageBuf
-	staged []int
 }
 
 func newPeer(f *Fabric, id int, rtc runtime.Clock, ck vclock.Clock) *Peer {
@@ -127,7 +121,10 @@ func (p *Peer) markHeard(other int) { p.lastHeard[other] = p.now() }
 // deliver is the transport handler: dispatch by message type. In-process
 // backends deliver the runtime.Frame the fabric sent (decoded payload plus
 // its encoding); socket backends deliver the payload they decoded off the
-// wire.
+// wire. Summaries arrive one per envelope. The envelope-batch case is
+// receive-only: nothing here sends a batch, but a peer of the previous
+// release speaks the same wire version and may, so its entries are absorbed
+// one by one; the case goes when wire v6 retires the batch kind.
 func (p *Peer) deliver(src int, payload any, size int) {
 	if src < 0 || src >= p.fab.NumPeers() {
 		return
@@ -164,7 +161,6 @@ func (p *Peer) deliver(src int, payload any, size int) {
 		p.markHeard(src)
 		p.handleInstallAck(src, m)
 	}
-	p.flushStages()
 	// A peer hosting nothing has no ticker to ride for periodic pruning;
 	// drop liveness state stragglers re-add so an idle peer holds no
 	// per-neighbor memory. Heartbeat dedup seqs are deliberately kept: a

@@ -9,13 +9,12 @@ import (
 	"repro/internal/tuple"
 )
 
-// The staging fast path must not allocate in steady state: parked entries
-// live by value in a recycled slice, and the flushed batch shell, wire
-// buffer, and frame all come from pools on byte-consuming transports. The
-// benchmark drives one turn's worth of staging per cycle — three summaries
-// parked for one next hop, then the turn-end flush — over a stub runtime
-// whose transport consumes frame bytes like a socket backend but discards
-// them, so the measurement isolates the staging layer itself.
+// The upstream send path must not allocate in steady state: the envelope
+// shell, wire buffer, and frame all come from pools on byte-consuming
+// transports. The benchmark sends three summaries to one next hop per cycle
+// through instance.send over a stub runtime whose transport consumes frame
+// bytes like a socket backend but discards them, so the measurement isolates
+// the fabric's send path itself.
 
 // benchTimer and benchTicker satisfy the runtime interfaces without
 // scheduling anything.
@@ -63,7 +62,7 @@ func (r *benchRuntime) Rand() *rand.Rand              { return r.rng }
 func (r *benchRuntime) Exec(peer int, fn func()) bool { fn(); return true }
 func (r *benchRuntime) Shutdown()                     {}
 
-func BenchmarkStageFlushSteadyState(b *testing.B) {
+func BenchmarkSummarySendSteadyState(b *testing.B) {
 	rt := &benchRuntime{n: 2, rng: rand.New(rand.NewSource(1))}
 	rt.clocks = []*benchClock{{}, {}}
 	fab, err := NewFabric(rt, nil, DefaultConfig())
@@ -93,9 +92,8 @@ func BenchmarkStageFlushSteadyState(b *testing.B) {
 		b.Fatal("no instance installed")
 	}
 
-	// Two partials for one window (nothing merges in staging: they travel
-	// side by side) plus one for the next, so every flush transmits one
-	// three-entry batch.
+	// Two partials for one window (nothing merges on the send path: each
+	// travels as its own frame) plus one for the next.
 	mkSum := func(w int64) tuple.Summary {
 		d := inst.op.NewWindow()
 		for i := 0; i < 32; i++ {
@@ -111,14 +109,14 @@ func BenchmarkStageFlushSteadyState(b *testing.B) {
 	}
 	s1, s2, s3 := mkSum(0), mkSum(0), mkSum(1)
 
-	// One warm-up cycle sizes the buffer, pools, and traffic counters.
+	// One warm-up cycle sizes the pools and traffic counters.
 	cycle := func() {
-		p.stageSummary(inst, s1, 0, 1, 0)
-		p.stageSummary(inst, s2, 0, 1, 0)
-		p.stageSummary(inst, s3, 0, 1, 0)
-		p.flushStages()
+		inst.send(s1, 0, 1, 0)
+		inst.send(s2, 0, 1, 0)
+		inst.send(s3, 0, 1, 0)
 	}
 	cycle()
+	frames0 := fab.Stats.DataFrames.Load()
 
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -126,7 +124,7 @@ func BenchmarkStageFlushSteadyState(b *testing.B) {
 		cycle()
 	}
 	b.StopTimer()
-	if got := fab.Stats.BatchFrames.Load(); got < uint64(b.N) {
-		b.Fatalf("batch path not exercised: %d batch frames over %d cycles", got, b.N)
+	if got := fab.Stats.DataFrames.Load() - frames0; got != 3*uint64(b.N) {
+		b.Fatalf("%d data frames over %d cycles, want 3 a cycle", got, b.N)
 	}
 }

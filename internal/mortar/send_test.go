@@ -4,30 +4,18 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/runtime"
-	"repro/internal/runtime/livert"
 	"repro/internal/runtime/simrt"
 	"repro/internal/tuple"
 	"repro/internal/wire"
 )
 
-// Per-turn batching (stage.go): a summary parks only until the turn that
-// routed it ends, and what one turn parked for one next hop shares a frame.
-// These tests pin that rule on the deterministic backend, and its first half
-// on the live one.
-
-// parked counts what peer p holds in staging. Between turns it must be zero.
-func parked(p *Peer) int {
-	n := len(p.staged)
-	for _, buf := range p.stage {
-		n += len(buf.entries)
-	}
-	return n
-}
+// The upstream send path (instance.send): a routed summary leaves at once,
+// as one data frame of its own. These tests pin that rule on the
+// deterministic backend, where frames can be counted exactly.
 
 // installQuery compiles and installs a tumbling-window query over all peers
 // from a pinned planning seed: queries installed with the same seed, bf and d
@@ -71,7 +59,8 @@ func interiorPeer(t *testing.T, fab *Fabric, name string) (*Peer, *instance) {
 
 // tapSummaries re-registers peer to's delivery handler to record, before
 // handing it on, every summary frame peer from sends it: one slice of
-// envelopes per frame.
+// envelopes per frame. A batch, which this release never sends, records as
+// one frame of several entries.
 func tapSummaries(fab *Fabric, rt *simrt.Runtime, from, to int) *[][]envelope {
 	frames := new([][]envelope)
 	rt.Handle(to, func(src int, payload any, size int) {
@@ -94,14 +83,9 @@ func tapSummaries(fab *Fabric, rt *simrt.Runtime, from, to int) *[][]envelope {
 
 // There is no hold to set: the only SummaryHold Validate accepts is 0, which
 // is the default, and any other value is refused by name rather than silently
-// ignored. The byte ceiling is the one staging knob left.
+// ignored.
 func TestCoalescingKnobs(t *testing.T) {
 	t.Run("rejects-nonsense", func(t *testing.T) {
-		c := DefaultConfig()
-		c.SummaryBatchBytes = -1
-		if _, err := c.Validate(); err == nil {
-			t.Fatalf("invalid config accepted: %+v", c)
-		}
 		for _, hold := range []time.Duration{-1, 1} {
 			c := DefaultConfig()
 			c.SummaryHold = hold
@@ -123,9 +107,9 @@ func TestCoalescingKnobs(t *testing.T) {
 }
 
 // Migrating a query to a new plan epoch must not strand the old epoch's last
-// windows in a staging buffer: warm completeness holds straight through the
-// migration. (The make-before-break mechanics themselves are covered by the
-// epoch tests; this pins the interaction with staged summaries.)
+// windows: warm completeness holds straight through the migration. (The
+// make-before-break mechanics themselves are covered by the epoch tests; this
+// pins the interaction with the summaries both epochs send.)
 func TestMigrationFlushesStagedSummaries(t *testing.T) {
 	fab, rt := testbed(t, 40, 13, DefaultConfig(), nil)
 	winMax := map[int64]int{}
@@ -178,87 +162,13 @@ func TestMigrationFlushesStagedSummaries(t *testing.T) {
 	}
 }
 
-// (a) Nothing parks across turns. A federation running a time-window and a
-// tuple-window query is driven one simulator event at a time through a
-// lossless phase, a leaf and an interior peer going down, a source going
-// quiet, and an epoch migration; after every event every peer's staging is
-// empty. An entry point that routes a summary without ending in flushStages
-// fails here at the first event that leaves through it.
-func TestNothingParksAcrossTurns(t *testing.T) {
-	const peers = 40
-	fab, rt := testbed(t, peers, 13, DefaultConfig(), nil)
-	def := installQuery(t, fab, rt, sumMeta("sum1", 0), 4, 2)
-	tupleWinQuery(t, fab, rt, 4, 2)
-	quiet := make([]bool, peers)
-	for i := 0; i < peers; i++ {
-		i := i
-		phase := time.Duration(137*(i+1)%997)*time.Millisecond + 500*time.Microsecond
-		rt.After(phase, func() {
-			rt.Every(time.Second, func() {
-				if !quiet[i] {
-					fab.Inject(i, tuple.Raw{Vals: []float64{1}})
-				}
-			})
-		})
-	}
-	sim := rt.Sim()
-	stepTo := func(until time.Duration, phase string) {
-		t.Helper()
-		for rt.Now() < until && sim.Step() {
-			for i := 0; i < peers; i++ {
-				if n := parked(fab.Peer(i)); n != 0 {
-					t.Fatalf("%s, t=%v: peer %d still holds %d staged entries after the event that parked them",
-						phase, rt.Now(), i, n)
-				}
-			}
-		}
-	}
-
-	stepTo(10*time.Second, "lossless")
-	if fab.Stats.SummariesStaged.Load() == 0 || fab.Stats.ResultsReported.Load() == 0 {
-		t.Fatal("nothing staged or reported in the lossless phase")
-	}
-
-	interior, _ := interiorPeer(t, fab, "sum1")
-	leaf := leafOf(t, def)
-	fab.SetDown(leaf, true)
-	fab.SetDown(interior.id, true)
-	relayed0 := fab.Stats.Relayed.Load()
-	stepTo(25*time.Second, "leaf and interior down")
-	if fab.Stats.Relayed.Load() == relayed0 {
-		t.Fatal("nothing relayed with an interior operator down")
-	}
-	fab.SetDown(leaf, false)
-	fab.SetDown(interior.id, false)
-
-	// A source goes quiet: its tuple-window operator's stall tick extends
-	// its last summary with boundary tuples.
-	quiet[peers-1] = true
-	stepTo(35*time.Second, "stalled source")
-
-	meta := def.Meta
-	meta.Seq++
-	meta.Epoch++
-	next, err := fab.Compile(meta, nil, uniformCoords(peers, 8), 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fab.Install(0, next); err != nil {
-		t.Fatal(err)
-	}
-	stepTo(75*time.Second, "epoch migration")
-	if got := fab.Stats.EpochsRetired.Load(); got != 1 {
-		t.Fatalf("EpochsRetired = %d, want 1", got)
-	}
-}
-
-// (b) A turn's summaries share a frame. One envelope batch whose entries
-// complete three co-planned tenants' windows at an interior operator leaves
-// for the parent as exactly one three-entry batch, stamped with the arrival's
-// own simulator time; and one evictExpired that expires two windows sends one
-// two-entry batch. The federation has no sensors, so these are its only data
-// frames.
-func TestTurnSharesAFrame(t *testing.T) {
+// Each summary is one frame, whatever else its turn routes to the same next
+// hop. One envelope batch whose entries complete three co-planned tenants'
+// windows at an interior operator sends the parent three single envelopes,
+// each stamped with the arrival's own simulator time; and one evictExpired
+// that expires two windows sends two. The federation has no sensors, so these
+// are its only data frames.
+func TestEachSummaryIsOneFrame(t *testing.T) {
 	const tenants = 3
 	setup := func(t *testing.T) (*Fabric, *simrt.Runtime, *Peer, []*instance, *[][]envelope) {
 		fab, rt := testbed(t, 30, 11, DefaultConfig(), nil)
@@ -279,18 +189,20 @@ func TestTurnSharesAFrame(t *testing.T) {
 		}
 		return fab, rt, p, insts, tapSummaries(fab, rt, p.id, insts[0].nb.Parents[0])
 	}
-	requireOneBatch := func(t *testing.T, fab *Fabric, frames [][]envelope, n int, sentAt time.Duration) {
+	requireFrames := func(t *testing.T, fab *Fabric, frames [][]envelope, n int, sentAt time.Duration) {
 		t.Helper()
-		s := &fab.Stats
-		if st, df, bf, bs := s.SummariesStaged.Load(), s.DataFrames.Load(), s.BatchFrames.Load(), s.BatchedSummaries.Load(); st != uint64(n) || df != 1 || bf != 1 || bs != uint64(n) {
-			t.Fatalf("staged=%d data_frames=%d batch_frames=%d batched=%d, want %d summaries in one batch frame", st, df, bf, bs, n)
+		if st, df := fab.Stats.SummariesStaged.Load(), fab.Stats.DataFrames.Load(); st != uint64(n) || df != st {
+			t.Fatalf("staged=%d data_frames=%d, want %d summaries in %d frames", st, df, n, n)
 		}
-		if len(frames) != 1 || len(frames[0]) != n {
-			t.Fatalf("parent received %d frames (%v), want one of %d entries", len(frames), frames, n)
+		if len(frames) != n {
+			t.Fatalf("parent received %d frames (%v), want %d", len(frames), frames, n)
 		}
-		for _, e := range frames[0] {
-			if e.SentAt != sentAt {
-				t.Fatalf("entry of %q stamped %v, want the turn's own time %v", e.S.Query, e.SentAt, sentAt)
+		for _, f := range frames {
+			if len(f) != 1 {
+				t.Fatalf("parent received a frame of %d entries (%v), want one summary a frame", len(f), frames)
+			}
+			if f[0].SentAt != sentAt {
+				t.Fatalf("entry of %q stamped %v, want the turn's own time %v", f[0].S.Query, f[0].SentAt, sentAt)
 			}
 		}
 	}
@@ -313,13 +225,13 @@ func TestTurnSharesAFrame(t *testing.T) {
 			p.deliver(child, b, 0)
 		})
 		rt.RunFor(time.Second)
-		requireOneBatch(t, fab, *frames, tenants, arrived)
+		requireFrames(t, fab, *frames, tenants, arrived)
 		seen := map[string]bool{}
-		for _, e := range (*frames)[0] {
-			seen[e.S.Query] = true
+		for _, f := range *frames {
+			seen[f[0].S.Query] = true
 		}
 		if len(seen) != tenants {
-			t.Fatalf("batch carries %v, want one summary per tenant", seen)
+			t.Fatalf("frames carry %v, want one summary per tenant", seen)
 		}
 	})
 
@@ -345,47 +257,13 @@ func TestTurnSharesAFrame(t *testing.T) {
 		}
 		fires := inst.evictTimer.When()
 		rt.RunFor(time.Second)
-		requireOneBatch(t, fab, *frames, 2, fires)
+		requireFrames(t, fab, *frames, 2, fires)
 	})
 }
 
-// (c) A byte-ceiling flush mid-turn followed by another park for the same hop
-// sends both and strands neither: with the ceiling at two summaries, three
-// parked in one turn leave as a two-entry batch and a single envelope.
-func TestCeilingFlushMidTurnStrandsNothing(t *testing.T) {
-	s := tuple.Summary{Query: "sum0", Value: 1.0, Count: 1, Levels: []int16{1}}
-	cfg := DefaultConfig()
-	cfg.SummaryBatchBytes = 2 * wire.SummaryWireSize(&s)
-	fab, rt := testbed(t, 30, 11, cfg, nil)
-	installQuery(t, fab, rt, sumMeta("sum0", 0), 4, 1)
-	rt.RunFor(10 * time.Second)
-	p, inst := interiorPeer(t, fab, "sum0")
-	to := inst.nb.Parents[0]
-	frames := tapSummaries(fab, rt, p.id, to)
-	for i := 0; i < 3; i++ {
-		s.Levels = []int16{1}
-		p.stageSummary(inst, s, 0, to, 0)
-	}
-	if n := len(p.stage[to].entries); n != 1 {
-		t.Fatalf("%d entries parked after three summaries against a ceiling of two, want the third alone", n)
-	}
-	p.flushStages()
-	if n := parked(p); n != 0 {
-		t.Fatalf("%d entries stranded after the turn's flush", n)
-	}
-	rt.RunFor(time.Second)
-	// The smaller frame may overtake the larger on the simulated link.
-	if len(*frames) != 2 || len((*frames)[0])+len((*frames)[1]) != 3 {
-		t.Fatalf("parent received %v, want a two-entry batch and a single envelope", *frames)
-	}
-	if df, bf, bs := fab.Stats.DataFrames.Load(), fab.Stats.BatchFrames.Load(), fab.Stats.BatchedSummaries.Load(); df != 2 || bf != 1 || bs != 2 {
-		t.Fatalf("data_frames=%d batch_frames=%d batched=%d, want 2, 1 and 2", df, bf, bs)
-	}
-}
-
-// (d) A result subscriber that injects into the reporting peer (Chain)
-// re-enters injectRawBatch — and its flushStages — inside the turn that
-// reported, on the simulator. Nothing is lost or sent twice by that: with the
+// A result subscriber that injects into the reporting peer (Chain) re-enters
+// injectRawBatch, and the sends it makes, inside the turn that reported, on
+// the simulator. Nothing is lost or sent twice by that: with the
 // upstream query's results chained into a downstream sum whose operator at the
 // reporting peer is an interior one, the downstream total is exactly the
 // sensors' raws plus the upstream results.
@@ -436,56 +314,5 @@ func TestChainReentryLosesAndDuplicatesNothing(t *testing.T) {
 	}
 	if late, dropped := fab.Stats.LateAtRoot.Load(), fab.Stats.Dropped.Load(); late != 0 || dropped != 0 {
 		t.Fatalf("%d late at a root, %d dropped", late, dropped)
-	}
-}
-
-// (e) The same rule on the live backend, under -race: a function posted to a
-// peer's mailbox runs between two of its turns, and finds nothing staged
-// however the goroutines interleave.
-func TestLiveNothingParksBetweenTurns(t *testing.T) {
-	const peers = 20
-	rt := livert.New(peers, livert.Options{Seed: 7, MinDelay: 200 * time.Microsecond, MaxDelay: 3 * time.Millisecond})
-	defer rt.Shutdown()
-	cfg := DefaultConfig()
-	cfg.HeartbeatPeriod = 50 * time.Millisecond
-	cfg.MinTimeout = 20 * time.Millisecond
-	fab, err := NewFabric(rt, nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reported atomic.Int64
-	fab.OnResult = func(Result) { reported.Add(1) }
-	meta := sumMeta("live", 0)
-	meta.Seq = 1
-	meta.Window = tuple.WindowSpec{Kind: tuple.TimeWindow, Range: 100 * time.Millisecond, Slide: 100 * time.Millisecond}
-	meta.IssuedSim = rt.Clock(0).Now()
-	def, err := fab.Compile(meta, nil, uniformCoords(peers, 9), 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fab.Install(0, def); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < peers; i++ {
-		i := i
-		rt.Clock(i).Every(20*time.Millisecond, func() { fab.Inject(i, tuple.Raw{Vals: []float64{1}}) })
-	}
-	deadline := time.Now().Add(20 * time.Second)
-	for sweeps := 0; reported.Load() < 10 || sweeps < 50; sweeps++ {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d results after 20 s", reported.Load())
-		}
-		for i := 0; i < peers; i++ {
-			var n int
-			if !runtime.ExecWait(rt, i, func() { n = parked(fab.Peer(i)) }) {
-				t.Fatal("runtime refused Exec")
-			}
-			if n != 0 {
-				t.Fatalf("peer %d holds %d staged entries between turns", i, n)
-			}
-		}
-	}
-	if fab.Stats.SummariesStaged.Load() == 0 {
-		t.Fatal("nothing was staged")
 	}
 }

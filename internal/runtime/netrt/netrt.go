@@ -479,9 +479,7 @@ type NetStats struct {
 	TrainFrames uint64
 	Sockets     int
 	// Per-class frame counts (a frame is one transport Send; a train packs
-	// several into one datagram). DataFrames is the number the upstream
-	// summary path's per-turn batching drives down: the summaries one turn
-	// routes to one next hop share a frame instead of taking one each.
+	// several into one datagram). Every upstream summary is one data frame.
 	CtlFrames  uint64
 	DataFrames uint64
 	// Duplicated counts the control frames sent twice (SetCtrlDup).
@@ -1240,8 +1238,10 @@ func (r *Runtime) deliverWire(peer, src int, frame []byte) {
 		// measures RTT/2 at the transport, not via host timestamps).
 		m.SentAt = r.rewriteSentAt(peer, src)
 	case *wire.EnvelopeBatch:
-		// A batch shares one transmit stamp; every entry inherited it at
-		// decode, so all of them rewrite together.
+		// No peer of this release sends a batch, but one of the previous
+		// release, on the same wire version, may. It shares one transmit
+		// stamp that every entry inherited at decode, so all of them
+		// rewrite together. Goes with the batch kind at wire v6.
 		sentAt := r.rewriteSentAt(peer, src)
 		m.SentAt = sentAt
 		for i := range m.Envelopes {

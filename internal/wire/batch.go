@@ -4,18 +4,21 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"repro/internal/tuple"
 )
 
 // This file is the multi-summary envelope codec (wire Version 4). An
-// EnvelopeBatch carries every summary a peer has staged for one next-hop
-// neighbor in a single frame, amortizing the per-frame costs that dominate
-// the upstream path at scale: the version/kind header, the query key (one
-// table entry per distinct query instead of one string per summary), the
-// transmit timestamp (shared), and the Levels routing vector (delta-encoded
-// against the batch's base vector — summaries staged at one peer mostly
-// share identical levels, so the common case is an empty diff).
+// EnvelopeBatch carries several summaries bound for one next-hop neighbor in
+// a single frame, sharing the version/kind header, the query key (one table
+// entry per distinct query instead of one string per summary), the transmit
+// timestamp, and the Levels routing vector (delta-encoded against the
+// batch's base vector).
+//
+// Batches are decoded, never sent: a peer sends every summary as its own
+// Envelope, because per-turn batching measured one batch in tens of
+// thousands of summary frames. The decoder stays because a peer of the
+// previous release speaks the same wire version and may still send one; the
+// encoder stays because the decoder's tests and the benchmark's batch codec
+// rows need frames. The kind retires, decoder included, at wire v6.
 //
 // Payload layout, after the [Version][kind] frame header:
 //
@@ -42,9 +45,10 @@ import (
 const maxBatchLevels = 4096
 
 // EnvelopeBatch is N summaries bound for the same next-hop peer in one
-// frame. Envelopes are fully materialized on decode — each entry owns its
-// Levels and carries the batch's shared SentAt — so receivers process them
-// exactly like single envelopes.
+// frame, received from peers of the previous release only (see above).
+// Envelopes are fully materialized on decode — each entry owns its Levels
+// and carries the batch's shared SentAt — so receivers process them exactly
+// like single envelopes.
 type EnvelopeBatch struct {
 	SentAt    time.Duration
 	Envelopes []Envelope
@@ -180,7 +184,7 @@ func DecodeEnvelopeBatch(r *Reader) (*EnvelopeBatch, error) {
 			base[i] = int16(v)
 		}
 	}
-	b := &EnvelopeBatch{}
+	b := new(EnvelopeBatch)
 	if b.SentAt, err = r.Duration(); err != nil {
 		return nil, err
 	}
@@ -259,82 +263,4 @@ func DecodeEnvelopeBatch(r *Reader) (*EnvelopeBatch, error) {
 		e.SentAt = b.SentAt
 	}
 	return b, nil
-}
-
-// SummaryWireSize estimates the encoded size of one batch entry without
-// allocating: the fixed fields at varint widths plus the value's encoded
-// size. Staging buffers use it to decide when a batch approaches the
-// transport frame ceiling; a few bytes of slack per entry is fine (the
-// flush threshold sits well under the ceiling).
-func SummaryWireSize(s *tuple.Summary) int {
-	n := 1 + // queryRef (tables are tiny)
-		1 + // tree
-		1 + // ttlDown
-		durationWireSize(s.Index.TB) +
-		durationWireSize(s.Index.TE) +
-		durationWireSize(s.Age) +
-		uvarintWireSize(uint64(s.Count)) +
-		1 + // boundary
-		uvarintWireSize(uint64(s.Hops)) +
-		valueWireSize(s.Value) +
-		uvarintWireSize(uint64(len(s.Levels))) +
-		1 + // diff count
-		3*len(s.Levels) // worst case: every slot diffs
-	return n + len(s.Query) + 2 // key-table share, counted once per entry for safety
-}
-
-// uvarintWireSize is the encoded length of a uvarint.
-func uvarintWireSize(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// durationWireSize is the encoded length of a PutDuration varint.
-func durationWireSize(d time.Duration) int {
-	v := int64(d)
-	return uvarintWireSize(uint64((v << 1) ^ (v >> 63)))
-}
-
-// valueWireSize is the encoded length of a summary value, computed
-// arithmetically (encoding into a scratch buffer would allocate, which the
-// 0-alloc staging path cannot afford). Unknown types get a conservative
-// guess; PutValue will reject them at encode time anyway.
-func valueWireSize(v any) int {
-	switch x := v.(type) {
-	case nil:
-		return 1
-	case float64:
-		return 9
-	case string:
-		return 1 + uvarintWireSize(uint64(len(x))) + len(x)
-	case []float64:
-		return 1 + uvarintWireSize(uint64(len(x))) + 8*len(x)
-	case []uint64:
-		n := 1 + uvarintWireSize(uint64(len(x)))
-		for _, u := range x {
-			n += uvarintWireSize(u)
-		}
-		return n
-	case map[string]float64:
-		n := 1 + uvarintWireSize(uint64(len(x)))
-		for k := range x {
-			n += uvarintWireSize(uint64(len(k))) + len(k) + 8
-		}
-		return n
-	case []ScoredEntry:
-		n := 1 + uvarintWireSize(uint64(len(x)))
-		for _, e := range x {
-			n += uvarintWireSize(uint64(len(e.Key))) + len(e.Key) + 8 +
-				uvarintWireSize(uint64(len(e.Payload))) + 8*len(e.Payload)
-		}
-		return n
-	case Coord:
-		return 17
-	default:
-		return 64
-	}
 }

@@ -60,7 +60,7 @@ const (
 	MsgTopoRequest   = 7
 	MsgTopoReply     = 8
 	MsgInstallAck    = 9  // a peer reports a wired epoch to the query root
-	MsgEnvelopeBatch = 10 // N summaries to one next hop in one frame (v4)
+	MsgEnvelopeBatch = 10 // N summaries to one next hop in one frame (v4; received, never sent)
 )
 
 // QueryMeta is the part of a query definition every hosting peer keeps: the
@@ -250,6 +250,8 @@ func EncodeMessage(w *Buffer, msg any) error {
 		w.appendKind(MsgEnvelope)
 		return EncodeEnvelope(w, m)
 	case *EnvelopeBatch:
+		// No peer sends a batch; the case serves the decoder's tests and the
+		// benchmark's batch codec rows, and goes with the kind at wire v6.
 		w.appendKind(MsgEnvelopeBatch)
 		return EncodeEnvelopeBatch(w, m)
 	case Heartbeat:
