@@ -214,8 +214,9 @@ func BenchmarkAblationSiblings(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationNetDistAlpha sweeps the netDist EWMA weight (paper:
-// alpha = 10% "worked well in practice").
+// BenchmarkAblationNetDistAlpha sweeps the per-window netDist EWMA weight
+// (paper: alpha = 10% "worked well in practice"); an operator on d trees
+// folds a round of d windows at 1 − (1 − alpha)^d.
 func BenchmarkAblationNetDistAlpha(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, alpha := range []float64{0.02, 0.1, 0.5} {

@@ -87,7 +87,7 @@ func TestCheckMode(t *testing.T) {
 // reconnect among them — is what the parent of the one-run-path change
 // printed, except that the -fail rows, whose windows wait on timers, were
 // re-recorded when a timed-out window's deadline became its end plus the
-// learned lag.
+// learned lag, and again when that lag was learned at the per-window rate.
 func TestSimulatorGolden(t *testing.T) {
 	for _, tc := range []struct {
 		golden string

@@ -2,12 +2,49 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
 )
 
+var update = flag.Bool("update", false, "rewrite testdata/quick-seed42.txt from this tree")
+
 func quick() Options { return Options{Seed: 42, Quick: true} }
+
+// Every quick figure at seed 42 is what testdata/quick-seed42.txt holds — the
+// output of `mortar-exp -all -quick -seed 42`. A change that moves a row fails
+// here; regenerate with `go test -run TestQuickFiguresGolden -update
+// ./internal/experiments` and explain each moved row with the change.
+func TestQuickFiguresGolden(t *testing.T) {
+	const golden = "testdata/quick-seed42.txt"
+	var got bytes.Buffer
+	for _, e := range All {
+		e.Run(quick()).Print(&got)
+	}
+	if *update {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for len(gl) < len(wl) {
+		gl = append(gl, "")
+	}
+	for len(wl) < len(gl) {
+		wl = append(wl, "")
+	}
+	for i := range gl {
+		if gl[i] != wl[i] {
+			t.Errorf("%s line %d:\n got  %q\n want %q", golden, i+1, gl[i], wl[i])
+		}
+	}
+}
 
 // cell parses a table cell as float.
 func cell(t *testing.T, tab *Table, row, col int) float64 {

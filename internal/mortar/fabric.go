@@ -28,12 +28,15 @@ type Config struct {
 	// LivenessMultiple: a parent is presumed unreachable after
 	// HeartbeatPeriod * LivenessMultiple of silence.
 	LivenessMultiple float64
-	// NetDistAlpha is the EWMA weight of both halves of the netDist
-	// estimate, the mean and the mean absolute deviation of how late past a
-	// window's end its slowest contribution arrives (§4.3, footnote: alpha =
-	// 10% worked well in practice). A window waiting on its timer leaves at
-	// TE + netDist + 4·deviation, so one straggler moves that deadline by at
-	// most 5·NetDistAlpha of its excess.
+	// NetDistAlpha is the per-window EWMA weight of both halves of the
+	// netDist estimate, the mean and the mean absolute deviation of how late
+	// past a window's end its slowest contribution arrives (§4.3, footnote:
+	// alpha = 10% worked well in practice). A time window's estimate folds
+	// once a round of d windows, one per tree, at 1 − (1 − NetDistAlpha)^d.
+	// A window waiting on its timer leaves at TE + netDist + 4·deviation, and
+	// a round's slowest lag is capped at twice that hold (at least
+	// MinTimeout) before it is folded: one straggler moves the deadline at
+	// most toward twice the hold in force, never toward its own lateness.
 	NetDistAlpha float64
 	// MinTimeout and MaxTimeout clamp that deadline, measured from the
 	// moment the entry opens: a window waits at least MinTimeout for its

@@ -103,9 +103,8 @@ type instance struct {
 	// operator's frame, the window's slowest contribution reaches it: the
 	// EWMA mean and EWMA absolute deviation (Jacobson–Karels, RFC 6298) of
 	// the maximum lag of each round (foldNetDist). Samples accumulate into
-	// sampleMax (negative: none yet this round) and fold once a round, so
-	// one straggler moves the deadline one EWMA step. learned is false until
-	// the first fold.
+	// sampleMax (negative: none yet this round) and fold once a round, capped
+	// at twice the hold in force. learned is false until the first fold.
 	netDist, netDev time.Duration
 	sampleMax       time.Duration
 	learned         bool
@@ -508,13 +507,18 @@ func (inst *instance) observe(te, now time.Duration) {
 }
 
 // foldNetDist folds the round's maximum lag into the estimate ("an EWMA of
-// the maximum received sample", §4.3; alpha = 10%). A time window's round is
-// one slide per tree (closeSlide): window n travels on tree n mod d, so the
-// maximum over d slides is the slowest tree's lag, where one slide's would
-// alternate between trees — a leaf's own windows and a deep subtree's, a
-// tree with a dead member and one without — and pass the alternation off as
-// deviation. A tuple window's round is its stall period. The first sample
-// seeds the estimate as (s, s/2), RFC 6298's first RTT measurement.
+// the maximum received sample", §4.3; alpha = 10% a window). A time window's
+// round is one slide per tree (closeSlide): window n travels on tree n mod d,
+// so the maximum over d slides is the slowest tree's lag, where one slide's
+// would alternate between trees — a leaf's own windows and a deep subtree's,
+// a tree with a dead member and one without — and pass the alternation off
+// as deviation. The round folds at the per-window weight compounded over its
+// d windows, 1 − (1 − alpha)^d, so the estimate learns at the paper's rate
+// whatever d is. A tuple window's round is its stall period and folds at
+// alpha. A round's maximum is capped at twice the hold in force, so one
+// straggler teaches what a lag of twice the hold would, never its own
+// lateness. The first sample seeds the estimate as (s, s/2), RFC 6298's
+// first RTT measurement.
 func (inst *instance) foldNetDist() {
 	s := inst.sampleMax
 	if s < 0 {
@@ -525,7 +529,12 @@ func (inst *instance) foldNetDist() {
 		inst.netDist, inst.netDev, inst.learned = s, s/2, true
 		return
 	}
-	a := inst.peer.fab.Cfg.NetDistAlpha
+	cfg := inst.peer.fab.Cfg
+	s = min(s, 2*max(inst.netDist+4*inst.netDev, cfg.MinTimeout))
+	a := cfg.NetDistAlpha
+	if inst.meta.Window.Kind == tuple.TimeWindow {
+		a = 1 - math.Pow(1-a, float64(max(len(inst.nb.Parents), 1)))
+	}
 	ewma := func(old, sample time.Duration) time.Duration {
 		return time.Duration((1-a)*float64(old) + a*float64(sample))
 	}
