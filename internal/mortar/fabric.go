@@ -360,7 +360,7 @@ func (f *Fabric) LiveCount() int {
 
 // Inject delivers one raw sensor tuple to a peer's local source stream: an
 // InjectBatch of one, except that the tuple travels in the posted closure,
-// so no slice is made for it and none is recycled.
+// which makes a one-element slice for it, and nothing is recycled.
 func (f *Fabric) Inject(peer int, raw tuple.Raw) {
 	p := f.ingestPeer(peer)
 	f.Rt.Exec(peer, func() { p.injectRawBatch([]tuple.Raw{raw}) })
@@ -370,11 +370,11 @@ func (f *Fabric) Inject(peer int, raw tuple.Raw) {
 // source stream, from any goroutine, in a single execution hop: one mailbox
 // post and one lock acquisition on the live backends, however many tuples
 // the batch carries. The peer stamps the tuples' At field in its own
-// windowing frame. Ownership of the slice transfers permanently: once the
-// peer has absorbed the tuples the slice is recycled into the fabric's
-// batch pool for the next GetRawBatch, so the caller must never touch a
-// submitted slice again. An out-of-range peer panics on every backend (the
-// live runtime's Exec would otherwise silently drop the batch).
+// windowing frame, in place. Ownership of the slice transfers permanently:
+// once the peer has absorbed the tuples the slice is recycled into the
+// fabric's batch pool for the next GetRawBatch, so the caller must never
+// touch a submitted slice again. An out-of-range peer panics on every
+// backend (the live runtime's Exec would otherwise silently drop the batch).
 func (f *Fabric) InjectBatch(peer int, raws []tuple.Raw) {
 	p := f.ingestPeer(peer)
 	if len(raws) == 0 {
@@ -448,7 +448,9 @@ func (f *Fabric) GetRawBatch(n int) []tuple.Raw {
 }
 
 // putRawBatch recycles an absorbed batch slice. Called from the peer's
-// serialization domain after injectRawBatch copied every tuple out.
+// serialization domain once injectRawBatch returns: its instances have
+// written At into the batch in place, and every window that keeps a tuple
+// keeps its own copy, so nothing refers to the slice any more.
 func (f *Fabric) putRawBatch(b []tuple.Raw) {
 	f.batchMu.Lock()
 	if len(f.batchFree) < maxFreeBatches {

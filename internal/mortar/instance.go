@@ -59,14 +59,19 @@ type instance struct {
 	// mean-inception age needs, held as offsets so the sum stays small
 	// however far the frame clock has run. panes holds the values of the
 	// last k slides when Range = k·Slide with k > 1 (oldest first, nil for
-	// a slide without data; unused by tumbling windows). Nothing per-tuple
-	// survives the merge, so what a peer retains does not grow with its
-	// ingest rate.
+	// a slide without data; unused by tumbling windows). sum, count and avg
+	// panes keep nothing per tuple; the other operators' windows keep every
+	// merged value or raw until the slide closes.
 	win     ops.Window
 	paneN   int64
 	paneOff time.Duration
 	panes   []tuple.Value
 	everRaw bool
+
+	// scratch holds the filtered, re-keyed copy of a batch this instance
+	// merges when it may not use the shared batch itself (selectRaws);
+	// reused from batch to batch.
+	scratch []tuple.Raw
 
 	// ownsValues reports that a value this instance emits or evicts is
 	// exclusively that summary's, so the time-space list may fold later
@@ -162,11 +167,15 @@ func (p *Peer) newInstance(meta QueryMeta) (*instance, error) {
 }
 
 // frameNow returns the instance's indexing-frame time.
-func (inst *instance) frameNow() time.Duration {
+func (inst *instance) frameNow() time.Duration { return inst.frameAt(inst.peer.localNow()) }
+
+// frameAt maps a reading of the peer's local clock into the instance's
+// indexing frame.
+func (inst *instance) frameAt(local time.Duration) time.Duration {
 	if inst.peer.fab.Cfg.Syncless {
-		return inst.refBase + (inst.peer.localNow() - inst.installLocal)
+		return inst.refBase + (local - inst.installLocal)
 	}
-	return inst.peer.localNow()
+	return local
 }
 
 // start begins slide processing. Called once the operator is installed
@@ -304,26 +313,30 @@ func (inst *instance) scheduleSlide() {
 // epoch keeps producing complete windows while the new one wires up, so
 // completeness never dips (make-before-break). Draining instances open no
 // new windows and take no raws. The instance loop is outermost so the
-// per-batch cost — the instance-map walk, the frame-clock read, the slide
-// boundary check — is paid once per instance, not once per tuple.
+// per-batch cost — the instance-map walk, the slide boundary check, the
+// window call — is paid once per instance, not once per tuple; the clock is
+// read once for the whole batch.
 func (p *Peer) injectRawBatch(raws []tuple.Raw) {
 	p.fab.Stats.TuplesIngested.Add(uint64(len(raws)))
 	p.fab.Stats.IngestBatches.Add(1)
+	local := p.localNow()
 	for _, inst := range p.insts {
 		if !inst.draining {
-			inst.takeRaws(raws)
+			inst.takeRaws(raws, local)
 		}
 	}
 }
 
-// takeRaws merges a batch into the instance's local window. The tuples
-// arrived together, so one frame-clock read stamps them all. A raw belongs
-// to the slide its arrival stamp falls in: a stamp at or past the open
-// slide's boundary means the close timer is running late, so that slide
-// closes first and the raw is counted in the next one — in exactly one
-// window, however late the timer.
-func (inst *instance) takeRaws(raws []tuple.Raw) {
-	at := inst.frameNow()
+// takeRaws merges a batch that arrived when the peer's clock read local
+// into the instance's window. The tuples arrived together, so one frame
+// time stamps them all. A raw belongs to the slide its arrival stamp falls
+// in: a stamp at or past the open slide's boundary means the close timer
+// is running late, so that slide closes first and the raw is counted in the
+// next one — in exactly one window, however late the timer. A time window
+// takes the batch in one Merge; a tuple window merges one arrival at a
+// time, since each arrival may emit.
+func (inst *instance) takeRaws(raws []tuple.Raw, local time.Duration) {
+	at := inst.frameAt(local)
 	w := inst.meta.Window
 	tupleWin := w.Kind == tuple.TupleWindow
 	if !tupleWin {
@@ -332,26 +345,58 @@ func (inst *instance) takeRaws(raws []tuple.Raw) {
 			inst.closeSlide() // re-arms the timer for the next boundary
 		}
 	}
-	off := at - time.Duration(inst.curSlide)*w.Slide
-	for _, r := range raws {
-		if inst.meta.FilterKey != "" && r.Key != inst.meta.FilterKey {
-			continue // the select stage (§7.4) drops non-matching tuples
+	batch := inst.selectRaws(raws, at)
+	if len(batch) == 0 {
+		return
+	}
+	inst.everRaw = true
+	if tupleWin {
+		for i := range batch {
+			inst.win.Merge(batch[i : i+1]...)
+			inst.raws = append(inst.raws, batch[i])
+			inst.rawInSlide = true
+			inst.tupleArrived()
 		}
+		return
+	}
+	inst.win.Merge(batch...)
+	n := int64(len(batch))
+	inst.paneN += n
+	inst.paneOff += time.Duration(n) * (at - time.Duration(inst.curSlide)*w.Slide)
+}
+
+// selectRaws returns the batch stamped at this instance's arrival time at:
+// the shared batch itself, stamped in place, when every tuple passes
+// unchanged; otherwise a copy in inst.scratch of the tuples the select
+// stage (§7.4) keeps, each grouped by its sub-key where it has one. A
+// Key rewrite never touches the shared batch: the peer's other instances
+// read it next. Restamping At in place is safe, since each instance
+// restamps before it merges and a window keeps its own copy of a tuple.
+func (inst *instance) selectRaws(raws []tuple.Raw, at time.Duration) []tuple.Raw {
+	filter := inst.meta.FilterKey
+	if filter == "" {
+		i := 0
+		for ; i < len(raws) && raws[i].SubKey == ""; i++ {
+			raws[i].At = at
+		}
+		if i == len(raws) {
+			return raws
+		}
+	}
+	out := inst.scratch[:0]
+	for i := range raws {
+		if filter != "" && raws[i].Key != filter {
+			continue
+		}
+		r := raws[i]
 		if r.SubKey != "" {
 			r.Key = r.SubKey // select consumed the match key; group by sub-key
 		}
 		r.At = at
-		inst.win.Merge(r)
-		inst.everRaw = true
-		if tupleWin {
-			inst.raws = append(inst.raws, r)
-			inst.rawInSlide = true
-			inst.tupleArrived()
-		} else {
-			inst.paneN++
-			inst.paneOff += off
-		}
+		out = append(out, r)
 	}
+	inst.scratch = out
+	return out
 }
 
 // closeSlide ends the open slide: it runs from the slide timer at each

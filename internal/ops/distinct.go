@@ -142,7 +142,11 @@ type distinctWindow struct {
 	keys map[string]int // key -> multiplicity in window
 }
 
-func (w *distinctWindow) Merge(t tuple.Raw) { w.keys[t.Key]++ }
+func (w *distinctWindow) Merge(ts ...tuple.Raw) {
+	for i := range ts {
+		w.keys[ts[i].Key]++
+	}
+}
 func (w *distinctWindow) Remove(t tuple.Raw) {
 	if w.keys[t.Key] <= 1 {
 		delete(w.keys, t.Key)

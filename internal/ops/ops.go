@@ -21,8 +21,11 @@ import (
 // across time", §4). The runtime owns the queue of raw tuples and informs
 // the window as tuples enter and leave.
 type Window interface {
-	// Merge injects a new tuple into the window.
-	Merge(t tuple.Raw)
+	// Merge injects a batch of new tuples into the window, in arrival
+	// order; Merge() with no tuples changes nothing. The slice stays the
+	// caller's, who may overwrite it once Merge returns: a window that keeps
+	// a tuple keeps its own copy of it.
+	Merge(ts ...tuple.Raw)
 	// Remove is called as a tuple exits the window.
 	Remove(t tuple.Raw)
 	// Value returns the summary value of the current window contents, or
@@ -133,7 +136,13 @@ type sumWindow struct {
 	n     int
 }
 
-func (w *sumWindow) Merge(t tuple.Raw)  { w.sum += field(t, w.field); w.n++ }
+func (w *sumWindow) Merge(ts ...tuple.Raw) {
+	sum := w.sum
+	for i := range ts {
+		sum += field(ts[i], w.field)
+	}
+	w.sum, w.n = sum, w.n+len(ts)
+}
 func (w *sumWindow) Remove(t tuple.Raw) { w.sum -= field(t, w.field); w.n-- }
 func (w *sumWindow) Value() tuple.Value {
 	if w.n == 0 {
@@ -158,8 +167,8 @@ func (Count) Combine(a, b tuple.Value) tuple.Value { return a.(float64) + b.(flo
 
 type countWindow struct{ n int }
 
-func (w *countWindow) Merge(tuple.Raw)  { w.n++ }
-func (w *countWindow) Remove(tuple.Raw) { w.n-- }
+func (w *countWindow) Merge(ts ...tuple.Raw) { w.n += len(ts) }
+func (w *countWindow) Remove(tuple.Raw)      { w.n-- }
 func (w *countWindow) Value() tuple.Value {
 	if w.n == 0 {
 		return nil
@@ -200,7 +209,11 @@ type extWindow struct {
 	vals []float64 // window contents; extremum needs them for Remove
 }
 
-func (w *extWindow) Merge(t tuple.Raw) { w.vals = append(w.vals, field(t, w.op.Field)) }
+func (w *extWindow) Merge(ts ...tuple.Raw) {
+	for i := range ts {
+		w.vals = append(w.vals, field(ts[i], w.op.Field))
+	}
+}
 func (w *extWindow) Remove(t tuple.Raw) {
 	v := field(t, w.op.Field)
 	for i, x := range w.vals {
@@ -266,7 +279,13 @@ type avgWindow struct {
 	n     float64
 }
 
-func (w *avgWindow) Merge(t tuple.Raw)  { w.sum += field(t, w.field); w.n++ }
+func (w *avgWindow) Merge(ts ...tuple.Raw) {
+	sum := w.sum
+	for i := range ts {
+		sum += field(ts[i], w.field)
+	}
+	w.sum, w.n = sum, w.n+float64(len(ts))
+}
 func (w *avgWindow) Remove(t tuple.Raw) { w.sum -= field(t, w.field); w.n-- }
 func (w *avgWindow) Value() tuple.Value {
 	if w.n == 0 {
@@ -327,9 +346,11 @@ type topkWindow struct {
 	best map[string]wire.ScoredEntry
 }
 
-func (w *topkWindow) Merge(t tuple.Raw) {
-	w.all = append(w.all, t)
-	w.offer(t)
+func (w *topkWindow) Merge(ts ...tuple.Raw) {
+	w.all = append(w.all, ts...)
+	for i := range ts {
+		w.offer(ts[i])
+	}
 }
 
 func (w *topkWindow) Remove(t tuple.Raw) {
@@ -398,9 +419,11 @@ type unionWindow struct {
 	raws  []tuple.Raw
 }
 
-func (w *unionWindow) Merge(t tuple.Raw) {
-	w.raws = append(w.raws, t)
-	w.items = append(w.items, wire.ScoredEntry{Key: t.Key, Payload: append([]float64(nil), t.Vals...)})
+func (w *unionWindow) Merge(ts ...tuple.Raw) {
+	w.raws = append(w.raws, ts...)
+	for _, t := range ts {
+		w.items = append(w.items, wire.ScoredEntry{Key: t.Key, Payload: append([]float64(nil), t.Vals...)})
+	}
 }
 
 func (w *unionWindow) Remove(t tuple.Raw) {
@@ -483,7 +506,11 @@ func (Entropy) Finalize(v tuple.Value) tuple.Value {
 
 type histWindow struct{ counts map[string]float64 }
 
-func (w *histWindow) Merge(t tuple.Raw) { w.counts[t.Key]++ }
+func (w *histWindow) Merge(ts ...tuple.Raw) {
+	for i := range ts {
+		w.counts[ts[i].Key]++
+	}
+}
 func (w *histWindow) Remove(t tuple.Raw) {
 	if w.counts[t.Key] <= 1 {
 		delete(w.counts, t.Key)
@@ -575,7 +602,11 @@ type bloomWindow struct {
 	keys map[string]int // key -> multiplicity in window
 }
 
-func (w *bloomWindow) Merge(t tuple.Raw) { w.keys[t.Key]++ }
+func (w *bloomWindow) Merge(ts ...tuple.Raw) {
+	for i := range ts {
+		w.keys[ts[i].Key]++
+	}
+}
 func (w *bloomWindow) Remove(t tuple.Raw) {
 	if w.keys[t.Key] <= 1 {
 		delete(w.keys, t.Key)
@@ -649,7 +680,11 @@ type quantWindow struct {
 	vals []float64
 }
 
-func (w *quantWindow) Merge(t tuple.Raw) { w.vals = append(w.vals, field(t, w.op.Field)) }
+func (w *quantWindow) Merge(ts ...tuple.Raw) {
+	for i := range ts {
+		w.vals = append(w.vals, field(ts[i], w.op.Field))
+	}
+}
 func (w *quantWindow) Remove(t tuple.Raw) {
 	v := field(t, w.op.Field)
 	for i, x := range w.vals {

@@ -37,7 +37,7 @@ type trilatWindow struct {
 	frames []tuple.Raw
 }
 
-func (w *trilatWindow) Merge(t tuple.Raw) { w.frames = append(w.frames, t) }
+func (w *trilatWindow) Merge(ts ...tuple.Raw) { w.frames = append(w.frames, ts...) }
 func (w *trilatWindow) Remove(t tuple.Raw) {
 	for i := range w.frames {
 		if w.frames[i].Key == t.Key && w.frames[i].At == t.At {
