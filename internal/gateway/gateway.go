@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -94,6 +95,9 @@ type Spec struct {
 	BF           int      `json:"bf,omitempty"`
 }
 
+// maxMS is the longest window_ms or slide_ms a time.Duration holds.
+const maxMS = math.MaxInt64 / int64(time.Millisecond)
+
 // toQuerySpec validates the JSON-level shape and converts to the
 // federation's spec; semantic validation (operator registry, window
 // bounds) happens inside InstallQuery.
@@ -102,6 +106,8 @@ func (sp Spec) toQuerySpec() (federation.QuerySpec, error) {
 	switch {
 	case sp.WindowMS > 0 && sp.WindowTuples > 0:
 		return federation.QuerySpec{}, errors.New("spec: window_ms and window_tuples are mutually exclusive")
+	case sp.WindowMS > maxMS || sp.SlideMS > maxMS:
+		return federation.QuerySpec{}, fmt.Errorf("spec: window_ms and slide_ms must be at most %d", maxMS)
 	case sp.WindowMS > 0:
 		w.Kind = tuple.TimeWindow
 		w.Range = time.Duration(sp.WindowMS) * time.Millisecond

@@ -79,6 +79,9 @@ func TestSpecValidation(t *testing.T) {
 		{"unknown operator", `{"name":"a","op":"nonesuch","window_ms":200}`},
 		{"unknown source query", `{"name":"a","op":"count","window_ms":200,"source":"ghost"}`},
 		{"range not a multiple of slide", `{"name":"a","op":"count","window_ms":500,"slide_ms":200}`},
+		{"window_ms overflows a duration", `{"name":"a","op":"count","window_ms":18446744073710}`},
+		{"window_ms one past the largest duration", `{"name":"a","op":"count","window_ms":9223372036855}`},
+		{"slide_ms overflows a duration", `{"name":"a","op":"count","window_ms":200,"slide_ms":18446744073710}`},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(ts.URL+"/v1/queries", "application/json", strings.NewReader(c.body))

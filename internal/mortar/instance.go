@@ -53,20 +53,18 @@ type instance struct {
 	// Full definition; held only at the query root / issuer (§6.1).
 	def *QueryDef
 
-	// Local source window state. A time window is a run of panes, one per
-	// slide: win is the open slide's partial aggregate, and paneN/paneOff
-	// its raw count and Σ(arrival − slide start) — all the summary's
-	// mean-inception age needs, held as offsets so the sum stays small
-	// however far the frame clock has run. panes holds the values of the
-	// last k slides when Range = k·Slide with k > 1 (oldest first, nil for
-	// a slide without data; unused by tumbling windows). sum, count and avg
-	// panes keep nothing per tuple; the other operators' windows keep every
-	// merged value or raw until the slide closes.
-	win     ops.Window
-	paneN   int64
-	paneOff time.Duration
-	panes   []tuple.Value
-	everRaw bool
+	// Local source window state: the window is the Combine of the last
+	// WindowSpec.Panes() panes held in sealed. win is the open pane's
+	// partial aggregate and paneN its raw count; paneOff is Σ(arrival −
+	// slide start) for a time window, Σ(arrival − paneFirst) for a tuple
+	// window — offsets, so the sum stays small however far the frame clock
+	// has run. sum, count, avg, min and max panes keep nothing per tuple.
+	win       ops.Window
+	paneN     int64
+	paneOff   time.Duration
+	paneFirst time.Duration
+	sealed    *ops.Panes
+	everRaw   bool
 
 	// scratch holds the filtered, re-keyed copy of a batch this instance
 	// merges when it may not use the shared batch itself (selectRaws);
@@ -79,12 +77,13 @@ type instance struct {
 	// newInstance).
 	ownsValues bool
 
-	// Tuple-window state (§4.1): the last RangeN arrivals (tuples leave a
-	// count window one at a time, so it keeps them), whether one arrived
-	// since the last stall tick, counts since the last emission, and the
-	// end of the last emitted validity interval so stall boundaries can
-	// extend it (§4.3).
-	raws       []tuple.Raw
+	// Tuple-window state (§4.1): the raw count and Σ(arrival − oldest
+	// pane's First) over the sealed panes, whether a raw arrived since the
+	// last stall tick, panes sealed since the last emission, and the end of
+	// the last emitted validity interval so stall boundaries can extend it
+	// (§4.3).
+	heldN      int64
+	heldOff    time.Duration
 	rawInSlide bool
 	sinceSlide int
 	lastTE     time.Duration
@@ -145,13 +144,9 @@ func (p *Peer) newInstance(meta QueryMeta) (*instance, error) {
 	// the value), and a sliding window's value may be one of its retained
 	// panes (sealPane), so they keep the copying combiner: on every peer of
 	// such a query a value, once made, is never written again.
-	if meta.Window.Kind == tuple.TimeWindow {
-		k := int(meta.Window.Range / meta.Window.Slide)
-		if k > 1 {
-			inst.panes = make([]tuple.Value, k)
-		}
-		inst.ownsValues = k == 1
-	}
+	k := meta.Window.Panes()
+	inst.sealed = ops.NewPanes(op, k)
+	inst.ownsValues = meta.Window.Kind == tuple.TimeWindow && k == 1
 	if inst.ownsValues {
 		inst.ts = tslist.New(ops.CombineInPlaceNilAware(op))
 	} else {
@@ -264,42 +259,50 @@ func (inst *instance) scheduleStall() {
 	})
 }
 
-// tupleArrived handles tuple-window accounting for one raw arrival,
-// emitting a summary over the last RangeN tuples every SlideN arrivals.
-// The index is the arrival span of the window's tuples (§4.1: "tb
-// indicates the arrival time of the first tuple and te the arrival time of
-// the last").
-func (inst *instance) tupleArrived() {
+// takeArrivals merges a tuple window's batch, all stamped at, with one
+// Merge per pane of g arrivals it reaches, and emits every SlideN/g sealed
+// panes a summary over the last RangeN arrivals (the held panes), indexed
+// by their arrival span (§4.1: "tb indicates the arrival time of the first
+// tuple and te the arrival time of the last").
+func (inst *instance) takeArrivals(batch []tuple.Raw, at time.Duration, emit func(tuple.Summary)) {
 	w := inst.meta.Window
-	inst.sinceSlide++
-	// Trim the raw queue to the window range.
-	for len(inst.raws) > w.RangeN {
-		inst.win.Remove(inst.raws[0])
-		inst.raws = inst.raws[1:]
+	g := w.RangeN / w.Panes()
+	for len(batch) > 0 {
+		if inst.paneN == 0 {
+			inst.paneFirst = at
+		}
+		n := min(g-int(inst.paneN), len(batch))
+		inst.win.Merge(batch[:n]...)
+		batch = batch[n:]
+		inst.paneN += int64(n)
+		inst.paneOff += time.Duration(n) * (at - inst.paneFirst)
+		if int(inst.paneN) < g {
+			return
+		}
+		p := ops.Pane{Value: inst.win.Value(), First: inst.paneFirst, N: inst.paneN, Off: inst.paneOff}
+		inst.win = inst.op.NewWindow()
+		inst.paneN, inst.paneOff = 0, 0
+		if old, evicted := inst.sealed.Push(p); evicted {
+			inst.heldN -= old.N
+			inst.heldOff -= old.Off + time.Duration(inst.heldN)*(inst.sealed.Oldest().First-old.First)
+		}
+		first := inst.sealed.Oldest().First
+		inst.heldN += p.N
+		inst.heldOff += p.Off + time.Duration(p.N)*(p.First-first)
+		if inst.sinceSlide++; inst.sinceSlide < w.SlideN/g {
+			continue
+		}
+		inst.sinceSlide = 0
+		inst.lastTE = at + 1 // half-open: include the last arrival
+		n64 := time.Duration(inst.heldN)
+		emit(tuple.Summary{
+			Query: inst.meta.Name,
+			Index: tuple.Index{TB: first, TE: inst.lastTE},
+			Value: inst.sealed.Value(),
+			Count: 1,
+			Age:   inst.frameNow() - first - (inst.heldOff+n64-1)/n64, // Σ(now − At)/N, without N·(now − first)
+		})
 	}
-	if inst.sinceSlide < w.SlideN {
-		return
-	}
-	inst.sinceSlide = 0
-	if len(inst.raws) == 0 {
-		return
-	}
-	now := inst.frameNow()
-	first, last := inst.raws[0].At, inst.raws[len(inst.raws)-1].At
-	idx := tuple.Index{TB: first, TE: last + 1} // half-open: include the last arrival
-	var ageSum time.Duration
-	for _, r := range inst.raws {
-		ageSum += now - r.At
-	}
-	s := tuple.Summary{
-		Query: inst.meta.Name,
-		Index: idx,
-		Value: inst.win.Value(),
-		Count: 1,
-		Age:   ageSum / time.Duration(len(inst.raws)),
-	}
-	inst.lastTE = idx.TE
-	inst.absorb(s)
 }
 
 func (inst *instance) scheduleSlide() {
@@ -333,8 +336,7 @@ func (p *Peer) injectRawBatch(raws []tuple.Raw) {
 // in: a stamp at or past the open slide's boundary means the close timer
 // is running late, so that slide closes first and the raw is counted in the
 // next one — in exactly one window, however late the timer. A time window
-// takes the batch in one Merge; a tuple window merges one arrival at a
-// time, since each arrival may emit.
+// takes the batch in one Merge; a tuple window in one per pane it reaches.
 func (inst *instance) takeRaws(raws []tuple.Raw, local time.Duration) {
 	at := inst.frameAt(local)
 	w := inst.meta.Window
@@ -351,12 +353,8 @@ func (inst *instance) takeRaws(raws []tuple.Raw, local time.Duration) {
 	}
 	inst.everRaw = true
 	if tupleWin {
-		for i := range batch {
-			inst.win.Merge(batch[i : i+1]...)
-			inst.raws = append(inst.raws, batch[i])
-			inst.rawInSlide = true
-			inst.tupleArrived()
-		}
+		inst.rawInSlide = true
+		inst.takeArrivals(batch, at, inst.absorb)
 		return
 	}
 	inst.win.Merge(batch...)
@@ -452,13 +450,12 @@ func (inst *instance) closeSlide() {
 	inst.scheduleSlide()
 }
 
-// sealPane closes the open slide's partial aggregate and returns the value
-// of the window that ends with it: the pane itself for a tumbling window,
-// the operator's Combine over the last k panes when Range = k·Slide. The
-// open window starts afresh; Remove is never called on this path. A sliding
-// window whose range holds one non-empty pane returns that pane itself,
-// which stays in inst.panes: nothing downstream may write to it (ownsValues
-// is false for such an instance).
+// sealPane pushes the open slide's partial aggregate into sealed, starts a
+// fresh window and returns the value of the window that ends with it: the
+// Combine over the last Range/Slide panes (a tumbling window's pane
+// itself). A sliding window's value may be a pane or a partial Combine that
+// sealed still holds: nothing downstream may write to it (ownsValues is
+// false for such an instance).
 func (inst *instance) sealPane() tuple.Value {
 	var pane tuple.Value
 	if inst.paneN > 0 {
@@ -466,22 +463,8 @@ func (inst *instance) sealPane() tuple.Value {
 		inst.win = inst.op.NewWindow()
 		inst.paneN, inst.paneOff = 0, 0
 	}
-	if inst.panes == nil {
-		return pane
-	}
-	copy(inst.panes, inst.panes[1:])
-	inst.panes[len(inst.panes)-1] = pane
-	var val tuple.Value
-	for _, v := range inst.panes {
-		switch {
-		case v == nil:
-		case val == nil:
-			val = v
-		default:
-			val = inst.op.Combine(val, v)
-		}
-	}
-	return val
+	inst.sealed.Push(ops.Pane{Value: pane})
+	return inst.sealed.Value()
 }
 
 // --- TS list management (§4.2, §4.3) ---

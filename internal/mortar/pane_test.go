@@ -167,42 +167,48 @@ func TestSlidingWindowCombinesPanes(t *testing.T) {
 }
 
 // TestPaneAgeSurvivesLargeFrameClock runs local clocks that read 2^50 ns
-// (13 days) at start and merges enough raws into one slide that a sum of
+// (13 days) at start and merges enough raws into one window that a sum of
 // absolute arrival times would overflow int64 (n·2^50 > 2^63 from n =
-// 8192). The pane's accumulator holds offsets from the slide start, so the
-// reported age is still the time since the raws arrived.
+// 8192), for a time window's slide and for a tuple window of n arrivals.
+// The panes' accumulators hold offsets, so the reported age is still the
+// time since the raws arrived.
 func TestPaneAgeSurvivesLargeFrameClock(t *testing.T) {
 	const (
 		hosts = 4
 		n     = 20_000
 	)
-	clocks := make([]vclock.Clock, hosts)
-	for i := range clocks {
-		clocks[i] = vclock.Clock{Offset: 1 << 50, Skew: 1}
-	}
-	fab, rt := timestampBed(t, hosts, 0, clocks)
-	var results []Result
-	fab.OnResult = func(r Result) {
-		if r.Value != nil {
-			results = append(results, r)
+	for _, w := range []tuple.WindowSpec{
+		tumbling(time.Second),
+		{Kind: tuple.TupleWindow, RangeN: n, SlideN: n},
+	} {
+		clocks := make([]vclock.Clock, hosts)
+		for i := range clocks {
+			clocks[i] = vclock.Clock{Offset: 1 << 50, Skew: 1}
 		}
-	}
-	installWindowed(t, fab, rt, "sum", tumbling(time.Second))
-	const arrival = 3400 * time.Millisecond
-	rt.After(arrival-rt.Now(), func() {
-		raws := fab.GetRawBatch(n)
-		for i := 0; i < n; i++ {
-			raws = append(raws, tuple.Raw{Vals: []float64{1}})
+		fab, rt := timestampBed(t, hosts, 0, clocks)
+		var results []Result
+		fab.OnResult = func(r Result) {
+			if r.Value != nil {
+				results = append(results, r)
+			}
 		}
-		fab.InjectBatch(1, raws)
-	})
-	rt.RunFor(10 * time.Second)
-	if len(results) != 1 || results[0].Value.(float64) != n {
-		t.Fatalf("results = %+v, want one window of %d", results, n)
-	}
-	r := results[0]
-	if d := r.Age - (r.At - arrival); d < -time.Millisecond || d > time.Millisecond {
-		t.Fatalf("age %v at report time %v, want the %v since arrival", r.Age, r.At, r.At-arrival)
+		installWindowed(t, fab, rt, "sum", w)
+		const arrival = 3400 * time.Millisecond
+		rt.After(arrival-rt.Now(), func() {
+			raws := fab.GetRawBatch(n)
+			for i := 0; i < n; i++ {
+				raws = append(raws, tuple.Raw{Vals: []float64{1}})
+			}
+			fab.InjectBatch(1, raws)
+		})
+		rt.RunFor(10 * time.Second)
+		if len(results) != 1 || results[0].Value.(float64) != n {
+			t.Fatalf("results = %+v, want one window of %d", results, n)
+		}
+		r := results[0]
+		if d := r.Age - (r.At - arrival); d < -time.Millisecond || d > time.Millisecond {
+			t.Fatalf("age %v at report time %v, want the %v since arrival", r.Age, r.At, r.At-arrival)
+		}
 	}
 }
 
@@ -289,18 +295,24 @@ func TestSlidingTopKMatchesWholeRange(t *testing.T) {
 
 // TestSlidingWindowNeedsCombinablePartials: trilat's Combine keeps one of
 // two positions, so a window of several panes over it has no value; the
-// install is refused rather than answered from one slide.
+// install is refused rather than answered from one pane. A tuple window is
+// one pane when its range divides its slide.
 func TestSlidingWindowNeedsCombinablePartials(t *testing.T) {
 	fab, rt := timestampBed(t, 6, 0, nil)
-	for k, wantErr := range map[time.Duration]bool{1: false, 2: true} {
-		meta := QueryMeta{Name: "pos", Seq: 1, OpName: "trilat", Root: 0, IssuedSim: rt.Now(),
-			Window: tuple.WindowSpec{Kind: tuple.TimeWindow, Range: k * time.Second, Slide: time.Second}}
+	for w, wantErr := range map[tuple.WindowSpec]bool{
+		{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second}:     false,
+		{Kind: tuple.TimeWindow, Range: 2 * time.Second, Slide: time.Second}: true,
+		{Kind: tuple.TupleWindow, RangeN: 3, SlideN: 3}:                      false,
+		{Kind: tuple.TupleWindow, RangeN: 6, SlideN: 3}:                      true,
+		{Kind: tuple.TupleWindow, RangeN: 4, SlideN: 8}:                      false,
+	} {
+		meta := QueryMeta{Name: "pos", Seq: 1, OpName: "trilat", Root: 0, IssuedSim: rt.Now(), Window: w}
 		def, err := fab.Compile(meta, nil, uniformCoords(fab.NumPeers(), 7), 4, 2)
 		if err == nil {
 			err = def.Validate()
 		}
 		if (err != nil) != wantErr {
-			t.Errorf("trilat over range = %d slides: err = %v, want error %v", k, err, wantErr)
+			t.Errorf("trilat over %+v: err = %v, want error %v", w, err, wantErr)
 		}
 	}
 }

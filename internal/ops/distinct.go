@@ -32,7 +32,7 @@ func (Distinct) Name() string { return "distinct" }
 
 // NewWindow implements Operator.
 func (d Distinct) NewWindow() Window {
-	return &distinctWindow{op: d, keys: map[string]int{}}
+	return &distinctWindow{op: d, keys: map[string]struct{}{}}
 }
 
 // words is the packed array length: 8 six-bit-capable byte registers per
@@ -139,19 +139,12 @@ func bits(m int) int {
 
 type distinctWindow struct {
 	op   Distinct
-	keys map[string]int // key -> multiplicity in window
+	keys map[string]struct{}
 }
 
 func (w *distinctWindow) Merge(ts ...tuple.Raw) {
 	for i := range ts {
-		w.keys[ts[i].Key]++
-	}
-}
-func (w *distinctWindow) Remove(t tuple.Raw) {
-	if w.keys[t.Key] <= 1 {
-		delete(w.keys, t.Key)
-	} else {
-		w.keys[t.Key]--
+		w.keys[ts[i].Key] = struct{}{}
 	}
 }
 

@@ -83,24 +83,6 @@ func TestDistinctCombine(t *testing.T) {
 	}
 }
 
-// Window Remove with multiplicity mirrors the Bloom index semantics: a key
-// merged twice survives one removal.
-func TestDistinctWindowRemove(t *testing.T) {
-	d := DefaultDistinct()
-	w := d.NewWindow()
-	k := raw("dup", 0)
-	w.Merge(k)
-	w.Merge(k)
-	w.Remove(k)
-	if w.Value() == nil {
-		t.Fatal("key with remaining multiplicity vanished")
-	}
-	w.Remove(k)
-	if w.Value() != nil {
-		t.Fatal("drained window must yield nil")
-	}
-}
-
 // The registry builds the operator, validates the register count, and the
 // sketch value survives the wire codec (it is a plain bit array).
 func TestDistinctRegistryAndWire(t *testing.T) {

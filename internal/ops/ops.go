@@ -1,33 +1,35 @@
 // Package ops implements Mortar's in-network operator API and the built-in
-// operator suite. Per §2.2, an operator provides a merge function the
-// runtime calls to inject a tuple into its window, and a remove function
-// called as tuples exit the window; both have access to all tuples in the
-// window. Because the time-division data model guarantees duplicate-free
+// operator suite. An operator's Window merges raw tuples ("merging across
+// time") and its Combine merges summary values ("merging across space",
+// §4). Because the time-division data model guarantees duplicate-free
 // operation, user-defined aggregates need no duplicate- or order-
-// insensitive synopses: the same Combine function merges summaries both
-// across time and across space.
+// insensitive synopses. The paper's API (§2.2) also has a remove, called as
+// tuples exit the window; here a window is kept as panes and is the Combine
+// of its live panes (Panes), so a tuple leaves with its pane: merge plus
+// Combine over panes subsumes remove, and no operator implements it.
 package ops
 
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/tuple"
 	"repro/internal/wire"
 )
 
-// Window is an operator's local computation over raw tuples ("merging
-// across time", §4). The runtime owns the queue of raw tuples and informs
-// the window as tuples enter and leave.
+// Window is an operator's local computation over the raw tuples of one
+// pane ("merging across time", §4). A window only ever grows: the runtime
+// seals it with Value when its pane closes and starts a fresh one, and
+// builds a window spanning several panes with the operator's Combine.
 type Window interface {
 	// Merge injects a batch of new tuples into the window, in arrival
 	// order; Merge() with no tuples changes nothing. The slice stays the
 	// caller's, who may overwrite it once Merge returns: a window that keeps
 	// a tuple keeps its own copy of it.
 	Merge(ts ...tuple.Raw)
-	// Remove is called as a tuple exits the window.
-	Remove(t tuple.Raw)
 	// Value returns the summary value of the current window contents, or
 	// nil if the window holds no data.
 	Value() tuple.Value
@@ -98,13 +100,13 @@ func CombineInPlaceNilAware(op Operator) func(a, b tuple.Value) tuple.Value {
 	}
 }
 
-// CheckWindow rejects a window the operator cannot compute. A sliding time
-// window (Range > Slide) is kept as one partial per slide and combined, so
-// it needs a Combine that merges partial aggregates; Trilat's keeps one of
-// two positions, so trilat runs over tumbling windows only.
+// CheckWindow rejects a window the operator cannot compute. A window of
+// several panes is the Combine of their partials, so it needs a Combine
+// that merges partial aggregates; Trilat's keeps one of two positions, so
+// trilat needs a one-pane window.
 func CheckWindow(op Operator, w tuple.WindowSpec) error {
-	if _, whole := op.(Trilat); whole && w.Kind == tuple.TimeWindow && w.Range != w.Slide {
-		return errors.New("ops: trilat does not combine per-slide partials: its time window needs range == slide")
+	if _, whole := op.(Trilat); whole && w.Panes() != 1 {
+		return errors.New("ops: trilat does not combine partials: its window must be one pane (time: range == slide; tuples: range divides slide)")
 	}
 	return nil
 }
@@ -143,7 +145,6 @@ func (w *sumWindow) Merge(ts ...tuple.Raw) {
 	}
 	w.sum, w.n = sum, w.n+len(ts)
 }
-func (w *sumWindow) Remove(t tuple.Raw) { w.sum -= field(t, w.field); w.n-- }
 func (w *sumWindow) Value() tuple.Value {
 	if w.n == 0 {
 		return nil
@@ -168,7 +169,6 @@ func (Count) Combine(a, b tuple.Value) tuple.Value { return a.(float64) + b.(flo
 type countWindow struct{ n int }
 
 func (w *countWindow) Merge(ts ...tuple.Raw) { w.n += len(ts) }
-func (w *countWindow) Remove(tuple.Raw)      { w.n-- }
 func (w *countWindow) Value() tuple.Value {
 	if w.n == 0 {
 		return nil
@@ -195,45 +195,37 @@ func (e Extremum) Name() string {
 // NewWindow implements Operator.
 func (e Extremum) NewWindow() Window { return &extWindow{op: e} }
 
-// Combine implements Operator.
+// Combine implements Operator. It returns the winning operand itself:
+// re-boxing its float64 would allocate.
 func (e Extremum) Combine(a, b tuple.Value) tuple.Value {
-	x, y := a.(float64), b.(float64)
-	if e.Max == (x > y) {
-		return x
+	if e.Max == (a.(float64) > b.(float64)) {
+		return a
 	}
-	return y
+	return b
 }
 
+// extWindow keeps the running best: the first value, then each later one
+// that beats it, so ties and NaNs resolve in arrival order.
 type extWindow struct {
 	op   Extremum
-	vals []float64 // window contents; extremum needs them for Remove
+	best float64
+	seen bool
 }
 
 func (w *extWindow) Merge(ts ...tuple.Raw) {
+	best, seen := w.best, w.seen
 	for i := range ts {
-		w.vals = append(w.vals, field(ts[i], w.op.Field))
-	}
-}
-func (w *extWindow) Remove(t tuple.Raw) {
-	v := field(t, w.op.Field)
-	for i, x := range w.vals {
-		if x == v {
-			w.vals = append(w.vals[:i], w.vals[i+1:]...)
-			return
+		if v := field(ts[i], w.op.Field); !seen || w.op.Max == (v > best) {
+			best, seen = v, true
 		}
 	}
+	w.best, w.seen = best, seen
 }
 func (w *extWindow) Value() tuple.Value {
-	if len(w.vals) == 0 {
+	if !w.seen {
 		return nil
 	}
-	best := w.vals[0]
-	for _, v := range w.vals[1:] {
-		if w.op.Max == (v > best) {
-			best = v
-		}
-	}
-	return best
+	return w.best
 }
 
 // --- Avg ---
@@ -286,7 +278,6 @@ func (w *avgWindow) Merge(ts ...tuple.Raw) {
 	}
 	w.sum, w.n = sum, w.n+float64(len(ts))
 }
-func (w *avgWindow) Remove(t tuple.Raw) { w.sum -= field(t, w.field); w.n-- }
 func (w *avgWindow) Value() tuple.Value {
 	if w.n == 0 {
 		return nil
@@ -342,44 +333,23 @@ func topOf(m map[string]wire.ScoredEntry, k int) []wire.ScoredEntry {
 
 type topkWindow struct {
 	op   TopK
-	all  []tuple.Raw
 	best map[string]wire.ScoredEntry
 }
 
+// Merge makes each tuple its key's entry in best if it outscores the
+// current one (the earliest arrival wins a tie).
 func (w *topkWindow) Merge(ts ...tuple.Raw) {
-	w.all = append(w.all, ts...)
-	for i := range ts {
-		w.offer(ts[i])
-	}
-}
-
-func (w *topkWindow) Remove(t tuple.Raw) {
-	for i := range w.all {
-		if w.all[i].Key == t.Key && w.all[i].At == t.At {
-			w.all = append(w.all[:i], w.all[i+1:]...)
-			break
-		}
-	}
-	// The departed tuple may have held its key's best score; only a
-	// re-scan can tell what replaces it.
-	clear(w.best)
-	for _, r := range w.all {
-		w.offer(r)
-	}
-}
-
-// offer makes t its key's entry in best if it outscores the current one
-// (the earliest arrival wins a tie).
-func (w *topkWindow) offer(t tuple.Raw) {
-	score := field(t, w.op.Field)
-	if old, ok := w.best[t.Key]; !ok || score > old.Score {
-		var payload []float64
-		for i, v := range t.Vals {
-			if i != w.op.Field {
-				payload = append(payload, v)
+	for _, t := range ts {
+		score := field(t, w.op.Field)
+		if old, ok := w.best[t.Key]; !ok || score > old.Score {
+			var payload []float64
+			for i, v := range t.Vals {
+				if i != w.op.Field {
+					payload = append(payload, v)
+				}
 			}
+			w.best[t.Key] = wire.ScoredEntry{Key: t.Key, Score: score, Payload: payload}
 		}
-		w.best[t.Key] = wire.ScoredEntry{Key: t.Key, Score: score, Payload: payload}
 	}
 }
 
@@ -403,36 +373,36 @@ func (Union) Name() string { return "union" }
 // NewWindow implements Operator.
 func (Union) NewWindow() Window { return &unionWindow{} }
 
-// Combine implements Operator.
+// Combine implements Operator: the entries of both, sorted by key. Union
+// values are sorted, so this is one merge pass (a's entries first among
+// equal keys); an input that is not sorted is sorted with the rest.
 func (Union) Combine(a, b tuple.Value) tuple.Value {
 	x := a.([]wire.ScoredEntry)
 	y := b.([]wire.ScoredEntry)
 	out := make([]wire.ScoredEntry, 0, len(x)+len(y))
-	out = append(out, x...)
-	out = append(out, y...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+	byKey := func(e, f wire.ScoredEntry) int { return strings.Compare(e.Key, f.Key) }
+	if !slices.IsSortedFunc(x, byKey) || !slices.IsSortedFunc(y, byKey) {
+		out = append(append(out, x...), y...)
+		sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+		return out
+	}
+	for len(x) > 0 && len(y) > 0 {
+		if y[0].Key < x[0].Key {
+			out, y = append(out, y[0]), y[1:]
+		} else {
+			out, x = append(out, x[0]), x[1:]
+		}
+	}
+	return append(append(out, x...), y...)
 }
 
 type unionWindow struct {
 	items []wire.ScoredEntry
-	raws  []tuple.Raw
 }
 
 func (w *unionWindow) Merge(ts ...tuple.Raw) {
-	w.raws = append(w.raws, ts...)
 	for _, t := range ts {
 		w.items = append(w.items, wire.ScoredEntry{Key: t.Key, Payload: append([]float64(nil), t.Vals...)})
-	}
-}
-
-func (w *unionWindow) Remove(t tuple.Raw) {
-	for i := range w.raws {
-		if w.raws[i].Key == t.Key && w.raws[i].At == t.At {
-			w.raws = append(w.raws[:i], w.raws[i+1:]...)
-			w.items = append(w.items[:i], w.items[i+1:]...)
-			return
-		}
 	}
 }
 
@@ -440,10 +410,7 @@ func (w *unionWindow) Value() tuple.Value {
 	if len(w.items) == 0 {
 		return nil
 	}
-	out := make([]wire.ScoredEntry, len(w.items))
-	copy(out, w.items)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+	return Union{}.Combine(w.items, []wire.ScoredEntry(nil)) // a sorted copy
 }
 
 // --- Entropy ---
@@ -511,13 +478,6 @@ func (w *histWindow) Merge(ts ...tuple.Raw) {
 		w.counts[ts[i].Key]++
 	}
 }
-func (w *histWindow) Remove(t tuple.Raw) {
-	if w.counts[t.Key] <= 1 {
-		delete(w.counts, t.Key)
-	} else {
-		w.counts[t.Key]--
-	}
-}
 func (w *histWindow) Value() tuple.Value {
 	if len(w.counts) == 0 {
 		return nil
@@ -548,7 +508,7 @@ func DefaultBloom() Bloom { return Bloom{Bits: 1024, Hashes: 3} }
 func (Bloom) Name() string { return "bloom" }
 
 // NewWindow implements Operator.
-func (b Bloom) NewWindow() Window { return &bloomWindow{op: b, keys: map[string]int{}} }
+func (b Bloom) NewWindow() Window { return &bloomWindow{op: b, keys: map[string]struct{}{}} }
 
 // Combine implements Operator.
 func (b Bloom) Combine(a, c tuple.Value) tuple.Value {
@@ -599,19 +559,12 @@ func (b Bloom) position(key string, h int) int {
 
 type bloomWindow struct {
 	op   Bloom
-	keys map[string]int // key -> multiplicity in window
+	keys map[string]struct{}
 }
 
 func (w *bloomWindow) Merge(ts ...tuple.Raw) {
 	for i := range ts {
-		w.keys[ts[i].Key]++
-	}
-}
-func (w *bloomWindow) Remove(t tuple.Raw) {
-	if w.keys[t.Key] <= 1 {
-		delete(w.keys, t.Key)
-	} else {
-		w.keys[t.Key]--
+		w.keys[ts[i].Key] = struct{}{}
 	}
 }
 func (w *bloomWindow) Value() tuple.Value {
@@ -647,12 +600,15 @@ func (Quantile) Name() string { return "quantile" }
 // NewWindow implements Operator.
 func (q Quantile) NewWindow() Window { return &quantWindow{op: q} }
 
-// Combine implements Operator: concatenate and down-sample
-// deterministically (every other element of the sorted union) to stay
-// within the cap.
+// Combine implements Operator: concatenate and down-sample.
 func (q Quantile) Combine(a, b tuple.Value) tuple.Value {
-	x := append([]float64(nil), a.([]float64)...)
-	x = append(x, b.([]float64)...)
+	return q.sample(append(append([]float64(nil), a.([]float64)...), b.([]float64)...))
+}
+
+// sample sorts x in place and, while it exceeds the cap, keeps every other
+// element — deterministic, so a window's Value is the Combine of its panes'
+// for as long as it holds at most Cap values.
+func (q Quantile) sample(x []float64) []float64 {
 	sort.Float64s(x)
 	for len(x) > q.Cap {
 		half := x[:0]
@@ -685,27 +641,9 @@ func (w *quantWindow) Merge(ts ...tuple.Raw) {
 		w.vals = append(w.vals, field(ts[i], w.op.Field))
 	}
 }
-func (w *quantWindow) Remove(t tuple.Raw) {
-	v := field(t, w.op.Field)
-	for i, x := range w.vals {
-		if x == v {
-			w.vals = append(w.vals[:i], w.vals[i+1:]...)
-			return
-		}
-	}
-}
 func (w *quantWindow) Value() tuple.Value {
 	if len(w.vals) == 0 {
 		return nil
 	}
-	out := append([]float64(nil), w.vals...)
-	sort.Float64s(out)
-	for len(out) > w.op.Cap {
-		half := out[:0]
-		for i := 0; i < len(out); i += 2 {
-			half = append(half, out[i])
-		}
-		out = half
-	}
-	return out
+	return w.op.sample(append([]float64(nil), w.vals...))
 }

@@ -27,7 +27,7 @@ func (Trilat) NewWindow() Window { return &trilatWindow{} }
 // Combine implements Operator. Trilat runs at the query root consuming the
 // topK output stream, so Combine only needs to pick one estimate when two
 // meet. It is not a merge of partial aggregates, which is why CheckWindow
-// keeps trilat to tumbling windows.
+// keeps trilat to one-pane windows.
 func (Trilat) Combine(a, b tuple.Value) tuple.Value {
 	x := a.(wire.Coord)
 	return x // positions for the same index are equivalent; keep the first
@@ -38,14 +38,6 @@ type trilatWindow struct {
 }
 
 func (w *trilatWindow) Merge(ts ...tuple.Raw) { w.frames = append(w.frames, ts...) }
-func (w *trilatWindow) Remove(t tuple.Raw) {
-	for i := range w.frames {
-		if w.frames[i].Key == t.Key && w.frames[i].At == t.At {
-			w.frames = append(w.frames[:i], w.frames[i+1:]...)
-			return
-		}
-	}
-}
 
 // Value computes the weighted centroid of the three loudest sniffers in the
 // window. Raw layout: Vals = [x, y, rssiDBm].

@@ -176,6 +176,20 @@ func (w WindowSpec) Validate() error {
 	return nil
 }
 
+// Panes is how many panes a valid window spans: Range/Slide slides, or
+// RangeN/g panes of g = gcd(RangeN, SlideN) arrivals, moving SlideN/g panes
+// at a time.
+func (w WindowSpec) Panes() int {
+	if w.Kind == TimeWindow {
+		return int(w.Range / w.Slide)
+	}
+	g, b := w.RangeN, w.SlideN
+	for b != 0 {
+		g, b = b, g%b
+	}
+	return w.RangeN / g
+}
+
 // SlideIndex returns the logical slide number containing local time t, and
 // the corresponding index interval. Only meaningful for time windows.
 func (w WindowSpec) SlideIndex(t time.Duration) (int64, Index) {
