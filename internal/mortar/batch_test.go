@@ -124,3 +124,30 @@ func TestBatchIngestMatchesPerTuple(t *testing.T) {
 		}
 	}
 }
+
+// TestInjectAllocatesNothing pins Inject's steady state: a tuple rides a
+// pooled one-slot batch into the peer, so Inject into a sum instance,
+// between slide closes, allocates nothing. Every tuple still reaches the
+// root.
+func TestInjectAllocatesNothing(t *testing.T) {
+	fab, rt := testbed(t, 2, 17, DefaultConfig(), nil)
+	var mass float64
+	fab.OnResult = func(r Result) {
+		if v, ok := r.Value.(float64); ok {
+			mass += v
+		}
+	}
+	installWindowed(t, fab, rt, "sum", tumbling(10*time.Second))
+	rt.RunFor(time.Second) // wire the trees
+	vals := []float64{1}
+	inject := func() { fab.Inject(1, tuple.Raw{Vals: vals}) }
+	inject() // fill the batch and job pools
+	const runs = 100
+	if allocs := testing.AllocsPerRun(runs, inject); allocs != 0 {
+		t.Fatalf("Inject allocates %v times per call, want 0", allocs)
+	}
+	rt.RunFor(20 * time.Second)
+	if want := float64(1 + runs + 1); mass != want { // AllocsPerRun adds a warm-up call
+		t.Fatalf("root reported %v of %v tuples", mass, want)
+	}
+}

@@ -359,22 +359,23 @@ func (f *Fabric) LiveCount() int {
 }
 
 // Inject delivers one raw sensor tuple to a peer's local source stream: an
-// InjectBatch of one, except that the tuple travels in the posted closure,
-// which makes a one-element slice for it, and nothing is recycled.
+// InjectBatch of one, in a pooled batch, so it allocates nothing in steady
+// state.
 func (f *Fabric) Inject(peer int, raw tuple.Raw) {
-	p := f.ingestPeer(peer)
-	f.Rt.Exec(peer, func() { p.injectRawBatch([]tuple.Raw{raw}) })
+	f.InjectBatch(peer, append(f.GetRawBatch(1), raw))
 }
 
 // InjectBatch delivers a batch of raw sensor tuples to one peer's local
-// source stream, from any goroutine, in a single execution hop: one mailbox
-// post and one lock acquisition on the live backends, however many tuples
-// the batch carries. The peer stamps the tuples' At field in its own
-// windowing frame, in place. Ownership of the slice transfers permanently:
-// once the peer has absorbed the tuples the slice is recycled into the
-// fabric's batch pool for the next GetRawBatch, so the caller must never
-// touch a submitted slice again. An out-of-range peer panics on every
-// backend (the live runtime's Exec would otherwise silently drop the batch).
+// source stream, from any goroutine, in a single Exec however many tuples
+// the batch carries: on the live backends the calling goroutine absorbs
+// the batch itself when the peer is idle, and otherwise queues it as one
+// mailbox entry. Every tuple of the batch arrives at the one time the
+// peer's windowing frame reads when it absorbs the batch; nothing writes
+// the slice. Ownership of the slice transfers permanently: once the peer
+// has absorbed the tuples the slice is recycled into the fabric's batch
+// pool for the next GetRawBatch, so the caller must never touch a
+// submitted slice again. An out-of-range peer panics on every backend (the
+// live runtime's Exec would otherwise silently drop the batch).
 func (f *Fabric) InjectBatch(peer int, raws []tuple.Raw) {
 	p := f.ingestPeer(peer)
 	if len(raws) == 0 {
@@ -398,7 +399,7 @@ func (f *Fabric) ingestPeer(peer int) *Peer {
 	return f.peers[peer]
 }
 
-// ingestJob carries one InjectBatch across the peer's mailbox. A closure
+// ingestJob carries one InjectBatch into the peer's Exec. A closure
 // over (peer, raws) would be a heap allocation per batch; a pooled job
 // whose run func is bound once keeps the batch path allocation-free.
 type ingestJob struct {
@@ -449,8 +450,8 @@ func (f *Fabric) GetRawBatch(n int) []tuple.Raw {
 
 // putRawBatch recycles an absorbed batch slice. Called from the peer's
 // serialization domain once injectRawBatch returns: its instances have
-// written At into the batch in place, and every window that keeps a tuple
-// keeps its own copy, so nothing refers to the slice any more.
+// merged the batch, and every window that keeps a tuple keeps its own
+// copy, so nothing refers to the slice any more.
 func (f *Fabric) putRawBatch(b []tuple.Raw) {
 	f.batchMu.Lock()
 	if len(f.batchFree) < maxFreeBatches {

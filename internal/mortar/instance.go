@@ -347,7 +347,7 @@ func (inst *instance) takeRaws(raws []tuple.Raw, local time.Duration) {
 			inst.closeSlide() // re-arms the timer for the next boundary
 		}
 	}
-	batch := inst.selectRaws(raws, at)
+	batch := inst.selectRaws(raws)
 	if len(batch) == 0 {
 		return
 	}
@@ -363,19 +363,17 @@ func (inst *instance) takeRaws(raws []tuple.Raw, local time.Duration) {
 	inst.paneOff += time.Duration(n) * (at - time.Duration(inst.curSlide)*w.Slide)
 }
 
-// selectRaws returns the batch stamped at this instance's arrival time at:
-// the shared batch itself, stamped in place, when every tuple passes
-// unchanged; otherwise a copy in inst.scratch of the tuples the select
-// stage (§7.4) keeps, each grouped by its sub-key where it has one. A
-// Key rewrite never touches the shared batch: the peer's other instances
-// read it next. Restamping At in place is safe, since each instance
-// restamps before it merges and a window keeps its own copy of a tuple.
-func (inst *instance) selectRaws(raws []tuple.Raw, at time.Duration) []tuple.Raw {
+// selectRaws returns the batch this instance merges: the shared batch
+// itself when every tuple passes unchanged; otherwise a copy in
+// inst.scratch of the tuples the select stage (§7.4) keeps, each grouped
+// by its sub-key where it has one. It never writes the shared batch: the
+// peer's other instances read it next.
+func (inst *instance) selectRaws(raws []tuple.Raw) []tuple.Raw {
 	filter := inst.meta.FilterKey
 	if filter == "" {
 		i := 0
-		for ; i < len(raws) && raws[i].SubKey == ""; i++ {
-			raws[i].At = at
+		for i < len(raws) && raws[i].SubKey == "" {
+			i++
 		}
 		if i == len(raws) {
 			return raws
@@ -390,7 +388,6 @@ func (inst *instance) selectRaws(raws []tuple.Raw, at time.Duration) []tuple.Raw
 		if r.SubKey != "" {
 			r.Key = r.SubKey // select consumed the match key; group by sub-key
 		}
-		r.At = at
 		out = append(out, r)
 	}
 	inst.scratch = out

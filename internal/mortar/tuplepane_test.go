@@ -18,18 +18,18 @@ import (
 )
 
 // recomputed is the summary a tuple window emits when its last RangeN
-// arrivals are win, computed from scratch at frame time now: a fresh
-// window's Value over them, their arrival span as the index and their mean
-// time since arrival as the age.
-func recomputed(op ops.Operator, win []tuple.Raw, now time.Duration) tuple.Summary {
+// arrivals are win, which arrived at ats, computed from scratch at frame
+// time now: a fresh window's Value over them, their arrival span as the
+// index and their mean time since arrival as the age.
+func recomputed(op ops.Operator, win []tuple.Raw, ats []time.Duration, now time.Duration) tuple.Summary {
 	w := op.NewWindow()
 	w.Merge(win...)
 	var ageSum time.Duration
-	for _, r := range win {
-		ageSum += now - r.At
+	for _, at := range ats {
+		ageSum += now - at
 	}
 	return tuple.Summary{
-		Index: tuple.Index{TB: win[0].At, TE: win[len(win)-1].At + 1},
+		Index: tuple.Index{TB: ats[0], TE: ats[len(ats)-1] + 1},
 		Value: w.Value(),
 		Count: 1,
 		Age:   ageSum / time.Duration(len(win)),
@@ -88,6 +88,7 @@ func TestTupleWindowMatchesRecompute(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100*sp[0] + sp[1])))
 			var got, want []tuple.Summary
 			var arrivals []tuple.Raw
+			var arrivalAts []time.Duration // arrivals[i] arrived at arrivalAts[i]
 			for len(arrivals) < 4*(sp[0]+sp[1])+100 {
 				rt.RunFor(time.Duration(1+rng.Intn(40)) * time.Millisecond)
 				at := inst.frameNow()
@@ -96,13 +97,14 @@ func TestTupleWindowMatchesRecompute(t *testing.T) {
 					batch[i] = tuple.Raw{
 						Key:  fmt.Sprintf("k%d", rng.Intn(9)),
 						Vals: []float64{float64(rng.Intn(40)) * 0.1, float64(rng.Intn(50)), -30 - float64(rng.Intn(60))},
-						At:   at,
 					}
 				}
 				inst.takeArrivals(batch, at, func(s tuple.Summary) { got = append(got, s) })
 				for _, r := range batch {
+					arrivalAts = append(arrivalAts, at)
 					if arrivals = append(arrivals, r); len(arrivals)%w.SlideN == 0 {
-						want = append(want, recomputed(op, arrivals[max(0, len(arrivals)-w.RangeN):], at))
+						from := max(0, len(arrivals)-w.RangeN)
+						want = append(want, recomputed(op, arrivals[from:], arrivalAts[from:], at))
 					}
 				}
 			}
@@ -174,7 +176,7 @@ func TestRetainedBytesLinearInTupleWindow(t *testing.T) {
 	fab, _ := testbed(t, 2, 43, DefaultConfig(), nil)
 	raws := make([]tuple.Raw, rangeN+1)
 	for i := range raws {
-		raws[i] = tuple.Raw{Key: fmt.Sprintf("key-%d", i), Vals: []float64{float64(i), 1, -40}, At: time.Duration(i)}
+		raws[i] = tuple.Raw{Key: fmt.Sprintf("key-%d", i), Vals: []float64{float64(i), 1, -40}}
 	}
 	heap := func() int64 {
 		goruntime.GC()
@@ -192,7 +194,7 @@ func TestRetainedBytesLinearInTupleWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range raws {
-			inst.takeArrivals(raws[i:i+1], raws[i].At, func(s tuple.Summary) { last = s })
+			inst.takeArrivals(raws[i:i+1], time.Duration(i), func(s tuple.Summary) { last = s })
 		}
 		if held := heap() - before; held > rangeN*perArrival {
 			t.Errorf("%s: a %d-tuple window holds %d bytes, want at most %d", name, rangeN, held, rangeN*perArrival)
@@ -233,9 +235,7 @@ func BenchmarkTupleWindowArrival(b *testing.B) {
 				}
 				emit := func(s tuple.Summary) { emitted = s }
 				arrive := func(i int) {
-					r := raws[i%len(raws) : i%len(raws)+1]
-					r[0].At = time.Duration(i)
-					inst.takeArrivals(r, r[0].At, emit)
+					inst.takeArrivals(raws[i%len(raws):i%len(raws)+1], time.Duration(i), emit)
 				}
 				// Fill the window, so every timed arrival evicts and the
 				// first one flips the queue.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/wire"
 )
@@ -16,7 +15,7 @@ func TestDistinctAccuracy(t *testing.T) {
 	for _, n := range []int{10, 100, 1000, 10000} {
 		w := d.NewWindow()
 		for i := 0; i < n; i++ {
-			w.Merge(raw(fmt.Sprintf("key-%d", i), time.Duration(i)))
+			w.Merge(raw(fmt.Sprintf("key-%d", i)))
 		}
 		est := d.Finalize(w.Value()).(float64)
 		// 1.04/sqrt(256) ~ 6.5% standard error; allow 4 sigma.
@@ -32,12 +31,12 @@ func TestDistinctDuplicatesIdempotent(t *testing.T) {
 	d := DefaultDistinct()
 	w := d.NewWindow()
 	for i := 0; i < 50; i++ {
-		w.Merge(raw(fmt.Sprintf("k%d", i), 0))
+		w.Merge(raw(fmt.Sprintf("k%d", i)))
 	}
 	once := d.Finalize(w.Value()).(float64)
 	for rep := 0; rep < 10; rep++ {
 		for i := 0; i < 50; i++ {
-			w.Merge(raw(fmt.Sprintf("k%d", i), 0))
+			w.Merge(raw(fmt.Sprintf("k%d", i)))
 		}
 	}
 	if again := d.Finalize(w.Value()).(float64); again != once {
@@ -51,7 +50,7 @@ func TestDistinctCombine(t *testing.T) {
 	d := DefaultDistinct()
 	wa, wb, wu := d.NewWindow(), d.NewWindow(), d.NewWindow()
 	for i := 0; i < 300; i++ {
-		k := raw(fmt.Sprintf("k%d", i), 0)
+		k := raw(fmt.Sprintf("k%d", i))
 		if i%2 == 0 {
 			wa.Merge(k)
 		} else {
@@ -102,7 +101,7 @@ func TestDistinctRegistryAndWire(t *testing.T) {
 	d := DefaultDistinct()
 	w := d.NewWindow()
 	for i := 0; i < 40; i++ {
-		w.Merge(raw(fmt.Sprintf("k%d", i), 0))
+		w.Merge(raw(fmt.Sprintf("k%d", i)))
 	}
 	var buf wire.Buffer
 	buf.PutValue(w.Value())

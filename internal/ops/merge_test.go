@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"time"
 
 	"repro/internal/tuple"
 )
@@ -29,7 +28,6 @@ func mergeStream(rng *rand.Rand, n int) []tuple.Raw {
 		out[i] = tuple.Raw{
 			Key:  fmt.Sprintf("s%d", rng.Intn(6)),
 			Vals: []float64{float64(rng.Intn(50)), float64(rng.Intn(50)), -30 - float64(rng.Intn(60))},
-			At:   time.Duration(i),
 		}
 	}
 	return out
@@ -39,7 +37,7 @@ func mergeStream(rng *rand.Rand, n int) []tuple.Raw {
 // one rule: merging tuples in batches of any size gives the Value of merging
 // them one call at a time, Merge() with no tuples changes nothing, and a
 // window keeps nothing of the caller's slice, which the caller overwrites
-// once Merge returns (the runtime restamps and reuses its batches).
+// once Merge returns (the runtime reuses its batches).
 func TestBatchMergeMatchesPerTuple(t *testing.T) {
 	for _, name := range registered() {
 		op, err := New(name, nil)
@@ -63,7 +61,7 @@ func TestBatchMergeMatchesPerTuple(t *testing.T) {
 				buf = append(buf[:0], rest[:n]...)
 				batched.Merge(buf...)
 				for i := range buf {
-					buf[i] = tuple.Raw{Key: "scribbled", Vals: []float64{1e9, 1e9, 0}, At: -1}
+					buf[i] = tuple.Raw{Key: "scribbled", Vals: []float64{1e9, 1e9, 0}}
 				}
 				rest = rest[n:]
 			}

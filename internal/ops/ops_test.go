@@ -8,14 +8,13 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/tuple"
 	"repro/internal/wire"
 )
 
-func raw(key string, at time.Duration, vals ...float64) tuple.Raw {
-	return tuple.Raw{Key: key, Vals: vals, At: at}
+func raw(key string, vals ...float64) tuple.Raw {
+	return tuple.Raw{Key: key, Vals: vals}
 }
 
 func TestSumWindow(t *testing.T) {
@@ -23,7 +22,7 @@ func TestSumWindow(t *testing.T) {
 	if w.Value() != nil {
 		t.Fatal("empty window must yield nil")
 	}
-	a, b := raw("", 1, 5), raw("", 2, 7)
+	a, b := raw("", 5), raw("", 7)
 	w.Merge(a)
 	w.Merge(b)
 	if w.Value().(float64) != 12 {
@@ -39,8 +38,8 @@ func TestSumCombine(t *testing.T) {
 
 func TestCount(t *testing.T) {
 	w := Count{}.NewWindow()
-	w.Merge(raw("", 1, 9))
-	w.Merge(raw("", 2, 9))
+	w.Merge(raw("", 9))
+	w.Merge(raw("", 9))
 	if w.Value().(float64) != 2 {
 		t.Fatalf("count = %v", w.Value())
 	}
@@ -53,8 +52,8 @@ func TestExtrema(t *testing.T) {
 	minW := Extremum{}.NewWindow()
 	maxW := Extremum{Max: true}.NewWindow()
 	for _, v := range []float64{5, 1, 9, 3} {
-		minW.Merge(raw("", time.Duration(v), v))
-		maxW.Merge(raw("", time.Duration(v), v))
+		minW.Merge(raw("", v))
+		maxW.Merge(raw("", v))
 	}
 	if minW.Value().(float64) != 1 || maxW.Value().(float64) != 9 {
 		t.Fatalf("min/max = %v/%v", minW.Value(), maxW.Value())
@@ -70,8 +69,8 @@ func TestExtrema(t *testing.T) {
 func TestAvgFinalize(t *testing.T) {
 	op := Avg{}
 	w := op.NewWindow()
-	w.Merge(raw("", 1, 10))
-	w.Merge(raw("", 2, 20))
+	w.Merge(raw("", 10))
+	w.Merge(raw("", 20))
 	v := w.Value()
 	combined := op.Combine(v, []float64{30, 1}) // another partial: one tuple of 30
 	if got := op.Finalize(combined).(float64); got != 20 {
@@ -85,10 +84,10 @@ func TestAvgFinalize(t *testing.T) {
 func TestTopKWindowAndCombine(t *testing.T) {
 	op := TopK{K: 2, Field: 0}
 	w := op.NewWindow()
-	w.Merge(raw("a", 1, -40, 7))
-	w.Merge(raw("b", 2, -30, 8))
-	w.Merge(raw("c", 3, -60, 9))
-	w.Merge(raw("a", 4, -20, 10)) // louder frame from a
+	w.Merge(raw("a", -40, 7))
+	w.Merge(raw("b", -30, 8))
+	w.Merge(raw("c", -60, 9))
+	w.Merge(raw("a", -20, 10)) // louder frame from a
 	v := w.Value().([]wire.ScoredEntry)
 	if len(v) != 2 || v[0].Key != "a" || v[0].Score != -20 || v[1].Key != "b" {
 		t.Fatalf("topk = %+v", v)
@@ -106,8 +105,8 @@ func TestTopKWindowAndCombine(t *testing.T) {
 func TestUnion(t *testing.T) {
 	op := Union{}
 	w := op.NewWindow()
-	w.Merge(raw("n2", 1, 5, 6))
-	w.Merge(raw("n1", 2, 1, 2))
+	w.Merge(raw("n2", 5, 6))
+	w.Merge(raw("n1", 1, 2))
 	v := w.Value().([]wire.ScoredEntry)
 	if len(v) != 2 || v[0].Key != "n1" || v[1].Key != "n2" {
 		t.Fatalf("union = %+v", v)
@@ -121,10 +120,10 @@ func TestUnion(t *testing.T) {
 func TestEntropy(t *testing.T) {
 	op := Entropy{}
 	w := op.NewWindow()
-	w.Merge(raw("x", 1))
-	w.Merge(raw("x", 2))
-	w.Merge(raw("y", 3))
-	w.Merge(raw("y", 4))
+	w.Merge(raw("x"))
+	w.Merge(raw("x"))
+	w.Merge(raw("y"))
+	w.Merge(raw("y"))
 	h := w.Value().(map[string]float64)
 	if h["x"] != 2 || h["y"] != 2 {
 		t.Fatalf("hist = %v", h)
@@ -141,8 +140,8 @@ func TestEntropy(t *testing.T) {
 func TestBloom(t *testing.T) {
 	op := DefaultBloom()
 	w := op.NewWindow()
-	w.Merge(raw("alpha", 1))
-	w.Merge(raw("beta", 2))
+	w.Merge(raw("alpha"))
+	w.Merge(raw("beta"))
 	v := w.Value()
 	if !op.Contains(v, "alpha") || !op.Contains(v, "beta") {
 		t.Fatal("bloom missing inserted keys")
@@ -157,7 +156,7 @@ func TestBloom(t *testing.T) {
 		t.Fatalf("false positive rate too high: %d/100 misses", 100-misses)
 	}
 	other := op.NewWindow()
-	other.Merge(raw("gamma", 3))
+	other.Merge(raw("gamma"))
 	merged := op.Combine(v, other.Value())
 	if !op.Contains(merged, "alpha") || !op.Contains(merged, "gamma") {
 		t.Fatal("OR-combine lost keys")
@@ -168,7 +167,7 @@ func TestQuantile(t *testing.T) {
 	op := DefaultQuantile()
 	w := op.NewWindow()
 	for i := 1; i <= 101; i++ {
-		w.Merge(raw("", time.Duration(i), float64(i)))
+		w.Merge(raw("", float64(i)))
 	}
 	if got := op.Finalize(w.Value()).(float64); got != 51 {
 		t.Fatalf("median = %v, want 51", got)
@@ -187,9 +186,9 @@ func TestQuantile(t *testing.T) {
 func TestTrilatPullsTowardLoudestSniffer(t *testing.T) {
 	w := Trilat{}.NewWindow()
 	// Sniffers at (0,0), (10,0), (0,10); the loudest by far is (10,0).
-	w.Merge(raw("s1", 1, 0, 0, -80))
-	w.Merge(raw("s2", 2, 10, 0, -30))
-	w.Merge(raw("s3", 3, 0, 10, -80))
+	w.Merge(raw("s1", 0, 0, -80))
+	w.Merge(raw("s2", 10, 0, -30))
+	w.Merge(raw("s3", 0, 10, -80))
 	c := w.Value().(wire.Coord)
 	if c.X < 9 || c.Y > 1 {
 		t.Fatalf("position = %+v, want near (10,0)", c)
@@ -317,7 +316,7 @@ func TestPropertyTopKIncrementalMatchesRebuilt(t *testing.T) {
 		w := op.NewWindow()
 		var live []tuple.Raw
 		for i := 0; i < 1+int(n); i++ {
-			tp := raw(string(rune('a'+rng.Intn(6))), time.Duration(i), float64(rng.Intn(8)), float64(i))
+			tp := raw(string(rune('a'+rng.Intn(6))), float64(rng.Intn(8)), float64(i))
 			w.Merge(tp)
 			live = append(live, tp)
 			// Rebuilt from scratch: per key the earliest tuple with the top

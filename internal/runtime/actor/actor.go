@@ -1,8 +1,12 @@
 // Package actor provides the building blocks of the wall-clock runtime
-// backend (runtime/netrt): an unbounded per-peer mailbox whose single
-// draining goroutine is the peer's serialization domain, and a wall-clock
-// scheduler whose callbacks post into that domain. Every local peer gets one
-// Mailbox and one Clock.
+// backend (runtime/netrt): an unbounded per-peer mailbox that is the peer's
+// serialization domain, and a wall-clock scheduler whose callbacks enter
+// that domain. Every local peer gets one Mailbox and one Clock.
+//
+// A mailbox runs one fn at a time, in FIFO order: on its draining
+// goroutine (Loop), or — through Exec, when nothing is queued and nothing
+// runs — on the caller's own goroutine, which saves the hand-off to the
+// draining goroutine and keeps the caller's data on its core.
 package actor
 
 import (
@@ -13,14 +17,17 @@ import (
 	"repro/internal/runtime"
 )
 
-// --- Mailbox: an unbounded FIFO work queue, one goroutine draining it ---
+// --- Mailbox: an unbounded FIFO work queue with one fn running at a time ---
 
 // Mailbox is unbounded so that cyclic peer-to-peer sends can never
-// deadlock: posting never blocks, only the draining goroutine runs work.
+// deadlock: neither Post nor Exec ever waits for other queued work.
 type Mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	q      []func()
+	spare  []func() // the batch Loop last ran, kept for the next swap
+	busy   bool     // a fn runs, on Loop or inline in Exec
+	parked bool     // Loop waits on cond
 	closed bool
 }
 
@@ -32,54 +39,103 @@ func NewMailbox() *Mailbox {
 	return m
 }
 
-// Post enqueues fn; it reports false (dropping fn) after Close.
+// Post enqueues fn for Loop; it reports false (dropping fn) after Close.
 func (m *Mailbox) Post(fn func()) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.enqueueLocked(fn)
+}
+
+// Exec runs fn on the calling goroutine when the mailbox is idle — nothing
+// queued and nothing running — and otherwise enqueues it as Post does. It
+// reports false (dropping fn) after Close. Since fn runs inline only
+// behind an empty queue, order stays FIFO; the caller must hold no lock fn
+// may take.
+func (m *Mailbox) Exec(fn func()) bool {
+	m.mu.Lock()
+	if m.closed || m.busy || len(m.q) > 0 {
+		ok := m.enqueueLocked(fn)
+		m.mu.Unlock()
+		return ok
+	}
+	m.busy = true
+	m.mu.Unlock()
+	defer m.release()
+	fn()
+	return true
+}
+
+func (m *Mailbox) enqueueLocked(fn func()) bool {
 	if m.closed {
 		return false
 	}
 	m.q = append(m.q, fn)
-	m.cond.Signal()
+	if m.parked && !m.busy {
+		m.cond.Signal()
+	}
 	return true
 }
 
-// Close stops intake; already queued work still drains.
-func (m *Mailbox) Close() {
+// release ends an inline run. A parked Loop wakes when work queued behind
+// the run or the mailbox closed during it: otherwise a Close with an empty
+// queue would leave Loop waiting forever.
+func (m *Mailbox) release() {
 	m.mu.Lock()
-	m.closed = true
-	m.cond.Broadcast()
+	m.busy = false
+	if m.parked && (len(m.q) > 0 || m.closed) {
+		m.cond.Signal()
+	}
 	m.mu.Unlock()
 }
 
-// Loop drains the queue until closed and empty.
+// Close stops intake; already queued work still drains, and Loop returns
+// only after an inline run in progress has returned.
+func (m *Mailbox) Close() {
+	m.mu.Lock()
+	m.closed = true
+	m.cond.Signal()
+	m.mu.Unlock()
+}
+
+// Loop drains the queue until closed, empty and idle. It takes the whole
+// queue per lock and runs it as one batch.
 func (m *Mailbox) Loop() {
+	m.mu.Lock()
 	for {
-		m.mu.Lock()
-		for len(m.q) == 0 && !m.closed {
+		if m.busy || len(m.q) == 0 {
+			if m.closed && !m.busy {
+				m.mu.Unlock()
+				return
+			}
+			m.parked = true
 			m.cond.Wait()
+			m.parked = false
+			continue
 		}
-		if len(m.q) == 0 {
-			m.mu.Unlock()
-			return
-		}
-		fn := m.q[0]
-		m.q[0] = nil // release the closure (and its captured payload) now
-		m.q = m.q[1:]
+		batch := m.q
+		m.q, m.spare = m.spare[:0], nil
+		m.busy = true
 		m.mu.Unlock()
-		fn()
+		for i, fn := range batch {
+			batch[i] = nil // release the closure (and its captured payload) now
+			fn()
+		}
+		m.mu.Lock()
+		m.busy = false
+		m.spare = batch[:0]
 	}
 }
 
 // --- Clock: wall-clock scheduling into a serialization domain ---
 
 // Clock schedules wall-clock callbacks into one peer's serialization
-// domain. Post must enqueue a closure into the peer's mailbox (reporting
-// false once the runtime shut down); Closed reports runtime shutdown and
-// stops tickers from re-arming forever.
+// domain. Exec must run or enqueue a closure in that domain, as
+// runtime.Spawner.Exec does (reporting false once the runtime shut down),
+// so a timer fires on the timer goroutine when the peer is idle; Closed
+// reports runtime shutdown and stops tickers from re-arming forever.
 type Clock struct {
 	Start  time.Time
-	Post   func(fn func()) bool
+	Exec   func(fn func()) bool
 	Closed func() bool
 }
 
@@ -95,7 +151,7 @@ func (c Clock) After(d time.Duration, fn func()) runtime.Timer {
 	}
 	t := &timer{at: c.Now() + d}
 	t.real = time.AfterFunc(d, func() {
-		c.Post(func() {
+		c.Exec(func() {
 			// Decided inside the peer's domain so Cancel from the same
 			// domain is always honoured.
 			if t.state.CompareAndSwap(0, 1) {
@@ -168,7 +224,7 @@ func (tk *ticker) fire() {
 	if !tk.pending.CompareAndSwap(false, true) {
 		return // previous tick still queued; coalesce
 	}
-	if !tk.c.Post(func() {
+	if !tk.c.Exec(func() {
 		tk.pending.Store(false)
 		if !tk.stopped.Load() {
 			tk.fn()

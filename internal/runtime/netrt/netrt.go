@@ -13,11 +13,13 @@
 // Per shared socket the Runtime runs one receive goroutine (socket ->
 // decode -> mailbox, demuxed on the destination index every frame carries)
 // and one paced writer; per local peer it runs a mailbox goroutine (the
-// peer's serialization domain, runtime/actor). The writer packs the small
-// frames it finds queued together for one remote socket into one
-// frameTrain datagram and writes a frame that arrives alone at once (see
-// pacer), so peer density scales without a matching datagram storm and an
-// idle socket adds no hold.
+// peer's serialization domain, runtime/actor). Exec and the clocks run
+// their fn on the calling goroutine when the peer is idle; the receive
+// goroutine only queues, so a slow handler never stalls a socket. The
+// writer packs the small frames it finds queued together for one remote
+// socket into one frameTrain datagram and writes a frame that arrives
+// alone at once (see pacer), so peer density scales without a matching
+// datagram storm and an idle socket adds no hold.
 // Datagrams carry a small transport header ahead of the wire frame:
 // sender/destination indices and three timestamp fields implementing
 // UdpCC-style passive RTT measurement — each frame echoes the newest
@@ -749,12 +751,13 @@ func (r *Runtime) Local(peer int) bool {
 // LocalPeers returns the peer indices this Runtime hosts.
 func (r *Runtime) LocalPeers() []int { return append([]int(nil), r.local...) }
 
-// Clock returns a wall clock whose callbacks run in the peer's mailbox.
+// Clock returns a wall clock whose callbacks run in the peer's
+// serialization domain, through Exec.
 // Clocks of non-local peers read time but cannot schedule.
 func (r *Runtime) Clock(peer int) runtime.Clock {
 	return actor.Clock{
 		Start:  r.start,
-		Post:   func(fn func()) bool { return r.Exec(peer, fn) },
+		Exec:   func(fn func()) bool { return r.Exec(peer, fn) },
 		Closed: r.closed.Load,
 	}
 }
@@ -765,13 +768,15 @@ func (r *Runtime) Transport() runtime.Transport { return r }
 // Rand returns the planning random source. Driving goroutine only.
 func (r *Runtime) Rand() *rand.Rand { return r.planRng }
 
-// Exec posts fn to a local peer's mailbox; it reports false for non-local
-// peers and after Shutdown.
+// Exec runs fn in a local peer's serialization domain: on the calling
+// goroutine when the peer is idle, otherwise queued behind its mailbox's
+// work (actor.Mailbox.Exec). It reports false for non-local peers and
+// after Shutdown.
 func (r *Runtime) Exec(peer int, fn func()) bool {
 	if peer < 0 || peer >= r.n || r.boxes[peer] == nil {
 		return false
 	}
-	return r.boxes[peer].Post(fn)
+	return r.boxes[peer].Exec(fn)
 }
 
 // Shutdown stops the pacers and the reassembly sweeper, closes every local
@@ -1222,7 +1227,9 @@ func (r *Runtime) handleFrame(b []byte) {
 
 // deliverWire decodes one complete wire frame addressed to a local peer —
 // a single-datagram frameMsg body or a reassembled fragment stream — and
-// posts it into the peer's mailbox.
+// posts it into the peer's mailbox. It always queues (Post, never Exec):
+// the handler runs on the peer's own goroutine, so a slow handler never
+// stalls the socket's receive loop and the other peers behind it.
 func (r *Runtime) deliverWire(peer, src int, frame []byte) {
 	msg, err := wire.DecodeMessage(frame)
 	if err != nil {

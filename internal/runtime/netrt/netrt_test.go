@@ -213,6 +213,44 @@ func TestSharedSocketMultiplexedDelivery(t *testing.T) {
 	}
 }
 
+// The receive loop only queues: a handler that blocks holds up its own
+// peer, never the socket it shares with others. Peer 1's handler blocks
+// while peer 2, behind the same socket, keeps receiving; an Exec to the
+// blocked peer queues and returns.
+func TestBlockedHandlerDoesNotStallSharedSocket(t *testing.T) {
+	rts, _, err := netrt.NewGroup([][]int{{0, 1, 2}}, netrt.Options{Seed: 6, PeersPerSocket: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := rts[0]
+	defer rt.Shutdown()
+	entered, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	var once sync.Once
+	rt.Handle(1, func(int, any, int) {
+		once.Do(func() { close(entered) })
+		<-release
+	})
+	var got atomic.Int32
+	rt.Handle(2, func(int, any, int) { got.Add(1) })
+
+	rt.Send(0, 1, runtime.ClassControl, 0, wire.Heartbeat{Seq: 1})
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("peer 1's handler never ran")
+	}
+	var ranAtOne atomic.Bool
+	if !rt.Exec(1, func() { ranAtOne.Store(true) }) || ranAtOne.Load() {
+		t.Fatal("Exec to a blocked peer must queue and return")
+	}
+	const frames = 20
+	for i := 0; i < frames; i++ {
+		rt.Send(0, 2, runtime.ClassControl, 0, wire.Heartbeat{Seq: uint64(i + 2)})
+	}
+	waitFor(t, 5*time.Second, func() bool { return got.Load() == frames })
+}
+
 // A burst of small frames to one remote socket backs up behind the writer
 // and must travel in far fewer datagrams than frames — the train layer
 // working — while every frame still arrives, in the order it was sent, and

@@ -150,12 +150,15 @@ type Transport interface {
 
 // Spawner manages the execution contexts peers run in. Under the simulator
 // every peer shares the single event loop and Exec is a direct call; under
-// the live runtime each peer is a goroutine draining a mailbox and Exec
-// posts to it.
+// the live runtime each peer has a mailbox drained by its own goroutine,
+// and Exec runs fn on the caller's goroutine when the peer is idle and
+// queues it otherwise.
 type Spawner interface {
 	// Exec runs fn inside the peer's serialization domain. It reports
-	// whether fn was accepted (false after Shutdown). Exec never blocks on
-	// fn's completion; use ExecWait for synchronous semantics.
+	// whether fn was accepted (false after Shutdown). Exec may run fn
+	// before it returns, but never waits for the peer's other work, so
+	// the caller must hold no lock fn may take; use ExecWait to wait for
+	// fn itself.
 	Exec(peer int, fn func()) bool
 	// Shutdown stops message and timer delivery and waits for peer
 	// contexts to drain. After Shutdown returns, no peer code runs and
@@ -181,8 +184,10 @@ type Runtime interface {
 
 // ExecWait runs fn inside the peer's serialization domain and blocks until
 // it returns; it reports whether fn ran. It must be called from a driving
-// goroutine, never from inside a peer callback of another peer (that would
-// deadlock a live backend).
+// goroutine, never from inside a peer callback: there a live backend
+// deadlocks when the peer waited on is busy — the callback's own peer
+// always is, another may be waiting back. An idle peer runs fn on the
+// caller's goroutine, so the wait is then free.
 func ExecWait(rt Runtime, peer int, fn func()) bool {
 	done := make(chan struct{})
 	if !rt.Exec(peer, func() {

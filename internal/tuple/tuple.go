@@ -27,8 +27,6 @@ type Raw struct {
 	SubKey string
 	// Vals are the numeric data elements.
 	Vals []float64
-	// At is the node-local arrival time of the tuple at its source.
-	At time.Duration
 }
 
 // Index is a summary tuple's validity interval [TB, TE): the range of
