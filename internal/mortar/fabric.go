@@ -16,18 +16,20 @@ import (
 	"repro/internal/wire"
 )
 
+// reconcileEveryBeats piggybacks the reconciliation hash on every n'th
+// heartbeat ("reconciliation runs every third heartbeat", §7.1).
+const reconcileEveryBeats = 3
+
+// livenessMultiple: a neighbor is presumed unreachable after
+// HeartbeatPeriod × livenessMultiple of silence.
+const livenessMultiple = 2.5
+
 // Config tunes the peer runtime. Defaults reproduce the paper's settings:
-// 2-second heartbeats, reconciliation every third heartbeat, netDist EWMA
-// with alpha 10%, TTL-down limit of 3, and 16 install chunks.
+// 2-second heartbeats, netDist EWMA with alpha 10% and a TTL-down limit
+// of 3.
 type Config struct {
 	// HeartbeatPeriod is the parent-to-child heartbeat interval.
 	HeartbeatPeriod time.Duration
-	// ReconcileEveryBeats piggybacks the reconciliation hash on every n'th
-	// heartbeat ("reconciliation runs every third heartbeat", §7.1).
-	ReconcileEveryBeats int
-	// LivenessMultiple: a parent is presumed unreachable after
-	// HeartbeatPeriod * LivenessMultiple of silence.
-	LivenessMultiple float64
 	// NetDistAlpha is the per-window EWMA weight of both halves of the
 	// netDist estimate, the mean and the mean absolute deviation of how late
 	// past a window's end its slowest contribution arrives (§4.3, footnote:
@@ -57,12 +59,6 @@ type Config struct {
 	// Syncless selects age-based indexing (§5); false selects traditional
 	// timestamp indexing for comparison.
 	Syncless bool
-	// InstallChunks is the number of components the install multicast is
-	// split into (§7.1 uses 16) on transports with no frame bound. A
-	// transport that bounds a frame (Transport.MaxFrame > 0, the socket
-	// backend) sizes components by encoded bytes from that bound instead,
-	// so every install message fits one Send.
-	InstallChunks int
 	// SummaryHold was the per-hop staging hold. A summary now leaves the
 	// moment it is routed (instance.send), so the only valid value is 0 and
 	// Validate refuses any other; the field survives because bench/, which
@@ -73,26 +69,22 @@ type Config struct {
 // DefaultConfig returns the paper's evaluation settings.
 func DefaultConfig() Config {
 	return Config{
-		HeartbeatPeriod:     2 * time.Second,
-		ReconcileEveryBeats: 3,
-		LivenessMultiple:    2.5,
-		NetDistAlpha:        0.10,
-		MinTimeout:          100 * time.Millisecond,
-		MaxTimeout:          60 * time.Second,
-		TTLDownMax:          3,
-		MaxStage:            4,
-		Syncless:            true,
-		InstallChunks:       16,
+		HeartbeatPeriod: 2 * time.Second,
+		NetDistAlpha:    0.10,
+		MinTimeout:      100 * time.Millisecond,
+		MaxTimeout:      60 * time.Second,
+		TTLDownMax:      3,
+		MaxStage:        4,
+		Syncless:        true,
 	}
 }
 
 // Validate normalizes the configuration and rejects nonsense. Zero-valued
 // knobs pick up the paper defaults (so Config{} is usable), negative or
 // out-of-range values are errors: without this a zero HeartbeatPeriod
-// would panic the ticker and a zero ReconcileEveryBeats would divide by
-// zero once peers are long-lived live processes. TTLDownMax may
-// legitimately be zero (an ablation uses it) and is only checked for sign;
-// Syncless false is a meaningful mode, not a zero value.
+// would panic the ticker once peers are long-lived live processes.
+// TTLDownMax may legitimately be zero (an ablation uses it) and is only
+// checked for sign; Syncless false is a meaningful mode, not a zero value.
 func (c Config) Validate() (Config, error) {
 	def := DefaultConfig()
 	fill := func(v *time.Duration, d time.Duration, name string) error {
@@ -119,18 +111,6 @@ func (c Config) Validate() (Config, error) {
 	if c.TimeoutSlack != 0 {
 		return c, fmt.Errorf("mortar: TimeoutSlack %v must be 0: a window's deadline carries its own margin, there is no slack to set", c.TimeoutSlack)
 	}
-	if c.ReconcileEveryBeats == 0 {
-		c.ReconcileEveryBeats = def.ReconcileEveryBeats
-	}
-	if c.ReconcileEveryBeats < 0 {
-		return c, fmt.Errorf("mortar: ReconcileEveryBeats %d must be positive", c.ReconcileEveryBeats)
-	}
-	if c.LivenessMultiple == 0 {
-		c.LivenessMultiple = def.LivenessMultiple
-	}
-	if c.LivenessMultiple <= 0 {
-		return c, fmt.Errorf("mortar: LivenessMultiple %v must be positive", c.LivenessMultiple)
-	}
 	if c.NetDistAlpha == 0 {
 		c.NetDistAlpha = def.NetDistAlpha
 	}
@@ -145,12 +125,6 @@ func (c Config) Validate() (Config, error) {
 	}
 	if c.MaxStage < 1 || c.MaxStage > 4 {
 		return c, fmt.Errorf("mortar: MaxStage %d outside 1..4", c.MaxStage)
-	}
-	if c.InstallChunks == 0 {
-		c.InstallChunks = def.InstallChunks
-	}
-	if c.InstallChunks < 0 {
-		return c, fmt.Errorf("mortar: InstallChunks %d must be positive", c.InstallChunks)
 	}
 	if c.SummaryHold != 0 {
 		return c, fmt.Errorf("mortar: SummaryHold %v must be 0: a summary leaves the moment it is routed, there is no hold to set", c.SummaryHold)
@@ -600,11 +574,11 @@ func (f *Fabric) CompileWith(meta QueryMeta, members []int, coords []cluster.Poi
 }
 
 // Install starts the chunked install multicast from the issuing peer
-// (§6): the primary tree is broken into components — InstallChunks of them
-// on unbounded transports, or as many as Transport.MaxFrame-sized messages
-// require on bounded ones — each multicast in parallel down its tree
-// edges. Reconciliation guarantees eventual installation on nodes the
-// multicast misses.
+// (§6): the primary tree is broken into at most 17 connected components
+// of about a sixteenth of the members each (buildChunks), each multicast
+// in parallel down its tree edges, the same on every backend.
+// Reconciliation guarantees eventual installation on nodes the multicast
+// misses.
 func (f *Fabric) Install(issuer int, def *QueryDef) error {
 	if err := def.Validate(); err != nil {
 		return err

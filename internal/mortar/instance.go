@@ -664,7 +664,7 @@ func (inst *instance) evict(e *tslist.Entry, now time.Duration, complete bool) {
 		}
 		inst.routeNew(s, n)
 	case tupleWin:
-		inst.reportInterval(n, s)
+		inst.emit(n, s, false)
 	default:
 		inst.report(n, s, complete)
 	}
@@ -685,30 +685,6 @@ func (inst *instance) noteReport(count int) {
 	}
 }
 
-// reportInterval reports a tuple-window result. Unlike time windows, the
-// unaligned intervals of different sources legitimately evict out of
-// order, so every eviction is reported.
-func (inst *instance) reportInterval(n int64, s tuple.Summary) {
-	f := inst.peer.fab
-	inst.noteReport(s.Count)
-	f.Stats.ResultsReported.Add(1)
-	val := s.Value
-	if inst.fin != nil && val != nil {
-		val = inst.fin.Finalize(val)
-	}
-	f.emitResult(Result{
-		Query:       s.Query,
-		Epoch:       inst.meta.Epoch,
-		WindowIndex: n,
-		Index:       s.Index,
-		Value:       val,
-		Count:       s.Count,
-		Hops:        s.Hops,
-		At:          inst.peer.now(),
-		Age:         s.Age,
-	})
-}
-
 // isRoot reports whether this operator is the query root (no parent in any
 // tree).
 func (inst *instance) isRoot() bool {
@@ -723,16 +699,24 @@ func (inst *instance) isRoot() bool {
 	return true
 }
 
-// report emits a final result from the root operator. Each window is
-// reported at most once, in order; data evicted for an already-reported
-// window is counted as late. complete as in evict.
+// report emits a final time-window result from the root operator. Each
+// window is reported at most once, in order; data evicted for an
+// already-reported window is counted as late. complete as in evict.
 func (inst *instance) report(n int64, s tuple.Summary, complete bool) {
-	f := inst.peer.fab
 	if n <= inst.lastReported {
-		f.Stats.LateAtRoot.Add(1)
+		inst.peer.fab.Stats.LateAtRoot.Add(1)
 		return
 	}
 	inst.lastReported = n
+	inst.emit(n, s, complete)
+}
+
+// emit counts, finalizes and publishes a root result. Tuple windows come
+// here straight from evict: the unaligned intervals of different sources
+// legitimately evict out of order, so every eviction is reported, and none
+// takes the complete path.
+func (inst *instance) emit(n int64, s tuple.Summary, complete bool) {
+	f := inst.peer.fab
 	inst.noteReport(s.Count)
 	f.Stats.ResultsReported.Add(1)
 	if complete {

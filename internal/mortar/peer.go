@@ -111,8 +111,13 @@ func (p *Peer) alive(other int) bool {
 	if !ok {
 		return false
 	}
-	window := time.Duration(float64(p.fab.Cfg.HeartbeatPeriod) * p.fab.Cfg.LivenessMultiple)
-	return p.now()-last < window
+	return p.now()-last < p.livenessWindow()
+}
+
+// livenessWindow is how long a neighbor may stay silent before it is
+// presumed unreachable.
+func (p *Peer) livenessWindow() time.Duration {
+	return time.Duration(float64(p.fab.Cfg.HeartbeatPeriod) * livenessMultiple)
 }
 
 // markHeard refreshes a neighbor's liveness.
@@ -233,7 +238,7 @@ func (p *Peer) uniqueParents() []int {
 func (p *Peer) sendHeartbeats() {
 	p.beat++
 	p.hbSeqOut++
-	withHash := p.fab.Cfg.ReconcileEveryBeats > 0 && p.beat%uint64(p.fab.Cfg.ReconcileEveryBeats) == 0
+	withHash := p.beat%reconcileEveryBeats == 0
 	if withHash {
 		p.retryPendingTopo()
 		// Re-ack migrating epochs: a lost InstallAck must not stall a
@@ -365,7 +370,7 @@ func (p *Peer) pruneNeighborState() {
 	// ex-neighbor that is still heartbeating (heard within the liveness
 	// window) keeps its seq, so the duplicates of its in-flight beats stay
 	// suppressed until reconciliation makes it stop.
-	window := time.Duration(float64(p.fab.Cfg.HeartbeatPeriod) * p.fab.Cfg.LivenessMultiple)
+	window := p.livenessWindow()
 	for o := range p.hbSeqSeen {
 		if _, ok := active[o]; ok {
 			continue

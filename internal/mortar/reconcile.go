@@ -2,7 +2,6 @@ package mortar
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/runtime"
 	"repro/internal/wire"
@@ -24,96 +23,59 @@ type chunk struct {
 	forward map[int][]int
 }
 
-// chunkBudget returns the per-chunk encoded-size budget for the install
-// multicast. A transport that bounds a frame (Transport.MaxFrame > 0)
-// gets chunks sized to its ceiling, with headroom for the per-member
-// estimate being approximate; the unbounded simulator transport returns
-// 0, keeping the paper's fixed InstallChunks count.
-func (f *Fabric) chunkBudget() int {
-	mf := f.tr.MaxFrame()
-	if mf <= 0 {
-		return 0
-	}
-	return mf - mf/8
-}
+// installComponents is the n of §6's "the peer breaks the tree into n
+// components and multicasts the query down each component in parallel";
+// §7.1 uses 16.
+const installComponents = 16
 
-// memberCost estimates the encoded bytes one member adds to an install
-// chunk: its neighbors record plus the peer key and its forward-edge
-// share. It encodes the real record rather than guessing, so the estimate
-// tracks tree depth and fan-out.
-func memberCost(nb neighbors) int {
-	var w wire.Buffer
-	wire.EncodeNeighbors(&w, nb)
-	return w.Len() + 12
-}
-
-// buildChunks partitions the primary tree into connected components in BFS
-// order; each component is multicast in parallel down its tree edges (§6:
-// "the peer breaks the tree into n components and multicasts the query
-// down each component in parallel"). With budgetBytes > 0 — a transport
-// that bounds a frame — components close when their estimated encoding
-// reaches the budget, so every install message fits the transport's
-// MaxFrame; otherwise the tree splits into roughly nchunks components by
-// member count, exactly the paper's fixed-count chunking.
-func buildChunks(def *QueryDef, nchunks, budgetBytes int) []*chunk {
+// buildChunks partitions the primary tree into at most installComponents+1
+// connected components, each multicast in parallel down its tree edges
+// (§6). One bottom-up pass in reverse BFS order: a member whose subtree,
+// less what components below it already claimed, reaches
+// ⌈members/installComponents⌉ heads a component of its own, and the root
+// heads whatever is left. Every head but the root claims at least that
+// many members, so there are at most installComponents of them.
+func buildChunks(def *QueryDef) []*chunk {
 	primary := def.Trees.Trees[0]
 	n := primary.NumPeers()
-	if nchunks < 1 {
-		nchunks = 1
+	limit := (n + installComponents - 1) / installComponents
+	order := make([]int, 1, n)
+	order[0] = primary.Root
+	for i := 0; i < len(order); i++ {
+		order = append(order, primary.Children[order[i]]...)
 	}
-	limit := (n + nchunks - 1) / nchunks // members per chunk (count mode)
-	var base int
-	if budgetBytes > 0 {
-		// Every chunk message pays the metadata plus framing; members fill
-		// the rest of the budget.
-		var w wire.Buffer
-		wire.EncodeQueryMeta(&w, def.Meta)
-		base = w.Len() + 16
-		limit = budgetBytes
+	unclaimed := make([]int, n)
+	heads := make([]bool, n)
+	for i := len(order) - 1; i >= 0; i-- {
+		v := order[i]
+		unclaimed[v] = 1
+		for _, ch := range primary.Children[v] {
+			if !heads[ch] {
+				unclaimed[v] += unclaimed[ch]
+			}
+		}
+		heads[v] = unclaimed[v] >= limit || v == primary.Root
 	}
 
-	chunkOf := make([]int, n)
-	for i := range chunkOf {
-		chunkOf[i] = -1
-	}
-	var chunks []*chunk
-	newChunk := func(head int) int {
-		c := &chunk{
-			head:    def.Members[head],
-			members: map[int]neighbors{},
-			forward: map[int][]int{},
-		}
-		chunks = append(chunks, c)
-		return len(chunks) - 1
-	}
 	subtrees := def.subtreeSizes()
-	sizes := []int{}
-	queue := []int{primary.Root}
-	chunkOf[primary.Root] = newChunk(primary.Root)
-	sizes = append(sizes, base)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		ci := chunkOf[v]
-		c := chunks[ci]
-		peer := def.Members[v]
-		nb := neighborsFor(def, subtrees, v)
-		c.members[peer] = nb
-		if budgetBytes > 0 {
-			sizes[ci] += memberCost(nb)
-		} else {
-			sizes[ci]++
+	var chunks []*chunk
+	chunkOf := make([]*chunk, n)
+	for _, v := range order {
+		if heads[v] {
+			chunkOf[v] = &chunk{
+				head:    def.Members[v],
+				members: map[int]neighbors{},
+				forward: map[int][]int{},
+			}
+			chunks = append(chunks, chunkOf[v])
 		}
+		c, peer := chunkOf[v], def.Members[v]
+		c.members[peer] = neighborsFor(def, subtrees, v)
 		for _, ch := range primary.Children[v] {
-			if sizes[ci] >= limit {
-				// Component full: the child heads a new component.
-				chunkOf[ch] = newChunk(ch)
-				sizes = append(sizes, base)
-			} else {
-				chunkOf[ch] = ci
+			if !heads[ch] {
+				chunkOf[ch] = c
 				c.forward[peer] = append(c.forward[peer], def.Members[ch])
 			}
-			queue = append(queue, ch)
 		}
 	}
 	return chunks
@@ -145,7 +107,7 @@ func subChunk(m msgInstall, from int) msgInstall {
 // startInstall runs at the issuing peer (the query root): install locally,
 // then multicast.
 func (p *Peer) startInstall(def *QueryDef) {
-	chunks := buildChunks(def, p.fab.Cfg.InstallChunks, p.fab.chunkBudget())
+	chunks := buildChunks(def)
 	// Install locally first (the issuer is a member).
 	for _, c := range chunks {
 		if nb, ok := c.members[p.id]; ok {
@@ -366,7 +328,7 @@ func (p *Peer) startRemoveWith(def *QueryDef, name string, seq uint64, epoch uin
 	if def == nil {
 		return
 	}
-	chunks := buildChunks(def, p.fab.Cfg.InstallChunks, p.fab.chunkBudget())
+	chunks := buildChunks(def)
 	p.removeLocal(name, seq, epoch)
 	for _, c := range chunks {
 		m := msgRemove{Name: name, Seq: seq, Epoch: epoch, Forward: c.forward}
@@ -464,7 +426,7 @@ func (p *Peer) removeLocal(name string, seq uint64, epoch uint32) {
 	if !p.addMark(name, wire.RemovedMark{Seq: seq, Epoch: epoch}) {
 		return // duplicate of the multicast, already applied
 	}
-	drain := time.Duration(float64(p.fab.Cfg.HeartbeatPeriod) * p.fab.Cfg.LivenessMultiple)
+	drain := p.livenessWindow()
 	for k, inst := range p.insts {
 		if k.name != name || k.epoch > epoch || inst.meta.Seq >= seq {
 			continue
@@ -539,25 +501,10 @@ func (p *Peer) reconSummary() msgReconSummary {
 }
 
 // handleReconSummary performs the reconciliation set computation: adopt
-// installs we missed (IC), apply removals we missed (RC), and reply with
-// what the sender is missing.
+// what the sender knows and we missed, then reply with what the sender is
+// missing.
 func (p *Peer) handleReconSummary(src int, m msgReconSummary) {
-	// RC for us: removals the peer knows that supersede our installs.
-	for name, marks := range m.Removed {
-		for _, mark := range marks {
-			p.removeLocal(name, mark.Seq, mark.Epoch)
-		}
-	}
-	// IC for us: (name, epoch) instances we missed and have not removed.
-	for _, meta := range m.Metas {
-		if inst, ok := p.insts[instKey{name: meta.Name, epoch: meta.Epoch}]; ok && inst.meta.Seq >= meta.Seq {
-			continue
-		}
-		if p.covered(meta.Name, meta.Seq, meta.Epoch) {
-			continue
-		}
-		p.installLocal(meta, nil, nil)
-	}
+	p.adopt(m.Removed, m.Metas)
 	// Reply with what the sender is missing.
 	reply := msgReconDefs{Removed: map[string][]wire.RemovedMark{}}
 	for _, k := range p.sortedInstKeys() {
@@ -582,13 +529,21 @@ func (p *Peer) handleReconSummary(src int, m msgReconSummary) {
 	}
 }
 
+// handleReconDefs adopts the reply to a summary this peer sent.
 func (p *Peer) handleReconDefs(src int, m msgReconDefs) {
-	for name, marks := range m.Removed {
+	p.adopt(m.Removed, m.Metas)
+}
+
+// adopt applies what a reconciliation partner knows and this peer missed:
+// first its removals (RC), then the (name, epoch) instances they do not
+// cover and this peer lacks (IC).
+func (p *Peer) adopt(removed map[string][]wire.RemovedMark, metas []QueryMeta) {
+	for name, marks := range removed {
 		for _, mark := range marks {
 			p.removeLocal(name, mark.Seq, mark.Epoch)
 		}
 	}
-	for _, meta := range m.Metas {
+	for _, meta := range metas {
 		if inst, ok := p.insts[instKey{name: meta.Name, epoch: meta.Epoch}]; ok && inst.meta.Seq >= meta.Seq {
 			continue
 		}

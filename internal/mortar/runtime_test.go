@@ -64,10 +64,8 @@ func TestConfigValidate(t *testing.T) {
 
 	bad := []Config{
 		func() Config { c := DefaultConfig(); c.HeartbeatPeriod = -time.Second; return c }(),
-		func() Config { c := DefaultConfig(); c.ReconcileEveryBeats = -1; return c }(),
 		func() Config { c := DefaultConfig(); c.MaxStage = 7; return c }(),
 		func() Config { c := DefaultConfig(); c.MaxStage = -2; return c }(),
-		func() Config { c := DefaultConfig(); c.InstallChunks = -4; return c }(),
 		func() Config { c := DefaultConfig(); c.NetDistAlpha = 1.5; return c }(),
 		func() Config { c := DefaultConfig(); c.MaxTimeout = time.Millisecond; return c }(),
 		func() Config { c := DefaultConfig(); c.TTLDownMax = -1; return c }(),
@@ -93,7 +91,7 @@ func TestConfigValidate(t *testing.T) {
 // working federation, an invalid one an error.
 func TestNewFabricValidatesConfig(t *testing.T) {
 	fab, rt := testbed(t, 20, 55, Config{}, nil)
-	if fab.Cfg.HeartbeatPeriod != 2*time.Second || fab.Cfg.InstallChunks != 16 {
+	if fab.Cfg.HeartbeatPeriod != 2*time.Second || fab.Cfg.MaxStage != 4 {
 		t.Fatalf("fabric config not normalized: %+v", fab.Cfg)
 	}
 	sumQuery(t, fab, rt, 4, 2)

@@ -45,7 +45,6 @@ func (benchTransport) Handle(peer int, h runtime.Handler) {}
 func (benchTransport) SetDown(peer int, down bool)        {}
 func (benchTransport) Down(peer int) bool                 { return false }
 func (benchTransport) Latency(a, b int) time.Duration     { return time.Millisecond }
-func (benchTransport) MaxFrame() int                      { return 64 << 10 }
 func (benchTransport) ConsumesFrameBytes() bool           { return true }
 
 type benchRuntime struct {

@@ -19,7 +19,7 @@ import (
 // those NACKs, and the token-bucket pacer every outgoing datagram flows
 // through so a multi-fragment burst does not overrun the first queue it
 // meets. Together they turn the transport's one-datagram ceiling into a
-// fragmentation threshold: Send carries any frame up to Options.MaxMessage.
+// fragmentation threshold: Send carries any frame up to maxMessage.
 
 // fragHeadroom is the datagram budget reserved for the fragment framing:
 // frame kind, sender/destination indices, stream id, index, count, and the
@@ -65,7 +65,7 @@ func SplitFragments(stream uint64, b []byte, maxPayload int) []wire.Fragment {
 // could pin unbounded memory in half-finished streams.
 type ReasmOptions struct {
 	// MaxMessage is the largest reassembled frame; streams that grow past
-	// it are evicted. Default 4 MiB.
+	// it are evicted. Default maxMessage, Send's own bound.
 	MaxMessage int
 	// MaxBytes bounds the total buffered payload across all partial
 	// streams; the oldest stream is evicted to make room. Default
@@ -89,7 +89,7 @@ type ReasmOptions struct {
 
 func (o ReasmOptions) withDefaults() ReasmOptions {
 	if o.MaxMessage <= 0 {
-		o.MaxMessage = 4 << 20
+		o.MaxMessage = maxMessage
 	}
 	if o.MaxBytes < o.MaxMessage {
 		o.MaxBytes = 2 * o.MaxMessage

@@ -34,9 +34,7 @@
 // the reliable large-message path (frag.go): MTU-sized fragments,
 // NACK-driven selective retransmission from a bounded retransmit buffer,
 // bounded reassembly with stale-stream eviction, and token-bucket pacing on
-// every outgoing datagram. Transport.MaxFrame reports the path's ceiling
-// (Options.MaxMessage) so bulk senders — the install multicast — can size
-// their messages to it.
+// every outgoing datagram, for any frame up to maxMessage.
 package netrt
 
 import (
@@ -78,6 +76,12 @@ const minMTU = 2 * fragHeadroom
 // streams and NACK-worthy gaps.
 const sweepInterval = 20 * time.Millisecond
 
+// maxMessage bounds one logical frame through the fragmentation path; Send
+// drops and counts a larger one. Each local peer's partial-stream memory
+// and the sent-fragment memory it holds for NACK service are bounded at
+// twice this.
+const maxMessage = 4 << 20
+
 // defaultLatency is Latency's answer for pairs with no RTT measurement yet
 // (no traffic and no probe).
 const defaultLatency = time.Millisecond
@@ -101,14 +105,6 @@ type Options struct {
 	// burst-dropping at the first full queue. Default 8 MiB/s; negative
 	// disables pacing.
 	Pace int
-	// MaxMessage bounds one logical frame through the fragmentation path
-	// (it is also Transport.MaxFrame). Default 4 MiB. Each local peer's
-	// partial-stream memory and the sent-fragment memory it holds for NACK
-	// service are bounded at twice this.
-	MaxMessage int
-	// StaleAfter evicts an incomplete reassembly stream that has received
-	// nothing for this long. Default 3s.
-	StaleAfter time.Duration
 	// PairDelay, when non-nil, holds every outgoing datagram for the given
 	// synthetic one-way delay before it reaches the paced writer — an
 	// injected latency topology over real loopback sockets. The passive
@@ -144,12 +140,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Pace < 0 {
 		o.Pace = 0 // unpaced
-	}
-	if o.MaxMessage <= 0 {
-		o.MaxMessage = 4 << 20
-	}
-	if o.StaleAfter <= 0 {
-		o.StaleAfter = 3 * time.Second
 	}
 	if o.PeersPerSocket <= 0 {
 		o.PeersPerSocket = 1
@@ -419,10 +409,8 @@ func assemble(addrs []*net.UDPAddr, local []int, conns []*net.UDPConn, opt Optio
 		r.rtt[p] = make(map[int]time.Duration)
 		r.nodes[p] = vivaldi.NewNode(r.vcfg,
 			rand.New(rand.NewSource(opt.Seed*7919+int64(p)+1)))
-		r.frags[p] = newFragSender(2 * opt.MaxMessage)
+		r.frags[p] = newFragSender(2 * maxMessage)
 		r.reasm[p] = NewReassembler(ReasmOptions{
-			MaxMessage:     opt.MaxMessage,
-			StaleAfter:     opt.StaleAfter,
 			MaxNackIndices: (opt.MTU - 32) / 5, // one NACK must fit one datagram
 		})
 		r.boxes[p] = actor.NewMailbox()
@@ -800,7 +788,7 @@ func (r *Runtime) Shutdown() {
 
 // Stats returns cumulative transport counters: datagrams sent, messages
 // delivered into mailboxes, and drops (down peers, decode failures, closed
-// mailboxes, frames over MaxFrame, simulated loss, full pacer queues).
+// mailboxes, frames over maxMessage, simulated loss, full pacer queues).
 func (r *Runtime) Stats() (sent, delivered, dropped uint64) {
 	return r.sent.Load(), r.delivered.Load(), r.dropped.Load()
 }
@@ -875,7 +863,7 @@ func (r *Runtime) Measured(a, b int) (time.Duration, bool) {
 // larger frame — an install chunk of a realistic program — is split into a
 // fragment train, buffered for NACK retransmission, and reassembled on the
 // far side, so every fabric transmit shares this one path regardless of
-// size up to Options.MaxMessage.
+// size up to maxMessage.
 func (r *Runtime) Send(from, to int, class runtime.Class, size int, payload any) bool {
 	if from == to || from < 0 || from >= r.n || to < 0 || to >= r.n || !r.isLocal[from] {
 		return false
@@ -907,7 +895,7 @@ func (r *Runtime) Send(from, to int, class runtime.Class, size int, payload any)
 			return false
 		}
 	}
-	if w.Len()-head > r.opt.MaxMessage {
+	if w.Len()-head > maxMessage {
 		wire.PutBuffer(w)
 		r.dropped.Add(1)
 		return false
@@ -977,11 +965,6 @@ func (r *Runtime) sendFragmented(from, to int, body []byte, dup bool) {
 		}
 	}
 }
-
-// MaxFrame reports the largest frame the fragmentation path carries in one
-// Send — the runtime.Transport hint bulk senders (the install multicast)
-// size their messages from.
-func (r *Runtime) MaxFrame() int { return r.opt.MaxMessage }
 
 // FragStats reports the fragmentation layer's counters across this
 // runtime's local peers.

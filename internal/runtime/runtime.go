@@ -139,13 +139,6 @@ type Transport interface {
 	// Latency estimates the one-way network latency between two peers,
 	// for planner input (Vivaldi measurements in the prototype).
 	Latency(a, b int) time.Duration
-	// MaxFrame returns the largest encoded frame, in bytes, one Send can
-	// carry, or 0 when the transport is unbounded. The simulator (simrt)
-	// passes payloads by reference and returns 0; socket
-	// backends return the ceiling of their fragmentation path. Senders of
-	// bulk messages — the install multicast — size their messages from
-	// this hint instead of assuming a frame fits anywhere.
-	MaxFrame() int
 }
 
 // Spawner manages the execution contexts peers run in. Under the simulator

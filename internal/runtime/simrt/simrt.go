@@ -140,10 +140,6 @@ func (r *Runtime) Latency(a, b int) time.Duration {
 	return r.net.Latency(r.hosts[a], r.hosts[b])
 }
 
-// MaxFrame reports the emulated transport as unbounded: payloads travel by
-// reference and only their size is charged to the emulated links.
-func (r *Runtime) MaxFrame() int { return 0 }
-
 // --- driving helpers (sim-only surface used by tests and experiments) ---
 
 // Now returns the current virtual time.

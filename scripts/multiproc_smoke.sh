@@ -6,8 +6,10 @@
 # peer's sensor contributes to the window. Every process gossips Vivaldi
 # coordinates, so planning comes from them and convergence is logged.
 #
-# The run deliberately squeezes the MTU (-mtu 160) and plans deep trees
-# (bf 2), so the query's install messages exceed one datagram: the install
+# The run deliberately squeezes the MTU (-mtu 160) and gives the query a
+# name a few hundred bytes long. Split 16 ways, 12 peers make one-member
+# install components of about 70 bytes; the name, carried in every
+# install's metadata, pushes each past one datagram, so the install
 # multicast only reaches the workers through netrt's fragmentation +
 # reassembly path, proving it end-to-end across real processes. The
 # coordinator's transport summary must report fragment streams.
@@ -32,6 +34,9 @@ JOIN="127.0.0.1:$((BASE_PORT + 99))"
 GW="127.0.0.1:$((BASE_PORT + 98))"
 DUR="${SMOKE_DURATION:-45s}"
 MTU=160
+# The query's name: "peers_" and 250 x's, so every install exceeds the MTU.
+printf -v pad '%250s' ''
+QUERY="peers_${pad// /x}"
 
 tmp="$(mktemp -d)"
 pids=()
@@ -55,9 +60,7 @@ for i in $(seq 0 $((PEERS - 1))); do
   echo "127.0.0.1:$((BASE_PORT + i))"
 done > "$tmp/peers.txt"
 
-# Deep trees (bf 2) make the install messages to the root's subtrees larger
-# than the squeezed MTU, so installation exercises fragmentation.
-echo "query peers as count() from sensors window time 1s slide 1s trees 6 bf 2" > "$tmp/query.msl"
+echo "query $QUERY as count() from sensors window time 1s slide 1s trees 6 bf 2" > "$tmp/query.msl"
 
 # Workers outlive the coordinator's -duration; its hang-up ends their run.
 "$tmp/mortard" -peers-file "$tmp/peers.txt" -host 4-7 -join "$JOIN" -mtu "$MTU" -msl "$tmp/query.msl" -duration 90s > "$tmp/w1.log" 2>&1 &
@@ -106,7 +109,7 @@ if [ "$ok" = 1 ]; then
     echo "$stats"; dump_logs; exit 1
   fi
   curl -fsS -X DELETE "http://$GW/v1/queries/gw" > /dev/null
-  curl -fsS -X DELETE "http://$GW/v1/queries/peers" > /dev/null
+  curl -fsS -X DELETE "http://$GW/v1/queries/$QUERY" > /dev/null
   if [ "$(curl -fsS "http://$GW/v1/queries")" != "[]" ]; then
     echo "FAIL: list endpoint not empty after removing every query"
     curl -fsS "http://$GW/v1/queries"; dump_logs; exit 1
