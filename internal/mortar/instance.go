@@ -620,7 +620,7 @@ func (inst *instance) windowTree(n int64) int {
 // silent or lost descendant leaves its ancestors' windows to evictExpired. A
 // summary re-striped here from a sibling tree can push an entry over its count
 // early; the entry leaves and the rest of the subtree is relayed behind it.
-// An operator wired without subtree counts (a v4 install) has only its timer.
+// An operator wired without subtree counts (nil or zero) has only its timer.
 func (inst *instance) evictComplete(now time.Duration) {
 	if inst.meta.Window.Kind == tuple.TupleWindow || len(inst.nb.Subtree) == 0 {
 		return

@@ -127,9 +127,9 @@ func (p *Peer) markHeard(other int) { p.lastHeard[other] = p.now() }
 // backends deliver the runtime.Frame the fabric sent (decoded payload plus
 // its encoding); socket backends deliver the payload they decoded off the
 // wire. Summaries arrive one per envelope. The envelope-batch case is
-// receive-only: nothing here sends a batch, but a peer of the previous
-// release speaks the same wire version and may, so its entries are absorbed
-// one by one; the case goes when wire v6 retires the batch kind.
+// receive-only: nothing here sends a batch, but a v5 sender from before
+// batching was dropped may, so its entries are absorbed one by one; the
+// case goes with the batch kind (see wire/batch.go).
 func (p *Peer) deliver(src int, payload any, size int) {
 	if src < 0 || src >= p.fab.NumPeers() {
 		return

@@ -324,8 +324,8 @@ func TestFrameOneSlideOffFallsBackToTimer(t *testing.T) {
 
 // An operator holds an evict timer only while it holds an entry. A leaf's
 // summary leaves on the complete path at slide close, so in steady state its
-// timer is never armed. An operator wired without subtree counts — what a v4
-// install decodes to — has only its timer: the next insert arms it and the
+// timer is never armed. An operator wired without subtree counts (the test
+// clears them) has only its timer: the next insert arms it and the
 // window waits it out, MinTimeout from its opening (the leaf's windows,
 // complete the instant they opened, taught it a lag of zero); the timer fires,
 // and with the list empty nothing re-arms it. Its summaries, relayed as

@@ -21,11 +21,11 @@
 // alone at once (see pacer), so peer density scales without a matching
 // datagram storm and an idle socket adds no hold.
 // Datagrams carry a small transport header ahead of the wire frame:
-// sender/destination indices and three timestamp fields implementing
-// UdpCC-style passive RTT measurement — each frame echoes the newest
-// timestamp received from the destination plus the local hold time, so any
-// two peers with bidirectional traffic converge on a smoothed RTT without
-// dedicated probes. Coordinate-carrying ping/pong probes (Gossip) prime the
+// sender/destination indices and three microsecond timestamp fields
+// implementing UdpCC-style passive RTT measurement — each frame echoes the
+// newest timestamp received from the destination plus the local hold time,
+// so any two peers with bidirectional traffic converge on a smoothed RTT
+// without dedicated probes. Coordinate-carrying ping/pong probes (Gossip) prime the
 // table and fit every peer's Vivaldi coordinate, which every later echo
 // refits; the Runtime alone owns the coordinates the planner reads, and
 // Latency serves the measured half-RTTs.
@@ -57,12 +57,13 @@ import (
 
 // Datagram framing: a one-byte frame kind ahead of the header fields.
 const (
-	frameMsg   = 1 // header + wire message frame
+	frameMsgNs = 1 // v5 header (ns stamps, class byte) + wire message frame: read, never sent
 	framePing  = 2 // RTT probe
 	framePong  = 3 // RTT probe reply
 	frameFrag  = 4 // one fragment of a frame larger than the MTU
 	frameNack  = 5 // retransmission request for missing fragments
 	frameTrain = 6 // coalesced train of small frames (wire.ForEachTrainFrame)
+	frameMsg   = 7 // header (µs stamps) + wire message frame
 )
 
 // maxDatagram is the absolute UDP payload ceiling; the configured MTU is
@@ -257,7 +258,7 @@ type Runtime struct {
 // echoState remembers the latest remote transmit stamp and when it
 // arrived, so the next frame to that remote can echo it with a hold time.
 type echoState struct {
-	stamp int64     // remote's nanos-since-start at its transmit
+	stamp uint64    // remote's µs since its start at its transmit
 	at    time.Time // local wall time of receipt
 }
 
@@ -859,7 +860,9 @@ func (r *Runtime) Measured(a, b int) (time.Duration, bool) {
 // is normally the runtime.Frame the fabric built (its Bytes go on the wire
 // unchanged — the message was encoded exactly once); any other payload is
 // encoded here, so tests can Send bare messages. A frame that fits the MTU
-// travels as a single frameMsg datagram carrying the passive RTT echo; a
+// travels as a single frameMsg datagram carrying the passive RTT echo —
+// [frameMsg][from][to][stamp][echo][hold] uvarints, the stamps in µs (echo
+// 0: nothing to echo), ahead of the wire frame; a
 // larger frame — an install chunk of a realistic program — is split into a
 // fragment train, buffered for NACK retransmission, and reassembled on the
 // far side, so every fabric transmit shares this one path regardless of
@@ -877,11 +880,10 @@ func (r *Runtime) Send(from, to int, class runtime.Class, size int, payload any)
 	w.PutByte(frameMsg)
 	w.PutUvarint(uint64(from))
 	w.PutUvarint(uint64(to))
-	w.PutVarint(stampNow(r.start)) // transmit stamp
+	w.PutUvarint(stampAt(time.Since(r.start))) // transmit stamp
 	echoStamp, hold := r.takeEcho(from, to)
-	w.PutVarint(echoStamp)
-	w.PutVarint(hold)
-	w.PutByte(byte(class))
+	w.PutUvarint(echoStamp)
+	w.PutUvarint(hold)
 	head := w.Len()
 	switch p := payload.(type) {
 	case *runtime.Frame:
@@ -1005,15 +1007,15 @@ func (r *Runtime) FragStats() FragStats {
 }
 
 // takeEcho returns the newest transmit stamp received from `to` at local
-// peer `from`, plus how long ago it arrived — the passive RTT echo.
-func (r *Runtime) takeEcho(from, to int) (stamp, hold int64) {
+// peer `from`, plus how long ago it arrived in µs — the passive RTT echo.
+func (r *Runtime) takeEcho(from, to int) (stamp, hold uint64) {
 	r.peerMu[from].Lock()
 	defer r.peerMu[from].Unlock()
 	e, ok := r.echo[from][to]
 	if !ok {
 		return 0, 0
 	}
-	return e.stamp, int64(time.Since(e.at))
+	return e.stamp, uint64(time.Since(e.at) / time.Microsecond)
 }
 
 // noteRTT folds one RTT sample for (local, remote) into the EWMA.
@@ -1128,8 +1130,8 @@ func (r *Runtime) handleFrame(b []byte) {
 		w.PutByte(framePong)
 		w.PutUvarint(uint64(peer))
 		w.PutUvarint(srcU)
-		w.PutVarint(stamp)
-		w.PutVarint(0) // replied immediately: no hold
+		w.PutVarint(stamp) // the pinger's own stamp, echoed as it came
+		w.PutVarint(0)     // replied immediately: no hold
 		putCoord(w, r.nodes[peer])
 		r.xmit(peer, src, w.Bytes(), w, nil, nil, false)
 
@@ -1145,33 +1147,24 @@ func (r *Runtime) handleFrame(b []byte) {
 		if c, e, ok := r.readCoord(rd); ok {
 			r.noteCoord(src, c, e)
 		}
-		r.observe(peer, src, now-time.Duration(stamp)-time.Duration(hold))
+		r.observe(peer, src, rttSample(now, uint64(stamp), uint64(hold)))
 
-	case frameMsg:
-		stamp, err := rd.Varint()
-		if err != nil {
-			return
-		}
-		echoStamp, err := rd.Varint()
-		if err != nil {
-			return
-		}
-		hold, err := rd.Varint()
-		if err != nil {
-			return
-		}
-		if _, err := rd.Byte(); err != nil { // class: accounted by the sender
+	case frameMsg, frameMsgNs:
+		stamp, echoStamp, hold, ok := readMsgHeader(rd, kind)
+		if !ok {
 			return
 		}
 		if r.down[peer].Load() {
 			r.dropped.Add(1)
 			return
 		}
-		r.peerMu[peer].Lock()
-		r.echo[peer][src] = echoState{stamp: stamp, at: time.Now()}
-		r.peerMu[peer].Unlock()
+		if stamp != 0 {
+			r.peerMu[peer].Lock()
+			r.echo[peer][src] = echoState{stamp: stamp, at: time.Now()}
+			r.peerMu[peer].Unlock()
+		}
 		if echoStamp != 0 {
-			r.observe(peer, src, now-time.Duration(echoStamp)-time.Duration(hold))
+			r.observe(peer, src, rttSample(now, echoStamp, hold))
 		}
 		r.deliverWire(peer, src, rd.Rest())
 
@@ -1208,6 +1201,31 @@ func (r *Runtime) handleFrame(b []byte) {
 	}
 }
 
+// readMsgHeader reads the three µs stamps of a frameMsg header. A
+// frameMsgNs header — a v5 sender's ns stamps and class byte, read until
+// the next header change — yields zeros: its stamps feed no RTT sample and
+// are not echoed, so ns and µs stamps never mix.
+func readMsgHeader(rd *wire.Reader, kind byte) (stamp, echo, hold uint64, ok bool) {
+	var f [3]uint64
+	for i := range f {
+		var err error
+		if kind == frameMsg {
+			f[i], err = rd.Uvarint()
+		} else {
+			_, err = rd.Varint()
+		}
+		if err != nil {
+			return 0, 0, 0, false
+		}
+	}
+	if kind == frameMsgNs {
+		if _, err := rd.Byte(); err != nil {
+			return 0, 0, 0, false
+		}
+	}
+	return f[0], f[1], f[2], true
+}
+
 // deliverWire decodes one complete wire frame addressed to a local peer —
 // a single-datagram frameMsg body or a reassembled fragment stream — and
 // posts it into the peer's mailbox. It always queues (Post, never Exec):
@@ -1221,18 +1239,18 @@ func (r *Runtime) deliverWire(peer, src int, frame []byte) {
 	}
 	switch m := msg.(type) {
 	case *wire.Envelope:
-		// The envelope's SentAt was stamped against the sender's clock
-		// base, which a different process does not share. Rewrite it in
-		// the receiver's frame using the transport's measured one-way
-		// flight time — the peer derives exactly that from it (UdpCC
-		// measures RTT/2 at the transport, not via host timestamps).
-		m.SentAt = r.rewriteSentAt(peer, src)
+		// The envelope carries no SentAt: the sender's clock base is not
+		// the receiver's. Set it in the receiver's frame from the
+		// transport's measured one-way flight time — the peer derives
+		// exactly that from it (UdpCC measures RTT/2 at the transport, not
+		// via host timestamps).
+		m.SentAt = r.sentAt(peer, src)
 	case *wire.EnvelopeBatch:
-		// No peer of this release sends a batch, but one of the previous
-		// release, on the same wire version, may. It shares one transmit
-		// stamp that every entry inherited at decode, so all of them
-		// rewrite together. Goes with the batch kind at wire v6.
-		sentAt := r.rewriteSentAt(peer, src)
+		// No peer sends a batch, but a v5 sender from before batching was
+		// dropped may. It shares one transmit stamp that every entry
+		// inherited at decode, so all of them are set together. Goes with
+		// the batch kind (see wire/batch.go).
+		sentAt := r.sentAt(peer, src)
 		m.SentAt = sentAt
 		for i := range m.Envelopes {
 			m.Envelopes[i].SentAt = sentAt
@@ -1255,9 +1273,9 @@ func (r *Runtime) deliverWire(peer, src int, frame []byte) {
 	}
 }
 
-// rewriteSentAt computes the receiver-frame transmit stamp for an arriving
+// sentAt computes the receiver-frame transmit stamp for an arriving
 // summary: local time now minus the measured one-way flight to the sender.
-func (r *Runtime) rewriteSentAt(peer, src int) time.Duration {
+func (r *Runtime) sentAt(peer, src int) time.Duration {
 	flight := defaultLatency
 	if d, ok := r.Measured(peer, src); ok {
 		flight = d
@@ -1286,13 +1304,29 @@ func (r *Runtime) resendFragments(peer, src int, n wire.Nack) {
 
 // --- probing ---
 
-// stampNow returns a transmit timestamp that is never 0, since 0 is the
-// "no echo" sentinel in the frame header.
-func stampNow(start time.Time) int64 {
-	if s := int64(time.Since(start)); s != 0 {
+// stampAt returns the transmit stamp at d since the runtime's start: µs,
+// never 0, since 0 is the "no echo" sentinel in the frame header. A µs
+// stamp at t ≈ 20 s is 4 varint bytes where a ns one was 6, and truncating
+// both stamps and the hold to µs moves an RTT sample by under 2 µs.
+func stampAt(d time.Duration) uint64 {
+	if s := uint64(d / time.Microsecond); s != 0 {
 		return s
 	}
 	return 1
+}
+
+// rttSample is the RTT a peer measures at local time now from the echo of
+// its own µs transmit stamp and the remote's µs hold, or −1 (no sample)
+// when the two sum past now: the stamp was taken before now and the hold
+// lies inside the flight, so a larger sum is corrupt or hostile. Bounding
+// by now instead of by a constant keeps the arithmetic in range for as
+// long as the runtime's clock is (≈ 292 years).
+func rttSample(now time.Duration, echo, hold uint64) time.Duration {
+	us := uint64(now / time.Microsecond)
+	if now < 0 || echo > us || hold > us-echo {
+		return -1
+	}
+	return now - time.Duration(echo+hold)*time.Microsecond
 }
 
 // sendPing writes one RTT probe from a local peer, carrying its Vivaldi
@@ -1302,7 +1336,7 @@ func (r *Runtime) sendPing(from, to int) {
 	w.PutByte(framePing)
 	w.PutUvarint(uint64(from))
 	w.PutUvarint(uint64(to))
-	w.PutVarint(stampNow(r.start))
+	w.PutVarint(int64(stampAt(time.Since(r.start))))
 	putCoord(w, r.nodes[from])
 	r.xmit(from, to, w.Bytes(), w, nil, nil, false)
 }

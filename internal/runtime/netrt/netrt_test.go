@@ -1,6 +1,7 @@
 package netrt_test
 
 import (
+	"encoding/hex"
 	"math/rand"
 	"net"
 	goruntime "runtime"
@@ -146,6 +147,84 @@ func TestEnvelopeBatchSentAtRewritten(t *testing.T) {
 			t.Fatalf("entry %d arrived as %q stamped %v, want %q stamped %v like the batch",
 				i, e.S.Query, e.SentAt, batch.Envelopes[i].S.Query, m.SentAt)
 		}
+	}
+}
+
+// v5Envelope is a v5 envelope frame as the last v5 encoder wrote it: the
+// "cpu-sum" summary (Count 42) the wire package's sampleMessages opens with,
+// stamped SentAt 123.456 ms by its sender.
+const v5Envelope = "0501076370752d73756dffcfacf30e80f882ad1680bcc1960b2a00030100000000000031400404010600010480a8de7503"
+
+// A v5 sender's frames use the old header kind (ns stamps and a class
+// byte). Sent from a raw socket claiming to be peer 1, one is delivered to
+// peer 0 with the SentAt set on arrival, but its stamps feed no RTT sample
+// and are not echoed: peer 0 measures nothing toward 1, and its next frame
+// to 1 gives peer 1 no sample either.
+func TestOldHeaderKindDeliveredWithoutRTTSample(t *testing.T) {
+	rts, dir, err := netrt.NewGroup([][]int{{0}, {1}}, netrt.Options{Seed: 37})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := rts[0], rts[1]
+	defer a.Shutdown()
+	defer b.Shutdown()
+	got := make(chan *wire.Envelope, 1)
+	a.Handle(0, func(from int, payload any, size int) {
+		if e, ok := payload.(*wire.Envelope); ok && from == 1 {
+			got <- e
+		}
+	})
+	heard := make(chan struct{}, 1)
+	b.Handle(1, func(int, any, int) { heard <- struct{}{} })
+
+	old, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	dst, err := net.ResolveUDPAddr("udp", dir[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := hex.DecodeString(v5Envelope)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w wire.Buffer
+	w.PutByte(1) // the v5 header kind
+	w.PutUvarint(1)
+	w.PutUvarint(0)
+	w.PutVarint(int64(20 * time.Second)) // transmit stamp, ns
+	w.PutVarint(1)                       // echo: would be a positive sample in either unit
+	w.PutVarint(0)                       // hold
+	w.PutByte(byte(runtime.ClassData))
+	w.PutRaw(body)
+	before := a.Clock(0).Now()
+	if _, err := old.WriteToUDP(w.Bytes(), dst); err != nil {
+		t.Fatal(err)
+	}
+	var e *wire.Envelope
+	select {
+	case e = <-got:
+	case <-time.After(5 * time.Second):
+		t.Fatal("old-kind frame never delivered")
+	}
+	if e.S.Query != "cpu-sum" || e.S.Count != 42 || e.SentAt == 123456*time.Microsecond || e.SentAt > a.Clock(0).Now() || e.SentAt < before-time.Second {
+		t.Fatalf("delivered %q count %d SentAt %v, want cpu-sum, 42, a receiver-frame stamp", e.S.Query, e.S.Count, e.SentAt)
+	}
+	if d, ok := a.Measured(0, 1); ok {
+		t.Fatalf("old-kind frame fed an RTT sample: %v", d)
+	}
+	if !a.Send(0, 1, runtime.ClassControl, 0, wire.Heartbeat{Seq: 1}) {
+		t.Fatal("send refused")
+	}
+	select {
+	case <-heard:
+	case <-time.After(5 * time.Second):
+		t.Fatal("heartbeat never arrived")
+	}
+	if d, ok := b.Measured(1, 0); ok {
+		t.Fatalf("peer 0 echoed the old-kind stamp: peer 1 sampled %v", d)
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// This file is the multi-summary envelope codec (wire Version 4). An
+// This file is the multi-summary envelope codec (since wire Version 4). An
 // EnvelopeBatch carries several summaries bound for one next-hop neighbor in
 // a single frame, sharing the version/kind header, the query key (one table
 // entry per distinct query instead of one string per summary), the transmit
@@ -15,10 +15,13 @@ import (
 //
 // Batches are decoded, never sent: a peer sends every summary as its own
 // Envelope, because per-turn batching measured one batch in tens of
-// thousands of summary frames. The decoder stays because a peer of the
-// previous release speaks the same wire version and may still send one; the
-// encoder stays because the decoder's tests and the benchmark's batch codec
-// rows need frames. The kind retires, decoder included, at wire v6.
+// thousands of summary frames. The decoder stays because a v5 sender from
+// before batching was dropped may still send one; the encoder stays
+// because the decoder's tests and the benchmark's batch codec rows need
+// frames. The layout is the same at v5 and v6 (values take the integral
+// kinds PutValue picks), so the kind needs no version branch, and it
+// retires, decoder included, with the benchmark's batch rows: no version
+// bump is needed, because no peer sends it.
 //
 // Payload layout, after the [Version][kind] frame header:
 //
@@ -45,7 +48,7 @@ import (
 const maxBatchLevels = 4096
 
 // EnvelopeBatch is N summaries bound for the same next-hop peer in one
-// frame, received from peers of the previous release only (see above).
+// frame, received from peers of an older release only (see above).
 // Envelopes are fully materialized on decode — each entry owns its Levels
 // and carries the batch's shared SentAt — so receivers process them exactly
 // like single envelopes.

@@ -11,9 +11,10 @@ import (
 // in short smoke mode (-fuzztime 10s); locally, go test -fuzz digs deeper.
 
 // seedFrames returns valid encodings of every message kind as fuzz seeds,
-// so mutation starts from structurally interesting input, plus a heartbeat
-// whose coordinate slot an older sender filled.
-func seedFrames(t interface{ Fatal(...any) }) [][]byte {
+// so mutation starts from structurally interesting input: the v6 frames of
+// sampleMessages, then every captured v5 frame (v5Seeds), the other
+// version decoders accept.
+func seedFrames(t testing.TB) [][]byte {
 	var out [][]byte
 	for _, msg := range sampleMessages() {
 		var w Buffer
@@ -22,7 +23,7 @@ func seedFrames(t interface{ Fatal(...any) }) [][]byte {
 		}
 		out = append(out, w.Bytes())
 	}
-	return append(out, filledSlotHeartbeat(Version))
+	return append(out, v5Seeds(t)...)
 }
 
 // requireCorrupt fails the fuzz run when a decode error does not wrap
@@ -37,11 +38,6 @@ func FuzzDecodeMessage(f *testing.F) {
 	for _, b := range seedFrames(f) {
 		f.Add(b)
 	}
-	for _, msg := range sampleMessages() {
-		prev, _ := prevFrame(f, msg) // the other version decoders accept
-		f.Add(prev)
-	}
-	f.Add(filledSlotHeartbeat(Version - 1))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		msg, err := DecodeMessage(b)
 		requireCorrupt(t, err)
@@ -71,8 +67,8 @@ func fuzzDecoder[T any](f *testing.F, dec func(*Reader) (T, error)) {
 }
 
 // bothVersions adapts a decoder that takes the frame version: the payload
-// is read as the previous version's first (from a copy of the reader), then
-// as the current one's, and either error fails the run.
+// is read as a v5 one first (from a copy of the reader), then as a v6 one,
+// and an error not wrapping ErrCorrupt from either fails the run.
 func bothVersions[T any](dec func(*Reader, byte) (T, error)) func(*Reader) (T, error) {
 	return func(r *Reader) (T, error) {
 		prev := *r
@@ -83,16 +79,16 @@ func bothVersions[T any](dec func(*Reader, byte) (T, error)) func(*Reader) (T, e
 	}
 }
 
-func FuzzDecodeEnvelope(f *testing.F)     { fuzzDecoder(f, DecodeEnvelope) }
-func FuzzDecodeHeartbeat(f *testing.F)    { fuzzDecoder(f, DecodeHeartbeat) }
-func FuzzDecodeInstall(f *testing.F)      { fuzzDecoder(f, bothVersions(DecodeInstall)) }
+func FuzzDecodeEnvelope(f *testing.F)     { fuzzDecoder(f, bothVersions(DecodeEnvelope)) }
+func FuzzDecodeHeartbeat(f *testing.F)    { fuzzDecoder(f, bothVersions(DecodeHeartbeat)) }
+func FuzzDecodeInstall(f *testing.F)      { fuzzDecoder(f, DecodeInstall) }
 func FuzzDecodeRemove(f *testing.F)       { fuzzDecoder(f, DecodeRemove) }
 func FuzzDecodeReconSummary(f *testing.F) { fuzzDecoder(f, DecodeReconSummary) }
 func FuzzDecodeReconDefs(f *testing.F)    { fuzzDecoder(f, DecodeReconDefs) }
 func FuzzDecodeTopoRequest(f *testing.F)  { fuzzDecoder(f, DecodeTopoRequest) }
-func FuzzDecodeTopoReply(f *testing.F)    { fuzzDecoder(f, bothVersions(DecodeTopoReply)) }
+func FuzzDecodeTopoReply(f *testing.F)    { fuzzDecoder(f, DecodeTopoReply) }
 func FuzzDecodeQueryMeta(f *testing.F)    { fuzzDecoder(f, DecodeQueryMeta) }
-func FuzzDecodeNeighbors(f *testing.F)    { fuzzDecoder(f, bothVersions(DecodeNeighbors)) }
+func FuzzDecodeNeighbors(f *testing.F)    { fuzzDecoder(f, DecodeNeighbors) }
 func FuzzDecodeInstallAck(f *testing.F)   { fuzzDecoder(f, DecodeInstallAck) }
 
 func FuzzDecodeEnvelopeBatch(f *testing.F) {
@@ -100,13 +96,24 @@ func FuzzDecodeEnvelopeBatch(f *testing.F) {
 }
 
 func FuzzDecodeSummary(f *testing.F) {
-	fuzzDecoder(f, func(r *Reader) (any, error) {
-		s, _, err := DecodeSummary(r)
+	fuzzDecoder(f, bothVersions(func(r *Reader, ver byte) (any, error) {
+		s, _, err := DecodeSummary(r, ver)
 		return s, err
-	})
+	}))
 }
 
+// FuzzDecodeValue also seeds every value shape at the edge numbers, so
+// both the float and the integral kinds start from a valid encoding.
 func FuzzDecodeValue(f *testing.F) {
+	for _, x := range edgeNumbers() {
+		for _, v := range valueShapes(x) {
+			var w Buffer
+			if err := w.PutValue(v); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(w.Bytes())
+		}
+	}
 	fuzzDecoder(f, func(r *Reader) (any, error) { return r.Value() })
 }
 

@@ -23,23 +23,28 @@ import (
 
 // Version is the wire-format version byte leading every message frame.
 // The policy: a sender writes the current version; a decoder reads the
-// current and the previous one and rejects every other version as corrupt.
-// New binaries therefore read the frames of binaries one release behind,
-// while those reject the new version — a rolling upgrade finishes cleanly
-// once every sender is upgraded, but a mixed federation is not a steady
-// state.
+// current and the previous one, branching on the frame's version where
+// their layouts differ, and rejects every other version as corrupt. New
+// binaries therefore read the frames of binaries one release behind, while
+// those reject the new version — a rolling upgrade finishes cleanly once
+// every sender is upgraded, but a mixed federation is not a steady state.
 //
-// Version 5 added the per-tree subtree member count to the neighbors
-// record (Neighbors.Subtree), which install chunks and topology replies
-// carry; every other payload is byte-identical between v4 and v5. The three
-// decoders that read a neighbors record take the frame's version: a v4
-// record decodes with no counts, and the operator wired from it evicts on
-// its timer only.
-const Version = 5
+// Version 6 sends only what the receiver cannot compute, each number in
+// its shortest lossless form. The envelope drops SentAt (the receiving
+// runtime sets it: netrt from the measured flight time, simrt by handing
+// over the sender's object); a summary's window index is scaled (TB in the
+// coarsest unit that divides it, TE as a scaled delta from TB); values
+// whose numbers are all small integers take their integral kind; the
+// heartbeat is [Seq][Hash], without v5's coordinate slot. Only the
+// decoders whose layout changed take the frame's version (DecodeSummary,
+// DecodeEnvelope, DecodeHeartbeat); every other payload is byte-identical
+// between v5 and v6, and a v5 frame holds no integral kind, so Value reads
+// both without it.
+const Version = 6
 
-// versionSubtree is the first version whose neighbors record carries
-// subtree counts.
-const versionSubtree = 5
+// versionCompact is the first version with v6's envelope and heartbeat
+// layouts; a decoder reads the v5 ones below it.
+const versionCompact = 6
 
 // versionOK reports whether a decoder accepts frame version v: the
 // current version and the one before it.
@@ -60,7 +65,7 @@ const (
 	MsgTopoRequest   = 7
 	MsgTopoReply     = 8
 	MsgInstallAck    = 9  // a peer reports a wired epoch to the query root
-	MsgEnvelopeBatch = 10 // N summaries to one next hop in one frame (v4; received, never sent)
+	MsgEnvelopeBatch = 10 // N summaries to one next hop in one frame (no peer sends it; see batch.go)
 )
 
 // QueryMeta is the part of a query definition every hosting peer keeps: the
@@ -106,8 +111,9 @@ type Neighbors struct {
 	Levels   []int   // per tree
 	// Subtree is how many members the peer's subtree holds on each tree,
 	// itself included: the Count at which a window's entry has heard from
-	// everyone below and can leave without waiting out its timeout. Nil when
-	// decoded from a v4 frame (counts unknown).
+	// everyone below and can leave without waiting out its timeout. A nil
+	// Subtree means the counts are unknown and the operator evicts on its
+	// timer only; the codec writes it as zeros.
 	Subtree []int
 }
 
@@ -119,7 +125,11 @@ type Envelope struct {
 	S       tuple.Summary
 	Tree    int // tree of the current hop
 	TTLDown uint8
-	SentAt  time.Duration // runtime time at transmit; receiver derives flight time (UdpCC RTT/2)
+	// SentAt is the transmit time in the receiver's clock frame, from which
+	// the receiver derives the flight time (UdpCC RTT/2). It is not on the
+	// wire: netrt sets it at delivery from the measured flight, simrt hands
+	// the sender's object to the receiver.
+	SentAt time.Duration
 	// Epoch is the query epoch the summary belongs to: during a migration
 	// both epochs of a query run side by side and a summary must only ever
 	// merge into the instance of its own tree set.
@@ -251,7 +261,8 @@ func EncodeMessage(w *Buffer, msg any) error {
 		return EncodeEnvelope(w, m)
 	case *EnvelopeBatch:
 		// No peer sends a batch; the case serves the decoder's tests and the
-		// benchmark's batch codec rows, and goes with the kind at wire v6.
+		// benchmark's batch codec rows, and goes with the benchmark's own
+		// codec rows (see batch.go).
 		w.appendKind(MsgEnvelopeBatch)
 		return EncodeEnvelopeBatch(w, m)
 	case Heartbeat:
@@ -302,13 +313,13 @@ func DecodeMessage(b []byte) (any, error) {
 	switch kind {
 	case MsgEnvelope:
 		var e Envelope
-		if e, err = DecodeEnvelope(r); err == nil {
+		if e, err = DecodeEnvelope(r, v); err == nil {
 			msg = &e
 		}
 	case MsgHeartbeat:
-		msg, err = DecodeHeartbeat(r)
+		msg, err = DecodeHeartbeat(r, v)
 	case MsgInstall:
-		msg, err = DecodeInstall(r, v)
+		msg, err = DecodeInstall(r)
 	case MsgRemove:
 		msg, err = DecodeRemove(r)
 	case MsgReconSummary:
@@ -318,7 +329,7 @@ func DecodeMessage(b []byte) (any, error) {
 	case MsgTopoRequest:
 		msg, err = DecodeTopoRequest(r)
 	case MsgTopoReply:
-		msg, err = DecodeTopoReply(r, v)
+		msg, err = DecodeTopoReply(r)
 	case MsgInstallAck:
 		msg, err = DecodeInstallAck(r)
 	case MsgEnvelopeBatch:
@@ -341,20 +352,21 @@ func DecodeMessage(b []byte) (any, error) {
 // --- Envelope ---
 
 // EncodeEnvelope appends an envelope payload: the summary with its routing
-// state, the hop's tree, the transmit timestamp, and the query epoch.
+// state, the hop's tree, and the query epoch. SentAt is not encoded.
 func EncodeEnvelope(w *Buffer, e *Envelope) error {
 	if err := EncodeSummary(w, e.S, e.TTLDown); err != nil {
 		return err
 	}
 	w.PutVarint(int64(e.Tree))
-	w.PutDuration(e.SentAt)
 	w.PutUvarint(uint64(e.Epoch))
 	return nil
 }
 
-// DecodeEnvelope reads an envelope payload.
-func DecodeEnvelope(r *Reader) (e Envelope, err error) {
-	if e.S, e.TTLDown, err = DecodeSummary(r); err != nil {
+// DecodeEnvelope reads an envelope payload from a frame of version ver. A
+// v5 payload carries the sender's SentAt after the tree; it is read and
+// discarded, so SentAt comes back 0 from either version.
+func DecodeEnvelope(r *Reader, ver byte) (e Envelope, err error) {
+	if e.S, e.TTLDown, err = DecodeSummary(r, ver); err != nil {
 		return
 	}
 	var tree int64
@@ -362,8 +374,10 @@ func DecodeEnvelope(r *Reader) (e Envelope, err error) {
 		return
 	}
 	e.Tree = int(tree)
-	if e.SentAt, err = r.Duration(); err != nil {
-		return
+	if ver < versionCompact {
+		if _, err = r.Duration(); err != nil {
+			return
+		}
 	}
 	e.Epoch, err = r.epoch()
 	return
@@ -417,25 +431,25 @@ func (r *Reader) CoordExt() ([]float64, float64, error) {
 	return c, e, nil
 }
 
-// EncodeHeartbeat appends a heartbeat payload: seq, hash, then the v5
-// layout's coordinate slot, written empty (one zero byte). The slot goes
-// at the next version bump.
+// EncodeHeartbeat appends a heartbeat payload: seq, then hash.
 func EncodeHeartbeat(w *Buffer, m Heartbeat) {
 	w.PutUvarint(m.Seq)
 	w.PutUvarint(m.Hash)
-	w.PutByte(0)
 }
 
-// DecodeHeartbeat reads a heartbeat payload. The coordinate slot is read
-// and discarded: older senders still fill it.
-func DecodeHeartbeat(r *Reader) (m Heartbeat, err error) {
+// DecodeHeartbeat reads a heartbeat payload from a frame of version ver. A
+// v5 payload ends in a coordinate slot (PutCoordExt), which is read and
+// discarded: v5 senders write it empty, older ones filled it.
+func DecodeHeartbeat(r *Reader, ver byte) (m Heartbeat, err error) {
 	if m.Seq, err = r.Uvarint(); err != nil {
 		return
 	}
 	if m.Hash, err = r.Uvarint(); err != nil {
 		return
 	}
-	_, _, err = r.CoordExt()
+	if ver < versionCompact {
+		_, _, err = r.CoordExt()
+	}
 	return
 }
 
@@ -521,8 +535,7 @@ func DecodeQueryMeta(r *Reader) (m QueryMeta, err error) {
 
 // EncodeNeighbors appends a neighbors record. Parents, Children, and
 // Levels must be parallel (one entry per tree), as neighborsFor builds
-// them; a record without subtree counts (decoded from a v4 frame) encodes
-// them as 0, unknown.
+// them; a record without subtree counts encodes them as 0, unknown.
 func EncodeNeighbors(w *Buffer, nb Neighbors) {
 	w.PutUvarint(uint64(len(nb.Parents)))
 	for t := range nb.Parents {
@@ -540,8 +553,8 @@ func EncodeNeighbors(w *Buffer, nb Neighbors) {
 	}
 }
 
-// DecodeNeighbors reads a neighbors record from a frame of version ver.
-func DecodeNeighbors(r *Reader, ver byte) (nb Neighbors, err error) {
+// DecodeNeighbors reads a neighbors record.
+func DecodeNeighbors(r *Reader) (nb Neighbors, err error) {
 	var d uint64
 	if d, err = r.Uvarint(); err != nil || d > uint64(r.Remaining()) {
 		err = ErrCorrupt
@@ -553,9 +566,7 @@ func DecodeNeighbors(r *Reader, ver byte) (nb Neighbors, err error) {
 	nb.Parents = make([]int, d)
 	nb.Children = make([][]int, d)
 	nb.Levels = make([]int, d)
-	if ver >= versionSubtree {
-		nb.Subtree = make([]int, d)
-	}
+	nb.Subtree = make([]int, d)
 	for t := uint64(0); t < d; t++ {
 		var v int64
 		if v, err = r.Varint(); err != nil {
@@ -567,13 +578,11 @@ func DecodeNeighbors(r *Reader, ver byte) (nb Neighbors, err error) {
 		}
 		nb.Levels[t] = int(v)
 		var n uint64
-		if ver >= versionSubtree {
-			if n, err = r.Uvarint(); err != nil || n > math.MaxInt32 {
-				err = ErrCorrupt
-				return
-			}
-			nb.Subtree[t] = int(n)
+		if n, err = r.Uvarint(); err != nil || n > math.MaxInt32 {
+			err = ErrCorrupt
+			return
 		}
+		nb.Subtree[t] = int(n)
 		if n, err = r.Uvarint(); err != nil || n > uint64(r.Remaining()) {
 			err = ErrCorrupt
 			return
@@ -658,8 +667,8 @@ func EncodeInstall(w *Buffer, m Install) error {
 	return nil
 }
 
-// DecodeInstall reads an install-chunk payload from a frame of version ver.
-func DecodeInstall(r *Reader, ver byte) (m Install, err error) {
+// DecodeInstall reads an install-chunk payload.
+func DecodeInstall(r *Reader) (m Install, err error) {
 	if m.Meta, err = DecodeQueryMeta(r); err != nil {
 		return
 	}
@@ -677,7 +686,7 @@ func DecodeInstall(r *Reader, ver byte) (m Install, err error) {
 			return
 		}
 		var nb Neighbors
-		if nb, err = DecodeNeighbors(r, ver); err != nil {
+		if nb, err = DecodeNeighbors(r); err != nil {
 			return
 		}
 		m.Members[int(p)] = nb
@@ -918,8 +927,8 @@ func EncodeTopoReply(w *Buffer, m TopoReply) {
 	w.PutBool(m.Unknown)
 }
 
-// DecodeTopoReply reads a topology-reply payload from a frame of version ver.
-func DecodeTopoReply(r *Reader, ver byte) (m TopoReply, err error) {
+// DecodeTopoReply reads a topology-reply payload.
+func DecodeTopoReply(r *Reader) (m TopoReply, err error) {
 	if m.Query, err = r.String(); err != nil {
 		return
 	}
@@ -929,7 +938,7 @@ func DecodeTopoReply(r *Reader, ver byte) (m TopoReply, err error) {
 	if m.Seq, err = r.Uvarint(); err != nil {
 		return
 	}
-	if m.NB, err = DecodeNeighbors(r, ver); err != nil {
+	if m.NB, err = DecodeNeighbors(r); err != nil {
 		return
 	}
 	m.Unknown, err = r.Bool()

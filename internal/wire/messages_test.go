@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/hex"
 	"errors"
 	"reflect"
 	"testing"
@@ -35,7 +36,8 @@ func sampleNeighbors() Neighbors {
 }
 
 // sampleMessages returns one instance of every message kind, the full set
-// the peers exchange.
+// the peers exchange. v5Frames holds their captured v5 encodings: an edit
+// here must leave v5Messages returning what was captured.
 func sampleMessages() []any {
 	return []any{
 		&Envelope{
@@ -119,9 +121,10 @@ func sampleMessages() []any {
 	}
 }
 
-// Every message kind must round-trip through the framed codec unchanged —
-// this is the property the socket runtime relies on: what a netrt receiver
-// decodes is exactly what the sender's fabric passed to send.
+// Every message kind must round-trip through the framed codec unchanged
+// but for an envelope's SentAt, which the receiving runtime sets — this is
+// the property the socket runtime relies on: what a netrt receiver decodes
+// is exactly what the sender's fabric passed to send.
 func TestMessageRoundTripAllKinds(t *testing.T) {
 	for _, msg := range sampleMessages() {
 		var w Buffer
@@ -132,7 +135,10 @@ func TestMessageRoundTripAllKinds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode %T: %v", msg, err)
 		}
-		if !reflect.DeepEqual(got, msg) {
+		if e, ok := got.(*Envelope); ok && e.SentAt != 0 {
+			t.Fatalf("envelope SentAt %v after the codec, want 0", e.SentAt)
+		}
+		if msg = withoutSentAt(msg); !reflect.DeepEqual(got, msg) {
 			t.Fatalf("round trip %T:\n got %#v\nwant %#v", msg, got, msg)
 		}
 	}
@@ -183,99 +189,6 @@ func TestMessageTruncations(t *testing.T) {
 	}
 }
 
-// encodeNeighborsPrev writes a neighbors record the way a Version-1 (v4)
-// sender did: no subtree counts.
-func encodeNeighborsPrev(w *Buffer, nb Neighbors) {
-	w.PutUvarint(uint64(len(nb.Parents)))
-	for t := range nb.Parents {
-		w.PutVarint(int64(nb.Parents[t]))
-		w.PutVarint(int64(nb.Levels[t]))
-		w.PutUvarint(uint64(len(nb.Children[t])))
-		for _, c := range nb.Children[t] {
-			w.PutVarint(int64(c))
-		}
-	}
-}
-
-// prevFrame encodes msg as a Version-1 sender would have, and returns with
-// it the message a current decoder must read out of that frame: the two
-// kinds that carry a neighbors record lose their subtree counts, every other
-// kind's payload did not change across the step.
-func prevFrame(t testing.TB, msg any) ([]byte, any) {
-	t.Helper()
-	var w Buffer
-	switch m := msg.(type) {
-	case Install:
-		w.b = append(w.b, Version-1, MsgInstall)
-		EncodeQueryMeta(&w, m.Meta)
-		w.PutUvarint(uint64(len(m.Members)))
-		want := Install{Meta: m.Meta, Members: map[int]Neighbors{}, Forward: m.Forward}
-		for _, p := range sortedPeers(m.Members) {
-			w.PutVarint(int64(p))
-			encodeNeighborsPrev(&w, m.Members[p])
-			nb := m.Members[p]
-			nb.Subtree = nil
-			want.Members[p] = nb
-		}
-		encodeForward(&w, m.Forward)
-		return w.Bytes(), want
-	case TopoReply:
-		w.b = append(w.b, Version-1, MsgTopoReply)
-		w.PutString(m.Query)
-		w.PutUvarint(uint64(m.Epoch))
-		w.PutUvarint(m.Seq)
-		encodeNeighborsPrev(&w, m.NB)
-		w.PutBool(m.Unknown)
-		m.NB.Subtree = nil
-		return w.Bytes(), m
-	}
-	if err := EncodeMessage(&w, msg); err != nil {
-		t.Fatal(err)
-	}
-	w.b[0] = Version - 1
-	return w.Bytes(), msg
-}
-
-// The decode policy is "the current version and the previous one": 5 and 4
-// decode, 3 and 6 are refused. A v4 install or topology reply decodes with
-// nil Subtree — that operator stays on its timer — and every other kind
-// decodes equal to its v5 frame.
-func TestDecodeVersionWindow(t *testing.T) {
-	sawInstall := false
-	for _, msg := range sampleMessages() {
-		var w Buffer
-		if err := EncodeMessage(&w, msg); err != nil {
-			t.Fatal(err)
-		}
-		if got, err := DecodeMessage(w.Bytes()); err != nil || !reflect.DeepEqual(got, msg) {
-			t.Fatalf("%T stamped v%d: got %#v, %v\nwant %#v", msg, Version, got, err, msg)
-		}
-		prev, want := prevFrame(t, msg)
-		got, err := DecodeMessage(prev)
-		if err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("%T from a v%d sender: got %#v, %v\nwant %#v", msg, Version-1, got, err, want)
-		}
-		if in, ok := got.(Install); ok {
-			sawInstall = true
-			for p, nb := range in.Members {
-				if nb.Subtree != nil || len(nb.Parents) == 0 {
-					t.Fatalf("v%d install, member %d: %#v, want a position with nil Subtree", Version-1, p, nb)
-				}
-			}
-		}
-		for _, v := range []byte{Version - 2, Version + 1} {
-			frame := append([]byte(nil), w.Bytes()...)
-			frame[0] = v
-			if _, err := DecodeMessage(frame); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("%T stamped v%d: err = %v, want ErrCorrupt", msg, v, err)
-			}
-		}
-	}
-	if !sawInstall {
-		t.Fatal("no install among the sample messages")
-	}
-}
-
 // A subtree count that does not fit an int32 is corrupt, not truncated.
 func TestOversizedSubtreeIsCorrupt(t *testing.T) {
 	var w Buffer
@@ -294,42 +207,44 @@ func TestOversizedSubtreeIsCorrupt(t *testing.T) {
 	}
 }
 
-// filledSlotHeartbeat is a heartbeat frame stamped version v the way
-// senders that still carried a coordinate wrote it: a 3-D coordinate and
-// its error estimate in the slot after the hash.
-func filledSlotHeartbeat(v byte) []byte {
-	var w Buffer
-	w.b = append(w.b, v, MsgHeartbeat)
-	w.PutUvarint(2)
-	w.PutUvarint(0xdeadbeefcafe)
-	w.PutCoordExt([]float64{3.25, -1.5, 40}, 0.4)
-	return w.Bytes()
-}
-
-// The heartbeat coordinate slot is mandatory and bounded, and a filled one
-// from an older sender decodes with the coordinate discarded.
+// A v5 heartbeat ends in a mandatory, bounded coordinate slot, and a
+// filled one from an older sender decodes with the coordinate discarded. A
+// v6 heartbeat is [Seq][Hash] and nothing after it.
 func TestHeartbeatCoordExtension(t *testing.T) {
+	filled, err := hex.DecodeString(v5FilledSlotHeartbeat)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := Heartbeat{Seq: 2, Hash: 0xdeadbeefcafe}
-	for _, v := range []byte{Version, Version - 1} {
-		if got, err := DecodeMessage(filledSlotHeartbeat(v)); err != nil || got != any(want) {
-			t.Fatalf("v%d heartbeat with a filled slot: got %#v, %v; want %#v", v, got, err, want)
-		}
+	if got, err := DecodeMessage(filled); err != nil || got != any(want) {
+		t.Fatalf("v5 heartbeat with a filled slot: got %#v, %v; want %#v", got, err, want)
+	}
+	// The same payload stamped v6 has the slot as trailing bytes.
+	filled[0] = Version
+	if _, err := DecodeMessage(filled); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("v6 heartbeat with a coordinate slot: %v", err)
 	}
 
-	// A payload that ends after the hash is truncated (the dimension count
-	// is missing).
-	var w Buffer
-	w.b = append(w.b, Version, MsgHeartbeat)
-	w.PutUvarint(42)
-	w.PutUvarint(7)
-	if _, err := DecodeMessage(w.Bytes()); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("heartbeat without extension: %v", err)
+	// A payload that ends after the hash is a v6 heartbeat, and a truncated
+	// v5 one (the dimension count is missing).
+	for _, v := range []byte{Version, Version - 1} {
+		var w Buffer
+		w.b = append(w.b, v, MsgHeartbeat)
+		w.PutUvarint(42)
+		w.PutUvarint(7)
+		got, err := DecodeMessage(w.Bytes())
+		if v == Version && (err != nil || got != any(Heartbeat{Seq: 42, Hash: 7})) {
+			t.Fatalf("v6 heartbeat: %#v, %v", got, err)
+		}
+		if v < Version && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("v5 heartbeat without its slot: %v", err)
+		}
 	}
 
 	// A claimed dimensionality beyond the remaining bytes must not drive
 	// allocation.
-	w = Buffer{}
-	w.b = append(w.b, Version, MsgHeartbeat)
+	var w Buffer
+	w.b = append(w.b, Version-1, MsgHeartbeat)
 	w.PutUvarint(42)
 	w.PutUvarint(7)
 	w.PutUvarint(1 << 40)
@@ -371,7 +286,7 @@ func TestDecodeBoundsAllocation(t *testing.T) {
 }
 
 // Property: envelopes with arbitrary summary state survive the framed
-// round trip.
+// round trip, all but SentAt, which comes back 0.
 func TestPropertyEnvelopeRoundTrip(t *testing.T) {
 	f := func(q string, tb, te, age int32, count uint16, hops uint8, v float64, nl, ttl uint8, tree uint8, sentAt int32) bool {
 		levels := make([]int16, int(nl)%6)
@@ -397,7 +312,11 @@ func TestPropertyEnvelopeRoundTrip(t *testing.T) {
 			return false
 		}
 		got, err := DecodeMessage(w.Bytes())
-		return err == nil && reflect.DeepEqual(got, e)
+		if err != nil || got.(*Envelope).SentAt != 0 {
+			return false
+		}
+		e.SentAt = 0
+		return reflect.DeepEqual(got, e)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -1,15 +1,19 @@
 package wire
 
 import (
+	"time"
+
 	"repro/internal/tuple"
 )
 
 // EncodeSummary appends a summary tuple, including its routing state:
-// per-tree last-visited levels and the TTL-down counter (§3.3).
+// per-tree last-visited levels and the TTL-down counter (§3.3). The window
+// index is scaled (PutScaled): TB, then TE as a delta from TB, which wraps
+// the way int64 arithmetic does, so every pair round-trips.
 func EncodeSummary(w *Buffer, s tuple.Summary, ttlDown uint8) error {
 	w.PutString(s.Query)
-	w.PutDuration(s.Index.TB)
-	w.PutDuration(s.Index.TE)
+	w.PutScaled(s.Index.TB)
+	w.PutScaled(s.Index.TE - s.Index.TB)
 	w.PutDuration(s.Age)
 	w.PutUvarint(uint64(s.Count))
 	w.PutBool(s.Boundary)
@@ -25,18 +29,30 @@ func EncodeSummary(w *Buffer, s tuple.Summary, ttlDown uint8) error {
 	return nil
 }
 
-// DecodeSummary reads a summary encoded by EncodeSummary. The query name
-// is interned: every envelope of a query carries the same few names, so
-// steady-state decode performs no string allocation for them.
-func DecodeSummary(r *Reader) (s tuple.Summary, ttlDown uint8, err error) {
+// DecodeSummary reads a summary encoded by EncodeSummary into a frame of
+// version ver; a v5 frame carries TB and TE as plain durations. The query
+// name is interned: every envelope of a query carries the same few names,
+// so steady-state decode performs no string allocation for them.
+func DecodeSummary(r *Reader, ver byte) (s tuple.Summary, ttlDown uint8, err error) {
 	if s.Query, err = r.InternedString(); err != nil {
 		return
 	}
-	if s.Index.TB, err = r.Duration(); err != nil {
-		return
-	}
-	if s.Index.TE, err = r.Duration(); err != nil {
-		return
+	if ver < versionCompact {
+		if s.Index.TB, err = r.Duration(); err != nil {
+			return
+		}
+		if s.Index.TE, err = r.Duration(); err != nil {
+			return
+		}
+	} else {
+		if s.Index.TB, err = r.Scaled(); err != nil {
+			return
+		}
+		var span time.Duration
+		if span, err = r.Scaled(); err != nil {
+			return
+		}
+		s.Index.TE = s.Index.TB + span
 	}
 	if s.Age, err = r.Duration(); err != nil {
 		return

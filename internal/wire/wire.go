@@ -4,8 +4,10 @@
 // the way UdpCC datagram sizes did for the paper's prototype.
 //
 // The format is self-describing for values: a one-byte kind tag followed by
-// the payload. Integers use unsigned LEB128 varints; durations and floats
-// are fixed 8 bytes.
+// the payload. Integers use LEB128 varints (signed ones zigzag); durations
+// are signed varints of nanoseconds, or scaled (PutScaled) where they are
+// usually round; floats are fixed 8 bytes, or zigzag varints when every
+// number of a value is a small integer (see PutValue).
 package wire
 
 import (
@@ -92,6 +94,30 @@ func (w *Buffer) PutF64(f float64) {
 // PutDuration appends a time.Duration.
 func (w *Buffer) PutDuration(d time.Duration) { w.PutVarint(int64(d)) }
 
+// PutScaled appends d in the coarsest of ns, µs, ms and s that divides it
+// exactly: the zigzag count of units, shifted left two bits over the unit's
+// index, as a little-endian base-128 varint of up to 66 bits. A window
+// boundary at 20.25 s takes 3 bytes where PutDuration takes 6; a duration
+// with a nanosecond remainder takes at most one byte more.
+func (w *Buffer) PutScaled(d time.Duration) {
+	v, unit := int64(d), byte(0)
+	switch {
+	case v%1e9 == 0: // 0 too: one byte in any unit
+		v, unit = v/1e9, 3
+	case v%1e6 == 0:
+		v, unit = v/1e6, 2
+	case v%1e3 == 0:
+		v, unit = v/1e3, 1
+	}
+	z := uint64(v<<1) ^ uint64(v>>63)
+	if z < 1<<5 {
+		w.b = append(w.b, unit|byte(z)<<2)
+		return
+	}
+	w.b = append(w.b, 0x80|unit|byte(z&0x1f)<<2)
+	w.PutUvarint(z >> 5)
+}
+
 // PutString appends a length-prefixed string.
 func (w *Buffer) PutString(s string) {
 	w.PutUvarint(uint64(len(s)))
@@ -167,6 +193,31 @@ func (r *Reader) Duration() (time.Duration, error) {
 	return time.Duration(v), err
 }
 
+// Scaled reads a duration written by PutScaled. A count whose value in
+// nanoseconds overflows an int64 is corrupt.
+func (r *Reader) Scaled() (time.Duration, error) {
+	b, err := r.Byte()
+	if err != nil {
+		return 0, err
+	}
+	z := uint64(b>>2) & 0x1f
+	if b&0x80 != 0 {
+		hi, err := r.Uvarint()
+		if err != nil || hi >= 1<<59 {
+			return 0, ErrCorrupt
+		}
+		z |= hi << 5
+	}
+	v := int64(z>>1) ^ -int64(z&1)
+	for unit := b & 3; unit > 0; unit-- {
+		if v > math.MaxInt64/1000 || v < math.MinInt64/1000 {
+			return 0, ErrCorrupt
+		}
+		v *= 1000
+	}
+	return time.Duration(v), nil
+}
+
 // String reads a length-prefixed string.
 func (r *Reader) String() (string, error) {
 	n, err := r.Uvarint()
@@ -218,7 +269,14 @@ func (r *Reader) Bool() (bool, error) {
 	return v, nil
 }
 
-// Value kind tags. Operator values are one of these shapes.
+// Value kind tags. Operator values are one of these shapes. Every shape
+// that carries counts or sums of them — scalar, []float64, histogram map,
+// scored entries — has an integral twin, its tag with kindIntegral set,
+// whose numbers travel as zigzag varints: PutValue picks the twin when every
+// number in the value is integral (see integral), so a count or a sum of
+// counts takes one to three bytes a number instead of eight, and no value
+// ever takes more bytes than its float form. A Coord, a trilateration
+// fix, is fractional in practice and keeps its float form alone.
 const (
 	kindNil     = 0
 	kindF64     = 1
@@ -228,6 +286,8 @@ const (
 	kindEntries = 5 // []ScoredEntry (top-k)
 	kindBits    = 6 // []uint64 (bloom filters)
 	kindCoord   = 7 // Coord (trilateration output)
+
+	kindIntegral = 8 // flag on kindF64, kindF64s, kindKV, kindEntries
 )
 
 // ScoredEntry is a (key, score, payload) element used by top-k values.
@@ -242,6 +302,55 @@ type Coord struct {
 	X, Y float64
 }
 
+// maxIntegral bounds the magnitude of a number sent as a varint: every
+// integer below it is exactly a float64, so the twin kinds are lossless.
+const maxIntegral = 1 << 53
+
+// integral reports whether f may travel as a zigzag varint: an integer of
+// magnitude below 2^53, and not −0, whose sign a varint cannot carry.
+func integral(f float64) bool {
+	return math.Abs(f) < maxIntegral && f == math.Trunc(f) && (f != 0 || !math.Signbit(f))
+}
+
+func integrals(fs []float64) bool {
+	for _, f := range fs {
+		if !integral(f) {
+			return false
+		}
+	}
+	return true
+}
+
+// putKind appends a value kind tag, flagged integral when ints.
+func (w *Buffer) putKind(kind byte, ints bool) {
+	if ints {
+		kind |= kindIntegral
+	}
+	w.b = append(w.b, kind)
+}
+
+// putNum appends one number of a value: a zigzag varint in an integral
+// kind, 8 bytes otherwise.
+func (w *Buffer) putNum(f float64, ints bool) {
+	if ints {
+		w.PutVarint(int64(f))
+		return
+	}
+	w.PutF64(f)
+}
+
+// num reads one number written by putNum.
+func (r *Reader) num(ints bool) (float64, error) {
+	if !ints {
+		return r.F64()
+	}
+	v, err := r.Varint()
+	if err != nil || v <= -maxIntegral || v >= maxIntegral {
+		return 0, ErrCorrupt
+	}
+	return float64(v), nil
+}
+
 // PutValue appends a tagged operator value. Supported shapes: nil, float64,
 // []float64, string, map[string]float64, []ScoredEntry, []uint64, Coord.
 func (w *Buffer) PutValue(v any) error {
@@ -249,38 +358,46 @@ func (w *Buffer) PutValue(v any) error {
 	case nil:
 		w.b = append(w.b, kindNil)
 	case float64:
-		w.b = append(w.b, kindF64)
-		w.PutF64(x)
+		ints := integral(x)
+		w.putKind(kindF64, ints)
+		w.putNum(x, ints)
 	case []float64:
-		w.b = append(w.b, kindF64s)
+		ints := integrals(x)
+		w.putKind(kindF64s, ints)
 		w.PutUvarint(uint64(len(x)))
 		for _, f := range x {
-			w.PutF64(f)
+			w.putNum(f, ints)
 		}
 	case string:
 		w.b = append(w.b, kindString)
 		w.PutString(x)
 	case map[string]float64:
-		w.b = append(w.b, kindKV)
+		ints := true
 		keys := make([]string, 0, len(x))
-		for k := range x {
+		for k, f := range x {
 			keys = append(keys, k)
+			ints = ints && integral(f)
 		}
 		sort.Strings(keys) // deterministic encoding
+		w.putKind(kindKV, ints)
 		w.PutUvarint(uint64(len(keys)))
 		for _, k := range keys {
 			w.PutString(k)
-			w.PutF64(x[k])
+			w.putNum(x[k], ints)
 		}
 	case []ScoredEntry:
-		w.b = append(w.b, kindEntries)
+		ints := true
+		for _, e := range x {
+			ints = ints && integral(e.Score) && integrals(e.Payload)
+		}
+		w.putKind(kindEntries, ints)
 		w.PutUvarint(uint64(len(x)))
 		for _, e := range x {
 			w.PutString(e.Key)
-			w.PutF64(e.Score)
+			w.putNum(e.Score, ints)
 			w.PutUvarint(uint64(len(e.Payload)))
 			for _, f := range e.Payload {
-				w.PutF64(f)
+				w.putNum(f, ints)
 			}
 		}
 	case []uint64:
@@ -304,13 +421,17 @@ func (r *Reader) Value() (any, error) {
 	if r.Remaining() < 1 {
 		return nil, ErrCorrupt
 	}
-	kind := r.b[r.off]
+	kind, ints := r.b[r.off], false
 	r.off++
+	switch kind {
+	case kindF64 | kindIntegral, kindF64s | kindIntegral, kindKV | kindIntegral, kindEntries | kindIntegral:
+		kind, ints = kind&^kindIntegral, true
+	}
 	switch kind {
 	case kindNil:
 		return nil, nil
 	case kindF64:
-		return r.F64()
+		return r.num(ints)
 	case kindF64s:
 		n, err := r.Uvarint()
 		if err != nil || n > uint64(r.Remaining()) {
@@ -318,7 +439,7 @@ func (r *Reader) Value() (any, error) {
 		}
 		out := make([]float64, n)
 		for i := range out {
-			if out[i], err = r.F64(); err != nil {
+			if out[i], err = r.num(ints); err != nil {
 				return nil, err
 			}
 		}
@@ -336,7 +457,7 @@ func (r *Reader) Value() (any, error) {
 			if err != nil {
 				return nil, err
 			}
-			v, err := r.F64()
+			v, err := r.num(ints)
 			if err != nil {
 				return nil, err
 			}
@@ -353,7 +474,7 @@ func (r *Reader) Value() (any, error) {
 			if out[i].Key, err = r.String(); err != nil {
 				return nil, err
 			}
-			if out[i].Score, err = r.F64(); err != nil {
+			if out[i].Score, err = r.num(ints); err != nil {
 				return nil, err
 			}
 			m, err := r.Uvarint()
@@ -363,7 +484,7 @@ func (r *Reader) Value() (any, error) {
 			if m > 0 {
 				out[i].Payload = make([]float64, m)
 				for j := range out[i].Payload {
-					if out[i].Payload[j], err = r.F64(); err != nil {
+					if out[i].Payload[j], err = r.num(ints); err != nil {
 						return nil, err
 					}
 				}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -96,7 +97,7 @@ func TestCorruptBuffers(t *testing.T) {
 	}
 	full := w.Bytes()
 	for cut := 0; cut < len(full); cut++ {
-		if _, _, err := DecodeSummary(NewReader(full[:cut])); err == nil {
+		if _, _, err := DecodeSummary(NewReader(full[:cut]), Version); err == nil {
 			t.Fatalf("no error at truncation %d", cut)
 		}
 	}
@@ -117,7 +118,7 @@ func TestSummaryRoundTrip(t *testing.T) {
 	if err := EncodeSummary(&w, s, 2); err != nil {
 		t.Fatal(err)
 	}
-	got, ttl, err := DecodeSummary(NewReader(w.Bytes()))
+	got, ttl, err := DecodeSummary(NewReader(w.Bytes()), Version)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,14 +130,54 @@ func TestSummaryRoundTrip(t *testing.T) {
 	}
 }
 
+// Only the count-carrying shapes have an integral twin: the flag on a
+// string, bits or coord tag, or on no tag at all, is an unknown kind.
+func TestValueTwinKinds(t *testing.T) {
+	for kind := byte(0); kind < 32; kind++ {
+		_, err := NewReader([]byte{kind, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}).Value()
+		known := kind <= kindCoord || kind == kindF64|kindIntegral || kind == kindF64s|kindIntegral ||
+			kind == kindKV|kindIntegral || kind == kindEntries|kindIntegral
+		if known == errors.Is(err, ErrCorrupt) {
+			t.Errorf("value kind %d: err %v", kind, err)
+		}
+	}
+}
+
+// The fanin-wan-shaped sum envelope ("mass", TB 20 s, TE +250 ms, Age
+// 140.123456 ms, Count 5, 2 levels) is 48 B at v5 and at most 28 B at v6,
+// and no value shape, integral or not, encodes longer than it did at v5.
 func TestSummarySizeReasonable(t *testing.T) {
-	s := tuple.Summary{Query: "q", Value: float64(1), Count: 1, Levels: make([]int16, 4)}
+	n := len(sampleMessages())
+	sum := v5Messages()[n+1].(*Envelope)
+	if sum.S.Value != any(float64(1234)) {
+		t.Fatalf("entry %d is %#v, not the sum envelope", n+1, sum.S.Value)
+	}
+	if got := len(v5Frame(t, n+1)); got != 48 {
+		t.Fatalf("captured v5 sum envelope is %d B, want 48", got)
+	}
 	var w Buffer
-	if err := EncodeSummary(&w, s, 0); err != nil {
+	if err := EncodeMessage(&w, sum); err != nil {
 		t.Fatal(err)
 	}
-	if sz := w.Len(); sz < 10 || sz > 200 {
-		t.Fatalf("summary size = %d, implausible", sz)
+	if w.Len() > 28 {
+		t.Fatalf("v6 sum envelope is %d B, want at most 28", w.Len())
+	}
+	// Entry n is the same envelope with a nil value (one tag byte), so the
+	// captured frames give each value's v5 length.
+	nilLen := len(v5Frame(t, n))
+	for i, msg := range v5Messages()[n:] {
+		v := msg.(*Envelope).S.Value
+		v5 := len(v5Frame(t, n+i)) - nilLen + 1
+		if v5ValueLen(v) != v5 {
+			t.Fatalf("%#v: v5ValueLen says %d B, the captured frame %d", v, v5ValueLen(v), v5)
+		}
+		w.Reset()
+		if err := w.PutValue(v); err != nil {
+			t.Fatal(err)
+		}
+		if w.Len() > v5 {
+			t.Fatalf("%#v takes %d B at v6, %d at v5", v, w.Len(), v5)
+		}
 	}
 }
 
@@ -184,7 +225,7 @@ func TestPropertySummaryRoundTrip(t *testing.T) {
 		if err := EncodeSummary(&w, s, ttl); err != nil {
 			return false
 		}
-		got, gttl, err := DecodeSummary(NewReader(w.Bytes()))
+		got, gttl, err := DecodeSummary(NewReader(w.Bytes()), Version)
 		return err == nil && reflect.DeepEqual(got, s) && gttl == ttl
 	}
 	if err := quick.Check(f, nil); err != nil {
