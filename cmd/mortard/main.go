@@ -88,7 +88,7 @@ type config struct {
 	seed                                    int64
 	duration                                time.Duration
 	fail, loss, dup, driftThr               float64
-	live, height, replan                    bool
+	live, replan                            bool
 	msl, peersFile, host, listen, join      string
 	pprof, serve, genPeers, chaos, curveDir string
 
@@ -113,7 +113,6 @@ func parseFlags(name string, args []string) (*config, error) {
 	fs.StringVar(&c.join, "join", "", "UDP mode, worker: coordinator TCP address to join")
 	fs.IntVar(&c.mtu, "mtu", 0, "UDP mode: datagram MTU — frames that do not fit are fragmented, NACK-repaired, and reassembled (0 = netrt default, 1400)")
 	fs.IntVar(&c.pace, "pace", 0, "UDP mode: outgoing token-bucket rate in bytes/sec per local peer (0 = netrt default, 8 MiB/s; negative = unpaced)")
-	fs.BoolVar(&c.height, "vivaldi-height", false, "UDP mode: embed with Vivaldi height-vector coordinates (models access-link latency; all processes must agree)")
 	fs.BoolVar(&c.replan, "replan", false, "coordinator: monitor the embedding for drift and live-replan queries into new epochs (make-before-break migration)")
 	fs.Float64Var(&c.driftThr, "drift-threshold", 0.25, "with -replan: relative cost degradation of the deployed plan versus a fresh candidate that triggers a replan")
 	fs.StringVar(&c.pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for hot-path profiles during scale runs")
@@ -142,7 +141,7 @@ var modeRules = []struct {
 	{"replan", "live udp", "%s needs a wall-clock backend (-live or -peers-file); the simulator's latencies never drift"},
 	{"loss dup", "live", "%s tunes the -live transport; no other backend reads it"},
 	{"live", "sim live", "%s is dropped by -peers-file; choose one backend"},
-	{"host listen join mtu pace vivaldi-height", "udp", "%s is a UDP-mode flag; it does nothing without -peers-file"},
+	{"host listen join mtu pace", "udp", "%s is a UDP-mode flag; it does nothing without -peers-file"},
 }
 
 // check refuses a command line the chosen backend would silently ignore
@@ -350,7 +349,7 @@ func (c *config) udpBackend(out io.Writer) (*backend, error) {
 		return nil, err
 	}
 	rt, err := netrt.New(dir, local, netrt.Options{
-		Seed: c.seed, MTU: c.mtu, Pace: c.pace, VivaldiHeight: c.height,
+		Seed: c.seed, MTU: c.mtu, Pace: c.pace,
 	})
 	if err != nil {
 		return nil, err

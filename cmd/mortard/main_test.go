@@ -57,9 +57,8 @@ func TestCheckMode(t *testing.T) {
 		{args: "-join :0", wantErr: "-join is a UDP-mode flag"},
 		{args: "-mtu 160", wantErr: "-mtu is a UDP-mode flag"},
 		{args: "-pace 1", wantErr: "-pace is a UDP-mode flag"},
-		{args: "-vivaldi-height", wantErr: "-vivaldi-height is a UDP-mode flag"},
 		{args: "-live -fail 0.2 -serve :0 -chaos f -replan -loss 0.1 -dup 0.1"},
-		{args: "-peers-file f -host 0-3 -listen :0 -mtu 160 -pace 1 -vivaldi-height -serve :0 -chaos f -replan"},
+		{args: "-peers-file f -host 0-3 -listen :0 -mtu 160 -pace 1 -serve :0 -chaos f -replan"},
 		{args: "-peers-file f -host 4-7 -join :0 -chaos f"},
 		{args: "-peers-file f -host 0-3 -fail 0.2", wantErr: "-chaos"},
 		{args: "-peers-file f -host 0-3 -fail 0.2 -chaos f", wantErr: "-fail"},

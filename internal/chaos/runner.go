@@ -6,30 +6,26 @@ import (
 	"time"
 )
 
-// Injector is the minimal surface a runtime must expose for fault
-// injection: federation size plus the fail-stop gate. netrt.Runtime and
-// the fabric transports satisfy it directly.
+// Injector is the surface a runtime exposes for fault injection: every
+// action kind a schedule holds lands on one of its methods, so none is
+// ever skipped. netrt.Runtime and livert.Runtime satisfy it directly.
 type Injector interface {
 	NumPeers() int
+	// SetDown is the fail-stop gate.
 	SetDown(peer int, down bool)
-}
-
-// Optional injector capabilities, discovered by interface assertion so
-// the chaos package stays dependency-free. A schedule that uses a
-// capability the injector lacks still replays its gate actions; the
-// unsupported actions are skipped (loss on a transport with no loss
-// model, say).
-type (
-	lossSetter     interface{ SetLoss(p float64) }
-	peerLossSetter interface{ SetPeerLoss(peer int, p float64) }
-	socketGrouper  interface{ AddressGroups() [][]int }
-	// localizer restricts which peers this process may gate. In a
+	// SetLoss sets the datagram loss of every local peer; SetPeerLoss
+	// sets one peer's.
+	SetLoss(p float64)
+	SetPeerLoss(peer int, p float64)
+	// AddressGroups lists the peers behind each socket, what a
+	// socket-outage event takes down together.
+	AddressGroups() [][]int
+	// Local restricts which peers this process may gate. In a
 	// multi-process federation every process expands the identical action
 	// list but applies only the peers it hosts — fail-stop gates live at
-	// the owning runtime. netrt.Runtime's Local (the runtime.Locality
-	// interface) matches.
-	localizer interface{ Local(peer int) bool }
-)
+	// the owning runtime.
+	Local(peer int) bool
+}
 
 // Runner replays an expanded action list against an injector on the wall
 // clock, starting from the moment Start was called.
@@ -47,14 +43,9 @@ type Runner struct {
 }
 
 // Start expands the schedule against the injector and begins replaying it
-// immediately. Socket-outage events require the injector to expose
-// AddressGroups.
+// immediately.
 func Start(inj Injector, s *Schedule) (*Runner, error) {
-	var groups [][]int
-	if sg, ok := inj.(socketGrouper); ok {
-		groups = sg.AddressGroups()
-	}
-	acts, err := s.Expand(inj.NumPeers(), groups)
+	acts, err := s.Expand(inj.NumPeers(), inj.AddressGroups())
 	if err != nil {
 		return nil, err
 	}
@@ -77,9 +68,6 @@ func StartActions(inj Injector, acts []Action) *Runner {
 
 func (r *Runner) loop() {
 	defer close(r.done)
-	loc, hasLoc := r.inj.(localizer)
-	ls, hasLoss := r.inj.(lossSetter)
-	pls, hasPeerLoss := r.inj.(peerLossSetter)
 	timer := time.NewTimer(0)
 	defer timer.Stop()
 	if !timer.Stop() {
@@ -103,16 +91,14 @@ func (r *Runner) loop() {
 		}
 		switch a.Kind {
 		case ActKill, ActRecover:
-			if !hasLoc || loc.Local(a.Peer) {
+			if r.inj.Local(a.Peer) {
 				r.inj.SetDown(a.Peer, a.Kind == ActKill)
 			}
 		case ActLoss:
-			if hasLoss {
-				ls.SetLoss(a.Loss)
-			}
+			r.inj.SetLoss(a.Loss)
 		case ActPeerLoss:
-			if hasPeerLoss && (!hasLoc || loc.Local(a.Peer)) {
-				pls.SetPeerLoss(a.Peer, a.Loss)
+			if r.inj.Local(a.Peer) {
+				r.inj.SetPeerLoss(a.Peer, a.Loss)
 			}
 		}
 		// Live is schedule truth, not a local Down count: a process

@@ -129,7 +129,7 @@ func newTestbed(seed int64, hosts int, clocks []vclock.Clock, cfg mortar.Config)
 // spread the planner exploits).
 func vivaldiCoords(net *netem.Network, rng *rand.Rand) []cluster.Point {
 	hosts := net.Topology().Hosts()
-	sys := vivaldi.NewSystem(len(hosts), vivaldi.DefaultConfig(), rng)
+	sys := vivaldi.NewSystem(len(hosts), rng)
 	sys.Run(30, 12, func(i, j int) time.Duration {
 		return net.Latency(hosts[i], hosts[j])
 	})

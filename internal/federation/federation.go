@@ -44,19 +44,6 @@ type CoordSource interface {
 	Coordinates() (coords []vivaldi.Coordinate, errs []float64, known []bool)
 }
 
-// heightSource is implemented by runtimes whose gossiped coordinates use
-// the Vivaldi height-vector model: the last component of every coordinate
-// is the node's height, and distance predictions must add both heights.
-type heightSource interface {
-	VivaldiHeight() bool
-}
-
-// coordHeight reports whether a runtime's coordinates carry heights.
-func coordHeight(rt runtime.Runtime) bool {
-	h, ok := rt.(heightSource)
-	return ok && h.VivaldiHeight()
-}
-
 // Federation is a running set of queries over a node set.
 type Federation struct {
 	Fab  *mortar.Fabric

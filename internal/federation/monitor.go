@@ -79,10 +79,10 @@ func (f *Federation) replanRngLocked() *rand.Rand {
 func (f *Federation) currentView(rng *rand.Rand) ([]cluster.Point, plan.LatencyModel, bool) {
 	n := f.Rt.NumPeers()
 	if coords := gossipedCoords(f.Rt, n); coords != nil {
-		return coords, plan.CoordModel{Coords: coords, Height: coordHeight(f.Rt)}, true
+		return coords, plan.CoordModel{Coords: coords}, true
 	}
 	tr := f.Rt.Transport()
-	sys := vivaldi.NewSystem(n, vivaldi.DefaultConfig(), rng)
+	sys := vivaldi.NewSystem(n, rng)
 	sys.Run(10, 8, func(i, j int) time.Duration { return tr.Latency(i, j) })
 	coords := make([]cluster.Point, n)
 	for i, c := range sys.Coordinates() {

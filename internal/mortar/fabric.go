@@ -226,11 +226,6 @@ type Fabric struct {
 	// keeps the per-merge cost to two atomic adds.
 	DataPath tslist.Counters
 
-	// consumesBytes records whether the transport copies Frame.Bytes
-	// inside Send (runtime.FrameBytesConsumer), letting send recycle its
-	// encode buffer and frame immediately.
-	consumesBytes bool
-
 	subMu  sync.RWMutex
 	subs   []subEntry
 	subSeq uint64
@@ -293,9 +288,6 @@ func NewFabric(rt runtime.Runtime, clocks []vclock.Clock, cfg Config) (*Fabric, 
 		tr:        rt.Transport(),
 		rng:       rt.Rand(),
 		queryTraf: map[string]*QueryTraffic{},
-	}
-	if bc, ok := f.tr.(runtime.FrameBytesConsumer); ok {
-		f.consumesBytes = bc.ConsumesFrameBytes()
 	}
 	for i := 0; i < n; i++ {
 		ck := vclock.Perfect()
@@ -434,22 +426,19 @@ func (f *Fabric) putRawBatch(b []tuple.Raw) {
 	f.batchMu.Unlock()
 }
 
-// framePool recycles the runtime.Frame envelopes handed to transports that
-// consume them synchronously (runtime.FrameBytesConsumer).
+// framePool recycles the runtime.Frame envelopes handed to the transport,
+// which copies what it keeps inside Send.
 var framePool = sync.Pool{New: func() any { return new(runtime.Frame) }}
 
 // send transmits a control or data message between peers over the runtime
 // transport. The message is encoded exactly once here, into a pooled
-// buffer: the encoded length is the size every backend charges, and on
-// socket backends the bytes travel alongside the decoded payload
-// (runtime.Frame) to be transmitted without re-encoding. Transports that
-// consume the frame synchronously get a pooled frame too, making the
-// steady-state transmit path allocation-free on the fabric side;
-// in-process backends retain the frame in the receiver's mailbox (payload
-// only — the encoding existed just to size the message), so they get a
-// fresh frame with nil Bytes and the buffer still recycles immediately. A
-// message the codec cannot represent is dropped — an unencodable message
-// could never cross a real wire.
+// buffer: the encoded length is the size every backend charges, and the
+// bytes travel alongside the decoded payload (runtime.Frame) to be
+// transmitted without re-encoding. Every transport copies the bytes inside
+// Send, so the frame and buffer are pooled and the steady-state transmit
+// path is allocation-free on the fabric side. A message the codec cannot
+// represent is dropped — an unencodable message could never cross a real
+// wire.
 func (f *Fabric) send(from, to int, class runtime.Class, payload any) {
 	w := wire.GetBuffer()
 	if err := wire.EncodeMessage(w, payload); err != nil {
@@ -458,15 +447,11 @@ func (f *Fabric) send(from, to int, class runtime.Class, payload any) {
 		return
 	}
 	f.account(payload, class, w.Len())
-	if f.consumesBytes {
-		fr := framePool.Get().(*runtime.Frame)
-		fr.Payload, fr.Bytes = payload, w.Bytes()
-		f.tr.Send(from, to, class, w.Len(), fr)
-		fr.Payload, fr.Bytes = nil, nil
-		framePool.Put(fr)
-	} else {
-		f.tr.Send(from, to, class, w.Len(), &runtime.Frame{Payload: payload})
-	}
+	fr := framePool.Get().(*runtime.Frame)
+	fr.Payload, fr.Bytes = payload, w.Bytes()
+	f.tr.Send(from, to, class, w.Len(), fr)
+	fr.Payload, fr.Bytes = nil, nil
+	framePool.Put(fr)
 	wire.PutBuffer(w)
 }
 

@@ -944,15 +944,14 @@ func (inst *instance) forward(s tuple.Summary, arrived int, ttlDown uint8) {
 	inst.peer.fab.Stats.Dropped.Add(1)
 }
 
-// envPool recycles envelope shells on transports that consume frame bytes
-// inside Send; in-process backends keep the payload in the receiver's
-// mailbox and get a fresh one.
+// envPool recycles envelope shells: the transport keeps only the encoded
+// bytes, so a shell is free again once the send returns.
 var envPool = sync.Pool{New: func() any { return new(envelope) }}
 
 // send moves the summary toward peer `to` on tree t, recording the level
 // visited. It is the one upstream transmit: the summary leaves at once as one
-// data frame, a single envelope stamped with the sender's time now — the turn
-// that computed its age — so the receiver's flight-time addition and
+// data frame, a single envelope the transport stamps as it leaves — in the
+// turn that computed its age — so the receiver's flight-time addition and
 // syncless re-indexing see the age the operator produced. Nothing parks and
 // nothing batches; an envelope batch is only ever received (Peer.deliver).
 func (inst *instance) send(s tuple.Summary, t, to int, ttlDown uint8) {
@@ -961,16 +960,9 @@ func (inst *instance) send(s tuple.Summary, t, to int, ttlDown uint8) {
 	}
 	p, fab := inst.peer, inst.peer.fab
 	fab.Stats.SummariesStaged.Add(1)
-	var env *envelope
-	if fab.consumesBytes {
-		env = envPool.Get().(*envelope)
-	} else {
-		env = new(envelope)
-	}
-	*env = envelope{S: s, Tree: t, TTLDown: ttlDown, Epoch: inst.meta.Epoch, SentAt: p.now()}
+	env := envPool.Get().(*envelope)
+	*env = envelope{S: s, Tree: t, TTLDown: ttlDown, Epoch: inst.meta.Epoch}
 	fab.send(p.id, to, runtime.ClassData, env)
-	if fab.consumesBytes {
-		*env = envelope{}
-		envPool.Put(env)
-	}
+	*env = envelope{}
+	envPool.Put(env)
 }

@@ -134,9 +134,6 @@ func (p *Peer) deliver(src int, payload any, size int) {
 	if src < 0 || src >= p.fab.NumPeers() {
 		return
 	}
-	if fr, ok := payload.(*runtime.Frame); ok {
-		payload = fr.Payload
-	}
 	switch m := payload.(type) {
 	case *envelope:
 		p.markHeard(src)

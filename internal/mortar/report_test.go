@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/runtime"
 	"repro/internal/runtime/simrt"
 	"repro/internal/tuple"
 	"repro/internal/wire"
@@ -395,9 +394,6 @@ func holdFrame(fab *Fabric, rt *simrt.Runtime, from int, at, delay time.Duration
 }
 
 func summaryFrame(payload any) bool {
-	if fr, ok := payload.(*runtime.Frame); ok {
-		payload = fr.Payload
-	}
 	switch payload.(type) {
 	case *envelope, *wire.EnvelopeBatch:
 		return true

@@ -10,11 +10,10 @@ import (
 )
 
 // The upstream send path must not allocate in steady state: the envelope
-// shell, wire buffer, and frame all come from pools on byte-consuming
-// transports. The benchmark sends three summaries to one next hop per cycle
-// through instance.send over a stub runtime whose transport consumes frame
-// bytes like a socket backend but discards them, so the measurement isolates
-// the fabric's send path itself.
+// shell, wire buffer, and frame all come from pools. The benchmark sends
+// three summaries to one next hop per cycle through instance.send over a
+// stub runtime whose transport discards every frame, so the measurement
+// isolates the fabric's send path itself.
 
 // benchTimer and benchTicker satisfy the runtime interfaces without
 // scheduling anything.
@@ -34,8 +33,7 @@ func (c *benchClock) Now() time.Duration                         { return c.now 
 func (c *benchClock) After(time.Duration, func()) runtime.Timer  { return benchTimer{} }
 func (c *benchClock) Every(time.Duration, func()) runtime.Ticker { return benchTicker{} }
 
-// benchTransport consumes frame bytes (the socket-backend contract that
-// turns on fabric-side pooling) and drops every frame on the floor.
+// benchTransport drops every frame on the floor.
 type benchTransport struct{}
 
 func (benchTransport) Send(from, to int, class runtime.Class, size int, payload any) bool {
@@ -45,7 +43,6 @@ func (benchTransport) Handle(peer int, h runtime.Handler) {}
 func (benchTransport) SetDown(peer int, down bool)        {}
 func (benchTransport) Down(peer int) bool                 { return false }
 func (benchTransport) Latency(a, b int) time.Duration     { return time.Millisecond }
-func (benchTransport) ConsumesFrameBytes() bool           { return true }
 
 type benchRuntime struct {
 	n      int

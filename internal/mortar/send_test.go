@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/runtime"
 	"repro/internal/runtime/simrt"
 	"repro/internal/tuple"
 	"repro/internal/wire"
@@ -65,11 +64,7 @@ func tapSummaries(fab *Fabric, rt *simrt.Runtime, from, to int) *[][]envelope {
 	frames := new([][]envelope)
 	rt.Handle(to, func(src int, payload any, size int) {
 		if src == from {
-			inner := payload
-			if fr, ok := payload.(*runtime.Frame); ok {
-				inner = fr.Payload
-			}
-			switch m := inner.(type) {
+			switch m := payload.(type) {
 			case *envelope:
 				*frames = append(*frames, []envelope{*m})
 			case *wire.EnvelopeBatch:

@@ -37,13 +37,9 @@ func (f LatencyFunc) Latency(a, b int) time.Duration { return f(a, b) }
 
 // CoordModel is a LatencyModel backed by network coordinates: the
 // predicted latency between two peers is the Euclidean distance between
-// their coordinates, in milliseconds (Vivaldi's embedding unit). With
-// Height set, the last component of every point is a Vivaldi height (the
-// node's access-link latency): the prediction is then the Euclidean
-// distance of the vector parts plus both heights.
+// their coordinates, in milliseconds (Vivaldi's embedding unit).
 type CoordModel struct {
 	Coords []cluster.Point
-	Height bool
 }
 
 // Latency implements LatencyModel by coordinate distance.
@@ -56,17 +52,12 @@ func (m CoordModel) Latency(a, b int) time.Duration {
 	if len(cb) < n {
 		n = len(cb)
 	}
-	var heights float64
-	if m.Height && n >= 2 {
-		heights = ca[n-1] + cb[n-1]
-		n--
-	}
 	var s float64
 	for i := 0; i < n; i++ {
 		d := ca[i] - cb[i]
 		s += d * d
 	}
-	return time.Duration((math.Sqrt(s) + heights) * float64(time.Millisecond))
+	return time.Duration(math.Sqrt(s) * float64(time.Millisecond))
 }
 
 // Tree is a rooted aggregation tree over peers 0..n-1.

@@ -274,19 +274,6 @@ func TestCoordModelLatency(t *testing.T) {
 	}
 }
 
-// A height-aware CoordModel adds both endpoints' heights (the trailing
-// component) to the vector distance — the Vivaldi §5.4 path model.
-func TestCoordModelHeight(t *testing.T) {
-	m := CoordModel{Coords: []cluster.Point{{0, 0, 2}, {3, 4, 7}}, Height: true}
-	if got := m.Latency(0, 1); got != 14*time.Millisecond {
-		t.Fatalf("height Latency = %v, want 14ms (5 + 2 + 7)", got)
-	}
-	flat := CoordModel{Coords: []cluster.Point{{0, 0, 2}, {3, 4, 7}}}
-	if got := flat.Latency(0, 1); got == 14*time.Millisecond {
-		t.Fatal("flat model applied heights")
-	}
-}
-
 // Quality is the planner's drift metric: the mean peer-to-root overlay
 // latency across the set's trees. A star rooted at a well-placed peer must
 // score better than a chain under the same model, and the same set must

@@ -385,41 +385,3 @@ func TestReplanUnderChurnReachesCompleteness(t *testing.T) {
 		}
 	}
 }
-
-// Height-vector coordinates over netrt: with Options.VivaldiHeight every
-// gossiped coordinate carries the extra height component, the embedding
-// still converges against the measured RTTs, and flat 3-component
-// coordinates (a mixed-model sender) are rejected before caching.
-func TestVivaldiHeightGossip(t *testing.T) {
-	rts, _, err := netrt.NewGroup([][]int{{0, 1}, {2, 3}},
-		netrt.Options{Seed: 73, VivaldiHeight: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, rt := range rts {
-			rt.Shutdown()
-		}
-	}()
-	if !rts[0].VivaldiHeight() {
-		t.Fatal("VivaldiHeight not reported")
-	}
-	for _, rt := range rts {
-		rt.Gossip(5, 0, 20*time.Millisecond)
-	}
-	coords, _, known := rts[0].Coordinates()
-	for p, k := range known {
-		if !k {
-			t.Fatalf("peer %d coordinate unknown after gossip", p)
-		}
-		if len(coords[p]) != 4 {
-			t.Fatalf("peer %d coordinate has %d components, want 4 (3 dims + height)", p, len(coords[p]))
-		}
-		if h := coords[p][3]; h <= 0 {
-			t.Fatalf("peer %d height %v not positive", p, h)
-		}
-	}
-	if med, pairs := rts[0].CoordError(); pairs == 0 || med > 5.0 {
-		t.Fatalf("height embedding did not converge: median %.3fms over %d pairs", med, pairs)
-	}
-}

@@ -114,11 +114,6 @@ type Options struct {
 	// swaps the function mid-run, which is how tests shift the topology
 	// under a live federation.
 	PairDelay func(from, to int) time.Duration
-	// VivaldiHeight runs the peers' coordinates under the height-vector
-	// model: each coordinate carries a trailing height component modeling
-	// the peer's access-link latency (gossiped coordinates of the other
-	// shape are rejected — the models must not blend).
-	VivaldiHeight bool
 	// PeersPerSocket is how many local peers NewGroup multiplexes onto one
 	// UDP socket (demuxed on the destination index every frame carries).
 	// Default 1 — one socket per peer, the pre-multiplexing layout. New
@@ -213,7 +208,6 @@ type Runtime struct {
 	// updates from the RTT samples the transport already collects; probe
 	// frames piggyback coordinates, so the last coordinate seen from every
 	// remote peer is cached here for planning and for feeding updates.
-	vcfg       vivaldi.Config
 	nodes      []*vivaldi.Node // nil for non-local peers
 	coordMu    sync.RWMutex
 	peerCoords []vivaldi.Coordinate // last coordinate gossiped per peer
@@ -370,8 +364,6 @@ func assemble(addrs []*net.UDPAddr, local []int, conns []*net.UDPConn, opt Optio
 		lossRng:    rand.New(rand.NewSource(opt.Seed*31337 + 17)),
 		gossipRng:  rand.New(rand.NewSource(opt.Seed ^ 0x5deece66d)),
 	}
-	r.vcfg = vivaldi.DefaultConfig()
-	r.vcfg.Height = opt.VivaldiHeight
 	if opt.PairDelay != nil {
 		pd := opt.PairDelay
 		r.pairDelay.Store(&pd)
@@ -408,8 +400,7 @@ func assemble(addrs []*net.UDPAddr, local []int, conns []*net.UDPConn, opt Optio
 
 		r.echo[p] = make(map[int]echoState)
 		r.rtt[p] = make(map[int]time.Duration)
-		r.nodes[p] = vivaldi.NewNode(r.vcfg,
-			rand.New(rand.NewSource(opt.Seed*7919+int64(p)+1)))
+		r.nodes[p] = vivaldi.NewNode(rand.New(rand.NewSource(opt.Seed*7919 + int64(p) + 1)))
 		r.frags[p] = newFragSender(2 * maxMessage)
 		r.reasm[p] = NewReassembler(ReasmOptions{
 			MaxNackIndices: (opt.MTU - 32) / 5, // one NACK must fit one datagram
@@ -921,14 +912,6 @@ func (r *Runtime) Send(from, to int, class runtime.Class, size int, payload any)
 	return true
 }
 
-var _ runtime.FrameBytesConsumer = (*Runtime)(nil)
-
-// ConsumesFrameBytes implements runtime.FrameBytesConsumer: Send copies a
-// Frame's Bytes into its own pooled buffer synchronously, so the sender
-// may recycle the frame and the array backing its Bytes the moment Send
-// returns.
-func (r *Runtime) ConsumesFrameBytes() bool { return true }
-
 // sendFragmented splits an over-MTU frame into a fragment train, registers
 // it with the sender's retransmit buffer, and submits every fragment to
 // the paced writer. dup sends the train a second time behind the first, so
@@ -1123,7 +1106,7 @@ func (r *Runtime) handleFrame(b []byte) {
 		if err != nil || r.down[peer].Load() {
 			return
 		}
-		if c, e, ok := r.readCoord(rd); ok {
+		if c, e, ok := readCoord(rd); ok {
 			r.noteCoord(src, c, e)
 		}
 		w := wire.GetBuffer()
@@ -1144,7 +1127,7 @@ func (r *Runtime) handleFrame(b []byte) {
 		if err != nil {
 			return
 		}
-		if c, e, ok := r.readCoord(rd); ok {
+		if c, e, ok := readCoord(rd); ok {
 			r.noteCoord(src, c, e)
 		}
 		r.observe(peer, src, rttSample(now, uint64(stamp), uint64(hold)))
@@ -1348,24 +1331,19 @@ func putCoord(w *wire.Buffer, n *vivaldi.Node) {
 }
 
 // readCoord reads the optional trailing coordinate extension of a probe
-// frame. Frames from binaries predating the extension simply end here;
-// malformed extensions and coordinates whose component count does not
-// match this federation's embedding (3 dimensions, plus the height under
-// Options.VivaldiHeight) are ignored rather than poisoning the probe — a
-// foreign-sized coordinate would corrupt distance computations in
-// CoordError and the planner's clustering.
-func (r *Runtime) readCoord(rd *wire.Reader) (vivaldi.Coordinate, float64, bool) {
+// frame. Frames from binaries predating the extension simply end here.
+// Malformed extensions are ignored rather than poisoning the probe, and so
+// is a coordinate without exactly vivaldi.Dims finite components or with
+// an error estimate outside [0, 1]: a foreign-sized coordinate would
+// corrupt distance computations in CoordError and the planner's
+// clustering, and a non-finite one, once cached, would hand NaN to both.
+func readCoord(rd *wire.Reader) (vivaldi.Coordinate, float64, bool) {
 	c, e, err := rd.CoordExt()
-	if err != nil || len(c) != r.vcfg.WireDims() {
+	if err != nil || len(c) != vivaldi.Dims || !vivaldi.Finite(c, e) || e < 0 || e > 1 {
 		return nil, 0, false
 	}
 	return vivaldi.Coordinate(c), e, true
 }
-
-// VivaldiHeight reports whether this federation's coordinates carry the
-// height-vector component (federation planning consults it to build a
-// height-aware latency model).
-func (r *Runtime) VivaldiHeight() bool { return r.vcfg.Height }
 
 // --- decentralized Vivaldi ---
 
@@ -1458,7 +1436,7 @@ func (r *Runtime) CoordError() (medianMs float64, pairs int) {
 			if !ok {
 				continue
 			}
-			pred := r.vcfg.Distance(coords[p], coords[q])
+			pred := coords[p].Dist(coords[q])
 			actual := float64(m) / float64(time.Millisecond)
 			errs = append(errs, math.Abs(pred-actual))
 		}

@@ -2,6 +2,7 @@ package netrt_test
 
 import (
 	"encoding/hex"
+	"math"
 	"math/rand"
 	"net"
 	goruntime "runtime"
@@ -225,6 +226,82 @@ func TestOldHeaderKindDeliveredWithoutRTTSample(t *testing.T) {
 	}
 	if d, ok := b.Measured(1, 0); ok {
 		t.Fatalf("peer 0 echoed the old-kind stamp: peer 1 sampled %v", d)
+	}
+}
+
+// A probe whose coordinate extension holds a non-finite component or an
+// error estimate outside [0, 1] is ignored: cached, it would reach the
+// planner through Coordinates and turn the local embedding into NaN at the
+// next RTT sample from that peer, for good.
+func TestNonFiniteCoordinateIgnored(t *testing.T) {
+	rts, dir, err := netrt.NewGroup([][]int{{0}, {1}}, netrt.Options{Seed: 41})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := rts[0], rts[1]
+	defer a.Shutdown()
+	defer b.Shutdown()
+	a.Handle(0, func(int, any, int) {})
+	heard := make(chan struct{}, 1)
+	b.Handle(1, func(int, any, int) { heard <- struct{}{} })
+
+	raw, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	dst, err := net.ResolveUDPAddr("udp", dir[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := []struct {
+		c []float64
+		e float64
+	}{
+		{[]float64{1, 1, 1}, 2},
+		{[]float64{1, 1, 1}, -1},
+		{[]float64{1, 1, 1}, nan},
+		{[]float64{1, inf, 1}, 0.5},
+		{[]float64{1, 1, -inf}, 0.5},
+		{[]float64{nan, 1, 1}, 0.5},
+	}
+	frames := func() uint64 { st := a.NetStats(); return st.TrainFrames + st.Datagrams - st.Trains }
+	sent := frames()
+	for _, s := range bad {
+		var w wire.Buffer
+		w.PutByte(2) // ping
+		w.PutUvarint(1)
+		w.PutUvarint(0)
+		w.PutVarint(0) // stamp
+		w.PutCoordExt(s.c, s.e)
+		if _, err := raw.WriteToUDP(w.Bytes(), dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Peer 0 answers every ping with a pong, after reading its coordinate.
+	waitFor(t, 5*time.Second, func() bool { return frames() >= sent+uint64(len(bad)) })
+	coords, _, known := a.Coordinates()
+	if known[1] {
+		t.Fatalf("peer 1 known at %v after non-finite probes", coords[1])
+	}
+
+	// An RTT sample from peer 1 must leave peer 0's coordinate finite.
+	if !a.Send(0, 1, runtime.ClassControl, 0, wire.Heartbeat{Seq: 1}) {
+		t.Fatal("send refused")
+	}
+	select {
+	case <-heard:
+	case <-time.After(5 * time.Second):
+		t.Fatal("heartbeat never arrived")
+	}
+	if !b.Send(1, 0, runtime.ClassControl, 0, wire.Heartbeat{Seq: 2}) {
+		t.Fatal("send refused")
+	}
+	waitFor(t, 5*time.Second, func() bool { _, ok := a.Measured(0, 1); return ok })
+	coords, errs, _ := a.Coordinates()
+	if !vivaldi.Finite(coords[0], errs[0]) {
+		t.Fatalf("peer 0 coordinate %v err %v after an RTT sample from peer 1", coords[0], errs[0])
 	}
 }
 

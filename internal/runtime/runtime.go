@@ -17,6 +17,10 @@
 //     runtime/livert hosts a whole federation on one loopback socket. It is
 //     what deploys, and runs under the race detector.
 //
+// Both carry a message the same way: the sender hands Send an encoded
+// Frame, and the receiver's handler gets the message decoded from its
+// bytes, so every message crosses the wire codec on either backend.
+//
 // The peer core (internal/mortar) imports only this package, never a
 // backend, so the same protocol code runs simulated or live.
 package runtime
@@ -75,26 +79,16 @@ type Clock interface {
 type Handler func(from int, payload any, size int)
 
 // Frame pairs a message's decoded form with its wire encoding. The sender
-// encodes each message exactly once; in-process transports pass the Frame
-// through (receivers use Payload; Bytes may be nil there), while socket
-// transports (runtime/netrt) transmit Bytes verbatim and deliver the
-// re-decoded payload on the far side. Size accounting always uses the
+// encodes each message exactly once; every transport copies Bytes inside
+// Send and delivers the message decoded from them on the far side, so the
+// sender may recycle the Frame and its Bytes as soon as Send returns.
+// Payload is for observers that wrap a transport (tests read it to tap
+// traffic); no backend delivers it. Size accounting always uses the
 // encoded length, so the emulator's network load numbers match what a
 // deployed system would put on the wire.
 type Frame struct {
 	Payload any
 	Bytes   []byte
-}
-
-// FrameBytesConsumer is implemented by transports that consume Frame.Bytes
-// synchronously inside Send — copying them onto their own wire path before
-// returning. When ConsumesFrameBytes reports true, the sender may recycle
-// both the *Frame and the array backing Frame.Bytes as soon as Send
-// returns; the transport retains neither. Senders must not recycle frames
-// handed to transports without this capability: in-process backends hold
-// the Frame in the receiver's mailbox until delivery.
-type FrameBytesConsumer interface {
-	ConsumesFrameBytes() bool
 }
 
 // Locality is implemented by runtimes that host only a subset of the
@@ -123,9 +117,10 @@ func IsLocal(rt Runtime, peer int) bool {
 // handler never runs concurrently with itself or with that peer's timer
 // callbacks.
 type Transport interface {
-	// Send transmits payload of the given application size in bytes. It
-	// never blocks; it returns false only if the source itself is down or
-	// the destination is unreachable.
+	// Send transmits payload, normally a *Frame, of the given encoded
+	// size in bytes. It never blocks; it returns false if the source
+	// itself is down, the destination is unreachable, or the backend
+	// cannot carry the payload (simrt carries Frames only).
 	Send(from, to int, class Class, size int, payload any) bool
 	// Handle registers the delivery handler for a peer, replacing any
 	// previous handler. Register handlers before any traffic flows.

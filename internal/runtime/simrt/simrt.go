@@ -14,6 +14,7 @@ import (
 	"repro/internal/eventsim"
 	"repro/internal/netem"
 	"repro/internal/runtime"
+	"repro/internal/wire"
 )
 
 // Runtime drives one peer per host of an emulated network. It implements
@@ -112,20 +113,44 @@ func classOf(c runtime.Class) netem.TrafficClass {
 	return netem.ClassData
 }
 
-// Send transmits over the emulated topology, charging the wire size.
+// datagram is one frame in flight: a copy of its wire bytes and the
+// virtual time it left.
+type datagram struct {
+	bytes  []byte
+	sentAt time.Duration
+}
+
+// Send transmits a *runtime.Frame over the emulated topology, charging the
+// wire size. It copies the frame's bytes, so the caller may recycle the
+// frame at once, and the receiver decodes them as a socket backend would:
+// every message crosses the wire codec. Any other payload is refused.
 func (r *Runtime) Send(from, to int, class runtime.Class, size int, payload any) bool {
-	return r.net.Send(r.hosts[from], r.hosts[to], classOf(class), size, payload)
+	fr, ok := payload.(*runtime.Frame)
+	if !ok {
+		return false
+	}
+	d := datagram{bytes: append([]byte(nil), fr.Bytes...), sentAt: r.sim.Now()}
+	return r.net.Send(r.hosts[from], r.hosts[to], classOf(class), size, d)
 }
 
 // Handle registers a peer's delivery handler, translating host IDs back to
-// peer indices.
+// peer indices and decoding each frame. An envelope's SentAt is its send
+// time: every peer shares the one virtual clock.
 func (r *Runtime) Handle(peer int, h runtime.Handler) {
 	r.net.Handle(r.hosts[peer], func(from netem.NodeID, payload any, size int) {
 		src, ok := r.peerOf[from]
 		if !ok {
 			src = -1
 		}
-		h(src, payload, size)
+		d := payload.(datagram)
+		msg, err := wire.DecodeMessage(d.bytes)
+		if err != nil {
+			return
+		}
+		if e, ok := msg.(*wire.Envelope); ok {
+			e.SentAt = d.sentAt
+		}
+		h(src, msg, size)
 	})
 }
 

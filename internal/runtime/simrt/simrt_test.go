@@ -5,7 +5,19 @@ import (
 	"time"
 
 	"repro/internal/runtime"
+	"repro/internal/tuple"
+	"repro/internal/wire"
 )
+
+// frame encodes msg the way the fabric does before Send.
+func frame(t *testing.T, msg any) *runtime.Frame {
+	t.Helper()
+	var w wire.Buffer
+	if err := wire.EncodeMessage(&w, msg); err != nil {
+		t.Fatal(err)
+	}
+	return &runtime.Frame{Payload: msg, Bytes: w.Bytes()}
+}
 
 // The adapter must present the emulated hosts as peer indices with
 // serialized (direct-call) execution and class-mapped accounting.
@@ -20,8 +32,8 @@ func TestAdapterBasics(t *testing.T) {
 
 	var got []int
 	rt.Handle(1, func(from int, payload any, size int) { got = append(got, from) })
-	rt.Send(0, 1, runtime.ClassControl, 16, "hi")
-	rt.Send(2, 1, runtime.ClassData, 16, "yo")
+	rt.Send(0, 1, runtime.ClassControl, 16, frame(t, wire.Heartbeat{Seq: 1}))
+	rt.Send(2, 1, runtime.ClassData, 16, frame(t, wire.Heartbeat{Seq: 2}))
 	rt.RunFor(time.Second)
 	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Fatalf("delivered senders %v, want [0 2]", got)
@@ -58,7 +70,7 @@ func TestNewPaperDeterministic(t *testing.T) {
 		rt.Handle(1, func(from int, payload any, size int) { at = append(at, rt.Now()) })
 		for i := 0; i < 10; i++ {
 			rt.Clock(0).After(time.Duration(i)*time.Second, func() {
-				rt.Send(0, 1, runtime.ClassData, 64, i)
+				rt.Send(0, 1, runtime.ClassData, 64, frame(t, wire.Heartbeat{Seq: uint64(i)}))
 			})
 		}
 		rt.RunFor(20 * time.Second)
@@ -72,5 +84,37 @@ func TestNewPaperDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("delivery %d at %v vs %v", i, a[i], b[i])
 		}
+	}
+}
+
+// Send carries a copy of a Frame's bytes, so the sender may reuse them at
+// once, and the receiver gets the message decoded from them — with an
+// envelope's SentAt set to its virtual send time. Any other payload is
+// refused.
+func TestFramesCrossTheCodec(t *testing.T) {
+	rt := NewPaper(2, 4, TopoOptions{Stubs: 2, Transits: 1})
+	var got []any
+	rt.Handle(1, func(from int, payload any, size int) { got = append(got, payload) })
+	if rt.Send(0, 1, runtime.ClassControl, 16, wire.Heartbeat{Seq: 1}) {
+		t.Fatal("a bare message was accepted")
+	}
+	rt.RunFor(time.Second)
+	sentAt := rt.Now()
+	env := &wire.Envelope{S: tuple.Summary{Query: "q", Count: 7}, SentAt: time.Hour}
+	fr := frame(t, env)
+	if !rt.Send(0, 1, runtime.ClassData, len(fr.Bytes), fr) {
+		t.Fatal("send refused")
+	}
+	clear(fr.Bytes)
+	rt.RunFor(time.Second)
+	if len(got) != 1 {
+		t.Fatalf("delivered %d messages, want 1", len(got))
+	}
+	e, ok := got[0].(*wire.Envelope)
+	if !ok || e == env {
+		t.Fatalf("delivered %T %p, want a decoded *wire.Envelope", got[0], got[0])
+	}
+	if e.S.Query != "q" || e.S.Count != 7 || e.SentAt != sentAt {
+		t.Fatalf("delivered %q count %d SentAt %v, want q, 7, %v", e.S.Query, e.S.Count, e.SentAt, sentAt)
 	}
 }

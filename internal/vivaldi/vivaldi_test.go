@@ -29,7 +29,7 @@ func TestCloneIsIndependent(t *testing.T) {
 
 func TestUpdateMovesTowardTarget(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	n := NewNode(DefaultConfig(), rng)
+	n := NewNode(rng)
 	remote := Coordinate{100, 0, 0}
 	before := n.Coord().Dist(remote)
 	// True latency 10ms but embedded distance ~100: node should move toward
@@ -45,7 +45,7 @@ func TestUpdateMovesTowardTarget(t *testing.T) {
 
 func TestUpdateIgnoresNonPositiveRTT(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	n := NewNode(DefaultConfig(), rng)
+	n := NewNode(rng)
 	before := n.Coord().Clone()
 	n.Update(0, Coordinate{1, 1, 1}, 0.5)
 	n.Update(-time.Second, Coordinate{1, 1, 1}, 0.5)
@@ -58,7 +58,7 @@ func TestUpdateIgnoresNonPositiveRTT(t *testing.T) {
 
 func TestCoincidentNodesSeparate(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	n := NewNode(DefaultConfig(), rng)
+	n := NewNode(rng)
 	at := n.Coord().Clone()
 	n.Update(20*time.Millisecond, at, 0.5)
 	if n.Coord().Dist(at) == 0 {
@@ -82,7 +82,7 @@ func TestSystemConvergesOnClusteredMetric(t *testing.T) {
 		}
 		return 50 * time.Millisecond
 	}
-	s := NewSystem(n, DefaultConfig(), rng)
+	s := NewSystem(n, rng)
 	s.Run(30, 8, oneWay)
 	if err := s.MedianRelativeError(500, oneWay); err > 0.35 {
 		t.Fatalf("median relative error = %.3f, want <= 0.35", err)
@@ -111,7 +111,7 @@ func TestSystemConvergesOnClusteredMetric(t *testing.T) {
 
 func TestErrorStaysBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	n := NewNode(DefaultConfig(), rng)
+	n := NewNode(rng)
 	for i := 0; i < 1000; i++ {
 		lat := time.Duration(1+rng.Intn(100)) * time.Millisecond
 		remote := Coordinate{rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 100}
@@ -131,7 +131,7 @@ func TestErrorStaysBounded(t *testing.T) {
 // heartbeat senders read it concurrently; Coord must return a copy and
 // every accessor must be race-clean (run under -race).
 func TestNodeConcurrentAccess(t *testing.T) {
-	n := NewNode(DefaultConfig(), rand.New(rand.NewSource(3)))
+	n := NewNode(rand.New(rand.NewSource(3)))
 	remote := Coordinate{5, 5, 5}
 	done := make(chan struct{})
 	go func() {
@@ -158,8 +158,7 @@ func TestNodeConcurrentAccess(t *testing.T) {
 // centroidNorm returns the norm of the mean coordinate — the embedding's
 // whole-system translation, which gravity is supposed to control.
 func centroidNorm(s *System) float64 {
-	cfg := s.Nodes[0].cfg
-	mean := make(Coordinate, cfg.Dims)
+	mean := make(Coordinate, Dims)
 	for _, n := range s.Nodes {
 		c := n.Coord()
 		for i := range mean {
@@ -177,9 +176,8 @@ func centroidNorm(s *System) float64 {
 // The gravity term is drift control: spring forces are translation-
 // invariant, so an embedding displaced as a whole would stay displaced
 // forever without it. Displace a converged system far from the origin and
-// keep updating: with gravity the centroid must be pulled back toward the
-// origin while the embedding stays accurate; without gravity it must stay
-// out where it was put — the drift gravity exists to stop.
+// keep updating: the centroid must be pulled back toward the origin while
+// the embedding stays accurate.
 func TestGravityConvergesTowardOrigin(t *testing.T) {
 	const n = 40
 	oneWay := func(i, j int) time.Duration {
@@ -188,158 +186,98 @@ func TestGravityConvergesTowardOrigin(t *testing.T) {
 		}
 		return 30 * time.Millisecond
 	}
-	run := func(cfg Config) (centroid float64, relErr float64) {
-		s := NewSystem(n, cfg, rand.New(rand.NewSource(9)))
-		s.Run(30, 8, oneWay)
-		// Displace the whole embedding: a pure translation, invisible to
-		// the spring forces.
-		for _, node := range s.Nodes {
-			node.mu.Lock()
-			for i := range node.coord {
-				node.coord[i] += 500
-			}
-			node.mu.Unlock()
+	s := NewSystem(n, rand.New(rand.NewSource(9)))
+	s.Run(30, 8, oneWay)
+	// Displace the whole embedding: a pure translation, invisible to the
+	// spring forces.
+	for _, node := range s.Nodes {
+		node.mu.Lock()
+		for i := range node.coord {
+			node.coord[i] += 500
 		}
-		s.Run(150, 8, oneWay)
-		return centroidNorm(s), s.MedianRelativeError(500, oneWay)
+		node.mu.Unlock()
 	}
-
-	withGrav := DefaultConfig()
-	if withGrav.Gravity <= 0 {
-		t.Fatal("DefaultConfig carries no gravity term")
-	}
-	centroid, relErr := run(withGrav)
-	noGrav := DefaultConfig()
-	noGrav.Gravity = 0
-	driftCentroid, _ := run(noGrav)
-
-	if centroid > 100 {
+	s.Run(150, 8, oneWay)
+	if centroid := centroidNorm(s); centroid > 100 {
 		t.Fatalf("gravity left the centroid %.1fms from the origin", centroid)
 	}
-	if relErr > 0.35 {
+	if relErr := s.MedianRelativeError(500, oneWay); relErr > 0.35 {
 		t.Fatalf("gravity distorted the embedding: median relative error %.3f", relErr)
 	}
-	if driftCentroid < 500 {
-		t.Fatalf("control run without gravity recentred itself (centroid %.1fms); the test proves nothing", driftCentroid)
-	}
 }
 
-// Samples whose coordinate dimensionality does not match the node's (a
-// malformed or foreign-config wire coordinate) must be ignored, not panic.
+// Samples whose coordinate dimensionality is not Dims (a malformed or
+// foreign wire coordinate) must be ignored, not panic.
 func TestUpdateRejectsDimensionMismatch(t *testing.T) {
-	n := NewNode(DefaultConfig(), rand.New(rand.NewSource(4)))
+	n := NewNode(rand.New(rand.NewSource(4)))
 	before := n.Coord()
-	n.Update(5*time.Millisecond, Coordinate{1}, 0.5)
-	n.Update(5*time.Millisecond, Coordinate{1, 2, 3, 4}, 0.5)
-	if d := n.Coord().Dist(before); d != 0 {
-		t.Fatalf("node moved %v on mismatched sample", d)
+	for _, c := range []Coordinate{{1}, {1, 2}} {
+		n.Update(5*time.Millisecond, c, 0.5)
+		if d := n.Coord().Dist(before); d != 0 {
+			t.Fatalf("node moved %v on a %d-component sample", d, len(c))
+		}
+	}
+	n.Update(5*time.Millisecond, Coordinate{1, 2, 3}, 0.5)
+	if d := n.Coord().Dist(before); d == 0 {
+		t.Fatal("node ignored a matching 3-component sample")
 	}
 }
 
-// Mixed-model guard: a height node ignores flat coordinates (Dims
-// components) and a flat node ignores heighted ones (Dims+1) — the two
-// embeddings must never blend, even though both are legal wire shapes.
+// Mixed-model guard: a coordinate with a height component appended
+// (Dims+1 components, the wire shape of a height-vector embedding) must be
+// ignored, not blended into the flat embedding by reading its first Dims
+// components.
 func TestHeightMixedDimensionGuard(t *testing.T) {
-	hcfg := DefaultConfig()
-	hcfg.Height = true
-	if hcfg.WireDims() != hcfg.Dims+1 {
-		t.Fatalf("WireDims = %d, want %d", hcfg.WireDims(), hcfg.Dims+1)
+	n := NewNode(rand.New(rand.NewSource(6)))
+	before := n.Coord()
+	n.Update(5*time.Millisecond, Coordinate{1, 2, 3, 0.5}, 0.5) // heighted: rejected
+	if d := n.Coord().Dist(before); d != 0 {
+		t.Fatalf("node moved %v on a heighted coordinate", d)
 	}
-	hn := NewNode(hcfg, rand.New(rand.NewSource(5)))
-	if len(hn.Coord()) != hcfg.Dims+1 {
-		t.Fatalf("height node coordinate has %d components", len(hn.Coord()))
-	}
-	before := hn.Coord()
-	hn.Update(5*time.Millisecond, Coordinate{1, 2, 3}, 0.5) // flat: rejected
-	if d := hn.Coord().Dist(before); d != 0 {
-		t.Fatalf("height node moved %v on a flat coordinate", d)
-	}
-	hn.Update(5*time.Millisecond, Coordinate{1, 2, 3, 0.5}, 0.5) // heighted: accepted
-	if d := hn.Coord().Dist(before); d == 0 {
-		t.Fatal("height node ignored a matching heighted coordinate")
-	}
-
-	fn := NewNode(DefaultConfig(), rand.New(rand.NewSource(6)))
-	before = fn.Coord()
-	fn.Update(5*time.Millisecond, Coordinate{1, 2, 3, 0.5}, 0.5) // heighted: rejected
-	if d := fn.Coord().Dist(before); d != 0 {
-		t.Fatalf("flat node moved %v on a heighted coordinate", d)
+	n.Update(5*time.Millisecond, Coordinate{1, 2, 3}, 0.5) // flat: accepted
+	if d := n.Coord().Dist(before); d == 0 {
+		t.Fatal("node ignored a matching flat coordinate")
 	}
 }
 
-// The height must stay positive through arbitrary updates (a zero or
-// negative height would let paths predict less than the access links
-// cost) and HeightDist must count both heights.
-func TestHeightStaysPositive(t *testing.T) {
-	if d := HeightDist(Coordinate{0, 0, 0, 2}, Coordinate{3, 4, 0, 5}); d != 12 {
-		t.Fatalf("HeightDist = %v, want 12 (5 + 2 + 5)", d)
-	}
-	cfg := DefaultConfig()
-	cfg.Height = true
-	n := NewNode(cfg, rand.New(rand.NewSource(7)))
-	rng := rand.New(rand.NewSource(8))
-	for i := 0; i < 2000; i++ {
-		remote := Coordinate{rng.Float64() * 50, rng.Float64() * 50, rng.Float64() * 50, rng.Float64() * 10}
-		n.Update(time.Duration(1+rng.Intn(80))*time.Millisecond, remote, rng.Float64())
-		c := n.Coord()
-		if h := c[cfg.Dims]; h <= 0 || math.IsNaN(h) || math.IsInf(h, 0) {
-			t.Fatalf("height went to %v", h)
+// One non-finite number in a sample would turn the coordinate and error
+// into NaN for good — no later good sample recovers them — so Update must
+// ignore a remote coordinate or error that is NaN or infinite, and the
+// node must go on converging afterwards.
+func TestUpdateIgnoresNonFiniteSample(t *testing.T) {
+	n := NewNode(rand.New(rand.NewSource(5)))
+	before, beforeErr := n.Snapshot()
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, s := range []struct {
+		c Coordinate
+		e float64
+	}{
+		{Coordinate{nan, 1, 1}, 0.5},
+		{Coordinate{1, inf, 1}, 0.5},
+		{Coordinate{1, 1, -inf}, 0.5},
+		{Coordinate{1, 1, 1}, nan},
+		{Coordinate{1, 1, 1}, inf},
+	} {
+		n.Update(5*time.Millisecond, s.c, s.e)
+		c, e := n.Snapshot()
+		if c.Dist(before) != 0 || e != beforeErr {
+			t.Fatalf("sample %v err %v moved the node to %v err %v", s.c, s.e, c, e)
 		}
+	}
+	n.Update(5*time.Millisecond, Coordinate{1, 2, 3}, 0.5)
+	if c, e := n.Snapshot(); !Finite(c, e) || c.Dist(before) == 0 {
+		t.Fatalf("good sample after the bad ones left %v err %v", c, e)
 	}
 }
 
-// The height model's reason to exist: a metric with fat access links —
-// oneWay(i, j) = core(i, j) + acc(i) + acc(j) — cannot embed in a pure
-// Euclidean space (the per-node additive term violates the triangle
-// structure), but heights express it directly. The heighted embedding
-// must converge clearly tighter than the flat control on the same metric,
-// and nodes with fat access links must learn visibly larger heights.
-func TestHeightConvergesOnAccessLinkMetric(t *testing.T) {
-	const n = 40
-	acc := func(i int) time.Duration {
-		if i%4 == 0 {
-			return 40 * time.Millisecond // DSL-class fat access link
-		}
-		return 2 * time.Millisecond
-	}
-	oneWay := func(i, j int) time.Duration {
-		core := 10 * time.Millisecond
-		if i%2 != j%2 {
-			core = 30 * time.Millisecond
-		}
-		return core + acc(i) + acc(j)
-	}
-
-	run := func(height bool) (*System, float64) {
-		cfg := DefaultConfig()
-		cfg.Height = height
-		s := NewSystem(n, cfg, rand.New(rand.NewSource(11)))
-		s.Run(60, 8, oneWay)
-		return s, s.MedianRelativeError(800, oneWay)
-	}
-	hs, hErr := run(true)
-	_, fErr := run(false)
-	if hErr > 0.25 {
-		t.Fatalf("height model median relative error %.3f, want <= 0.25", hErr)
-	}
-	if hErr > 0.8*fErr {
-		t.Fatalf("height model (%.3f) should beat the flat control (%.3f) clearly", hErr, fErr)
-	}
-	// Fat-access nodes carry larger heights than thin ones.
-	var fat, thin float64
-	var nf, nt int
-	for i, node := range hs.Nodes {
-		h := node.Coord()[DefaultConfig().Dims]
-		if i%4 == 0 {
-			fat += h
-			nf++
-		} else {
-			thin += h
-			nt++
-		}
-	}
-	if fat/float64(nf) <= thin/float64(nt) {
-		t.Fatalf("mean height fat %.2f <= thin %.2f — heights did not learn the access links",
-			fat/float64(nf), thin/float64(nt))
+// BenchmarkVivaldiUpdate is one RTT sample, what every echoed netrt frame
+// costs the receive path. It must not allocate.
+func BenchmarkVivaldiUpdate(b *testing.B) {
+	n := NewNode(rand.New(rand.NewSource(1)))
+	remotes := []Coordinate{{10, 0, 0}, {0, 20, 0}, {0, 0, 30}, {5, 5, 5}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.Update(time.Duration(1+i%40)*time.Millisecond, remotes[i%len(remotes)], 0.3)
 	}
 }
