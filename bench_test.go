@@ -372,6 +372,50 @@ func BenchmarkWireDecodeHeartbeat(b *testing.B) {
 	}
 }
 
+// sketchValues returns one pre-boxed value of each sketch tenant
+// sketch-wan runs, shaped like its leaves' (Count 1) values: 50 Zipf(1.2)
+// keys over 4,096, and top-k payloads carrying a fractional µs stamp.
+func sketchValues() map[string]any {
+	keys := workload.NewZipfKeys(rand.New(rand.NewSource(1)), 1.2, 4096)
+	raws := make([]tuple.Raw, 50)
+	for i := range raws {
+		raws[i] = tuple.Raw{Key: keys.Next(), Vals: []float64{1, 1.5e9 + float64(i) + 0.375}}
+	}
+	out := map[string]any{}
+	for name, op := range map[string]ops.Operator{
+		"bloom": ops.DefaultBloom(), "hll": ops.DefaultDistinct(), "kv": ops.Entropy{}, "entries": ops.TopK{K: 10},
+	} {
+		w := op.NewWindow()
+		w.Merge(raws...)
+		out[name] = w.Value()
+	}
+	return out
+}
+
+// BenchmarkWireEncodeValue encodes one sketch value: a Bloom filter and a
+// distinct register array in the shortest bit-array form, an entropy
+// histogram (sorted into pooled scratch), and top-k entries. Each reports
+// its encoded size; CI gates every sub-benchmark at 0 allocs/op.
+func BenchmarkWireEncodeValue(b *testing.B) {
+	vals := sketchValues()
+	for _, name := range []string{"bloom", "hll", "kv", "entries"} {
+		v := vals[name]
+		b.Run(name, func(b *testing.B) {
+			w := wire.GetBuffer()
+			defer wire.PutBuffer(w)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.Reset()
+				if err := w.PutValue(v); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(w.Len()), "B/value")
+		})
+	}
+}
+
 func BenchmarkWireInstallRoundTrip(b *testing.B) {
 	m := wire.Install{
 		Meta: wire.QueryMeta{

@@ -146,7 +146,9 @@ type Stats struct {
 	// had been reported (data lost to the result).
 	LateAtRoot atomic.Uint64
 	// Dropped counts tuples dropped by the routing policy (no live
-	// destination or TTL exhausted).
+	// destination or TTL exhausted), and arriving summaries a peer could
+	// not merge (no wired instance, or a value without the operator's
+	// shape).
 	Dropped atomic.Uint64
 	// Relayed counts tuples forwarded without merging (late at an interior
 	// operator, §4.3 path).

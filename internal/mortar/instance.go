@@ -751,6 +751,13 @@ func (p *Peer) handleSummary(src int, env *envelope) {
 		p.fab.Stats.Dropped.Add(1)
 		return
 	}
+	if !inst.op.Valid(env.S.Value) {
+		// Only a corrupt or forged frame carries a value without the
+		// operator's shape; merged, it would panic a Combine here or a
+		// Finalize at the root.
+		p.fab.Stats.Dropped.Add(1)
+		return
+	}
 	s := env.S
 	// The transport measures one-hop flight time (UdpCC RTT/2) and adds it
 	// to the tuple's age, measured with the local oscillator.

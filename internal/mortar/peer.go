@@ -127,8 +127,8 @@ func (p *Peer) markHeard(other int) { p.lastHeard[other] = p.now() }
 // backends deliver the runtime.Frame the fabric sent (decoded payload plus
 // its encoding); socket backends deliver the payload they decoded off the
 // wire. Summaries arrive one per envelope. The envelope-batch case is
-// receive-only: nothing here sends a batch, but a v5 sender from before
-// batching was dropped may, so its entries are absorbed one by one; the
+// receive-only: no peer sends a batch since the v5 senders that did are
+// refused by version, and a batch's entries are absorbed one by one; the
 // case goes with the batch kind (see wire/batch.go).
 func (p *Peer) deliver(src int, payload any, size int) {
 	if src < 0 || src >= p.fab.NumPeers() {

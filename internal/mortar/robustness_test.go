@@ -190,3 +190,64 @@ func TestResultAgesArePlausible(t *testing.T) {
 		}
 	}
 }
+
+// A summary whose value has not its operator's shape is dropped on arrival
+// and counted, at an interior operator and at the root alike, and the
+// window it reached is reported from the well-formed contributions. Each
+// of these values once panicked the peer it reached: avg's Combine indexes
+// a [sum, count] pair, sum's asserts a float64, and a 1-word register array
+// arriving first in a distinct window's entry kept its length through
+// Combine until the root's Finalize read all 32 words.
+func TestMalformedSummaryValueDropped(t *testing.T) {
+	for _, c := range []struct {
+		op   string
+		bad  tuple.Value
+		want func(v tuple.Value) bool
+	}{
+		{"avg", []float64{1}, func(v tuple.Value) bool { return v == any(1.0) }},
+		{"sum", "text", func(v tuple.Value) bool { return v == any(30.0) }},
+		{"distinct", []uint64{1}, func(v tuple.Value) bool { return v.(float64) > 0.9 && v.(float64) < 1.1 }},
+	} {
+		t.Run(c.op, func(t *testing.T) {
+			fab, rt := testbed(t, 30, 11, DefaultConfig(), nil)
+			var results []Result
+			fab.OnResult = func(r Result) { results = append(results, r) }
+			meta := sumMeta("q", 0)
+			meta.OpName = c.op
+			installQuery(t, fab, rt, meta, 4, 2)
+			for i := 0; i < 30; i++ {
+				startSensor(fab, rt, i)
+			}
+			rt.RunFor(10 * time.Second)
+			p, inst := interiorPeer(t, fab, "q")
+			root := fab.Peer(0)
+			rootInst := root.insts[instKey{name: "q"}]
+			// Just past a slide boundary, at age 0, the value is the first
+			// arrival of the window each operator has just opened.
+			rt.RunFor(time.Second - inst.frameNow()%time.Second + time.Millisecond)
+			dropped := fab.Stats.Dropped.Load()
+			for _, to := range []struct {
+				p    *Peer
+				from int
+			}{{p, inst.nb.Children[0][0]}, {root, rootInst.nb.Children[0][0]}} {
+				to.p.deliver(to.from, &envelope{
+					S:      tuple.Summary{Query: "q", Value: c.bad, Count: 1, Levels: []int16{0, 0}},
+					SentAt: rt.Now(),
+				}, 0)
+			}
+			reported := len(results)
+			rt.RunFor(5 * time.Second)
+			if got := fab.Stats.Dropped.Load() - dropped; got != 2 {
+				t.Fatalf("%d summaries dropped, want the two malformed ones", got)
+			}
+			if len(results)-reported < 4 {
+				t.Fatalf("%d windows reported after the malformed summaries", len(results)-reported)
+			}
+			for _, r := range results[reported:] {
+				if r.Count != 30 || !c.want(r.Value) {
+					t.Fatalf("window %d: count %d value %v, want all 30 members' well-formed value", r.WindowIndex, r.Count, r.Value)
+				}
+			}
+		})
+	}
+}

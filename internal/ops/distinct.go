@@ -23,8 +23,10 @@ type Distinct struct {
 	Registers int
 }
 
-// DefaultDistinct returns a 256-register sketch (≈ 6.5% standard error,
-// 32 bytes on the wire).
+// DefaultDistinct returns a 256-register sketch (≈ 6.5% standard error):
+// 32 words holding 256 one-byte registers, sent in the wire's shortest
+// bit-array form: sketch-wan's averaged ≈ 138 B a value at wire v6 and
+// ≈ 59 B at v7, where a mostly-empty sketch sends only its set bits.
 func DefaultDistinct() Distinct { return Distinct{Registers: 256} }
 
 // Name implements Operator.
@@ -38,6 +40,9 @@ func (d Distinct) NewWindow() Window {
 // words is the packed array length: 8 six-bit-capable byte registers per
 // uint64.
 func (d Distinct) words() int { return (d.Registers + 7) / 8 }
+
+// Valid implements Operator: a register array of this sketch's size.
+func (d Distinct) Valid(v tuple.Value) bool { return sized[uint64](v, d.words()) }
 
 // Combine implements Operator: register-wise maximum into a fresh array.
 func (d Distinct) Combine(a, b tuple.Value) tuple.Value {

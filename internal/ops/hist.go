@@ -18,6 +18,9 @@ func (Hist) NewWindow() Window { return &histWindow{counts: map[string]float64{}
 // Combine implements Operator.
 func (Hist) Combine(a, b tuple.Value) tuple.Value { return Entropy{}.Combine(a, b) }
 
+// Valid implements Operator.
+func (Hist) Valid(v tuple.Value) bool { return shaped[map[string]float64](v) }
+
 // CombineInto implements InPlaceCombiner.
 func (Hist) CombineInto(a, b tuple.Value) tuple.Value { return Entropy{}.CombineInto(a, b) }
 

@@ -47,6 +47,24 @@ type Operator interface {
 	// It must be commutative and associative, and must treat values as
 	// disjoint contributions (the data model guarantees no duplicates).
 	Combine(a, b tuple.Value) tuple.Value
+	// Valid reports whether v has the shape of the operator's summary
+	// values: their kind and, where the operator fixes one, their length.
+	// nil, the value a boundary summary carries, is valid. A peer drops an
+	// arriving summary whose value is not, so Combine and Finalize only
+	// ever see values of their own shape.
+	Valid(v tuple.Value) bool
+}
+
+// shaped reports whether v is nil or a T.
+func shaped[T any](v tuple.Value) bool {
+	_, ok := v.(T)
+	return ok || v == nil
+}
+
+// sized reports whether v is nil or a []T of n elements.
+func sized[T any](v tuple.Value, n int) bool {
+	x, ok := v.([]T)
+	return ok && len(x) == n || v == nil
 }
 
 // Finalizer is implemented by operators whose partial value differs from
@@ -132,6 +150,9 @@ func (s Sum) NewWindow() Window { return &sumWindow{field: s.Field} }
 // Combine implements Operator.
 func (s Sum) Combine(a, b tuple.Value) tuple.Value { return a.(float64) + b.(float64) }
 
+// Valid implements Operator.
+func (Sum) Valid(v tuple.Value) bool { return shaped[float64](v) }
+
 type sumWindow struct {
 	field int
 	sum   float64
@@ -165,6 +186,9 @@ func (Count) NewWindow() Window { return &countWindow{} }
 
 // Combine implements Operator.
 func (Count) Combine(a, b tuple.Value) tuple.Value { return a.(float64) + b.(float64) }
+
+// Valid implements Operator.
+func (Count) Valid(v tuple.Value) bool { return shaped[float64](v) }
 
 type countWindow struct{ n int }
 
@@ -203,6 +227,9 @@ func (e Extremum) Combine(a, b tuple.Value) tuple.Value {
 	}
 	return b
 }
+
+// Valid implements Operator.
+func (Extremum) Valid(v tuple.Value) bool { return shaped[float64](v) }
 
 // extWindow keeps the running best: the first value, then each later one
 // that beats it, so ties and NaNs resolve in arrival order.
@@ -245,6 +272,9 @@ func (Avg) Combine(a, b tuple.Value) tuple.Value {
 	x, y := a.([]float64), b.([]float64)
 	return []float64{x[0] + y[0], x[1] + y[1]}
 }
+
+// Valid implements Operator: a [sum, count] pair.
+func (Avg) Valid(v tuple.Value) bool { return sized[float64](v, 2) }
 
 // CombineInto implements InPlaceCombiner: the [sum, count] pair
 // accumulates into a's storage. Returning a (not the unboxed slice) keeps
@@ -313,6 +343,9 @@ func (t TopK) Combine(a, b tuple.Value) tuple.Value {
 	}
 	return topOf(merged, t.K)
 }
+
+// Valid implements Operator.
+func (TopK) Valid(v tuple.Value) bool { return shaped[[]wire.ScoredEntry](v) }
 
 func topOf(m map[string]wire.ScoredEntry, k int) []wire.ScoredEntry {
 	out := make([]wire.ScoredEntry, 0, len(m))
@@ -396,6 +429,9 @@ func (Union) Combine(a, b tuple.Value) tuple.Value {
 	return append(append(out, x...), y...)
 }
 
+// Valid implements Operator.
+func (Union) Valid(v tuple.Value) bool { return shaped[[]wire.ScoredEntry](v) }
+
 type unionWindow struct {
 	items []wire.ScoredEntry
 }
@@ -439,6 +475,9 @@ func (Entropy) Combine(a, b tuple.Value) tuple.Value {
 	}
 	return out
 }
+
+// Valid implements Operator.
+func (Entropy) Valid(v tuple.Value) bool { return shaped[map[string]float64](v) }
 
 // CombineInto implements InPlaceCombiner: b's histogram folds into a's map
 // (maps are pointer-shaped, so returning a is allocation-free; the map
@@ -524,6 +563,12 @@ func (b Bloom) Combine(a, c tuple.Value) tuple.Value {
 	return out
 }
 
+// Valid implements Operator: a filter of this one's size.
+func (b Bloom) Valid(v tuple.Value) bool { return sized[uint64](v, b.words()) }
+
+// words is the filter's length in 64-bit words.
+func (b Bloom) words() int { return (b.Bits + 63) / 64 }
+
 // CombineInto implements InPlaceCombiner: c's filter ORs into a's words.
 func (b Bloom) CombineInto(a, c tuple.Value) tuple.Value {
 	x := a.([]uint64)
@@ -571,7 +616,7 @@ func (w *bloomWindow) Value() tuple.Value {
 	if len(w.keys) == 0 {
 		return nil
 	}
-	bits := make([]uint64, (w.op.Bits+63)/64)
+	bits := make([]uint64, w.op.words())
 	for k := range w.keys {
 		for h := 0; h < w.op.Hashes; h++ {
 			i := w.op.position(k, h)
@@ -604,6 +649,9 @@ func (q Quantile) NewWindow() Window { return &quantWindow{op: q} }
 func (q Quantile) Combine(a, b tuple.Value) tuple.Value {
 	return q.sample(append(append([]float64(nil), a.([]float64)...), b.([]float64)...))
 }
+
+// Valid implements Operator.
+func (Quantile) Valid(v tuple.Value) bool { return shaped[[]float64](v) }
 
 // sample sorts x in place and, while it exceeds the cap, keeps every other
 // element — deterministic, so a window's Value is the Combine of its panes'

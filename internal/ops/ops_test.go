@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -339,5 +340,71 @@ func TestPropertyTopKIncrementalMatchesRebuilt(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Every operator takes nil and its own windows' values, and refuses a value
+// of another kind or, where it fixes one, another length.
+func TestOperatorsValidateShape(t *testing.T) {
+	f1, f2, u1, u16 := []float64{1}, []float64{1, 2}, []uint64{1}, make([]uint64, 16)
+	entries, hist, coord := []wire.ScoredEntry{{Key: "a"}}, map[string]float64{"a": 1}, wire.Coord{X: 1}
+	for _, c := range []struct {
+		name       string
+		args       []string
+		ok, refuse []tuple.Value
+	}{
+		{"sum", nil, []tuple.Value{1.0}, []tuple.Value{"text", f1, u1}},
+		{"count", nil, []tuple.Value{2.0}, []tuple.Value{f1, hist}},
+		{"min", nil, []tuple.Value{-1.0}, []tuple.Value{f2, coord}},
+		{"max", nil, []tuple.Value{3.0}, []tuple.Value{f2, entries}},
+		{"avg", nil, []tuple.Value{f2}, []tuple.Value{f1, []float64{1, 2, 3}, []float64(nil), 1.0}},
+		{"topk", nil, []tuple.Value{entries, []wire.ScoredEntry{}}, []tuple.Value{hist, f2}},
+		{"union", nil, []tuple.Value{entries}, []tuple.Value{hist}},
+		{"entropy", nil, []tuple.Value{hist}, []tuple.Value{entries, u16}},
+		{"hist", nil, []tuple.Value{hist}, []tuple.Value{1.0}},
+		{"bloom", nil, []tuple.Value{u16}, []tuple.Value{u1, make([]uint64, 15), make([]uint64, 17), 1.0}},
+		{"bloom", []string{"100"}, []tuple.Value{make([]uint64, 2)}, []tuple.Value{u1, u16}},
+		{"distinct", nil, []tuple.Value{make([]uint64, 32)}, []tuple.Value{u1, u16, hist}},
+		{"quantile", nil, []tuple.Value{f1, []float64{}}, []tuple.Value{1.0, u1}},
+		{"trilat", nil, []tuple.Value{coord}, []tuple.Value{1.0, f2}},
+	} {
+		op, err := New(c.name, c.args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := op.NewWindow()
+		w.Merge(raw("a", 1, 2, -40), raw("b", 3, 4, -50))
+		for _, v := range append([]tuple.Value{nil, w.Value()}, c.ok...) {
+			if !op.Valid(v) {
+				t.Errorf("%s%v refuses %#v", c.name, c.args, v)
+			}
+		}
+		for _, v := range c.refuse {
+			if op.Valid(v) {
+				t.Errorf("%s%v takes %#v", c.name, c.args, v)
+			}
+		}
+	}
+}
+
+// The registry refuses a Bloom filter of no bits, whose hashing takes a
+// modulo by zero. A large filter is fine: the wire writes it dense.
+func TestBloomNeedsABit(t *testing.T) {
+	if _, err := New("bloom", []string{"0"}); err == nil {
+		t.Error("bloom of 0 bits accepted")
+	}
+	op, err := New("bloom", []string{"1048576"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := op.NewWindow()
+	w.Merge(tuple.Raw{Key: "k"})
+	var buf wire.Buffer
+	if err := buf.PutValue(w.Value()); err != nil {
+		t.Fatal(err)
+	}
+	got, err := wire.NewReader(buf.Bytes()).Value()
+	if err != nil || !op.Valid(got) || !slices.Equal(got.([]uint64), w.Value().([]uint64)) {
+		t.Fatalf("1,048,576-bit filter did not round-trip: %v", err)
 	}
 }

@@ -20,8 +20,9 @@ func (o seqOp) seqInto(a, b tuple.Value) tuple.Value {
 	return append(a.([]int), b.([]int)...)
 }
 
-func (seqOp) Name() string      { return "seq" }
-func (seqOp) NewWindow() Window { return nil }
+func (seqOp) Name() string           { return "seq" }
+func (seqOp) NewWindow() Window      { return nil }
+func (seqOp) Valid(tuple.Value) bool { return true }
 func (o seqOp) Combine(a, b tuple.Value) tuple.Value {
 	*o.calls++
 	x, y := a.([]int), b.([]int)

@@ -95,6 +95,9 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
+		if bits < 1 {
+			return nil, fmt.Errorf("ops: bloom bits %d must be at least 1", bits)
+		}
 		return Bloom{Bits: bits, Hashes: hashes}, nil
 	})
 	Register("distinct", func(args []string) (Operator, error) {

@@ -33,6 +33,9 @@ func (Trilat) Combine(a, b tuple.Value) tuple.Value {
 	return x // positions for the same index are equivalent; keep the first
 }
 
+// Valid implements Operator.
+func (Trilat) Valid(v tuple.Value) bool { return shaped[wire.Coord](v) }
+
 type trilatWindow struct {
 	frames []tuple.Raw
 }

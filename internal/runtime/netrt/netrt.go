@@ -55,9 +55,10 @@ import (
 	"repro/internal/wire"
 )
 
-// Datagram framing: a one-byte frame kind ahead of the header fields.
+// Datagram framing: a one-byte frame kind ahead of the header fields. Kind
+// 1 was the v5 message header (ns stamps and a class byte); a datagram of
+// it, like one of any unknown kind, is dropped.
 const (
-	frameMsgNs = 1 // v5 header (ns stamps, class byte) + wire message frame: read, never sent
 	framePing  = 2 // RTT probe
 	framePong  = 3 // RTT probe reply
 	frameFrag  = 4 // one fragment of a frame larger than the MTU
@@ -1132,8 +1133,8 @@ func (r *Runtime) handleFrame(b []byte) {
 		}
 		r.observe(peer, src, rttSample(now, uint64(stamp), uint64(hold)))
 
-	case frameMsg, frameMsgNs:
-		stamp, echoStamp, hold, ok := readMsgHeader(rd, kind)
+	case frameMsg:
+		stamp, echoStamp, hold, ok := readMsgHeader(rd)
 		if !ok {
 			return
 		}
@@ -1181,28 +1182,18 @@ func (r *Runtime) handleFrame(b []byte) {
 			return
 		}
 		r.resendFragments(peer, src, n)
+
+	default:
+		r.dropped.Add(1)
 	}
 }
 
-// readMsgHeader reads the three µs stamps of a frameMsg header. A
-// frameMsgNs header — a v5 sender's ns stamps and class byte, read until
-// the next header change — yields zeros: its stamps feed no RTT sample and
-// are not echoed, so ns and µs stamps never mix.
-func readMsgHeader(rd *wire.Reader, kind byte) (stamp, echo, hold uint64, ok bool) {
+// readMsgHeader reads the three µs stamps of a frameMsg header.
+func readMsgHeader(rd *wire.Reader) (stamp, echo, hold uint64, ok bool) {
 	var f [3]uint64
 	for i := range f {
 		var err error
-		if kind == frameMsg {
-			f[i], err = rd.Uvarint()
-		} else {
-			_, err = rd.Varint()
-		}
-		if err != nil {
-			return 0, 0, 0, false
-		}
-	}
-	if kind == frameMsgNs {
-		if _, err := rd.Byte(); err != nil {
+		if f[i], err = rd.Uvarint(); err != nil {
 			return 0, 0, 0, false
 		}
 	}
@@ -1229,10 +1220,9 @@ func (r *Runtime) deliverWire(peer, src int, frame []byte) {
 		// via host timestamps).
 		m.SentAt = r.sentAt(peer, src)
 	case *wire.EnvelopeBatch:
-		// No peer sends a batch, but a v5 sender from before batching was
-		// dropped may. It shares one transmit stamp that every entry
-		// inherited at decode, so all of them are set together. Goes with
-		// the batch kind (see wire/batch.go).
+		// No peer sends a batch (see wire/batch.go), but one decodes. It
+		// shares one transmit stamp that every entry inherited at decode,
+		// so all of them are set together. Goes with the batch kind.
 		sentAt := r.sentAt(peer, src)
 		m.SentAt = sentAt
 		for i := range m.Envelopes {

@@ -98,9 +98,8 @@ func TestLoopbackSendReceive(t *testing.T) {
 	}
 }
 
-// A peer of the previous release may still send an envelope batch (same
-// wire version; this release sends none). Sent bare between two loopback
-// runtimes, a three-entry batch arrives whole, with the batch's and every
+// No peer sends an envelope batch, but one still decodes. Sent bare
+// between two loopback runtimes, a three-entry batch arrives whole, with the batch's and every
 // entry's SentAt rewritten from the sender's stamp to one stamp in the
 // receiver's frame.
 func TestEnvelopeBatchSentAtRewritten(t *testing.T) {
@@ -151,17 +150,15 @@ func TestEnvelopeBatchSentAtRewritten(t *testing.T) {
 	}
 }
 
-// v5Envelope is a v5 envelope frame as the last v5 encoder wrote it: the
-// "cpu-sum" summary (Count 42) the wire package's sampleMessages opens with,
-// stamped SentAt 123.456 ms by its sender.
-const v5Envelope = "0501076370752d73756dffcfacf30e80f882ad1680bcc1960b2a00030100000000000031400404010600010480a8de7503"
+// v6Envelope is the "cpu-sum" envelope (Count 42) the wire package's
+// sampleMessages opens with, as the last v6 encoder wrote it.
+const v6Envelope = "0601076370752d73756d0f2b80bcc1960b2a000309220404010600010403"
 
-// A v5 sender's frames use the old header kind (ns stamps and a class
-// byte). Sent from a raw socket claiming to be peer 1, one is delivered to
-// peer 0 with the SentAt set on arrival, but its stamps feed no RTT sample
-// and are not echoed: peer 0 measures nothing toward 1, and its next frame
-// to 1 gives peer 1 no sample either.
-func TestOldHeaderKindDeliveredWithoutRTTSample(t *testing.T) {
+// The v5 header kind (ns stamps and a class byte) is no longer read. Sent
+// from a raw socket claiming to be peer 1, a datagram of it carrying a
+// frame this release decodes is dropped and counted, and never delivered:
+// the heartbeat peer 1 sends after it arrives alone.
+func TestOldHeaderKindDropped(t *testing.T) {
 	rts, dir, err := netrt.NewGroup([][]int{{0}, {1}}, netrt.Options{Seed: 37})
 	if err != nil {
 		t.Fatal(err)
@@ -169,14 +166,9 @@ func TestOldHeaderKindDeliveredWithoutRTTSample(t *testing.T) {
 	a, b := rts[0], rts[1]
 	defer a.Shutdown()
 	defer b.Shutdown()
-	got := make(chan *wire.Envelope, 1)
-	a.Handle(0, func(from int, payload any, size int) {
-		if e, ok := payload.(*wire.Envelope); ok && from == 1 {
-			got <- e
-		}
-	})
-	heard := make(chan struct{}, 1)
-	b.Handle(1, func(int, any, int) { heard <- struct{}{} })
+	got := make(chan any, 4)
+	a.Handle(0, func(from int, payload any, size int) { got <- payload })
+	b.Handle(1, func(int, any, int) {})
 
 	old, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -187,7 +179,7 @@ func TestOldHeaderKindDeliveredWithoutRTTSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := hex.DecodeString(v5Envelope)
+	body, err := hex.DecodeString(v6Envelope)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,36 +188,34 @@ func TestOldHeaderKindDeliveredWithoutRTTSample(t *testing.T) {
 	w.PutUvarint(1)
 	w.PutUvarint(0)
 	w.PutVarint(int64(20 * time.Second)) // transmit stamp, ns
-	w.PutVarint(1)                       // echo: would be a positive sample in either unit
+	w.PutVarint(1)                       // echo
 	w.PutVarint(0)                       // hold
 	w.PutByte(byte(runtime.ClassData))
 	w.PutRaw(body)
-	before := a.Clock(0).Now()
+	_, _, dropped := a.Stats()
 	if _, err := old.WriteToUDP(w.Bytes(), dst); err != nil {
 		t.Fatal(err)
 	}
-	var e *wire.Envelope
-	select {
-	case e = <-got:
-	case <-time.After(5 * time.Second):
-		t.Fatal("old-kind frame never delivered")
+	deadline := time.Now().Add(5 * time.Second)
+	for _, _, d := a.Stats(); d == dropped; _, _, d = a.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatal("old-kind datagram never counted dropped")
+		}
+		time.Sleep(time.Millisecond)
 	}
-	if e.S.Query != "cpu-sum" || e.S.Count != 42 || e.SentAt == 123456*time.Microsecond || e.SentAt > a.Clock(0).Now() || e.SentAt < before-time.Second {
-		t.Fatalf("delivered %q count %d SentAt %v, want cpu-sum, 42, a receiver-frame stamp", e.S.Query, e.S.Count, e.SentAt)
-	}
-	if d, ok := a.Measured(0, 1); ok {
-		t.Fatalf("old-kind frame fed an RTT sample: %v", d)
-	}
-	if !a.Send(0, 1, runtime.ClassControl, 0, wire.Heartbeat{Seq: 1}) {
+	if !b.Send(1, 0, runtime.ClassControl, 0, wire.Heartbeat{Seq: 1}) {
 		t.Fatal("send refused")
 	}
 	select {
-	case <-heard:
+	case m := <-got:
+		if _, ok := m.(wire.Heartbeat); !ok {
+			t.Fatalf("delivered %#v, want the heartbeat alone", m)
+		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("heartbeat never arrived")
 	}
-	if d, ok := b.Measured(1, 0); ok {
-		t.Fatalf("peer 0 echoed the old-kind stamp: peer 1 sampled %v", d)
+	if _, _, d := a.Stats(); d != dropped+1 {
+		t.Fatalf("%d datagrams dropped, want the old-kind one", d-dropped)
 	}
 }
 

@@ -13,15 +13,13 @@ import (
 // timestamp, and the Levels routing vector (delta-encoded against the
 // batch's base vector).
 //
-// Batches are decoded, never sent: a peer sends every summary as its own
-// Envelope, because per-turn batching measured one batch in tens of
-// thousands of summary frames. The decoder stays because a v5 sender from
-// before batching was dropped may still send one; the encoder stays
-// because the decoder's tests and the benchmark's batch codec rows need
-// frames. The layout is the same at v5 and v6 (values take the integral
-// kinds PutValue picks), so the kind needs no version branch, and it
-// retires, decoder included, with the benchmark's batch rows: no version
-// bump is needed, because no peer sends it.
+// No peer sends a batch: a peer sends every summary as its own Envelope,
+// because per-turn batching measured one batch in tens of thousands of
+// summary frames, and the v5 senders from before batching was dropped are
+// refused by version. The codec stays because the benchmark's batch codec
+// rows need it; the kind retires with those rows, and no version bump is
+// needed, because no peer sends it. Only its values differ between v6 and
+// v7, so the decoder takes the frame's version for them.
 //
 // Payload layout, after the [Version][kind] frame header:
 //
@@ -48,7 +46,7 @@ import (
 const maxBatchLevels = 4096
 
 // EnvelopeBatch is N summaries bound for the same next-hop peer in one
-// frame, received from peers of an older release only (see above).
+// frame, which no peer sends (see above).
 // Envelopes are fully materialized on decode — each entry owns its Levels
 // and carries the batch's shared SentAt — so receivers process them exactly
 // like single envelopes.
@@ -147,12 +145,12 @@ func EncodeEnvelopeBatch(w *Buffer, b *EnvelopeBatch) error {
 	return err
 }
 
-// DecodeEnvelopeBatch reads a batch payload, materializing every entry as
-// a standalone envelope: levels reconstructed from the base vector plus
-// the entry's diff, query name and epoch resolved through the key table,
-// SentAt copied from the batch. Query names are interned, as in
-// DecodeSummary.
-func DecodeEnvelopeBatch(r *Reader) (*EnvelopeBatch, error) {
+// DecodeEnvelopeBatch reads a batch payload from a frame of version ver,
+// materializing every entry as a standalone envelope: levels reconstructed
+// from the base vector plus the entry's diff, query name and epoch
+// resolved through the key table, SentAt copied from the batch. Query
+// names are interned, as in DecodeSummary.
+func DecodeEnvelopeBatch(r *Reader, ver byte) (*EnvelopeBatch, error) {
 	sc := batchScratchPool.Get().(*batchScratch)
 	defer batchScratchPool.Put(sc)
 	sc.names, sc.epochs = sc.names[:0], sc.epochs[:0]
@@ -235,7 +233,7 @@ func DecodeEnvelopeBatch(r *Reader) (*EnvelopeBatch, error) {
 			return nil, err
 		}
 		e.S.Hops = int(hops)
-		if e.S.Value, err = r.Value(); err != nil {
+		if e.S.Value, err = r.value(ver); err != nil {
 			return nil, err
 		}
 		lv, err := r.Uvarint()

@@ -11,9 +11,9 @@ import (
 // in short smoke mode (-fuzztime 10s); locally, go test -fuzz digs deeper.
 
 // seedFrames returns valid encodings of every message kind as fuzz seeds,
-// so mutation starts from structurally interesting input: the v6 frames of
-// sampleMessages, then every captured v5 frame (v5Seeds), the other
-// version decoders accept.
+// so mutation starts from structurally interesting input: the v7 frames of
+// sampleMessages, then every captured frame and every captured v6 frame's
+// v7 re-encoding (capturedSeeds).
 func seedFrames(t testing.TB) [][]byte {
 	var out [][]byte
 	for _, msg := range sampleMessages() {
@@ -23,7 +23,7 @@ func seedFrames(t testing.TB) [][]byte {
 		}
 		out = append(out, w.Bytes())
 	}
-	return append(out, v5Seeds(t)...)
+	return append(out, capturedSeeds(t)...)
 }
 
 // requireCorrupt fails the fuzz run when a decode error does not wrap
@@ -67,7 +67,7 @@ func fuzzDecoder[T any](f *testing.F, dec func(*Reader) (T, error)) {
 }
 
 // bothVersions adapts a decoder that takes the frame version: the payload
-// is read as a v5 one first (from a copy of the reader), then as a v6 one,
+// is read as a v6 one first (from a copy of the reader), then as a v7 one,
 // and an error not wrapping ErrCorrupt from either fails the run.
 func bothVersions[T any](dec func(*Reader, byte) (T, error)) func(*Reader) (T, error) {
 	return func(r *Reader) (T, error) {
@@ -80,7 +80,7 @@ func bothVersions[T any](dec func(*Reader, byte) (T, error)) func(*Reader) (T, e
 }
 
 func FuzzDecodeEnvelope(f *testing.F)     { fuzzDecoder(f, bothVersions(DecodeEnvelope)) }
-func FuzzDecodeHeartbeat(f *testing.F)    { fuzzDecoder(f, bothVersions(DecodeHeartbeat)) }
+func FuzzDecodeHeartbeat(f *testing.F)    { fuzzDecoder(f, DecodeHeartbeat) }
 func FuzzDecodeInstall(f *testing.F)      { fuzzDecoder(f, DecodeInstall) }
 func FuzzDecodeRemove(f *testing.F)       { fuzzDecoder(f, DecodeRemove) }
 func FuzzDecodeReconSummary(f *testing.F) { fuzzDecoder(f, DecodeReconSummary) }
@@ -92,7 +92,7 @@ func FuzzDecodeNeighbors(f *testing.F)    { fuzzDecoder(f, DecodeNeighbors) }
 func FuzzDecodeInstallAck(f *testing.F)   { fuzzDecoder(f, DecodeInstallAck) }
 
 func FuzzDecodeEnvelopeBatch(f *testing.F) {
-	fuzzDecoder(f, DecodeEnvelopeBatch)
+	fuzzDecoder(f, bothVersions(DecodeEnvelopeBatch))
 }
 
 func FuzzDecodeSummary(f *testing.F) {
@@ -103,7 +103,8 @@ func FuzzDecodeSummary(f *testing.F) {
 }
 
 // FuzzDecodeValue also seeds every value shape at the edge numbers, so
-// both the float and the integral kinds start from a valid encoding.
+// both the float and the integral kinds start from a valid encoding, and
+// the value of every captured v6 envelope and of its v7 re-encoding.
 func FuzzDecodeValue(f *testing.F) {
 	for _, x := range edgeNumbers() {
 		for _, v := range valueShapes(x) {
@@ -114,7 +115,31 @@ func FuzzDecodeValue(f *testing.F) {
 			f.Add(w.Bytes())
 		}
 	}
-	fuzzDecoder(f, func(r *Reader) (any, error) { return r.Value() })
+	for _, v6 := range v6Captured(f) {
+		if v6[1] == MsgEnvelope {
+			f.Add(envelopeValue(f, v6))
+			f.Add(envelopeValue(f, reencoded(f, v6)))
+		}
+	}
+	fuzzDecoder(f, bothVersions(func(r *Reader, ver byte) (any, error) { return r.value(ver) }))
+}
+
+// envelopeValue returns the value bytes of an envelope frame: what
+// follows the summary's query, index, age, count, boundary and hops.
+func envelopeValue(t testing.TB, frame []byte) []byte {
+	r := NewReader(frame[2:])
+	r.InternedString()
+	r.Scaled()
+	r.Scaled()
+	r.Duration()
+	r.Uvarint()
+	r.Bool()
+	r.Uvarint()
+	start := r.off
+	if _, err := r.value(frame[0]); err != nil {
+		t.Fatalf("value at %d: %v", start, err)
+	}
+	return r.b[start:r.off]
 }
 
 // The fragment-layer decoders are not message kinds (they sit below the

@@ -29,22 +29,22 @@ import (
 // those reject the new version — a rolling upgrade finishes cleanly once
 // every sender is upgraded, but a mixed federation is not a steady state.
 //
-// Version 6 sends only what the receiver cannot compute, each number in
-// its shortest lossless form. The envelope drops SentAt (the receiving
-// runtime sets it: netrt from the measured flight time, simrt by handing
-// over the sender's object); a summary's window index is scaled (TB in the
-// coarsest unit that divides it, TE as a scaled delta from TB); values
-// whose numbers are all small integers take their integral kind; the
-// heartbeat is [Seq][Hash], without v5's coordinate slot. Only the
-// decoders whose layout changed take the frame's version (DecodeSummary,
-// DecodeEnvelope, DecodeHeartbeat); every other payload is byte-identical
-// between v5 and v6, and a v5 frame holds no integral kind, so Value reads
-// both without it.
-const Version = 6
+// Version 7 writes a sketch's value in its shortest lossless form. A bit
+// array (Bloom filter, distinct registers) is a mode byte and the shorter
+// of two bodies: dense words or the gaps between set bits. Histogram keys,
+// already sorted, and scored-entry keys, in their order, are each
+// front-coded against the key before. Scored entries flag their score and
+// payload columns integral apart. Every other layout is v6's: the envelope
+// carries no SentAt, the window index is scaled, values whose numbers are
+// all small integers take their integral kind, and the heartbeat is
+// [Seq][Hash]. So only the value decoder branches on the version, and the
+// decoders that reach it (DecodeSummary, DecodeEnvelope,
+// DecodeEnvelopeBatch) take the frame's.
+const Version = 7
 
-// versionCompact is the first version with v6's envelope and heartbeat
-// layouts; a decoder reads the v5 ones below it.
-const versionCompact = 6
+// versionSketch is the first version with v7's sketch value forms; Value
+// reads v6's below it.
+const versionSketch = 7
 
 // versionOK reports whether a decoder accepts frame version v: the
 // current version and the one before it.
@@ -317,7 +317,7 @@ func DecodeMessage(b []byte) (any, error) {
 			msg = &e
 		}
 	case MsgHeartbeat:
-		msg, err = DecodeHeartbeat(r, v)
+		msg, err = DecodeHeartbeat(r)
 	case MsgInstall:
 		msg, err = DecodeInstall(r)
 	case MsgRemove:
@@ -334,7 +334,7 @@ func DecodeMessage(b []byte) (any, error) {
 		msg, err = DecodeInstallAck(r)
 	case MsgEnvelopeBatch:
 		var b *EnvelopeBatch
-		if b, err = DecodeEnvelopeBatch(r); err == nil {
+		if b, err = DecodeEnvelopeBatch(r, v); err == nil {
 			msg = b
 		}
 	default:
@@ -362,9 +362,8 @@ func EncodeEnvelope(w *Buffer, e *Envelope) error {
 	return nil
 }
 
-// DecodeEnvelope reads an envelope payload from a frame of version ver. A
-// v5 payload carries the sender's SentAt after the tree; it is read and
-// discarded, so SentAt comes back 0 from either version.
+// DecodeEnvelope reads an envelope payload from a frame of version ver.
+// SentAt is not on the wire and comes back 0.
 func DecodeEnvelope(r *Reader, ver byte) (e Envelope, err error) {
 	if e.S, e.TTLDown, err = DecodeSummary(r, ver); err != nil {
 		return
@@ -374,11 +373,6 @@ func DecodeEnvelope(r *Reader, ver byte) (e Envelope, err error) {
 		return
 	}
 	e.Tree = int(tree)
-	if ver < versionCompact {
-		if _, err = r.Duration(); err != nil {
-			return
-		}
-	}
 	e.Epoch, err = r.epoch()
 	return
 }
@@ -437,19 +431,12 @@ func EncodeHeartbeat(w *Buffer, m Heartbeat) {
 	w.PutUvarint(m.Hash)
 }
 
-// DecodeHeartbeat reads a heartbeat payload from a frame of version ver. A
-// v5 payload ends in a coordinate slot (PutCoordExt), which is read and
-// discarded: v5 senders write it empty, older ones filled it.
-func DecodeHeartbeat(r *Reader, ver byte) (m Heartbeat, err error) {
+// DecodeHeartbeat reads a heartbeat payload.
+func DecodeHeartbeat(r *Reader) (m Heartbeat, err error) {
 	if m.Seq, err = r.Uvarint(); err != nil {
 		return
 	}
-	if m.Hash, err = r.Uvarint(); err != nil {
-		return
-	}
-	if ver < versionCompact {
-		_, _, err = r.CoordExt()
-	}
+	m.Hash, err = r.Uvarint()
 	return
 }
 

@@ -36,8 +36,9 @@ func sampleNeighbors() Neighbors {
 }
 
 // sampleMessages returns one instance of every message kind, the full set
-// the peers exchange. v5Frames holds their captured v5 encodings: an edit
-// here must leave v5Messages returning what was captured.
+// the peers exchange. v5Frames and v6Frames hold their captured
+// encodings: an edit here must leave capturedMessages returning what was
+// captured.
 func sampleMessages() []any {
 	return []any{
 		&Envelope{
@@ -207,48 +208,41 @@ func TestOversizedSubtreeIsCorrupt(t *testing.T) {
 	}
 }
 
-// A v5 heartbeat ends in a mandatory, bounded coordinate slot, and a
-// filled one from an older sender decodes with the coordinate discarded. A
-// v6 heartbeat is [Seq][Hash] and nothing after it.
+// A heartbeat is [Seq][Hash] and nothing after it: the coordinate slot v5
+// heartbeats ended in is trailing bytes at v6 and v7, and the captured v5
+// heartbeat with a filled slot is refused by its version. The coordinate
+// extension now rides netrt's probe frames alone, where a claimed
+// dimensionality beyond the remaining bytes must not drive allocation.
 func TestHeartbeatCoordExtension(t *testing.T) {
 	filled, err := hex.DecodeString(v5FilledSlotHeartbeat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Heartbeat{Seq: 2, Hash: 0xdeadbeefcafe}
-	if got, err := DecodeMessage(filled); err != nil || got != any(want) {
-		t.Fatalf("v5 heartbeat with a filled slot: got %#v, %v; want %#v", got, err, want)
-	}
-	// The same payload stamped v6 has the slot as trailing bytes.
-	filled[0] = Version
 	if _, err := DecodeMessage(filled); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("v6 heartbeat with a coordinate slot: %v", err)
+		t.Fatalf("v5 heartbeat with a filled slot: %v", err)
 	}
-
-	// A payload that ends after the hash is a v6 heartbeat, and a truncated
-	// v5 one (the dimension count is missing).
 	for _, v := range []byte{Version, Version - 1} {
+		filled[0] = v
+		if _, err := DecodeMessage(filled); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("v%d heartbeat with a coordinate slot: %v", v, err)
+		}
 		var w Buffer
 		w.b = append(w.b, v, MsgHeartbeat)
 		w.PutUvarint(42)
 		w.PutUvarint(7)
-		got, err := DecodeMessage(w.Bytes())
-		if v == Version && (err != nil || got != any(Heartbeat{Seq: 42, Hash: 7})) {
-			t.Fatalf("v6 heartbeat: %#v, %v", got, err)
-		}
-		if v < Version && !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("v5 heartbeat without its slot: %v", err)
+		if got, err := DecodeMessage(w.Bytes()); err != nil || got != any(Heartbeat{Seq: 42, Hash: 7}) {
+			t.Fatalf("v%d heartbeat: %#v, %v", v, got, err)
 		}
 	}
 
-	// A claimed dimensionality beyond the remaining bytes must not drive
-	// allocation.
 	var w Buffer
-	w.b = append(w.b, Version-1, MsgHeartbeat)
-	w.PutUvarint(42)
-	w.PutUvarint(7)
+	w.PutCoordExt([]float64{3.25, -1.5, 40}, 0.4)
+	if c, e, err := NewReader(w.Bytes()).CoordExt(); err != nil || !reflect.DeepEqual(c, []float64{3.25, -1.5, 40}) || e != 0.4 {
+		t.Fatalf("coordinate extension: %v, %v, %v", c, e, err)
+	}
+	w.Reset()
 	w.PutUvarint(1 << 40)
-	if _, err := DecodeMessage(w.Bytes()); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := NewReader(w.Bytes()).CoordExt(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("absurd coord dimension: %v", err)
 	}
 }

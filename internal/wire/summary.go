@@ -30,30 +30,21 @@ func EncodeSummary(w *Buffer, s tuple.Summary, ttlDown uint8) error {
 }
 
 // DecodeSummary reads a summary encoded by EncodeSummary into a frame of
-// version ver; a v5 frame carries TB and TE as plain durations. The query
+// version ver, whose value forms it reads (see Reader.value). The query
 // name is interned: every envelope of a query carries the same few names,
 // so steady-state decode performs no string allocation for them.
 func DecodeSummary(r *Reader, ver byte) (s tuple.Summary, ttlDown uint8, err error) {
 	if s.Query, err = r.InternedString(); err != nil {
 		return
 	}
-	if ver < versionCompact {
-		if s.Index.TB, err = r.Duration(); err != nil {
-			return
-		}
-		if s.Index.TE, err = r.Duration(); err != nil {
-			return
-		}
-	} else {
-		if s.Index.TB, err = r.Scaled(); err != nil {
-			return
-		}
-		var span time.Duration
-		if span, err = r.Scaled(); err != nil {
-			return
-		}
-		s.Index.TE = s.Index.TB + span
+	if s.Index.TB, err = r.Scaled(); err != nil {
+		return
 	}
+	var span time.Duration
+	if span, err = r.Scaled(); err != nil {
+		return
+	}
+	s.Index.TE = s.Index.TB + span
 	if s.Age, err = r.Duration(); err != nil {
 		return
 	}
@@ -70,7 +61,7 @@ func DecodeSummary(r *Reader, ver byte) (s tuple.Summary, ttlDown uint8, err err
 		return
 	}
 	s.Hops = int(hops)
-	if s.Value, err = r.Value(); err != nil {
+	if s.Value, err = r.value(ver); err != nil {
 		return
 	}
 	var n uint64

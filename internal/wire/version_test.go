@@ -17,16 +17,16 @@ import (
 	"repro/internal/tuple"
 )
 
-// The v5 frames below were captured from the last v5 encoder: each is
-// EncodeMessage of the entry of v5Messages at the same position. They are
-// committed bytes, not re-encoded by the test, so a decoder bug cannot
-// hide behind an encoder that shares it.
+// The v5 and v6 frames below were captured from the last v5 and v6
+// encoders: each is EncodeMessage of the entry of capturedMessages at the
+// same position. They are committed bytes, not re-encoded by the test, so a
+// decoder bug cannot hide behind an encoder that shares it.
 
-// v5Messages returns the messages v5Frames were encoded from: every entry
-// of sampleMessages, then the fanin-wan-shaped "mass" envelope once per
-// value shape, integral and not (entry len(sampleMessages())+1 is the sum
-// of counts the size pins use).
-func v5Messages() []any {
+// capturedMessages returns the messages v5Frames and v6Frames were encoded
+// from: every entry of sampleMessages, then the fanin-wan-shaped "mass"
+// envelope once per value shape, integral and not (entry
+// len(sampleMessages())+1 is the sum of counts the size pins use).
+func capturedMessages() []any {
 	env := func(v any, sentAt time.Duration) *Envelope {
 		return &Envelope{
 			S: tuple.Summary{
@@ -68,7 +68,7 @@ func v5Messages() []any {
 	return out
 }
 
-// v5Frames are the captured v5 encodings of v5Messages, in order.
+// v5Frames are the captured v5 encodings of capturedMessages, in order.
 var v5Frames = []string{
 	"0501076370752d73756dffcfacf30e80f882ad1680bcc1960b2a00030100000000000031400404010600010480a8de7503",
 	"050a02076370752d73756d03076d656d2d6d617800040201040080d0acf30e0300000280a8d6b90780d0acf30e80e89226030001010000000000001040040000000080d0acf30e80f882ad1600010000010000000000002240040001020180a8d6b90780d0acf30e0001010000020200000100",
@@ -102,32 +102,113 @@ var v5Frames = []string{
 	"0501046d61737380a0be81950180eaf3ef960180f5d08501050002070000000000000c400000000000001040020200020280accb9f970101",
 }
 
+// v6Frames are the captured v6 encodings of capturedMessages, in order.
+var v6Frames = []string{
+	"0601076370752d73756d0f2b80bcc1960b2a000309220404010600010403",
+	"060a02076370752d73756d03076d656d2d6d617800040201040080d0acf30e0300000280a8d6b90780d0acf30e80e892260300010908040000000080d0acf30e80f882ad16000100000912040001020180a8d6b90780d0acf30e0001010000020200000100",
+	"0602ac02fe95bff7dbd537",
+	"06020100",
+	"060309776966692d746f7035070204746f706b02013504727373690080d0acf30e80a8d6b90700000861613a62623a63630680bcc1960b02060201004003020412080601001202060201000602ac0200020602121812011c",
+	"0604076370752d73756d09ffffffff0f0100020204",
+	"0604076370752d73756d0c0300",
+	"0605030161000101610104016200020101630203ffffffff0f07010109776966692d746f7035070204746f706b02013504727373690080d0acf30e80a8d6b90700000861613a62623a63630680bcc1960b",
+	"0605000000",
+	"06060209776966692d746f7035070204746f706b02013504727373690080d0acf30e80a8d6b90700000861613a62623a63630680bcc1960b0462617265000005636f756e740001000028140000000104676f6e65010402",
+	"0607076370752d73756d0222",
+	"0608076370752d73756d020202010040030204120806010000",
+	"060804676f6e6500050001",
+	"0609076370752d73756d020b0c",
+	"0601046d617373a301d20f80f5d0850105000200020200020201",
+	"0601046d617373a301d20f80f5d0850105000209a413020200020201",
+	"0601046d617373a301d20f80f5d08501050002010000000000404540020200020201",
+	"0601046d617373a301d20f80f5d08501050002010000000000000080020200020201",
+	"0601046d617373a301d20f80f5d0850105000201000000000000f0ff020200020201",
+	"0601046d617373a301d20f80f5d08501050002010000000000004043020200020201",
+	"0601046d617373a301d20f80f5d085010500020a0406000d808080808040020200020201",
+	"0601046d617373a301d20f80f5d085010500020202000000000000e03f0000000000000040020200020201",
+	"0601046d617373a301d20f80f5d08501050002030474657874020200020201",
+	"0601046d617373a301d20f80f5d085010500020c030161020262622803636363d704020200020201",
+	"0601046d617373a301d20f80f5d0850105000204010161000000000000d03f020200020201",
+	"0601046d617373a301d20f80f5d085010500020d02026b31b401020204026b320e00020200020201",
+	"0601046d617373a301d20f80f5d085010500020501026b310000000000803ec000020200020201",
+	"0601046d617373a301d20f80f5d0850105000206030001ffffffffffffffffff01020200020201",
+	"0601046d617373a301d20f80f5d0850105000207000000000000084000000000000010c0020200020201",
+	"0601046d617373a301d20f80f5d08501050002070000000000000c400000000000001040020200020201",
+}
+
+// v6SketchFrames are sketch-wan envelopes (seed 1) the last v6 encoder
+// wrote, one per sketch tenant, each the one whose value length was
+// nearest its tenant's mean over the run (Bloom 130.7 B, distinct 138.3,
+// entropy 288.3, top-k 209.0; nil values aside).
+var v6SketchFrames = map[string]string{
+	"bloom":    "060105626c6f6f6da21fd20fd6cdf364010000061090928080a0808040808080a480809080188180c08080808080048280808481c0888008808280a2828010a08080c0908080a080018881809180a0408180c0a08080801082c480848280b08010818480808080c80880808aa0819080800880a4c080808020808081a084c080a02480aa8080800180c0808080a0208080c080848820020806000000",
+	"distinct": "06010864697374696e6374a29c01d20f9af9a87701000006208080808080808080018080808080804080808080808080800100808080809080c080048080808080200000000081848080808080018080800880808080802000808080808080808002808004808080088080808080208080808080808080038080808020008180808080808001818080100080060080088086848020000081808080808080800100020404000000",
+	"entropy":  "060107656e74726f7079d28c01d20faacfc37b0200010c35026b3028026b3110036b313104056b3131323402046b31313802036b313202046b31323302056b3132363502036b313302056b3133313102036b313402046b31353302036b313702056b3137303202046b31373402046b31383202046b31383702026b320c036b323002046b32303502036b323104046b32343002036b323502036b323602036b323802026b330a046b33303502036b333402046b33353602046b33353902056b3337363202046b33383302046b33393302056b3339353802026b3408036b343302046b34333802046b34363802046b34383102026b3504036b353202036b353302026b360a036b363002046b36373902036b363802026b3702026b3804046b38323702036b383302036b383802026b3904046b39363502020606000200",
+	"topk":     "060104746f706be25dd20f84e8dc77010000050a026b30000000000000f03f019cc420c08f244441026b31000000000000f03f019cc420c09f4b4441036b3130000000000000f03f019cc420c0ff354541046b313032000000000000f03f019cc420c00f5d4541036b3131000000000000f03f019cc420c047ad4441036b3132000000000000f03f019cc420c007114441036b3134000000000000f03f019cc420c077224541036b3139000000000000f03f019cc420c0bf994441026b32000000000000f03f019cc420c0bf994441026b33000000000000f03f019cc420c09f4b4441020606000000",
+}
+
 // v5FilledSlotHeartbeat is a captured v5 heartbeat {Seq: 2, Hash:
 // 0xdeadbeefcafe} whose coordinate slot a pre-v5 netrt sender filled: a 3-D
 // coordinate (3.25, -1.5, 40) and its error estimate 0.4.
 const v5FilledSlotHeartbeat = "050202fe95bff7dbd537030000000000000a40000000000000f8bf00000000000044409a9999999999d93f"
 
-// v5Frame returns captured frame i as bytes.
-func v5Frame(t testing.TB, i int) []byte {
+// hexFrame decodes one captured frame.
+func hexFrame(t testing.TB, h string) []byte {
 	t.Helper()
-	b, err := hex.DecodeString(v5Frames[i])
+	b, err := hex.DecodeString(h)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
 }
 
-// v5Seeds returns every captured v5 frame, the fuzz targets' v5 seeds.
-func v5Seeds(t testing.TB) [][]byte {
+// v5Frame and v6Frame return captured frame i as bytes.
+func v5Frame(t testing.TB, i int) []byte { return hexFrame(t, v5Frames[i]) }
+func v6Frame(t testing.TB, i int) []byte { return hexFrame(t, v6Frames[i]) }
+
+// sketchKinds are v6SketchFrames' keys in a fixed order.
+var sketchKinds = []string{"bloom", "distinct", "entropy", "topk"}
+
+// v6Captured returns every captured v6 frame: v6Frames, then
+// v6SketchFrames in sketchKinds order.
+func v6Captured(t testing.TB) [][]byte {
 	var out [][]byte
-	for i := range v5Frames {
-		out = append(out, v5Frame(t, i))
+	for i := range v6Frames {
+		out = append(out, v6Frame(t, i))
 	}
-	b, err := hex.DecodeString(v5FilledSlotHeartbeat)
+	for _, k := range sketchKinds {
+		out = append(out, hexFrame(t, v6SketchFrames[k]))
+	}
+	return out
+}
+
+// reencoded returns the current encoding of a frame's decoded message.
+func reencoded(t testing.TB, frame []byte) []byte {
+	t.Helper()
+	msg, err := DecodeMessage(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(out, b)
+	var w Buffer
+	if err := EncodeMessage(&w, msg); err != nil {
+		t.Fatal(err)
+	}
+	return w.Bytes()
+}
+
+// capturedSeeds returns every captured frame and every v6 frame's v7
+// re-encoding, the fuzz targets' seeds beyond sampleMessages: v6, v7, then
+// v5 (refused by version; a mutation may restamp one).
+func capturedSeeds(t testing.TB) [][]byte {
+	v6 := v6Captured(t)
+	out := append([][]byte(nil), v6...)
+	for _, f := range v6 {
+		out = append(out, reencoded(t, f))
+	}
+	for i := range v5Frames {
+		out = append(out, v5Frame(t, i))
+	}
+	return append(out, hexFrame(t, v5FilledSlotHeartbeat))
 }
 
 // withoutSentAt returns msg as the codec gives it back: an envelope's
@@ -141,30 +222,38 @@ func withoutSentAt(msg any) any {
 	return msg
 }
 
-// The decode policy is "the current version and the previous one": 6 and 5
-// decode, 4 and 7 are refused. Every captured v5 frame decodes to the
+// The decode policy is "the current version and the previous one": 7 and 6
+// decode, 5 and 8 are refused. Every captured v6 frame decodes to the
 // message it was encoded from, SentAt aside and every number bit for bit,
-// and its v6 re-encoding decodes to the same message again.
+// and its v7 re-encoding decodes to the same message again. Every captured
+// v5 frame, the heartbeat with a filled coordinate slot among them, is
+// corrupt.
 func TestDecodeVersionWindow(t *testing.T) {
-	msgs := v5Messages()
-	if len(msgs) != len(v5Frames) {
-		t.Fatalf("%d messages for %d captured frames", len(msgs), len(v5Frames))
+	msgs := capturedMessages()
+	if len(msgs) != len(v6Frames) || len(msgs) != len(v5Frames) {
+		t.Fatalf("%d messages for %d v6 and %d v5 captured frames", len(msgs), len(v6Frames), len(v5Frames))
+	}
+	restamped := func(frame []byte, what string) {
+		t.Helper()
+		for _, ver := range []byte{Version - 2, Version + 1} {
+			bad := bytes.Clone(frame)
+			bad[0] = ver
+			if _, err := DecodeMessage(bad); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s stamped v%d: err = %v, want ErrCorrupt", what, ver, err)
+			}
+		}
 	}
 	for i, msg := range msgs {
 		want := withoutSentAt(msg)
-		v5 := v5Frame(t, i)
-		got, err := DecodeMessage(v5)
+		v6 := v6Frame(t, i)
+		got, err := DecodeMessage(v6)
 		if err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("v5 frame %d (%T): got %#v, %v\nwant %#v", i, msg, got, err, want)
+			t.Fatalf("v6 frame %d (%T): got %#v, %v\nwant %#v", i, msg, got, err, want)
 		}
-		var w Buffer
-		if err := EncodeMessage(&w, got); err != nil {
-			t.Fatal(err)
-		}
-		v6 := w.Bytes()
-		again, err := DecodeMessage(v6)
+		v7 := reencoded(t, v6)
+		again, err := DecodeMessage(v7)
 		if err != nil || !reflect.DeepEqual(again, want) {
-			t.Fatalf("v6 re-encoding of frame %d (%T): got %#v, %v\nwant %#v", i, msg, again, err, want)
+			t.Fatalf("v7 re-encoding of frame %d (%T): got %#v, %v\nwant %#v", i, msg, again, err, want)
 		}
 		if e, ok := msg.(*Envelope); ok {
 			for _, d := range []any{got, again} {
@@ -173,22 +262,25 @@ func TestDecodeVersionWindow(t *testing.T) {
 				}
 			}
 		}
-		for _, frame := range [][]byte{v5, v6} {
-			for _, ver := range []byte{Version - 2, Version + 1} {
-				bad := bytes.Clone(frame)
-				bad[0] = ver
-				if _, err := DecodeMessage(bad); !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("%T stamped v%d: err = %v, want ErrCorrupt", msg, ver, err)
-				}
-			}
+		if _, err := DecodeMessage(v5Frame(t, i)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("v5 frame %d (%T): err = %v, want ErrCorrupt", i, msg, err)
+		}
+		restamped(v6, fmt.Sprintf("v6 frame %d", i))
+		restamped(v7, fmt.Sprintf("v7 frame %d", i))
+	}
+	for _, k := range sketchKinds {
+		v6 := hexFrame(t, v6SketchFrames[k])
+		got, err := DecodeMessage(v6)
+		if err != nil {
+			t.Fatalf("v6 %s frame: %v", k, err)
+		}
+		again, err := DecodeMessage(reencoded(t, v6))
+		if err != nil || !reflect.DeepEqual(again, got) || !sameValue(again.(*Envelope).S.Value, got.(*Envelope).S.Value) {
+			t.Fatalf("v7 re-encoding of the v6 %s frame: got %#v, %v\nwant %#v", k, again, err, got)
 		}
 	}
-	filled, err := hex.DecodeString(v5FilledSlotHeartbeat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := DecodeMessage(filled); err != nil || got != any(Heartbeat{Seq: 2, Hash: 0xdeadbeefcafe}) {
-		t.Fatalf("v5 heartbeat with a filled slot: %#v, %v", got, err)
+	if _, err := DecodeMessage(hexFrame(t, v5FilledSlotHeartbeat)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("v5 heartbeat with a filled slot: err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -229,7 +321,7 @@ func sameValue(a, b any) bool {
 }
 
 // v5ValueLen is how long PutValue wrote v at v5, where every number took
-// 8 bytes.
+// 8 bytes and a bit array a uvarint a word.
 func v5ValueLen(v any) int {
 	uv := func(n int) int { return len(binary.AppendUvarint(nil, uint64(n))) }
 	str := func(s string) int { return uv(len(s)) + len(s) }
@@ -250,6 +342,12 @@ func v5ValueLen(v any) int {
 			n += str(e.Key) + 8 + uv(len(e.Payload)) + 8*len(e.Payload)
 		}
 		return n
+	case []uint64:
+		n := 1 + uv(len(x))
+		for _, u := range x {
+			n += len(binary.AppendUvarint(nil, u))
+		}
+		return n
 	case Coord:
 		return 17
 	}
@@ -257,7 +355,19 @@ func v5ValueLen(v any) int {
 	if err := w.PutValue(v); err != nil {
 		panic(err)
 	}
-	return w.Len() // shapes without float64s did not change
+	return w.Len() // nil and strings did not change
+}
+
+// keyCount is how many keys a value holds: a v7 key costs at most one
+// byte more than at v5, its shared-prefix length.
+func keyCount(v any) int {
+	switch x := v.(type) {
+	case map[string]float64:
+		return len(x)
+	case []ScoredEntry:
+		return len(x)
+	}
+	return 0
 }
 
 // edgeNumbers are the float64s a lossless number codec is likeliest to
@@ -288,7 +398,7 @@ func valueShapes(x float64) []any {
 }
 
 // Property: every number in every value shape round-trips bit for bit,
-// and no value encodes longer than it did at v5.
+// and no value encodes longer than it did at v5 but for a byte a key.
 func TestPropertyNumbersRoundTrip(t *testing.T) {
 	check := func(x float64) bool {
 		for _, v := range valueShapes(x) {
@@ -301,7 +411,7 @@ func TestPropertyNumbersRoundTrip(t *testing.T) {
 				t.Logf("%#v came back as %#v, %v", v, got, err)
 				return false
 			}
-			if w.Len() > v5ValueLen(v) {
+			if w.Len() > v5ValueLen(v)+keyCount(v) {
 				t.Logf("%#v takes %d B, %d at v5", v, w.Len(), v5ValueLen(v))
 				return false
 			}

@@ -7,15 +7,14 @@
 // the payload. Integers use LEB128 varints (signed ones zigzag); durations
 // are signed varints of nanoseconds, or scaled (PutScaled) where they are
 // usually round; floats are fixed 8 bytes, or zigzag varints when every
-// number of a value is a small integer (see PutValue).
+// number of a value is a small integer; a sketch's keys are front-coded and
+// its bit array takes the shorter of two forms (see PutValue).
 package wire
 
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 )
@@ -267,253 +266,4 @@ func (r *Reader) Bool() (bool, error) {
 	v := r.b[r.off] != 0
 	r.off++
 	return v, nil
-}
-
-// Value kind tags. Operator values are one of these shapes. Every shape
-// that carries counts or sums of them — scalar, []float64, histogram map,
-// scored entries — has an integral twin, its tag with kindIntegral set,
-// whose numbers travel as zigzag varints: PutValue picks the twin when every
-// number in the value is integral (see integral), so a count or a sum of
-// counts takes one to three bytes a number instead of eight, and no value
-// ever takes more bytes than its float form. A Coord, a trilateration
-// fix, is fractional in practice and keeps its float form alone.
-const (
-	kindNil     = 0
-	kindF64     = 1
-	kindF64s    = 2
-	kindString  = 3
-	kindKV      = 4 // map[string]float64 (histograms)
-	kindEntries = 5 // []ScoredEntry (top-k)
-	kindBits    = 6 // []uint64 (bloom filters)
-	kindCoord   = 7 // Coord (trilateration output)
-
-	kindIntegral = 8 // flag on kindF64, kindF64s, kindKV, kindEntries
-)
-
-// ScoredEntry is a (key, score, payload) element used by top-k values.
-type ScoredEntry struct {
-	Key     string
-	Score   float64
-	Payload []float64
-}
-
-// Coord is a located position (Wi-Fi trilateration output).
-type Coord struct {
-	X, Y float64
-}
-
-// maxIntegral bounds the magnitude of a number sent as a varint: every
-// integer below it is exactly a float64, so the twin kinds are lossless.
-const maxIntegral = 1 << 53
-
-// integral reports whether f may travel as a zigzag varint: an integer of
-// magnitude below 2^53, and not −0, whose sign a varint cannot carry.
-func integral(f float64) bool {
-	return math.Abs(f) < maxIntegral && f == math.Trunc(f) && (f != 0 || !math.Signbit(f))
-}
-
-func integrals(fs []float64) bool {
-	for _, f := range fs {
-		if !integral(f) {
-			return false
-		}
-	}
-	return true
-}
-
-// putKind appends a value kind tag, flagged integral when ints.
-func (w *Buffer) putKind(kind byte, ints bool) {
-	if ints {
-		kind |= kindIntegral
-	}
-	w.b = append(w.b, kind)
-}
-
-// putNum appends one number of a value: a zigzag varint in an integral
-// kind, 8 bytes otherwise.
-func (w *Buffer) putNum(f float64, ints bool) {
-	if ints {
-		w.PutVarint(int64(f))
-		return
-	}
-	w.PutF64(f)
-}
-
-// num reads one number written by putNum.
-func (r *Reader) num(ints bool) (float64, error) {
-	if !ints {
-		return r.F64()
-	}
-	v, err := r.Varint()
-	if err != nil || v <= -maxIntegral || v >= maxIntegral {
-		return 0, ErrCorrupt
-	}
-	return float64(v), nil
-}
-
-// PutValue appends a tagged operator value. Supported shapes: nil, float64,
-// []float64, string, map[string]float64, []ScoredEntry, []uint64, Coord.
-func (w *Buffer) PutValue(v any) error {
-	switch x := v.(type) {
-	case nil:
-		w.b = append(w.b, kindNil)
-	case float64:
-		ints := integral(x)
-		w.putKind(kindF64, ints)
-		w.putNum(x, ints)
-	case []float64:
-		ints := integrals(x)
-		w.putKind(kindF64s, ints)
-		w.PutUvarint(uint64(len(x)))
-		for _, f := range x {
-			w.putNum(f, ints)
-		}
-	case string:
-		w.b = append(w.b, kindString)
-		w.PutString(x)
-	case map[string]float64:
-		ints := true
-		keys := make([]string, 0, len(x))
-		for k, f := range x {
-			keys = append(keys, k)
-			ints = ints && integral(f)
-		}
-		sort.Strings(keys) // deterministic encoding
-		w.putKind(kindKV, ints)
-		w.PutUvarint(uint64(len(keys)))
-		for _, k := range keys {
-			w.PutString(k)
-			w.putNum(x[k], ints)
-		}
-	case []ScoredEntry:
-		ints := true
-		for _, e := range x {
-			ints = ints && integral(e.Score) && integrals(e.Payload)
-		}
-		w.putKind(kindEntries, ints)
-		w.PutUvarint(uint64(len(x)))
-		for _, e := range x {
-			w.PutString(e.Key)
-			w.putNum(e.Score, ints)
-			w.PutUvarint(uint64(len(e.Payload)))
-			for _, f := range e.Payload {
-				w.putNum(f, ints)
-			}
-		}
-	case []uint64:
-		w.b = append(w.b, kindBits)
-		w.PutUvarint(uint64(len(x)))
-		for _, u := range x {
-			w.PutUvarint(u)
-		}
-	case Coord:
-		w.b = append(w.b, kindCoord)
-		w.PutF64(x.X)
-		w.PutF64(x.Y)
-	default:
-		return fmt.Errorf("wire: unsupported value type %T", v)
-	}
-	return nil
-}
-
-// Value reads a tagged operator value.
-func (r *Reader) Value() (any, error) {
-	if r.Remaining() < 1 {
-		return nil, ErrCorrupt
-	}
-	kind, ints := r.b[r.off], false
-	r.off++
-	switch kind {
-	case kindF64 | kindIntegral, kindF64s | kindIntegral, kindKV | kindIntegral, kindEntries | kindIntegral:
-		kind, ints = kind&^kindIntegral, true
-	}
-	switch kind {
-	case kindNil:
-		return nil, nil
-	case kindF64:
-		return r.num(ints)
-	case kindF64s:
-		n, err := r.Uvarint()
-		if err != nil || n > uint64(r.Remaining()) {
-			return nil, ErrCorrupt
-		}
-		out := make([]float64, n)
-		for i := range out {
-			if out[i], err = r.num(ints); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	case kindString:
-		return r.String()
-	case kindKV:
-		n, err := r.Uvarint()
-		if err != nil || n > uint64(r.Remaining()) {
-			return nil, ErrCorrupt
-		}
-		out := make(map[string]float64, n)
-		for i := uint64(0); i < n; i++ {
-			k, err := r.String()
-			if err != nil {
-				return nil, err
-			}
-			v, err := r.num(ints)
-			if err != nil {
-				return nil, err
-			}
-			out[k] = v
-		}
-		return out, nil
-	case kindEntries:
-		n, err := r.Uvarint()
-		if err != nil || n > uint64(r.Remaining()) {
-			return nil, ErrCorrupt
-		}
-		out := make([]ScoredEntry, n)
-		for i := range out {
-			if out[i].Key, err = r.String(); err != nil {
-				return nil, err
-			}
-			if out[i].Score, err = r.num(ints); err != nil {
-				return nil, err
-			}
-			m, err := r.Uvarint()
-			if err != nil || m > uint64(r.Remaining()) {
-				return nil, ErrCorrupt
-			}
-			if m > 0 {
-				out[i].Payload = make([]float64, m)
-				for j := range out[i].Payload {
-					if out[i].Payload[j], err = r.num(ints); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-		return out, nil
-	case kindBits:
-		n, err := r.Uvarint()
-		if err != nil || n > uint64(r.Remaining()) {
-			return nil, ErrCorrupt
-		}
-		out := make([]uint64, n)
-		for i := range out {
-			if out[i], err = r.Uvarint(); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	case kindCoord:
-		var c Coord
-		var err error
-		if c.X, err = r.F64(); err != nil {
-			return nil, err
-		}
-		if c.Y, err = r.F64(); err != nil {
-			return nil, err
-		}
-		return c, nil
-	default:
-		return nil, fmt.Errorf("wire: unknown value kind %d: %w", kind, ErrCorrupt)
-	}
 }

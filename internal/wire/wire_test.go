@@ -131,41 +131,44 @@ func TestSummaryRoundTrip(t *testing.T) {
 }
 
 // Only the count-carrying shapes have an integral twin: the flag on a
-// string, bits or coord tag, or on no tag at all, is an unknown kind.
+// string, bits or coord tag, or on no tag at all, is an unknown kind. The
+// payload flag is known on scored entries alone, and from v7 on.
 func TestValueTwinKinds(t *testing.T) {
-	for kind := byte(0); kind < 32; kind++ {
-		_, err := NewReader([]byte{kind, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}).Value()
-		known := kind <= kindCoord || kind == kindF64|kindIntegral || kind == kindF64s|kindIntegral ||
-			kind == kindKV|kindIntegral || kind == kindEntries|kindIntegral
-		if known == errors.Is(err, ErrCorrupt) {
-			t.Errorf("value kind %d: err %v", kind, err)
+	for _, ver := range []byte{Version - 1, Version} {
+		for kind := byte(0); kind < 32; kind++ {
+			_, err := NewReader([]byte{kind, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}).value(ver)
+			known := kind <= kindCoord || kind == kindF64|kindIntegral || kind == kindF64s|kindIntegral ||
+				kind == kindKV|kindIntegral || kind == kindEntries|kindIntegral
+			if ver >= versionSketch {
+				known = known || kind == kindEntries|kindIntegralPayload || kind == kindEntries|kindIntegral|kindIntegralPayload
+			}
+			if known == errors.Is(err, ErrCorrupt) {
+				t.Errorf("v%d value kind %d: err %v", ver, kind, err)
+			}
 		}
 	}
 }
 
 // The fanin-wan-shaped sum envelope ("mass", TB 20 s, TE +250 ms, Age
-// 140.123456 ms, Count 5, 2 levels) is 48 B at v5 and at most 28 B at v6,
-// and no value shape, integral or not, encodes longer than it did at v5.
+// 140.123456 ms, Count 5, 2 levels) is 48 B at v5 and 28 B at v6 and v7.
+// No value shape, integral or not, encodes longer than it did at v5 but
+// for a byte a key; a bit array is sized by its own forms
+// (TestBitArrayForms). The captured sketch-wan values each shrink from
+// v6 to v7 by the pinned lengths.
 func TestSummarySizeReasonable(t *testing.T) {
 	n := len(sampleMessages())
-	sum := v5Messages()[n+1].(*Envelope)
+	sum := capturedMessages()[n+1].(*Envelope)
 	if sum.S.Value != any(float64(1234)) {
 		t.Fatalf("entry %d is %#v, not the sum envelope", n+1, sum.S.Value)
 	}
-	if got := len(v5Frame(t, n+1)); got != 48 {
-		t.Fatalf("captured v5 sum envelope is %d B, want 48", got)
-	}
-	var w Buffer
-	if err := EncodeMessage(&w, sum); err != nil {
-		t.Fatal(err)
-	}
-	if w.Len() > 28 {
-		t.Fatalf("v6 sum envelope is %d B, want at most 28", w.Len())
+	if v5, v6, v7 := len(v5Frame(t, n+1)), len(v6Frame(t, n+1)), len(reencoded(t, v6Frame(t, n+1))); v5 != 48 || v6 != 28 || v7 != 28 {
+		t.Fatalf("sum envelope is %d B at v5, %d at v6, %d at v7; want 48, 28, 28", v5, v6, v7)
 	}
 	// Entry n is the same envelope with a nil value (one tag byte), so the
 	// captured frames give each value's v5 length.
 	nilLen := len(v5Frame(t, n))
-	for i, msg := range v5Messages()[n:] {
+	var w Buffer
+	for i, msg := range capturedMessages()[n:] {
 		v := msg.(*Envelope).S.Value
 		v5 := len(v5Frame(t, n+i)) - nilLen + 1
 		if v5ValueLen(v) != v5 {
@@ -175,8 +178,28 @@ func TestSummarySizeReasonable(t *testing.T) {
 		if err := w.PutValue(v); err != nil {
 			t.Fatal(err)
 		}
-		if w.Len() > v5 {
-			t.Fatalf("%#v takes %d B at v6, %d at v5", v, w.Len(), v5)
+		if _, bits := v.([]uint64); !bits && w.Len() > v5+keyCount(v) {
+			t.Fatalf("%#v takes %d B at v7, %d at v5", v, w.Len(), v5)
+		}
+	}
+	want := map[string][2]int{ // v6, v7 value bytes
+		"bloom": {131, 84}, "distinct": {138, 40}, "entropy": {288, 234}, "topk": {209, 133},
+	}
+	for _, k := range sketchKinds {
+		v6 := hexFrame(t, v6SketchFrames[k])
+		v7 := reencoded(t, v6)
+		msg, err := DecodeMessage(v7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Reset()
+		if err := w.PutValue(msg.(*Envelope).S.Value); err != nil {
+			t.Fatal(err)
+		}
+		// Only the value differs between a v6 envelope and its v7 re-encoding.
+		got := [2]int{len(v6) - len(v7) + w.Len(), w.Len()}
+		if got != want[k] {
+			t.Errorf("%s value: %d B at v6, %d at v7; want %d, %d", k, got[0], got[1], want[k][0], want[k][1])
 		}
 	}
 }
