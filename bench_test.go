@@ -122,11 +122,11 @@ func ablationRun(b *testing.B, cfg mortar.Config, d int, failFrac float64) float
 		})
 	}
 	var counts []float64
-	fab.OnResult = func(r mortar.Result) {
+	fab.SubscribeAll(func(r mortar.Result) {
 		if sim.Now() > 45*time.Second {
 			counts = append(counts, float64(r.Count))
 		}
-	}
+	})
 	sim.RunFor(20 * time.Second)
 	want := int(failFrac * 170)
 	down := 0
@@ -147,32 +147,6 @@ func randomPoints(n int, rng *rand.Rand) []cluster.Point {
 		out[i] = cluster.Point{rng.Float64() * 100, rng.Float64() * 100}
 	}
 	return out
-}
-
-// BenchmarkAblationRoutingStages measures how much each stage of the
-// multipath policy (same-tree, up*, flex, flex-down) contributes to
-// completeness under 30% failures.
-func BenchmarkAblationRoutingStages(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for stage := 1; stage <= 4; stage++ {
-			cfg := mortar.DefaultConfig()
-			cfg.MaxStage = stage
-			c := ablationRun(b, cfg, 4, 0.3)
-			b.ReportMetric(c, "completeness%/stage"+string(rune('0'+stage)))
-		}
-	}
-}
-
-// BenchmarkAblationTTLDown sweeps the flex-down TTL the paper fixes at 3.
-func BenchmarkAblationTTLDown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, ttl := range []int{0, 1, 3, 6} {
-			cfg := mortar.DefaultConfig()
-			cfg.TTLDownMax = ttl
-			c := ablationRun(b, cfg, 4, 0.3)
-			b.ReportMetric(c, "completeness%/ttl"+string(rune('0'+ttl)))
-		}
-	}
 }
 
 // BenchmarkAblationHeartbeat sweeps the heartbeat period (paper: 2s);
@@ -214,20 +188,6 @@ func BenchmarkAblationSiblings(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationNetDistAlpha sweeps the per-window netDist EWMA weight
-// (paper: alpha = 10% "worked well in practice"); an operator on d trees
-// folds a round of d windows at 1 − (1 − alpha)^d.
-func BenchmarkAblationNetDistAlpha(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, alpha := range []float64{0.02, 0.1, 0.5} {
-			cfg := mortar.DefaultConfig()
-			cfg.NetDistAlpha = alpha
-			c := ablationRun(b, cfg, 4, 0.3)
-			b.ReportMetric(c, fmt.Sprintf("completeness%%/alpha%.2f", alpha))
-		}
-	}
-}
-
 // --- Live runtime ---
 
 // BenchmarkLiveThroughput measures end-to-end tuple throughput of a
@@ -251,7 +211,7 @@ func BenchmarkLiveThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	var results atomic.Uint64
-	fab.OnResult = func(mortar.Result) { results.Add(1) }
+	fab.SubscribeAll(func(mortar.Result) { results.Add(1) })
 	rng := rand.New(rand.NewSource(2))
 	meta := mortar.QueryMeta{
 		Name:      "bench",
@@ -456,7 +416,7 @@ func benchFragment(b *testing.B, size int) {
 	payload := make([]byte, size)
 	rng := rand.New(rand.NewSource(9))
 	rng.Read(payload)
-	ra := netrt.NewReassembler(netrt.ReasmOptions{MaxMessage: size + 1024, MaxBytes: 2 * (size + 1024)})
+	ra := netrt.NewReassembler(256)
 	now := time.Now()
 	const mtuPayload = 1400 - 64
 	b.SetBytes(int64(size))
@@ -906,11 +866,11 @@ func BenchmarkIngestPaneSteadyState(b *testing.B) {
 		b.Fatal(err)
 	}
 	var mass float64
-	fab.OnResult = func(r mortar.Result) {
+	fab.SubscribeAll(func(r mortar.Result) {
 		if v, ok := r.Value.(float64); ok {
 			mass += v
 		}
-	}
+	})
 	meta := mortar.QueryMeta{
 		Name:      "bench",
 		Seq:       1,

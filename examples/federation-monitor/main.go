@@ -57,7 +57,7 @@ func main() {
 	}, rng)
 
 	latest := map[string]mortar.Result{}
-	fed.Fab.OnResult = func(r mortar.Result) { latest[r.Query] = r }
+	fed.Fab.SubscribeAll(func(r mortar.Result) { latest[r.Query] = r })
 	sim.Every(4*time.Second, func() {
 		l, m, p := latest["live"], latest["meanCPU"], latest["peakCPU"]
 		if l.Value == nil || m.Value == nil || p.Value == nil {

@@ -63,7 +63,7 @@ func clockRun(seed int64, hosts int, scale float64, mode clockMode, dur time.Dur
 	var tcs, lats, disps []float64
 	lastWin := int64(dur/clockWindow) - 2
 	produced := float64(hosts) * clockWindow.Seconds() // tuples truly in each window
-	tb.Fab.OnResult = func(r mortar.Result) {
+	tb.Fab.SubscribeAll(func(r mortar.Result) {
 		if r.WindowIndex < 3 || r.WindowIndex > lastWin || r.Value == nil {
 			return
 		}
@@ -72,7 +72,7 @@ func clockRun(seed int64, hosts int, scale float64, mode clockMode, dur time.Dur
 		due := meta.IssuedSim + time.Duration(r.WindowIndex+1)*clockWindow
 		lats = append(lats, (r.At - due).Seconds())
 		disps = append(disps, metrics.Dispersion(toInt64Hist(hist), r.WindowIndex))
-	}
+	})
 
 	gen := &workload.Periodic{
 		Sim: tb.Sim, Period: time.Second, Value: 1,

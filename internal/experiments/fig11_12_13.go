@@ -83,11 +83,11 @@ func Figure12(opt Options) *Table {
 			tb.sumQuery("q", 16, d)
 			tb.startSensors()
 			var lastCounts []float64
-			tb.Fab.OnResult = func(r mortar.Result) {
+			tb.Fab.SubscribeAll(func(r mortar.Result) {
 				if tb.Sim.Now() > warm+run/2 {
 					lastCounts = append(lastCounts, float64(r.Count))
 				}
-			}
+			})
 			tb.Sim.RunFor(warm)
 			tb.failRandom(float64(k) / 100)
 			tb.Sim.RunFor(run)

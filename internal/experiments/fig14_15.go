@@ -38,7 +38,7 @@ func startRolling(seed int64, hosts, d int) *rollingSeries {
 	def := tb.sumQuery("q", 16, d)
 	tb.startSensors()
 	issued := def.Meta.IssuedSim
-	tb.Fab.OnResult = func(r mortar.Result) {
+	tb.Fab.SubscribeAll(func(r mortar.Result) {
 		// Normalize by the nodes that were live when the window's data was
 		// produced, not when the (delayed) result arrived — otherwise a
 		// failure instant reads as >100% completeness.
@@ -50,7 +50,7 @@ func startRolling(seed int64, hosts, d int) *rollingSeries {
 		rs.compl.Add(due, metrics.Completeness(r.Count, live))
 		rs.hops.Add(due, float64(r.Hops))
 		rs.lat.Add(due, (r.At - due).Seconds())
-	}
+	})
 	tb.Sim.Every(time.Second, func() {
 		rs.liveHist[int64(tb.Sim.Now()/time.Second)] = tb.Fab.LiveCount()
 	})

@@ -64,7 +64,7 @@ func Figure18(opt Options) *Table {
 			panic(err)
 		}
 
-		fab.OnResult = func(r mortar.Result) {
+		fab.SubscribeAll(func(r mortar.Result) {
 			if r.Value == nil {
 				return
 			}
@@ -82,7 +82,7 @@ func Figure18(opt Options) *Table {
 				trail = append(trail, fmt.Sprintf("t=%3.0fs est=(%5.1f,%5.1f) true=(%5.1f,%5.1f)",
 					sim.Now().Seconds(), pos.X, pos.Y, tx, ty))
 			}
-		}
+		})
 
 		// The tracked device downloads a file: 10 frames per second. Other
 		// devices chatter in the background; the select stage must drop

@@ -210,13 +210,19 @@ func (f *Federation) PrintResults(w io.Writer) {
 	})
 }
 
-// FailRandom disconnects n random non-root peers. n is clamped to the
-// non-root peer count (asking for everything would otherwise spin forever
-// redrawing already-down peers).
+// FailRandom disconnects random non-root peers until n of them are down
+// through it. n is clamped to what can still be failed: the peers it
+// already holds down plus the non-root peers still up (asking for more,
+// say when a chaos schedule already took some down, would otherwise spin
+// forever redrawing down peers).
 func (f *Federation) FailRandom(n int, rng *rand.Rand) {
-	if max := f.Fab.NumPeers() - 1; n > max {
-		n = max
+	canFail := len(f.down)
+	for p := 1; p < f.Fab.NumPeers(); p++ {
+		if !f.Fab.Down(p) {
+			canFail++
+		}
 	}
+	n = min(n, canFail)
 	for len(f.down) < n {
 		p := 1 + rng.Intn(f.Fab.NumPeers()-1)
 		if !f.Fab.Down(p) {

@@ -83,6 +83,28 @@ func TestFailureControls(t *testing.T) {
 	}
 }
 
+// FailRandom must return when peers it did not take down leave fewer than
+// n to fail, and fail every one that is left.
+func TestFailRandomTerminatesWithPeersAlreadyDown(t *testing.T) {
+	fed, _, rng := build(t, `query n as count() from sensors window time 1s slide 1s`, 10)
+	fed.Fab.SetDown(3, true)
+	done := make(chan struct{})
+	go func() {
+		fed.FailRandom(9, rng)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("FailRandom(9) did not return with peer 3 already down")
+	}
+	for p := 1; p < 10; p++ {
+		if !fed.Fab.Down(p) {
+			t.Fatalf("peer %d still up", p)
+		}
+	}
+}
+
 func TestPrintResults(t *testing.T) {
 	fed, sim, rng := build(t, `query n as count() from sensors window time 1s slide 1s`, 10)
 	var sb strings.Builder

@@ -57,9 +57,9 @@ func TestBatchIngestMatchesPerTuple(t *testing.T) {
 	run := func(batched bool) []row {
 		fab, rt := testbed(t, peers, 31, DefaultConfig(), nil)
 		var rows []row
-		fab.OnResult = func(r Result) {
+		fab.SubscribeAll(func(r Result) {
 			rows = append(rows, row{r.Query, r.WindowIndex, r.Index, r.Count, r.Value, r.Age})
-		}
+		})
 		for qi, meta := range queries {
 			meta.Seq, meta.Root, meta.IssuedSim = uint64(qi+1), 0, rt.Now()
 			def, err := fab.Compile(meta, nil, uniformCoords(peers, 9), 3, 2)
@@ -132,11 +132,11 @@ func TestBatchIngestMatchesPerTuple(t *testing.T) {
 func TestInjectAllocatesNothing(t *testing.T) {
 	fab, rt := testbed(t, 2, 17, DefaultConfig(), nil)
 	var mass float64
-	fab.OnResult = func(r Result) {
+	fab.SubscribeAll(func(r Result) {
 		if v, ok := r.Value.(float64); ok {
 			mass += v
 		}
-	}
+	})
 	installWindowed(t, fab, rt, "sum", tumbling(10*time.Second))
 	rt.RunFor(time.Second) // wire the trees
 	vals := []float64{1}

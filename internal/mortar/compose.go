@@ -12,9 +12,8 @@ import (
 // downstream query whose source operator runs at the same peer. The Wi-Fi
 // location service composes select -> topk -> trilat this way (§7.4).
 
-// Subscribe invokes fn for every result the named query's root reports, in
-// addition to the fabric-wide OnResult hook. Unlike assigning OnResult,
-// subscribing is synchronized and safe while queries are already live. The
+// Subscribe invokes fn for every result the named query's root reports.
+// Subscribing is synchronized and safe while queries are already live. The
 // returned cancel func detaches the callback; without it a long-lived
 // fabric serving transient consumers (the HTTP gateway's streams) would
 // leak one callback per departed client. Cancel is idempotent and safe

@@ -41,12 +41,12 @@ func TestEpochMigrationMakeBeforeBreak(t *testing.T) {
 	fab, rt := testbed(t, peers, 91, DefaultConfig(), nil)
 	winMax := map[int64]int{}
 	epochSeen := map[uint32]bool{}
-	fab.OnResult = func(r Result) {
+	fab.SubscribeAll(func(r Result) {
 		epochSeen[r.Epoch] = true
 		if r.Count > winMax[r.WindowIndex] {
 			winMax[r.WindowIndex] = r.Count
 		}
-	}
+	})
 	issue := rt.Now()
 	if err := fab.Install(0, epochQuery(t, fab, 1, 0, 7, issue)); err != nil {
 		t.Fatal(err)

@@ -24,22 +24,26 @@ const reconcileEveryBeats = 3
 // HeartbeatPeriod × livenessMultiple of silence.
 const livenessMultiple = 2.5
 
+// netDistAlpha is the per-window EWMA weight of both halves of the netDist
+// estimate, the mean and the mean absolute deviation of how late past a
+// window's end its slowest contribution arrives (§4.3, footnote: alpha = 10%
+// worked well in practice). A time window's estimate folds once a round of d
+// windows, one per tree, at 1 − (1 − netDistAlpha)^d. A window waiting on its
+// timer leaves at TE + netDist + 4·deviation, and a round's slowest lag is
+// capped at twice that hold (at least MinTimeout) before it is folded: one
+// straggler moves the deadline at most toward twice the hold in force, never
+// toward its own lateness.
+const netDistAlpha = 0.10
+
+// ttlDownMax bounds the flex-down steps of the staged routing policy before
+// a tuple is dropped (§3.3).
+const ttlDownMax = 3
+
 // Config tunes the peer runtime. Defaults reproduce the paper's settings:
-// 2-second heartbeats, netDist EWMA with alpha 10% and a TTL-down limit
-// of 3.
+// 2-second heartbeats and the syncless age index.
 type Config struct {
 	// HeartbeatPeriod is the parent-to-child heartbeat interval.
 	HeartbeatPeriod time.Duration
-	// NetDistAlpha is the per-window EWMA weight of both halves of the
-	// netDist estimate, the mean and the mean absolute deviation of how late
-	// past a window's end its slowest contribution arrives (§4.3, footnote:
-	// alpha = 10% worked well in practice). A time window's estimate folds
-	// once a round of d windows, one per tree, at 1 − (1 − NetDistAlpha)^d.
-	// A window waiting on its timer leaves at TE + netDist + 4·deviation, and
-	// a round's slowest lag is capped at twice that hold (at least
-	// MinTimeout) before it is folded: one straggler moves the deadline at
-	// most toward twice the hold in force, never toward its own lateness.
-	NetDistAlpha float64
 	// MinTimeout and MaxTimeout clamp that deadline, measured from the
 	// moment the entry opens: a window waits at least MinTimeout for its
 	// stragglers and never longer than MaxTimeout.
@@ -50,12 +54,6 @@ type Config struct {
 	// refuses any other; the field survives because bench/, which may not
 	// change with the code it measures, compiles against it.
 	TimeoutSlack time.Duration
-	// TTLDownMax bounds flex-down steps before a tuple is dropped (§3.3).
-	// Zero disables flex-down descent entirely (an ablation setting).
-	TTLDownMax int
-	// MaxStage caps the staged routing policy for ablations: 1 same-tree
-	// only, 2 adds up*, 3 adds flex, 4 adds flex-down (the default).
-	MaxStage int
 	// Syncless selects age-based indexing (§5); false selects traditional
 	// timestamp indexing for comparison.
 	Syncless bool
@@ -70,11 +68,8 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		HeartbeatPeriod: 2 * time.Second,
-		NetDistAlpha:    0.10,
 		MinTimeout:      100 * time.Millisecond,
 		MaxTimeout:      60 * time.Second,
-		TTLDownMax:      3,
-		MaxStage:        4,
 		Syncless:        true,
 	}
 }
@@ -83,8 +78,7 @@ func DefaultConfig() Config {
 // knobs pick up the paper defaults (so Config{} is usable), negative or
 // out-of-range values are errors: without this a zero HeartbeatPeriod
 // would panic the ticker once peers are long-lived live processes.
-// TTLDownMax may legitimately be zero (an ablation uses it) and is only
-// checked for sign; Syncless false is a meaningful mode, not a zero value.
+// Syncless false is a meaningful mode, not a zero value.
 func (c Config) Validate() (Config, error) {
 	def := DefaultConfig()
 	fill := func(v *time.Duration, d time.Duration, name string) error {
@@ -111,21 +105,6 @@ func (c Config) Validate() (Config, error) {
 	if c.TimeoutSlack != 0 {
 		return c, fmt.Errorf("mortar: TimeoutSlack %v must be 0: a window's deadline carries its own margin, there is no slack to set", c.TimeoutSlack)
 	}
-	if c.NetDistAlpha == 0 {
-		c.NetDistAlpha = def.NetDistAlpha
-	}
-	if c.NetDistAlpha < 0 || c.NetDistAlpha > 1 {
-		return c, fmt.Errorf("mortar: NetDistAlpha %v outside [0, 1]", c.NetDistAlpha)
-	}
-	if c.TTLDownMax < 0 {
-		return c, fmt.Errorf("mortar: TTLDownMax %d must not be negative", c.TTLDownMax)
-	}
-	if c.MaxStage == 0 {
-		c.MaxStage = def.MaxStage
-	}
-	if c.MaxStage < 1 || c.MaxStage > 4 {
-		return c, fmt.Errorf("mortar: MaxStage %d outside 1..4", c.MaxStage)
-	}
 	if c.SummaryHold != 0 {
 		return c, fmt.Errorf("mortar: SummaryHold %v must be 0: a summary leaves the moment it is routed, there is no hold to set", c.SummaryHold)
 	}
@@ -146,9 +125,10 @@ type Stats struct {
 	// had been reported (data lost to the result).
 	LateAtRoot atomic.Uint64
 	// Dropped counts tuples dropped by the routing policy (no live
-	// destination or TTL exhausted), and arriving summaries a peer could
+	// destination or TTL exhausted), arriving summaries a peer could
 	// not merge (no wired instance, or a value without the operator's
-	// shape).
+	// shape), and arriving messages of a kind no peer sends (an envelope
+	// batch).
 	Dropped atomic.Uint64
 	// Relayed counts tuples forwarded without merging (late at an interior
 	// operator, §4.3 path).
@@ -215,12 +195,6 @@ type Fabric struct {
 	tr    runtime.Transport
 	rng   *rand.Rand
 
-	// OnResult receives every root-reported result. Set it before
-	// installing queries; under a live runtime it is invoked from the root
-	// peer's goroutine and must be safe for that. To attach consumers
-	// after queries are live, use Subscribe/SubscribeAll instead — those
-	// are synchronized.
-	OnResult func(Result)
 	// Stats holds fabric-wide counters.
 	Stats Stats
 	// DataPath aggregates time-space list activity (inserts and in-place
@@ -253,12 +227,8 @@ type subEntry struct {
 	fn func(Result)
 }
 
-// emitResult fans a root result out to the OnResult hook and to every
-// registered subscriber.
+// emitResult fans a root result out to every registered subscriber.
 func (f *Fabric) emitResult(r Result) {
-	if f.OnResult != nil {
-		f.OnResult(r)
-	}
 	f.subMu.RLock()
 	subs := f.subs
 	f.subMu.RUnlock()

@@ -556,7 +556,7 @@ func (inst *instance) foldNetDist() {
 	}
 	cfg := inst.peer.fab.Cfg
 	s = min(s, 2*max(inst.netDist+4*inst.netDev, cfg.MinTimeout))
-	a := cfg.NetDistAlpha
+	a := netDistAlpha
 	if inst.meta.Window.Kind == tuple.TimeWindow {
 		a = 1 - math.Pow(1-a, float64(max(len(inst.nb.Parents), 1)))
 	}
@@ -840,25 +840,6 @@ func (inst *instance) routeNew(s tuple.Summary, n int64) {
 	if tupleWin {
 		start = inst.stripe
 	}
-	if inst.peer.fab.Cfg.MaxStage == 1 {
-		// Ablation: stage 1 alone cannot migrate stripes — the tuple uses
-		// its own tree or nothing, like static striping.
-		t := start
-		if tupleWin {
-			inst.stripe = (t + 1) % d
-		}
-		pa := inst.nb.Parents[t]
-		if pa >= 0 && inst.peer.alive(pa) {
-			inst.send(s, t, pa, 0)
-		} else if pa < 0 {
-			// This operator is the root on tree t but not overall; fall
-			// through to another tree to avoid self-delivery artifacts.
-			inst.forward(s, t, 0)
-		} else {
-			inst.peer.fab.Stats.Dropped.Add(1)
-		}
-		return
-	}
 	// Default policy: the first tree from start with a live parent ("the
 	// operator migrates the stripe to a remaining, live parent").
 	for i := 0; i < d; i++ {
@@ -898,7 +879,6 @@ func (inst *instance) forward(s tuple.Summary, arrived int, ttlDown uint8) {
 		return nb.Parents[t] >= 0 && inst.peer.alive(nb.Parents[t])
 	}
 
-	maxStage := inst.peer.fab.Cfg.MaxStage
 	// Stage 1 — same tree: route to P(t).
 	if arrived >= 0 && liveParent(arrived) {
 		inst.send(s, arrived, nb.Parents[arrived], ttlDown)
@@ -906,7 +886,7 @@ func (inst *instance) forward(s tuple.Summary, arrived int, ttlDown uint8) {
 	}
 	// Stage 2 — up*: a tree at least as close to the root as the arrival
 	// tree; choose the minimum level.
-	if arrived >= 0 && maxStage >= 2 {
+	if arrived >= 0 {
 		best, bestLevel := -1, math.MaxInt32
 		for t := 0; t < d; t++ {
 			if t != arrived && liveParent(t) && ol(t) <= tl(arrived) && ol(t) < bestLevel {
@@ -920,20 +900,18 @@ func (inst *instance) forward(s tuple.Summary, arrived int, ttlDown uint8) {
 	}
 	// Stage 3 — flex: forward progress on any tree not yet re-entered at a
 	// visited level.
-	if maxStage >= 3 {
-		best, bestLevel := -1, math.MaxInt32
-		for t := 0; t < d; t++ {
-			if t != arrived && liveParent(t) && ol(t) <= tl(t) && ol(t) < bestLevel {
-				best, bestLevel = t, ol(t)
-			}
-		}
-		if best >= 0 {
-			inst.send(s, best, nb.Parents[best], ttlDown)
-			return
+	best, bestLevel := -1, math.MaxInt32
+	for t := 0; t < d; t++ {
+		if t != arrived && liveParent(t) && ol(t) <= tl(t) && ol(t) < bestLevel {
+			best, bestLevel = t, ol(t)
 		}
 	}
+	if best >= 0 {
+		inst.send(s, best, nb.Parents[best], ttlDown)
+		return
+	}
 	// Stage 4 — flex down: descend to a live child, bounded by TTL-down.
-	if maxStage >= 4 && int(ttlDown) < inst.peer.fab.Cfg.TTLDownMax {
+	if ttlDown < ttlDownMax {
 		for t := 0; t < d; t++ {
 			if ol(t) > tl(t) {
 				continue
@@ -960,7 +938,7 @@ var envPool = sync.Pool{New: func() any { return new(envelope) }}
 // data frame, a single envelope the transport stamps as it leaves — in the
 // turn that computed its age — so the receiver's flight-time addition and
 // syncless re-indexing see the age the operator produced. Nothing parks and
-// nothing batches; an envelope batch is only ever received (Peer.deliver).
+// nothing batches.
 func (inst *instance) send(s tuple.Summary, t, to int, ttlDown uint8) {
 	if t < len(s.Levels) {
 		s.Levels[t] = int16(inst.nb.Levels[t])

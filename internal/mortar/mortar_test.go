@@ -87,7 +87,7 @@ func TestInstallCoversAllLiveNodes(t *testing.T) {
 func TestSumQueryReachesFullCompleteness(t *testing.T) {
 	fab, rt := testbed(t, 60, 2, DefaultConfig(), nil)
 	var results []Result
-	fab.OnResult = func(r Result) { results = append(results, r) }
+	fab.SubscribeAll(func(r Result) { results = append(results, r) })
 	sumQuery(t, fab, rt, 4, 2)
 	rt.RunFor(60 * time.Second)
 	if len(results) < 20 {
@@ -109,7 +109,7 @@ func TestSumQueryReachesFullCompleteness(t *testing.T) {
 func TestResultLatencyBounded(t *testing.T) {
 	fab, rt := testbed(t, 60, 3, DefaultConfig(), nil)
 	var results []Result
-	fab.OnResult = func(r Result) { results = append(results, r) }
+	fab.SubscribeAll(func(r Result) { results = append(results, r) })
 	def := sumQuery(t, fab, rt, 4, 2)
 	rt.RunFor(45 * time.Second)
 	if len(results) == 0 {
@@ -127,7 +127,7 @@ func TestResultLatencyBounded(t *testing.T) {
 func TestWindowIndicesAdvanceMonotonically(t *testing.T) {
 	fab, rt := testbed(t, 30, 4, DefaultConfig(), nil)
 	var idxs []int64
-	fab.OnResult = func(r Result) { idxs = append(idxs, r.WindowIndex) }
+	fab.SubscribeAll(func(r Result) { idxs = append(idxs, r.WindowIndex) })
 	sumQuery(t, fab, rt, 4, 2)
 	rt.RunFor(30 * time.Second)
 	for i := 1; i < len(idxs); i++ {
@@ -141,7 +141,7 @@ func TestFailureReroutesAroundDeadParents(t *testing.T) {
 	cfg := DefaultConfig()
 	fab, rt := testbed(t, 60, 5, cfg, nil)
 	var results []Result
-	fab.OnResult = func(r Result) { results = append(results, r) }
+	fab.SubscribeAll(func(r Result) { results = append(results, r) })
 	sumQuery(t, fab, rt, 4, 4)
 	rt.RunFor(15 * time.Second)
 
@@ -274,7 +274,7 @@ func TestSynclessToleratesClockOffset(t *testing.T) {
 	cfg := DefaultConfig()
 	fab, rt := testbed(t, n, 10, cfg, clocks)
 	var results []Result
-	fab.OnResult = func(r Result) { results = append(results, r) }
+	fab.SubscribeAll(func(r Result) { results = append(results, r) })
 	sumQuery(t, fab, rt, 4, 2)
 	rt.RunFor(45 * time.Second)
 	if len(results) < 10 {
@@ -301,11 +301,11 @@ func TestTimestampModeSuffersUnderOffset(t *testing.T) {
 	cfg.Syncless = false
 	fab, rt := testbed(t, n, 11, cfg, clocks)
 	counts := map[int64]int{}
-	fab.OnResult = func(r Result) {
+	fab.SubscribeAll(func(r Result) {
 		if r.Count > counts[r.WindowIndex] {
 			counts[r.WindowIndex] = r.Count
 		}
-	}
+	})
 	sumQuery(t, fab, rt, 4, 2)
 	rt.RunFor(45 * time.Second)
 	// With +-300s offsets and 1s windows, data lands in wildly wrong
@@ -340,7 +340,7 @@ func TestScopedQueryOnlyInvolvesMembers(t *testing.T) {
 		t.Fatal(err)
 	}
 	var last Result
-	fab.OnResult = func(r Result) { last = r }
+	fab.SubscribeAll(func(r Result) { last = r })
 	for _, m := range members {
 		startSensor(fab, rt, m)
 	}
@@ -374,11 +374,11 @@ func TestFilterKeySelectsTuples(t *testing.T) {
 		t.Fatal(err)
 	}
 	var last Result
-	fab.OnResult = func(r Result) {
+	fab.SubscribeAll(func(r Result) {
 		if r.Value != nil {
 			last = r
 		}
-	}
+	})
 	for i := 0; i < 12; i++ {
 		i := i
 		phase := time.Duration(137*(i+1)%997) * time.Millisecond
@@ -398,7 +398,7 @@ func TestFilterKeySelectsTuples(t *testing.T) {
 func TestBoundaryTuplesKeepCompletenessDuringStalls(t *testing.T) {
 	fab, rt := testbed(t, 12, 14, DefaultConfig(), nil)
 	var results []Result
-	fab.OnResult = func(r Result) { results = append(results, r) }
+	fab.SubscribeAll(func(r Result) { results = append(results, r) })
 	meta := QueryMeta{
 		Name:      "stall",
 		Seq:       1,

@@ -81,11 +81,11 @@ func TestRawCountedInExactlyOneSlide(t *testing.T) {
 	)
 	fab, rt := timestampBed(t, hosts, late, nil)
 	got := map[int64]float64{}
-	fab.OnResult = func(r Result) {
+	fab.SubscribeAll(func(r Result) {
 		if v, ok := r.Value.(float64); ok {
 			got[r.WindowIndex] += v
 		}
-	}
+	})
 	installWindowed(t, fab, rt, "sum", tumbling(time.Second))
 
 	offsets := []time.Duration{
@@ -135,11 +135,11 @@ func TestSlidingWindowCombinesPanes(t *testing.T) {
 	const hosts = 6
 	fab, rt := timestampBed(t, hosts, 0, nil)
 	got := map[int64]float64{}
-	fab.OnResult = func(r Result) {
+	fab.SubscribeAll(func(r Result) {
 		if v, ok := r.Value.(float64); ok {
 			got[r.WindowIndex] = v
 		}
-	}
+	})
 	installWindowed(t, fab, rt, "avg",
 		tuple.WindowSpec{Kind: tuple.TimeWindow, Range: 3 * time.Second, Slide: time.Second})
 	// Peers 1..5 emit 1 mid-slide in every slide from 2 on; the root emits
@@ -187,11 +187,11 @@ func TestPaneAgeSurvivesLargeFrameClock(t *testing.T) {
 		}
 		fab, rt := timestampBed(t, hosts, 0, clocks)
 		var results []Result
-		fab.OnResult = func(r Result) {
+		fab.SubscribeAll(func(r Result) {
 			if r.Value != nil {
 				results = append(results, r)
 			}
-		}
+		})
 		installWindowed(t, fab, rt, "sum", w)
 		const arrival = 3400 * time.Millisecond
 		rt.After(arrival-rt.Now(), func() {
@@ -251,11 +251,11 @@ func TestSlidingTopKMatchesWholeRange(t *testing.T) {
 	const hosts, first, last = 6, 2, 10
 	fab, rt := timestampBed(t, hosts, 0, nil)
 	got := map[int64][]wire.ScoredEntry{}
-	fab.OnResult = func(r Result) {
+	fab.SubscribeAll(func(r Result) {
 		if v, ok := r.Value.([]wire.ScoredEntry); ok {
 			got[r.WindowIndex] = v
 		}
-	}
+	})
 	installWindowed(t, fab, rt, "topk",
 		tuple.WindowSpec{Kind: tuple.TimeWindow, Range: 3 * time.Second, Slide: time.Second})
 	rng := rand.New(rand.NewSource(11))

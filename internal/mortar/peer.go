@@ -126,10 +126,8 @@ func (p *Peer) markHeard(other int) { p.lastHeard[other] = p.now() }
 // deliver is the transport handler: dispatch by message type. In-process
 // backends deliver the runtime.Frame the fabric sent (decoded payload plus
 // its encoding); socket backends deliver the payload they decoded off the
-// wire. Summaries arrive one per envelope. The envelope-batch case is
-// receive-only: no peer sends a batch since the v5 senders that did are
-// refused by version, and a batch's entries are absorbed one by one; the
-// case goes with the batch kind (see wire/batch.go).
+// wire. Summaries arrive one per envelope. Anything else is dropped: an
+// envelope batch still decodes (see wire/batch.go), but no peer sends one.
 func (p *Peer) deliver(src int, payload any, size int) {
 	if src < 0 || src >= p.fab.NumPeers() {
 		return
@@ -138,11 +136,6 @@ func (p *Peer) deliver(src int, payload any, size int) {
 	case *envelope:
 		p.markHeard(src)
 		p.handleSummary(src, m)
-	case *wire.EnvelopeBatch:
-		p.markHeard(src)
-		for i := range m.Envelopes {
-			p.handleSummary(src, &m.Envelopes[i])
-		}
 	case msgHeartbeat:
 		p.handleHeartbeat(src, m)
 	case msgInstall:
@@ -162,6 +155,8 @@ func (p *Peer) deliver(src int, payload any, size int) {
 	case msgInstallAck:
 		p.markHeard(src)
 		p.handleInstallAck(src, m)
+	default:
+		p.fab.Stats.Dropped.Add(1)
 	}
 	// A peer hosting nothing has no ticker to ride for periodic pruning;
 	// drop liveness state stragglers re-add so an idle peer holds no

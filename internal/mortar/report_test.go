@@ -9,7 +9,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/runtime/simrt"
 	"repro/internal/tuple"
-	"repro/internal/wire"
 )
 
 // When a window leaves an operator: the moment its entry has counted the
@@ -30,7 +29,7 @@ func reportFed(t *testing.T, seed int64, peers, bf, d int, leafDown bool) (*Fabr
 	t.Helper()
 	fab, rt := testbed(t, peers, seed, DefaultConfig(), nil)
 	results := new([]Result)
-	fab.OnResult = func(r Result) { *results = append(*results, r) }
+	fab.SubscribeAll(func(r Result) { *results = append(*results, r) })
 	meta := QueryMeta{
 		Name:      "rep",
 		Seq:       1,
@@ -382,7 +381,7 @@ func holdFrame(fab *Fabric, rt *simrt.Runtime, from int, at, delay time.Duration
 	root := fab.Peer(0)
 	done := false
 	rt.Handle(0, func(src int, payload any, size int) {
-		if !done && src == from && rt.Now() >= at && summaryFrame(payload) {
+		if _, ok := payload.(*envelope); !done && src == from && rt.Now() >= at && ok {
 			done = true
 			rt.After(delay, func() { root.deliver(src, payload, size) })
 			if !dup {
@@ -391,14 +390,6 @@ func holdFrame(fab *Fabric, rt *simrt.Runtime, from int, at, delay time.Duration
 		}
 		root.deliver(src, payload, size)
 	})
-}
-
-func summaryFrame(payload any) bool {
-	switch payload.(type) {
-	case *envelope, *wire.EnvelopeBatch:
-		return true
-	}
-	return false
 }
 
 // starFed is a root with seven direct children (one bf-8 tree), warmed up,
@@ -635,7 +626,7 @@ func TestFirstPartialSlideCountedOnce(t *testing.T) {
 	const peers, mark = 8, 1000.0 // the leaf's raws carry mark, everyone else's 1
 	fab, rt := testbed(t, peers, 1, DefaultConfig(), nil)
 	var results []Result
-	fab.OnResult = func(r Result) { results = append(results, r) }
+	fab.SubscribeAll(func(r Result) { results = append(results, r) })
 	meta := QueryMeta{
 		Name:      "rep",
 		Seq:       1,

@@ -27,7 +27,7 @@ func TestLossyNetworkDegradesGracefully(t *testing.T) {
 	// completeness, never wedge.
 	fab, rt := lossyTestbed(t, 40, 0.01, 31)
 	var results []Result
-	fab.OnResult = func(r Result) { results = append(results, r) }
+	fab.SubscribeAll(func(r Result) { results = append(results, r) })
 	sumQuery(t, fab, rt, 4, 4)
 	rt.RunFor(60 * time.Second)
 	if len(results) < 30 {
@@ -46,11 +46,11 @@ func TestLossyNetworkDegradesGracefully(t *testing.T) {
 func TestConcurrentQueriesShareHeartbeats(t *testing.T) {
 	fab, rt := testbed(t, 40, 32, DefaultConfig(), nil)
 	counts := map[string]int{}
-	fab.OnResult = func(r Result) {
+	fab.SubscribeAll(func(r Result) {
 		if r.Count == 40 {
 			counts[r.Query]++
 		}
-	}
+	})
 	coords := uniformCoords(40, 5)
 	for qi, op := range []string{"sum", "max", "avg"} {
 		meta := QueryMeta{
@@ -178,7 +178,7 @@ func TestRemoveSupersedesLaterLowSeqInstall(t *testing.T) {
 func TestResultAgesArePlausible(t *testing.T) {
 	fab, rt := testbed(t, 30, 35, DefaultConfig(), nil)
 	var results []Result
-	fab.OnResult = func(r Result) { results = append(results, r) }
+	fab.SubscribeAll(func(r Result) { results = append(results, r) })
 	sumQuery(t, fab, rt, 4, 2)
 	rt.RunFor(40 * time.Second)
 	for _, r := range results[5:] {
@@ -211,7 +211,7 @@ func TestMalformedSummaryValueDropped(t *testing.T) {
 		t.Run(c.op, func(t *testing.T) {
 			fab, rt := testbed(t, 30, 11, DefaultConfig(), nil)
 			var results []Result
-			fab.OnResult = func(r Result) { results = append(results, r) }
+			fab.SubscribeAll(func(r Result) { results = append(results, r) })
 			meta := sumMeta("q", 0)
 			meta.OpName = c.op
 			installQuery(t, fab, rt, meta, 4, 2)

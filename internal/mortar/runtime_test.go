@@ -16,7 +16,7 @@ func runSeeded(t *testing.T, seed int64) []Result {
 	t.Helper()
 	fab, rt := testbed(t, 40, seed, DefaultConfig(), nil)
 	var results []Result
-	fab.OnResult = func(r Result) { results = append(results, r) }
+	fab.SubscribeAll(func(r Result) { results = append(results, r) })
 	sumQuery(t, fab, rt, 4, 2)
 	rt.RunFor(30 * time.Second)
 	if len(results) < 10 {
@@ -51,24 +51,13 @@ func TestConfigValidate(t *testing.T) {
 	}
 	def := DefaultConfig()
 	def.Syncless = false // bools cannot be defaulted; zero keeps timestamp mode
-	def.TTLDownMax = 0   // zero is the flex-down-disabled ablation, preserved
 	if got != def {
 		t.Fatalf("zero config normalized to %+v, want paper defaults", got)
 	}
 
-	ok := DefaultConfig()
-	ok.TTLDownMax = 0 // ablation setting: flex-down disabled, not defaulted
-	if v, err := ok.Validate(); err != nil || v.TTLDownMax != 0 {
-		t.Fatalf("TTLDownMax 0 not preserved: %+v, %v", v, err)
-	}
-
 	bad := []Config{
 		func() Config { c := DefaultConfig(); c.HeartbeatPeriod = -time.Second; return c }(),
-		func() Config { c := DefaultConfig(); c.MaxStage = 7; return c }(),
-		func() Config { c := DefaultConfig(); c.MaxStage = -2; return c }(),
-		func() Config { c := DefaultConfig(); c.NetDistAlpha = 1.5; return c }(),
 		func() Config { c := DefaultConfig(); c.MaxTimeout = time.Millisecond; return c }(),
-		func() Config { c := DefaultConfig(); c.TTLDownMax = -1; return c }(),
 	}
 	for i, c := range bad {
 		if _, err := c.Validate(); err == nil {
@@ -91,7 +80,7 @@ func TestConfigValidate(t *testing.T) {
 // working federation, an invalid one an error.
 func TestNewFabricValidatesConfig(t *testing.T) {
 	fab, rt := testbed(t, 20, 55, Config{}, nil)
-	if fab.Cfg.HeartbeatPeriod != 2*time.Second || fab.Cfg.MaxStage != 4 {
+	if fab.Cfg.HeartbeatPeriod != 2*time.Second || fab.Cfg.MinTimeout != 100*time.Millisecond {
 		t.Fatalf("fabric config not normalized: %+v", fab.Cfg)
 	}
 	sumQuery(t, fab, rt, 4, 2)
@@ -101,7 +90,7 @@ func TestNewFabricValidatesConfig(t *testing.T) {
 	}
 
 	bad := DefaultConfig()
-	bad.MaxStage = 9
+	bad.MinTimeout = -time.Second
 	// Config validation runs before any handler registration, so probing
 	// with the same runtime is safe.
 	if _, err := NewFabric(fab.Rt, nil, bad); err == nil {

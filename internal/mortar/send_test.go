@@ -58,18 +58,12 @@ func interiorPeer(t *testing.T, fab *Fabric, name string) (*Peer, *instance) {
 
 // tapSummaries re-registers peer to's delivery handler to record, before
 // handing it on, every summary frame peer from sends it: one slice of
-// envelopes per frame. A batch, which this release never sends, records as
-// one frame of several entries.
+// envelopes per frame.
 func tapSummaries(fab *Fabric, rt *simrt.Runtime, from, to int) *[][]envelope {
 	frames := new([][]envelope)
 	rt.Handle(to, func(src int, payload any, size int) {
-		if src == from {
-			switch m := payload.(type) {
-			case *envelope:
-				*frames = append(*frames, []envelope{*m})
-			case *wire.EnvelopeBatch:
-				*frames = append(*frames, append([]envelope(nil), m.Envelopes...))
-			}
+		if m, ok := payload.(*envelope); src == from && ok {
+			*frames = append(*frames, []envelope{*m})
 		}
 		fab.Peer(to).deliver(src, payload, size)
 	})
@@ -108,11 +102,11 @@ func TestCoalescingKnobs(t *testing.T) {
 func TestMigrationFlushesStagedSummaries(t *testing.T) {
 	fab, rt := testbed(t, 40, 13, DefaultConfig(), nil)
 	winMax := map[int64]int{}
-	fab.OnResult = func(r Result) {
+	fab.SubscribeAll(func(r Result) {
 		if r.Count > winMax[r.WindowIndex] {
 			winMax[r.WindowIndex] = r.Count
 		}
-	}
+	})
 	def := sumQuery(t, fab, rt, 4, 2)
 	rt.RunFor(15 * time.Second)
 
@@ -158,11 +152,12 @@ func TestMigrationFlushesStagedSummaries(t *testing.T) {
 }
 
 // Each summary is one frame, whatever else its turn routes to the same next
-// hop. One envelope batch whose entries complete three co-planned tenants'
-// windows at an interior operator sends the parent three single envelopes,
-// each stamped with the arrival's own simulator time; and one evictExpired
-// that expires two windows sends two. The federation has no sensors, so these
-// are its only data frames.
+// hop. Three envelopes arriving in one turn that complete three co-planned
+// tenants' windows at an interior operator send the parent three single
+// envelopes, each stamped with the arrival's own simulator time; and one
+// evictExpired that expires two windows sends two. An envelope batch, which
+// no peer sends, is dropped and counted. The federation has no sensors, so
+// these are its only data frames.
 func TestEachSummaryIsOneFrame(t *testing.T) {
 	const tenants = 3
 	setup := func(t *testing.T) (*Fabric, *simrt.Runtime, *Peer, []*instance, *[][]envelope) {
@@ -208,16 +203,14 @@ func TestEachSummaryIsOneFrame(t *testing.T) {
 		var arrived time.Duration
 		rt.After(37*time.Millisecond, func() {
 			arrived = rt.Now()
-			b := &wire.EnvelopeBatch{SentAt: arrived}
 			for _, inst := range insts {
 				// A partial counting the operator's whole subtree completes
 				// its window on arrival.
-				b.Envelopes = append(b.Envelopes, envelope{
+				p.deliver(child, &envelope{
 					S:      tuple.Summary{Query: inst.meta.Name, Value: 1.0, Count: inst.nb.Subtree[0], Age: 400 * time.Millisecond},
 					SentAt: arrived,
-				})
+				}, 0)
 			}
-			p.deliver(child, b, 0)
 		})
 		rt.RunFor(time.Second)
 		requireFrames(t, fab, *frames, tenants, arrived)
@@ -228,6 +221,27 @@ func TestEachSummaryIsOneFrame(t *testing.T) {
 		if len(seen) != tenants {
 			t.Fatalf("frames carry %v, want one summary per tenant", seen)
 		}
+	})
+
+	t.Run("batch-dropped", func(t *testing.T) {
+		fab, rt, p, insts, frames := setup(t)
+		child := insts[0].nb.Children[0][0]
+		dropped := fab.Stats.Dropped.Load()
+		rt.After(37*time.Millisecond, func() {
+			b := &wire.EnvelopeBatch{SentAt: rt.Now()}
+			for _, inst := range insts {
+				b.Envelopes = append(b.Envelopes, envelope{
+					S:      tuple.Summary{Query: inst.meta.Name, Value: 1.0, Count: inst.nb.Subtree[0], Age: 400 * time.Millisecond},
+					SentAt: rt.Now(),
+				})
+			}
+			p.deliver(child, b, 0)
+		})
+		rt.RunFor(time.Second)
+		if d := fab.Stats.Dropped.Load() - dropped; d != 1 {
+			t.Fatalf("a received batch counted %d drops, want 1", d)
+		}
+		requireFrames(t, fab, *frames, 0, 0)
 	})
 
 	t.Run("timer-expiring-two-windows", func(t *testing.T) {
@@ -272,14 +286,14 @@ func TestChainReentryLosesAndDuplicatesNothing(t *testing.T) {
 	installQuery(t, fab, rt, down, 4, 2)
 	var upTotal, downTotal float64
 	var injected int
-	fab.OnResult = func(r Result) {
+	fab.SubscribeAll(func(r Result) {
 		v, _ := r.Value.(float64)
 		if r.Query == "up" {
 			upTotal += v
 		} else {
 			downTotal += v
 		}
-	}
+	})
 	defer fab.Chain("up", 0)()
 	sensing := true
 	rt.RunFor(5 * time.Second) // installed and wired before the first raw

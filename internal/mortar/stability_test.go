@@ -21,9 +21,9 @@ func TestLongRunLatencyStable(t *testing.T) {
 		cnt int
 	}
 	var samples []sample
-	fab.OnResult = func(r Result) {
+	fab.SubscribeAll(func(r Result) {
 		samples = append(samples, sample{r.WindowIndex, r.Age, r.Count})
-	}
+	})
 	meta := QueryMeta{
 		Name: "stab", Seq: 1, OpName: "sum",
 		Window:    tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},

@@ -140,11 +140,11 @@ func TestTupleWindowAgeOverLongSpan(t *testing.T) {
 	}
 	fab, rt := timestampBed(t, hosts, 0, clocks)
 	var results []Result
-	fab.OnResult = func(r Result) {
+	fab.SubscribeAll(func(r Result) {
 		if r.Value != nil {
 			results = append(results, r)
 		}
-	}
+	})
 	installWindowed(t, fab, rt, "sum", tuple.WindowSpec{Kind: tuple.TupleWindow, RangeN: n, SlideN: n})
 	for b := time.Duration(0); b < batches; b++ {
 		rt.After(first+b*gap-rt.Now(), func() {

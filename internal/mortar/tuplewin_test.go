@@ -34,7 +34,7 @@ func tupleWinQuery(t *testing.T, fab *Fabric, rt *simrt.Runtime, rangeN, slideN 
 func TestTupleWindowEmitsPerSlideCount(t *testing.T) {
 	fab, rt := testbed(t, 12, 21, DefaultConfig(), nil)
 	var results []Result
-	fab.OnResult = func(r Result) { results = append(results, r) }
+	fab.SubscribeAll(func(r Result) { results = append(results, r) })
 	tupleWinQuery(t, fab, rt, 4, 4)
 	// Each peer emits one tuple per second with increasing values.
 	for i := 0; i < 12; i++ {
@@ -73,7 +73,7 @@ func TestTupleWindowEmitsPerSlideCount(t *testing.T) {
 func TestTupleWindowIntervalsValid(t *testing.T) {
 	fab, rt := testbed(t, 8, 22, DefaultConfig(), nil)
 	var results []Result
-	fab.OnResult = func(r Result) { results = append(results, r) }
+	fab.SubscribeAll(func(r Result) { results = append(results, r) })
 	tupleWinQuery(t, fab, rt, 6, 3)
 	for i := 0; i < 8; i++ {
 		i := i
@@ -110,7 +110,7 @@ func TestTupleWindowStallBoundaryExtends(t *testing.T) {
 		})
 	}
 	var results []Result
-	fab.OnResult = func(r Result) { results = append(results, r) }
+	fab.SubscribeAll(func(r Result) { results = append(results, r) })
 	rt.RunFor(30 * time.Second)
 	if len(results) == 0 {
 		t.Fatal("no results")
@@ -143,11 +143,11 @@ func TestTupleWindowTopK(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []wire.ScoredEntry
-	fab.OnResult = func(r Result) {
+	fab.SubscribeAll(func(r Result) {
 		if r.Value != nil {
 			got = r.Value.([]wire.ScoredEntry)
 		}
-	}
+	})
 	for i := 0; i < 6; i++ {
 		i := i
 		phase := time.Duration(93*(i+1)) * time.Millisecond

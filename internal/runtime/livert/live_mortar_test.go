@@ -55,11 +55,11 @@ func TestLiveFederationEndToEnd(t *testing.T) {
 
 	var mu sync.Mutex
 	var results []mortar.Result
-	fab.OnResult = func(r mortar.Result) {
+	fab.SubscribeAll(func(r mortar.Result) {
 		mu.Lock()
 		results = append(results, r)
 		mu.Unlock()
-	}
+	})
 
 	meta := mortar.QueryMeta{
 		Name:      "live-sum",

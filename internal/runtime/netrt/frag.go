@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/wire"
 )
@@ -60,57 +61,29 @@ func SplitFragments(stream uint64, b []byte, maxPayload int) []wire.Fragment {
 
 // --- reassembly ---
 
-// ReasmOptions bounds a Reassembler. Every limit exists because a UDP peer
-// can be fed garbage: without them a hostile (or merely lossy) sender
-// could pin unbounded memory in half-finished streams.
-type ReasmOptions struct {
-	// MaxMessage is the largest reassembled frame; streams that grow past
-	// it are evicted. Default maxMessage, Send's own bound.
-	MaxMessage int
-	// MaxBytes bounds the total buffered payload across all partial
-	// streams; the oldest stream is evicted to make room. Default
-	// 2×MaxMessage.
-	MaxBytes int
-	// MaxStreams bounds concurrent partial streams. Default 64.
-	MaxStreams int
-	// StaleAfter evicts a stream that has received nothing for this long.
-	// Default 3s.
-	StaleAfter time.Duration
-	// NackDelay is the quiet time before an incomplete stream requests
-	// repair (and between repeat requests). Default 40ms.
-	NackDelay time.Duration
-	// MaxNacks bounds repair rounds per stream; afterwards the stream just
-	// ages out. Default 20.
-	MaxNacks int
-	// MaxNackIndices caps the missing-index list of one NACK so the NACK
-	// itself fits a datagram. Default 256.
-	MaxNackIndices int
-}
-
-func (o ReasmOptions) withDefaults() ReasmOptions {
-	if o.MaxMessage <= 0 {
-		o.MaxMessage = maxMessage
-	}
-	if o.MaxBytes < o.MaxMessage {
-		o.MaxBytes = 2 * o.MaxMessage
-	}
-	if o.MaxStreams <= 0 {
-		o.MaxStreams = 64
-	}
-	if o.StaleAfter <= 0 {
-		o.StaleAfter = 3 * time.Second
-	}
-	if o.NackDelay <= 0 {
-		o.NackDelay = 40 * time.Millisecond
-	}
-	if o.MaxNacks <= 0 {
-		o.MaxNacks = 20
-	}
-	if o.MaxNackIndices <= 0 {
-		o.MaxNackIndices = 256
-	}
-	return o
-}
+// A Reassembler's bounds. Every limit exists because a UDP peer can be fed
+// garbage: without them a hostile (or merely lossy) sender could pin
+// unbounded memory in half-finished streams.
+const (
+	// maxReasmBytes bounds the memory all partial streams hold together:
+	// their payload and their part slots (partSlot bytes per fragment a
+	// stream announces). The oldest stream is evicted to make room.
+	maxReasmBytes = 2 * maxMessage
+	// maxReasmStreams bounds concurrent partial streams.
+	maxReasmStreams = 64
+	// reasmStaleAfter evicts a stream that has received nothing for this
+	// long.
+	reasmStaleAfter = 3 * time.Second
+	// nackDelay is the quiet time before an incomplete stream requests
+	// repair, and between repeat requests.
+	nackDelay = 40 * time.Millisecond
+	// maxNacks bounds repair rounds per stream; afterwards the stream just
+	// ages out.
+	maxNacks = 20
+	// partSlot is what one announced fragment costs a stream before its
+	// payload lands: one slice header.
+	partSlot = int(unsafe.Sizeof([]byte(nil)))
+)
 
 // NackRequest is a repair request Sweep wants sent: the stream's sender
 // and the fragment indices still missing.
@@ -128,18 +101,21 @@ type reasmKey struct {
 type reasmStream struct {
 	parts    [][]byte
 	have     int
-	bytes    int
+	bytes    int       // payload received
 	last     time.Time // newest fragment arrival
 	lastNack time.Time
 	nacks    int
 }
+
+// held is the memory a stream counts toward maxReasmBytes.
+func (st *reasmStream) held() int { return st.bytes + len(st.parts)*partSlot }
 
 // Reassembler rebuilds fragmented frames per (sender, stream) under hard
 // memory bounds. It is safe for concurrent use: the owning peer's receive
 // loop calls Add while the runtime's sweeper calls Sweep. Time flows in
 // explicitly so tests drive eviction deterministically.
 type Reassembler struct {
-	opt ReasmOptions
+	maxNackIndices int
 
 	mu      sync.Mutex
 	streams map[reasmKey]*reasmStream
@@ -148,12 +124,14 @@ type Reassembler struct {
 	completed, evicted uint64
 }
 
-// NewReassembler builds a bounded reassembler.
-func NewReassembler(opt ReasmOptions) *Reassembler {
-	return &Reassembler{opt: opt.withDefaults(), streams: map[reasmKey]*reasmStream{}}
+// NewReassembler builds a bounded reassembler whose repair requests name
+// at most maxNackIndices missing fragments, so one NACK fits a datagram.
+func NewReassembler(maxNackIndices int) *Reassembler {
+	return &Reassembler{maxNackIndices: maxNackIndices, streams: map[reasmKey]*reasmStream{}}
 }
 
-// Bytes returns the payload bytes currently buffered in partial streams.
+// Bytes returns the memory partial streams currently hold: their buffered
+// payload plus their part slots.
 func (ra *Reassembler) Bytes() int {
 	ra.mu.Lock()
 	defer ra.mu.Unlock()
@@ -186,23 +164,28 @@ func (ra *Reassembler) Add(src int, f wire.Fragment, now time.Time) ([]byte, err
 	}
 	// An honest fragment train has at least fragHeadroom payload bytes per
 	// fragment (the minimum MTU minus the header budget), so Count beyond
-	// MaxMessage/fragHeadroom cannot describe an acceptable frame; checking
+	// maxMessage/fragHeadroom cannot describe an acceptable frame; checking
 	// first keeps a forged Count from sizing a huge parts slice.
-	if int64(f.Count) > int64(ra.opt.MaxMessage/fragHeadroom)+1 {
-		return nil, fmt.Errorf("netrt: fragment count %d exceeds the %d-byte frame bound", f.Count, ra.opt.MaxMessage)
+	if int64(f.Count) > maxMessage/fragHeadroom+1 {
+		return nil, fmt.Errorf("netrt: fragment count %d exceeds the %d-byte frame bound", f.Count, maxMessage)
 	}
 	ra.mu.Lock()
 	defer ra.mu.Unlock()
 	key := reasmKey{src: src, stream: f.Stream}
 	st, ok := ra.streams[key]
 	if !ok {
-		for len(ra.streams) >= ra.opt.MaxStreams || ra.bytes+len(f.Payload) > ra.opt.MaxBytes {
+		// The part slots are allocated now, before any payload, so they
+		// count toward the bound: otherwise one-byte fragments announcing
+		// the largest count would each pin 1.5 MB of slots unaccounted.
+		slots := int(f.Count) * partSlot
+		for len(ra.streams) >= maxReasmStreams || ra.bytes+slots+len(f.Payload) > maxReasmBytes {
 			if !ra.evictOldestLocked() {
 				break
 			}
 		}
 		st = &reasmStream{parts: make([][]byte, f.Count)}
 		ra.streams[key] = st
+		ra.bytes += slots
 	}
 	if int(f.Count) != len(st.parts) {
 		ra.dropLocked(key, st)
@@ -216,16 +199,16 @@ func (ra *Reassembler) Add(src int, f wire.Fragment, now time.Time) ([]byte, err
 	st.have++
 	st.bytes += len(f.Payload)
 	ra.bytes += len(f.Payload)
-	if st.bytes > ra.opt.MaxMessage {
+	if st.bytes > maxMessage {
 		ra.dropLocked(key, st)
-		return nil, fmt.Errorf("netrt: stream %d exceeds the %d-byte frame bound", f.Stream, ra.opt.MaxMessage)
+		return nil, fmt.Errorf("netrt: stream %d exceeds the %d-byte frame bound", f.Stream, maxMessage)
 	}
 	// Growth must honour the total bound too, not just stream creation:
-	// otherwise MaxStreams tiny streams could each swell toward MaxMessage
-	// and pin MaxStreams×MaxMessage. Evicting may displace this very
-	// stream; the frame is then lost like any other and the protocol
-	// layers above repair it.
-	for ra.bytes > ra.opt.MaxBytes {
+	// otherwise maxReasmStreams tiny streams could each swell toward
+	// maxMessage and pin maxReasmStreams×maxMessage. Evicting may displace
+	// this very stream; the frame is then lost like any other and the
+	// protocol layers above repair it.
+	for ra.bytes > maxReasmBytes {
 		if !ra.evictOldestLocked() {
 			break
 		}
@@ -240,33 +223,33 @@ func (ra *Reassembler) Add(src int, f wire.Fragment, now time.Time) ([]byte, err
 	for _, p := range st.parts {
 		msg = append(msg, p...)
 	}
-	ra.bytes -= st.bytes
+	ra.bytes -= st.held()
 	delete(ra.streams, key)
 	ra.completed++
 	return msg, nil
 }
 
-// Sweep evicts streams idle past StaleAfter and returns repair requests
-// for incomplete streams that have been quiet for NackDelay and still have
-// repair rounds left.
+// Sweep evicts streams idle past reasmStaleAfter and returns repair
+// requests for incomplete streams that have been quiet for nackDelay and
+// still have repair rounds left.
 func (ra *Reassembler) Sweep(now time.Time) []NackRequest {
 	ra.mu.Lock()
 	defer ra.mu.Unlock()
 	var reqs []NackRequest
 	for key, st := range ra.streams {
-		if now.Sub(st.last) >= ra.opt.StaleAfter {
+		if now.Sub(st.last) >= reasmStaleAfter {
 			ra.dropLocked(key, st)
 			continue
 		}
-		if st.nacks >= ra.opt.MaxNacks ||
-			now.Sub(st.last) < ra.opt.NackDelay || now.Sub(st.lastNack) < ra.opt.NackDelay {
+		if st.nacks >= maxNacks ||
+			now.Sub(st.last) < nackDelay || now.Sub(st.lastNack) < nackDelay {
 			continue
 		}
-		missing := make([]uint32, 0, len(st.parts)-st.have)
+		missing := make([]uint32, 0, min(len(st.parts)-st.have, ra.maxNackIndices))
 		for i, p := range st.parts {
 			if p == nil {
 				missing = append(missing, uint32(i))
-				if len(missing) >= ra.opt.MaxNackIndices {
+				if len(missing) >= ra.maxNackIndices {
 					break
 				}
 			}
@@ -280,7 +263,7 @@ func (ra *Reassembler) Sweep(now time.Time) []NackRequest {
 
 // dropLocked removes one stream and counts the eviction.
 func (ra *Reassembler) dropLocked(key reasmKey, st *reasmStream) {
-	ra.bytes -= st.bytes
+	ra.bytes -= st.held()
 	delete(ra.streams, key)
 	ra.evicted++
 }

@@ -3,6 +3,7 @@ package netrt_test
 import (
 	"bytes"
 	"math/rand"
+	goruntime "runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,7 +22,7 @@ import (
 // must rebuild it from fragments arriving in any order.
 func TestSplitReassembleRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	ra := netrt.NewReassembler(netrt.ReasmOptions{})
+	ra := netrt.NewReassembler(256)
 	now := time.Now()
 	for _, size := range []int{1, 63, 64, 65, 4096, 100_000} {
 		payload := make([]byte, size)
@@ -64,12 +65,7 @@ func TestReassemblerInterleavedSenders(t *testing.T) {
 		fragSize   = 256
 	)
 	rng := rand.New(rand.NewSource(77))
-	maxBytes := senders * perSender * payloadLen * 2
-	ra := netrt.NewReassembler(netrt.ReasmOptions{
-		MaxMessage: 1 << 20,
-		MaxBytes:   maxBytes,
-		MaxStreams: senders * perSender,
-	})
+	ra := netrt.NewReassembler(256)
 	type key struct{ src, stream int }
 	payloads := map[key][]byte{}
 	type step struct {
@@ -99,8 +95,8 @@ func TestReassemblerInterleavedSenders(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ra.Bytes() > maxBytes {
-			t.Fatalf("reassembler holds %d bytes, bound %d", ra.Bytes(), maxBytes)
+		if ra.Bytes() > netrt.MaxReasmBytes {
+			t.Fatalf("reassembler holds %d bytes, bound %d", ra.Bytes(), netrt.MaxReasmBytes)
 		}
 		if msg != nil {
 			done[key{st.src, int(st.frag.Stream)}] = msg
@@ -123,18 +119,7 @@ func TestReassemblerInterleavedSenders(t *testing.T) {
 // streams a (lossy or hostile) sender opens, and stale streams must be
 // evicted back to zero — the bounded-memory acceptance criterion.
 func TestReassemblerBoundedAndEvictsStaleStreams(t *testing.T) {
-	const (
-		maxBytes   = 64 << 10
-		maxStreams = 8
-	)
-	ra := netrt.NewReassembler(netrt.ReasmOptions{
-		MaxMessage: 1 << 20,
-		MaxBytes:   maxBytes,
-		MaxStreams: maxStreams,
-		StaleAfter: 100 * time.Millisecond,
-		NackDelay:  10 * time.Millisecond,
-		MaxNacks:   3,
-	})
+	ra := netrt.NewReassembler(256)
 	base := time.Now()
 	payload := make([]byte, 1024)
 	// 100 streams from 5 senders, each missing fragment 1 of 4 — none can
@@ -146,11 +131,11 @@ func TestReassemblerBoundedAndEvictsStaleStreams(t *testing.T) {
 			if _, err := ra.Add(s%5, f, now); err != nil {
 				t.Fatal(err)
 			}
-			if ra.Bytes() > maxBytes {
-				t.Fatalf("reassembly memory %d exceeds the %d bound", ra.Bytes(), maxBytes)
+			if ra.Bytes() > netrt.MaxReasmBytes {
+				t.Fatalf("reassembly memory %d exceeds the %d bound", ra.Bytes(), netrt.MaxReasmBytes)
 			}
-			if ra.Streams() > maxStreams {
-				t.Fatalf("%d concurrent streams exceed the %d bound", ra.Streams(), maxStreams)
+			if ra.Streams() > netrt.MaxReasmStreams {
+				t.Fatalf("%d concurrent streams exceed the %d bound", ra.Streams(), netrt.MaxReasmStreams)
 			}
 		}
 	}
@@ -158,7 +143,7 @@ func TestReassemblerBoundedAndEvictsStaleStreams(t *testing.T) {
 		t.Fatal("no partial streams held at all")
 	}
 	// Quiet streams ask for repair, naming exactly the missing fragment.
-	reqs := ra.Sweep(base.Add(150 * time.Millisecond))
+	reqs := ra.Sweep(base.Add(100*time.Millisecond + netrt.NackDelay))
 	if len(reqs) == 0 {
 		t.Fatal("no NACKs for incomplete streams")
 	}
@@ -172,21 +157,21 @@ func TestReassemblerBoundedAndEvictsStaleStreams(t *testing.T) {
 	if ra.Bytes() != 0 || ra.Streams() != 0 {
 		t.Fatalf("stale eviction left %d bytes / %d streams", ra.Bytes(), ra.Streams())
 	}
-	if _, evicted := ra.Stats(); evicted < 92 {
-		t.Fatalf("evicted %d streams, want >= 92", evicted)
+	if _, evicted := ra.Stats(); evicted != 100 {
+		t.Fatalf("evicted %d streams, want all 100", evicted)
 	}
 }
 
 // The total-bytes bound must hold while existing streams grow, not only
-// at stream creation: many tiny streams each swelling toward MaxMessage
-// would otherwise pin MaxStreams×MaxMessage of memory.
+// at stream creation: many tiny streams each swelling toward the frame
+// bound would otherwise pin 64 × 4 MB of memory.
 func TestReassemblerBoundsStreamGrowth(t *testing.T) {
-	const maxBytes = 2 << 20
-	ra := netrt.NewReassembler(netrt.ReasmOptions{MaxMessage: 1 << 20, MaxBytes: maxBytes, MaxStreams: 64})
+	ra := netrt.NewReassembler(256)
 	now := time.Now()
-	payload := make([]byte, 32<<10)
+	payload := make([]byte, netrt.MaxMessage/32) // shared: the test itself holds 128 KB
 	// 16 streams open with a one-byte fragment each, then grow round-robin
-	// toward MaxMessage without ever completing (index 31 never arrives).
+	// toward the frame bound without ever completing (index 31 never
+	// arrives).
 	for s := 0; s < 16; s++ {
 		f := wire.Fragment{Stream: uint64(s), Index: 0, Count: 32, Payload: []byte{1}}
 		if _, err := ra.Add(s%4, f, now); err != nil {
@@ -199,20 +184,51 @@ func TestReassemblerBoundsStreamGrowth(t *testing.T) {
 			if _, err := ra.Add(s%4, f, now.Add(time.Duration(i)*time.Millisecond)); err != nil {
 				t.Fatal(err)
 			}
-			if ra.Bytes() > maxBytes {
-				t.Fatalf("stream growth pushed reassembly memory to %d, over the %d bound", ra.Bytes(), maxBytes)
+			if ra.Bytes() > netrt.MaxReasmBytes {
+				t.Fatalf("stream growth pushed reassembly memory to %d, over the %d bound", ra.Bytes(), netrt.MaxReasmBytes)
 			}
 		}
 	}
 	if _, evicted := ra.Stats(); evicted == 0 {
-		t.Fatal("15 MB of growth against a 2 MB bound evicted nothing")
+		t.Fatal("62 MB of growth against an 8 MB bound evicted nothing")
+	}
+}
+
+// A stream's part slots are allocated when its first fragment lands, before
+// any payload, so they must count toward the memory bound. One-byte
+// fragments that each announce the largest acceptable count would
+// otherwise pin 1.5 MB of slots apiece while Bytes reported one byte.
+func TestReassemblerBoundsForgedCountSlots(t *testing.T) {
+	const count = netrt.MaxMessage/64 + 1 // the largest count Add accepts
+	var before, after goruntime.MemStats
+	goruntime.GC()
+	goruntime.ReadMemStats(&before)
+	ra := netrt.NewReassembler(256)
+	now := time.Now()
+	for s := 0; s < netrt.MaxReasmStreams; s++ {
+		f := wire.Fragment{Stream: uint64(s), Index: 0, Count: count, Payload: []byte{1}}
+		if _, err := ra.Add(7, f, now.Add(time.Duration(s)*time.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+		if ra.Bytes() > netrt.MaxReasmBytes {
+			t.Fatalf("after %d streams the reassembler reports %d bytes, over the %d bound", s+1, ra.Bytes(), netrt.MaxReasmBytes)
+		}
+	}
+	goruntime.GC()
+	goruntime.ReadMemStats(&after)
+	goruntime.KeepAlive(ra)
+	// The bound plus half again for everything else the heap does meanwhile;
+	// uncounted slots would pin 64 × 1.5 MB.
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > netrt.MaxReasmBytes*3/2 {
+		t.Fatalf("%d forged one-byte fragments grew the heap by %.1f MB, over 1.5 × the %d MB bound (Bytes reports %d)",
+			netrt.MaxReasmStreams, float64(grew)/(1<<20), netrt.MaxReasmBytes>>20, ra.Bytes())
 	}
 }
 
 // A forged fragment count must be rejected before it can size a huge
 // reassembly buffer.
 func TestReassemblerRejectsForgedCount(t *testing.T) {
-	ra := netrt.NewReassembler(netrt.ReasmOptions{MaxMessage: 1 << 16})
+	ra := netrt.NewReassembler(256)
 	f := wire.Fragment{Stream: 1, Index: 0, Count: 1 << 30, Payload: []byte("x")}
 	if _, err := ra.Add(0, f, time.Now()); err == nil {
 		t.Fatal("forged count accepted")
@@ -445,4 +461,124 @@ func TestLargeInstallUnderLossReachesCompleteness(t *testing.T) {
 	if retrans == 0 {
 		t.Fatal("10%% loss never exercised NACK retransmission")
 	}
+}
+
+// FuzzReassembler feeds arbitrary fragment sequences from four sources,
+// sweeping at arbitrary times. The input is a list of steps. A step whose
+// first byte has the high bit set advances the clock by its low seven bits
+// × 50 ms and sweeps. Any other step is one fragment: the byte's low two
+// bits name the source and the next five bits the stream, then come a
+// count byte (0xFE: a uint16 count follows; 0xFF: a count past the frame
+// bound), a uint16 index (taken modulo count+1, so index == count occurs),
+// a payload length byte and the payload. A fragment's payload is fixed the
+// first time its (source, stream, index) is sent, as a sender's train is,
+// so a completed frame must equal the concatenation of those payloads.
+// After every call the memory and stream bounds hold, and an empty
+// reassembler holds no bytes.
+func FuzzReassembler(f *testing.F) {
+	frag := func(src, stream int, count, index uint16, payload []byte) []byte {
+		b := []byte{byte(src | stream<<2), byte(count)}
+		if count >= 0xFE {
+			b = append(b[:1], 0xFE, byte(count), byte(count>>8))
+		}
+		b = append(b, byte(index), byte(index>>8), byte(len(payload)))
+		return append(b, payload...)
+	}
+	sweep := func(steps byte) []byte { return []byte{0x80 | steps} }
+	var honest []byte // two trains interleaved, one of them backwards
+	train := netrt.SplitFragments(0, []byte("a frame split into five fragments"), 7)
+	for i, p := range train {
+		q := train[len(train)-1-i]
+		honest = append(honest, frag(0, 1, uint16(p.Count), uint16(p.Index), p.Payload)...)
+		honest = append(honest, frag(1, 2, uint16(q.Count), uint16(q.Index), q.Payload)...)
+	}
+	f.Add(honest)
+	f.Add(append(append(frag(1, 3, 4, 0, []byte("x")), sweep(1)...), append(frag(1, 3, 4, 2, []byte("y")), sweep(100)...)...))
+	var forged []byte // eight streams announcing 65,535 fragments, then a count past the bound
+	for s := 0; s < 8; s++ {
+		forged = append(forged, frag(s%4, s, 0xFFFF, 0, []byte{1})...)
+	}
+	f.Add(append(forged, 0, 0xFF, 0, 0, 1, 1))
+	f.Add(append(frag(2, 5, 3, 1, []byte("ab")), frag(2, 5, 4, 1, []byte("ab"))...))
+	var full []byte // part slots fill the bound to 2 bytes, then a stream grows
+	for s, count := range []uint16{0xFFFF, 0xFFFF, 0xFFFF, 0xFFFF, 0xFFFF, 21850} {
+		full = append(full, frag(0, s, count, 0, []byte{1})...)
+	}
+	f.Add(append(full, frag(0, 0, 0xFFFF, 1, []byte("grows past the bound"))...))
+	var every []byte // one partial stream on each of the 128 keys
+	for k := 0; k < 128; k++ {
+		every = append(every, frag(k&3, k>>2, 2, 0, []byte{byte(k)})...)
+	}
+	f.Add(every)
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		take := func(n int) []byte {
+			n = min(n, len(in))
+			b := in[:n:n]
+			in = in[n:]
+			return b
+		}
+		u8 := func() byte {
+			if b := take(1); len(b) == 1 {
+				return b[0]
+			}
+			return 0
+		}
+		u16 := func() uint32 { return uint32(u8()) | uint32(u8())<<8 }
+		type partKey struct {
+			src    int
+			stream uint64
+			index  uint32
+		}
+		sent := map[partKey][]byte{}
+		ra := netrt.NewReassembler(256)
+		now := time.Unix(0, 0)
+		check := func(call string) {
+			if b, n := ra.Bytes(), ra.Streams(); b > netrt.MaxReasmBytes || n > netrt.MaxReasmStreams || b < 0 || (n == 0 && b != 0) {
+				t.Fatalf("after %s: %d bytes in %d streams, bounds %d and %d", call, b, n, netrt.MaxReasmBytes, netrt.MaxReasmStreams)
+			}
+		}
+		for len(in) > 0 {
+			op := u8()
+			if op&0x80 != 0 {
+				now = now.Add(time.Duration(op&0x7f) * 50 * time.Millisecond)
+				for _, req := range ra.Sweep(now) {
+					if len(req.Missing) == 0 || len(req.Missing) > 256 {
+						t.Fatalf("NACK names %d missing fragments", len(req.Missing))
+					}
+				}
+				check("Sweep")
+				continue
+			}
+			src, stream := int(op&3), uint64(op>>2&31)
+			count := uint32(u8())
+			switch count {
+			case 0xFE:
+				count = u16()
+			case 0xFF:
+				count = 1 << 30
+			}
+			index := u16() % (count + 1)
+			payload := append([]byte(nil), take(int(u8()))...)
+			key := partKey{src, stream, index}
+			if p, ok := sent[key]; ok {
+				payload = p
+			} else {
+				sent[key] = payload
+			}
+			now = now.Add(time.Millisecond)
+			msg, err := ra.Add(src, wire.Fragment{Stream: stream, Index: index, Count: count, Payload: payload}, now)
+			check("Add")
+			if err != nil || msg == nil {
+				continue
+			}
+			var want []byte
+			for i := uint32(0); i < count; i++ {
+				want = append(want, sent[partKey{src, stream, i}]...)
+			}
+			if !bytes.Equal(msg, want) {
+				t.Fatalf("source %d stream %d completed as %q, want %q", src, stream, msg, want)
+			}
+		}
+	})
 }

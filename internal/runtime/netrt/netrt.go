@@ -403,9 +403,7 @@ func assemble(addrs []*net.UDPAddr, local []int, conns []*net.UDPConn, opt Optio
 		r.rtt[p] = make(map[int]time.Duration)
 		r.nodes[p] = vivaldi.NewNode(rand.New(rand.NewSource(opt.Seed*7919 + int64(p) + 1)))
 		r.frags[p] = newFragSender(2 * maxMessage)
-		r.reasm[p] = NewReassembler(ReasmOptions{
-			MaxNackIndices: (opt.MTU - 32) / 5, // one NACK must fit one datagram
-		})
+		r.reasm[p] = NewReassembler((opt.MTU - 32) / 5) // one NACK must fit one datagram
 		r.boxes[p] = actor.NewMailbox()
 		r.wg.Add(1)
 		go func(box *actor.Mailbox) {
@@ -1211,23 +1209,13 @@ func (r *Runtime) deliverWire(peer, src int, frame []byte) {
 		r.dropped.Add(1)
 		return
 	}
-	switch m := msg.(type) {
-	case *wire.Envelope:
+	if m, ok := msg.(*wire.Envelope); ok {
 		// The envelope carries no SentAt: the sender's clock base is not
 		// the receiver's. Set it in the receiver's frame from the
 		// transport's measured one-way flight time — the peer derives
 		// exactly that from it (UdpCC measures RTT/2 at the transport, not
 		// via host timestamps).
 		m.SentAt = r.sentAt(peer, src)
-	case *wire.EnvelopeBatch:
-		// No peer sends a batch (see wire/batch.go), but one decodes. It
-		// shares one transmit stamp that every entry inherited at decode,
-		// so all of them are set together. Goes with the batch kind.
-		sentAt := r.sentAt(peer, src)
-		m.SentAt = sentAt
-		for i := range m.Envelopes {
-			m.Envelopes[i].SentAt = sentAt
-		}
 	}
 	r.hmu.RLock()
 	h := r.hands[peer]

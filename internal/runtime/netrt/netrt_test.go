@@ -98,58 +98,6 @@ func TestLoopbackSendReceive(t *testing.T) {
 	}
 }
 
-// No peer sends an envelope batch, but one still decodes. Sent bare
-// between two loopback runtimes, a three-entry batch arrives whole, with the batch's and every
-// entry's SentAt rewritten from the sender's stamp to one stamp in the
-// receiver's frame.
-func TestEnvelopeBatchSentAtRewritten(t *testing.T) {
-	rts, _, err := netrt.NewGroup([][]int{{0}, {1}}, netrt.Options{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := rts[0], rts[1]
-	defer a.Shutdown()
-	defer b.Shutdown()
-	const senderStamp = 41 * time.Second
-	batch := &wire.EnvelopeBatch{SentAt: senderStamp}
-	for _, q := range []string{"q0", "q1", "q2"} {
-		batch.Envelopes = append(batch.Envelopes, wire.Envelope{
-			S:      tuple.Summary{Query: q, Value: float64(1), Count: 1, Levels: []int16{0}},
-			SentAt: senderStamp,
-		})
-	}
-	got := make(chan *wire.EnvelopeBatch, 1)
-	var recvNow time.Duration
-	b.Handle(1, func(from int, payload any, size int) {
-		if m, ok := payload.(*wire.EnvelopeBatch); ok {
-			recvNow = b.Clock(1).Now()
-			got <- m
-		}
-	})
-	before := b.Clock(1).Now()
-	if !a.Send(0, 1, runtime.ClassData, 0, batch) {
-		t.Fatal("send refused")
-	}
-	var m *wire.EnvelopeBatch
-	select {
-	case m = <-got:
-	case <-time.After(5 * time.Second):
-		t.Fatal("batch never arrived")
-	}
-	if len(m.Envelopes) != 3 {
-		t.Fatalf("batch arrived with %d entries, want 3", len(m.Envelopes))
-	}
-	if m.SentAt == senderStamp || m.SentAt > recvNow || m.SentAt < before-time.Second {
-		t.Fatalf("batch SentAt %v, want a receiver-frame stamp in [%v, %v]", m.SentAt, before-time.Second, recvNow)
-	}
-	for i, e := range m.Envelopes {
-		if e.SentAt != m.SentAt || e.S.Query != batch.Envelopes[i].S.Query {
-			t.Fatalf("entry %d arrived as %q stamped %v, want %q stamped %v like the batch",
-				i, e.S.Query, e.SentAt, batch.Envelopes[i].S.Query, m.SentAt)
-		}
-	}
-}
-
 // v6Envelope is the "cpu-sum" envelope (Count 42) the wire package's
 // sampleMessages opens with, as the last v6 encoder wrote it.
 const v6Envelope = "0601076370752d73756d0f2b80bcc1960b2a000309220404010600010403"
