@@ -504,10 +504,11 @@ func startGateway(fed *federation.Federation, addr string, out io.Writer) (func(
 // stop func is called. Every backend that takes -chaos runs on netrt, so
 // loss, gate and socket actions all land at its one fault point. Every
 // process of a UDP run expands the schedule identically and gates only the
-// peers it hosts; the one hosting the roots also samples root completeness
-// against the schedule-truth live count, and its stop func writes
-// CURVE_<scenario>.json into -curve-dir and prints the summary line the smoke
-// gates parse.
+// peers it hosts; the one hosting the roots also samples one query's root
+// completeness — the program's first statement, or with no program the
+// first installed query in name order — against the schedule-truth live
+// count, and its stop func writes CURVE_<scenario>.json into -curve-dir and
+// prints the summary line the smoke gates parse.
 func (c *config) startChaos(b *backend, fed *federation.Federation, sched *chaos.Schedule, out io.Writer) (func(), error) {
 	inj := b.rt.(chaos.Injector)
 	runner, err := chaos.Start(inj, sched)
@@ -518,10 +519,21 @@ func (c *config) startChaos(b *backend, fed *federation.Federation, sched *chaos
 		fmt.Fprintf(out, "# chaos: worker replaying scenario=%s actions=%d\n", sched.Scenario, len(runner.Actions()))
 		return runner.Stop, nil
 	}
-	watch := fed.WatchCompleteness("")
+	query := ""
+	if fed.Prog != nil && len(fed.Prog.Statements) > 0 {
+		query = fed.Prog.Statements[0].Name
+	}
 	rec := chaos.NewRecorder(sched.Scenario, inj.NumPeers(), sched.SamplePeriod(), chaos.Probe{
-		Live:         runner.Live,
-		Completeness: watch.Latest,
+		Live: runner.Live,
+		Completeness: func() (int64, int) {
+			name := query
+			if name == "" {
+				if names := fed.Ledger.Queries(); len(names) > 0 {
+					name = names[0]
+				}
+			}
+			return fed.Ledger.Latest(name)
+		},
 	})
 	rec.Start()
 	span := "(no gate faults)"
@@ -532,7 +544,6 @@ func (c *config) startChaos(b *backend, fed *federation.Federation, sched *chaos
 	return func() {
 		runner.Stop()
 		rec.Stop()
-		watch.Close()
 		fs, fe, _ := runner.FaultSpan()
 		curve := rec.Curve(fs, fe)
 		path, err := curve.WriteFile(c.curveDir)

@@ -1,8 +1,8 @@
-// Package cluster implements k-means++ and X-means clustering. The Mortar
-// prototype "uses the X-Means data clustering algorithm to perform planning"
-// (Pelleg & Moore, ICML 2000); the physical dataflow planner in
-// internal/plan clusters Vivaldi network coordinates with it to place
-// operators at cluster centroids.
+// Package cluster implements k-means++ clustering. The Mortar prototype
+// "uses the X-Means data clustering algorithm to perform planning" (Pelleg &
+// Moore, ICML 2000); the physical dataflow planner in internal/plan runs
+// k-means at k = the branching factor over Vivaldi network coordinates and
+// places operators at the cluster centroids.
 package cluster
 
 import (
@@ -148,99 +148,4 @@ func seedPlusPlus(points []Point, k int, rng *rand.Rand) []Point {
 		centroids = append(centroids, points[idx].clone())
 	}
 	return centroids
-}
-
-// XMeans clusters points, selecting k in [kmin, kmax] by recursively
-// splitting clusters when the Bayesian Information Criterion improves
-// (Pelleg & Moore). It starts from a k-means run at kmin and attempts to
-// split each cluster in two.
-func XMeans(points []Point, kmin, kmax int, rng *rand.Rand) *Result {
-	if kmin < 1 {
-		kmin = 1
-	}
-	if kmax < kmin {
-		kmax = kmin
-	}
-	cur := KMeans(points, kmin, rng)
-	for len(cur.Centroids) < kmax {
-		improved := false
-		var newCentroids []Point
-		for c, members := range cur.Members {
-			if len(members) < 4 {
-				newCentroids = append(newCentroids, cur.Centroids[c])
-				continue
-			}
-			sub := make([]Point, len(members))
-			for i, m := range members {
-				sub[i] = points[m]
-			}
-			one := bic(sub, []Point{cur.Centroids[c]}, assignAllZero(len(sub)))
-			split := KMeans(sub, 2, rng)
-			two := bic(sub, split.Centroids, split.Assign)
-			if two > one && len(split.Centroids) == 2 &&
-				len(newCentroids)+2 <= kmax+(len(cur.Members)-c-1) {
-				newCentroids = append(newCentroids, split.Centroids...)
-				improved = true
-			} else {
-				newCentroids = append(newCentroids, cur.Centroids[c])
-			}
-		}
-		if !improved || len(newCentroids) > kmax {
-			break
-		}
-		cur = assignToCentroids(points, newCentroids)
-	}
-	return cur
-}
-
-func assignAllZero(n int) []int { return make([]int, n) }
-
-func assignToCentroids(points []Point, centroids []Point) *Result {
-	assign := make([]int, len(points))
-	for i, p := range points {
-		best, bd := 0, math.MaxFloat64
-		for c, ct := range centroids {
-			if d := dist2(p, ct); d < bd {
-				best, bd = c, d
-			}
-		}
-		assign[i] = best
-	}
-	res := &Result{Centroids: centroids, Assign: assign}
-	res.build(points)
-	return res
-}
-
-// bic computes the Bayesian Information Criterion of a spherical-Gaussian
-// mixture fit, as in the X-means paper. Higher is better.
-func bic(points []Point, centroids []Point, assign []int) float64 {
-	n := len(points)
-	k := len(centroids)
-	if n <= k {
-		return math.Inf(-1)
-	}
-	dims := len(points[0])
-	// Pooled variance estimate.
-	var ss float64
-	counts := make([]int, k)
-	for i, p := range points {
-		ss += dist2(p, centroids[assign[i]])
-		counts[assign[i]]++
-	}
-	variance := ss / float64(dims*(n-k))
-	if variance <= 0 {
-		variance = 1e-12
-	}
-	var ll float64
-	for _, cn := range counts {
-		if cn == 0 {
-			continue
-		}
-		fn := float64(cn)
-		ll += fn*math.Log(fn) - fn*math.Log(float64(n)) -
-			fn*float64(dims)/2*math.Log(2*math.Pi*variance) -
-			(fn-1)*float64(dims)/2
-	}
-	params := float64(k-1) + float64(k*dims) + 1
-	return ll - params/2*math.Log(float64(n))
 }

@@ -95,31 +95,6 @@ func TestMembersPartitionPoints(t *testing.T) {
 	}
 }
 
-func TestXMeansFindsBlobCount(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	var pts []Point
-	centers := []Point{{0, 0}, {200, 0}, {0, 200}, {200, 200}}
-	for _, c := range centers {
-		pts = append(pts, blob(rng, c, 40, 2)...)
-	}
-	// Start from kmin=2: the symmetric 1->2 split is a known marginal case
-	// for X-means' BIC test, and the planner never requests fewer than the
-	// branching factor anyway.
-	res := XMeans(pts, 2, 16, rng)
-	if got := len(res.Centroids); got < 3 || got > 6 {
-		t.Fatalf("XMeans chose k = %d for 4 well-separated blobs", got)
-	}
-}
-
-func TestXMeansRespectsKMax(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	pts := blob(rng, Point{0, 0}, 300, 50)
-	res := XMeans(pts, 1, 3, rng)
-	if len(res.Centroids) > 3 {
-		t.Fatalf("k = %d exceeds kmax 3", len(res.Centroids))
-	}
-}
-
 // Property: every point is assigned to its nearest centroid after KMeans
 // converges (Lloyd's invariant).
 func TestPropertyNearestCentroid(t *testing.T) {

@@ -59,6 +59,9 @@ type Federation struct {
 	// coordinates (a CoordSource runtime with full coverage) instead of
 	// running a coordinator-local embedding over Transport.Latency.
 	PlannedFromCoords bool
+	// Ledger records every installed query's root results: the best report
+	// of each recent window, and the stream fan-out the gateway serves.
+	Ledger *Ledger
 
 	// mu guards defs, chains and seq: the replanning monitor and the
 	// gateway's install/remove paths mutate them from their own goroutines
@@ -119,19 +122,23 @@ func NewRuntimeCfg(rt runtime.Runtime, prog *msl.Program, rng *rand.Rand, cfg mo
 	return f, nil
 }
 
-// newFederation builds the fabric and an empty query table over rt.
+// newFederation builds the fabric, an empty query table and the result
+// ledger over rt.
 func newFederation(rt runtime.Runtime, cfg mortar.Config) (*Federation, error) {
 	fab, err := mortar.NewFabric(rt, nil, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Federation{
+	f := &Federation{
 		Fab:      fab,
 		Rt:       rt,
+		Ledger:   newLedger(),
 		defs:     map[string]*mortar.QueryDef{},
 		chains:   map[string]func(){},
 		chainSrc: map[string]string{},
-	}, nil
+	}
+	fab.SubscribeAll(f.Ledger.Record)
+	return f, nil
 }
 
 // gossipedCoords returns planning points from the runtime's gossiped

@@ -138,7 +138,11 @@ func (f *Federation) installSpecLocked(spec QuerySpec, coords []cluster.Point, n
 		f.seq-- // nothing was issued
 		return fmt.Errorf("federation: query %q: %w", spec.Name, err)
 	}
+	// Armed before the install, so a report made before Install returns is
+	// recorded.
+	f.Ledger.arm(spec.Name)
 	if err := f.Fab.Install(0, def); err != nil {
+		f.Ledger.drop(spec.Name)
 		return fmt.Errorf("federation: query %q: %w", spec.Name, err)
 	}
 	f.defs[spec.Name] = def
@@ -151,9 +155,9 @@ func (f *Federation) installSpecLocked(spec QuerySpec, coords []cluster.Point, n
 
 // RemoveQuery uninstalls one query: its subscription chain (if composed)
 // is severed first so no further tuples enter, then an epoch-wildcard
-// Remove multicast drains every instance across the mesh. Removing a query
-// other queries still source is rejected — their chains would feed a
-// tombstone forever.
+// Remove multicast drains every instance across the mesh, and the ledger
+// forgets the query and closes its streams. Removing a query other queries
+// still source is rejected — their chains would feed a tombstone forever.
 func (f *Federation) RemoveQuery(name string) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -176,13 +180,13 @@ func (f *Federation) RemoveQuery(name string) error {
 		return fmt.Errorf("federation: remove %q: %w", name, err)
 	}
 	delete(f.defs, name)
+	f.Ledger.drop(name)
 	return nil
 }
 
 // QueryCount returns how many queries are installed. Unlike Queries it
-// never enters a peer's serialization domain, so it is safe to call from
-// contexts a peer callback may be waiting on (the gateway's admission
-// path).
+// never enters a peer's serialization domain, so it is cheap enough to call
+// under a lock (the gateway's admission path).
 func (f *Federation) QueryCount() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()

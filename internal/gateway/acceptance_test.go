@@ -11,14 +11,13 @@ import (
 // The serving-plane acceptance scenario: 64 concurrent queries over one
 // shared heartbeat mesh, every one of them streaming windowed results
 // through the gateway at full completeness, and a reconnecting reader
-// served from the cache with zero additional federation traffic for the
+// served from the ledger with zero additional federation traffic for the
 // query it reads.
 func TestSixtyFourQueriesOneMesh(t *testing.T) {
 	const peers = 10
 	const queries = 64
 	_, fed, ts := newTestPlane(t, peers, Options{
 		MaxQueries:         queries * 2,
-		MaxStreams:         queries * 2,
 		MaxPendingInstalls: queries,
 	})
 
@@ -91,7 +90,7 @@ func TestSixtyFourQueriesOneMesh(t *testing.T) {
 		t.Fatalf("%d streams completed, want %d", streams, queries)
 	}
 
-	// Reconnect catch-up for one tenant comes from the cache: instant,
+	// Reconnect catch-up for one tenant comes from the ledger: instant,
 	// and the query's attributable federation traffic does not move.
 	first := readWindows(t, ts.URL+"/v1/queries/q07/results?limit=3", 3)
 	lastSeen := first[len(first)-1].Window
@@ -110,9 +109,9 @@ func TestSixtyFourQueriesOneMesh(t *testing.T) {
 		t.Fatalf("catch-up resumed at window %d after %d", catch[0].Window, lastSeen)
 	}
 	if elapsed > 300*time.Millisecond {
-		t.Fatalf("catch-up took %v; cached windows must not wait for new reports", elapsed)
+		t.Fatalf("catch-up took %v; kept windows must not wait for new reports", elapsed)
 	}
 	if ctlAfter != ctlBefore {
-		t.Fatalf("cache catch-up moved federation traffic for q07: %d -> %d", ctlBefore, ctlAfter)
+		t.Fatalf("catch-up moved federation traffic for q07: %d -> %d", ctlBefore, ctlAfter)
 	}
 }

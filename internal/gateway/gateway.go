@@ -7,13 +7,13 @@
 // long-lived queries feed dashboards rather than processes linked into the
 // coordinator.
 //
-// The gateway deliberately sits outside the data path: one fabric
-// subscription fans results into per-query bounded caches and per-client
-// stream channels, so a reconnecting reader catches up from the cache with
+// The gateway deliberately sits outside the data path: it serves results
+// from the federation's per-query ledger (federation.Ledger), so a
+// reconnecting reader catches up from the ledger's last 64 windows with
 // zero federation traffic, and a slow reader loses its own tail (drop on
 // full channel) instead of back-pressuring the root peer. Admission
-// control — a query-count ceiling, per-client install rate limits, and an
-// in-flight install cap — protects the shared mesh from tenant misuse.
+// control — a query-count ceiling, an in-flight install cap and a stream
+// cap — protects the shared mesh from tenant misuse.
 package gateway
 
 import (
@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -38,42 +37,21 @@ type Options struct {
 	// MaxQueries caps installed queries; installs past it get 429.
 	// Default 256.
 	MaxQueries int
-	// CacheWindows bounds the per-query result cache (last N windows)
-	// serving read-only clients and reconnect catch-up. Default 64.
-	CacheWindows int
-	// InstallRate is the sustained per-client install rate in
-	// installs/second; InstallBurst is the bucket depth. Zero rate
-	// disables per-client limiting.
-	InstallRate  float64
-	InstallBurst int
 	// MaxPendingInstalls bounds concurrently in-flight install/remove
 	// multicasts (backpressure toward the mesh). Default 8.
 	MaxPendingInstalls int
-	// MaxStreams bounds concurrently open result streams. Default 256.
-	MaxStreams int
-	// StreamBuffer is each stream subscriber's channel depth; a reader
-	// slower than the root's report rate loses its tail. Default 64.
-	StreamBuffer int
 }
+
+// maxStreams bounds concurrently open result streams; past it a stream
+// request gets 429.
+const maxStreams = 256
 
 func (o Options) withDefaults() Options {
 	if o.MaxQueries <= 0 {
 		o.MaxQueries = 256
 	}
-	if o.CacheWindows <= 0 {
-		o.CacheWindows = 64
-	}
-	if o.InstallBurst <= 0 {
-		o.InstallBurst = 4
-	}
 	if o.MaxPendingInstalls <= 0 {
 		o.MaxPendingInstalls = 8
-	}
-	if o.MaxStreams <= 0 {
-		o.MaxStreams = 256
-	}
-	if o.StreamBuffer <= 0 {
-		o.StreamBuffer = 64
 	}
 	return o
 }
@@ -137,7 +115,7 @@ func (sp Spec) toQuerySpec() (federation.QuerySpec, error) {
 	}, nil
 }
 
-// WindowResult is one streamed/cached per-window record.
+// WindowResult is one streamed or listed per-window record.
 type WindowResult struct {
 	Query        string      `json:"query"`
 	Epoch        uint32      `json:"epoch"`
@@ -149,7 +127,7 @@ type WindowResult struct {
 }
 
 // QueryInfo is one list-endpoint entry: the federation's installation
-// status joined with the gateway's observed result stream.
+// status joined with its result ledger.
 type QueryInfo struct {
 	Name       string `json:"name"`
 	Epoch      uint32 `json:"epoch"`
@@ -157,23 +135,11 @@ type QueryInfo struct {
 	Installed  int    `json:"installed"`
 	Wired      int    `json:"wired"`
 	LastWindow int64  `json:"last_window"`
-	// Completeness is the best per-window participant count seen at this
-	// gateway (max across epochs, per the migration contract).
+	// Completeness is the best per-window participant count the ledger has
+	// recorded (max across epochs, per the migration contract).
 	Completeness int    `json:"completeness"`
 	CtlBytes     uint64 `json:"ctl_bytes"`
 	DataBytes    uint64 `json:"data_bytes"`
-}
-
-// queryState is the gateway's per-query fan-out: a bounded window cache
-// plus the live stream subscribers.
-type queryState struct {
-	mu      sync.Mutex
-	cache   []WindowResult // ascending window order, last CacheWindows entries
-	subs    map[uint64]chan WindowResult
-	subSeq  uint64
-	lastWin int64
-	best    int // max completeness observed across windows and epochs
-	closed  bool
 }
 
 // Server is the HTTP serving plane over one federation.
@@ -182,35 +148,21 @@ type Server struct {
 	opt Options
 	mux *http.ServeMux
 
-	unsub func()
-	done  chan struct{}
-	once  sync.Once
+	done chan struct{}
+	once sync.Once
 
 	mu         sync.Mutex
-	queries    map[string]*queryState
-	removed    map[string]bool
-	buckets    map[string]*bucket
 	installing int
 	streams    int
 }
 
-// bucket is a per-client token bucket for install admission.
-type bucket struct {
-	tokens float64
-	last   time.Time
-}
-
-// NewServer builds the serving plane over a running federation. The single
-// fabric subscription it takes is released by Close.
+// NewServer builds the serving plane over a running federation.
 func NewServer(fed *federation.Federation, opt Options) *Server {
 	s := &Server{
-		fed:     fed,
-		opt:     opt.withDefaults(),
-		mux:     http.NewServeMux(),
-		done:    make(chan struct{}),
-		queries: map[string]*queryState{},
-		removed: map[string]bool{},
-		buckets: map[string]*bucket{},
+		fed:  fed,
+		opt:  opt.withDefaults(),
+		mux:  http.NewServeMux(),
+		done: make(chan struct{}),
 	}
 	s.mux.HandleFunc("POST /v1/queries", s.handleInstall)
 	s.mux.HandleFunc("GET /v1/queries", s.handleList)
@@ -219,26 +171,13 @@ func NewServer(fed *federation.Federation, opt Options) *Server {
 	s.mux.HandleFunc("GET /v1/queries/{name}/results", s.handleStream)
 	s.mux.HandleFunc("GET /v1/queries/{name}/windows", s.handleWindows)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.unsub = fed.Fab.SubscribeAll(s.onResult)
 	return s
 }
 
-// Close detaches the gateway from the fabric and terminates every open
-// stream. Idempotent; requests arriving after Close get 503.
+// Close terminates every open stream. Idempotent; requests arriving after
+// Close get 503.
 func (s *Server) Close() {
-	s.once.Do(func() {
-		s.unsub()
-		close(s.done)
-		s.mu.Lock()
-		states := make([]*queryState, 0, len(s.queries))
-		for _, q := range s.queries {
-			states = append(states, q)
-		}
-		s.mu.Unlock()
-		for _, q := range states {
-			q.close()
-		}
-	})
+	s.once.Do(func() { close(s.done) })
 }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -251,159 +190,21 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// onResult is the fabric fan-in: it runs on the root peer's report path,
-// so it only moves the record into per-query state and never blocks (slow
-// stream readers drop their own tail).
-func (s *Server) onResult(r mortar.Result) {
-	s.mu.Lock()
-	if s.removed[r.Query] {
-		s.mu.Unlock()
-		return
-	}
-	q := s.queries[r.Query]
-	if q == nil {
-		q = &queryState{subs: map[uint64]chan WindowResult{}}
-		s.queries[r.Query] = q
-	}
-	s.mu.Unlock()
-	wr := WindowResult{
-		Query:        r.Query,
-		Epoch:        r.Epoch,
-		Window:       r.WindowIndex,
-		Value:        r.Value,
-		Completeness: r.Count,
-		Hops:         r.Hops,
-		AtMS:         r.At.Milliseconds(),
-	}
-	q.ingest(wr, s.opt.CacheWindows)
-}
-
-// ingest merges one result into the cache (replacing a same-window entry
-// only for a better completeness — during migrations both epochs report
-// and the per-window max is the contract) and fans it to subscribers.
-func (q *queryState) ingest(wr WindowResult, cap int) {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return
-	}
-	if n := len(q.cache); n > 0 && q.cache[n-1].Window == wr.Window {
-		if wr.Completeness >= q.cache[n-1].Completeness {
-			q.cache[n-1] = wr
-		}
-	} else {
-		q.cache = append(q.cache, wr)
-		if len(q.cache) > cap {
-			q.cache = append(q.cache[:0], q.cache[len(q.cache)-cap:]...)
-		}
-	}
-	if wr.Window > q.lastWin {
-		q.lastWin = wr.Window
-	}
-	if wr.Completeness > q.best {
-		q.best = wr.Completeness
-	}
-	subs := make([]chan WindowResult, 0, len(q.subs))
-	for _, ch := range q.subs {
-		subs = append(subs, ch)
-	}
-	q.mu.Unlock()
-	for _, ch := range subs {
-		select {
-		case ch <- wr:
-		default: // reader slower than the root: it loses this record
-		}
-	}
-}
-
-// subscribe attaches a stream reader: a snapshot of the cache from window
-// `from` plus a live channel. cancel detaches and closes the channel.
-func (q *queryState) subscribe(from int64, depth int) (replay []WindowResult, ch chan WindowResult, cancel func()) {
-	ch = make(chan WindowResult, depth)
-	q.mu.Lock()
-	for _, wr := range q.cache {
-		if wr.Window >= from {
-			replay = append(replay, wr)
-		}
-	}
-	q.subSeq++
-	id := q.subSeq
-	if q.closed {
-		close(ch)
-	} else {
-		q.subs[id] = ch
-	}
-	q.mu.Unlock()
-	return replay, ch, func() {
-		q.mu.Lock()
-		if _, ok := q.subs[id]; ok {
-			delete(q.subs, id)
-			close(ch)
-		}
-		q.mu.Unlock()
-	}
-}
-
-// close terminates every subscriber (query removed or gateway shut down).
-func (q *queryState) close() {
-	q.mu.Lock()
-	for id, ch := range q.subs {
-		delete(q.subs, id)
-		close(ch)
-	}
-	q.closed = true
-	q.mu.Unlock()
-}
-
-// snapshot returns the cached windows and observed stream stats.
-func (q *queryState) snapshot() (cache []WindowResult, lastWin int64, best int) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return append([]WindowResult(nil), q.cache...), q.lastWin, q.best
-}
-
-// clientKey identifies a client for rate limiting: the remote IP.
-func clientKey(r *http.Request) string {
-	host, _, err := net.SplitHostPort(r.RemoteAddr)
-	if err != nil {
-		return r.RemoteAddr
-	}
-	return host
-}
-
-// admitInstall applies the three admission gates and, when admitted,
+// admitInstall applies the two admission gates and, when admitted,
 // reserves an in-flight install slot (released by releaseInstall).
-func (s *Server) admitInstall(r *http.Request) (int, error) {
+func (s *Server) admitInstall() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.installing >= s.opt.MaxPendingInstalls {
-		return http.StatusTooManyRequests, errors.New("too many installs in flight")
+		return errors.New("too many installs in flight")
 	}
-	// QueryCount, not Queries: the latter enters peer serialization
-	// domains, which may be blocked on s.mu in the result fan-in.
+	// QueryCount, not Queries: the latter enters every peer's
+	// serialization domain, too slow to hold s.mu across.
 	if s.fed.QueryCount() >= s.opt.MaxQueries {
-		return http.StatusTooManyRequests, fmt.Errorf("query limit %d reached", s.opt.MaxQueries)
-	}
-	if s.opt.InstallRate > 0 {
-		key := clientKey(r)
-		b := s.buckets[key]
-		now := time.Now()
-		if b == nil {
-			b = &bucket{tokens: float64(s.opt.InstallBurst), last: now}
-			s.buckets[key] = b
-		}
-		b.tokens += now.Sub(b.last).Seconds() * s.opt.InstallRate
-		b.last = now
-		if max := float64(s.opt.InstallBurst); b.tokens > max {
-			b.tokens = max
-		}
-		if b.tokens < 1 {
-			return http.StatusTooManyRequests, fmt.Errorf("client %s over install rate", key)
-		}
-		b.tokens--
+		return fmt.Errorf("query limit %d reached", s.opt.MaxQueries)
 	}
 	s.installing++
-	return 0, nil
+	return nil
 }
 
 func (s *Server) releaseInstall() {
@@ -423,8 +224,8 @@ func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if code, err := s.admitInstall(r); err != nil {
-		http.Error(w, err.Error(), code)
+	if err := s.admitInstall(); err != nil {
+		http.Error(w, err.Error(), http.StatusTooManyRequests)
 		return
 	}
 	defer s.releaseInstall()
@@ -436,9 +237,6 @@ func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), code)
 		return
 	}
-	s.mu.Lock()
-	delete(s.removed, qs.Name)
-	s.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusCreated)
 	json.NewEncoder(w).Encode(map[string]string{"name": qs.Name, "status": "installed"})
@@ -454,12 +252,8 @@ func (s *Server) info(st federation.QueryStatus) QueryInfo {
 		CtlBytes:  st.CtlBytes,
 		DataBytes: st.DataBytes,
 	}
-	s.mu.Lock()
-	q := s.queries[st.Name]
-	s.mu.Unlock()
-	if q != nil {
-		_, qi.LastWindow, qi.Completeness = q.snapshot()
-	}
+	qi.LastWindow, _ = s.fed.Ledger.Latest(st.Name)
+	qi.Completeness = s.fed.Ledger.Best(st.Name)
 	return qi
 }
 
@@ -502,66 +296,44 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), code)
 		return
 	}
-	s.mu.Lock()
-	q := s.queries[name]
-	delete(s.queries, name)
-	s.removed[name] = true
-	s.mu.Unlock()
-	if q != nil {
-		q.close()
-	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
-func (s *Server) handleWindows(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	s.mu.Lock()
-	q := s.queries[name]
-	s.mu.Unlock()
-	if q == nil {
-		if _, ok := s.status(name); !ok {
-			http.Error(w, "unknown query", http.StatusNotFound)
-			return
-		}
-		q = &queryState{} // installed but nothing reported yet
+// windowResult is the JSON record of one root report.
+func windowResult(r mortar.Result) WindowResult {
+	return WindowResult{
+		Query:        r.Query,
+		Epoch:        r.Epoch,
+		Window:       r.WindowIndex,
+		Value:        r.Value,
+		Completeness: r.Count,
+		Hops:         r.Hops,
+		AtMS:         r.At.Milliseconds(),
 	}
-	cache, _, _ := q.snapshot()
-	if cache == nil {
-		cache = []WindowResult{}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(cache)
 }
 
-// handleStream serves per-window results as NDJSON (default) or SSE
-// (Accept: text/event-stream). ?from=W replays cached windows >= W before
-// going live — reconnect catch-up straight from the cache, no federation
-// traffic. ?limit=N closes the stream after N records.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	if _, ok := s.status(name); !ok {
+// handleWindows lists the ledger's kept windows, each window's best report.
+func (s *Server) handleWindows(w http.ResponseWriter, r *http.Request) {
+	rs, ok := s.fed.Ledger.Windows(r.PathValue("name"))
+	if !ok {
 		http.Error(w, "unknown query", http.StatusNotFound)
 		return
 	}
-	s.mu.Lock()
-	if s.streams >= s.opt.MaxStreams {
-		s.mu.Unlock()
-		http.Error(w, "too many open streams", http.StatusTooManyRequests)
-		return
+	out := make([]WindowResult, len(rs))
+	for i, res := range rs {
+		out[i] = windowResult(res)
 	}
-	s.streams++
-	q := s.queries[name]
-	if q == nil {
-		q = &queryState{subs: map[uint64]chan WindowResult{}}
-		s.queries[name] = q
-	}
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		s.streams--
-		s.mu.Unlock()
-	}()
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(out)
+}
 
+// handleStream serves per-window results as NDJSON (default) or SSE
+// (Accept: text/event-stream), each window once and in window order: a
+// replayed window's best report so far, a live window's first report.
+// ?from=W replays the ledger's kept windows >= W before going live —
+// reconnect catch-up with no federation traffic. ?limit=N closes the stream
+// after N records.
+func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	from := int64(0)
 	if v := r.URL.Query().Get("from"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
@@ -580,6 +352,26 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
+	s.mu.Lock()
+	if s.streams >= maxStreams {
+		s.mu.Unlock()
+		http.Error(w, "too many open streams", http.StatusTooManyRequests)
+		return
+	}
+	s.streams++
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		s.streams--
+		s.mu.Unlock()
+	}()
+	replay, ch, cancel, ok := s.fed.Ledger.Subscribe(r.PathValue("name"), from)
+	if !ok {
+		http.Error(w, "unknown query", http.StatusNotFound)
+		return
+	}
+	defer cancel()
+
 	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 	if sse {
 		w.Header().Set("Content-Type", "text/event-stream")
@@ -589,21 +381,18 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
 	flusher, _ := w.(http.Flusher)
 
-	replay, ch, cancel := q.subscribe(from, s.opt.StreamBuffer)
-	defer cancel()
-
 	enc := json.NewEncoder(w)
 	sent := 0
 	lastWin := from - 1
-	emit := func(wr WindowResult) bool {
-		if wr.Window <= lastWin {
-			return true // already served by the cache replay or an older epoch
+	emit := func(res mortar.Result) bool {
+		if res.WindowIndex <= lastWin {
+			return true // already served by the replay or an earlier report
 		}
-		lastWin = wr.Window
+		lastWin = res.WindowIndex
 		if sse {
 			fmt.Fprintf(w, "data: ")
 		}
-		if err := enc.Encode(wr); err != nil {
+		if err := enc.Encode(windowResult(res)); err != nil {
 			return false
 		}
 		if sse {
@@ -615,8 +404,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		sent++
 		return limit < 0 || sent < limit
 	}
-	for _, wr := range replay {
-		if !emit(wr) {
+	for _, res := range replay {
+		if !emit(res) {
 			return
 		}
 	}
@@ -627,11 +416,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			return
 		case <-s.done:
 			return
-		case wr, ok := <-ch:
+		case res, ok := <-ch:
 			if !ok {
 				return // query removed
 			}
-			if !emit(wr) {
+			if !emit(res) {
 				return
 			}
 		}

@@ -149,13 +149,37 @@ func TestAdmissionLimits(t *testing.T) {
 	}
 }
 
-func TestInstallRateLimit(t *testing.T) {
-	_, _, ts := newTestPlane(t, 4, Options{InstallRate: 0.001, InstallBurst: 1})
-	if resp := install(t, ts, countSpec("a")); resp.StatusCode != http.StatusCreated {
-		t.Fatalf("first install: %d", resp.StatusCode)
+// During a make-before-break migration both plan epochs report each window
+// and the best report wins. A late epoch's report of an older window takes
+// that window's slot; it is never listed behind newer windows.
+func TestLateEpochTakesItsWindowSlot(t *testing.T) {
+	_, fed, ts := newTestPlane(t, 4, Options{})
+	// An hour-long window: no real report arrives while the test runs.
+	if resp := install(t, ts, Spec{Name: "q", Op: "count", WindowMS: 3_600_000}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("install: %d", resp.StatusCode)
 	}
-	if resp := install(t, ts, countSpec("b")); resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("second install within empty bucket: got %d, want 429", resp.StatusCode)
+	for _, r := range []mortar.Result{
+		{Query: "q", Epoch: 1, WindowIndex: 5, Count: 3},
+		{Query: "q", Epoch: 1, WindowIndex: 6, Count: 4},
+		{Query: "q", Epoch: 2, WindowIndex: 5, Count: 4},
+	} {
+		fed.Ledger.Record(r)
+	}
+	want := func(what string, got []WindowResult) {
+		t.Helper()
+		if len(got) != 2 || got[0].Window != 5 || got[0].Epoch != 2 || got[0].Completeness != 4 ||
+			got[1].Window != 6 || got[1].Epoch != 1 || got[1].Completeness != 4 {
+			t.Fatalf("%s = %+v, want window 5 (epoch 2, completeness 4) then window 6", what, got)
+		}
+	}
+	var windows []WindowResult
+	getJSON(t, ts, "/v1/queries/q/windows", &windows)
+	want("/windows", windows)
+	want("stream replay", readWindows(t, ts.URL+"/v1/queries/q/results?limit=2", 2))
+	var list []QueryInfo
+	getJSON(t, ts, "/v1/queries", &list)
+	if len(list) != 1 || list[0].LastWindow != 6 || list[0].Completeness != 4 {
+		t.Fatalf("list = %+v, want last_window 6 and completeness 4", list)
 	}
 }
 
@@ -182,7 +206,7 @@ func readWindows(t *testing.T, url string, n int) []WindowResult {
 	return out
 }
 
-// A reader that drops off and comes back is served from the cache: the
+// A reader that drops off and comes back is served from the ledger: the
 // catch-up windows arrive immediately (no waiting for the next report) and
 // the query's attributable federation traffic does not move.
 func TestCacheCatchup(t *testing.T) {
@@ -214,13 +238,13 @@ func TestCacheCatchup(t *testing.T) {
 			t.Fatalf("catch-up replayed window %d already seen (from=%d)", wr.Window, lastSeen+1)
 		}
 	}
-	// Cached windows must be there already: far faster than waiting out
+	// Kept windows must be there already: far faster than waiting out
 	// two more 200ms windows.
 	if elapsed > 150*time.Millisecond {
-		t.Fatalf("catch-up took %v; cache should answer without waiting for new windows", elapsed)
+		t.Fatalf("catch-up took %v; the ledger should answer without waiting for new windows", elapsed)
 	}
 	if ctlAfter != ctlBefore {
-		t.Fatalf("cache catch-up moved query control traffic: %d -> %d", ctlBefore, ctlAfter)
+		t.Fatalf("catch-up moved query control traffic: %d -> %d", ctlBefore, ctlAfter)
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 // Subscribe invokes fn for every result the named query's root reports.
 // Subscribing is synchronized and safe while queries are already live. The
 // returned cancel func detaches the callback; without it a long-lived
-// fabric serving transient consumers (the HTTP gateway's streams) would
-// leak one callback per departed client. Cancel is idempotent and safe
+// fabric serving transient consumers would leak one callback per departed
+// client. Cancel is idempotent and safe
 // concurrently with emission — a callback already snapshotted by an
 // in-flight emit may run once more after cancel returns.
 func (f *Fabric) Subscribe(query string, fn func(Result)) (cancel func()) {

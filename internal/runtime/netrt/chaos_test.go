@@ -164,8 +164,6 @@ func TestThousandPeerCompletenessUnderFailure(t *testing.T) {
 		}
 	}()
 
-	watch := coord.WatchCompleteness("peers")
-	defer watch.Close()
 	for i, fed := range []*federation.Federation{coord, worker} {
 		fed.StartSensors(time.Second, func(peer int) tuple.Raw {
 			return tuple.Raw{Vals: []float64{1}}
@@ -175,11 +173,11 @@ func TestThousandPeerCompletenessUnderFailure(t *testing.T) {
 	// Pre-fault baseline: the full federation must report before faults
 	// make the target a moving one.
 	baselineDeadline := time.Now().Add(90 * time.Second)
-	for time.Now().Before(baselineDeadline) && watch.Best() != peers {
+	for time.Now().Before(baselineDeadline) && coord.Ledger.Best("peers") != peers {
 		time.Sleep(250 * time.Millisecond)
 	}
-	if watch.Best() != peers {
-		t.Fatalf("baseline completeness %d of %d never reached", watch.Best(), peers)
+	if best := coord.Ledger.Best("peers"); best != peers {
+		t.Fatalf("baseline completeness %d of %d never reached", best, peers)
 	}
 
 	// The scripted scenario, through the same DSL the mortard -chaos path
@@ -210,7 +208,7 @@ func TestThousandPeerCompletenessUnderFailure(t *testing.T) {
 			}
 			return peers
 		},
-		Completeness: watch.Latest,
+		Completeness: func() (int64, int) { return coord.Ledger.Latest("peers") },
 	})
 	rec.Start()
 	time.Sleep(1500 * time.Millisecond)
@@ -243,7 +241,7 @@ func TestThousandPeerCompletenessUnderFailure(t *testing.T) {
 	// Recovery: completeness must return to the full federation.
 	recoverDeadline := time.Now().Add(90 * time.Second)
 	for time.Now().Before(recoverDeadline) {
-		if _, c := watch.Latest(); c == peers {
+		if _, c := coord.Ledger.Latest("peers"); c == peers {
 			break
 		}
 		time.Sleep(250 * time.Millisecond)
@@ -269,7 +267,7 @@ func TestThousandPeerCompletenessUnderFailure(t *testing.T) {
 	if curve.Summary.Baseline != peers {
 		t.Errorf("pre-fault baseline %d on the curve, want %d", curve.Summary.Baseline, peers)
 	}
-	if _, c := watch.Latest(); c != peers {
+	if _, c := coord.Ledger.Latest("peers"); c != peers {
 		t.Errorf("completeness %d after recovery, want %d", c, peers)
 	}
 

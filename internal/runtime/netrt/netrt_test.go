@@ -609,22 +609,21 @@ func gossipAll(rts []*netrt.Runtime, rounds int) {
 }
 
 // runFederations starts sensors on every federation, watches the first
-// federation's best root completeness until it reaches target (or 12s
-// pass), shuts everything down, and returns the best count seen.
+// federation's best root completeness of the "peers" query until it reaches
+// target (or 12s pass), shuts everything down, and returns the best count
+// seen.
 func runFederations(feds []*federation.Federation, target int, shutdown func()) int {
-	watch := feds[0].WatchCompleteness("")
-	defer watch.Close()
 	for i, fed := range feds {
 		fed.StartSensors(500*time.Millisecond, func(peer int) tuple.Raw {
 			return tuple.Raw{Vals: []float64{1}}
 		}, rand.New(rand.NewSource(int64(100+i))))
 	}
 	deadline := time.Now().Add(12 * time.Second)
-	for time.Now().Before(deadline) && watch.Best() != target {
+	for time.Now().Before(deadline) && feds[0].Ledger.Best("peers") != target {
 		time.Sleep(100 * time.Millisecond)
 	}
 	shutdown()
-	return watch.Best()
+	return feds[0].Ledger.Best("peers")
 }
 
 // The acceptance test: several netrt runtimes in one process — each
@@ -819,14 +818,12 @@ func simBaseline(t *testing.T, prog *msl.Program, peers int) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	watch := fed.WatchCompleteness("")
-	defer watch.Close()
 	fed.StartSensors(500*time.Millisecond, func(peer int) tuple.Raw {
 		return tuple.Raw{Vals: []float64{1}}
 	}, rand.New(rand.NewSource(100)))
 	sim.RunFor(12 * time.Second)
 	rt.Shutdown()
-	if best := watch.Best(); best != peers {
+	if best := fed.Ledger.Best("peers"); best != peers {
 		t.Fatalf("simulator run reached completeness %d of %d", best, peers)
 	}
 	return peers
