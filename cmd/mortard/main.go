@@ -121,7 +121,7 @@ func parseFlags(name string, args []string) (*config, error) {
 	fs.IntVar(&c.perSock, "peers-per-socket", 1, "with -gen-peers-file: peers multiplexed behind each host:port")
 	fs.IntVar(&c.basePort, "base-port", 9000, "with -gen-peers-file: first UDP port to assign")
 	fs.StringVar(&c.chaos, "chaos", "", "fault schedule JSON to replay against the running federation (-live or UDP mode; every process of a UDP run passes the same file)")
-	fs.StringVar(&c.curveDir, "curve-dir", ".", "with -chaos: directory the coordinator writes CURVE_<scenario>.json into")
+	fs.StringVar(&c.curveDir, "curve-dir", ".", "with -chaos: directory the coordinator writes CURVE_<scenario>.json into (created at start-up when missing)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -214,6 +214,11 @@ func run(cfg *config, out io.Writer) error {
 	if cfg.chaos != "" {
 		if sched, err = chaos.Load(cfg.chaos); err != nil {
 			return err
+		}
+		// The curve is written after the whole run: a directory that
+		// cannot be made fails now, before a single sample is taken.
+		if err := os.MkdirAll(cfg.curveDir, 0o755); err != nil {
+			return fmt.Errorf("mortard: -curve-dir: %w", err)
 		}
 	}
 

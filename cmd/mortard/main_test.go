@@ -201,6 +201,44 @@ func TestLiveChaosLossRamp(t *testing.T) {
 	}
 }
 
+// -curve-dir names a directory that may not exist yet: the run creates it
+// and the curve lands there, with every sample. One that cannot be created
+// (a path through a regular file) fails the run at start-up, before any
+// run time passes.
+func TestChaosCurveDirCreated(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	sched := filepath.Join(dir, "loss.json")
+	if err := os.WriteFile(sched, []byte(`{"scenario": "fresh-dir", "seed": 1, "events": [
+		{"kind": "loss-ramp", "at_ms": 500, "until_ms": 501, "from": 0.1, "to": 0.1, "step_ms": 1}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	curveDir := filepath.Join(dir, "runs", "fresh")
+	out, err := mortard("-live", "-peers", "4", "-duration", "2s", "-loss", "0", "-chaos", sched, "-curve-dir", curveDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(curveDir, "CURVE_fresh-dir.json")
+	if !strings.Contains(out, "curve="+path) {
+		t.Errorf("summary does not name %s:\n%s", path, out)
+	}
+	if c := counters(t, out, "# chaos summary:"); c["samples"] == 0 {
+		t.Errorf("no samples recorded: %v", c)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("curve not written: %v", err)
+	}
+
+	start := time.Now()
+	_, err = mortard("-live", "-peers", "4", "-duration", "3s", "-chaos", sched, "-curve-dir", filepath.Join(sched, "below-a-file"))
+	if err == nil || !strings.Contains(err.Error(), "-curve-dir") {
+		t.Fatalf("an uncreatable -curve-dir gave %v, want a -curve-dir error", err)
+	}
+	if took := time.Since(start); took >= 3*time.Second {
+		t.Fatalf("the -curve-dir error came after %v, not at start-up", took)
+	}
+}
+
 // A coordinator and a worker, each one run over its half of a generated
 // peers file, exchange real datagrams on loopback: the coordinator counts
 // every peer, and hanging up ends the worker's run. No transport flag is

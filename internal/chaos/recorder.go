@@ -186,12 +186,15 @@ func (rec *Recorder) Curve(faultStart, faultEnd time.Time) Curve {
 	return c
 }
 
-// WriteFile serializes the curve to dir/CURVE_<scenario>.json and returns
-// the path.
+// WriteFile serializes the curve to dir/CURVE_<scenario>.json, creating
+// dir and its parents when missing, and returns the path.
 func (c Curve) WriteFile(dir string) (string, error) {
 	b, err := json.MarshalIndent(c, "", "  ")
 	if err != nil {
 		return "", fmt.Errorf("chaos: marshal curve: %w", err)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", fmt.Errorf("chaos: %w", err)
 	}
 	path := filepath.Join(dir, "CURVE_"+c.Scenario+".json")
 	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {

@@ -3,6 +3,7 @@ package chaos
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -230,5 +231,26 @@ func TestRecorderCurveAndSummary(t *testing.T) {
 	}
 	if c2.Summary.Baseline != 10 || c2.Summary.Recovered != 0 {
 		t.Fatalf("no-fault summary %+v", c2.Summary)
+	}
+}
+
+// A curve directory that does not exist yet is created, parents and all:
+// a run given a fresh path keeps its samples.
+func TestCurveWriteFileCreatesDirectory(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "runs", "fresh")
+	c := Curve{Scenario: "nested", Peers: 4, Samples: []Sample{{TMs: 0, Live: 4, Completeness: 4}}}
+	path, err := c.WriteFile(dir)
+	if err != nil {
+		t.Fatalf("WriteFile into a fresh nested directory: %v", err)
+	}
+	if want := filepath.Join(dir, "CURVE_nested.json"); path != want {
+		t.Fatalf("curve written to %s, want %s", path, want)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"scenario": "nested"`) {
+		t.Fatalf("curve file holds:\n%s", b)
 	}
 }

@@ -32,8 +32,9 @@ const fragHeadroom = 64
 // each, all tagged with the stream id. The payloads alias b — callers that
 // retain fragments past b's lifetime must copy. A frame that already fits
 // in one fragment still yields a single-element train (netrt's Send never
-// asks for that; the single-datagram path keeps the lighter frameMsg
-// layout and its RTT echo).
+// asks for that; the single-datagram path keeps the lighter message-frame
+// layout, whose header carries the RTT stamp and echo when a sample needs
+// them; fragments carry neither).
 func SplitFragments(stream uint64, b []byte, maxPayload int) []wire.Fragment {
 	if maxPayload <= 0 {
 		maxPayload = 1

@@ -21,14 +21,16 @@
 // alone at once (see pacer), so peer density scales without a matching
 // datagram storm and an idle socket adds no hold.
 // Datagrams carry a small transport header ahead of the wire frame:
-// sender/destination indices and three microsecond timestamp fields
-// implementing UdpCC-style passive RTT measurement — each frame echoes the
-// newest timestamp received from the destination plus the local hold time,
-// so any two peers with bidirectional traffic converge on a smoothed RTT
-// without dedicated probes. Coordinate-carrying ping/pong probes (Gossip) prime the
-// table and fit every peer's Vivaldi coordinate, which every later echo
-// refits; the Runtime alone owns the coordinates the planner reads, and
-// Latency serves the measured half-RTTs.
+// sender/destination indices and, only where an RTT sample needs them,
+// microsecond timestamp fields implementing UdpCC-style passive RTT
+// measurement — a peer stamps a frame to a remote at most once a second,
+// and the remote echoes that stamp once, with its hold time, on its next
+// frame back, so any two peers with bidirectional traffic converge on a
+// smoothed RTT without dedicated probes, and most frames carry the indices
+// alone. Coordinate-carrying ping/pong probes (Gossip) prime the table and
+// fit every peer's Vivaldi coordinate, which every later echo refits; the
+// Runtime alone owns the coordinates the planner reads, and Latency serves
+// the measured half-RTTs.
 //
 // Frames larger than the configured MTU do not fit one datagram; they take
 // the reliable large-message path (frag.go): MTU-sized fragments,
@@ -38,6 +40,7 @@
 package netrt
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -64,8 +67,21 @@ const (
 	frameFrag  = 4 // one fragment of a frame larger than the MTU
 	frameNack  = 5 // retransmission request for missing fragments
 	frameTrain = 6 // coalesced train of small frames (wire.ForEachTrainFrame)
-	frameMsg   = 7 // header (µs stamps) + wire message frame
+	frameMsg   = 7 // [7][from][to][stamp][echo][hold] + wire message frame; read, no longer sent
+	frameHdr   = 8 // kinds 8–11: [8|bits][from][to][stamp?][echo hold?] + wire message frame
 )
+
+// The presence bits of a frameHdr kind byte.
+const (
+	hdrStamp = 1 // a µs transmit stamp follows the indices
+	hdrEcho  = 2 // an echoed µs stamp and its µs hold follow
+)
+
+// stampEvery is how often a local peer stamps its frames to one remote: a
+// frame carries a transmit stamp only when none went to that remote in the
+// last stampEvery, so a pair with traffic both ways takes about one RTT
+// sample a second in each direction.
+const stampEvery = time.Second
 
 // maxDatagram is the absolute UDP payload ceiling; the configured MTU is
 // clamped to it.
@@ -198,12 +214,14 @@ type Runtime struct {
 	fragStreams, fragsSent, retransmits, nacksSent atomic.Uint64
 	maxStreamFrags                                 atomic.Uint64
 
-	// Per local peer: the newest transmit stamp received from each remote
-	// (for echoing) and the smoothed RTT per remote. Guarded by peerMu of
-	// the local peer; touched by its receive loop and by Send.
-	peerMu []sync.Mutex
-	echo   []map[int]echoState
-	rtt    []map[int]time.Duration
+	// Per local peer: the header state toward each remote (see echoState)
+	// and the smoothed RTT per remote. Guarded by peerMu of the local peer;
+	// touched by its receive loop and by Send. rttSamples counts the RTT
+	// samples taken, from echoes and pongs alike.
+	peerMu     []sync.Mutex
+	echo       []map[int]echoState
+	rtt        []map[int]time.Duration
+	rttSamples atomic.Uint64
 
 	// Decentralized Vivaldi (§3.1): every local peer owns a coordinate it
 	// updates from the RTT samples the transport already collects; probe
@@ -250,11 +268,71 @@ type Runtime struct {
 	datagrams, trains, trainFrames atomic.Uint64
 }
 
-// echoState remembers the latest remote transmit stamp and when it
-// arrived, so the next frame to that remote can echo it with a hold time.
+// echoState is a local peer's header state toward one remote: the newest
+// stamp received from it and not yet echoed, so the next frame back echoes
+// it once with a hold time, and this peer's own last stamp to it.
 type echoState struct {
-	stamp uint64    // remote's µs since its start at its transmit
-	at    time.Time // local wall time of receipt
+	owed    uint64        // remote's µs stamp awaiting its echo; 0: none
+	at      time.Duration // runtime clock at its arrival
+	stamped uint64        // µs stamp of the last frame stamped to the remote; 0: none
+}
+
+// msgHeader is the RTT half of a message frame's transport header: the
+// sender's µs transmit stamp, and the echo of a stamp the receiver sent
+// with the µs it was held; each 0 where the frame carries none.
+type msgHeader struct{ stamp, echo, hold uint64 }
+
+// maxMsgHeader bounds an encoded message header: the kind byte and five
+// uvarints.
+const maxMsgHeader = 1 + 5*binary.MaxVarintLen64
+
+// appendTo appends the header of a message frame from → to carrying h,
+// as the frameHdr kind its fields select.
+func (h msgHeader) appendTo(dst []byte, from, to int) []byte {
+	kind := byte(frameHdr)
+	if h.stamp != 0 {
+		kind |= hdrStamp
+	}
+	if h.echo != 0 {
+		kind |= hdrEcho
+	}
+	dst = append(dst, kind)
+	dst = binary.AppendUvarint(dst, uint64(from))
+	dst = binary.AppendUvarint(dst, uint64(to))
+	if h.stamp != 0 {
+		dst = binary.AppendUvarint(dst, h.stamp)
+	}
+	if h.echo != 0 {
+		dst = binary.AppendUvarint(dst, h.echo)
+		dst = binary.AppendUvarint(dst, h.hold)
+	}
+	return dst
+}
+
+// readMsgHeader reads the fields a message frame of the given kind carries
+// past its indices: the ones its presence bits name for kinds 8–11, and
+// all three for frameMsg, whose layout is kind 11's. ok is false for any
+// other kind and for a header cut short.
+func readMsgHeader(kind byte, rd *wire.Reader) (h msgHeader, ok bool) {
+	switch {
+	case kind == frameMsg:
+		kind = frameHdr | hdrStamp | hdrEcho
+	case kind&^(hdrStamp|hdrEcho) != frameHdr:
+		return msgHeader{}, false
+	}
+	var err error
+	if kind&hdrStamp != 0 {
+		h.stamp, err = rd.Uvarint()
+	}
+	if kind&hdrEcho != 0 && err == nil {
+		if h.echo, err = rd.Uvarint(); err == nil {
+			h.hold, err = rd.Uvarint()
+		}
+	}
+	if err != nil {
+		return msgHeader{}, false
+	}
+	return h, true
 }
 
 var _ runtime.Runtime = (*Runtime)(nil)
@@ -465,6 +543,9 @@ type NetStats struct {
 	DataFrames uint64
 	// Duplicated counts the control frames sent twice (SetCtrlDup).
 	Duplicated uint64
+	// RTTSamples counts the RTT samples the local peers took: one per
+	// echoed stamp and one per pong.
+	RTTSamples uint64
 }
 
 // NetStats returns the datagram-level counters.
@@ -477,6 +558,7 @@ func (r *Runtime) NetStats() NetStats {
 		CtlFrames:   r.ctlFrames.Load(),
 		DataFrames:  r.dataFrames.Load(),
 		Duplicated:  r.duplicated.Load(),
+		RTTSamples:  r.rttSamples.Load(),
 	}
 }
 
@@ -850,10 +932,11 @@ func (r *Runtime) Measured(a, b int) (time.Duration, bool) {
 // is normally the runtime.Frame the fabric built (its Bytes go on the wire
 // unchanged — the message was encoded exactly once); any other payload is
 // encoded here, so tests can Send bare messages. A frame that fits the MTU
-// travels as a single frameMsg datagram carrying the passive RTT echo —
-// [frameMsg][from][to][stamp][echo][hold] uvarints, the stamps in µs (echo
-// 0: nothing to echo), ahead of the wire frame; a
-// larger frame — an install chunk of a realistic program — is split into a
+// travels as a single frameHdr datagram, [8|bits][from][to] uvarints and
+// then whichever RTT fields header grants it — a µs transmit stamp, at
+// most one a second per remote, and the once-only echo of the newest stamp
+// the remote sent, with its µs hold — ahead of the wire frame; a larger
+// frame — an install chunk of a realistic program — is split into a
 // fragment train, buffered for NACK retransmission, and reassembled on the
 // far side, so every fabric transmit shares this one path regardless of
 // size up to maxMessage.
@@ -864,51 +947,80 @@ func (r *Runtime) Send(from, to int, class runtime.Class, size int, payload any)
 	if r.closed.Load() || r.down[from].Load() || r.down[to].Load() {
 		return false
 	}
-	// One pooled buffer carries header and body; the common in-MTU path
-	// hands it to the pacer without a single heap allocation.
-	w := wire.GetBuffer()
-	w.PutByte(frameMsg)
-	w.PutUvarint(uint64(from))
-	w.PutUvarint(uint64(to))
-	w.PutUvarint(stampAt(time.Since(r.start))) // transmit stamp
-	echoStamp, hold := r.takeEcho(from, to)
-	w.PutUvarint(echoStamp)
-	w.PutUvarint(hold)
-	head := w.Len()
+	var body []byte
 	switch p := payload.(type) {
 	case *runtime.Frame:
 		// The Frame's Bytes go on the wire unchanged — the message was
 		// encoded exactly once by the fabric.
-		w.PutRaw(p.Bytes)
+		body = p.Bytes
 	default:
-		if err := wire.EncodeMessage(w, payload); err != nil {
-			wire.PutBuffer(w)
+		enc := wire.GetBuffer()
+		defer wire.PutBuffer(enc)
+		if err := wire.EncodeMessage(enc, payload); err != nil {
 			r.dropped.Add(1)
 			return false
 		}
+		body = enc.Bytes()
 	}
-	if w.Len()-head > maxMessage {
-		wire.PutBuffer(w)
+	if len(body) > maxMessage {
 		r.dropped.Add(1)
 		return false
 	}
-	if class == runtime.ClassData {
-		r.dataBytes.Add(uint64(w.Len()))
+	var hb [maxMsgHeader]byte
+	head := r.header(hb[:0], from, to, r.opt.MTU-len(body))
+	if n := uint64(len(head) + len(body)); class == runtime.ClassData {
+		r.dataBytes.Add(n)
 		r.dataFrames.Add(1)
 	} else {
-		r.ctlBytes.Add(uint64(w.Len()))
+		r.ctlBytes.Add(n)
 		r.ctlFrames.Add(1)
 	}
 	dup := class == runtime.ClassControl && r.duplicate()
-	if w.Len() <= r.opt.MTU {
-		r.xmit(from, to, w.Bytes(), w, &r.sent, nil, dup)
+	if len(head)+len(body) > r.opt.MTU {
+		r.sendFragmented(from, to, body, dup)
 		return true
 	}
-	// The fragment datagrams embed copies of the body, so the frame buffer
-	// can go back to the pool as soon as the split is done.
-	r.sendFragmented(from, to, w.Bytes()[head:], dup)
-	wire.PutBuffer(w)
+	// One pooled buffer carries header and body; the common in-MTU path
+	// hands it to the pacer without a single heap allocation.
+	w := wire.GetBuffer()
+	w.PutRaw(head)
+	w.PutRaw(body)
+	r.xmit(from, to, w.Bytes(), w, &r.sent, nil, dup)
 	return true
+}
+
+// header appends to dst the transport header of a message frame from
+// local peer from to to, whose body leaves room bytes of the MTU: a
+// transmit stamp when from has stamped no frame to to in the last
+// stampEvery, and the echo of the newest stamp to sent and from has not
+// yet echoed, with its hold. It commits both — the stamp's time, the echo
+// as paid — only when they fit; a frame without room for them carries the
+// bare indices (or, past the MTU, goes fragmented and carries none), and
+// the stamp and echo wait for the next frame.
+func (r *Runtime) header(dst []byte, from, to int, room int) []byte {
+	r.peerMu[from].Lock()
+	defer r.peerMu[from].Unlock()
+	now := time.Since(r.start)
+	e := r.echo[from][to]
+	var h msgHeader
+	if s := stampAt(now); e.stamped == 0 || s >= e.stamped+uint64(stampEvery/time.Microsecond) {
+		h.stamp = s
+	}
+	if e.owed != 0 {
+		h.echo, h.hold = e.owed, uint64((now-e.at)/time.Microsecond)
+	}
+	b := h.appendTo(dst, from, to)
+	if len(b) > room {
+		return msgHeader{}.appendTo(dst, from, to)
+	}
+	if h != (msgHeader{}) {
+		if h.stamp != 0 {
+			e.stamped = h.stamp
+		}
+		e.owed = 0
+		r.echo[from][to] = e
+	}
+	return b
 }
 
 // sendFragmented splits an over-MTU frame into a fragment train, registers
@@ -988,18 +1100,6 @@ func (r *Runtime) FragStats() FragStats {
 	return st
 }
 
-// takeEcho returns the newest transmit stamp received from `to` at local
-// peer `from`, plus how long ago it arrived in µs — the passive RTT echo.
-func (r *Runtime) takeEcho(from, to int) (stamp, hold uint64) {
-	r.peerMu[from].Lock()
-	defer r.peerMu[from].Unlock()
-	e, ok := r.echo[from][to]
-	if !ok {
-		return 0, 0
-	}
-	return e.stamp, uint64(time.Since(e.at) / time.Microsecond)
-}
-
 // noteRTT folds one RTT sample for (local, remote) into the EWMA.
 func (r *Runtime) noteRTT(local, remote int, sample time.Duration) {
 	if sample < 0 {
@@ -1023,6 +1123,7 @@ func (r *Runtime) observe(local, remote int, sample time.Duration) {
 		return
 	}
 	r.noteRTT(local, remote, sample)
+	r.rttSamples.Add(1)
 	r.coordMu.RLock()
 	c, e := r.peerCoords[remote], r.peerErrs[remote]
 	r.coordMu.RUnlock()
@@ -1131,22 +1232,21 @@ func (r *Runtime) handleFrame(b []byte) {
 		}
 		r.observe(peer, src, rttSample(now, uint64(stamp), uint64(hold)))
 
-	case frameMsg:
-		stamp, echoStamp, hold, ok := readMsgHeader(rd)
-		if !ok {
-			return
-		}
-		if r.down[peer].Load() {
+	case frameMsg, frameHdr, frameHdr | hdrStamp, frameHdr | hdrEcho, frameHdr | hdrStamp | hdrEcho:
+		h, ok := readMsgHeader(kind, rd)
+		if !ok || r.down[peer].Load() {
 			r.dropped.Add(1)
 			return
 		}
-		if stamp != 0 {
+		if h.stamp != 0 {
 			r.peerMu[peer].Lock()
-			r.echo[peer][src] = echoState{stamp: stamp, at: time.Now()}
+			e := r.echo[peer][src]
+			e.owed, e.at = h.stamp, now
+			r.echo[peer][src] = e
 			r.peerMu[peer].Unlock()
 		}
-		if echoStamp != 0 {
-			r.observe(peer, src, rttSample(now, echoStamp, hold))
+		if h.echo != 0 {
+			r.observe(peer, src, rttSample(now, h.echo, h.hold))
 		}
 		r.deliverWire(peer, src, rd.Rest())
 
@@ -1186,23 +1286,12 @@ func (r *Runtime) handleFrame(b []byte) {
 	}
 }
 
-// readMsgHeader reads the three µs stamps of a frameMsg header.
-func readMsgHeader(rd *wire.Reader) (stamp, echo, hold uint64, ok bool) {
-	var f [3]uint64
-	for i := range f {
-		var err error
-		if f[i], err = rd.Uvarint(); err != nil {
-			return 0, 0, 0, false
-		}
-	}
-	return f[0], f[1], f[2], true
-}
-
 // deliverWire decodes one complete wire frame addressed to a local peer —
-// a single-datagram frameMsg body or a reassembled fragment stream — and
-// posts it into the peer's mailbox. It always queues (Post, never Exec):
-// the handler runs on the peer's own goroutine, so a slow handler never
-// stalls the socket's receive loop and the other peers behind it.
+// a single-datagram message frame's body or a reassembled fragment
+// stream — and posts it into the peer's mailbox. It always queues (Post,
+// never Exec): the handler runs on the peer's own goroutine, so a slow
+// handler never stalls the socket's receive loop and the other peers
+// behind it.
 func (r *Runtime) deliverWire(peer, src int, frame []byte) {
 	msg, err := wire.DecodeMessage(frame)
 	if err != nil {

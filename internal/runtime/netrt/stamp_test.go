@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // An RTT taken from µs stamps stays within 10 µs of the ns figure: a peer
@@ -52,4 +54,69 @@ func TestMicrosecondStampsKeepRTT(t *testing.T) {
 	if got := rttSample(now, us, 0); got != 0 {
 		t.Fatalf("an echo of now with no hold: sample %v, want 0", got)
 	}
+}
+
+// parseHeader reads a message frame's transport header as handleFrame
+// does: kind, indices, then the RTT fields; n is the header's length.
+func parseHeader(b []byte) (kind byte, from, to uint64, h msgHeader, n int, ok bool) {
+	rd := wire.NewReader(b)
+	kind, err := rd.Byte()
+	if err == nil {
+		from, err = rd.Uvarint()
+	}
+	if err == nil {
+		to, err = rd.Uvarint()
+	}
+	if err != nil {
+		return 0, 0, 0, msgHeader{}, 0, false
+	}
+	if h, ok = readMsgHeader(kind, rd); !ok {
+		return 0, 0, 0, msgHeader{}, 0, false
+	}
+	return kind, from, to, h, len(b) - rd.Remaining(), true
+}
+
+// FuzzMsgHeader drives the message-header parser with kinds 7–11,
+// truncated headers and garbage. It never panics; it accepts only kinds
+// 7–11; every header it accepts is refused when cut anywhere short, so a
+// short header is dropped, never read into the body; and a kind 8–11
+// header written back from what it read reads back the same.
+func FuzzMsgHeader(f *testing.F) {
+	for _, h := range []msgHeader{{}, {stamp: 20_000_000}, {echo: 19_999_000, hold: 350}, {stamp: 1 << 40, echo: 7, hold: 1 << 33}} {
+		f.Add(h.appendTo(nil, 1, 0))
+		f.Add(h.appendTo(nil, 300, 70_000))
+	}
+	f.Add([]byte{frameMsg, 1, 0, 0x80, 0xda, 0xc4, 0x09, 1, 0, 7, 2, 9, 0x4d})
+	f.Add([]byte{frameMsg, 1, 0, 0x80, 0xda})
+	f.Add([]byte{frameHdr | hdrStamp, 1, 0})
+	f.Add([]byte{frameHdr | hdrEcho, 1, 0, 5})
+	f.Add([]byte{frameHdr | hdrStamp | hdrEcho, 48, 48, 48, 0, 48}) // an echo of 0 is none; its hold is dropped
+	f.Add([]byte{12, 1, 0, 1, 2, 3})
+	f.Add([]byte{1, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		kind, from, to, h, n, ok := parseHeader(b)
+		if !ok {
+			return
+		}
+		if kind < frameMsg || kind > frameHdr|hdrStamp|hdrEcho {
+			t.Fatalf("kind %d accepted", kind)
+		}
+		for cut := 0; cut < n; cut++ {
+			if _, _, _, _, _, ok := parseHeader(b[:cut]); ok {
+				t.Fatalf("header of %d B accepted cut to %d B: % x", n, cut, b[:cut])
+			}
+		}
+		if kind == frameMsg {
+			return
+		}
+		want := h
+		if want.echo == 0 {
+			want.hold = 0 // an echo of 0 is none, and so is its hold
+		}
+		re := h.appendTo(nil, int(from), int(to))
+		_, rf, rt, rh, rn, ok := parseHeader(re)
+		if !ok || rf != from || rt != to || rh != want || rn != len(re) {
+			t.Fatalf("header %+v (%d→%d) wrote % x, read back %+v (%d→%d, ok %v)", h, from, to, re, rh, rf, rt, ok)
+		}
+	})
 }

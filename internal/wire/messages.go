@@ -139,7 +139,7 @@ type Envelope struct {
 // Heartbeat flows parent -> child every heartbeat period. Every few beats
 // it piggybacks the reconciliation hash of the sender's query set. It
 // carries no network coordinate: runtime/netrt fits and spreads those on
-// its own probe frames and the RTT echo every frame carries.
+// its own probe frames and the RTT echoes its frame headers carry.
 type Heartbeat struct {
 	Seq  uint64
 	Hash uint64 // 0 when not piggybacked this beat
