@@ -215,11 +215,6 @@ func run(cfg *config, out io.Writer) error {
 		if sched, err = chaos.Load(cfg.chaos); err != nil {
 			return err
 		}
-		// The curve is written after the whole run: a directory that
-		// cannot be made fails now, before a single sample is taken.
-		if err := os.MkdirAll(cfg.curveDir, 0o755); err != nil {
-			return fmt.Errorf("mortard: -curve-dir: %w", err)
-		}
 	}
 
 	rng := rand.New(rand.NewSource(cfg.seed))
@@ -512,9 +507,17 @@ func startGateway(fed *federation.Federation, addr string, out io.Writer) (func(
 // peers it hosts; the one hosting the roots also samples one query's root
 // completeness — the program's first statement, or with no program the
 // first installed query in name order — against the schedule-truth live
-// count, and its stop func writes CURVE_<scenario>.json into -curve-dir and
-// prints the summary line the smoke gates parse.
+// count: it makes -curve-dir first, failing when it cannot, and its stop
+// func writes CURVE_<scenario>.json there and prints the summary line the
+// smoke gates parse.
 func (c *config) startChaos(b *backend, fed *federation.Federation, sched *chaos.Schedule, out io.Writer) (func(), error) {
+	if !b.worker {
+		// The curve is written after the whole run: a directory that
+		// cannot be made fails now, before a single sample is taken.
+		if err := os.MkdirAll(c.curveDir, 0o755); err != nil {
+			return nil, fmt.Errorf("mortard: -curve-dir: %w", err)
+		}
+	}
 	inj := b.rt.(chaos.Injector)
 	runner, err := chaos.Start(inj, sched)
 	if err != nil {

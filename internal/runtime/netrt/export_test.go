@@ -1,9 +1,11 @@
 package netrt
 
-// The reassembler's bounds, for the external tests that probe them.
+// The reassembler's bounds and the header's stamp period, for the external
+// tests that probe them.
 const (
 	MaxMessage      = maxMessage
 	MaxReasmBytes   = maxReasmBytes
 	MaxReasmStreams = maxReasmStreams
 	NackDelay       = nackDelay
+	StampEvery      = stampEvery
 )

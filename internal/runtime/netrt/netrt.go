@@ -59,15 +59,15 @@ import (
 )
 
 // Datagram framing: a one-byte frame kind ahead of the header fields. Kind
-// 1 was the v5 message header (ns stamps and a class byte); a datagram of
-// it, like one of any unknown kind, is dropped.
+// 1 was the v5 message header (ns stamps and a class byte) and kind 7 the
+// v7 one (three µs stamps on every frame); a datagram of either, like one
+// of any unknown kind, is dropped.
 const (
 	framePing  = 2 // RTT probe
 	framePong  = 3 // RTT probe reply
 	frameFrag  = 4 // one fragment of a frame larger than the MTU
 	frameNack  = 5 // retransmission request for missing fragments
 	frameTrain = 6 // coalesced train of small frames (wire.ForEachTrainFrame)
-	frameMsg   = 7 // [7][from][to][stamp][echo][hold] + wire message frame; read, no longer sent
 	frameHdr   = 8 // kinds 8–11: [8|bits][from][to][stamp?][echo hold?] + wire message frame
 )
 
@@ -309,15 +309,11 @@ func (h msgHeader) appendTo(dst []byte, from, to int) []byte {
 	return dst
 }
 
-// readMsgHeader reads the fields a message frame of the given kind carries
-// past its indices: the ones its presence bits name for kinds 8–11, and
-// all three for frameMsg, whose layout is kind 11's. ok is false for any
-// other kind and for a header cut short.
+// readMsgHeader reads the fields a message frame of kind 8–11 carries past
+// its indices: the ones its presence bits name. ok is false for any other
+// kind and for a header cut short.
 func readMsgHeader(kind byte, rd *wire.Reader) (h msgHeader, ok bool) {
-	switch {
-	case kind == frameMsg:
-		kind = frameHdr | hdrStamp | hdrEcho
-	case kind&^(hdrStamp|hdrEcho) != frameHdr:
+	if kind&^(hdrStamp|hdrEcho) != frameHdr {
 		return msgHeader{}, false
 	}
 	var err error
@@ -1232,7 +1228,7 @@ func (r *Runtime) handleFrame(b []byte) {
 		}
 		r.observe(peer, src, rttSample(now, uint64(stamp), uint64(hold)))
 
-	case frameMsg, frameHdr, frameHdr | hdrStamp, frameHdr | hdrEcho, frameHdr | hdrStamp | hdrEcho:
+	case frameHdr, frameHdr | hdrStamp, frameHdr | hdrEcho, frameHdr | hdrStamp | hdrEcho:
 		h, ok := readMsgHeader(kind, rd)
 		if !ok || r.down[peer].Load() {
 			r.dropped.Add(1)

@@ -167,9 +167,9 @@ func TestOldHeaderKindDropped(t *testing.T) {
 	}
 }
 
-// v7Frame is a kind-7 datagram as the last release's sender wrote it, every
-// field present: [7], from peer 1, to peer 0, transmit stamp 20 s, echo of
-// stamp 1 µs, hold 0 (µs uvarints), then the v7 heartbeat {Seq 9, Hash 77}.
+// v7Frame is a kind-7 datagram as the v7 sender wrote it, every field
+// present: [7], from peer 1, to peer 0, transmit stamp 20 s, echo of stamp
+// 1 µs, hold 0 (µs uvarints), then the v7 heartbeat {Seq 9, Hash 77}.
 const v7Frame = "07010080dac40901000702094d"
 
 // readFrame reads one datagram from a raw socket standing in for a remote
@@ -203,13 +203,11 @@ func readFrame(t *testing.T, c *net.UDPConn) (kind byte, from, to uint64, fields
 	return kind, from, to, fields, addr
 }
 
-// A release still reads the last one's kind-7 header, so an old sender
-// reaches an upgraded receiver: a captured kind-7 datagram delivers its
-// heartbeat, its echo is one RTT sample, and its stamp is echoed once on
-// the next frame back. Kind 1 (the v5 header), kind 12 (past the presence
-// bits) and a kind 9 whose stamp is cut short are dropped and counted, and
-// deliver nothing.
-func TestV7FrameStillDecoded(t *testing.T) {
+// Only kinds 8–11 carry messages. A captured kind-7 datagram (the v7
+// header), kind 1 (the v5 header), kind 12 (past the presence bits) and a
+// kind 9 whose stamp is cut short are dropped and counted, and deliver
+// nothing; a kind-8 frame of the same heartbeat behind them is delivered.
+func TestRetiredKindsDropped(t *testing.T) {
 	raw, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
@@ -233,42 +231,18 @@ func TestV7FrameStillDecoded(t *testing.T) {
 		t.Fatalf("first frame: kind %d %d→%d, want kind 9 (stamp) 0→1", kind, from, to)
 	}
 
-	frame, err := hex.DecodeString(v7Frame)
+	v7, err := hex.DecodeString(v7Frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples := rt.NetStats().RTTSamples
-	if _, err := raw.WriteToUDP(frame, addr); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case m := <-got:
-		if hb, ok := m.(wire.Heartbeat); !ok || hb.Seq != 9 || hb.Hash != 77 {
-			t.Fatalf("kind-7 frame delivered %#v, want heartbeat {9 77}", m)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("kind-7 frame never delivered")
-	}
-	if n := rt.NetStats().RTTSamples - samples; n != 1 {
-		t.Fatalf("kind-7 echo gave %d RTT samples, want 1", n)
-	}
-	for i, want := range []byte{10, 8} {
-		rt.Send(0, 1, runtime.ClassControl, 0, wire.Heartbeat{Seq: uint64(i + 2)})
-		kind, _, _, fields, _ := readFrame(t, raw)
-		if kind != want {
-			t.Fatalf("frame %d back: kind %d, want %d", i+1, kind, want)
-		}
-		if want == 10 && (fields[0] != 20_000_000 || fields[1] > 5_000_000) {
-			t.Fatalf("echo %d hold %dµs, want the kind-7 stamp 20000000 held under 5 s", fields[0], fields[1])
-		}
-	}
-
 	body, err := hex.DecodeString("07020a4d") // the v7 heartbeat {Seq 10, Hash 77}
 	if err != nil {
 		t.Fatal(err)
 	}
+	samples := rt.NetStats().RTTSamples
 	_, _, dropped := rt.Stats()
 	for _, bad := range [][]byte{
+		v7,
 		append([]byte{1, 1, 0, 0x80, 0xda, 0xc4, 0x09, 1, 0, byte(runtime.ClassData)}, body...),
 		append([]byte{12, 1, 0}, body...),
 		{9, 1, 0, 0x80, 0xda},
@@ -277,7 +251,7 @@ func TestV7FrameStillDecoded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, 5*time.Second, func() bool { _, _, d := rt.Stats(); return d >= dropped+3 })
+	waitFor(t, 5*time.Second, func() bool { _, _, d := rt.Stats(); return d >= dropped+4 })
 	if _, err := raw.WriteToUDP(append([]byte{8, 1, 0}, body...), addr); err != nil {
 		t.Fatal(err)
 	}
@@ -289,8 +263,11 @@ func TestV7FrameStillDecoded(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("kind-8 frame never delivered")
 	}
-	if _, _, d := rt.Stats(); d != dropped+3 {
-		t.Fatalf("%d datagrams dropped, want kinds 1 and 12 and the short kind 9", d-dropped)
+	if _, _, d := rt.Stats(); d != dropped+4 {
+		t.Fatalf("%d datagrams dropped, want kinds 7, 1 and 12 and the short kind 9", d-dropped)
+	}
+	if n := rt.NetStats().RTTSamples - samples; n != 0 {
+		t.Fatalf("dropped kinds gave %d RTT samples, want none", n)
 	}
 }
 
@@ -721,11 +698,14 @@ func TestRTTMeasurement(t *testing.T) {
 }
 
 // The RTT fields ride only where a sample needs them. Between two
-// loopback runtimes: a peer's second frame to a remote within a second
+// loopback runtimes: a peer's second frame to a remote within stampEvery
 // carries the bare 3 B header (kind, from, to; indices under 128); a
 // received stamp is echoed on exactly one frame back, so it is exactly one
-// RTT sample; and a pair with traffic both ways every 100 ms still takes
-// an RTT sample at least every 1.5 s in each direction.
+// RTT sample; and a pair with traffic both ways every 100 ms tick still
+// takes an RTT sample in each direction at least once per stampEvery plus
+// ten ticks of slack. An exchange that overruns stampEvery (a loaded
+// machine) skips rather than fails: a's stamp ages out and a new one is
+// due, so the header sizes it pins no longer hold.
 func TestHeaderStampsOncePerSecondAndEchoesOnce(t *testing.T) {
 	rts, _, err := netrt.NewGroup([][]int{{0}, {1}}, netrt.Options{Seed: 47})
 	if err != nil {
@@ -753,41 +733,47 @@ func TestHeaderStampsOncePerSecondAndEchoesOnce(t *testing.T) {
 		return int(after-before) - w.Len()
 	}
 	samples := func(rt *netrt.Runtime) uint64 { return rt.NetStats().RTTSamples }
-
 	start := time.Now()
+	fail := func(format string, args ...any) {
+		t.Helper()
+		if took := time.Since(start); took >= netrt.StampEvery {
+			t.Skipf("the exchange took %v, past stampEvery: a's stamp aged out mid-test", took)
+		}
+		t.Fatalf(format, args...)
+	}
+
 	if h := header(a, 0, 1); h <= 3 {
-		t.Fatalf("a's first frame to b: %d B header, want a stamp on it", h)
+		fail("a's first frame to b: %d B header, want a stamp on it", h)
 	}
 	if h := header(a, 0, 1); h != 3 {
-		t.Fatalf("a's second frame to b within the second: %d B header, want 3", h)
+		fail("a's second frame to b within the second: %d B header, want 3", h)
 	}
 	waitFor(t, 5*time.Second, func() bool { return atB.Load() == 2 })
 	// b's first frame back carries its own stamp and the echo of a's.
 	sa := samples(a)
 	if h := header(b, 1, 0); h <= 3 {
-		t.Fatalf("b's first frame to a: %d B header, want a stamp and an echo", h)
+		fail("b's first frame to a: %d B header, want a stamp and an echo", h)
 	}
 	waitFor(t, 5*time.Second, func() bool { return samples(a) == sa+1 })
 	// a owes b's stamp: its next frame echoes it, the ones after carry none.
 	sb := samples(b)
 	if h := header(a, 0, 1); h <= 3 {
-		t.Fatalf("a's frame after b's stamp: %d B header, want the echo", h)
+		fail("a's frame after b's stamp: %d B header, want the echo", h)
 	}
 	for i := 0; i < 2; i++ {
 		if h := header(a, 0, 1); h != 3 {
-			t.Fatalf("a's frame %d after the echo: %d B header, want 3", i+2, h)
+			fail("a's frame %d after the echo: %d B header, want 3", i+2, h)
 		}
-	}
-	if took := time.Since(start); took >= time.Second {
-		t.Fatalf("the exchange took %v: a's stamp aged out mid-test", took)
 	}
 	waitFor(t, 5*time.Second, func() bool { return atB.Load() == 5 })
 	if n := samples(b) - sb; n != 1 {
-		t.Fatalf("one echoed stamp gave b %d RTT samples, want 1", n)
+		fail("one echoed stamp gave b %d RTT samples, want 1", n)
 	}
 
-	// Traffic both ways every 100 ms: no 1.5 s passes without a sample on
-	// either side.
+	// Traffic both ways every tick: no stampEvery plus ten ticks passes
+	// without a sample on either side.
+	const tick = 100 * time.Millisecond
+	bound := netrt.StampEvery + 10*tick
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for _, s := range [][2]int{{0, 1}, {1, 0}} {
@@ -795,7 +781,7 @@ func TestHeaderStampsOncePerSecondAndEchoesOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tk := time.NewTicker(100 * time.Millisecond)
+			tk := time.NewTicker(tick)
 			defer tk.Stop()
 			for {
 				select {
@@ -813,13 +799,13 @@ func TestHeaderStampsOncePerSecondAndEchoesOnce(t *testing.T) {
 	}()
 	last := [2]time.Time{time.Now(), time.Now()}
 	seen := [2]uint64{samples(a), samples(b)}
-	for end := time.Now().Add(4 * time.Second); time.Now().Before(end); time.Sleep(10 * time.Millisecond) {
+	for end := time.Now().Add(2 * bound); time.Now().Before(end); time.Sleep(10 * time.Millisecond) {
 		for i, rt := range rts {
 			if n := samples(rt); n != seen[i] {
 				seen[i], last[i] = n, time.Now()
 			}
-			if gap := time.Since(last[i]); gap > 1500*time.Millisecond {
-				t.Fatalf("peer %d took no RTT sample for %v with traffic both ways every 100 ms", i, gap)
+			if gap := time.Since(last[i]); gap > bound {
+				t.Fatalf("peer %d took no RTT sample for %v with traffic both ways every %v", i, gap, tick)
 			}
 		}
 	}
