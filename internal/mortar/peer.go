@@ -123,10 +123,9 @@ func (p *Peer) livenessWindow() time.Duration {
 // markHeard refreshes a neighbor's liveness.
 func (p *Peer) markHeard(other int) { p.lastHeard[other] = p.now() }
 
-// deliver is the transport handler: dispatch by message type. In-process
-// backends deliver the runtime.Frame the fabric sent (decoded payload plus
-// its encoding); socket backends deliver the payload they decoded off the
-// wire. Summaries arrive one per envelope. Anything else is dropped: an
+// deliver is the transport handler: dispatch by message type. Every
+// backend delivers the message it decoded from the bytes the fabric sent
+// (see runtime.Frame). Summaries arrive one per envelope. Anything else is dropped: an
 // envelope batch still decodes (see wire/batch.go), but no peer sends one.
 func (p *Peer) deliver(src int, payload any, size int) {
 	if src < 0 || src >= p.fab.NumPeers() {

@@ -59,16 +59,17 @@ import (
 )
 
 // Datagram framing: a one-byte frame kind ahead of the header fields. Kind
-// 1 was the v5 message header (ns stamps and a class byte) and kind 7 the
-// v7 one (three µs stamps on every frame); a datagram of either, like one
-// of any unknown kind, is dropped.
+// 1 was the v5 message header (ns stamps and a class byte), kind 7 the v7
+// one (three µs stamps on every frame), and kinds 2 and 3 the probes with
+// a dimension-counted, optional coordinate; a datagram of any of them,
+// like one of any unknown kind, is dropped.
 const (
-	framePing  = 2 // RTT probe
-	framePong  = 3 // RTT probe reply
-	frameFrag  = 4 // one fragment of a frame larger than the MTU
-	frameNack  = 5 // retransmission request for missing fragments
-	frameTrain = 6 // coalesced train of small frames (wire.ForEachTrainFrame)
-	frameHdr   = 8 // kinds 8–11: [8|bits][from][to][stamp?][echo hold?] + wire message frame
+	frameFrag  = 4  // one fragment of a frame larger than the MTU
+	frameNack  = 5  // retransmission request for missing fragments
+	frameTrain = 6  // coalesced train of small frames (wire.ForEachTrainFrame)
+	frameHdr   = 8  // kinds 8–11: [8|bits][from][to][stamp?][echo hold?] + wire message frame
+	framePing  = 12 // RTT probe: [12][from][to][µs stamp][coordinate]
+	framePong  = 13 // RTT probe reply: [13][from][to][echoed µs stamp][coordinate]
 )
 
 // The presence bits of a frameHdr kind byte.
@@ -1197,36 +1198,19 @@ func (r *Runtime) handleFrame(b []byte) {
 	now := time.Since(r.start)
 
 	switch kind {
-	case framePing:
-		stamp, err := rd.Varint()
-		if err != nil || r.down[peer].Load() {
+	case framePing, framePong:
+		stamp, err := rd.Uvarint()
+		c, e, ok := readCoord(rd)
+		if err != nil || !ok || r.down[peer].Load() {
+			r.dropped.Add(1)
 			return
 		}
-		if c, e, ok := readCoord(rd); ok {
-			r.noteCoord(src, c, e)
-		}
-		w := wire.GetBuffer()
-		w.PutByte(framePong)
-		w.PutUvarint(uint64(peer))
-		w.PutUvarint(srcU)
-		w.PutVarint(stamp) // the pinger's own stamp, echoed as it came
-		w.PutVarint(0)     // replied immediately: no hold
-		putCoord(w, r.nodes[peer])
-		r.xmit(peer, src, w.Bytes(), w, nil, nil, false)
-
-	case framePong:
-		stamp, err := rd.Varint()
-		if err != nil {
+		r.noteCoord(src, c, e)
+		if kind == framePong {
+			r.observe(peer, src, rttSample(now, stamp, 0)) // replied at once: no hold
 			return
 		}
-		hold, err := rd.Varint()
-		if err != nil {
-			return
-		}
-		if c, e, ok := readCoord(rd); ok {
-			r.noteCoord(src, c, e)
-		}
-		r.observe(peer, src, rttSample(now, uint64(stamp), uint64(hold)))
+		r.sendProbe(framePong, peer, src, stamp) // the pinger's stamp, echoed as it came
 
 	case frameHdr, frameHdr | hdrStamp, frameHdr | hdrEcho, frameHdr | hdrStamp | hdrEcho:
 		h, ok := readMsgHeader(kind, rd)
@@ -1375,37 +1359,56 @@ func rttSample(now time.Duration, echo, hold uint64) time.Duration {
 	return now - time.Duration(echo+hold)*time.Microsecond
 }
 
-// sendPing writes one RTT probe from a local peer, carrying its Vivaldi
-// coordinate.
-func (r *Runtime) sendPing(from, to int) {
+// sendProbe writes one probe from a local peer, a ping with its own
+// transmit stamp or the pong echoing a ping's, carrying its Vivaldi
+// coordinate. Like a NACK, no probe leaves a peer this process holds down
+// or goes to one.
+func (r *Runtime) sendProbe(kind byte, from, to int, stamp uint64) {
+	if r.down[from].Load() || r.down[to].Load() {
+		return
+	}
 	w := wire.GetBuffer()
-	w.PutByte(framePing)
+	w.PutByte(kind)
 	w.PutUvarint(uint64(from))
 	w.PutUvarint(uint64(to))
-	w.PutVarint(int64(stampAt(time.Since(r.start))))
-	putCoord(w, r.nodes[from])
+	w.PutUvarint(stamp)
+	c, e := r.nodes[from].Snapshot()
+	putCoord(w, c, e)
 	r.xmit(from, to, w.Bytes(), w, nil, nil, false)
 }
 
-// putCoord appends a coordinate extension to a probe frame.
-func putCoord(w *wire.Buffer, n *vivaldi.Node) {
-	c, e := n.Snapshot()
-	w.PutCoordExt(c, e)
+// coordLen is the bytes a probe's coordinate takes: vivaldi.Dims
+// components and the error estimate, 8 B each.
+const coordLen = 8 * (vivaldi.Dims + 1)
+
+// putCoord appends a coordinate, its components then its error estimate,
+// to a probe.
+func putCoord(w *wire.Buffer, c vivaldi.Coordinate, e float64) {
+	for _, v := range c {
+		w.PutF64(v)
+	}
+	w.PutF64(e)
 }
 
-// readCoord reads the optional trailing coordinate extension of a probe
-// frame. Frames from binaries predating the extension simply end here.
-// Malformed extensions are ignored rather than poisoning the probe, and so
-// is a coordinate without exactly vivaldi.Dims finite components or with
-// an error estimate outside [0, 1]: a foreign-sized coordinate would
-// corrupt distance computations in CoordError and the planner's
-// clustering, and a non-finite one, once cached, would hand NaN to both.
+// readCoord reads the coordinate that ends a probe. A remainder of any
+// length but coordLen, a non-finite component and an error estimate
+// outside [0, 1] make the probe one this release never writes, and it is
+// ignored: a foreign-sized coordinate would corrupt distance computations
+// in CoordError and the planner's clustering, and a non-finite one, once
+// cached, would hand NaN to both.
 func readCoord(rd *wire.Reader) (vivaldi.Coordinate, float64, bool) {
-	c, e, err := rd.CoordExt()
-	if err != nil || len(c) != vivaldi.Dims || !vivaldi.Finite(c, e) || e < 0 || e > 1 {
+	if rd.Remaining() != coordLen {
 		return nil, 0, false
 	}
-	return vivaldi.Coordinate(c), e, true
+	c := make(vivaldi.Coordinate, vivaldi.Dims)
+	for i := range c {
+		c[i], _ = rd.F64() // cannot fail: the length is checked above
+	}
+	e, _ := rd.F64()
+	if !vivaldi.Finite(c, e) || e < 0 || e > 1 {
+		return nil, 0, false
+	}
+	return c, e, true
 }
 
 // --- decentralized Vivaldi ---
@@ -1414,7 +1417,8 @@ func readCoord(rd *wire.Reader) (vivaldi.Coordinate, float64, bool) {
 // pongs to land: each local peer probes fanout random peers (every peer
 // when fanout <= 0), drawn afresh every round of every call, with a
 // coordinate-carrying ping; each pong delivers an RTT sample (Latency's
-// table) plus the responder's coordinate — one Vivaldi update. Every
+// table) plus the responder's coordinate — one Vivaldi update. A peer
+// this process holds down neither probes nor is probed. Every
 // process of a federation gossips: a peer's coordinate is only fitted from
 // RTTs its own process measures. The prototype let Vivaldi run "for at
 // least ten rounds before interconnecting operators".
@@ -1427,7 +1431,7 @@ func (r *Runtime) Gossip(rounds, fanout int, wait time.Duration) {
 		for _, p := range r.local {
 			targets = r.drawTargets(targets[:0], p, fanout)
 			for _, q := range targets {
-				r.sendPing(p, q)
+				r.sendProbe(framePing, p, q, stampAt(time.Since(r.start)))
 			}
 		}
 		time.Sleep(wait)

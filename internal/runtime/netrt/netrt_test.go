@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net"
 	goruntime "runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -98,9 +99,9 @@ func TestLoopbackSendReceive(t *testing.T) {
 	}
 }
 
-// v6Envelope is the "cpu-sum" envelope (Count 42) the wire package's
-// sampleMessages opens with, as the last v6 encoder wrote it.
-const v6Envelope = "0601076370752d73756d0f2b80bcc1960b2a000309220404010600010403"
+// v7Envelope is the "cpu-sum" envelope (Count 42) the wire package's
+// sampleMessages opens with, as this release writes it.
+const v7Envelope = "0701076370752d73756d0f2b80bcc1960b2a000309220404010600010403"
 
 // The v5 header kind (ns stamps and a class byte) is no longer read. Sent
 // from a raw socket claiming to be peer 1, a datagram of it carrying a
@@ -127,7 +128,7 @@ func TestOldHeaderKindDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := hex.DecodeString(v6Envelope)
+	body, err := hex.DecodeString(v7Envelope)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,9 +205,11 @@ func readFrame(t *testing.T, c *net.UDPConn) (kind byte, from, to uint64, fields
 }
 
 // Only kinds 8–11 carry messages. A captured kind-7 datagram (the v7
-// header), kind 1 (the v5 header), kind 12 (past the presence bits) and a
-// kind 9 whose stamp is cut short are dropped and counted, and deliver
-// nothing; a kind-8 frame of the same heartbeat behind them is delivered.
+// header), kind 1 (the v5 header), kind 14 (past every kind) and a kind 9
+// whose stamp is cut short are dropped and counted, and deliver nothing;
+// so are a ping and a pong in the retired probe shape (kinds 2 and 3, a
+// varint stamp and a dimension count), which give no RTT sample and no
+// reply. A kind-8 frame of the same heartbeat behind them is delivered.
 func TestRetiredKindsDropped(t *testing.T) {
 	raw, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -244,14 +247,16 @@ func TestRetiredKindsDropped(t *testing.T) {
 	for _, bad := range [][]byte{
 		v7,
 		append([]byte{1, 1, 0, 0x80, 0xda, 0xc4, 0x09, 1, 0, byte(runtime.ClassData)}, body...),
-		append([]byte{12, 1, 0}, body...),
+		append([]byte{14, 1, 0}, body...),
 		{9, 1, 0, 0x80, 0xda},
+		{2, 1, 0, 2, 0},    // ping: stamp 1, no coordinate
+		{3, 1, 0, 2, 0, 0}, // pong: echo of stamp 1, hold 0, no coordinate
 	} {
 		if _, err := raw.WriteToUDP(bad, addr); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, 5*time.Second, func() bool { _, _, d := rt.Stats(); return d >= dropped+4 })
+	waitFor(t, 5*time.Second, func() bool { _, _, d := rt.Stats(); return d >= dropped+6 })
 	if _, err := raw.WriteToUDP(append([]byte{8, 1, 0}, body...), addr); err != nil {
 		t.Fatal(err)
 	}
@@ -263,18 +268,35 @@ func TestRetiredKindsDropped(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("kind-8 frame never delivered")
 	}
-	if _, _, d := rt.Stats(); d != dropped+4 {
-		t.Fatalf("%d datagrams dropped, want kinds 7, 1 and 12 and the short kind 9", d-dropped)
+	if _, _, d := rt.Stats(); d != dropped+6 {
+		t.Fatalf("%d datagrams dropped, want kinds 7, 1, 14, 2 and 3 and the short kind 9", d-dropped)
 	}
 	if n := rt.NetStats().RTTSamples - samples; n != 0 {
 		t.Fatalf("dropped kinds gave %d RTT samples, want none", n)
 	}
 }
 
-// A probe whose coordinate extension holds a non-finite component or an
-// error estimate outside [0, 1] is ignored: cached, it would reach the
-// planner through Coordinates and turn the local embedding into NaN at the
-// next RTT sample from that peer, for good.
+// probe returns a ping or pong from peer 1 to peer 0 in the shape this
+// release writes, [kind][from][to][µs stamp] and then c's components and
+// the error estimate e as f64s, with extra bytes after it.
+func probe(kind byte, stamp uint64, c []float64, e float64, extra ...byte) []byte {
+	var w wire.Buffer
+	w.PutByte(kind)
+	w.PutUvarint(1)
+	w.PutUvarint(0)
+	w.PutUvarint(stamp)
+	for _, v := range c {
+		w.PutF64(v)
+	}
+	w.PutF64(e)
+	return append(w.Bytes(), extra...)
+}
+
+// A probe whose coordinate holds a non-finite component or an error
+// estimate outside [0, 1] is dropped and counted, unanswered: its
+// coordinate, cached, would reach the planner through Coordinates and
+// turn the local embedding into NaN at the next RTT sample from that
+// peer, for good.
 func TestNonFiniteCoordinateIgnored(t *testing.T) {
 	rts, dir, err := netrt.NewGroup([][]int{{0}, {1}}, netrt.Options{Seed: 41})
 	if err != nil {
@@ -308,24 +330,23 @@ func TestNonFiniteCoordinateIgnored(t *testing.T) {
 		{[]float64{1, 1, -inf}, 0.5},
 		{[]float64{nan, 1, 1}, 0.5},
 	}
-	frames := func() uint64 { st := a.NetStats(); return st.TrainFrames + st.Datagrams - st.Trains }
-	sent := frames()
+	_, _, dropped := a.Stats()
+	sent := a.NetStats().Datagrams
 	for _, s := range bad {
-		var w wire.Buffer
-		w.PutByte(2) // ping
-		w.PutUvarint(1)
-		w.PutUvarint(0)
-		w.PutVarint(0) // stamp
-		w.PutCoordExt(s.c, s.e)
-		if _, err := raw.WriteToUDP(w.Bytes(), dst); err != nil {
-			t.Fatal(err)
+		for _, kind := range []byte{netrt.FramePing, netrt.FramePong} {
+			if _, err := raw.WriteToUDP(probe(kind, 1, s.c, s.e), dst); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	// Peer 0 answers every ping with a pong, after reading its coordinate.
-	waitFor(t, 5*time.Second, func() bool { return frames() >= sent+uint64(len(bad)) })
+	want := dropped + 2*uint64(len(bad))
+	waitFor(t, 5*time.Second, func() bool { _, _, d := a.Stats(); return d >= want })
 	coords, _, known := a.Coordinates()
 	if known[1] {
 		t.Fatalf("peer 1 known at %v after non-finite probes", coords[1])
+	}
+	if _, _, d := a.Stats(); d != want || a.NetStats().Datagrams != sent || a.NetStats().RTTSamples != 0 {
+		t.Fatalf("%d of %d non-finite probes dropped, %d answered, %d RTT samples", d-dropped, 2*len(bad), a.NetStats().Datagrams-sent, a.NetStats().RTTSamples)
 	}
 
 	// An RTT sample from peer 1 must leave peer 0's coordinate finite.
@@ -1208,10 +1229,11 @@ func TestInstallCrossesSockets(t *testing.T) {
 	}
 }
 
-// A gossiped coordinate whose dimensionality differs from the
-// federation's embedding (a corrupt or hostile datagram) must be dropped
-// before caching: caching it would panic distance computations in
-// CoordError and coordinate-based planning.
+// A probe's coordinate is exactly vivaldi.Dims components and the error
+// estimate. A probe of any other shape (a corrupt or hostile datagram) is
+// dropped and counted before its coordinate is cached: caching a
+// foreign-sized one would panic distance computations in CoordError and
+// coordinate-based planning. The well-formed probe after them is read.
 func TestForeignDimensionCoordinateRejected(t *testing.T) {
 	rts, dir, err := netrt.NewGroup([][]int{{0}, {1}}, netrt.Options{Seed: 31})
 	if err != nil {
@@ -1230,29 +1252,87 @@ func TestForeignDimensionCoordinateRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A ping claiming to be peer 1, carrying a 2-dimensional coordinate
-	// (the federation embeds in 3 dimensions).
-	var w wire.Buffer
-	w.PutByte(2) // framePing
-	w.PutUvarint(1)
-	w.PutUvarint(0)
-	w.PutVarint(12345)
-	w.PutUvarint(2)
-	w.PutF64(1.5)
-	w.PutF64(2.5)
-	w.PutF64(0.3) // error estimate
-	if _, err := attacker.WriteToUDP(w.Bytes(), dst); err != nil {
+	good := probe(netrt.FramePing, 12345, []float64{1.5, 2.5, 3.5}, 0.3)
+	for _, c := range []struct {
+		name  string
+		frame []byte
+	}{
+		{"2 components", probe(netrt.FramePing, 12345, []float64{1.5, 2.5}, 0.3)},
+		{"4 components", probe(netrt.FramePing, 12345, []float64{1.5, 2.5, 3.5, 4.5}, 0.3)},
+		{"one byte short", good[:len(good)-1]},
+		{"one trailing byte", probe(netrt.FramePing, 12345, []float64{1.5, 2.5, 3.5}, 0.3, 0)},
+	} {
+		_, _, dropped := rt.Stats()
+		if _, err := attacker.WriteToUDP(c.frame, dst); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, 5*time.Second, func() bool { _, _, d := rt.Stats(); return d > dropped })
+		if _, _, known := rt.Coordinates(); known[1] {
+			t.Fatalf("%s: coordinate cached", c.name)
+		}
+	}
+	if _, err := attacker.WriteToUDP(good, dst); err != nil {
 		t.Fatal(err)
 	}
-	// Give the frame time to land, then require the malformed coordinate
-	// was not cached and distance computations still work.
-	time.Sleep(200 * time.Millisecond)
-	_, _, known := rt.Coordinates()
-	if known[1] {
-		t.Fatal("foreign-dimension coordinate was cached")
+	waitFor(t, 5*time.Second, func() bool { _, _, known := rt.Coordinates(); return known[1] })
+	if coords, errs, _ := rt.Coordinates(); !slices.Equal(coords[1], vivaldi.Coordinate{1.5, 2.5, 3.5}) || errs[1] != 0.3 {
+		t.Fatalf("well-formed probe cached %v err %v", coords[1], errs[1])
 	}
 	rt.Gossip(1, 0, 20*time.Millisecond)
 	_, _ = rt.CoordError() // must not panic
+}
+
+// A peer this process holds down (a chaos kill) neither probes nor is
+// probed: Gossip sends no ping from it or to it, so it takes no RTT
+// sample, refits nothing, and no remote learns its coordinate from it;
+// and a pong reaching it is dropped and counted, no sample either.
+func TestDownPeerDoesNotProbe(t *testing.T) {
+	rts, dir, err := netrt.NewGroup([][]int{{0}, {1}}, netrt.Options{Seed: 53})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := rts[0], rts[1]
+	defer a.Shutdown()
+	defer b.Shutdown()
+	a.SetDown(0, true)
+	b.SetDown(0, true)
+	for _, rt := range rts {
+		rt.Gossip(3, 0, 50*time.Millisecond)
+	}
+	for i, rt := range rts {
+		if st := rt.NetStats(); st.Datagrams != 0 || st.RTTSamples != 0 {
+			t.Fatalf("runtime %d holding peer 0 down wrote %d datagrams and took %d RTT samples", i, st.Datagrams, st.RTTSamples)
+		}
+	}
+	if _, _, known := b.Coordinates(); known[0] {
+		t.Fatal("peer 1 learned down peer 0's coordinate")
+	}
+
+	// A well-formed pong claiming to be from peer 1 reaches the down peer
+	// 0: dropped until peer 0 is back up, then a sample.
+	raw, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	dst, err := net.ResolveUDPAddr("udp", dir[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	pong := probe(netrt.FramePong, 1, []float64{1, 2, 3}, 0.5)
+	_, _, dropped := a.Stats()
+	if _, err := raw.WriteToUDP(pong, dst); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool { _, _, d := a.Stats(); return d > dropped })
+	if _, _, known := a.Coordinates(); known[1] || a.NetStats().RTTSamples != 0 {
+		t.Fatal("down peer 0 took a pong's sample")
+	}
+	a.SetDown(0, false)
+	if _, err := raw.WriteToUDP(pong, dst); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool { return a.NetStats().RTTSamples == 1 })
 }
 
 // Gossip draws its probe targets afresh on every call, not only on every

@@ -15,11 +15,9 @@ import (
 //
 // No peer sends a batch: a peer sends every summary as its own Envelope,
 // because per-turn batching measured one batch in tens of thousands of
-// summary frames, and the v5 senders from before batching was dropped are
-// refused by version. The codec stays because the benchmark's batch codec
-// rows need it; the kind retires with those rows, and no version bump is
-// needed, because no peer sends it. Only its values differ between v6 and
-// v7, so the decoder takes the frame's version for them.
+// summary frames. The codec stays because the benchmark's batch codec rows
+// need it; the kind retires with those rows, and no version bump is
+// needed, because no peer sends it.
 //
 // Payload layout, after the [Version][kind] frame header:
 //
@@ -145,12 +143,12 @@ func EncodeEnvelopeBatch(w *Buffer, b *EnvelopeBatch) error {
 	return err
 }
 
-// DecodeEnvelopeBatch reads a batch payload from a frame of version ver,
-// materializing every entry as a standalone envelope: levels reconstructed
-// from the base vector plus the entry's diff, query name and epoch
-// resolved through the key table, SentAt copied from the batch. Query
-// names are interned, as in DecodeSummary.
-func DecodeEnvelopeBatch(r *Reader, ver byte) (*EnvelopeBatch, error) {
+// DecodeEnvelopeBatch reads a batch payload, materializing every entry as
+// a standalone envelope: levels reconstructed from the base vector plus
+// the entry's diff, query name and epoch resolved through the key table,
+// SentAt copied from the batch. Query names are interned, as in
+// DecodeSummary.
+func DecodeEnvelopeBatch(r *Reader) (*EnvelopeBatch, error) {
 	sc := batchScratchPool.Get().(*batchScratch)
 	defer batchScratchPool.Put(sc)
 	sc.names, sc.epochs = sc.names[:0], sc.epochs[:0]
@@ -233,7 +231,7 @@ func DecodeEnvelopeBatch(r *Reader, ver byte) (*EnvelopeBatch, error) {
 			return nil, err
 		}
 		e.S.Hops = int(hops)
-		if e.S.Value, err = r.value(ver); err != nil {
+		if e.S.Value, err = r.Value(); err != nil {
 			return nil, err
 		}
 		lv, err := r.Uvarint()

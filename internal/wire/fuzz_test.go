@@ -11,9 +11,8 @@ import (
 // in short smoke mode (-fuzztime 10s); locally, go test -fuzz digs deeper.
 
 // seedFrames returns valid encodings of every message kind as fuzz seeds,
-// so mutation starts from structurally interesting input: the v7 frames of
-// sampleMessages, then every captured frame and every captured v6 frame's
-// v7 re-encoding (capturedSeeds).
+// so mutation starts from structurally interesting input: the frames of
+// sampleMessages, then every committed frame (capturedSeeds).
 func seedFrames(t testing.TB) [][]byte {
 	var out [][]byte
 	for _, msg := range sampleMessages() {
@@ -66,20 +65,7 @@ func fuzzDecoder[T any](f *testing.F, dec func(*Reader) (T, error)) {
 	})
 }
 
-// bothVersions adapts a decoder that takes the frame version: the payload
-// is read as a v6 one first (from a copy of the reader), then as a v7 one,
-// and an error not wrapping ErrCorrupt from either fails the run.
-func bothVersions[T any](dec func(*Reader, byte) (T, error)) func(*Reader) (T, error) {
-	return func(r *Reader) (T, error) {
-		prev := *r
-		if m, err := dec(&prev, Version-1); err != nil && !errors.Is(err, ErrCorrupt) {
-			return m, err
-		}
-		return dec(r, Version)
-	}
-}
-
-func FuzzDecodeEnvelope(f *testing.F)     { fuzzDecoder(f, bothVersions(DecodeEnvelope)) }
+func FuzzDecodeEnvelope(f *testing.F)     { fuzzDecoder(f, DecodeEnvelope) }
 func FuzzDecodeHeartbeat(f *testing.F)    { fuzzDecoder(f, DecodeHeartbeat) }
 func FuzzDecodeInstall(f *testing.F)      { fuzzDecoder(f, DecodeInstall) }
 func FuzzDecodeRemove(f *testing.F)       { fuzzDecoder(f, DecodeRemove) }
@@ -92,19 +78,20 @@ func FuzzDecodeNeighbors(f *testing.F)    { fuzzDecoder(f, DecodeNeighbors) }
 func FuzzDecodeInstallAck(f *testing.F)   { fuzzDecoder(f, DecodeInstallAck) }
 
 func FuzzDecodeEnvelopeBatch(f *testing.F) {
-	fuzzDecoder(f, bothVersions(DecodeEnvelopeBatch))
+	fuzzDecoder(f, DecodeEnvelopeBatch)
 }
 
 func FuzzDecodeSummary(f *testing.F) {
-	fuzzDecoder(f, bothVersions(func(r *Reader, ver byte) (any, error) {
-		s, _, err := DecodeSummary(r, ver)
+	fuzzDecoder(f, func(r *Reader) (any, error) {
+		s, _, err := DecodeSummary(r)
 		return s, err
-	}))
+	})
 }
 
 // FuzzDecodeValue also seeds every value shape at the edge numbers, so
 // both the float and the integral kinds start from a valid encoding, and
-// the value of every captured v6 envelope and of its v7 re-encoding.
+// the value of every committed v7 envelope and of the v6 capture it was
+// re-encoded from, a refused form worth mutating from.
 func FuzzDecodeValue(f *testing.F) {
 	for _, x := range edgeNumbers() {
 		for _, v := range valueShapes(x) {
@@ -115,18 +102,21 @@ func FuzzDecodeValue(f *testing.F) {
 			f.Add(w.Bytes())
 		}
 	}
-	for _, v6 := range v6Captured(f) {
-		if v6[1] == MsgEnvelope {
-			f.Add(envelopeValue(f, v6))
-			f.Add(envelopeValue(f, reencoded(f, v6)))
+	v6 := retiredCaptures(f)
+	for i, v7 := range v7Captured(f) {
+		if v7[1] == MsgEnvelope {
+			start, end := valueSpan(f, v7)
+			f.Add(v7[start:end])
+			// The v6 envelope differs from its re-encoding in the value alone.
+			f.Add(v6[i][start : len(v6[i])-(len(v7)-end)])
 		}
 	}
-	fuzzDecoder(f, bothVersions(func(r *Reader, ver byte) (any, error) { return r.value(ver) }))
+	fuzzDecoder(f, (*Reader).Value)
 }
 
-// envelopeValue returns the value bytes of an envelope frame: what
-// follows the summary's query, index, age, count, boundary and hops.
-func envelopeValue(t testing.TB, frame []byte) []byte {
+// valueSpan returns where the value of an envelope frame lies: after the
+// summary's query, index, age, count, boundary and hops.
+func valueSpan(t testing.TB, frame []byte) (start, end int) {
 	r := NewReader(frame[2:])
 	r.InternedString()
 	r.Scaled()
@@ -135,11 +125,11 @@ func envelopeValue(t testing.TB, frame []byte) []byte {
 	r.Uvarint()
 	r.Bool()
 	r.Uvarint()
-	start := r.off
-	if _, err := r.value(frame[0]); err != nil {
+	start = r.off
+	if _, err := r.Value(); err != nil {
 		t.Fatalf("value at %d: %v", start, err)
 	}
-	return r.b[start:r.off]
+	return start + 2, r.off + 2
 }
 
 // The fragment-layer decoders are not message kinds (they sit below the

@@ -22,33 +22,20 @@ import (
 // ErrCorrupt, and never panic on corrupt input (fuzz targets pin this).
 
 // Version is the wire-format version byte leading every message frame.
-// The policy: a sender writes the current version; a decoder reads the
-// current and the previous one, branching on the frame's version where
-// their layouts differ, and rejects every other version as corrupt. New
-// binaries therefore read the frames of binaries one release behind, while
-// those reject the new version — a rolling upgrade finishes cleanly once
-// every sender is upgraded, but a mixed federation is not a steady state.
+// The policy: a sender writes the current version and a decoder reads
+// exactly that version, refusing every other as corrupt. A version bump,
+// like a change to netrt's transport header, is therefore an all-at-once
+// upgrade: every process of a federation runs the same release.
 //
 // Version 7 writes a sketch's value in its shortest lossless form. A bit
 // array (Bloom filter, distinct registers) is a mode byte and the shorter
 // of two bodies: dense words or the gaps between set bits. Histogram keys,
 // already sorted, and scored-entry keys, in their order, are each
 // front-coded against the key before. Scored entries flag their score and
-// payload columns integral apart. Every other layout is v6's: the envelope
-// carries no SentAt, the window index is scaled, values whose numbers are
-// all small integers take their integral kind, and the heartbeat is
-// [Seq][Hash]. So only the value decoder branches on the version, and the
-// decoders that reach it (DecodeSummary, DecodeEnvelope,
-// DecodeEnvelopeBatch) take the frame's.
+// payload columns integral apart. The envelope carries no SentAt, the
+// window index is scaled, values whose numbers are all small integers take
+// their integral kind, and the heartbeat is [Seq][Hash].
 const Version = 7
-
-// versionSketch is the first version with v7's sketch value forms; Value
-// reads v6's below it.
-const versionSketch = 7
-
-// versionOK reports whether a decoder accepts frame version v: the
-// current version and the one before it.
-func versionOK(v byte) bool { return v == Version || v == Version-1 }
 
 // AllEpochs is the Remove.Epoch / RemovedMark.Epoch value meaning the
 // removal covers every epoch of the query — a whole-query removal.
@@ -302,7 +289,7 @@ func EncodeMessage(w *Buffer, msg any) error {
 func DecodeMessage(b []byte) (any, error) {
 	r := NewReader(b)
 	v, err := r.Byte()
-	if err != nil || !versionOK(v) {
+	if err != nil || v != Version {
 		return nil, fmt.Errorf("wire: bad version: %w", ErrCorrupt)
 	}
 	kind, err := r.Byte()
@@ -313,7 +300,7 @@ func DecodeMessage(b []byte) (any, error) {
 	switch kind {
 	case MsgEnvelope:
 		var e Envelope
-		if e, err = DecodeEnvelope(r, v); err == nil {
+		if e, err = DecodeEnvelope(r); err == nil {
 			msg = &e
 		}
 	case MsgHeartbeat:
@@ -334,7 +321,7 @@ func DecodeMessage(b []byte) (any, error) {
 		msg, err = DecodeInstallAck(r)
 	case MsgEnvelopeBatch:
 		var b *EnvelopeBatch
-		if b, err = DecodeEnvelopeBatch(r, v); err == nil {
+		if b, err = DecodeEnvelopeBatch(r); err == nil {
 			msg = b
 		}
 	default:
@@ -362,10 +349,10 @@ func EncodeEnvelope(w *Buffer, e *Envelope) error {
 	return nil
 }
 
-// DecodeEnvelope reads an envelope payload from a frame of version ver.
-// SentAt is not on the wire and comes back 0.
-func DecodeEnvelope(r *Reader, ver byte) (e Envelope, err error) {
-	if e.S, e.TTLDown, err = DecodeSummary(r, ver); err != nil {
+// DecodeEnvelope reads an envelope payload. SentAt is not on the wire and
+// comes back 0.
+func DecodeEnvelope(r *Reader) (e Envelope, err error) {
+	if e.S, e.TTLDown, err = DecodeSummary(r); err != nil {
 		return
 	}
 	var tree int64
@@ -387,43 +374,6 @@ func (r *Reader) epoch() (uint32, error) {
 }
 
 // --- Heartbeat ---
-
-// PutCoordExt appends the Vivaldi coordinate extension netrt's probe
-// frames carry: a dimension count (0 when no coordinate is attached), the
-// components, then the error estimate (only when a coordinate is present).
-func (w *Buffer) PutCoordExt(c []float64, errEst float64) {
-	w.PutUvarint(uint64(len(c)))
-	for _, v := range c {
-		w.PutF64(v)
-	}
-	if len(c) > 0 {
-		w.PutF64(errEst)
-	}
-}
-
-// CoordExt reads the coordinate extension written by PutCoordExt. A zero
-// dimension count yields a nil coordinate; the count is bounded against
-// the remaining bytes before allocating.
-func (r *Reader) CoordExt() ([]float64, float64, error) {
-	d, err := r.Uvarint()
-	if err != nil || d > uint64(r.Remaining())/8 {
-		return nil, 0, ErrCorrupt
-	}
-	if d == 0 {
-		return nil, 0, nil
-	}
-	c := make([]float64, d)
-	for i := range c {
-		if c[i], err = r.F64(); err != nil {
-			return nil, 0, err
-		}
-	}
-	e, err := r.F64()
-	if err != nil {
-		return nil, 0, err
-	}
-	return c, e, nil
-}
 
 // EncodeHeartbeat appends a heartbeat payload: seq, then hash.
 func EncodeHeartbeat(w *Buffer, m Heartbeat) {

@@ -36,9 +36,9 @@ func sampleNeighbors() Neighbors {
 }
 
 // sampleMessages returns one instance of every message kind, the full set
-// the peers exchange. v5Frames and v6Frames hold their captured
-// encodings: an edit here must leave capturedMessages returning what was
-// captured.
+// the peers exchange. v5Frames, v6Frames and v7Frames hold their
+// captured encodings: an edit here must leave capturedMessages returning
+// what was captured.
 func sampleMessages() []any {
 	return []any{
 		&Envelope{
@@ -209,11 +209,10 @@ func TestOversizedSubtreeIsCorrupt(t *testing.T) {
 }
 
 // A heartbeat is [Seq][Hash] and nothing after it: the coordinate slot v5
-// heartbeats ended in is trailing bytes at v6 and v7, and the captured v5
-// heartbeat with a filled slot is refused by its version. The coordinate
-// extension now rides netrt's probe frames alone, where a claimed
-// dimensionality beyond the remaining bytes must not drive allocation.
-func TestHeartbeatCoordExtension(t *testing.T) {
+// heartbeats ended in is trailing bytes now, and the captured v5 heartbeat
+// with a filled slot is refused by its version. Coordinates ride netrt's
+// probe frames alone (netrt's FuzzProbeCoord).
+func TestHeartbeatHasNoCoordinateSlot(t *testing.T) {
 	filled, err := hex.DecodeString(v5FilledSlotHeartbeat)
 	if err != nil {
 		t.Fatal(err)
@@ -221,29 +220,16 @@ func TestHeartbeatCoordExtension(t *testing.T) {
 	if _, err := DecodeMessage(filled); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("v5 heartbeat with a filled slot: %v", err)
 	}
-	for _, v := range []byte{Version, Version - 1} {
-		filled[0] = v
-		if _, err := DecodeMessage(filled); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("v%d heartbeat with a coordinate slot: %v", v, err)
-		}
-		var w Buffer
-		w.b = append(w.b, v, MsgHeartbeat)
-		w.PutUvarint(42)
-		w.PutUvarint(7)
-		if got, err := DecodeMessage(w.Bytes()); err != nil || got != any(Heartbeat{Seq: 42, Hash: 7}) {
-			t.Fatalf("v%d heartbeat: %#v, %v", v, got, err)
-		}
+	filled[0] = Version
+	if _, err := DecodeMessage(filled); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("v%d heartbeat with a coordinate slot: %v", Version, err)
 	}
-
 	var w Buffer
-	w.PutCoordExt([]float64{3.25, -1.5, 40}, 0.4)
-	if c, e, err := NewReader(w.Bytes()).CoordExt(); err != nil || !reflect.DeepEqual(c, []float64{3.25, -1.5, 40}) || e != 0.4 {
-		t.Fatalf("coordinate extension: %v, %v, %v", c, e, err)
-	}
-	w.Reset()
-	w.PutUvarint(1 << 40)
-	if _, _, err := NewReader(w.Bytes()).CoordExt(); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("absurd coord dimension: %v", err)
+	w.b = append(w.b, Version, MsgHeartbeat)
+	w.PutUvarint(42)
+	w.PutUvarint(7)
+	if got, err := DecodeMessage(w.Bytes()); err != nil || got != any(Heartbeat{Seq: 42, Hash: 7}) {
+		t.Fatalf("heartbeat: %#v, %v", got, err)
 	}
 }
 

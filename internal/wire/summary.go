@@ -29,11 +29,10 @@ func EncodeSummary(w *Buffer, s tuple.Summary, ttlDown uint8) error {
 	return nil
 }
 
-// DecodeSummary reads a summary encoded by EncodeSummary into a frame of
-// version ver, whose value forms it reads (see Reader.value). The query
+// DecodeSummary reads a summary encoded by EncodeSummary. The query
 // name is interned: every envelope of a query carries the same few names,
 // so steady-state decode performs no string allocation for them.
-func DecodeSummary(r *Reader, ver byte) (s tuple.Summary, ttlDown uint8, err error) {
+func DecodeSummary(r *Reader) (s tuple.Summary, ttlDown uint8, err error) {
 	if s.Query, err = r.InternedString(); err != nil {
 		return
 	}
@@ -61,7 +60,7 @@ func DecodeSummary(r *Reader, ver byte) (s tuple.Summary, ttlDown uint8, err err
 		return
 	}
 	s.Hops = int(hops)
-	if s.Value, err = r.value(ver); err != nil {
+	if s.Value, err = r.Value(); err != nil {
 		return
 	}
 	var n uint64

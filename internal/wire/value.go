@@ -31,7 +31,7 @@ const (
 	kindCoord   = 7 // Coord (trilateration output)
 
 	kindIntegral        = 8  // flag on kindF64, kindF64s, kindKV, kindEntries (its scores)
-	kindIntegralPayload = 16 // flag on kindEntries: its payloads (v7; at v6 kindIntegral covers both)
+	kindIntegralPayload = 16 // flag on kindEntries: its payloads
 )
 
 // Forms of a bit array (kindBits), named by the mode byte after the tag.
@@ -286,13 +286,8 @@ func (w *Buffer) putBitsAs(x []uint64, mode byte, set int) {
 	}
 }
 
-// Value reads a tagged operator value in the current version's forms.
-func (r *Reader) Value() (any, error) { return r.value(Version) }
-
-// value reads a tagged operator value from a frame of version ver: a v6
-// frame writes histogram and entry keys whole, one integral flag for both
-// entry columns, and a bit array as a uvarint a word.
-func (r *Reader) value(ver byte) (any, error) {
+// Value reads a tagged operator value written by PutValue.
+func (r *Reader) Value() (any, error) {
 	kind, err := r.Byte()
 	if err != nil {
 		return nil, err
@@ -300,7 +295,7 @@ func (r *Reader) value(ver byte) (any, error) {
 	ints, payloads := kind&kindIntegral != 0, kind&kindIntegralPayload != 0
 	kind &^= kindIntegral | kindIntegralPayload
 	switch {
-	case payloads && (kind != kindEntries || ver < versionSketch),
+	case payloads && kind != kindEntries,
 		ints && kind != kindF64 && kind != kindF64s && kind != kindKV && kind != kindEntries:
 		return nil, fmt.Errorf("wire: unknown value flags on kind %d: %w", kind, ErrCorrupt)
 	}
@@ -324,16 +319,10 @@ func (r *Reader) value(ver byte) (any, error) {
 	case kindString:
 		return r.String()
 	case kindKV:
-		return r.kv(ints, ver)
+		return r.kv(ints)
 	case kindEntries:
-		if ver < versionSketch {
-			payloads = ints
-		}
-		return r.entries(ints, payloads, ver)
+		return r.entries(ints, payloads)
 	case kindBits:
-		if ver < versionSketch {
-			return r.wordVarints()
-		}
 		return r.bits()
 	case kindCoord:
 		var c Coord
@@ -349,9 +338,9 @@ func (r *Reader) value(ver byte) (any, error) {
 	}
 }
 
-// kv reads a histogram map. At v7 every key is front-coded and strictly
-// greater than the one before it; anything else is corrupt.
-func (r *Reader) kv(ints bool, ver byte) (map[string]float64, error) {
+// kv reads a histogram map. Every key is front-coded and strictly greater
+// than the one before it; anything else is corrupt.
+func (r *Reader) kv(ints bool) (map[string]float64, error) {
 	n, err := r.Uvarint()
 	if err != nil || n > uint64(r.Remaining()) {
 		return nil, ErrCorrupt
@@ -359,14 +348,12 @@ func (r *Reader) kv(ints bool, ver byte) (map[string]float64, error) {
 	out := make(map[string]float64, n)
 	prev := ""
 	for i := uint64(0); i < n; i++ {
-		var k string
-		if ver < versionSketch {
-			k, err = r.String()
-		} else if k, err = r.frontCoded(prev); err == nil && i > 0 && k <= prev {
-			err = fmt.Errorf("wire: histogram keys out of order: %w", ErrCorrupt)
-		}
+		k, err := r.frontCoded(prev)
 		if err != nil {
 			return nil, err
+		}
+		if i > 0 && k <= prev {
+			return nil, fmt.Errorf("wire: histogram keys out of order: %w", ErrCorrupt)
 		}
 		v, err := r.num(ints)
 		if err != nil {
@@ -378,8 +365,8 @@ func (r *Reader) kv(ints bool, ver byte) (map[string]float64, error) {
 	return out, nil
 }
 
-// entries reads scored entries; at v7 their keys are front-coded.
-func (r *Reader) entries(scores, payloads bool, ver byte) ([]ScoredEntry, error) {
+// entries reads scored entries, their keys front-coded.
+func (r *Reader) entries(scores, payloads bool) ([]ScoredEntry, error) {
 	n, err := r.Uvarint()
 	if err != nil || n > uint64(r.Remaining()) {
 		return nil, ErrCorrupt
@@ -388,12 +375,7 @@ func (r *Reader) entries(scores, payloads bool, ver byte) ([]ScoredEntry, error)
 	prev := ""
 	for i := range out {
 		e := &out[i]
-		if ver < versionSketch {
-			e.Key, err = r.String()
-		} else {
-			e.Key, err = r.frontCoded(prev)
-		}
-		if err != nil {
+		if e.Key, err = r.frontCoded(prev); err != nil {
 			return nil, err
 		}
 		prev = e.Key
@@ -411,21 +393,6 @@ func (r *Reader) entries(scores, payloads bool, ver byte) ([]ScoredEntry, error)
 					return nil, err
 				}
 			}
-		}
-	}
-	return out, nil
-}
-
-// wordVarints reads a v6 bit array: the word count, then a uvarint a word.
-func (r *Reader) wordVarints() ([]uint64, error) {
-	n, err := r.Uvarint()
-	if err != nil || n > uint64(r.Remaining()) {
-		return nil, ErrCorrupt
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		if out[i], err = r.Uvarint(); err != nil {
-			return nil, err
 		}
 	}
 	return out, nil

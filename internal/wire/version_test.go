@@ -17,15 +17,18 @@ import (
 	"repro/internal/tuple"
 )
 
-// The v5 and v6 frames below were captured from the last v5 and v6
-// encoders: each is EncodeMessage of the entry of capturedMessages at the
-// same position. They are committed bytes, not re-encoded by the test, so a
-// decoder bug cannot hide behind an encoder that shares it.
+// The frames below are committed bytes, not re-encoded by the test, so a
+// decoder bug cannot hide behind an encoder that shares it. The v5 and v6
+// frames were captured from the last v5 and v6 encoders: each is
+// EncodeMessage of the entry of capturedMessages at the same position. The
+// v7 frames are the v7 re-encodings of the v6 ones, made while v6 still
+// decoded. Only v7 decodes now; the older captures stay as frames a
+// decoder must refuse.
 
-// capturedMessages returns the messages v5Frames and v6Frames were encoded
-// from: every entry of sampleMessages, then the fanin-wan-shaped "mass"
-// envelope once per value shape, integral and not (entry
-// len(sampleMessages())+1 is the sum of counts the size pins use).
+// capturedMessages returns the messages v5Frames, v6Frames and v7Frames
+// were encoded from: every entry of sampleMessages, then the
+// fanin-wan-shaped "mass" envelope once per value shape, integral and not
+// (entry len(sampleMessages())+1 is the sum of counts the size pins use).
 func capturedMessages() []any {
 	env := func(v any, sentAt time.Duration) *Envelope {
 		return &Envelope{
@@ -136,6 +139,40 @@ var v6Frames = []string{
 	"0601046d617373a301d20f80f5d08501050002070000000000000c400000000000001040020200020201",
 }
 
+// v7Frames are the v7 re-encodings of v6Frames, in order.
+var v7Frames = []string{
+	"0701076370752d73756d0f2b80bcc1960b2a000309220404010600010403",
+	"070a02076370752d73756d03076d656d2d6d617800040201040080d0acf30e0300000280a8d6b90780d0acf30e80e892260300010908040000000080d0acf30e80f882ad16000100000912040001020180a8d6b90780d0acf30e0001010000020200000100",
+	"0702ac02fe95bff7dbd537",
+	"07020100",
+	"070309776966692d746f7035070204746f706b02013504727373690080d0acf30e80a8d6b90700000861613a62623a63630680bcc1960b02060201004003020412080601001202060201000602ac0200020602121812011c",
+	"0704076370752d73756d09ffffffff0f0100020204",
+	"0704076370752d73756d0c0300",
+	"0705030161000101610104016200020101630203ffffffff0f07010109776966692d746f7035070204746f706b02013504727373690080d0acf30e80a8d6b90700000861613a62623a63630680bcc1960b",
+	"0705000000",
+	"07060209776966692d746f7035070204746f706b02013504727373690080d0acf30e80a8d6b90700000861613a62623a63630680bcc1960b0462617265000005636f756e740001000028140000000104676f6e65010402",
+	"0707076370752d73756d0222",
+	"0708076370752d73756d020202010040030204120806010000",
+	"070804676f6e6500050001",
+	"0709076370752d73756d020b0c",
+	"0701046d617373a301d20f80f5d0850105000200020200020201",
+	"0701046d617373a301d20f80f5d0850105000209a413020200020201",
+	"0701046d617373a301d20f80f5d08501050002010000000000404540020200020201",
+	"0701046d617373a301d20f80f5d08501050002010000000000000080020200020201",
+	"0701046d617373a301d20f80f5d0850105000201000000000000f0ff020200020201",
+	"0701046d617373a301d20f80f5d08501050002010000000000004043020200020201",
+	"0701046d617373a301d20f80f5d085010500020a0406000d808080808040020200020201",
+	"0701046d617373a301d20f80f5d085010500020202000000000000e03f0000000000000040020200020201",
+	"0701046d617373a301d20f80f5d08501050002030474657874020200020201",
+	"0701046d617373a301d20f80f5d085010500020c030001610200026262280003636363d704020200020201",
+	"0701046d617373a301d20f80f5d085010500020401000161000000000000d03f020200020201",
+	"0701046d617373a301d20f80f5d085010500021d0200026b31b4010202040101320e00020200020201",
+	"0701046d617373a301d20f80f5d08501050002150100026b310000000000803ec000020200020201",
+	"0701046d617373a301d20f80f5d0850105000206000300000000000000000100000000000000ffffffffffffffff020200020201",
+	"0701046d617373a301d20f80f5d0850105000207000000000000084000000000000010c0020200020201",
+	"0701046d617373a301d20f80f5d08501050002070000000000000c400000000000001040020200020201",
+}
+
 // v6SketchFrames are sketch-wan envelopes (seed 1) the last v6 encoder
 // wrote, one per sketch tenant, each the one whose value length was
 // nearest its tenant's mean over the run (Bloom 130.7 B, distinct 138.3,
@@ -145,6 +182,14 @@ var v6SketchFrames = map[string]string{
 	"distinct": "06010864697374696e6374a29c01d20f9af9a87701000006208080808080808080018080808080804080808080808080800100808080809080c080048080808080200000000081848080808080018080800880808080802000808080808080808002808004808080088080808080208080808080808080038080808020008180808080808001818080100080060080088086848020000081808080808080800100020404000000",
 	"entropy":  "060107656e74726f7079d28c01d20faacfc37b0200010c35026b3028026b3110036b313104056b3131323402046b31313802036b313202046b31323302056b3132363502036b313302056b3133313102036b313402046b31353302036b313702056b3137303202046b31373402046b31383202046b31383702026b320c036b323002046b32303502036b323104046b32343002036b323502036b323602036b323802026b330a046b33303502036b333402046b33353602046b33353902056b3337363202046b33383302046b33393302056b3339353802026b3408036b343302046b34333802046b34363802046b34383102026b3504036b353202036b353302026b360a036b363002046b36373902036b363802026b3702026b3804046b38323702036b383302036b383802026b3904046b39363502020606000200",
 	"topk":     "060104746f706be25dd20f84e8dc77010000050a026b30000000000000f03f019cc420c08f244441026b31000000000000f03f019cc420c09f4b4441036b3130000000000000f03f019cc420c0ff354541046b313032000000000000f03f019cc420c00f5d4541036b3131000000000000f03f019cc420c047ad4441036b3132000000000000f03f019cc420c007114441036b3134000000000000f03f019cc420c077224541036b3139000000000000f03f019cc420c0bf994441026b32000000000000f03f019cc420c0bf994441026b33000000000000f03f019cc420c09f4b4441020606000000",
+}
+
+// v7SketchFrames are the v7 re-encodings of v6SketchFrames.
+var v7SketchFrames = map[string]string{
+	"bloom":    "070105626c6f6f6da21fd20fd6cdf3640100000601105004030215151f02130c000313250615040c030d0c0d030210161504150803030d030e070f13051a0b0703090510000c03082302031a0108010a130d02071a1e0b030a0c03020a010116291a0624090708020806000000",
+	"distinct": "07010864697374696e6374a29c01d20f9af9a87701000006012020383747670f092d97020827264f900116474f4f00275e300e186e0080013d0006109e0137020404000000",
+	"entropy":  "070107656e74726f7079d28c01d20faacfc37b0200010c3500026b3028010131100201310403023234020301380202013202030133020302363502020133020302313102020134020202353302020137020302303202030134020202383202030137020101320c02013002030135020201310402023430020201350202013602020138020101330a020230350202013402020235360203013902020337363202020238330202023933020302353802010134080201330203013802020236380202023831020101350402013202020133020101360a02013002020237390202013802010137020101380402023237020201330202013802010139040202363502020606000200",
+	"topk":     "070104746f706be25dd20f84e8dc770100000d0a00026b3002019cc420c08f24444101013102019cc420c09f4b444102013002019cc420c0ff35454103013202019cc420c00f5d454102013102019cc420c047ad444102013202019cc420c00711444102013402019cc420c07722454102013902019cc420c0bf99444101013202019cc420c0bf99444101013302019cc420c09f4b4441020606000000",
 }
 
 // v5FilledSlotHeartbeat is a captured v5 heartbeat {Seq: 2, Hash:
@@ -162,16 +207,31 @@ func hexFrame(t testing.TB, h string) []byte {
 	return b
 }
 
-// v5Frame and v6Frame return captured frame i as bytes.
+// v5Frame, v6Frame and v7Frame return captured frame i as bytes.
 func v5Frame(t testing.TB, i int) []byte { return hexFrame(t, v5Frames[i]) }
 func v6Frame(t testing.TB, i int) []byte { return hexFrame(t, v6Frames[i]) }
+func v7Frame(t testing.TB, i int) []byte { return hexFrame(t, v7Frames[i]) }
 
-// sketchKinds are v6SketchFrames' keys in a fixed order.
+// sketchKinds are the sketch frames' keys in a fixed order.
 var sketchKinds = []string{"bloom", "distinct", "entropy", "topk"}
 
-// v6Captured returns every captured v6 frame: v6Frames, then
-// v6SketchFrames in sketchKinds order.
-func v6Captured(t testing.TB) [][]byte {
+// v7Captured returns every committed v7 frame: v7Frames, then
+// v7SketchFrames in sketchKinds order.
+func v7Captured(t testing.TB) [][]byte {
+	var out [][]byte
+	for i := range v7Frames {
+		out = append(out, v7Frame(t, i))
+	}
+	for _, k := range sketchKinds {
+		out = append(out, hexFrame(t, v7SketchFrames[k]))
+	}
+	return out
+}
+
+// retiredCaptures returns every captured frame of an older version: the
+// v6 frames and sketch frames, then the v5 frames and the v5 heartbeat
+// with a filled coordinate slot.
+func retiredCaptures(t testing.TB) [][]byte {
 	var out [][]byte
 	for i := range v6Frames {
 		out = append(out, v6Frame(t, i))
@@ -179,7 +239,10 @@ func v6Captured(t testing.TB) [][]byte {
 	for _, k := range sketchKinds {
 		out = append(out, hexFrame(t, v6SketchFrames[k]))
 	}
-	return out
+	for i := range v5Frames {
+		out = append(out, v5Frame(t, i))
+	}
+	return append(out, hexFrame(t, v5FilledSlotHeartbeat))
 }
 
 // reencoded returns the current encoding of a frame's decoded message.
@@ -196,19 +259,11 @@ func reencoded(t testing.TB, frame []byte) []byte {
 	return w.Bytes()
 }
 
-// capturedSeeds returns every captured frame and every v6 frame's v7
-// re-encoding, the fuzz targets' seeds beyond sampleMessages: v6, v7, then
-// v5 (refused by version; a mutation may restamp one).
+// capturedSeeds returns every committed frame, the fuzz targets' seeds
+// beyond sampleMessages: the v7 ones, then the retired ones (refused by
+// version; a mutation may restamp one).
 func capturedSeeds(t testing.TB) [][]byte {
-	v6 := v6Captured(t)
-	out := append([][]byte(nil), v6...)
-	for _, f := range v6 {
-		out = append(out, reencoded(t, f))
-	}
-	for i := range v5Frames {
-		out = append(out, v5Frame(t, i))
-	}
-	return append(out, hexFrame(t, v5FilledSlotHeartbeat))
+	return append(v7Captured(t), retiredCaptures(t)...)
 }
 
 // withoutSentAt returns msg as the codec gives it back: an envelope's
@@ -222,65 +277,56 @@ func withoutSentAt(msg any) any {
 	return msg
 }
 
-// The decode policy is "the current version and the previous one": 7 and 6
-// decode, 5 and 8 are refused. Every captured v6 frame decodes to the
-// message it was encoded from, SentAt aside and every number bit for bit,
-// and its v7 re-encoding decodes to the same message again. Every captured
-// v5 frame, the heartbeat with a filled coordinate slot among them, is
-// corrupt.
+// The decode policy is "the current version alone". Every committed v7
+// frame decodes to the message it was encoded from, SentAt aside and
+// every number bit for bit, and that message encodes back to the frame
+// byte for byte. The frame restamped with any other version byte is
+// corrupt, and so is every captured v5 and v6 frame, the v5 heartbeat with
+// a filled coordinate slot among them.
 func TestDecodeVersionWindow(t *testing.T) {
 	msgs := capturedMessages()
-	if len(msgs) != len(v6Frames) || len(msgs) != len(v5Frames) {
-		t.Fatalf("%d messages for %d v6 and %d v5 captured frames", len(msgs), len(v6Frames), len(v5Frames))
+	if len(msgs) != len(v7Frames) || len(msgs) != len(v6Frames) || len(msgs) != len(v5Frames) {
+		t.Fatalf("%d messages for %d v7, %d v6 and %d v5 captured frames", len(msgs), len(v7Frames), len(v6Frames), len(v5Frames))
 	}
-	restamped := func(frame []byte, what string) {
+	roundTrip := func(frame []byte, what string) any {
 		t.Helper()
-		for _, ver := range []byte{Version - 2, Version + 1} {
-			bad := bytes.Clone(frame)
-			bad[0] = ver
+		got, err := DecodeMessage(frame)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if again := reencoded(t, frame); !bytes.Equal(again, frame) {
+			t.Fatalf("%s re-encodes as %x, want %x", what, again, frame)
+		}
+		bad := bytes.Clone(frame)
+		for v := range 256 {
+			if bad[0] = byte(v); bad[0] == Version {
+				continue
+			}
 			if _, err := DecodeMessage(bad); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("%s stamped v%d: err = %v, want ErrCorrupt", what, ver, err)
+				t.Fatalf("%s stamped v%d: err = %v, want ErrCorrupt", what, v, err)
 			}
 		}
+		return got
 	}
 	for i, msg := range msgs {
 		want := withoutSentAt(msg)
-		v6 := v6Frame(t, i)
-		got, err := DecodeMessage(v6)
-		if err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("v6 frame %d (%T): got %#v, %v\nwant %#v", i, msg, got, err, want)
-		}
-		v7 := reencoded(t, v6)
-		again, err := DecodeMessage(v7)
-		if err != nil || !reflect.DeepEqual(again, want) {
-			t.Fatalf("v7 re-encoding of frame %d (%T): got %#v, %v\nwant %#v", i, msg, again, err, want)
+		got := roundTrip(v7Frame(t, i), fmt.Sprintf("v7 frame %d", i))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("v7 frame %d (%T): got %#v\nwant %#v", i, msg, got, want)
 		}
 		if e, ok := msg.(*Envelope); ok {
-			for _, d := range []any{got, again} {
-				if v := d.(*Envelope).S.Value; !sameValue(v, e.S.Value) {
-					t.Fatalf("frame %d: value %#v, want %#v bit for bit", i, v, e.S.Value)
-				}
+			if v := got.(*Envelope).S.Value; !sameValue(v, e.S.Value) {
+				t.Fatalf("v7 frame %d: value %#v, want %#v bit for bit", i, v, e.S.Value)
 			}
 		}
-		if _, err := DecodeMessage(v5Frame(t, i)); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("v5 frame %d (%T): err = %v, want ErrCorrupt", i, msg, err)
-		}
-		restamped(v6, fmt.Sprintf("v6 frame %d", i))
-		restamped(v7, fmt.Sprintf("v7 frame %d", i))
 	}
 	for _, k := range sketchKinds {
-		v6 := hexFrame(t, v6SketchFrames[k])
-		got, err := DecodeMessage(v6)
-		if err != nil {
-			t.Fatalf("v6 %s frame: %v", k, err)
-		}
-		again, err := DecodeMessage(reencoded(t, v6))
-		if err != nil || !reflect.DeepEqual(again, got) || !sameValue(again.(*Envelope).S.Value, got.(*Envelope).S.Value) {
-			t.Fatalf("v7 re-encoding of the v6 %s frame: got %#v, %v\nwant %#v", k, again, err, got)
-		}
+		roundTrip(hexFrame(t, v7SketchFrames[k]), "v7 "+k+" frame")
 	}
-	if _, err := DecodeMessage(hexFrame(t, v5FilledSlotHeartbeat)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("v5 heartbeat with a filled slot: err = %v, want ErrCorrupt", err)
+	for i, frame := range retiredCaptures(t) {
+		if _, err := DecodeMessage(frame); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("retired capture %d (v%d): err = %v, want ErrCorrupt", i, frame[0], err)
+		}
 	}
 }
 
@@ -459,7 +505,7 @@ func TestPropertyScaledRoundTrip(t *testing.T) {
 		if err := EncodeSummary(&w, s, 0); err != nil {
 			return false
 		}
-		got, _, err := DecodeSummary(NewReader(w.Bytes()), Version)
+		got, _, err := DecodeSummary(NewReader(w.Bytes()))
 		return err == nil && got.Index == s.Index
 	}
 	for _, a := range edgeDurations() {

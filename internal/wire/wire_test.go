@@ -97,7 +97,7 @@ func TestCorruptBuffers(t *testing.T) {
 	}
 	full := w.Bytes()
 	for cut := 0; cut < len(full); cut++ {
-		if _, _, err := DecodeSummary(NewReader(full[:cut]), Version); err == nil {
+		if _, _, err := DecodeSummary(NewReader(full[:cut])); err == nil {
 			t.Fatalf("no error at truncation %d", cut)
 		}
 	}
@@ -118,7 +118,7 @@ func TestSummaryRoundTrip(t *testing.T) {
 	if err := EncodeSummary(&w, s, 2); err != nil {
 		t.Fatal(err)
 	}
-	got, ttl, err := DecodeSummary(NewReader(w.Bytes()), Version)
+	got, ttl, err := DecodeSummary(NewReader(w.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,19 +132,15 @@ func TestSummaryRoundTrip(t *testing.T) {
 
 // Only the count-carrying shapes have an integral twin: the flag on a
 // string, bits or coord tag, or on no tag at all, is an unknown kind. The
-// payload flag is known on scored entries alone, and from v7 on.
+// payload flag is known on scored entries alone.
 func TestValueTwinKinds(t *testing.T) {
-	for _, ver := range []byte{Version - 1, Version} {
-		for kind := byte(0); kind < 32; kind++ {
-			_, err := NewReader([]byte{kind, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}).value(ver)
-			known := kind <= kindCoord || kind == kindF64|kindIntegral || kind == kindF64s|kindIntegral ||
-				kind == kindKV|kindIntegral || kind == kindEntries|kindIntegral
-			if ver >= versionSketch {
-				known = known || kind == kindEntries|kindIntegralPayload || kind == kindEntries|kindIntegral|kindIntegralPayload
-			}
-			if known == errors.Is(err, ErrCorrupt) {
-				t.Errorf("v%d value kind %d: err %v", ver, kind, err)
-			}
+	for kind := byte(0); kind < 32; kind++ {
+		_, err := NewReader([]byte{kind, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}).Value()
+		known := kind <= kindCoord || kind == kindF64|kindIntegral || kind == kindF64s|kindIntegral ||
+			kind == kindKV|kindIntegral || kind == kindEntries|kindIntegral ||
+			kind == kindEntries|kindIntegralPayload || kind == kindEntries|kindIntegral|kindIntegralPayload
+		if known == errors.Is(err, ErrCorrupt) {
+			t.Errorf("value kind %d: err %v", kind, err)
 		}
 	}
 }
@@ -154,14 +150,15 @@ func TestValueTwinKinds(t *testing.T) {
 // No value shape, integral or not, encodes longer than it did at v5 but
 // for a byte a key; a bit array is sized by its own forms
 // (TestBitArrayForms). The captured sketch-wan values each shrink from
-// v6 to v7 by the pinned lengths.
+// v6 to v7 by the pinned lengths; both lengths come from the committed
+// frames.
 func TestSummarySizeReasonable(t *testing.T) {
 	n := len(sampleMessages())
 	sum := capturedMessages()[n+1].(*Envelope)
 	if sum.S.Value != any(float64(1234)) {
 		t.Fatalf("entry %d is %#v, not the sum envelope", n+1, sum.S.Value)
 	}
-	if v5, v6, v7 := len(v5Frame(t, n+1)), len(v6Frame(t, n+1)), len(reencoded(t, v6Frame(t, n+1))); v5 != 48 || v6 != 28 || v7 != 28 {
+	if v5, v6, v7 := len(v5Frame(t, n+1)), len(v6Frame(t, n+1)), len(v7Frame(t, n+1)); v5 != 48 || v6 != 28 || v7 != 28 {
 		t.Fatalf("sum envelope is %d B at v5, %d at v6, %d at v7; want 48, 28, 28", v5, v6, v7)
 	}
 	// Entry n is the same envelope with a nil value (one tag byte), so the
@@ -186,8 +183,7 @@ func TestSummarySizeReasonable(t *testing.T) {
 		"bloom": {131, 84}, "distinct": {138, 40}, "entropy": {288, 234}, "topk": {209, 133},
 	}
 	for _, k := range sketchKinds {
-		v6 := hexFrame(t, v6SketchFrames[k])
-		v7 := reencoded(t, v6)
+		v6, v7 := hexFrame(t, v6SketchFrames[k]), hexFrame(t, v7SketchFrames[k])
 		msg, err := DecodeMessage(v7)
 		if err != nil {
 			t.Fatal(err)
@@ -248,7 +244,7 @@ func TestPropertySummaryRoundTrip(t *testing.T) {
 		if err := EncodeSummary(&w, s, ttl); err != nil {
 			return false
 		}
-		got, gttl, err := DecodeSummary(NewReader(w.Bytes()), Version)
+		got, gttl, err := DecodeSummary(NewReader(w.Bytes()))
 		return err == nil && reflect.DeepEqual(got, s) && gttl == ttl
 	}
 	if err := quick.Check(f, nil); err != nil {
