@@ -13,13 +13,8 @@ type Injector interface {
 	NumPeers() int
 	// SetDown is the fail-stop gate.
 	SetDown(peer int, down bool)
-	// SetLoss sets the datagram loss of every local peer; SetPeerLoss
-	// sets one peer's.
+	// SetLoss sets the datagram loss of every local peer.
 	SetLoss(p float64)
-	SetPeerLoss(peer int, p float64)
-	// AddressGroups lists the peers behind each socket, what a
-	// socket-outage event takes down together.
-	AddressGroups() [][]int
 	// Local restricts which peers this process may gate. In a
 	// multi-process federation every process expands the identical action
 	// list but applies only the peers it hosts — fail-stop gates live at
@@ -45,7 +40,7 @@ type Runner struct {
 // Start expands the schedule against the injector and begins replaying it
 // immediately.
 func Start(inj Injector, s *Schedule) (*Runner, error) {
-	acts, err := s.Expand(inj.NumPeers(), inj.AddressGroups())
+	acts, err := s.Expand(inj.NumPeers(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -96,10 +91,6 @@ func (r *Runner) loop() {
 			}
 		case ActLoss:
 			r.inj.SetLoss(a.Loss)
-		case ActPeerLoss:
-			if r.inj.Local(a.Peer) {
-				r.inj.SetPeerLoss(a.Peer, a.Loss)
-			}
 		}
 		// Live is schedule truth, not a local Down count: a process
 		// cannot see peers gated down inside another process, but every

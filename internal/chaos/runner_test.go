@@ -17,12 +17,10 @@ type fakeInjector struct {
 	localOnly map[int]bool // nil = everything local
 	down      map[int]bool
 	loss      float64
-	peerLoss  map[int]float64
-	groups    [][]int
 }
 
 func newFakeInjector(n int) *fakeInjector {
-	return &fakeInjector{n: n, down: map[int]bool{}, peerLoss: map[int]float64{}}
+	return &fakeInjector{n: n, down: map[int]bool{}}
 }
 
 func (f *fakeInjector) NumPeers() int { return f.n }
@@ -36,12 +34,6 @@ func (f *fakeInjector) SetLoss(p float64) {
 	f.loss = p
 	f.mu.Unlock()
 }
-func (f *fakeInjector) SetPeerLoss(peer int, p float64) {
-	f.mu.Lock()
-	f.peerLoss[peer] = p
-	f.mu.Unlock()
-}
-func (f *fakeInjector) AddressGroups() [][]int { return f.groups }
 func (f *fakeInjector) Local(p int) bool {
 	if f.localOnly == nil {
 		return true
@@ -56,7 +48,6 @@ func TestRunnerRepliesSchedule(t *testing.T) {
 		"seed": 5,
 		"events": [
 			{"kind": "kill", "at_ms": 0, "peers": [2, 3]},
-			{"kind": "peer-loss", "at_ms": 10, "peers": [4], "loss": 0.25},
 			{"kind": "loss-ramp", "at_ms": 20, "until_ms": 60, "from": 0, "to": 0.1, "step_ms": 20},
 			{"kind": "recover", "at_ms": 80, "peers": [2]}
 		]
@@ -74,9 +65,6 @@ func TestRunnerRepliesSchedule(t *testing.T) {
 	defer inj.mu.Unlock()
 	if !inj.down[3] || inj.down[2] {
 		t.Fatalf("gate state %v, want 3 down and 2 recovered", inj.down)
-	}
-	if inj.peerLoss[4] != 0.25 {
-		t.Fatalf("peer loss %v", inj.peerLoss)
 	}
 	if inj.loss != 0.1 {
 		t.Fatalf("global loss %g, want ramp end 0.1", inj.loss)

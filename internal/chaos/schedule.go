@@ -4,12 +4,12 @@
 // completeness-under-failure experiments (Figs 9-13) from simulator-only
 // figures into a measured property of the socket runtime. A Schedule —
 // parsed from a small JSON DSL — composes fail-stop kills, timed
-// recoveries, rolling churn, correlated per-socket outages, and
-// datagram-loss ramps; Expand flattens it into a deterministic,
-// seed-replayable action list; a Runner applies the actions to a runtime
-// on the wall clock; and a Recorder samples per-window completeness
-// against the schedule's live-node count, emitting a CURVE_<scenario>.json
-// time series alongside the bench artifacts.
+// recoveries, rolling churn and datagram-loss ramps; Expand flattens it
+// into a deterministic, seed-replayable action list; a Runner applies the
+// actions to a runtime on the wall clock; and a Recorder samples
+// per-window completeness against the schedule's live-node count,
+// emitting a CURVE_<scenario>.json time series alongside the bench
+// artifacts.
 //
 // Determinism is the load-bearing property: expansion draws every random
 // peer set from the schedule's own seeded source, so the same schedule
@@ -24,6 +24,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"regexp"
@@ -46,18 +47,10 @@ const (
 	// "every_ms" it kills "count" random live non-root peers and restarts
 	// "count" random down peers, modeling steady membership churn.
 	KindChurn = "churn"
-	// KindSocketOutage fail-stops every peer multiplexed behind shared
-	// socket (address group) "socket" for [at_ms, until_ms) — the
-	// correlated failure a dead host or dropped link causes when many
-	// peers share one socket.
-	KindSocketOutage = "socket-outage"
 	// KindLossRamp sweeps the global datagram-loss probability linearly
 	// "from" -> "to" across [at_ms, until_ms] in "step_ms" increments,
 	// leaving it at "to".
 	KindLossRamp = "loss-ramp"
-	// KindPeerLoss sets a per-peer datagram-loss override "loss" on the
-	// listed "peers" at at_ms (0 removes it).
-	KindPeerLoss = "peer-loss"
 )
 
 // Event is one entry of a schedule, in the JSON form the DSL uses. Which
@@ -73,21 +66,9 @@ type Event struct {
 	StaggerMs int64   `json:"stagger_ms,omitempty"`
 	EveryMs   int64   `json:"every_ms,omitempty"`
 	Count     int     `json:"count,omitempty"`
-	Socket    int     `json:"socket,omitempty"`
 	From      float64 `json:"from,omitempty"`
 	To        float64 `json:"to,omitempty"`
 	StepMs    int64   `json:"step_ms,omitempty"`
-	Loss      float64 `json:"loss,omitempty"`
-}
-
-// interval reports whether the event kind occupies a time interval (and
-// therefore requires until_ms > at_ms).
-func (e Event) interval() bool {
-	switch e.Kind {
-	case KindChurn, KindSocketOutage, KindLossRamp:
-		return true
-	}
-	return false
 }
 
 // Schedule is a parsed fault schedule: a scenario name (it becomes the
@@ -108,6 +89,10 @@ const DefaultSampleMs = 500
 // maxActions bounds one schedule's expansion; a churn interval misstated
 // in microseconds would otherwise expand into millions of actions.
 const maxActions = 1 << 20
+
+// maxMs is the latest time, in ms, a time.Duration can hold; a time past it
+// would wrap negative, sort first and fire at once.
+const maxMs = math.MaxInt64 / int64(time.Millisecond)
 
 var scenarioRe = regexp.MustCompile(`^[A-Za-z0-9][A-Za-z0-9_-]*$`)
 
@@ -137,37 +122,19 @@ func Load(path string) (*Schedule, error) {
 }
 
 // Validate checks the schedule's internal consistency: well-formed
-// scenario name, non-negative times, positive intervals, exactly one
-// target form per event, probabilities inside [0, 1], and no two interval
-// events of the same kind (same socket, for outages) overlapping — an
+// scenario name, times inside [0, maxMs], positive intervals, exactly one
+// target form per event, no kill of root peer 0, probabilities inside
+// [0, 1], and no two interval events of the same kind overlapping — an
 // overlap would make the later event's effect order-dependent.
 func (s *Schedule) Validate() error {
 	if !scenarioRe.MatchString(s.Scenario) {
 		return fmt.Errorf("chaos: scenario %q must be a [A-Za-z0-9_-]+ name (it names the curve file)", s.Scenario)
 	}
-	if s.SampleMs < 0 {
-		return fmt.Errorf("chaos: sample_ms %d is negative", s.SampleMs)
+	if s.SampleMs < 0 || s.SampleMs > maxMs {
+		return fmt.Errorf("chaos: sample_ms %d outside [0, %d]", s.SampleMs, maxMs)
 	}
 	for i, e := range s.Events {
 		at := fmt.Sprintf("chaos: event %d (%s)", i, e.Kind)
-		if e.AtMs < 0 {
-			return fmt.Errorf("%s: at_ms %d is negative", at, e.AtMs)
-		}
-		if e.interval() {
-			if e.UntilMs <= e.AtMs {
-				return fmt.Errorf("%s: interval [%d, %d) is empty or negative", at, e.AtMs, e.UntilMs)
-			}
-		} else if e.UntilMs != 0 {
-			return fmt.Errorf("%s: until_ms only applies to interval events (churn, socket-outage, loss-ramp)", at)
-		}
-		if e.StaggerMs < 0 {
-			return fmt.Errorf("%s: stagger_ms %d is negative", at, e.StaggerMs)
-		}
-		for _, p := range e.Peers {
-			if p < 0 {
-				return fmt.Errorf("%s: negative peer index %d", at, p)
-			}
-		}
 		switch e.Kind {
 		case KindKill:
 			if (len(e.Peers) > 0) == (e.Frac > 0) {
@@ -175,6 +142,11 @@ func (s *Schedule) Validate() error {
 			}
 			if e.Frac < 0 || e.Frac > 1 {
 				return fmt.Errorf("%s: frac %g outside [0, 1]", at, e.Frac)
+			}
+			for _, p := range e.Peers {
+				if p == 0 {
+					return fmt.Errorf("%s: peer 0 hosts the query roots and is never killed", at)
+				}
 			}
 		case KindRecover:
 			if (len(e.Peers) > 0) == e.All {
@@ -187,10 +159,6 @@ func (s *Schedule) Validate() error {
 			if e.Count <= 0 {
 				return fmt.Errorf("%s: count must be positive", at)
 			}
-		case KindSocketOutage:
-			if e.Socket < 0 {
-				return fmt.Errorf("%s: socket %d is negative", at, e.Socket)
-			}
 		case KindLossRamp:
 			if e.From < 0 || e.From > 1 || e.To < 0 || e.To > 1 {
 				return fmt.Errorf("%s: loss bounds [%g, %g] outside [0, 1]", at, e.From, e.To)
@@ -198,46 +166,55 @@ func (s *Schedule) Validate() error {
 			if e.StepMs <= 0 {
 				return fmt.Errorf("%s: step_ms must be positive", at)
 			}
-		case KindPeerLoss:
-			if len(e.Peers) == 0 {
-				return fmt.Errorf("%s: peers must be set", at)
-			}
-			if e.Loss < 0 || e.Loss > 1 {
-				return fmt.Errorf("%s: loss %g outside [0, 1]", at, e.Loss)
-			}
 		default:
 			return fmt.Errorf("%s: unknown kind", at)
 		}
+		if e.AtMs < 0 {
+			return fmt.Errorf("%s: at_ms %d is negative", at, e.AtMs)
+		}
+		if e.AtMs > maxMs || e.UntilMs > maxMs {
+			return fmt.Errorf("%s: time past %d ms overflows a time.Duration", at, maxMs)
+		}
+		if e.Kind == KindChurn || e.Kind == KindLossRamp {
+			if e.UntilMs <= e.AtMs {
+				return fmt.Errorf("%s: interval [%d, %d) is empty or negative", at, e.AtMs, e.UntilMs)
+			}
+		} else if e.UntilMs != 0 {
+			return fmt.Errorf("%s: until_ms only applies to interval events (churn, loss-ramp)", at)
+		}
+		if e.StaggerMs < 0 {
+			return fmt.Errorf("%s: stagger_ms %d is negative", at, e.StaggerMs)
+		}
+		for _, p := range e.Peers {
+			if p < 0 {
+				return fmt.Errorf("%s: negative peer index %d", at, p)
+			}
+		}
 	}
-	// Same-kind interval overlap: sort by start per overlap key and check
-	// neighbors.
+	// Same-kind interval overlap (only intervals have an until_ms): sort by
+	// kind and start, check neighbors.
 	type span struct {
-		key      string
+		kind     string
 		from, to int64
 		idx      int
 	}
 	var spans []span
 	for i, e := range s.Events {
-		if !e.interval() {
-			continue
+		if e.UntilMs > 0 {
+			spans = append(spans, span{e.Kind, e.AtMs, e.UntilMs, i})
 		}
-		key := e.Kind
-		if e.Kind == KindSocketOutage {
-			key = fmt.Sprintf("%s/%d", e.Kind, e.Socket)
-		}
-		spans = append(spans, span{key, e.AtMs, e.UntilMs, i})
 	}
 	sort.Slice(spans, func(a, b int) bool {
-		if spans[a].key != spans[b].key {
-			return spans[a].key < spans[b].key
+		if spans[a].kind != spans[b].kind {
+			return spans[a].kind < spans[b].kind
 		}
 		return spans[a].from < spans[b].from
 	})
 	for i := 1; i < len(spans); i++ {
 		a, b := spans[i-1], spans[i]
-		if a.key == b.key && b.from < a.to {
+		if a.kind == b.kind && b.from < a.to {
 			return fmt.Errorf("chaos: events %d and %d: overlapping %s intervals [%d, %d) and [%d, %d)",
-				a.idx, b.idx, a.key, a.from, a.to, b.from, b.to)
+				a.idx, b.idx, a.kind, a.from, a.to, b.from, b.to)
 		}
 	}
 	return nil
@@ -261,8 +238,6 @@ const (
 	ActRecover
 	// ActLoss sets the global datagram-loss probability.
 	ActLoss
-	// ActPeerLoss sets one peer's datagram-loss override.
-	ActPeerLoss
 )
 
 func (k ActionKind) String() string {
@@ -273,8 +248,6 @@ func (k ActionKind) String() string {
 		return "recover"
 	case ActLoss:
 		return "loss"
-	case ActPeerLoss:
-		return "peer-loss"
 	}
 	return fmt.Sprintf("ActionKind(%d)", int(k))
 }
@@ -292,99 +265,94 @@ type Action struct {
 	Live int
 }
 
-// occurrence is one timed draw a schedule event generates: churn beats,
-// ramp steps, an outage's start and end, or a plain event's single moment.
+// occurrence is one timed draw a schedule event generates: a churn beat, a
+// ramp step, or a point event's single moment.
 type occurrence struct {
 	at    int64 // ms
 	event int   // index into s.Events
-	beat  int   // occurrence ordinal within the event
-	end   bool  // socket-outage recovery edge
+}
+
+// occurrences counts the draws e generates — one per period started in
+// [at_ms, until_ms), plus a ramp's end; one for a point event — so an
+// oversized interval is refused before it allocates.
+func (e Event) occurrences() int64 {
+	switch e.Kind {
+	case KindChurn:
+		return (e.UntilMs-e.AtMs-1)/e.EveryMs + 1
+	case KindLossRamp:
+		return (e.UntilMs-e.AtMs-1)/e.StepMs + 2
+	}
+	return 1
 }
 
 // Expand flattens the schedule into a time-sorted primitive action list
-// for an n-peer federation. groups is the shared-socket address grouping
-// (AddressGroups) — required only when the schedule uses socket-outage
-// events. Random draws (kill fractions, churn victims, recovery order)
-// come from a source seeded with s.Seed and are consumed in global time
-// order, so Expand is a pure function of (schedule, n, groups): every
-// process replays the identical fault pattern, and re-running a scenario
-// reproduces its curve.
+// for an n-peer federation. The second argument is ignored; it stays so
+// the callers that pass nil (bench/ among them) keep compiling. Random draws
+// (kill fractions, churn victims, recovery order) come from a source
+// seeded with s.Seed and are consumed in global time order, so Expand is a
+// pure function of (schedule, n): every process replays the identical
+// fault pattern, and re-running a scenario reproduces its curve.
 //
 // Peer 0 is never killed: it hosts the query roots and the recorder — the
 // paper's measurement workstation, which its failure experiments likewise
 // keep alive.
-func (s *Schedule) Expand(n int, groups [][]int) ([]Action, error) {
+func (s *Schedule) Expand(n int, _ [][]int) ([]Action, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	if n <= 0 {
 		return nil, fmt.Errorf("chaos: expand over %d peers", n)
 	}
+	var total int64
 	for _, e := range s.Events {
 		for _, p := range e.Peers {
 			if p >= n {
 				return nil, fmt.Errorf("chaos: event targets peer %d outside federation of %d", p, n)
 			}
 		}
-		if e.Kind == KindSocketOutage && e.Socket >= len(groups) {
-			return nil, fmt.Errorf("chaos: socket-outage targets group %d but the runtime has %d address groups", e.Socket, len(groups))
+		last := int64(n - 2) // a drawn set holds at most the n-1 non-root peers
+		if len(e.Peers) > 0 {
+			last = int64(len(e.Peers) - 1)
+		}
+		if e.StaggerMs > 0 && last > (maxMs-e.AtMs)/e.StaggerMs {
+			return nil, fmt.Errorf("chaos: stagger_ms %d pushes a %s past %d ms", e.StaggerMs, e.Kind, maxMs)
+		}
+		if total += e.occurrences(); total > maxActions {
+			return nil, fmt.Errorf("chaos: schedule expands past %d actions", maxActions)
 		}
 	}
 
 	// Generate every occurrence, then order them globally in time (stable
 	// on event order) so state-dependent draws see a consistent model.
-	var occs []occurrence
+	// at_ms + k·step stays below until_ms, so no time can wrap; a ramp's
+	// end, past all its steps, sorts after them.
+	occs := make([]occurrence, 0, total)
 	for i, e := range s.Events {
-		switch e.Kind {
-		case KindChurn:
-			beat := 0
-			for t := e.AtMs; t < e.UntilMs; t += e.EveryMs {
-				occs = append(occs, occurrence{at: t, event: i, beat: beat})
-				beat++
-			}
-		case KindLossRamp:
-			beat := 0
-			for t := e.AtMs; t < e.UntilMs; t += e.StepMs {
-				occs = append(occs, occurrence{at: t, event: i, beat: beat})
-				beat++
-			}
-			occs = append(occs, occurrence{at: e.UntilMs, event: i, beat: beat})
-		case KindSocketOutage:
-			occs = append(occs, occurrence{at: e.AtMs, event: i})
-			occs = append(occs, occurrence{at: e.UntilMs, event: i, end: true})
-		default:
-			occs = append(occs, occurrence{at: e.AtMs, event: i})
+		step, beats := e.EveryMs, e.occurrences()
+		if e.Kind == KindLossRamp {
+			step, beats = e.StepMs, beats-1
+			occs = append(occs, occurrence{at: e.UntilMs, event: i})
 		}
-		if len(occs) > maxActions {
-			return nil, fmt.Errorf("chaos: schedule expands past %d actions", maxActions)
+		for k := int64(0); k < beats; k++ {
+			occs = append(occs, occurrence{at: e.AtMs + k*step, event: i})
 		}
 	}
 	sort.SliceStable(occs, func(a, b int) bool { return occs[a].at < occs[b].at })
 
 	rng := rand.New(rand.NewSource(s.Seed))
 	down := make([]bool, n)
-	outage := make([][]int, len(s.Events)) // peers each socket-outage downed
 	var acts []Action
 
-	// upPeers lists live non-root peers in ascending order — the stable
-	// candidate set random draws shuffle.
-	upPeers := func() []int {
-		var up []int
+	// gated lists the non-root peers whose gate reads isDown in ascending
+	// order — the stable candidate set random draws shuffle.
+	gated := func(isDown bool) []int {
+		var ps []int
 		for p := 1; p < n; p++ {
-			if !down[p] {
-				up = append(up, p)
+			if down[p] == isDown {
+				ps = append(ps, p)
 			}
 		}
-		return up
-	}
-	downPeers := func() []int {
-		var d []int
-		for p := 1; p < n; p++ {
-			if down[p] {
-				d = append(d, p)
-			}
-		}
-		return d
+		return ps
 	}
 	// emit appends per-peer kill/recover actions spaced stagger apart from
 	// base, updating the model immediately (draws at later occurrences see
@@ -411,11 +379,8 @@ func (s *Schedule) Expand(n int, groups [][]int) ([]Action, error) {
 			if len(e.Peers) > 0 {
 				victims = e.Peers
 			} else {
-				up := upPeers()
-				want := int(e.Frac*float64(n) + 0.5)
-				if want > len(up) {
-					want = len(up)
-				}
+				up := gated(false)
+				want := min(int(e.Frac*float64(n)+0.5), len(up))
 				rng.Shuffle(len(up), func(a, b int) { up[a], up[b] = up[b], up[a] })
 				victims = up[:want]
 			}
@@ -425,37 +390,21 @@ func (s *Schedule) Expand(n int, groups [][]int) ([]Action, error) {
 			if len(e.Peers) > 0 {
 				back = e.Peers
 			} else {
-				back = downPeers()
+				back = gated(true)
 				rng.Shuffle(len(back), func(a, b int) { back[a], back[b] = back[b], back[a] })
 			}
 			emit(ActRecover, back, oc.at, e.StaggerMs)
 		case KindChurn:
-			up := upPeers()
-			want := e.Count
-			if want > len(up) {
-				want = len(up)
-			}
+			up := gated(false)
+			want := min(e.Count, len(up))
 			rng.Shuffle(len(up), func(a, b int) { up[a], up[b] = up[b], up[a] })
-			dn := downPeers()
+			dn := gated(true)
 			rng.Shuffle(len(dn), func(a, b int) { dn[a], dn[b] = dn[b], dn[a] })
 			if len(dn) > e.Count {
 				dn = dn[:e.Count]
 			}
 			emit(ActKill, up[:want], oc.at, 0)
 			emit(ActRecover, dn, oc.at, 0)
-		case KindSocketOutage:
-			if !oc.end {
-				var victims []int
-				for _, p := range groups[e.Socket] {
-					if p != 0 && !down[p] {
-						victims = append(victims, p)
-					}
-				}
-				outage[oc.event] = victims
-				emit(ActKill, victims, oc.at, 0)
-			} else {
-				emit(ActRecover, outage[oc.event], oc.at, 0)
-			}
 		case KindLossRamp:
 			frac := float64(oc.at-e.AtMs) / float64(e.UntilMs-e.AtMs)
 			acts = append(acts, Action{
@@ -464,15 +413,6 @@ func (s *Schedule) Expand(n int, groups [][]int) ([]Action, error) {
 				Peer: -1,
 				Loss: e.From + (e.To-e.From)*frac,
 			})
-		case KindPeerLoss:
-			for _, p := range e.Peers {
-				acts = append(acts, Action{
-					At:   time.Duration(oc.at) * time.Millisecond,
-					Kind: ActPeerLoss,
-					Peer: p,
-					Loss: e.Loss,
-				})
-			}
 		}
 		if len(acts) > maxActions {
 			return nil, fmt.Errorf("chaos: schedule expands past %d actions", maxActions)
@@ -481,16 +421,24 @@ func (s *Schedule) Expand(n int, groups [][]int) ([]Action, error) {
 
 	// Staggered applications can out-run later occurrences; the final
 	// order is by wall time, stable on generation order. Then replay the
-	// gate actions once more to stamp each action with the live count the
-	// federation has after it applies.
+	// gate actions once more, from every peer up, to stamp each action with
+	// the live count the federation has after it applies. A stagger that
+	// lands after a later event already changed the same peer would apply
+	// in the other order than the model drew it: refused.
 	sort.SliceStable(acts, func(a, b int) bool { return acts[a].At < acts[b].At })
+	clear(down)
 	live := n
-	for i := range acts {
-		switch acts[i].Kind {
-		case ActKill:
-			live--
-		case ActRecover:
-			live++
+	for i, a := range acts {
+		if a.Kind != ActLoss {
+			if down[a.Peer] == (a.Kind == ActKill) {
+				return nil, fmt.Errorf("chaos: peer %d's %s at %v lands after a later event's; shorten the stagger", a.Peer, a.Kind, a.At)
+			}
+			down[a.Peer] = a.Kind == ActKill
+			if down[a.Peer] {
+				live--
+			} else {
+				live++
+			}
 		}
 		acts[i].Live = live
 	}

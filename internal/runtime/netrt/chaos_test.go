@@ -11,117 +11,9 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/federation"
 	"repro/internal/msl"
-	"repro/internal/runtime"
 	"repro/internal/runtime/netrt"
 	"repro/internal/tuple"
-	"repro/internal/wire"
 )
-
-// SetPeerLoss drops every datagram a gagged peer originates while the
-// rest of the runtime keeps flowing, and clears back to normal.
-func TestPeerLossOverride(t *testing.T) {
-	rts, _, err := netrt.NewGroup([][]int{{0, 1}, {2, 3}}, netrt.Options{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, rt := range rts {
-			rt.Shutdown()
-		}
-	}()
-	a, b := rts[0], rts[1]
-	runtime0Drops := func() uint64 {
-		_, _, d := a.Stats()
-		return d
-	}
-	var from1, from0 atomic.Uint64
-	b.Handle(2, func(from int, payload any, size int) {
-		switch from {
-		case 1:
-			from1.Add(1)
-		case 0:
-			from0.Add(1)
-		}
-	})
-
-	a.SetPeerLoss(1, 1.0)
-	base := runtime0Drops()
-	var seq uint64
-	send := func(from int) {
-		seq++
-		a.Send(from, 2, runtime.ClassControl, 0, wire.Heartbeat{Seq: seq})
-	}
-	send(1)
-	waitFor(t, 5*time.Second, func() bool {
-		send(1)
-		return runtime0Drops() > base
-	})
-	if from1.Load() != 0 {
-		t.Fatal("datagram delivered through a 100% peer-loss gag")
-	}
-
-	// Peer 0 on the same runtime is unaffected.
-	waitFor(t, 5*time.Second, func() bool {
-		send(0)
-		return from0.Load() > 0
-	})
-
-	// Clearing the override un-gags the peer.
-	a.SetPeerLoss(1, 0)
-	waitFor(t, 5*time.Second, func() bool {
-		send(1)
-		return from1.Load() > 0
-	})
-}
-
-// AddressGroups reflects the shared-socket layout: with k peers behind
-// each socket, the directory collapses into n/k groups, identically in
-// every process — the unit a socket-outage event fails together.
-func TestAddressGroups(t *testing.T) {
-	ranges := [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}}
-	rts, _, err := netrt.NewGroup(ranges, netrt.Options{Seed: 11, PeersPerSocket: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, rt := range rts {
-			rt.Shutdown()
-		}
-	}()
-	g0, g1 := rts[0].AddressGroups(), rts[1].AddressGroups()
-	if len(g0) != 4 {
-		t.Fatalf("8 peers at 2 per socket grouped into %d address groups: %v", len(g0), g0)
-	}
-	seen := make(map[int]bool)
-	for _, g := range g0 {
-		if len(g) != 2 {
-			t.Fatalf("group size %d, want 2: %v", len(g), g0)
-		}
-		for _, p := range g {
-			if seen[p] {
-				t.Fatalf("peer %d in two groups: %v", p, g0)
-			}
-			seen[p] = true
-		}
-	}
-	if len(seen) != 8 {
-		t.Fatalf("groups cover %d of 8 peers", len(seen))
-	}
-	// Both processes derive the same grouping from the shared directory.
-	if len(g0) != len(g1) {
-		t.Fatalf("processes disagree on group count: %d vs %d", len(g0), len(g1))
-	}
-	for i := range g0 {
-		if len(g0[i]) != len(g1[i]) {
-			t.Fatalf("group %d differs across processes: %v vs %v", i, g0[i], g1[i])
-		}
-		for j := range g0[i] {
-			if g0[i][j] != g1[i][j] {
-				t.Fatalf("group %d differs across processes: %v vs %v", i, g0[i], g1[i])
-			}
-		}
-	}
-}
 
 // The ISSUE 8 acceptance run: a 1,000-peer federation over real loopback
 // UDP sockets is driven through a scripted 40% fail-stop with staggered

@@ -237,15 +237,13 @@ type Runtime struct {
 	// swappable mid-run via SetPairDelay.
 	pairDelay atomic.Pointer[func(from, to int) time.Duration]
 
-	// Simulated loss (float64 bits; 0 = none), rolled in lost: loss for
-	// every outgoing frame (SetLoss), peerLoss on top for the frames local
-	// peer p originates (SetPeerLoss) — the chaos harness ramps both — and
-	// ctrlDup (SetCtrlDup) is rolled in duplicate from the same source.
-	loss     atomic.Uint64
-	peerLoss []atomic.Uint64
-	ctrlDup  atomic.Uint64
-	lossMu   sync.Mutex
-	lossRng  *rand.Rand
+	// Simulated loss (float64 bits; 0 = none), rolled in lost for every
+	// outgoing frame (SetLoss, which the chaos harness ramps); ctrlDup
+	// (SetCtrlDup) is rolled in duplicate from the same source.
+	loss    atomic.Uint64
+	ctrlDup atomic.Uint64
+	lossMu  sync.Mutex
+	lossRng *rand.Rand
 
 	// gossipRng draws Gossip's probe targets — here, not per call, so
 	// successive calls reach fresh peers; guarded because a background
@@ -436,7 +434,6 @@ func assemble(addrs []*net.UDPAddr, local []int, conns []*net.UDPConn, opt Optio
 		nodes:      make([]*vivaldi.Node, n),
 		peerCoords: make([]vivaldi.Coordinate, n),
 		peerErrs:   make([]float64, n),
-		peerLoss:   make([]atomic.Uint64, n),
 		lossRng:    rand.New(rand.NewSource(opt.Seed*31337 + 17)),
 		gossipRng:  rand.New(rand.NewSource(opt.Seed ^ 0x5deece66d)),
 	}
@@ -578,16 +575,6 @@ func (r *Runtime) SetPairDelay(f func(from, to int) time.Duration) {
 // production; tests prove NACK repair with it and chaos schedules ramp it.
 func (r *Runtime) SetLoss(p float64) { r.loss.Store(lossBits(p)) }
 
-// SetPeerLoss adds a loss probability for the frames one local peer
-// originates, rolled independently of the runtime-wide rate the rest of the
-// federation keeps. 0 removes it. A no-op for peers hosted elsewhere.
-func (r *Runtime) SetPeerLoss(peer int, p float64) {
-	if peer < 0 || peer >= r.n || !r.isLocal[peer] {
-		return
-	}
-	r.peerLoss[peer].Store(lossBits(p))
-}
-
 // SetCtrlDup sends every control-class frame of a local peer twice with
 // probability p (clamped to [0, 1]), exercising the peers' duplicate
 // suppression and idempotent control handlers; data frames never are.
@@ -601,19 +588,17 @@ func lossBits(p float64) uint64 {
 	return math.Float64bits(math.Min(p, 1))
 }
 
-// lost is the one loss point: the runtime-wide roll and the sending peer's
-// own, independently, once per frame — before the pair delay and before the
-// pacer packs it, so loss statistics do not depend on how many frames share
-// a datagram. With no loss set it costs two atomic loads.
-func (r *Runtime) lost(from int) bool {
-	all, peer := r.loss.Load(), r.peerLoss[from].Load()
-	if all|peer == 0 {
+// lost is the one loss point: one roll per frame — before the pair delay
+// and before the pacer packs it, so loss statistics do not depend on how
+// many frames share a datagram. With no loss set it costs one atomic load.
+func (r *Runtime) lost() bool {
+	p := r.loss.Load()
+	if p == 0 {
 		return false
 	}
 	r.lossMu.Lock()
 	defer r.lossMu.Unlock()
-	return r.lossRng.Float64() < math.Float64frombits(all) ||
-		r.lossRng.Float64() < math.Float64frombits(peer)
+	return r.lossRng.Float64() < math.Float64frombits(p)
 }
 
 // duplicate is the duplication roll, once per control frame beside the loss
@@ -632,26 +617,6 @@ func (r *Runtime) duplicate() bool {
 	return dup
 }
 
-// AddressGroups returns the federation's peers grouped by shared directory
-// address, in directory order: group g holds every peer multiplexed behind
-// the g'th distinct address. Every process of a federation derives the
-// same grouping from the shared directory, which is what lets a chaos
-// schedule's correlated per-socket outage kill the same peer set in every
-// process.
-func (r *Runtime) AddressGroups() [][]int {
-	ng := 0
-	for _, id := range r.addrID {
-		if id >= ng {
-			ng = id + 1
-		}
-	}
-	groups := make([][]int, ng)
-	for p, id := range r.addrID {
-		groups[id] = append(groups[id], p)
-	}
-	return groups
-}
-
 // xmit sends one outgoing frame: the simulated-loss roll, the hold for the
 // synthetic pair delay when a topology is configured, then the sending
 // peer's paced writer. buf, when non-nil, is the pooled buffer backing b —
@@ -661,7 +626,7 @@ func (r *Runtime) AddressGroups() [][]int {
 // no-delay path stays closure- and allocation-free — this sits under every
 // heartbeat, fragment, probe, and NACK.
 func (r *Runtime) xmit(from, to int, b []byte, buf *wire.Buffer, c1, c2 *atomic.Uint64, dup bool) {
-	if r.lost(from) {
+	if r.lost() {
 		r.dropped.Add(1)
 		wire.PutBuffer(buf)
 		return
