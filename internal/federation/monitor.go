@@ -217,8 +217,7 @@ type Monitor struct {
 	done     chan struct{}
 	stopOnce sync.Once
 
-	replans  atomic.Uint64
-	failures atomic.Uint64
+	replans atomic.Uint64
 }
 
 // StartMonitor begins drift monitoring with the given options and returns
@@ -242,10 +241,6 @@ func (m *Monitor) Stop() {
 
 // Replans returns how many replans this monitor has triggered.
 func (m *Monitor) Replans() uint64 { return m.replans.Load() }
-
-// Failures returns how many armed replans failed for reasons other than
-// ErrNoImprovement.
-func (m *Monitor) Failures() uint64 { return m.failures.Load() }
 
 func (m *Monitor) loop() {
 	defer close(m.done)
@@ -287,11 +282,8 @@ func (m *Monitor) loop() {
 				// benign case; anything else is a real failure and must
 				// be surfaced, not swallowed.
 				breaches[name] = 0
-				if !errors.Is(err, ErrNoImprovement) {
-					m.failures.Add(1)
-					if m.opt.OnError != nil {
-						m.opt.OnError(name, err)
-					}
+				if !errors.Is(err, ErrNoImprovement) && m.opt.OnError != nil {
+					m.opt.OnError(name, err)
 				}
 				continue
 			}

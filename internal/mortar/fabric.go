@@ -266,9 +266,13 @@ func NewFabric(rt runtime.Runtime, clocks []vclock.Clock, cfg Config) (*Fabric, 
 		if clocks != nil {
 			ck = clocks[i]
 		}
-		p := newPeer(f, i, rt.Clock(i), ck)
-		f.peers = append(f.peers, p)
-		f.tr.Handle(i, p.deliver)
+		f.peers = append(f.peers, newPeer(f, i, rt.Clock(i), ck))
+	}
+	// A peer's frames may be delivered, on another goroutine, from the
+	// moment its handler is registered, and delivery reads f.peers: so
+	// every peer exists before the first handler goes in.
+	for _, p := range f.peers {
+		f.tr.Handle(p.id, p.deliver)
 	}
 	return f, nil
 }

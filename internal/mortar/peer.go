@@ -86,9 +86,6 @@ func (p *Peer) sortedInstKeys() []instKey {
 // ID returns the peer's fabric index.
 func (p *Peer) ID() int { return p.id }
 
-// Clock returns the peer's local clock model.
-func (p *Peer) Clock() vclock.Clock { return p.clock }
-
 // now is the peer's true runtime time.
 func (p *Peer) now() time.Duration { return p.rtc.Now() }
 

@@ -1,12 +1,8 @@
 package netrt
 
 import (
-	"encoding/binary"
 	"fmt"
-	"net"
-	"net/netip"
 	"sync"
-	"sync/atomic"
 	"time"
 	"unsafe"
 
@@ -16,11 +12,21 @@ import (
 // This file is netrt's reliable large-message machinery: the fragmenter
 // that splits an oversized wire frame into MTU-sized pieces, the bounded
 // per-receiver Reassembler that puts them back together (with stale-stream
-// eviction and NACK-driven repair), the bounded retransmit buffer serving
-// those NACKs, and the token-bucket pacer every outgoing datagram flows
-// through so a multi-fragment burst does not overrun the first queue it
-// meets. Together they turn the transport's one-datagram ceiling into a
-// fragmentation threshold: Send carries any frame up to maxMessage.
+// eviction and NACK-driven repair), and the bounded retransmit buffer
+// serving those NACKs. Together with the pacer (pacer.go), which keeps a
+// multi-fragment burst from overrunning the first queue it meets, they
+// turn the transport's one-datagram ceiling into a fragmentation
+// threshold: Send carries any frame up to maxMessage.
+
+// maxMessage bounds one logical frame through the fragmentation path; Send
+// drops and counts a larger one. Each local peer's partial-stream memory
+// and the sent-fragment memory it holds for NACK service are bounded at
+// twice this.
+const maxMessage = 4 << 20
+
+// sweepInterval is how often the runtime scans reassemblers for stale
+// streams and NACK-worthy gaps.
+const sweepInterval = 20 * time.Millisecond
 
 // fragHeadroom is the datagram budget reserved for the fragment framing:
 // frame kind, sender/destination indices, stream id, index, count, and the
@@ -39,17 +45,11 @@ func SplitFragments(stream uint64, b []byte, maxPayload int) []wire.Fragment {
 	if maxPayload <= 0 {
 		maxPayload = 1
 	}
-	count := (len(b) + maxPayload - 1) / maxPayload
-	if count == 0 {
-		count = 1
-	}
+	count := max((len(b)+maxPayload-1)/maxPayload, 1)
 	out := make([]wire.Fragment, 0, count)
 	for i := 0; i < count; i++ {
 		lo := i * maxPayload
-		hi := lo + maxPayload
-		if hi > len(b) {
-			hi = len(b)
-		}
+		hi := min(lo+maxPayload, len(b))
 		out = append(out, wire.Fragment{
 			Stream:  stream,
 			Index:   uint32(i),
@@ -354,245 +354,94 @@ func (fs *fragSender) lookup(stream uint64, to int) [][]byte {
 	return st.dgrams
 }
 
-// --- pacing ---
-
-// packet is one frame queued for a paced write. buf, when non-nil, is the
-// pooled buffer backing b: the pacer takes ownership on submit and returns
-// it to the pool once the bytes are written, packed into a train, or
-// dropped. Fragment datagrams travel with buf == nil because the retransmit
-// buffer retains them for NACK service. dst is the destination
-// address-group id — the key frames share a train under.
-type packet struct {
-	b   []byte
-	buf *wire.Buffer
-	to  netip.AddrPort
-	dst int
-}
-
-// pendTrain is a datagram under construction for one remote socket: the
-// frameTrain kind byte followed by length-prefixed frames.
-type pendTrain struct {
-	buf    *wire.Buffer
-	to     netip.AddrPort
-	frames int
-}
-
-// pacerCounters are the runtime-owned counters a pacer feeds.
-type pacerCounters struct {
-	dropped     *atomic.Uint64
-	datagrams   *atomic.Uint64
-	trains      *atomic.Uint64
-	trainFrames *atomic.Uint64
-}
-
-// pacerOptions tunes one paced socket writer.
-type pacerOptions struct {
-	rate  float64 // bytes per second; 0 = unpaced
-	burst float64
-	mtu   int
-}
-
-// pacer is one shared socket's single writer: every outgoing frame of
-// every peer on the socket — messages, fragments, probes, NACKs — is
-// submitted to its queue and written by one goroutine under a token
-// bucket, so a multi-fragment install drains at the configured rate
-// instead of bursting into the first full queue. Submission never blocks;
-// a full queue drops the frame (the loss path NACK repair and
-// reconciliation already handle). It only paces and packs: simulated loss
-// was rolled before the frame got here (Runtime.xmit).
-//
-// The writer works in drain passes: the frame that woke it plus whatever
-// was queued behind it at that instant — the depth is read once, so a
-// producer that keeps the queue non-empty cannot hold a train back. Every
-// small frame of the pass joins its destination socket's train. A train is
-// written when the next frame would push it past the MTU and when the pass
-// ends, and every started train is written before a frame too large for
-// one is written through — per-destination order holds, and a heartbeat
-// never sits out a paced fragment burst queued behind it. No timer: a frame
-// that finds the socket idle is a pass of one, written at once as the bare
-// frame it was; a backlogged socket shares datagrams as its backlog allows.
-//
-// Timestamps (transmit stamps, echo holds) are taken when a frame is
-// built, so time spent queued here counts toward the RTT the far side
-// measures. That is deliberate: pacer queueing is genuine path delay, the
-// same congestion any real bottleneck adds, and the RTT EWMA smooths the
-// transient inflation a bulk transfer causes. Consumers wanting uncongested
-// floors should probe when idle, as Gossip before planning does.
-type pacer struct {
-	conn *net.UDPConn
-	opt  pacerOptions
-	ch   chan packet
-	done chan struct{}
-	ct   pacerCounters
-
-	// Drain-goroutine state: the token bucket, one train per destination
-	// address group (entries are reused forever), and the trains started
-	// since the last flushStarted (one cut by the MTU and started again is
-	// listed twice; the empty entry is skipped).
-	tokens  float64
-	last    time.Time
-	pending map[int]*pendTrain
-	started []*pendTrain
-}
-
-// pacerQueue bounds the frames queued behind a paced socket.
-const pacerQueue = 8192
-
-func newPacer(conn *net.UDPConn, opt pacerOptions, ct pacerCounters) *pacer {
-	return &pacer{
-		conn:    conn,
-		opt:     opt,
-		ch:      make(chan packet, pacerQueue),
-		done:    make(chan struct{}),
-		ct:      ct,
-		pending: map[int]*pendTrain{},
+// sendFragmented splits an over-MTU frame into a fragment train, registers
+// it with the sender's retransmit buffer, and submits every fragment to
+// the paced writer. dup sends the train a second time behind the first, so
+// the far side reassembles and delivers the frame twice.
+func (r *Runtime) sendFragmented(from, to int, body []byte, dup bool) {
+	fs := r.lps[from].frags
+	stream := fs.nextID()
+	frags := SplitFragments(stream, body, r.opt.fragPayload())
+	dgrams := make([][]byte, len(frags))
+	for i, f := range frags {
+		var w wire.Buffer
+		w.PutByte(frameFrag)
+		w.PutUvarint(uint64(from))
+		w.PutUvarint(uint64(to))
+		wire.EncodeFragment(&w, f)
+		dgrams[i] = w.Bytes()
+	}
+	// The datagrams embed copies of body's chunks (wire.Buffer appends), so
+	// the retransmit buffer holds them safely past the caller's frame.
+	// Because that buffer retains them indefinitely for NACK service, they
+	// are built in plain (unpooled) buffers and travel with buf == nil.
+	fs.register(stream, to, dgrams)
+	for _, d := range dgrams {
+		r.xmit(from, to, d, nil, &r.sent, &r.fragsSent, false)
+	}
+	if dup {
+		for _, d := range dgrams {
+			r.xmit(from, to, d, nil, nil, nil, false)
+		}
+	}
+	r.fragStreams.Add(1)
+	for {
+		cur := r.maxStreamFrags.Load()
+		if uint64(len(dgrams)) <= cur || r.maxStreamFrags.CompareAndSwap(cur, uint64(len(dgrams))) {
+			break
+		}
 	}
 }
 
-// submit queues one frame; it reports false (and counts a drop, releasing
-// the pooled buffer) when the queue is full.
-func (p *pacer) submit(b []byte, buf *wire.Buffer, to netip.AddrPort, dst int) bool {
-	select {
-	case p.ch <- packet{b: b, buf: buf, to: to, dst: dst}:
-		return true
-	default:
-		p.ct.dropped.Add(1)
-		wire.PutBuffer(buf)
-		return false
-	}
-}
-
-// loop runs drain passes until the pacer is stopped.
-func (p *pacer) loop() {
-	p.tokens = p.opt.burst
-	p.last = time.Now()
+// sweepLoop periodically evicts stale reassembly streams and sends the
+// NACKs repair wants, for every local peer.
+func (r *Runtime) sweepLoop() {
+	defer r.wg.Done()
+	t := time.NewTicker(sweepInterval)
+	defer t.Stop()
 	for {
 		select {
-		case <-p.done:
+		case <-r.done:
 			return
-		case pkt := <-p.ch:
-			// The queue's only reader: the frames counted here never block.
-			n := len(p.ch)
-			p.handle(pkt)
-			for ; n > 0; n-- {
-				p.handle(<-p.ch)
+		case now := <-t.C:
+			for _, p := range r.local {
+				for _, req := range r.lps[p].reasm.Sweep(now) {
+					r.sendNack(p, req)
+				}
 			}
-			p.flushStarted()
 		}
 	}
 }
 
-// flushStarted writes every train the pass has started and not yet written.
-func (p *pacer) flushStarted() {
-	for _, t := range p.started {
-		if t.frames > 0 {
-			p.flushTrain(t)
-		}
-	}
-	p.started = p.started[:0]
-}
-
-// handle disposes of one frame of a pass: a frame that fits the MTU behind
-// the train's kind byte and its own length prefix joins its destination's
-// train, anything larger is written through.
-func (p *pacer) handle(pkt packet) {
-	if 1+trainItem(len(pkt.b)) <= p.opt.mtu {
-		p.appendTrain(pkt)
+// sendNack writes one retransmission request from a local peer to the
+// sender of an incomplete stream.
+func (r *Runtime) sendNack(from int, req NackRequest) {
+	if req.Src < 0 || req.Src >= r.n || r.down[from].Load() || r.down[req.Src].Load() {
 		return
 	}
-	// Everything appended so far leaves first (order, and no small frame
-	// waits out the token bucket behind a burst of these).
-	p.flushStarted()
-	p.write(pkt.b, pkt.to)
-	wire.PutBuffer(pkt.buf)
+	w := wire.GetBuffer()
+	w.PutByte(frameNack)
+	w.PutUvarint(uint64(from))
+	w.PutUvarint(uint64(req.Src))
+	wire.EncodeNack(w, wire.Nack{Stream: req.Stream, Missing: req.Missing})
+	r.xmit(from, req.Src, w.Bytes(), w, &r.nacksSent, nil, false)
 }
 
-// appendTrain adds a frame to its destination's train, writing the train
-// out first when the frame would push it past the MTU.
-func (p *pacer) appendTrain(pkt packet) {
-	t := p.pending[pkt.dst]
-	if t == nil {
-		t = &pendTrain{}
-		p.pending[pkt.dst] = t
+// resendFragments answers a NACK at the original sender: the still-buffered
+// fragment datagrams of the stream are resubmitted to the paced writer.
+// A stream already evicted from the retransmit buffer is simply gone — the
+// receiver ages the partial stream out and the protocol layers above
+// (reconciliation, the topology service) repair the loss.
+func (r *Runtime) resendFragments(peer, src int, n wire.Nack) {
+	dgrams := r.lps[peer].frags.lookup(n.Stream, src)
+	if dgrams == nil {
+		return
 	}
-	if t.frames > 0 && t.buf.Len()+trainItem(len(pkt.b)) > p.opt.mtu {
-		p.flushTrain(t)
-	}
-	if t.frames == 0 {
-		t.buf = wire.GetBuffer()
-		t.buf.PutByte(frameTrain)
-		t.to = pkt.to
-		p.started = append(p.started, t)
-	}
-	t.buf.PutBytes(pkt.b)
-	t.frames++
-	wire.PutBuffer(pkt.buf)
-}
-
-// flushTrain writes one train. A train holding a single frame is unwrapped
-// to the bare frame — the train framing would cost bytes and a decode step
-// for nothing.
-func (p *pacer) flushTrain(t *pendTrain) {
-	b := t.buf.Bytes()
-	if t.frames == 1 {
-		_, l := binary.Uvarint(b[1:])
-		p.write(b[1+l:], t.to)
-	} else {
-		p.write(b, t.to)
-		p.ct.trains.Add(1)
-		p.ct.trainFrames.Add(uint64(t.frames))
-	}
-	wire.PutBuffer(t.buf)
-	t.buf, t.to, t.frames = nil, netip.AddrPort{}, 0
-}
-
-// trainItem is the train-datagram cost of an n-byte frame: the frame plus
-// its uvarint length prefix.
-func trainItem(n int) int {
-	l := 1
-	for v := uint64(n); v >= 0x80; v >>= 7 {
-		l++
-	}
-	return n + l
-}
-
-// write performs the token-bucket wait and the socket write. Token refill
-// happens lazily per datagram; waits are sliced so shutdown is never held
-// hostage by a low rate.
-func (p *pacer) write(b []byte, to netip.AddrPort) {
-	if p.opt.rate > 0 {
-		need := float64(len(b))
-		if need > p.opt.burst {
-			need = p.opt.burst // oversized datagrams cost at most one full bucket
+	for _, idx := range n.Missing {
+		if int(idx) >= len(dgrams) {
+			continue
 		}
-		for {
-			now := time.Now()
-			p.tokens += now.Sub(p.last).Seconds() * p.opt.rate
-			p.last = now
-			if p.tokens > p.opt.burst {
-				p.tokens = p.opt.burst
-			}
-			if p.tokens >= need {
-				break
-			}
-			wait := time.Duration((need - p.tokens) / p.opt.rate * float64(time.Second))
-			if wait > 10*time.Millisecond {
-				wait = 10 * time.Millisecond
-			}
-			select {
-			case <-p.done:
-				return
-			case <-time.After(wait):
-			}
-		}
-		p.tokens -= need
+		// Retransmit buffer keeps owning the datagram: buf stays nil.
+		r.xmit(peer, src, dgrams[idx], nil, &r.retransmits, nil, false)
 	}
-	// WriteToUDPAddrPort is the allocation-free datagram send — WriteToUDP's
-	// sockaddr conversion allocates per call, which the 0 allocs/op send
-	// path cannot afford.
-	_, _ = p.conn.WriteToUDPAddrPort(b, to)
-	p.ct.datagrams.Add(1)
 }
-
-// stop ends the drain goroutine; queued frames are abandoned.
-func (p *pacer) stop() { close(p.done) }

@@ -276,6 +276,80 @@ func TestRetiredKindsDropped(t *testing.T) {
 	}
 }
 
+// Every datagram the receive path refuses is counted once in dropped: one
+// it cannot address, a fragment or NACK it cannot read, and a NACK to or
+// from a peer this process holds down. Each row is followed by a kind-8
+// heartbeat on the same socket, so once that one is accounted for (queued,
+// or dropped at a down peer) the row before it has been handled too.
+func TestRefusedDatagramsCounted(t *testing.T) {
+	raw, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	rt, err := netrt.New([]string{"127.0.0.1:0", raw.LocalAddr().String()}, []int{0}, netrt.Options{Seed: 44})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Shutdown()
+	rt.Handle(0, func(int, any, int) {})
+	if !rt.Send(0, 1, runtime.ClassControl, 0, wire.Heartbeat{Seq: 1}) {
+		t.Fatal("send refused")
+	}
+	_, _, _, _, addr := readFrame(t, raw)
+
+	frame := func(kind byte, enc func(w *wire.Buffer)) []byte {
+		var w wire.Buffer
+		w.PutByte(kind)
+		w.PutUvarint(1)
+		w.PutUvarint(0)
+		enc(&w)
+		return w.Bytes()
+	}
+	frag := frame(4, func(w *wire.Buffer) {
+		wire.EncodeFragment(w, wire.Fragment{Stream: 1, Index: 0, Count: 2, Payload: []byte("ab")})
+	})
+	nack := frame(5, func(w *wire.Buffer) { wire.EncodeNack(w, wire.Nack{Stream: 1, Missing: []uint32{0}}) })
+	for _, c := range []struct {
+		name             string
+		b                []byte
+		downTo, downFrom bool
+	}{
+		{name: "empty datagram", b: []byte{}},
+		{name: "from cut short", b: []byte{8, 0x80}},
+		{name: "from out of range", b: []byte{8, 2, 0}},
+		{name: "to cut short", b: []byte{8, 1, 0x80}},
+		{name: "to out of range", b: []byte{8, 1, 2}},
+		{name: "to a peer not hosted here", b: []byte{8, 1, 1}},
+		{name: "fragment cut short", b: frag[:len(frag)-4]},
+		{name: "fragment with trailing bytes", b: append(slices.Clone(frag), 0)},
+		{name: "nack cut short", b: nack[:len(nack)-1]},
+		{name: "nack with trailing bytes", b: append(slices.Clone(nack), 0)},
+		{name: "nack naming no fragment", b: frame(5, func(w *wire.Buffer) { wire.EncodeNack(w, wire.Nack{Stream: 1}) })},
+		{name: "nack to a down peer", b: nack, downTo: true},
+		{name: "nack from a down peer", b: nack, downFrom: true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rt.SetDown(0, c.downTo)
+			rt.SetDown(1, c.downFrom)
+			_, delivered, dropped := rt.Stats()
+			for _, b := range [][]byte{c.b, {8, 1, 0, 0x07, 0x02, 0x0a, 0x4d}} { // then the heartbeat {Seq 10}
+				if _, err := raw.WriteToUDP(b, addr); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitFor(t, 5*time.Second, func() bool { _, dl, dr := rt.Stats(); return dl+dr >= delivered+dropped+2 })
+			want := dropped + 1
+			if c.downTo {
+				want++ // the heartbeat behind it, to the same down peer
+			}
+			if _, _, dr := rt.Stats(); dr != want {
+				t.Fatalf("dropped rose by %d, want %d", dr-dropped, want-dropped)
+			}
+		})
+	}
+}
+
 // probe returns a ping or pong from peer 1 to peer 0 in the shape this
 // release writes, [kind][from][to][µs stamp] and then c's components and
 // the error estimate e as f64s, with extra bytes after it.
