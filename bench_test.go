@@ -735,7 +735,7 @@ func BenchmarkSummaryEncode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Reset()
-		if err := wire.EncodeSummary(w, s, 1); err != nil {
+		if err := wire.EncodeSummary(w, s, 1, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

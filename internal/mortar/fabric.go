@@ -36,7 +36,8 @@ const livenessMultiple = 2.5
 const netDistAlpha = 0.10
 
 // ttlDownMax bounds the flex-down steps of the staged routing policy before
-// a tuple is dropped (§3.3).
+// a tuple is dropped (§3.3). The wire codec carries the counter in two bits
+// and refuses more than 3.
 const ttlDownMax = 3
 
 // Config tunes the peer runtime. Defaults reproduce the paper's settings:

@@ -758,6 +758,12 @@ func (p *Peer) handleSummary(src int, env *envelope) {
 		p.fab.Stats.Dropped.Add(1)
 		return
 	}
+	if env.S.Index == (tuple.Index{}) && !inst.reindexes() {
+		// Only a syncless time-window sender leaves the index off (send);
+		// an instance that reads it would merge the summary into window 0.
+		p.fab.Stats.Dropped.Add(1)
+		return
+	}
 	s := env.S
 	// The transport measures one-hop flight time (UdpCC RTT/2) and adds it
 	// to the tuple's age, measured with the local oscillator.
@@ -779,7 +785,7 @@ func (p *Peer) handleSummary(src int, env *envelope) {
 	// merges tuples that have been alive for similar periods (§5.1,
 	// Figure 7: index <- (t_ref - T.age) / slide).
 	var n int64
-	if p.fab.Cfg.Syncless {
+	if inst.reindexes() {
 		n = int64((now - s.Age) / inst.meta.Window.Slide)
 		if now-s.Age < 0 && (now-s.Age)%inst.meta.Window.Slide != 0 {
 			n--
@@ -933,15 +939,26 @@ func (inst *instance) forward(s tuple.Summary, arrived int, ttlDown uint8) {
 // bytes, so a shell is free again once the send returns.
 var envPool = sync.Pool{New: func() any { return new(envelope) }}
 
+// reindexes reports whether the instance indexes an arriving summary by
+// its age alone (syncless time windows, §5.1), so the index it was sent
+// with is never read.
+func (inst *instance) reindexes() bool {
+	return inst.peer.fab.Cfg.Syncless && inst.meta.Window.Kind == tuple.TimeWindow
+}
+
 // send moves the summary toward peer `to` on tree t, recording the level
 // visited. It is the one upstream transmit: the summary leaves at once as one
 // data frame, a single envelope the transport stamps as it leaves — in the
 // turn that computed its age — so the receiver's flight-time addition and
 // syncless re-indexing see the age the operator produced. Nothing parks and
-// nothing batches.
+// nothing batches. A summary the receiver re-indexes leaves without its
+// index, which the codec then does not write.
 func (inst *instance) send(s tuple.Summary, t, to int, ttlDown uint8) {
 	if t < len(s.Levels) {
 		s.Levels[t] = int16(inst.nb.Levels[t])
+	}
+	if inst.reindexes() {
+		s.Index = tuple.Index{}
 	}
 	p, fab := inst.peer, inst.peer.fab
 	fab.Stats.SummariesStaged.Add(1)

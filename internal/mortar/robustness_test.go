@@ -251,3 +251,65 @@ func TestMalformedSummaryValueDropped(t *testing.T) {
 		})
 	}
 }
+
+// Only a syncless time-window operator sends its summaries without their
+// index, which its receivers recompute from the age (§5.1). An instance
+// that reads the index — a tuple window, or a time window in timestamp
+// mode — sends it, and drops and counts a summary arriving without one, at
+// an interior operator and at the root alike, instead of merging it into
+// window 0.
+func TestUnindexedSummaryDroppedWhereIndexIsRead(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		syncless bool
+		window   tuple.WindowSpec
+	}{
+		{"syncless", true, tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second}},
+		{"timestamp-mode", false, tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second}},
+		{"tuple-window", true, tuple.WindowSpec{Kind: tuple.TupleWindow, RangeN: 4, SlideN: 4}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Syncless = c.syncless
+			fab, rt := testbed(t, 30, 11, cfg, nil)
+			meta := sumMeta("q", 0)
+			meta.Window = c.window
+			installQuery(t, fab, rt, meta, 4, 2)
+			for i := 0; i < 30; i++ {
+				startSensor(fab, rt, i)
+			}
+			rt.RunFor(10 * time.Second)
+			readsIndex := !c.syncless || c.window.Kind == tuple.TupleWindow
+			p, inst := interiorPeer(t, fab, "q")
+			frames := tapSummaries(fab, rt, p.id, inst.nb.Parents[0])
+			rt.RunFor(10 * time.Second)
+			if len(*frames) == 0 {
+				t.Fatal("the interior operator sent its parent nothing")
+			}
+			for _, f := range *frames {
+				if indexed := f[0].S.Index != (tuple.Index{}); indexed != readsIndex {
+					t.Fatalf("summary sent with index %+v, want an index: %v", f[0].S.Index, readsIndex)
+				}
+			}
+			root := fab.Peer(0)
+			rootInst := root.insts[instKey{name: "q"}]
+			dropped := fab.Stats.Dropped.Load()
+			for _, to := range []struct {
+				p    *Peer
+				from int
+			}{{p, inst.nb.Children[0][0]}, {root, rootInst.nb.Children[0][0]}} {
+				to.p.deliver(to.from, &envelope{
+					S:      tuple.Summary{Query: "q", Value: 1.0, Count: 1, Levels: []int16{0, 0}},
+					SentAt: rt.Now(),
+				}, 0)
+			}
+			want := uint64(0)
+			if readsIndex {
+				want = 2
+			}
+			if got := fab.Stats.Dropped.Load() - dropped; got != want {
+				t.Fatalf("%d summaries without an index dropped, want %d", got, want)
+			}
+		})
+	}
+}

@@ -99,9 +99,9 @@ func TestLoopbackSendReceive(t *testing.T) {
 	}
 }
 
-// v7Envelope is the "cpu-sum" envelope (Count 42) the wire package's
+// v8Envelope is the "cpu-sum" envelope (Count 42) the wire package's
 // sampleMessages opens with, as this release writes it.
-const v7Envelope = "0701076370752d73756d0f2b80bcc1960b2a000309220404010600010403"
+const v8Envelope = "0801076370752d73756d160f2b03e25d2a030922040401060004"
 
 // The v5 header kind (ns stamps and a class byte) is no longer read. Sent
 // from a raw socket claiming to be peer 1, a datagram of it carrying a
@@ -128,7 +128,7 @@ func TestOldHeaderKindDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := hex.DecodeString(v7Envelope)
+	body, err := hex.DecodeString(v8Envelope)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestRetiredKindsDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := hex.DecodeString("07020a4d") // the v7 heartbeat {Seq 10, Hash 77}
+	body, err := hex.DecodeString("08020a4d") // the heartbeat {Seq 10, Hash 77}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestRefusedDatagramsCounted(t *testing.T) {
 			rt.SetDown(0, c.downTo)
 			rt.SetDown(1, c.downFrom)
 			_, delivered, dropped := rt.Stats()
-			for _, b := range [][]byte{c.b, {8, 1, 0, 0x07, 0x02, 0x0a, 0x4d}} { // then the heartbeat {Seq 10}
+			for _, b := range [][]byte{c.b, {8, 1, 0, 0x08, 0x02, 0x0a, 0x4d}} { // then the heartbeat {Seq 10}
 				if _, err := raw.WriteToUDP(b, addr); err != nil {
 					t.Fatal(err)
 				}

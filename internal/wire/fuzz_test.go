@@ -83,15 +83,15 @@ func FuzzDecodeEnvelopeBatch(f *testing.F) {
 
 func FuzzDecodeSummary(f *testing.F) {
 	fuzzDecoder(f, func(r *Reader) (any, error) {
-		s, _, err := DecodeSummary(r)
+		s, _, _, err := DecodeSummary(r)
 		return s, err
 	})
 }
 
 // FuzzDecodeValue also seeds every value shape at the edge numbers, so
 // both the float and the integral kinds start from a valid encoding, and
-// the value of every committed v7 envelope and of the v6 capture it was
-// re-encoded from, a refused form worth mutating from.
+// the value of every committed v8 envelope and of every v6 envelope
+// capture, a refused form worth mutating from.
 func FuzzDecodeValue(f *testing.F) {
 	for _, x := range edgeNumbers() {
 		for _, v := range valueShapes(x) {
@@ -102,21 +102,52 @@ func FuzzDecodeValue(f *testing.F) {
 			f.Add(w.Bytes())
 		}
 	}
-	v6 := retiredCaptures(f)
-	for i, v7 := range v7Captured(f) {
-		if v7[1] == MsgEnvelope {
-			start, end := valueSpan(f, v7)
-			f.Add(v7[start:end])
-			// The v6 envelope differs from its re-encoding in the value alone.
-			f.Add(v6[i][start : len(v6[i])-(len(v7)-end)])
+	for _, v8 := range v8Captured(f) {
+		if v8[1] == MsgEnvelope {
+			start, end := valueSpan(f, v8)
+			f.Add(v8[start:end])
+		}
+	}
+	// A v6 envelope differs from its v7 re-encoding in the value alone.
+	pairs := [][2][]byte{}
+	for i := range v7Frames {
+		pairs = append(pairs, [2][]byte{v7Frame(f, i), v6Frame(f, i)})
+	}
+	for _, k := range sketchKinds {
+		pairs = append(pairs, [2][]byte{hexFrame(f, v7SketchFrames[k]), hexFrame(f, v6SketchFrames[k])})
+	}
+	for _, p := range pairs {
+		if v7, v6 := p[0], p[1]; v7[1] == MsgEnvelope {
+			start, end := v7ValueSpan(f, v7)
+			f.Add(v6[start : len(v6)-(len(v7)-end)])
 		}
 	}
 	fuzzDecoder(f, (*Reader).Value)
 }
 
 // valueSpan returns where the value of an envelope frame lies: after the
-// summary's query, index, age, count, boundary and hops.
+// summary's query, flags, index and epoch where flagged, age, count and
+// hops.
 func valueSpan(t testing.TB, frame []byte) (start, end int) {
+	r := NewReader(frame[2:])
+	r.InternedString()
+	flags, _ := r.Byte()
+	if flags&flagIndex != 0 {
+		r.Scaled()
+		r.Scaled()
+	}
+	if flags&flagEpoch != 0 {
+		r.Uvarint()
+	}
+	r.Scaled()
+	r.Uvarint()
+	r.Uvarint()
+	return spanOfValue(t, r)
+}
+
+// v7ValueSpan is valueSpan for a v7 envelope frame, whose value followed
+// the query, index, nanosecond age, count, boundary and hops.
+func v7ValueSpan(t testing.TB, frame []byte) (start, end int) {
 	r := NewReader(frame[2:])
 	r.InternedString()
 	r.Scaled()
@@ -125,6 +156,12 @@ func valueSpan(t testing.TB, frame []byte) (start, end int) {
 	r.Uvarint()
 	r.Bool()
 	r.Uvarint()
+	return spanOfValue(t, r)
+}
+
+// spanOfValue returns the frame offsets of the value r, reading a frame's
+// payload, is at.
+func spanOfValue(t testing.TB, r *Reader) (start, end int) {
 	start = r.off
 	if _, err := r.Value(); err != nil {
 		t.Fatalf("value at %d: %v", start, err)

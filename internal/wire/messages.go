@@ -27,15 +27,18 @@ import (
 // like a change to netrt's transport header, is therefore an all-at-once
 // upgrade: every process of a federation runs the same release.
 //
-// Version 7 writes a sketch's value in its shortest lossless form. A bit
-// array (Bloom filter, distinct registers) is a mode byte and the shorter
-// of two bodies: dense words or the gaps between set bits. Histogram keys,
-// already sorted, and scored-entry keys, in their order, are each
-// front-coded against the key before. Scored entries flag their score and
-// payload columns integral apart. The envelope carries no SentAt, the
-// window index is scaled, values whose numbers are all small integers take
-// their integral kind, and the heartbeat is [Seq][Hash].
-const Version = 7
+// Version 8 sends a summary only what its receiver cannot compute. One
+// flags byte holds the boundary bit, the TTL-down counter in two bits, and
+// whether a window index and an epoch follow: a syncless time-window
+// summary travels without its index, which the receiver recomputes from
+// the age (§5.1), and epoch 0 costs no byte. The age is scaled at
+// microsecond precision. Values take their shortest lossless form (since
+// version 7): a bit array is the shorter of dense words and set-bit gaps,
+// sorted and ordered keys are front-coded, and values whose numbers are
+// all small integers take their integral kind (scored entries flag their
+// score and payload columns apart). The envelope carries no SentAt and
+// the heartbeat is [Seq][Hash].
+const Version = 8
 
 // AllEpochs is the Remove.Epoch / RemovedMark.Epoch value meaning the
 // removal covers every epoch of the query — a whole-query removal.
@@ -339,28 +342,24 @@ func DecodeMessage(b []byte) (any, error) {
 // --- Envelope ---
 
 // EncodeEnvelope appends an envelope payload: the summary with its routing
-// state, the hop's tree, and the query epoch. SentAt is not encoded.
+// state and query epoch, then the hop's tree. SentAt is not encoded.
 func EncodeEnvelope(w *Buffer, e *Envelope) error {
-	if err := EncodeSummary(w, e.S, e.TTLDown); err != nil {
+	if err := EncodeSummary(w, e.S, e.TTLDown, e.Epoch); err != nil {
 		return err
 	}
 	w.PutVarint(int64(e.Tree))
-	w.PutUvarint(uint64(e.Epoch))
 	return nil
 }
 
 // DecodeEnvelope reads an envelope payload. SentAt is not on the wire and
 // comes back 0.
 func DecodeEnvelope(r *Reader) (e Envelope, err error) {
-	if e.S, e.TTLDown, err = DecodeSummary(r); err != nil {
+	if e.S, e.TTLDown, e.Epoch, err = DecodeSummary(r); err != nil {
 		return
 	}
 	var tree int64
-	if tree, err = r.Varint(); err != nil {
-		return
-	}
+	tree, err = r.Varint()
 	e.Tree = int(tree)
-	e.Epoch, err = r.epoch()
 	return
 }
 

@@ -36,8 +36,8 @@ func sampleNeighbors() Neighbors {
 }
 
 // sampleMessages returns one instance of every message kind, the full set
-// the peers exchange. v5Frames, v6Frames and v7Frames hold their
-// captured encodings: an edit here must leave capturedMessages returning
+// the peers exchange. v5Frames to v8Frames hold their captured
+// encodings: an edit here must leave capturedMessages returning
 // what was captured.
 func sampleMessages() []any {
 	return []any{
@@ -123,7 +123,8 @@ func sampleMessages() []any {
 }
 
 // Every message kind must round-trip through the framed codec unchanged
-// but for an envelope's SentAt, which the receiving runtime sets — this is
+// but for an envelope's SentAt, which the receiving runtime sets, and its
+// age, which travels at µs precision — this is
 // the property the socket runtime relies on: what a netrt receiver decodes
 // is exactly what the sender's fabric passed to send.
 func TestMessageRoundTripAllKinds(t *testing.T) {
@@ -139,7 +140,7 @@ func TestMessageRoundTripAllKinds(t *testing.T) {
 		if e, ok := got.(*Envelope); ok && e.SentAt != 0 {
 			t.Fatalf("envelope SentAt %v after the codec, want 0", e.SentAt)
 		}
-		if msg = withoutSentAt(msg); !reflect.DeepEqual(got, msg) {
+		if msg = asDecoded(msg); !reflect.DeepEqual(got, msg) {
 			t.Fatalf("round trip %T:\n got %#v\nwant %#v", msg, got, msg)
 		}
 	}
@@ -266,9 +267,11 @@ func TestDecodeBoundsAllocation(t *testing.T) {
 }
 
 // Property: envelopes with arbitrary summary state survive the framed
-// round trip, all but SentAt, which comes back 0.
+// round trip, all but SentAt, which comes back 0, and the age, which comes
+// back rounded to the µs.
 func TestPropertyEnvelopeRoundTrip(t *testing.T) {
 	f := func(q string, tb, te, age int32, count uint16, hops uint8, v float64, nl, ttl uint8, tree uint8, sentAt int32) bool {
+		ttl %= maxTTLDown + 1
 		levels := make([]int16, int(nl)%6)
 		for i := range levels {
 			levels[i] = int16(i) - 1
@@ -295,8 +298,7 @@ func TestPropertyEnvelopeRoundTrip(t *testing.T) {
 		if err != nil || got.(*Envelope).SentAt != 0 {
 			return false
 		}
-		e.SentAt = 0
-		return reflect.DeepEqual(got, e)
+		return reflect.DeepEqual(got, asDecoded(e))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

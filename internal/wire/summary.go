@@ -1,22 +1,58 @@
 package wire
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/tuple"
 )
 
-// EncodeSummary appends a summary tuple, including its routing state:
-// per-tree last-visited levels and the TTL-down counter (§3.3). The window
-// index is scaled (PutScaled): TB, then TE as a delta from TB, which wraps
-// the way int64 arithmetic does, so every pair round-trips.
-func EncodeSummary(w *Buffer, s tuple.Summary, ttlDown uint8) error {
+// A summary's flags byte: the boundary bit, whether a window index and an
+// epoch follow, and the TTL-down counter in two bits. The other bits are
+// reserved and decode as corrupt.
+const (
+	flagBoundary = 1 << 0
+	flagIndex    = 1 << 1
+	ttlDownShift = 2
+	maxTTLDown   = 3 // the largest TTL-down counter two bits hold
+	flagEpoch    = 1 << 4
+	flagsKnown   = flagBoundary | flagIndex | maxTTLDown<<ttlDownShift | flagEpoch
+)
+
+// EncodeSummary appends a summary tuple with its routing state: the
+// per-tree last-visited levels, the TTL-down counter (§3.3) and the query
+// epoch. A zero index is not written: a real window always has TE > TB,
+// and a syncless receiver computes a time window's index from the age
+// (§5.1), so its sender zeroes it. A written index is scaled (PutScaled):
+// TB, then TE as a delta from TB, which wraps the way int64 arithmetic
+// does, so every pair round-trips. Epoch 0 is not written either. The age
+// is rounded to the microsecond and scaled.
+func EncodeSummary(w *Buffer, s tuple.Summary, ttlDown uint8, epoch uint32) error {
+	if ttlDown > maxTTLDown {
+		return fmt.Errorf("wire: TTL-down %d over %d", ttlDown, maxTTLDown)
+	}
+	flags := ttlDown << ttlDownShift
+	if s.Boundary {
+		flags |= flagBoundary
+	}
+	index := s.Index != tuple.Index{}
+	if index {
+		flags |= flagIndex
+	}
+	if epoch != 0 {
+		flags |= flagEpoch
+	}
 	w.PutString(s.Query)
-	w.PutScaled(s.Index.TB)
-	w.PutScaled(s.Index.TE - s.Index.TB)
-	w.PutDuration(s.Age)
+	w.b = append(w.b, flags)
+	if index {
+		w.PutScaled(s.Index.TB)
+		w.PutScaled(s.Index.TE - s.Index.TB)
+	}
+	if epoch != 0 {
+		w.PutUvarint(uint64(epoch))
+	}
+	w.PutScaled(s.Age.Round(time.Microsecond))
 	w.PutUvarint(uint64(s.Count))
-	w.PutBool(s.Boundary)
 	w.PutUvarint(uint64(s.Hops))
 	if err := w.PutValue(s.Value); err != nil {
 		return err
@@ -25,26 +61,43 @@ func EncodeSummary(w *Buffer, s tuple.Summary, ttlDown uint8) error {
 	for _, l := range s.Levels {
 		w.PutVarint(int64(l))
 	}
-	w.b = append(w.b, ttlDown)
 	return nil
 }
 
-// DecodeSummary reads a summary encoded by EncodeSummary. The query
-// name is interned: every envelope of a query carries the same few names,
-// so steady-state decode performs no string allocation for them.
-func DecodeSummary(r *Reader) (s tuple.Summary, ttlDown uint8, err error) {
+// DecodeSummary reads a summary encoded by EncodeSummary; a summary sent
+// without its index comes back with a zero Index. The query name is
+// interned: every envelope of a query carries the same few names, so
+// steady-state decode performs no string allocation for them.
+func DecodeSummary(r *Reader) (s tuple.Summary, ttlDown uint8, epoch uint32, err error) {
 	if s.Query, err = r.InternedString(); err != nil {
 		return
 	}
-	if s.Index.TB, err = r.Scaled(); err != nil {
+	var flags byte
+	if flags, err = r.Byte(); err != nil {
 		return
 	}
-	var span time.Duration
-	if span, err = r.Scaled(); err != nil {
+	if flags&^flagsKnown != 0 {
+		err = fmt.Errorf("wire: summary flags %#x: %w", flags, ErrCorrupt)
 		return
 	}
-	s.Index.TE = s.Index.TB + span
-	if s.Age, err = r.Duration(); err != nil {
+	s.Boundary = flags&flagBoundary != 0
+	ttlDown = flags >> ttlDownShift & maxTTLDown
+	if flags&flagIndex != 0 {
+		if s.Index.TB, err = r.Scaled(); err != nil {
+			return
+		}
+		var span time.Duration
+		if span, err = r.Scaled(); err != nil {
+			return
+		}
+		s.Index.TE = s.Index.TB + span
+	}
+	if flags&flagEpoch != 0 {
+		if epoch, err = r.epoch(); err != nil {
+			return
+		}
+	}
+	if s.Age, err = r.Scaled(); err != nil {
 		return
 	}
 	var cnt uint64
@@ -52,9 +105,6 @@ func DecodeSummary(r *Reader) (s tuple.Summary, ttlDown uint8, err error) {
 		return
 	}
 	s.Count = int(cnt)
-	if s.Boundary, err = r.Bool(); err != nil {
-		return
-	}
 	var hops uint64
 	if hops, err = r.Uvarint(); err != nil {
 		return
@@ -76,11 +126,5 @@ func DecodeSummary(r *Reader) (s tuple.Summary, ttlDown uint8, err error) {
 		}
 		s.Levels[i] = int16(v)
 	}
-	if r.Remaining() < 1 {
-		err = ErrCorrupt
-		return
-	}
-	ttlDown = r.b[r.off]
-	r.off++
 	return
 }

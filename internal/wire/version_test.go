@@ -22,13 +22,17 @@ import (
 // frames were captured from the last v5 and v6 encoders: each is
 // EncodeMessage of the entry of capturedMessages at the same position. The
 // v7 frames are the v7 re-encodings of the v6 ones, made while v6 still
-// decoded. Only v7 decodes now; the older captures stay as frames a
-// decoder must refuse.
+// decoded, and the v8 frames are the v8 encodings of capturedMessages.
+// Only v8 decodes now; the older captures stay as frames a decoder must
+// refuse.
 
-// capturedMessages returns the messages v5Frames, v6Frames and v7Frames
-// were encoded from: every entry of sampleMessages, then the
-// fanin-wan-shaped "mass" envelope once per value shape, integral and not
-// (entry len(sampleMessages())+1 is the sum of counts the size pins use).
+// capturedMessages returns the messages the committed frames were encoded
+// from: every entry of sampleMessages, then the fanin-wan-shaped "mass"
+// envelope once per value shape, integral and not (entry
+// len(sampleMessages())+1 is the sum of counts the size pins use), then
+// two shapes first captured at v8 (v8Shapes): that sum envelope as a
+// syncless time-window operator sends it, without its index at epoch 0,
+// and an envelope setting every flag.
 func capturedMessages() []any {
 	env := func(v any, sentAt time.Duration) *Envelope {
 		return &Envelope{
@@ -68,8 +72,16 @@ func capturedMessages() []any {
 	} {
 		out = append(out, env(v, 20*time.Second+300*time.Millisecond))
 	}
-	return out
+	syncless := env(float64(1234), 0)
+	syncless.S.Index, syncless.Epoch = tuple.Index{}, 0
+	flagged := env(float64(1234), 0)
+	flagged.S.Boundary, flagged.TTLDown, flagged.Epoch = true, maxTTLDown, 1<<20
+	return append(out, syncless, flagged)
 }
+
+// v8Shapes is how many entries of capturedMessages have no capture older
+// than v8: the older frames cover the rest.
+const v8Shapes = 2
 
 // v5Frames are the captured v5 encodings of capturedMessages, in order.
 var v5Frames = []string{
@@ -192,6 +204,51 @@ var v7SketchFrames = map[string]string{
 	"topk":     "070104746f706be25dd20f84e8dc770100000d0a00026b3002019cc420c08f24444101013102019cc420c09f4b444102013002019cc420c0ff35454103013202019cc420c00f5d454102013102019cc420c047ad444102013202019cc420c00711444102013402019cc420c07722454102013902019cc420c0bf99444101013202019cc420c0bf99444101013302019cc420c09f4b4441020606000000",
 }
 
+// v8Frames are the v8 encodings of capturedMessages, in order.
+var v8Frames = []string{
+	"0801076370752d73756d160f2b03e25d2a030922040401060004",
+	"080a02076370752d73756d03076d656d2d6d617800040201040080d0acf30e0300000280a8d6b90780d0acf30e80e892260300010908040000000080d0acf30e80f882ad16000100000912040001020180a8d6b90780d0acf30e0001010000020200000100",
+	"0802ac02fe95bff7dbd537",
+	"08020100",
+	"080309776966692d746f7035070204746f706b02013504727373690080d0acf30e80a8d6b90700000861613a62623a63630680bcc1960b02060201004003020412080601001202060201000602ac0200020602121812011c",
+	"0804076370752d73756d09ffffffff0f0100020204",
+	"0804076370752d73756d0c0300",
+	"0805030161000101610104016200020101630203ffffffff0f07010109776966692d746f7035070204746f706b02013504727373690080d0acf30e80a8d6b90700000861613a62623a63630680bcc1960b",
+	"0805000000",
+	"08060209776966692d746f7035070204746f706b02013504727373690080d0acf30e80a8d6b90700000861613a62623a63630680bcc1960b0462617265000005636f756e740001000028140000000104676f6e65010402",
+	"0807076370752d73756d0222",
+	"0808076370752d73756d020202010040030204120806010000",
+	"080804676f6e6500050001",
+	"0809076370752d73756d020b0c",
+	"0801046d6173731aa301d20f01d9b54405020002020002",
+	"0801046d6173731aa301d20f01d9b544050209a41302020002",
+	"0801046d6173731aa301d20f01d9b544050201000000000040454002020002",
+	"0801046d6173731aa301d20f01d9b544050201000000000000008002020002",
+	"0801046d6173731aa301d20f01d9b544050201000000000000f0ff02020002",
+	"0801046d6173731aa301d20f01d9b544050201000000000000404302020002",
+	"0801046d6173731aa301d20f01d9b54405020a0406000d80808080804002020002",
+	"0801046d6173731aa301d20f01d9b54405020202000000000000e03f000000000000004002020002",
+	"0801046d6173731aa301d20f01d9b544050203047465787402020002",
+	"0801046d6173731aa301d20f01d9b54405020c030001610200026262280003636363d70402020002",
+	"0801046d6173731aa301d20f01d9b54405020401000161000000000000d03f02020002",
+	"0801046d6173731aa301d20f01d9b54405021d0200026b31b4010202040101320e0002020002",
+	"0801046d6173731aa301d20f01d9b5440502150100026b310000000000803ec00002020002",
+	"0801046d6173731aa301d20f01d9b544050206000300000000000000000100000000000000ffffffffffffffff02020002",
+	"0801046d6173731aa301d20f01d9b544050207000000000000084000000000000010c002020002",
+	"0801046d6173731aa301d20f01d9b5440502070000000000000c40000000000000104002020002",
+	"0801046d61737308d9b544050209a41302020002",
+	"0801046d6173731fa301d20f808040d9b544050209a41302020002",
+}
+
+// v8SketchFrames are the v8 re-encodings of v7SketchFrames, made while v7
+// still decoded, as a syncless sender writes them: without the index.
+var v8SketchFrames = map[string]string{
+	"bloom":    "080105626c6f6f6d00e9d43301000601105004030215151f02130c000313250615040c030d0c0d030210161504150803030d030e070f13051a0b0703090510000c03082302031a0108010a130d02071a1e0b030a0c03020a010116291a062409070802080600",
+	"distinct": "08010864697374696e637400e18b3d010006012020383747670f092d97020827264f900116474f4f00275e300e186e0080013d0006109e013702040400",
+	"entropy":  "080107656e74726f707900c99f3f02010c3500026b3028010131100201310403023234020301380202013202030133020302363502020133020302313102020134020202353302020137020302303202030134020202383202030137020101320c02013002030135020201310402023430020201350202013602020138020101330a020230350202013402020235360203013902020337363202020238330202023933020302353802010134080201330203013802020236380202023831020101350402013202020133020101360a0201300202023739020201380201013702010138040202323702020133020201380201013904020236350202060602",
+	"topk":     "080104746f706b00a9a63d01000d0a00026b3002019cc420c08f24444101013102019cc420c09f4b444102013002019cc420c0ff35454103013202019cc420c00f5d454102013102019cc420c047ad444102013202019cc420c00711444102013402019cc420c07722454102013902019cc420c0bf99444101013202019cc420c0bf99444101013302019cc420c09f4b444102060600",
+}
+
 // v5FilledSlotHeartbeat is a captured v5 heartbeat {Seq: 2, Hash:
 // 0xdeadbeefcafe} whose coordinate slot a pre-v5 netrt sender filled: a 3-D
 // coordinate (3.25, -1.5, 40) and its error estimate 0.4.
@@ -207,17 +264,32 @@ func hexFrame(t testing.TB, h string) []byte {
 	return b
 }
 
-// v5Frame, v6Frame and v7Frame return captured frame i as bytes.
+// v5Frame, v6Frame, v7Frame and v8Frame return captured frame i as bytes.
 func v5Frame(t testing.TB, i int) []byte { return hexFrame(t, v5Frames[i]) }
 func v6Frame(t testing.TB, i int) []byte { return hexFrame(t, v6Frames[i]) }
 func v7Frame(t testing.TB, i int) []byte { return hexFrame(t, v7Frames[i]) }
+func v8Frame(t testing.TB, i int) []byte { return hexFrame(t, v8Frames[i]) }
 
 // sketchKinds are the sketch frames' keys in a fixed order.
 var sketchKinds = []string{"bloom", "distinct", "entropy", "topk"}
 
-// v7Captured returns every committed v7 frame: v7Frames, then
-// v7SketchFrames in sketchKinds order.
-func v7Captured(t testing.TB) [][]byte {
+// v8Captured returns every committed v8 frame: v8Frames, then
+// v8SketchFrames in sketchKinds order.
+func v8Captured(t testing.TB) [][]byte {
+	var out [][]byte
+	for i := range v8Frames {
+		out = append(out, v8Frame(t, i))
+	}
+	for _, k := range sketchKinds {
+		out = append(out, hexFrame(t, v8SketchFrames[k]))
+	}
+	return out
+}
+
+// retiredCaptures returns every captured frame of an older version: the
+// v7 frames and sketch frames, the v6 ones, then the v5 frames and the v5
+// heartbeat with a filled coordinate slot.
+func retiredCaptures(t testing.TB) [][]byte {
 	var out [][]byte
 	for i := range v7Frames {
 		out = append(out, v7Frame(t, i))
@@ -225,14 +297,6 @@ func v7Captured(t testing.TB) [][]byte {
 	for _, k := range sketchKinds {
 		out = append(out, hexFrame(t, v7SketchFrames[k]))
 	}
-	return out
-}
-
-// retiredCaptures returns every captured frame of an older version: the
-// v6 frames and sketch frames, then the v5 frames and the v5 heartbeat
-// with a filled coordinate slot.
-func retiredCaptures(t testing.TB) [][]byte {
-	var out [][]byte
 	for i := range v6Frames {
 		out = append(out, v6Frame(t, i))
 	}
@@ -260,33 +324,35 @@ func reencoded(t testing.TB, frame []byte) []byte {
 }
 
 // capturedSeeds returns every committed frame, the fuzz targets' seeds
-// beyond sampleMessages: the v7 ones, then the retired ones (refused by
+// beyond sampleMessages: the v8 ones, then the retired ones (refused by
 // version; a mutation may restamp one).
 func capturedSeeds(t testing.TB) [][]byte {
-	return append(v7Captured(t), retiredCaptures(t)...)
+	return append(v8Captured(t), retiredCaptures(t)...)
 }
 
-// withoutSentAt returns msg as the codec gives it back: an envelope's
-// SentAt is not on the wire.
-func withoutSentAt(msg any) any {
+// asDecoded returns msg as the codec gives it back: an envelope's SentAt
+// is not on the wire, and its age travels rounded to the microsecond.
+func asDecoded(msg any) any {
 	if e, ok := msg.(*Envelope); ok {
 		c := *e
 		c.SentAt = 0
+		c.S.Age = c.S.Age.Round(time.Microsecond)
 		return &c
 	}
 	return msg
 }
 
-// The decode policy is "the current version alone". Every committed v7
-// frame decodes to the message it was encoded from, SentAt aside and
-// every number bit for bit, and that message encodes back to the frame
-// byte for byte. The frame restamped with any other version byte is
-// corrupt, and so is every captured v5 and v6 frame, the v5 heartbeat with
-// a filled coordinate slot among them.
+// The decode policy is "the current version alone". Every committed v8
+// frame decodes to the message it was encoded from, as asDecoded gives it
+// and every number bit for bit, and that message encodes back to the
+// frame byte for byte. The frame restamped with any other version byte is
+// corrupt, and so is every captured v5, v6 and v7 frame, the v5 heartbeat
+// with a filled coordinate slot among them.
 func TestDecodeVersionWindow(t *testing.T) {
 	msgs := capturedMessages()
-	if len(msgs) != len(v7Frames) || len(msgs) != len(v6Frames) || len(msgs) != len(v5Frames) {
-		t.Fatalf("%d messages for %d v7, %d v6 and %d v5 captured frames", len(msgs), len(v7Frames), len(v6Frames), len(v5Frames))
+	older := len(msgs) - v8Shapes
+	if len(msgs) != len(v8Frames) || older != len(v7Frames) || older != len(v6Frames) || older != len(v5Frames) {
+		t.Fatalf("%d messages for %d v8, %d v7, %d v6 and %d v5 captured frames", len(msgs), len(v8Frames), len(v7Frames), len(v6Frames), len(v5Frames))
 	}
 	roundTrip := func(frame []byte, what string) any {
 		t.Helper()
@@ -309,19 +375,23 @@ func TestDecodeVersionWindow(t *testing.T) {
 		return got
 	}
 	for i, msg := range msgs {
-		want := withoutSentAt(msg)
-		got := roundTrip(v7Frame(t, i), fmt.Sprintf("v7 frame %d", i))
+		want := asDecoded(msg)
+		got := roundTrip(v8Frame(t, i), fmt.Sprintf("v8 frame %d", i))
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("v7 frame %d (%T): got %#v\nwant %#v", i, msg, got, want)
+			t.Fatalf("v8 frame %d (%T): got %#v\nwant %#v", i, msg, got, want)
 		}
 		if e, ok := msg.(*Envelope); ok {
 			if v := got.(*Envelope).S.Value; !sameValue(v, e.S.Value) {
-				t.Fatalf("v7 frame %d: value %#v, want %#v bit for bit", i, v, e.S.Value)
+				t.Fatalf("v8 frame %d: value %#v, want %#v bit for bit", i, v, e.S.Value)
 			}
 		}
 	}
+	// The mass envelopes' 140,123,456 ns age comes back at 140,123 µs.
+	if got, err := DecodeMessage(v8Frame(t, len(sampleMessages()))); err != nil || got.(*Envelope).S.Age != 140123*time.Microsecond {
+		t.Fatalf("mass envelope decodes as %#v, %v; want age 140.123ms", got, err)
+	}
 	for _, k := range sketchKinds {
-		roundTrip(hexFrame(t, v7SketchFrames[k]), "v7 "+k+" frame")
+		roundTrip(hexFrame(t, v8SketchFrames[k]), "v8 "+k+" frame")
 	}
 	for i, frame := range retiredCaptures(t) {
 		if _, err := DecodeMessage(frame); !errors.Is(err, ErrCorrupt) {
@@ -502,10 +572,10 @@ func TestPropertyScaledRoundTrip(t *testing.T) {
 	index := func(tb, te time.Duration) bool {
 		s := tuple.Summary{Query: "q", Index: tuple.Index{TB: tb, TE: te}, Levels: []int16{}}
 		var w Buffer
-		if err := EncodeSummary(&w, s, 0); err != nil {
+		if err := EncodeSummary(&w, s, 0, 0); err != nil {
 			return false
 		}
-		got, _, err := DecodeSummary(NewReader(w.Bytes()))
+		got, _, _, err := DecodeSummary(NewReader(w.Bytes()))
 		return err == nil && got.Index == s.Index
 	}
 	for _, a := range edgeDurations() {

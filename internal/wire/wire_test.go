@@ -92,12 +92,12 @@ func TestCorruptBuffers(t *testing.T) {
 		Count:  7,
 		Levels: []int16{0, 1, -1, 2},
 	}
-	if err := EncodeSummary(&w, s, 3); err != nil {
+	if err := EncodeSummary(&w, s, 3, 7); err != nil {
 		t.Fatal(err)
 	}
 	full := w.Bytes()
 	for cut := 0; cut < len(full); cut++ {
-		if _, _, err := DecodeSummary(NewReader(full[:cut])); err == nil {
+		if _, _, _, err := DecodeSummary(NewReader(full[:cut])); err == nil {
 			t.Fatalf("no error at truncation %d", cut)
 		}
 	}
@@ -115,18 +115,75 @@ func TestSummaryRoundTrip(t *testing.T) {
 		Levels:   []int16{2, -1, 3, 0},
 	}
 	var w Buffer
-	if err := EncodeSummary(&w, s, 2); err != nil {
+	if err := EncodeSummary(&w, s, 2, 9); err != nil {
 		t.Fatal(err)
 	}
-	got, ttl, err := DecodeSummary(NewReader(w.Bytes()))
+	got, ttl, epoch, err := DecodeSummary(NewReader(w.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, s) {
 		t.Fatalf("summary: got %+v want %+v", got, s)
 	}
-	if ttl != 2 {
-		t.Fatalf("ttl = %d", ttl)
+	if ttl != 2 || epoch != 9 {
+		t.Fatalf("ttl = %d, epoch = %d", ttl, epoch)
+	}
+}
+
+// The flags byte after the query name carries the boundary bit, the
+// TTL-down counter and whether an index and an epoch follow. A zero index
+// and epoch 0 take no byte; a reserved bit, a cut flags byte and a flag
+// whose field is cut off are corrupt; a counter over two bits does not
+// encode.
+func TestSummaryFlags(t *testing.T) {
+	s := tuple.Summary{Query: "q", Index: tuple.Index{TB: time.Second, TE: 2 * time.Second}, Boundary: true, Levels: []int16{}}
+	enc := func(s tuple.Summary, ttl uint8, epoch uint32) []byte {
+		t.Helper()
+		var w Buffer
+		if err := EncodeSummary(&w, s, ttl, epoch); err != nil {
+			t.Fatal(err)
+		}
+		return w.Bytes()
+	}
+	const flagsAt = 2 // after the 1-byte name length and "q"
+	full := enc(s, 3, 5)
+	if f := full[flagsAt]; f != flagBoundary|flagIndex|3<<ttlDownShift|flagEpoch {
+		t.Fatalf("flags %#x", f)
+	}
+	bare := s
+	bare.Index = tuple.Index{}
+	if got := len(full) - len(enc(bare, 3, 0)); got != 3 { // 1 s and its 1 s span, epoch 5
+		t.Fatalf("zero index and epoch 0 save %d B, want 3", got)
+	}
+	got, ttl, epoch, err := DecodeSummary(NewReader(enc(bare, 1, 0)))
+	if err != nil || got.Index != (tuple.Index{}) || !got.Boundary || ttl != 1 || epoch != 0 {
+		t.Fatalf("bare summary: %+v ttl %d epoch %d, %v", got, ttl, epoch, err)
+	}
+	reserved := func(bit uint) []byte {
+		b := append([]byte(nil), full...)
+		b[flagsAt] |= 1 << bit
+		return b
+	}
+	for _, c := range []struct {
+		name string
+		b    []byte
+	}{
+		{"reserved bit 5", reserved(5)},
+		{"reserved bit 6", reserved(6)},
+		{"reserved bit 7", reserved(7)},
+		{"no flags byte", full[:flagsAt]},
+		{"index flagged, cut", full[:flagsAt+1]},
+		{"epoch flagged, cut", full[:flagsAt+3]},
+	} {
+		if _, _, _, err := DecodeSummary(NewReader(c.b)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", c.name, err)
+		}
+	}
+	for _, ttl := range []uint8{4, 255} {
+		var w Buffer
+		if err := EncodeSummary(&w, s, ttl, 0); err == nil {
+			t.Errorf("TTL-down %d encoded", ttl)
+		}
 	}
 }
 
@@ -146,26 +203,32 @@ func TestValueTwinKinds(t *testing.T) {
 }
 
 // The fanin-wan-shaped sum envelope ("mass", TB 20 s, TE +250 ms, Age
-// 140.123456 ms, Count 5, 2 levels) is 48 B at v5 and 28 B at v6 and v7.
-// No value shape, integral or not, encodes longer than it did at v5 but
-// for a byte a key; a bit array is sized by its own forms
-// (TestBitArrayForms). The captured sketch-wan values each shrink from
-// v6 to v7 by the pinned lengths; both lengths come from the committed
-// frames.
+// 140.123456 ms, Count 5, 2 levels, epoch 1) is 48 B at v5, 28 B at v6
+// and v7, and 25 B at v8; as a syncless time-window operator sends it, at
+// epoch 0 and without its 4 B index, it is 20 B. No value shape, integral
+// or not, encodes longer than it did at v5 but for a byte a key; a bit
+// array is sized by its own forms (TestBitArrayForms). The captured
+// sketch-wan values each shrink from v6 to v7 by the pinned lengths, and
+// their envelopes' headers from v7 to v8; every length comes from the
+// committed frames.
 func TestSummarySizeReasonable(t *testing.T) {
 	n := len(sampleMessages())
 	sum := capturedMessages()[n+1].(*Envelope)
 	if sum.S.Value != any(float64(1234)) {
 		t.Fatalf("entry %d is %#v, not the sum envelope", n+1, sum.S.Value)
 	}
-	if v5, v6, v7 := len(v5Frame(t, n+1)), len(v6Frame(t, n+1)), len(v7Frame(t, n+1)); v5 != 48 || v6 != 28 || v7 != 28 {
-		t.Fatalf("sum envelope is %d B at v5, %d at v6, %d at v7; want 48, 28, 28", v5, v6, v7)
+	if v5, v6, v7, v8 := len(v5Frame(t, n+1)), len(v6Frame(t, n+1)), len(v7Frame(t, n+1)), len(v8Frame(t, n+1)); v5 != 48 || v6 != 28 || v7 != 28 || v8 != 25 {
+		t.Fatalf("sum envelope is %d B at v5, %d at v6, %d at v7, %d at v8; want 48, 28, 28, 25", v5, v6, v7, v8)
+	}
+	syncless := len(v8Frames) - v8Shapes
+	if e := capturedMessages()[syncless].(*Envelope); e.S.Index != (tuple.Index{}) || e.Epoch != 0 || len(v8Frame(t, syncless)) != 20 {
+		t.Fatalf("syncless sum envelope %+v is %d B at v8, want 20", e, len(v8Frame(t, syncless)))
 	}
 	// Entry n is the same envelope with a nil value (one tag byte), so the
 	// captured frames give each value's v5 length.
 	nilLen := len(v5Frame(t, n))
 	var w Buffer
-	for i, msg := range capturedMessages()[n:] {
+	for i, msg := range capturedMessages()[n:len(v5Frames)] {
 		v := msg.(*Envelope).S.Value
 		v5 := len(v5Frame(t, n+i)) - nilLen + 1
 		if v5ValueLen(v) != v5 {
@@ -176,15 +239,15 @@ func TestSummarySizeReasonable(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, bits := v.([]uint64); !bits && w.Len() > v5+keyCount(v) {
-			t.Fatalf("%#v takes %d B at v7, %d at v5", v, w.Len(), v5)
+			t.Fatalf("%#v takes %d B at v8, %d at v5", v, w.Len(), v5)
 		}
 	}
-	want := map[string][2]int{ // v6, v7 value bytes
-		"bloom": {131, 84}, "distinct": {138, 40}, "entropy": {288, 234}, "topk": {209, 133},
+	want := map[string][3]int{ // v6, v7 value bytes; v7 − v8 envelope bytes
+		"bloom": {131, 84, 7}, "distinct": {138, 40, 8}, "entropy": {288, 234, 8}, "topk": {209, 133, 7},
 	}
 	for _, k := range sketchKinds {
-		v6, v7 := hexFrame(t, v6SketchFrames[k]), hexFrame(t, v7SketchFrames[k])
-		msg, err := DecodeMessage(v7)
+		v6, v7, v8 := hexFrame(t, v6SketchFrames[k]), hexFrame(t, v7SketchFrames[k]), hexFrame(t, v8SketchFrames[k])
+		msg, err := DecodeMessage(v8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,10 +255,11 @@ func TestSummarySizeReasonable(t *testing.T) {
 		if err := w.PutValue(msg.(*Envelope).S.Value); err != nil {
 			t.Fatal(err)
 		}
-		// Only the value differs between a v6 envelope and its v7 re-encoding.
-		got := [2]int{len(v6) - len(v7) + w.Len(), w.Len()}
+		// Only the value differs between a v6 envelope and its v7
+		// re-encoding, and v8 wrote the value as v7 did.
+		got := [3]int{len(v6) - len(v7) + w.Len(), w.Len(), len(v7) - len(v8)}
 		if got != want[k] {
-			t.Errorf("%s value: %d B at v6, %d at v7; want %d, %d", k, got[0], got[1], want[k][0], want[k][1])
+			t.Errorf("%s: value %d B at v6, %d at v7; envelope %d B shorter at v8; want %v", k, got[0], got[1], got[2], want[k])
 		}
 	}
 }
@@ -226,7 +290,8 @@ func TestPropertyRoundTrip(t *testing.T) {
 
 // Property: summaries with arbitrary envelope state round-trip.
 func TestPropertySummaryRoundTrip(t *testing.T) {
-	f := func(q string, tb, te, age int32, count uint16, boundary bool, v float64, nl uint8, ttl uint8) bool {
+	f := func(q string, tb, te, age int32, count uint16, boundary bool, v float64, nl uint8, ttl uint8, epoch uint32) bool {
+		ttl %= maxTTLDown + 1
 		levels := make([]int16, int(nl)%8)
 		for i := range levels {
 			levels[i] = int16(i) - 1
@@ -241,11 +306,12 @@ func TestPropertySummaryRoundTrip(t *testing.T) {
 			Levels:   levels,
 		}
 		var w Buffer
-		if err := EncodeSummary(&w, s, ttl); err != nil {
+		if err := EncodeSummary(&w, s, ttl, epoch); err != nil {
 			return false
 		}
-		got, gttl, err := DecodeSummary(NewReader(w.Bytes()))
-		return err == nil && reflect.DeepEqual(got, s) && gttl == ttl
+		got, gttl, gepoch, err := DecodeSummary(NewReader(w.Bytes()))
+		s.Age = s.Age.Round(time.Microsecond) // the age travels at µs precision
+		return err == nil && reflect.DeepEqual(got, s) && gttl == ttl && gepoch == epoch
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
