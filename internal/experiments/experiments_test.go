@@ -15,8 +15,9 @@ func quick() Options { return Options{Seed: 42, Quick: true} }
 
 // Every quick figure at seed 42 is what testdata/quick-seed42.txt holds — the
 // output of `mortar-exp -all -quick -seed 42`. A change that moves a row fails
-// here; regenerate with `go test -run TestQuickFiguresGolden -update
-// ./internal/experiments` and explain each moved row with the change.
+// here; regenerate with `go test ./internal/experiments -run
+// TestQuickFiguresGolden -update` and explain each moved row with the
+// change.
 func TestQuickFiguresGolden(t *testing.T) {
 	const golden = "testdata/quick-seed42.txt"
 	var got bytes.Buffer

@@ -69,7 +69,7 @@ type byteRun struct {
 // [1, stamp µs] each 10 ms, as the bench generator does. simrt encodes
 // every frame with the wire codec, so these are exact wire bytes; a change
 // to the codec or to what a peer sends moves them. Regenerate with
-// `go test -run TestWireBytesGolden -update ./internal/federation` and
+// `go test ./internal/federation -run TestWireBytesGolden -update` and
 // give the diff with the change.
 //
 // bench's fanin-wan counts more per peer per window than the data line

@@ -127,9 +127,23 @@ type Stats struct {
 	LateAtRoot atomic.Uint64
 	// Dropped counts tuples dropped by the routing policy (no live
 	// destination or TTL exhausted), arriving summaries a peer could
-	// not merge (no wired instance, or a value without the operator's
-	// shape), and arriving messages of a kind no peer sends (an envelope
-	// batch).
+	// not merge (no wired instance, a value without the operator's
+	// shape, or no index where the instance reads one), and arriving
+	// messages of a kind no peer sends (an envelope batch).
+	//
+	// Under fail-stop most routing drops are not losses: a peer held down
+	// by the transport's SetDown keeps running its operators, hears no
+	// heartbeat and drops every summary it makes. In bench's churn-lossy
+	// federations (64 peers, 4 queries) with their 13 kills and no loss
+	// (seed 1), 1,248 of ≈ 1,700 drops in a 6 s span were such peers' own
+	// summaries (13 × 4 queries × 24 windows). The rest are real: live peers whose parents on both trees
+	// are down drop their own summaries (192–336), and relayed summaries
+	// (109–276, carrying 221–528 members) are dropped once flex-down steps
+	// have run out of routes, every one with ttlDown > 0. So the kills
+	// alone cost ≈ 13 % of live members' data through the routing policy
+	// before any loss, and no root window was reported complete. Repairing
+	// lost summaries does not reach these, nor does a completion target of
+	// live members: the summaries are dropped, not late.
 	Dropped atomic.Uint64
 	// Relayed counts tuples forwarded without merging (late at an interior
 	// operator, §4.3 path).
