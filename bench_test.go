@@ -95,17 +95,16 @@ func ablationRun(b *testing.B, cfg mortar.Config, d int, failFrac float64) float
 	p := netem.PaperTopology(170)
 	topo := netem.GenerateTransitStub(p, rng)
 	net := netem.New(sim, topo)
-	fab, err := mortar.NewFabric(simrt.New(net), nil, cfg)
+	fab, err := mortar.NewFabric(simrt.New(net), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	meta := mortar.QueryMeta{
-		Name:      "abl",
-		Seq:       1,
-		OpName:    "sum",
-		Window:    tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},
-		Root:      0,
-		IssuedSim: sim.Now(),
+		Name:   "abl",
+		Seq:    1,
+		OpName: "sum",
+		Window: tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},
+		Root:   0,
 	}
 	pts := randomPoints(170, rng)
 	def, err := fab.Compile(meta, nil, pts, 16, d)
@@ -207,7 +206,7 @@ func BenchmarkLiveThroughput(b *testing.B) {
 	cfg := mortar.DefaultConfig()
 	cfg.HeartbeatPeriod = 100 * time.Millisecond
 	cfg.MinTimeout = 20 * time.Millisecond
-	fab, err := mortar.NewFabric(rt, nil, cfg)
+	fab, err := mortar.NewFabric(rt, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -215,12 +214,11 @@ func BenchmarkLiveThroughput(b *testing.B) {
 	fab.SubscribeAll(func(mortar.Result) { results.Add(1) })
 	rng := rand.New(rand.NewSource(2))
 	meta := mortar.QueryMeta{
-		Name:      "bench",
-		Seq:       1,
-		OpName:    "sum",
-		Window:    tuple.WindowSpec{Kind: tuple.TimeWindow, Range: 100 * time.Millisecond, Slide: 100 * time.Millisecond},
-		Root:      0,
-		IssuedSim: rt.Clock(0).Now(),
+		Name:   "bench",
+		Seq:    1,
+		OpName: "sum",
+		Window: tuple.WindowSpec{Kind: tuple.TimeWindow, Range: 100 * time.Millisecond, Slide: 100 * time.Millisecond},
+		Root:   0,
 	}
 	def, err := fab.Compile(meta, nil, randomPoints(peers, rng), 4, 2)
 	if err != nil {
@@ -620,19 +618,17 @@ func BenchmarkReplanDecision(b *testing.B) {
 // in real ns).
 func BenchmarkReplanCycleSim(b *testing.B) {
 	rt := simrt.NewPaper(77, 40, simrt.TopoOptions{Stubs: 8, Transits: 2})
-	fab, err := mortar.NewFabric(rt, nil, mortar.DefaultConfig())
+	fab, err := mortar.NewFabric(rt, mortar.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
 	pts := randomPoints(40, rng)
-	issue := rt.Now()
 	mk := func(seq uint64, epoch uint32) *mortar.QueryDef {
 		meta := mortar.QueryMeta{
 			Name: "cyc", Seq: seq, Epoch: epoch, OpName: "sum",
-			Window:    tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},
-			Root:      0,
-			IssuedSim: issue,
+			Window: tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},
+			Root:   0,
 		}
 		def, err := fab.Compile(meta, nil, pts, 8, 2)
 		if err != nil {
@@ -695,7 +691,7 @@ func BenchmarkControlBytesPerQuery(b *testing.B) {
 				p.Stubs = 6
 				p.Transits = 2
 				net := netem.New(sim, netem.GenerateTransitStub(p, rng))
-				fed, err := federation.NewRuntime(simrt.New(net), prog, rng)
+				fed, err := federation.NewRuntimeCfg(simrt.New(net), prog, rng, mortar.DefaultConfig())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -805,7 +801,7 @@ func BenchmarkLiveInjectBatch(b *testing.B) {
 	cfg := mortar.DefaultConfig()
 	cfg.HeartbeatPeriod = 100 * time.Millisecond
 	cfg.MinTimeout = 20 * time.Millisecond
-	fab, err := mortar.NewFabric(rt, nil, cfg)
+	fab, err := mortar.NewFabric(rt, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -815,7 +811,7 @@ func BenchmarkLiveInjectBatch(b *testing.B) {
 		{Name: "mass", OpName: "sum", OpArgs: []string{"0"}},
 		{Name: "lat", OpName: "max", OpArgs: []string{"1"}, FilterKey: "lat"},
 	} {
-		meta.Seq, meta.Window, meta.IssuedSim = uint64(i+1), window, rt.Clock(0).Now()
+		meta.Seq, meta.Window = uint64(i+1), window
 		def, err := fab.Compile(meta, nil, coords, 8, 2)
 		if err != nil {
 			b.Fatal(err)
@@ -877,7 +873,7 @@ func BenchmarkIngestPaneSteadyState(b *testing.B) {
 		step  = slide / 200
 	)
 	rt := simrt.NewPaper(1, peers, simrt.TopoOptions{Stubs: 2, Transits: 1})
-	fab, err := mortar.NewFabric(rt, nil, mortar.DefaultConfig())
+	fab, err := mortar.NewFabric(rt, mortar.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -888,12 +884,11 @@ func BenchmarkIngestPaneSteadyState(b *testing.B) {
 		}
 	})
 	meta := mortar.QueryMeta{
-		Name:      "bench",
-		Seq:       1,
-		OpName:    "sum",
-		Window:    tuple.WindowSpec{Kind: tuple.TimeWindow, Range: slide, Slide: slide},
-		Root:      0,
-		IssuedSim: rt.Now(),
+		Name:   "bench",
+		Seq:    1,
+		OpName: "sum",
+		Window: tuple.WindowSpec{Kind: tuple.TimeWindow, Range: slide, Slide: slide},
+		Root:   0,
 	}
 	def, err := fab.Compile(meta, nil, randomPoints(peers, rand.New(rand.NewSource(2))), 4, 2)
 	if err != nil {
@@ -946,18 +941,17 @@ func BenchmarkSaturationReplay(b *testing.B) {
 	cfg := mortar.DefaultConfig()
 	cfg.HeartbeatPeriod = 100 * time.Millisecond
 	cfg.MinTimeout = 20 * time.Millisecond
-	fab, err := mortar.NewFabric(rt, nil, cfg)
+	fab, err := mortar.NewFabric(rt, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(2))
 	meta := mortar.QueryMeta{
-		Name:      "bench",
-		Seq:       1,
-		OpName:    "sum",
-		Window:    tuple.WindowSpec{Kind: tuple.TimeWindow, Range: 100 * time.Millisecond, Slide: 100 * time.Millisecond},
-		Root:      0,
-		IssuedSim: rt.Clock(0).Now(),
+		Name:   "bench",
+		Seq:    1,
+		OpName: "sum",
+		Window: tuple.WindowSpec{Kind: tuple.TimeWindow, Range: 100 * time.Millisecond, Slide: 100 * time.Millisecond},
+		Root:   0,
 	}
 	def, err := fab.Compile(meta, nil, randomPoints(peers, rng), 4, 2)
 	if err != nil {
@@ -1047,7 +1041,7 @@ func BenchmarkMultiHopCoalescing(b *testing.B) {
 		defer rt.Shutdown()
 		cfg := mortar.DefaultConfig()
 		cfg.HeartbeatPeriod = 500 * time.Millisecond
-		fab, err := mortar.NewFabric(rt, nil, cfg)
+		fab, err := mortar.NewFabric(rt, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1055,12 +1049,11 @@ func BenchmarkMultiHopCoalescing(b *testing.B) {
 		coords := randomPoints(peers, rng)
 		for q := 0; q < tenants; q++ {
 			meta := mortar.QueryMeta{
-				Name:      fmt.Sprintf("mh%d", q),
-				Seq:       1,
-				OpName:    "sum",
-				Window:    tuple.WindowSpec{Kind: tuple.TimeWindow, Range: slide, Slide: slide},
-				Root:      0,
-				IssuedSim: rt.Clock(0).Now(),
+				Name:   fmt.Sprintf("mh%d", q),
+				Seq:    1,
+				OpName: "sum",
+				Window: tuple.WindowSpec{Kind: tuple.TimeWindow, Range: slide, Slide: slide},
+				Root:   0,
 			}
 			// One pinned planning rng per query: identical trees, so
 			// co-hosted tenants share next-hops (their summaries can ride

@@ -182,7 +182,7 @@ type backend struct {
 	rt     runtime.Runtime
 	worker bool // hosts no query root: plans nothing, measures nothing
 	// plan does what must precede planning and returns the federation; nil
-	// means federation.NewRuntime.
+	// means federation.NewRuntimeCfg with the default configuration.
 	plan func(prog *msl.Program, rng *rand.Rand) (*federation.Federation, error)
 	pass func(d time.Duration) // lets d of run time go by
 	// summary prints the transport's end-of-run lines, after Shutdown; nil
@@ -241,7 +241,7 @@ func run(cfg *config, out io.Writer) error {
 	if b.plan != nil {
 		fed, err = b.plan(prog, rng)
 	} else {
-		fed, err = federation.NewRuntime(b.rt, prog, rng)
+		fed, err = federation.NewRuntimeCfg(b.rt, prog, rng, mortar.DefaultConfig())
 	}
 	if err != nil {
 		return err
@@ -408,7 +408,7 @@ func (c *config) udpBackend(out io.Writer) (*backend, error) {
 		}
 		fmt.Fprintf(out, "# coordinator hosting %d of %d peers; gossiping Vivaldi coordinates\n", len(local), len(dir))
 		fit()
-		fed, err := federation.NewRuntime(rt, prog, rng)
+		fed, err := federation.NewRuntimeCfg(rt, prog, rng, mortar.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}

@@ -40,7 +40,7 @@ func main() {
 	rng := rand.New(rand.NewSource(5))
 	topo := netem.GenerateTransitStub(netem.PaperTopology(120), rng)
 	net := netem.New(sim, topo)
-	fed, err := federation.NewRuntime(simrt.New(net), prog, rng)
+	fed, err := federation.NewRuntimeCfg(simrt.New(net), prog, rng, mortar.DefaultConfig())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/eventsim"
 	"repro/internal/federation"
+	"repro/internal/mortar"
 	"repro/internal/msl"
 	"repro/internal/netem"
 	"repro/internal/runtime/simrt"
@@ -35,7 +36,7 @@ func main() {
 	rng := rand.New(rand.NewSource(7))
 	topo := netem.GenerateTransitStub(netem.PaperTopology(60), rng)
 	net := netem.New(sim, topo)
-	fed, err := federation.NewRuntime(simrt.New(net), prog, rng)
+	fed, err := federation.NewRuntimeCfg(simrt.New(net), prog, rng, mortar.DefaultConfig())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

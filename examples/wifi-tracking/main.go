@@ -46,7 +46,7 @@ func main() {
 	rng := rand.New(rand.NewSource(11))
 	topo := netem.GenerateStar(sniffers, time.Millisecond, 100e6)
 	net := netem.New(sim, topo)
-	fed, err := federation.NewRuntime(simrt.New(net), prog, rng)
+	fed, err := federation.NewRuntimeCfg(simrt.New(net), prog, rng, mortar.DefaultConfig())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

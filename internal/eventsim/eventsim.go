@@ -36,9 +36,6 @@ func (t *Timer) Cancel() {
 // Stopped reports whether the timer has fired or been cancelled.
 func (t *Timer) Stopped() bool { return t == nil || t.index < 0 || t.fn == nil }
 
-// When returns the virtual time at which the timer is (or was) due.
-func (t *Timer) When() time.Duration { return t.at }
-
 // Sim is a discrete-event simulator. It is not safe for concurrent use; all
 // interaction must happen from the goroutine driving Run/Step (normally via
 // event callbacks).

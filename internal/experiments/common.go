@@ -114,7 +114,7 @@ func newTestbed(seed int64, hosts int, clocks []vclock.Clock, cfg mortar.Config)
 	rng := rand.New(rand.NewSource(seed))
 	topo := netem.GenerateTransitStub(netem.PaperTopology(hosts), rng)
 	net := netem.New(sim, topo)
-	fab, err := mortar.NewFabric(simrt.New(net), clocks, cfg)
+	fab, err := mortar.NewFabric(simrt.New(net, clocks...), cfg)
 	if err != nil {
 		panic(err)
 	}
@@ -144,12 +144,11 @@ func vivaldiCoords(net *netem.Network, rng *rand.Rand) []cluster.Point {
 // range-equals-slide window counting peers, plus 1/s sensors.
 func (tb *testbed) sumQuery(name string, bf, d int) *mortar.QueryDef {
 	meta := mortar.QueryMeta{
-		Name:      name,
-		Seq:       1,
-		OpName:    "sum",
-		Window:    tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},
-		Root:      0,
-		IssuedSim: tb.Sim.Now(),
+		Name:   name,
+		Seq:    1,
+		OpName: "sum",
+		Window: tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},
+		Root:   0,
 	}
 	def, err := tb.Fab.Compile(meta, nil, tb.Coords, bf, d)
 	if err != nil {

@@ -44,13 +44,13 @@ func clockRun(seed int64, hosts int, scale float64, mode clockMode, dur time.Dur
 	cfg := mortar.DefaultConfig()
 	cfg.Syncless = mode == modeSyncless
 	tb := newTestbed(seed, hosts, clocks, cfg)
+	issue := tb.Sim.Now() // ground truth: the windows count from the issue instant
 	meta := mortar.QueryMeta{
-		Name:      "truewin",
-		Seq:       1,
-		OpName:    "hist",
-		Window:    tuple.WindowSpec{Kind: tuple.TimeWindow, Range: clockWindow, Slide: clockWindow},
-		Root:      0,
-		IssuedSim: tb.Sim.Now(),
+		Name:   "truewin",
+		Seq:    1,
+		OpName: "hist",
+		Window: tuple.WindowSpec{Kind: tuple.TimeWindow, Range: clockWindow, Slide: clockWindow},
+		Root:   0,
 	}
 	def, err := tb.Fab.Compile(meta, nil, tb.Coords, 16, 4)
 	if err != nil {
@@ -69,14 +69,14 @@ func clockRun(seed int64, hosts int, scale float64, mode clockMode, dur time.Dur
 		}
 		hist := r.Value.(map[string]float64)
 		tcs = append(tcs, metrics.TrueCompleteness(hist, strconv.FormatInt(r.WindowIndex, 10), produced))
-		due := meta.IssuedSim + time.Duration(r.WindowIndex+1)*clockWindow
+		due := issue + time.Duration(r.WindowIndex+1)*clockWindow
 		lats = append(lats, (r.At - due).Seconds())
 		disps = append(disps, metrics.Dispersion(toInt64Hist(hist), r.WindowIndex))
 	})
 
 	gen := &workload.Periodic{
 		Sim: tb.Sim, Period: time.Second, Value: 1,
-		TrueWindowKey: clockWindow, Epoch: meta.IssuedSim,
+		TrueWindowKey: clockWindow, Epoch: issue,
 	}
 	gen.Start(hosts, func(peer int, raw tuple.Raw) { tb.Fab.Inject(peer, raw) }, tb.rng)
 

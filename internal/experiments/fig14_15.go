@@ -35,9 +35,9 @@ func startRolling(seed int64, hosts, d int) *rollingSeries {
 		lat:      metrics.NewSeries(time.Second),
 		liveHist: map[int64]int{},
 	}
-	def := tb.sumQuery("q", 16, d)
+	issued := tb.Sim.Now()
+	tb.sumQuery("q", 16, d)
 	tb.startSensors()
-	issued := def.Meta.IssuedSim
 	tb.Fab.SubscribeAll(func(r mortar.Result) {
 		// Normalize by the nodes that were live when the window's data was
 		// produced, not when the (delayed) result arrived — otherwise a
@@ -136,12 +136,11 @@ func Figure14(opt Options) *Table {
 func noAggregationLoad(opt Options, hosts int) float64 {
 	tb := newTestbed(opt.Seed+999, hosts, nil, mortar.DefaultConfig())
 	meta := mortar.QueryMeta{
-		Name:      "noagg",
-		Seq:       1,
-		OpName:    "union",
-		Window:    tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},
-		Root:      0,
-		IssuedSim: tb.Sim.Now(),
+		Name:   "noagg",
+		Seq:    1,
+		OpName: "union",
+		Window: tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},
+		Root:   0,
 	}
 	def, err := tb.Fab.Compile(meta, nil, tb.Coords, 16, 4)
 	if err != nil {

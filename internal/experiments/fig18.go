@@ -36,7 +36,7 @@ func Figure18(opt Options) *Table {
 		rng := rand.New(rand.NewSource(opt.Seed))
 		topo := netem.GenerateStar(sniffers, time.Millisecond, 100e6)
 		net := netem.New(sim, topo)
-		fab, err := mortar.NewFabric(simrt.New(net), nil, mortar.DefaultConfig())
+		fab, err := mortar.NewFabric(simrt.New(net), mortar.DefaultConfig())
 		if err != nil {
 			panic(err)
 		}
@@ -52,7 +52,6 @@ func Figure18(opt Options) *Table {
 			Window:    tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},
 			FilterKey: target,
 			Root:      0,
-			IssuedSim: sim.Now(),
 		}
 		// On a star the benefit of planning is path diversity, not
 		// latency: plan with uniform coordinates.

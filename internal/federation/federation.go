@@ -75,18 +75,14 @@ type Federation struct {
 	planRng  *rand.Rand // lazy; replanning only — never perturbs the setup rng stream
 }
 
-// NewRuntime plans and installs every query of prog over any runtime
-// backend with the default mortar configuration. Queries sourcing
-// "sensors" span all peers; queries sourcing another query run at their
-// root only and are fed by subscription (§2.2 composition).
-func NewRuntime(rt runtime.Runtime, prog *msl.Program, rng *rand.Rand) (*Federation, error) {
-	return NewRuntimeCfg(rt, prog, rng, mortar.DefaultConfig())
-}
-
-// NewRuntimeCfg is NewRuntime with an explicit mortar configuration. prog
-// may be nil: the federation then starts with zero queries and serves
-// installs arriving later through InstallQuery — the gateway's
-// multi-tenant mode, where every query enters over HTTP.
+// NewRuntimeCfg plans and installs every query of prog over any runtime
+// backend with the given mortar configuration (mortar.DefaultConfig() is
+// the paper's). Queries sourcing "sensors" span all peers; queries
+// sourcing another query run at their root only and are fed by
+// subscription (§2.2 composition). prog may be nil: the federation then
+// starts with zero queries and serves installs arriving later through
+// InstallQuery — the gateway's multi-tenant mode, where every query enters
+// over HTTP.
 func NewRuntimeCfg(rt runtime.Runtime, prog *msl.Program, rng *rand.Rand, cfg mortar.Config) (*Federation, error) {
 	f, err := newFederation(rt, cfg)
 	if err != nil {
@@ -100,7 +96,6 @@ func NewRuntimeCfg(rt runtime.Runtime, prog *msl.Program, rng *rand.Rand, cfg mo
 	coords, f.Model, f.PlannedFromCoords = f.currentView(rng)
 
 	if prog != nil {
-		now := rt.Clock(0).Now()
 		f.mu.Lock()
 		defer f.mu.Unlock()
 		for _, st := range prog.Statements {
@@ -114,7 +109,7 @@ func NewRuntimeCfg(rt runtime.Runtime, prog *msl.Program, rng *rand.Rand, cfg mo
 				Trees:     st.Trees,
 				BF:        st.BF,
 			}
-			if err := f.installSpecLocked(spec, coords, now); err != nil {
+			if err := f.installSpecLocked(spec, coords); err != nil {
 				return nil, err
 			}
 		}
@@ -125,7 +120,7 @@ func NewRuntimeCfg(rt runtime.Runtime, prog *msl.Program, rng *rand.Rand, cfg mo
 // newFederation builds the fabric, an empty query table and the result
 // ledger over rt.
 func newFederation(rt runtime.Runtime, cfg mortar.Config) (*Federation, error) {
-	fab, err := mortar.NewFabric(rt, nil, cfg)
+	fab, err := mortar.NewFabric(rt, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -167,7 +162,7 @@ func gossipedCoords(rt runtime.Runtime, n int) []cluster.Point {
 // installing anything: workers receive their operators through the
 // coordinator's install multicast and pair-wise reconciliation, exactly as
 // recovered peers do. Only the coordinator — the process hosting the query
-// roots — runs NewRuntime.
+// roots — runs NewRuntimeCfg.
 func NewWorker(rt runtime.Runtime) (*Federation, error) {
 	return newFederation(rt, mortar.DefaultConfig())
 }

@@ -27,7 +27,7 @@ func build(t *testing.T, src string, hosts int) (*Federation, *eventsim.Sim, *ra
 	p.Transits = 2
 	topo := netem.GenerateTransitStub(p, rng)
 	net := netem.New(sim, topo)
-	fed, err := NewRuntime(simrt.New(net), prog, rng)
+	fed, err := NewRuntimeCfg(simrt.New(net), prog, rng, mortar.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

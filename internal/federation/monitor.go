@@ -73,7 +73,7 @@ func (f *Federation) replanRngLocked() *rand.Rand {
 // currentView returns the planner's present latency view: the gossiped
 // Vivaldi embedding when the runtime covers every peer (the decentralized
 // path), else a coordinator-local embedding over the transport's measured
-// latencies, which only prices pairs this process can measure. NewRuntime
+// latencies, which only prices pairs this process can measure. NewRuntimeCfg
 // plans from it too, so a partially gossiped coordinate set never places the
 // unheard peers at arbitrary positions.
 func (f *Federation) currentView(rng *rand.Rand) ([]cluster.Point, plan.LatencyModel, bool) {
@@ -96,8 +96,9 @@ func (f *Federation) currentView(rng *rand.Rand) ([]cluster.Point, plan.LatencyM
 // flow through both tree sets — until every member acks the new wiring
 // and its completeness catches up, at which point the root retires the
 // old epoch with an epoch-scoped Remove multicast (make-before-break; see
-// internal/mortar). IssuedSim is preserved so both epochs index windows
-// in the same frame. Safe to call from the monitor goroutine.
+// internal/mortar). The root starts the new epoch's frame at its running
+// epoch's frame time, so both epochs index windows in the same frame.
+// Safe to call from the monitor goroutine.
 func (f *Federation) Replan(name string) (ReplanResult, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -78,7 +78,7 @@ func TestMonitorReplansOnDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fed, err := NewRuntime(rt, prog, rand.New(rand.NewSource(5)))
+	fed, err := NewRuntimeCfg(rt, prog, rand.New(rand.NewSource(5)), mortar.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestMonitorOneViewPerPoll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fed, err := NewRuntime(rt, prog, rand.New(rand.NewSource(3)))
+	fed, err := NewRuntimeCfg(rt, prog, rand.New(rand.NewSource(3)), mortar.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestReplanErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fed, err := NewRuntime(rt, prog, rand.New(rand.NewSource(9)))
+	fed, err := NewRuntimeCfg(rt, prog, rand.New(rand.NewSource(9)), mortar.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

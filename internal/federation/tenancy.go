@@ -3,7 +3,6 @@ package federation
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/mortar"
@@ -88,12 +87,12 @@ func (f *Federation) InstallQuery(spec QuerySpec) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	coords, _, _ := f.currentView(f.replanRngLocked())
-	return f.installSpecLocked(spec, coords, f.Rt.Clock(0).Now())
+	return f.installSpecLocked(spec, coords)
 }
 
 // installSpecLocked validates, compiles, installs, and (for composed
 // queries) chains one spec. Callers hold f.mu.
-func (f *Federation) installSpecLocked(spec QuerySpec, coords []cluster.Point, now time.Duration) error {
+func (f *Federation) installSpecLocked(spec QuerySpec, coords []cluster.Point) error {
 	if err := spec.validate(); err != nil {
 		return err
 	}
@@ -124,7 +123,6 @@ func (f *Federation) installSpecLocked(spec QuerySpec, coords []cluster.Point, n
 		Window:    spec.Window,
 		FilterKey: spec.FilterKey,
 		Root:      0,
-		IssuedSim: now,
 	}
 	var def *mortar.QueryDef
 	var err error

@@ -208,7 +208,7 @@ func measureSteadyControl(t *testing.T, queries, hosts int) float64 {
 	p.Transits = 2
 	topo := netem.GenerateTransitStub(p, rng)
 	net := netem.New(sim, topo)
-	fed, err := NewRuntime(simrt.New(net), prog, rng)
+	fed, err := NewRuntimeCfg(simrt.New(net), prog, rng, mortar.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func TestBatchIngestMatchesPerTuple(t *testing.T) {
 			rows = append(rows, row{r.Query, r.WindowIndex, r.Index, r.Count, r.Value, r.Age})
 		})
 		for qi, meta := range queries {
-			meta.Seq, meta.Root, meta.IssuedSim = uint64(qi+1), 0, rt.Now()
+			meta.Seq, meta.Root = uint64(qi+1), 0
 			def, err := fab.Compile(meta, nil, uniformCoords(peers, 9), 3, 2)
 			if err != nil {
 				t.Fatal(err)

@@ -155,7 +155,7 @@ func TestRootInstallFramesBounded(t *testing.T) {
 	const n = 1000
 	rt := simrt.NewPaper(1, n, simrt.TopoOptions{Stubs: 8, Transits: 2})
 	tap := &rootInstallTap{Transport: rt.Transport()}
-	fab, err := NewFabric(tappedRuntime{rt, tap}, nil, DefaultConfig())
+	fab, err := NewFabric(tappedRuntime{rt, tap}, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,19 +9,18 @@ import (
 )
 
 // epochQuery compiles a seq/epoch-versioned sum query over all peers with
-// the given coordinate seed. IssuedSim is pinned to issue so window
-// indices of successive epochs share one frame (a replan reinstalls the
-// same logical query, not a new one).
-func epochQuery(t *testing.T, fab *Fabric, seq uint64, epoch uint32, coordSeed int64, issue time.Duration) *QueryDef {
+// the given coordinate seed. Installed at a root running another epoch of
+// it, it takes that epoch's frame, so window indices of successive epochs
+// agree (a replan reinstalls the same logical query, not a new one).
+func epochQuery(t *testing.T, fab *Fabric, seq uint64, epoch uint32, coordSeed int64) *QueryDef {
 	t.Helper()
 	meta := QueryMeta{
-		Name:      "mig",
-		Seq:       seq,
-		Epoch:     epoch,
-		OpName:    "sum",
-		Window:    tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},
-		Root:      0,
-		IssuedSim: issue,
+		Name:   "mig",
+		Seq:    seq,
+		Epoch:  epoch,
+		OpName: "sum",
+		Window: tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},
+		Root:   0,
 	}
 	def, err := fab.Compile(meta, nil, uniformCoords(fab.NumPeers(), coordSeed), 4, 2)
 	if err != nil {
@@ -47,8 +46,7 @@ func TestEpochMigrationMakeBeforeBreak(t *testing.T) {
 			winMax[r.WindowIndex] = r.Count
 		}
 	})
-	issue := rt.Now()
-	if err := fab.Install(0, epochQuery(t, fab, 1, 0, 7, issue)); err != nil {
+	if err := fab.Install(0, epochQuery(t, fab, 1, 0, 7)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < peers; i++ {
@@ -61,7 +59,7 @@ func TestEpochMigrationMakeBeforeBreak(t *testing.T) {
 
 	// Replan: same query, next epoch, different coordinates (a drifted
 	// embedding plans different trees).
-	if err := fab.Install(0, epochQuery(t, fab, 2, 1, 8, issue)); err != nil {
+	if err := fab.Install(0, epochQuery(t, fab, 2, 1, 8)); err != nil {
 		t.Fatal(err)
 	}
 	rt.RunFor(40 * time.Second)
@@ -109,7 +107,7 @@ func TestEpochMigrationMakeBeforeBreak(t *testing.T) {
 func TestStaleRemoveIsNoOp(t *testing.T) {
 	const peers = 20
 	fab, rt := testbed(t, peers, 92, DefaultConfig(), nil)
-	def := epochQuery(t, fab, 5, 0, 7, rt.Now())
+	def := epochQuery(t, fab, 5, 0, 7)
 	if err := fab.Install(0, def); err != nil {
 		t.Fatal(err)
 	}
@@ -136,12 +134,11 @@ func TestStaleRemoveIsNoOp(t *testing.T) {
 func TestDelayedOldEpochRemoveSparesNewEpoch(t *testing.T) {
 	const peers = 20
 	fab, rt := testbed(t, peers, 93, DefaultConfig(), nil)
-	issue := rt.Now()
-	if err := fab.Install(0, epochQuery(t, fab, 1, 0, 7, issue)); err != nil {
+	if err := fab.Install(0, epochQuery(t, fab, 1, 0, 7)); err != nil {
 		t.Fatal(err)
 	}
 	rt.RunFor(10 * time.Second)
-	if err := fab.Install(0, epochQuery(t, fab, 2, 1, 8, issue)); err != nil {
+	if err := fab.Install(0, epochQuery(t, fab, 2, 1, 8)); err != nil {
 		t.Fatal(err)
 	}
 	rt.RunFor(30 * time.Second) // migration completes, epoch 0 retired
@@ -216,12 +213,11 @@ func TestRemovalMarksKeepIncomparableCoverage(t *testing.T) {
 func TestWholeRemoveCoversBothEpochs(t *testing.T) {
 	const peers = 20
 	fab, rt := testbed(t, peers, 94, DefaultConfig(), nil)
-	issue := rt.Now()
-	if err := fab.Install(0, epochQuery(t, fab, 1, 0, 7, issue)); err != nil {
+	if err := fab.Install(0, epochQuery(t, fab, 1, 0, 7)); err != nil {
 		t.Fatal(err)
 	}
 	rt.RunFor(8 * time.Second)
-	if err := fab.Install(0, epochQuery(t, fab, 2, 1, 8, issue)); err != nil {
+	if err := fab.Install(0, epochQuery(t, fab, 2, 1, 8)); err != nil {
 		t.Fatal(err)
 	}
 	rt.RunFor(4 * time.Second) // mid-migration: both epochs live somewhere

@@ -12,7 +12,6 @@ import (
 	"repro/internal/runtime"
 	"repro/internal/tslist"
 	"repro/internal/tuple"
-	"repro/internal/vclock"
 	"repro/internal/wire"
 )
 
@@ -129,21 +128,19 @@ type Stats struct {
 	// destination or TTL exhausted), arriving summaries a peer could
 	// not merge (no wired instance, a value without the operator's
 	// shape, or no index where the instance reads one), and arriving
-	// messages of a kind no peer sends (an envelope batch).
+	// messages of a kind no peer sends (an envelope batch). A peer the
+	// transport holds down (SetDown) counts nothing: what its operators
+	// still make goes nowhere (routeNew), and a dead sensor is no loss.
 	//
-	// Under fail-stop most routing drops are not losses: a peer held down
-	// by the transport's SetDown keeps running its operators, hears no
-	// heartbeat and drops every summary it makes. In bench's churn-lossy
-	// federations (64 peers, 4 queries) with their 13 kills and no loss
-	// (seed 1), 1,248 of ≈ 1,700 drops in a 6 s span were such peers' own
-	// summaries (13 × 4 queries × 24 windows). The rest are real: live peers whose parents on both trees
-	// are down drop their own summaries (192–336), and relayed summaries
-	// (109–276, carrying 221–528 members) are dropped once flex-down steps
-	// have run out of routes, every one with ttlDown > 0. So the kills
-	// alone cost ≈ 13 % of live members' data through the routing policy
-	// before any loss, and no root window was reported complete. Repairing
-	// lost summaries does not reach these, nor does a completion target of
-	// live members: the summaries are dropped, not late.
+	// Under fail-stop the drops are live peers' losses. In bench's
+	// churn-lossy federations (64 peers, 4 queries) with their 13 kills and
+	// no loss (seed 1), live peers whose parents on both trees are down
+	// dropped their own summaries (192–336 in a 6 s span), and relayed
+	// summaries (109–276, carrying 221–528 members) were dropped once
+	// flex-down steps had run out of routes, every one with ttlDown > 0:
+	// ≈ 13 % of live members' data, and no root window was complete.
+	// Repairing lost summaries does not reach these, nor does a completion
+	// target of live members: the summaries are dropped, not late.
 	Dropped atomic.Uint64
 	// Relayed counts tuples forwarded without merging (late at an interior
 	// operator, §4.3 path).
@@ -252,12 +249,11 @@ func (f *Fabric) emitResult(r Result) {
 	}
 }
 
-// NewFabric creates one peer per runtime slot. clocks may be nil (perfect
-// clocks) or one per peer. cfg is validated; zero-valued knobs pick up
-// paper defaults — except the boolean Syncless, which a zero Config
-// leaves false (timestamp indexing). Start from DefaultConfig() for the
-// paper's syncless mode.
-func NewFabric(rt runtime.Runtime, clocks []vclock.Clock, cfg Config) (*Fabric, error) {
+// NewFabric creates one peer per runtime slot, each on the runtime's clock
+// for it. cfg is validated; zero-valued knobs pick up paper defaults —
+// except the boolean Syncless, which a zero Config leaves false (timestamp
+// indexing). Start from DefaultConfig() for the paper's syncless mode.
+func NewFabric(rt runtime.Runtime, cfg Config) (*Fabric, error) {
 	cfg, err := cfg.Validate()
 	if err != nil {
 		return nil, err
@@ -265,9 +261,6 @@ func NewFabric(rt runtime.Runtime, clocks []vclock.Clock, cfg Config) (*Fabric, 
 	n := rt.NumPeers()
 	if n == 0 {
 		return nil, fmt.Errorf("mortar: runtime has no peers")
-	}
-	if clocks != nil && len(clocks) != n {
-		return nil, fmt.Errorf("mortar: %d clocks for %d peers", len(clocks), n)
 	}
 	f := &Fabric{
 		Rt:        rt,
@@ -277,11 +270,7 @@ func NewFabric(rt runtime.Runtime, clocks []vclock.Clock, cfg Config) (*Fabric, 
 		queryTraf: map[string]*QueryTraffic{},
 	}
 	for i := 0; i < n; i++ {
-		ck := vclock.Perfect()
-		if clocks != nil {
-			ck = clocks[i]
-		}
-		f.peers = append(f.peers, newPeer(f, i, rt.Clock(i), ck))
+		f.peers = append(f.peers, newPeer(f, i, rt.Clock(i)))
 	}
 	// A peer's frames may be delivered, on another goroutine, from the
 	// moment its handler is registered, and delivery reads f.peers: so

@@ -89,19 +89,18 @@ type instance struct {
 	lastTE     time.Duration
 	stallTick  runtime.Timer
 
-	// Reference clock (§5.1): local frame used for indexing. For syncless
-	// operation, frameNow = refBase + (localNow - installLocal); for
-	// timestamp operation, frameNow = localNow.
-	installLocal time.Duration
-	refBase      time.Duration
+	// Reference clock (§5.1): a syncless instance's indexing frame is base
+	// plus the peer's clock; a timestamp instance's is the peer's clock.
+	base time.Duration
 
 	curSlide   int64 // next local slide boundary to close
 	slideTimer runtime.Timer
 
 	ts           *tslist.List
 	evictTimer   runtime.Timer
-	lastEvicted  int64 // highest window index already evicted (late detection)
-	lastReported int64 // highest window index reported (root only)
+	evictDue     time.Duration // frame time evictTimer fires at
+	lastEvicted  int64         // highest window index already evicted (late detection)
+	lastReported int64         // highest window index reported (root only)
 
 	// netDist and netDev estimate how late past a window's end, in this
 	// operator's frame, the window's slowest contribution reaches it: the
@@ -119,7 +118,8 @@ type instance struct {
 	stripe int // round-robin tree pointer for tuple-window summaries (routeNew)
 }
 
-func (p *Peer) newInstance(meta QueryMeta) (*instance, error) {
+// newInstance builds meta's operator, its frame at meta.Age at sentAt.
+func (p *Peer) newInstance(meta QueryMeta, sentAt time.Duration) (*instance, error) {
 	op, err := ops.New(meta.OpName, meta.OpArgs)
 	if err != nil {
 		return nil, err
@@ -129,7 +129,7 @@ func (p *Peer) newInstance(meta QueryMeta) (*instance, error) {
 		meta:         meta,
 		op:           op,
 		win:          op.NewWindow(),
-		installLocal: p.localNow(),
+		base:         meta.Age - sentAt,
 		lastEvicted:  math.MinInt64,
 		lastReported: math.MinInt64,
 		sampleMax:    -1,
@@ -153,22 +153,17 @@ func (p *Peer) newInstance(meta QueryMeta) (*instance, error) {
 		inst.ts = tslist.New(ops.CombineNilAware(op))
 	}
 	inst.ts.SetCounters(&p.fab.DataPath)
-	if p.fab.Cfg.Syncless {
-		// t_ref begins at the age of the install message: the operator
-		// pretends it started when the query was issued (§5.1).
-		inst.refBase = p.clock.Elapsed(p.now() - meta.IssuedSim)
-	}
 	return inst, nil
 }
 
 // frameNow returns the instance's indexing-frame time.
-func (inst *instance) frameNow() time.Duration { return inst.frameAt(inst.peer.localNow()) }
+func (inst *instance) frameNow() time.Duration { return inst.frameAt(inst.peer.now()) }
 
-// frameAt maps a reading of the peer's local clock into the instance's
+// frameAt maps a reading of the peer's clock into the instance's
 // indexing frame.
 func (inst *instance) frameAt(local time.Duration) time.Duration {
 	if inst.peer.fab.Cfg.Syncless {
-		return inst.refBase + (local - inst.installLocal)
+		return inst.base + local
 	}
 	return local
 }
@@ -307,8 +302,7 @@ func (inst *instance) takeArrivals(batch []tuple.Raw, at time.Duration, emit fun
 
 func (inst *instance) scheduleSlide() {
 	boundary := time.Duration(inst.curSlide+1) * inst.meta.Window.Slide
-	delay := inst.peer.runtimeDelayForLocal(boundary - inst.frameNow())
-	inst.slideTimer = inst.peer.rtc.After(delay, inst.closeSlide)
+	inst.slideTimer = inst.peer.rtc.After(boundary-inst.frameNow(), inst.closeSlide)
 }
 
 // injectRawBatch feeds a batch of raw tuples into every matching local
@@ -322,7 +316,7 @@ func (inst *instance) scheduleSlide() {
 func (p *Peer) injectRawBatch(raws []tuple.Raw) {
 	p.fab.Stats.TuplesIngested.Add(uint64(len(raws)))
 	p.fab.Stats.IngestBatches.Add(1)
-	local := p.localNow()
+	local := p.now()
 	for _, inst := range p.insts {
 		if !inst.draining {
 			inst.takeRaws(raws, local)
@@ -577,21 +571,23 @@ func (inst *instance) armEvict() {
 		}
 		return
 	}
-	delay := inst.peer.runtimeDelayForLocal(dl - inst.frameNow())
+	now := inst.frameNow()
+	dl = max(dl, now)
 	if inst.evictTimer != nil && !inst.evictTimer.Stopped() {
 		// Keep the existing timer if it already fires early enough.
-		if inst.evictTimer.When() <= inst.peer.now()+delay {
+		if inst.evictDue <= dl {
 			return
 		}
 		inst.evictTimer.Cancel()
 	}
-	inst.evictTimer = inst.peer.rtc.After(delay, inst.evictExpired)
+	inst.evictDue = dl
+	inst.evictTimer = inst.peer.rtc.After(dl-now, inst.evictExpired)
 }
 
 func (inst *instance) evictExpired() {
 	now := inst.frameNow()
-	// Pop with a small tolerance: converting local-frame deadlines to
-	// simulator delays through a skewed clock rounds, so at timer fire the
+	// Pop with a small tolerance: a clock model converts a delay to the
+	// simulator's time through its skew and rounds, so at timer fire the
 	// frame clock can sit an epsilon short of the deadline; without the
 	// tolerance the evict timer would re-arm with zero delay forever.
 	for _, e := range inst.ts.PopExpired(now + time.Millisecond) {
@@ -765,9 +761,9 @@ func (p *Peer) handleSummary(src int, env *envelope) {
 		return
 	}
 	s := env.S
-	// The transport measures one-hop flight time (UdpCC RTT/2) and adds it
-	// to the tuple's age, measured with the local oscillator.
-	s.Age += p.clock.Elapsed(p.now() - env.SentAt)
+	// The transport measures one-hop flight time (UdpCC RTT/2) on this
+	// peer's clock, and it adds to the tuple's age.
+	s.Age += p.now() - env.SentAt
 	s.Hops++
 
 	now := inst.frameNow()
@@ -835,6 +831,11 @@ func (p *Peer) handleSummary(src int, env *envelope) {
 func (inst *instance) routeNew(s tuple.Summary, n int64) {
 	if !inst.wired {
 		inst.peer.fab.Stats.Dropped.Add(1)
+		return
+	}
+	if p := inst.peer; p.fab.Down(p.id) {
+		// Held down by the transport, the peer is dead to the federation:
+		// what its operators make goes nowhere, and is no routing loss.
 		return
 	}
 	// s.Levels is the caller's alone (cloned at eviction or freshly decoded),

@@ -15,8 +15,8 @@ import (
 // testbed builds a small fabric over a simulated transit-stub topology.
 func testbed(t *testing.T, hosts int, seed int64, cfg Config, clocks []vclock.Clock) (*Fabric, *simrt.Runtime) {
 	t.Helper()
-	rt := simrt.NewPaper(seed, hosts, simrt.TopoOptions{Stubs: 8, Transits: 2})
-	fab, err := NewFabric(rt, clocks, cfg)
+	rt := simrt.NewPaper(seed, hosts, simrt.TopoOptions{Stubs: 8, Transits: 2}, clocks...)
+	fab, err := NewFabric(rt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,12 +40,11 @@ func uniformCoords(n int, seed int64) []cluster.Point {
 func sumQuery(t *testing.T, fab *Fabric, rt *simrt.Runtime, bf, d int) *QueryDef {
 	t.Helper()
 	meta := QueryMeta{
-		Name:      "sum1",
-		Seq:       1,
-		OpName:    "sum",
-		Window:    tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},
-		Root:      0,
-		IssuedSim: rt.Now(),
+		Name:   "sum1",
+		Seq:    1,
+		OpName: "sum",
+		Window: tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},
+		Root:   0,
 	}
 	def, err := fab.Compile(meta, nil, uniformCoords(fab.NumPeers(), 7), bf, d)
 	if err != nil {
@@ -110,13 +109,14 @@ func TestResultLatencyBounded(t *testing.T) {
 	fab, rt := testbed(t, 60, 3, DefaultConfig(), nil)
 	var results []Result
 	fab.SubscribeAll(func(r Result) { results = append(results, r) })
-	def := sumQuery(t, fab, rt, 4, 2)
+	issue := rt.Now()
+	sumQuery(t, fab, rt, 4, 2)
 	rt.RunFor(45 * time.Second)
 	if len(results) == 0 {
 		t.Fatal("no results")
 	}
 	for _, r := range results[5:] {
-		due := def.Meta.IssuedSim + time.Duration(r.WindowIndex+1)*time.Second
+		due := issue + time.Duration(r.WindowIndex+1)*time.Second
 		lat := r.At - due
 		if lat < 0 || lat > 10*time.Second {
 			t.Fatalf("result latency %v out of range for window %d", lat, r.WindowIndex)
@@ -325,12 +325,11 @@ func TestScopedQueryOnlyInvolvesMembers(t *testing.T) {
 	fab, rt := testbed(t, 30, 12, DefaultConfig(), nil)
 	members := []int{0, 3, 4, 9, 12, 17, 21, 25}
 	meta := QueryMeta{
-		Name:      "scoped",
-		Seq:       1,
-		OpName:    "count",
-		Window:    tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},
-		Root:      0,
-		IssuedSim: rt.Now(),
+		Name:   "scoped",
+		Seq:    1,
+		OpName: "count",
+		Window: tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},
+		Root:   0,
 	}
 	def, err := fab.Compile(meta, members, uniformCoords(len(members), 3), 3, 2)
 	if err != nil {
@@ -364,7 +363,6 @@ func TestFilterKeySelectsTuples(t *testing.T) {
 		Window:    tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},
 		FilterKey: "wanted",
 		Root:      0,
-		IssuedSim: rt.Now(),
 	}
 	def, err := fab.Compile(meta, nil, uniformCoords(12, 2), 3, 2)
 	if err != nil {
@@ -400,12 +398,11 @@ func TestBoundaryTuplesKeepCompletenessDuringStalls(t *testing.T) {
 	var results []Result
 	fab.SubscribeAll(func(r Result) { results = append(results, r) })
 	meta := QueryMeta{
-		Name:      "stall",
-		Seq:       1,
-		OpName:    "sum",
-		Window:    tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},
-		Root:      0,
-		IssuedSim: rt.Now(),
+		Name:   "stall",
+		Seq:    1,
+		OpName: "sum",
+		Window: tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},
+		Root:   0,
 	}
 	def, _ := fab.Compile(meta, nil, uniformCoords(12, 4), 3, 2)
 	if err := fab.Install(0, def); err != nil {

@@ -42,10 +42,10 @@ func (c lateClock) After(d time.Duration, fn func()) runtime.Timer {
 // whole multiples of the slide on the local clock.
 func timestampBed(t *testing.T, hosts int, late time.Duration, clocks []vclock.Clock) (*Fabric, *simrt.Runtime) {
 	t.Helper()
-	rt := simrt.NewPaper(5, hosts, simrt.TopoOptions{Stubs: 4, Transits: 2})
+	rt := simrt.NewPaper(5, hosts, simrt.TopoOptions{Stubs: 4, Transits: 2}, clocks...)
 	cfg := DefaultConfig()
 	cfg.Syncless = false
-	fab, err := NewFabric(lateRuntime{rt, late}, clocks, cfg)
+	fab, err := NewFabric(lateRuntime{rt, late}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func timestampBed(t *testing.T, hosts int, late time.Duration, clocks []vclock.C
 
 func installWindowed(t *testing.T, fab *Fabric, rt *simrt.Runtime, op string, w tuple.WindowSpec) {
 	t.Helper()
-	meta := QueryMeta{Name: "q", Seq: 1, OpName: op, Window: w, Root: 0, IssuedSim: rt.Now()}
+	meta := QueryMeta{Name: "q", Seq: 1, OpName: op, Window: w, Root: 0}
 	def, err := fab.Compile(meta, nil, uniformCoords(fab.NumPeers(), 7), 4, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +171,8 @@ func TestSlidingWindowCombinesPanes(t *testing.T) {
 // absolute arrival times would overflow int64 (n·2^50 > 2^63 from n =
 // 8192), for a time window's slide and for a tuple window of n arrivals.
 // The panes' accumulators hold offsets, so the reported age is still the
-// time since the raws arrived.
+// time since the raws arrived (on the peers' clocks, which read 2^50 ns
+// past the simulator's).
 func TestPaneAgeSurvivesLargeFrameClock(t *testing.T) {
 	const (
 		hosts = 4
@@ -206,8 +207,8 @@ func TestPaneAgeSurvivesLargeFrameClock(t *testing.T) {
 			t.Fatalf("results = %+v, want one window of %d", results, n)
 		}
 		r := results[0]
-		if d := r.Age - (r.At - arrival); d < -time.Millisecond || d > time.Millisecond {
-			t.Fatalf("age %v at report time %v, want the %v since arrival", r.Age, r.At, r.At-arrival)
+		if d := r.Age - (r.At - 1<<50 - arrival); d < -time.Millisecond || d > time.Millisecond {
+			t.Fatalf("age %v at report time %v, want the %v since arrival", r.Age, r.At, r.At-1<<50-arrival)
 		}
 	}
 }
@@ -298,7 +299,7 @@ func TestSlidingTopKMatchesWholeRange(t *testing.T) {
 // install is refused rather than answered from one pane. A tuple window is
 // one pane when its range divides its slide.
 func TestSlidingWindowNeedsCombinablePartials(t *testing.T) {
-	fab, rt := timestampBed(t, 6, 0, nil)
+	fab, _ := timestampBed(t, 6, 0, nil)
 	for w, wantErr := range map[tuple.WindowSpec]bool{
 		{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second}:     false,
 		{Kind: tuple.TimeWindow, Range: 2 * time.Second, Slide: time.Second}: true,
@@ -306,7 +307,7 @@ func TestSlidingWindowNeedsCombinablePartials(t *testing.T) {
 		{Kind: tuple.TupleWindow, RangeN: 6, SlideN: 3}:                      true,
 		{Kind: tuple.TupleWindow, RangeN: 4, SlideN: 8}:                      false,
 	} {
-		meta := QueryMeta{Name: "pos", Seq: 1, OpName: "trilat", Root: 0, IssuedSim: rt.Now(), Window: w}
+		meta := QueryMeta{Name: "pos", Seq: 1, OpName: "trilat", Root: 0, Window: w}
 		def, err := fab.Compile(meta, nil, uniformCoords(fab.NumPeers(), 7), 4, 2)
 		if err == nil {
 			err = def.Validate()

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/runtime"
-	"repro/internal/vclock"
 	"repro/internal/wire"
 )
 
@@ -24,10 +23,9 @@ type instKey struct {
 // serialization domain — simulator callbacks under simrt, the peer's own
 // goroutine under netrt.
 type Peer struct {
-	fab   *Fabric
-	id    int
-	rtc   runtime.Clock // scheduling clock (true runtime time)
-	clock vclock.Clock  // clock model layered on top (offset + skew)
+	fab *Fabric
+	id  int
+	rtc runtime.Clock // the peer's one clock: time, timers, frames
 
 	insts map[instKey]*instance
 	// removed caches removal commands per query name as a non-dominated
@@ -51,12 +49,11 @@ type Peer struct {
 	pendingTopo map[instKey]bool
 }
 
-func newPeer(f *Fabric, id int, rtc runtime.Clock, ck vclock.Clock) *Peer {
+func newPeer(f *Fabric, id int, rtc runtime.Clock) *Peer {
 	p := &Peer{
 		fab:         f,
 		id:          id,
 		rtc:         rtc,
-		clock:       ck,
 		insts:       make(map[instKey]*instance),
 		removed:     make(map[string][]wire.RemovedMark),
 		lastHeard:   make(map[int]time.Duration),
@@ -86,20 +83,8 @@ func (p *Peer) sortedInstKeys() []instKey {
 // ID returns the peer's fabric index.
 func (p *Peer) ID() int { return p.id }
 
-// now is the peer's true runtime time.
+// now reads the peer's clock.
 func (p *Peer) now() time.Duration { return p.rtc.Now() }
-
-// localNow is the node's reported wall-clock time (offset + skew applied).
-func (p *Peer) localNow() time.Duration { return p.clock.Reported(p.now()) }
-
-// runtimeDelayForLocal converts a local-clock duration into runtime time
-// (a fast clock's second passes in less than a true second).
-func (p *Peer) runtimeDelayForLocal(d time.Duration) time.Duration {
-	if d <= 0 {
-		return 0
-	}
-	return time.Duration(float64(d) / p.clock.Skew)
-}
 
 // alive reports whether a neighbor is presumed reachable: heard from within
 // the liveness window.

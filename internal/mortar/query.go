@@ -142,7 +142,7 @@ type Result struct {
 	Count int
 	// Hops is the maximum overlay path length among merged tuples.
 	Hops int
-	// At is the simulation time the root reported the result.
+	// At is the time the root reported the result, on the root's clock.
 	At time.Duration
 	// Age is the averaged constituent age at report time.
 	Age time.Duration

@@ -2,6 +2,7 @@ package mortar
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/runtime"
 	"repro/internal/wire"
@@ -105,17 +106,27 @@ func subChunk(m msgInstall, from int) msgInstall {
 }
 
 // startInstall runs at the issuing peer (the query root): install locally,
-// then multicast.
+// then multicast. The root's frame reads def.Meta.Age now — or, for a
+// replan, what its running epoch of the query reads, so both epochs share
+// one frame — and every install leaves carrying the root's frame time.
 func (p *Peer) startInstall(def *QueryDef) {
 	chunks := buildChunks(def)
+	meta, at := def.Meta, p.now()
+	for _, k := range p.sortedInstKeys() {
+		if k.name == meta.Name {
+			meta.Age = p.insts[k].frameNow()
+			break
+		}
+	}
 	// Install locally first (the issuer is a member).
 	for _, c := range chunks {
 		if nb, ok := c.members[p.id]; ok {
-			p.installLocal(def.Meta, &nb, def)
+			p.installLocal(meta, &nb, def, at)
 		}
 	}
 	for _, c := range chunks {
-		m := msgInstall{Meta: def.Meta, Members: c.members, Forward: c.forward}
+		m := msgInstall{Meta: meta, Members: c.members, Forward: c.forward}
+		m.Meta.Age += p.now() - at
 		if c.head == p.id {
 			// Forward our own chunk's children directly.
 			for _, next := range c.forward[p.id] {
@@ -128,8 +139,10 @@ func (p *Peer) startInstall(def *QueryDef) {
 }
 
 // installLocal creates (or refreshes) the operator instance for
-// (meta.Name, meta.Epoch). def is non-nil only at the root/issuer.
-func (p *Peer) installLocal(meta QueryMeta, nb *neighbors, def *QueryDef) {
+// (meta.Name, meta.Epoch), its frame reading meta.Age when this peer's
+// clock read sentAt — the message's transmit time, or now at the root.
+// def is non-nil only at the root/issuer.
+func (p *Peer) installLocal(meta QueryMeta, nb *neighbors, def *QueryDef, sentAt time.Duration) {
 	if p.covered(meta.Name, meta.Seq, meta.Epoch) {
 		return // removal supersedes this install
 	}
@@ -146,7 +159,7 @@ func (p *Peer) installLocal(meta QueryMeta, nb *neighbors, def *QueryDef) {
 		delete(p.insts, key)
 		replaced = true
 	}
-	inst, err := p.newInstance(meta)
+	inst, err := p.newInstance(meta, sentAt)
 	if err != nil {
 		if replaced {
 			p.pruneNeighborState()
@@ -237,8 +250,9 @@ func (p *Peer) handleInstall(src int, m msgInstall) {
 	p.markHeard(src)
 	nb, ok := m.Members[p.id]
 	if ok {
-		p.installLocal(m.Meta, &nb, nil)
+		p.installLocal(m.Meta, &nb, nil, m.SentAt)
 	}
+	m.Meta.Age += p.now() - m.SentAt // forwarded at this peer's frame time
 	for _, next := range m.Forward[p.id] {
 		p.fab.send(p.id, next, runtime.ClassControl, subChunk(m, next))
 	}
@@ -492,7 +506,7 @@ func (p *Peer) reconSummary() msgReconSummary {
 			continue
 		}
 		m.Installed[wire.QueryKey{Name: k.name, Epoch: k.epoch}] = inst.meta.Seq
-		m.Metas = append(m.Metas, inst.meta)
+		m.Metas = append(m.Metas, inst.metaNow())
 	}
 	for name, marks := range p.removed {
 		m.Removed[name] = append([]wire.RemovedMark(nil), marks...)
@@ -500,11 +514,18 @@ func (p *Peer) reconSummary() msgReconSummary {
 	return m
 }
 
+// metaNow returns the instance's meta stamped with its frame time now.
+func (inst *instance) metaNow() QueryMeta {
+	m := inst.meta
+	m.Age = inst.frameNow()
+	return m
+}
+
 // handleReconSummary performs the reconciliation set computation: adopt
 // what the sender knows and we missed, then reply with what the sender is
 // missing.
 func (p *Peer) handleReconSummary(src int, m msgReconSummary) {
-	p.adopt(m.Removed, m.Metas)
+	p.adopt(m.Removed, m.Metas, m.SentAt)
 	// Reply with what the sender is missing.
 	reply := msgReconDefs{Removed: map[string][]wire.RemovedMark{}}
 	for _, k := range p.sortedInstKeys() {
@@ -516,7 +537,7 @@ func (p *Peer) handleReconSummary(src int, m msgReconSummary) {
 			if marksCover(m.Removed[k.name], inst.meta.Seq, k.epoch) {
 				continue
 			}
-			reply.Metas = append(reply.Metas, inst.meta)
+			reply.Metas = append(reply.Metas, inst.metaNow())
 		}
 	}
 	for name, marks := range p.removed {
@@ -531,13 +552,13 @@ func (p *Peer) handleReconSummary(src int, m msgReconSummary) {
 
 // handleReconDefs adopts the reply to a summary this peer sent.
 func (p *Peer) handleReconDefs(src int, m msgReconDefs) {
-	p.adopt(m.Removed, m.Metas)
+	p.adopt(m.Removed, m.Metas, m.SentAt)
 }
 
 // adopt applies what a reconciliation partner knows and this peer missed:
 // first its removals (RC), then the (name, epoch) instances they do not
-// cover and this peer lacks (IC).
-func (p *Peer) adopt(removed map[string][]wire.RemovedMark, metas []QueryMeta) {
+// cover and this peer lacks (IC), framed from the message's sentAt.
+func (p *Peer) adopt(removed map[string][]wire.RemovedMark, metas []QueryMeta, sentAt time.Duration) {
 	for name, marks := range removed {
 		for _, mark := range marks {
 			p.removeLocal(name, mark.Seq, mark.Epoch)
@@ -550,7 +571,7 @@ func (p *Peer) adopt(removed map[string][]wire.RemovedMark, metas []QueryMeta) {
 		if p.covered(meta.Name, meta.Seq, meta.Epoch) {
 			continue
 		}
-		p.installLocal(meta, nil, nil)
+		p.installLocal(meta, nil, nil, sentAt)
 	}
 }
 

@@ -31,12 +31,11 @@ func reportFed(t *testing.T, seed int64, peers, bf, d int, leafDown bool) (*Fabr
 	results := new([]Result)
 	fab.SubscribeAll(func(r Result) { *results = append(*results, r) })
 	meta := QueryMeta{
-		Name:      "rep",
-		Seq:       1,
-		OpName:    "sum",
-		Window:    tuple.WindowSpec{Kind: tuple.TimeWindow, Range: reportSlide, Slide: reportSlide},
-		Root:      0,
-		IssuedSim: rt.Now(),
+		Name:   "rep",
+		Seq:    1,
+		OpName: "sum",
+		Window: tuple.WindowSpec{Kind: tuple.TimeWindow, Range: reportSlide, Slide: reportSlide},
+		Root:   0,
 	}
 	def, err := fab.Compile(meta, nil, uniformCoords(peers, 7), bf, d)
 	if err != nil {
@@ -297,7 +296,7 @@ func TestFrameOneSlideOffFallsBackToTimer(t *testing.T) {
 	fab, rt, results := reportFed(t, 1, 64, 4, 2, false)
 	rt.RunFor(5 * time.Second)
 	_, inst := interiorOf(t, fab, 2, 2)
-	inst.refBase += reportSlide
+	inst.base += reportSlide
 	rt.RunFor(5 * time.Second) // the root's hold stretches to the relayed stragglers
 	n0 := len(*results)
 	late0, relayed0 := fab.Stats.LateAtRoot.Load(), fab.Stats.Relayed.Load()
@@ -347,7 +346,7 @@ func TestEvictTimerArmedOnlyWhileHolding(t *testing.T) {
 			leaf.ts.Len(), leaf.evictTimer.Stopped())
 	}
 	opened := rt.Now() - 10*time.Millisecond
-	if due := leaf.evictTimer.When() - opened; due < fab.Cfg.MinTimeout || due > fab.Cfg.MinTimeout+time.Millisecond {
+	if due := leaf.evictDue - leaf.frameAt(opened); due < fab.Cfg.MinTimeout || due > fab.Cfg.MinTimeout+time.Millisecond {
 		t.Fatalf("evict timer due %v after the window opened, want MinTimeout (%v)", due, fab.Cfg.MinTimeout)
 	}
 	rt.RunFor(fab.Cfg.MinTimeout)
@@ -363,7 +362,7 @@ func TestEvictTimerArmedOnlyWhileHolding(t *testing.T) {
 	// A slide later the leaf holds one window, due after the next one closes.
 	fab.Cfg.MinTimeout = 2 * reportSlide
 	rt.RunFor(reportSlide)
-	if due := leaf.evictTimer.When() - rt.Now(); leaf.ts.Len() != 1 || due < 150*time.Millisecond {
+	if due := leaf.evictDue - leaf.frameNow(); leaf.ts.Len() != 1 || due < 150*time.Millisecond {
 		t.Fatalf("leaf holds %d entries due in %v; want one, due after the next slide closes", leaf.ts.Len(), due)
 	}
 	leaf.nb.Subtree = counts
@@ -628,12 +627,11 @@ func TestFirstPartialSlideCountedOnce(t *testing.T) {
 	var results []Result
 	fab.SubscribeAll(func(r Result) { results = append(results, r) })
 	meta := QueryMeta{
-		Name:      "rep",
-		Seq:       1,
-		OpName:    "sum",
-		Window:    tuple.WindowSpec{Kind: tuple.TimeWindow, Range: reportSlide, Slide: reportSlide},
-		Root:      0,
-		IssuedSim: rt.Now(),
+		Name:   "rep",
+		Seq:    1,
+		OpName: "sum",
+		Window: tuple.WindowSpec{Kind: tuple.TimeWindow, Range: reportSlide, Slide: reportSlide},
+		Root:   0,
 	}
 	def, err := fab.Compile(meta, nil, uniformCoords(peers, 7), peers, 1) // a star
 	if err != nil {
@@ -659,7 +657,7 @@ func TestFirstPartialSlideCountedOnce(t *testing.T) {
 		t.Fatalf("leaf %d not installed and wired after 100 ms", id)
 	}
 	leaf.slideTimer.Cancel()
-	leaf.refBase -= 3 * time.Millisecond
+	leaf.base -= 3 * time.Millisecond
 	leaf.start()
 	inject := func() { fab.Inject(id, tuple.Raw{Vals: []float64{mark}}) }
 	rt.After(time.Duration(leaf.curSlide+1)*reportSlide-time.Millisecond-leaf.frameNow(), func() {

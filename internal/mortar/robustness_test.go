@@ -14,7 +14,7 @@ import (
 func lossyTestbed(t *testing.T, hosts int, loss float64, seed int64) (*Fabric, *simrt.Runtime) {
 	t.Helper()
 	rt := simrt.NewPaper(seed, hosts, simrt.TopoOptions{Stubs: 8, Transits: 2, Loss: loss})
-	fab, err := NewFabric(rt, nil, DefaultConfig())
+	fab, err := NewFabric(rt, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,12 +54,11 @@ func TestConcurrentQueriesShareHeartbeats(t *testing.T) {
 	coords := uniformCoords(40, 5)
 	for qi, op := range []string{"sum", "max", "avg"} {
 		meta := QueryMeta{
-			Name:      op + "-q",
-			Seq:       uint64(qi + 1),
-			OpName:    op,
-			Window:    tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},
-			Root:      0,
-			IssuedSim: rt.Now(),
+			Name:   op + "-q",
+			Seq:    uint64(qi + 1),
+			OpName: op,
+			Window: tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},
+			Root:   0,
 		}
 		def, err := fab.Compile(meta, nil, coords, 8, 2)
 		if err != nil {
@@ -85,9 +84,8 @@ func TestConcurrentQueriesShareHeartbeats(t *testing.T) {
 	fab1, rt1 := testbed(t, 40, 32, DefaultConfig(), nil)
 	meta := QueryMeta{
 		Name: "solo", Seq: 1, OpName: "sum",
-		Window:    tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},
-		Root:      0,
-		IssuedSim: rt1.Now(),
+		Window: tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},
+		Root:   0,
 	}
 	def, _ := fab1.Compile(meta, nil, coords, 8, 2)
 	if err := fab1.Install(0, def); err != nil {
@@ -112,9 +110,8 @@ func TestReinstallHigherSeqReplaces(t *testing.T) {
 	mk := func(seq uint64, op string) *QueryDef {
 		meta := QueryMeta{
 			Name: "q", Seq: seq, OpName: op,
-			Window:    tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},
-			Root:      0,
-			IssuedSim: rt.Now(),
+			Window: tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},
+			Root:   0,
 		}
 		def, err := fab.Compile(meta, nil, coords, 4, 2)
 		if err != nil {
@@ -141,7 +138,7 @@ func TestReinstallHigherSeqReplaces(t *testing.T) {
 		t.Fatalf("only %d/20 peers upgraded to seq 3", replaced)
 	}
 	// A stale lower-seq install arriving later must not downgrade.
-	fab.Peer(5).installLocal(mk(2, "sum").Meta, nil, nil)
+	fab.Peer(5).installLocal(mk(2, "sum").Meta, nil, nil, rt.Now())
 	if fab.Peer(5).insts[instKey{name: "q"}].meta.Seq != 3 {
 		t.Fatal("stale install downgraded the query")
 	}
@@ -152,9 +149,8 @@ func TestRemoveSupersedesLaterLowSeqInstall(t *testing.T) {
 	coords := uniformCoords(20, 9)
 	meta := QueryMeta{
 		Name: "q", Seq: 1, OpName: "sum",
-		Window:    tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},
-		Root:      0,
-		IssuedSim: rt.Now(),
+		Window: tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},
+		Root:   0,
 	}
 	def, _ := fab.Compile(meta, nil, coords, 4, 2)
 	if err := fab.Install(0, def); err != nil {
@@ -166,7 +162,7 @@ func TestRemoveSupersedesLaterLowSeqInstall(t *testing.T) {
 	}
 	rt.RunFor(5 * time.Second)
 	// The cached removal (seq 2) must beat a replayed install (seq 1).
-	fab.Peer(7).installLocal(meta, nil, nil)
+	fab.Peer(7).installLocal(meta, nil, nil, rt.Now())
 	if _, ok := fab.Peer(7).insts[instKey{name: "q"}]; ok {
 		t.Fatal("removed query re-installed by a stale message")
 	}
@@ -311,5 +307,23 @@ func TestUnindexedSummaryDroppedWhereIndexIsRead(t *testing.T) {
 				t.Fatalf("%d summaries without an index dropped, want %d", got, want)
 			}
 		})
+	}
+}
+
+// A peer the transport holds down is dead to the federation: the summaries
+// its operators still make go nowhere and count as no drop. A killed leaf
+// whose parents stay up adds nothing to Stats.Dropped, though it hears no
+// heartbeat and finds no live route long past its liveness window.
+func TestDownPeerDropsNothing(t *testing.T) {
+	const peers = 20
+	fab, rt := testbed(t, peers, 43, DefaultConfig(), nil)
+	def := sumQuery(t, fab, rt, 4, 2)
+	rt.RunFor(10 * time.Second)
+	leaf := leafOf(t, def)
+	dropped := fab.Stats.Dropped.Load()
+	fab.SetDown(leaf, true)
+	rt.RunFor(20 * time.Second)
+	if got := fab.Stats.Dropped.Load() - dropped; got != 0 {
+		t.Fatalf("killed leaf %d: Dropped rose by %d, want 0", leaf, got)
 	}
 }

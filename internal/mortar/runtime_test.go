@@ -93,7 +93,7 @@ func TestNewFabricValidatesConfig(t *testing.T) {
 	bad.MinTimeout = -time.Second
 	// Config validation runs before any handler registration, so probing
 	// with the same runtime is safe.
-	if _, err := NewFabric(fab.Rt, nil, bad); err == nil {
+	if _, err := NewFabric(fab.Rt, bad); err == nil {
 		t.Fatal("invalid config accepted by NewFabric")
 	}
 }
@@ -147,9 +147,8 @@ func TestReinstallBoundsNeighborState(t *testing.T) {
 	mk := func(seq uint64) *QueryDef {
 		meta := QueryMeta{
 			Name: "q", Seq: seq, OpName: "sum",
-			Window:    tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},
-			Root:      0,
-			IssuedSim: rt.Now(),
+			Window: tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},
+			Root:   0,
 		}
 		def, err := fab.Compile(meta, nil, coords, 4, 2)
 		if err != nil {

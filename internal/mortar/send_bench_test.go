@@ -19,9 +19,8 @@ import (
 // scheduling anything.
 type benchTimer struct{}
 
-func (benchTimer) Cancel()             {}
-func (benchTimer) Stopped() bool       { return true }
-func (benchTimer) When() time.Duration { return 0 }
+func (benchTimer) Cancel()       {}
+func (benchTimer) Stopped() bool { return true }
 
 type benchTicker struct{}
 
@@ -61,7 +60,7 @@ func (r *benchRuntime) Shutdown()                     {}
 func BenchmarkSummarySendSteadyState(b *testing.B) {
 	rt := &benchRuntime{n: 2, rng: rand.New(rand.NewSource(1))}
 	rt.clocks = []*benchClock{{}, {}}
-	fab, err := NewFabric(rt, nil, DefaultConfig())
+	fab, err := NewFabric(rt, DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}

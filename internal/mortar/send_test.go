@@ -22,7 +22,6 @@ import (
 func installQuery(t *testing.T, fab *Fabric, rt *simrt.Runtime, meta QueryMeta, bf, d int) *QueryDef {
 	t.Helper()
 	meta.Seq = 1
-	meta.IssuedSim = rt.Now()
 	def, err := fab.CompileWith(meta, nil, uniformCoords(fab.NumPeers(), 7), bf, d, rand.New(rand.NewSource(42)))
 	if err != nil {
 		t.Fatal(err)
@@ -110,8 +109,9 @@ func TestMigrationFlushesStagedSummaries(t *testing.T) {
 	def := sumQuery(t, fab, rt, 4, 2)
 	rt.RunFor(15 * time.Second)
 
-	// Replan the same query into epoch 1 (same issue time, so window
-	// indexes align across epochs) and let the migration complete.
+	// Replan the same query into epoch 1 (the root starts it in its
+	// running epoch's frame, so window indexes align across epochs) and let
+	// the migration complete.
 	meta := def.Meta
 	meta.Seq++
 	meta.Epoch++
@@ -264,7 +264,7 @@ func TestEachSummaryIsOneFrame(t *testing.T) {
 		if inst.ts.Len() != 2 || inst.evictTimer.Stopped() {
 			t.Fatalf("operator holds %d entries, evict timer stopped=%v; want two on an armed timer", inst.ts.Len(), inst.evictTimer.Stopped())
 		}
-		fires := inst.evictTimer.When()
+		fires := rt.Now() + inst.evictDue - inst.frameNow()
 		rt.RunFor(time.Second)
 		requireFrames(t, fab, *frames, 2, fires)
 	})

@@ -26,9 +26,8 @@ func TestLongRunLatencyStable(t *testing.T) {
 	})
 	meta := QueryMeta{
 		Name: "stab", Seq: 1, OpName: "sum",
-		Window:    tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},
-		Root:      0,
-		IssuedSim: rt.Now(),
+		Window: tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},
+		Root:   0,
 	}
 	def, err := fab.Compile(meta, nil, uniformCoords(12, 7), 3, 2)
 	if err != nil {

@@ -20,12 +20,11 @@ func TestSubscribeCancelDetaches(t *testing.T) {
 	cancel := fab.SubscribeAll(func(Result) { transient.Add(1) })
 
 	meta := QueryMeta{
-		Name:      "q",
-		Seq:       1,
-		OpName:    "count",
-		Window:    tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},
-		Root:      0,
-		IssuedSim: rt.Clock(0).Now(),
+		Name:   "q",
+		Seq:    1,
+		OpName: "count",
+		Window: tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},
+		Root:   0,
 	}
 	def, err := fab.Compile(meta, nil, uniformCoords(8, 1), 4, 2)
 	if err != nil {
@@ -105,12 +104,11 @@ func TestTrafficAccountingBuckets(t *testing.T) {
 	cfg := DefaultConfig()
 	fab, rt := testbed(t, 12, 7, cfg, nil)
 	meta := QueryMeta{
-		Name:      "acct",
-		Seq:       1,
-		OpName:    "count",
-		Window:    tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},
-		Root:      0,
-		IssuedSim: rt.Clock(0).Now(),
+		Name:   "acct",
+		Seq:    1,
+		OpName: "count",
+		Window: tuple.WindowSpec{Kind: tuple.TimeWindow, Range: time.Second, Slide: time.Second},
+		Root:   0,
 	}
 	def, err := fab.Compile(meta, nil, uniformCoords(12, 2), 4, 2)
 	if err != nil {

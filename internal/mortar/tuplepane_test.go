@@ -81,7 +81,7 @@ func TestTupleWindowMatchesRecompute(t *testing.T) {
 			if ops.CheckWindow(op, w) != nil {
 				continue // trilat over several panes is refused at install
 			}
-			inst, err := fab.peers[0].newInstance(QueryMeta{Name: "d", OpName: name, Window: w})
+			inst, err := fab.peers[0].newInstance(QueryMeta{Name: "d", OpName: name, Window: w}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,7 +131,7 @@ func TestTupleWindowAgeOverLongSpan(t *testing.T) {
 		hosts          = 4
 		n, batches     = 1 << 20, 1 << 10
 		first, gap     = 3400 * time.Millisecond, 10 * time.Second
-		meanArrival    = first + (batches-1)*gap/2
+		meanArrival    = 1<<50 + first + (batches-1)*gap/2 // on the peers' clocks
 		arrivalsPerGap = n / batches
 	)
 	clocks := make([]vclock.Clock, hosts)
@@ -189,7 +189,7 @@ func TestRetainedBytesLinearInTupleWindow(t *testing.T) {
 		var last tuple.Summary
 		before := heap()
 		w := tuple.WindowSpec{Kind: tuple.TupleWindow, RangeN: rangeN, SlideN: 1}
-		inst, err := fab.peers[0].newInstance(QueryMeta{Name: "r", OpName: name, Window: w})
+		inst, err := fab.peers[0].newInstance(QueryMeta{Name: "r", OpName: name, Window: w}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,12 +219,12 @@ func BenchmarkTupleWindowArrival(b *testing.B) {
 		for _, rangeN := range []int{100, 10_000} {
 			b.Run(fmt.Sprintf("%s/%d", name, rangeN), func(b *testing.B) {
 				rt := simrt.NewPaper(1, 2, simrt.TopoOptions{Stubs: 2, Transits: 1})
-				fab, err := NewFabric(rt, nil, DefaultConfig())
+				fab, err := NewFabric(rt, DefaultConfig())
 				if err != nil {
 					b.Fatal(err)
 				}
 				w := tuple.WindowSpec{Kind: tuple.TupleWindow, RangeN: rangeN, SlideN: 1}
-				inst, err := fab.peers[0].newInstance(QueryMeta{Name: "b", OpName: name, Window: w})
+				inst, err := fab.peers[0].newInstance(QueryMeta{Name: "b", OpName: name, Window: w}, 0)
 				if err != nil {
 					b.Fatal(err)
 				}

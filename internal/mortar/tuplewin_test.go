@@ -15,12 +15,11 @@ import (
 func tupleWinQuery(t *testing.T, fab *Fabric, rt *simrt.Runtime, rangeN, slideN int) {
 	t.Helper()
 	meta := QueryMeta{
-		Name:      "tw",
-		Seq:       1,
-		OpName:    "max",
-		Window:    tuple.WindowSpec{Kind: tuple.TupleWindow, RangeN: rangeN, SlideN: slideN},
-		Root:      0,
-		IssuedSim: rt.Now(),
+		Name:   "tw",
+		Seq:    1,
+		OpName: "max",
+		Window: tuple.WindowSpec{Kind: tuple.TupleWindow, RangeN: rangeN, SlideN: slideN},
+		Root:   0,
 	}
 	def, err := fab.Compile(meta, nil, uniformCoords(fab.NumPeers(), 7), 4, 2)
 	if err != nil {
@@ -127,13 +126,12 @@ func TestTupleWindowStallBoundaryExtends(t *testing.T) {
 func TestTupleWindowTopK(t *testing.T) {
 	fab, rt := testbed(t, 6, 24, DefaultConfig(), nil)
 	meta := QueryMeta{
-		Name:      "twk",
-		Seq:       1,
-		OpName:    "topk",
-		OpArgs:    []string{"2", "0"},
-		Window:    tuple.WindowSpec{Kind: tuple.TupleWindow, RangeN: 3, SlideN: 3},
-		Root:      0,
-		IssuedSim: rt.Now(),
+		Name:   "twk",
+		Seq:    1,
+		OpName: "topk",
+		OpArgs: []string{"2", "0"},
+		Window: tuple.WindowSpec{Kind: tuple.TupleWindow, RangeN: 3, SlideN: 3},
+		Root:   0,
 	}
 	def, err := fab.Compile(meta, nil, uniformCoords(6, 3), 3, 2)
 	if err != nil {

@@ -149,7 +149,7 @@ func (c Clock) After(d time.Duration, fn func()) runtime.Timer {
 	if d < 0 {
 		d = 0
 	}
-	t := &timer{at: c.Now() + d}
+	t := &timer{}
 	t.real = time.AfterFunc(d, func() {
 		c.Exec(func() {
 			// Decided inside the peer's domain so Cancel from the same
@@ -174,7 +174,6 @@ func (c Clock) Every(period time.Duration, fn func()) runtime.Ticker {
 
 // timer's state: 0 pending, 1 fired, 2 cancelled.
 type timer struct {
-	at    time.Duration
 	state atomic.Int32
 	real  *time.Timer
 }
@@ -188,8 +187,6 @@ func (t *timer) Cancel() {
 }
 
 func (t *timer) Stopped() bool { return t == nil || t.state.Load() != 0 }
-
-func (t *timer) When() time.Duration { return t.at }
 
 // ticker re-arms on the wall-clock side of each fire, so the tick rate
 // holds steady even when the peer's mailbox is backlogged — heartbeat

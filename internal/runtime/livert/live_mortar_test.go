@@ -48,7 +48,7 @@ func TestLiveFederationEndToEnd(t *testing.T) {
 		Loss:     0.02,
 		CtrlDup:  0.25,
 	})
-	fab, err := mortar.NewFabric(rt, nil, liveConfig())
+	fab, err := mortar.NewFabric(rt, liveConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,12 +62,11 @@ func TestLiveFederationEndToEnd(t *testing.T) {
 	})
 
 	meta := mortar.QueryMeta{
-		Name:      "live-sum",
-		Seq:       1,
-		OpName:    "sum",
-		Window:    tuple.WindowSpec{Kind: tuple.TimeWindow, Range: 200 * time.Millisecond, Slide: 200 * time.Millisecond},
-		Root:      0,
-		IssuedSim: rt.Clock(0).Now(),
+		Name:   "live-sum",
+		Seq:    1,
+		OpName: "sum",
+		Window: tuple.WindowSpec{Kind: tuple.TimeWindow, Range: 200 * time.Millisecond, Slide: 200 * time.Millisecond},
+		Root:   0,
 	}
 	def, err := fab.Compile(meta, nil, uniformCoords(peers, 9), 4, 2)
 	if err != nil {
@@ -146,17 +145,16 @@ func TestLiveRemovePrunesNeighborState(t *testing.T) {
 		MinDelay: 100 * time.Microsecond,
 		MaxDelay: time.Millisecond,
 	})
-	fab, err := mortar.NewFabric(rt, nil, liveConfig())
+	fab, err := mortar.NewFabric(rt, liveConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	meta := mortar.QueryMeta{
-		Name:      "q",
-		Seq:       1,
-		OpName:    "count",
-		Window:    tuple.WindowSpec{Kind: tuple.TimeWindow, Range: 200 * time.Millisecond, Slide: 200 * time.Millisecond},
-		Root:      0,
-		IssuedSim: rt.Clock(0).Now(),
+		Name:   "q",
+		Seq:    1,
+		OpName: "count",
+		Window: tuple.WindowSpec{Kind: tuple.TimeWindow, Range: 200 * time.Millisecond, Slide: 200 * time.Millisecond},
+		Root:   0,
 	}
 	def, err := fab.Compile(meta, nil, uniformCoords(peers, 3), 3, 2)
 	if err != nil {

@@ -15,19 +15,18 @@ import (
 func TestRandDoesNotRaceWithTransport(t *testing.T) {
 	const peers = 20
 	rt := livert.New(peers, livert.Options{Seed: 11, MinDelay: 50 * time.Microsecond, MaxDelay: 500 * time.Microsecond, Loss: 0.1})
-	fab, err := mortar.NewFabric(rt, nil, liveConfig())
+	fab, err := mortar.NewFabric(rt, liveConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	coords := uniformCoords(peers, 4)
 	for q := 0; q < 5; q++ {
 		meta := mortar.QueryMeta{
-			Name:      "q" + string(rune('a'+q)),
-			Seq:       uint64(q + 1),
-			OpName:    "count",
-			Window:    tuple.WindowSpec{Kind: tuple.TimeWindow, Range: 200 * time.Millisecond, Slide: 200 * time.Millisecond},
-			Root:      0,
-			IssuedSim: rt.Clock(0).Now(),
+			Name:   "q" + string(rune('a'+q)),
+			Seq:    uint64(q + 1),
+			OpName: "count",
+			Window: tuple.WindowSpec{Kind: tuple.TimeWindow, Range: 200 * time.Millisecond, Slide: 200 * time.Millisecond},
+			Root:   0,
 		}
 		def, err := fab.Compile(meta, nil, coords, 4, 2) // draws from rt.Rand() while install traffic flows
 		if err != nil {

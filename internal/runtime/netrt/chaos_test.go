@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/federation"
+	"repro/internal/mortar"
 	"repro/internal/msl"
 	"repro/internal/runtime/netrt"
 	"repro/internal/tuple"
@@ -46,7 +47,8 @@ func TestThousandPeerCompletenessUnderFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := federation.NewRuntime(rts[0], prog, rand.New(rand.NewSource(1)))
+	issued := rts[0].Clock(0).Now() // the root's frame counts from its install
+	coord, err := federation.NewRuntimeCfg(rts[0], prog, rand.New(rand.NewSource(1)), mortar.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +130,7 @@ func TestThousandPeerCompletenessUnderFailure(t *testing.T) {
 	}
 	meta := coord.Def("peers").Meta
 	killEnd := rts[0].Clock(0).Now() - time.Since(r0.StartedAt().Add(lastKill))
-	openAtKillEnd := int64((killEnd - meta.IssuedSim) / meta.Window.Slide)
+	openAtKillEnd := int64((killEnd - issued) / meta.Window.Slide)
 
 	// Recovery: completeness must return to the full federation.
 	recoverDeadline := time.Now().Add(90 * time.Second)

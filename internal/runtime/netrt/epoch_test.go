@@ -118,7 +118,7 @@ func TestDriftReplanMigratesEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fed, err := federation.NewRuntime(rts[0], prog, rand.New(rand.NewSource(2)))
+	fed, err := federation.NewRuntimeCfg(rts[0], prog, rand.New(rand.NewSource(2)), mortar.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestReplanUnderChurnReachesCompleteness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fed, err := federation.NewRuntime(rts[0], prog, rand.New(rand.NewSource(3)))
+	fed, err := federation.NewRuntimeCfg(rts[0], prog, rand.New(rand.NewSource(3)), mortar.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -362,12 +362,11 @@ func TestLargeInstallUnderLossReachesCompleteness(t *testing.T) {
 	// A fat query name rides in the install metadata AND in every summary
 	// envelope, so the data plane exercises fragmentation continuously.
 	meta := mortar.QueryMeta{
-		Name:      "big-" + strings.Repeat("q", 2000),
-		Seq:       1,
-		OpName:    "count",
-		Window:    tuple.WindowSpec{Kind: tuple.TimeWindow, Range: 500 * time.Millisecond, Slide: 500 * time.Millisecond},
-		Root:      0,
-		IssuedSim: rts[0].Clock(0).Now(),
+		Name:   "big-" + strings.Repeat("q", 2000),
+		Seq:    1,
+		OpName: "count",
+		Window: tuple.WindowSpec{Kind: tuple.TimeWindow, Range: 500 * time.Millisecond, Slide: 500 * time.Millisecond},
+		Root:   0,
 	}
 	// The acceptance bound: even an empty install chunk of this query is
 	// bigger than 3 MTUs, so every install message must fragment.
@@ -382,7 +381,7 @@ func TestLargeInstallUnderLossReachesCompleteness(t *testing.T) {
 	// Worker fabrics first, so handlers exist when the multicast lands.
 	fabs := make([]*mortar.Fabric, len(rts))
 	for i := len(rts) - 1; i >= 0; i-- {
-		fab, err := mortar.NewFabric(rts[i], nil, cfg)
+		fab, err := mortar.NewFabric(rts[i], cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

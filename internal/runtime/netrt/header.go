@@ -232,9 +232,3 @@ func (r *Runtime) Latency(a, b int) time.Duration {
 	}
 	return defaultLatency
 }
-
-// sentAt computes the receiver-frame transmit stamp for an arriving
-// summary: local time now minus the estimated one-way flight to the sender.
-func (r *Runtime) sentAt(peer, src int) time.Duration {
-	return time.Since(r.start) - r.Latency(peer, src)
-}

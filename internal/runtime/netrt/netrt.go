@@ -295,6 +295,10 @@ func closeConns(conns []*net.UDPConn) {
 	}
 }
 
+// clockStart is a runtime's clock origin, its process's start; a variable
+// so tests can start runtimes as processes started apart would.
+var clockStart = time.Now
+
 // assemble wires an already-bound socket set into a running Runtime.
 // conns is indexed by peer; local peers sharing a socket hold the same
 // *net.UDPConn, and assemble groups them into one lsock with one receive
@@ -306,7 +310,7 @@ func assemble(addrs []*net.UDPAddr, local []int, conns []*net.UDPConn, opt Optio
 	r := &Runtime{
 		n:         n,
 		local:     append([]int(nil), local...),
-		start:     time.Now(),
+		start:     clockStart(),
 		opt:       opt,
 		planRng:   rand.New(rand.NewSource(opt.Seed)),
 		lps:       make([]*localPeer, n),
@@ -731,14 +735,11 @@ func (r *Runtime) deliverWire(peer, src int, frame []byte) {
 		return
 	}
 	lp := r.lps[peer]
-	if m, ok := msg.(*wire.Envelope); ok {
-		// The envelope carries no SentAt: the sender's clock base is not
-		// the receiver's. Set it in the receiver's frame from the
-		// transport's measured one-way flight time — the peer derives
-		// exactly that from it (UdpCC measures RTT/2 at the transport, not
-		// via host timestamps).
-		m.SentAt = r.sentAt(peer, src)
-	}
+	// No frame carries a SentAt: the sender's clock base is not the
+	// receiver's. Set it on the receiver's clock from the transport's
+	// measured one-way flight time — the peer derives exactly that from it
+	// (UdpCC measures RTT/2 at the transport, not via host timestamps).
+	msg = wire.StampSentAt(msg, time.Since(r.start)-r.Latency(peer, src))
 	hp := lp.hand.Load()
 	if hp == nil || *hp == nil {
 		r.dropped.Add(1)

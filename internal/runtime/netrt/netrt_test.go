@@ -99,9 +99,9 @@ func TestLoopbackSendReceive(t *testing.T) {
 	}
 }
 
-// v8Envelope is the "cpu-sum" envelope (Count 42) the wire package's
+// v9Envelope is the "cpu-sum" envelope (Count 42) the wire package's
 // sampleMessages opens with, as this release writes it.
-const v8Envelope = "0801076370752d73756d160f2b03e25d2a030922040401060004"
+const v9Envelope = "0901076370752d73756d160f2b03e25d2a030922040401060004"
 
 // The v5 header kind (ns stamps and a class byte) is no longer read. Sent
 // from a raw socket claiming to be peer 1, a datagram of it carrying a
@@ -128,7 +128,7 @@ func TestOldHeaderKindDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := hex.DecodeString(v8Envelope)
+	body, err := hex.DecodeString(v9Envelope)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestRetiredKindsDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := hex.DecodeString("08020a4d") // the heartbeat {Seq 10, Hash 77}
+	body, err := hex.DecodeString("09020a4d") // the heartbeat {Seq 10, Hash 77}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestRefusedDatagramsCounted(t *testing.T) {
 			rt.SetDown(0, c.downTo)
 			rt.SetDown(1, c.downFrom)
 			_, delivered, dropped := rt.Stats()
-			for _, b := range [][]byte{c.b, {8, 1, 0, 0x08, 0x02, 0x0a, 0x4d}} { // then the heartbeat {Seq 10}
+			for _, b := range [][]byte{c.b, {8, 1, 0, 0x09, 0x02, 0x0a, 0x4d}} { // then the heartbeat {Seq 10}
 				if _, err := raw.WriteToUDP(b, addr); err != nil {
 					t.Fatal(err)
 				}
@@ -968,7 +968,7 @@ func TestNetFederationMatchesSim(t *testing.T) {
 		t.Fatal(err)
 	}
 	gossipAll(rts, 3) // latency-aware planning input
-	coord, err := federation.NewRuntime(rts[0], prog, rand.New(rand.NewSource(1)))
+	coord, err := federation.NewRuntimeCfg(rts[0], prog, rand.New(rand.NewSource(1)), mortar.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1017,7 +1017,7 @@ func TestMultiplexedCoalescedFederation(t *testing.T) {
 		t.Fatal(err)
 	}
 	gossipAll(rts, 3)
-	coord, err := federation.NewRuntime(rts[0], prog, rand.New(rand.NewSource(1)))
+	coord, err := federation.NewRuntimeCfg(rts[0], prog, rand.New(rand.NewSource(1)), mortar.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1065,7 +1065,7 @@ func TestThousandPeerMultiplexedFederation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := federation.NewRuntime(rts[0], prog, rand.New(rand.NewSource(1)))
+	coord, err := federation.NewRuntimeCfg(rts[0], prog, rand.New(rand.NewSource(1)), mortar.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1127,7 +1127,7 @@ func simBaseline(t *testing.T, prog *msl.Program, peers int) int {
 	rng := rand.New(rand.NewSource(1))
 	sim := eventsim.New(42)
 	rt := simrt.New(netem.New(sim, netem.GenerateTransitStub(netem.PaperTopology(peers), rng)))
-	fed, err := federation.NewRuntime(rt, prog, rng)
+	fed, err := federation.NewRuntimeCfg(rt, prog, rng, mortar.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1189,7 +1189,7 @@ func TestVivaldiFederationPlansFromGossipedCoords(t *testing.T) {
 		t.Fatalf("median |coord dist - measured| = %.3fms over %d pairs; embedding did not converge", med, pairs)
 	}
 
-	coord, err := federation.NewRuntime(rts[0], prog, rand.New(rand.NewSource(1)))
+	coord, err := federation.NewRuntimeCfg(rts[0], prog, rand.New(rand.NewSource(1)), mortar.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1235,7 +1235,7 @@ func TestProtocolTrafficMovesCoordinates(t *testing.T) {
 	for _, rt := range rts {
 		rt.Gossip(1, 0, 20*time.Millisecond)
 	}
-	if _, err := federation.NewRuntime(rts[0], prog, rand.New(rand.NewSource(3))); err != nil {
+	if _, err := federation.NewRuntimeCfg(rts[0], prog, rand.New(rand.NewSource(3)), mortar.DefaultConfig()); err != nil {
 		t.Fatal(err)
 	}
 	before := make([]vivaldi.Coordinate, peers)
@@ -1280,7 +1280,7 @@ func TestInstallCrossesSockets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := federation.NewRuntime(rts[0], prog, rand.New(rand.NewSource(2)))
+	coord, err := federation.NewRuntimeCfg(rts[0], prog, rand.New(rand.NewSource(2)), mortar.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

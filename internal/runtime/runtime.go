@@ -8,10 +8,10 @@
 // Two implementations exist:
 //
 //   - runtime/simrt adapts the deterministic discrete-event pair
-//     eventsim+netem. Every peer shares one virtual clock and one event
-//     loop, so a whole federation runs single-threaded and every run is
-//     exactly reproducible from a seed. The figure experiments and most
-//     tests use it.
+//     eventsim+netem. Every peer runs on one virtual clock, read through
+//     its own clock model, and one event loop, so a whole federation runs
+//     single-threaded and every run is exactly reproducible from a seed.
+//     The figure experiments and most tests use it.
 //   - runtime/netrt runs each local peer as a goroutine with a mailbox and
 //     wall-clock timers, and sends every message as a UDP datagram;
 //     runtime/livert hosts a whole federation on one loopback socket. It is
@@ -49,8 +49,6 @@ type Timer interface {
 	Cancel()
 	// Stopped reports whether the timer has fired or been cancelled.
 	Stopped() bool
-	// When returns the runtime time at which the timer is (or was) due.
-	When() time.Duration
 }
 
 // Ticker repeatedly invokes a callback at a fixed period until stopped.
@@ -59,12 +57,12 @@ type Ticker interface {
 	Stop()
 }
 
-// Clock schedules work for one peer. Time is measured from the start of the
-// runtime (virtual time under simulation, wall time since startup live).
-// Callbacks run inside the owning peer's serialization domain: they never
-// overlap with each other or with message delivery to that peer.
+// Clock is a peer's one clock (live, wall time since its process started;
+// simulated, its clock model's reading of virtual time) and schedules its
+// work. Callbacks run inside the owning peer's serialization domain: they
+// never overlap with each other or with message delivery to that peer.
 type Clock interface {
-	// Now returns the current runtime time.
+	// Now returns the peer's current time.
 	Now() time.Duration
 	// After schedules fn to run d from now. A non-positive d schedules fn
 	// for the earliest opportunity.

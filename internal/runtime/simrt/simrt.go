@@ -1,19 +1,22 @@
 // Package simrt adapts the deterministic discrete-event pair
 // internal/eventsim + internal/netem to the runtime interfaces. Every peer
-// shares the single virtual clock and event loop, and messages ride the
+// runs on the single virtual clock and event loop, and messages ride the
 // emulated topology with its latency, bandwidth, loss, and failure models —
 // so a federation built over simrt reproduces results bit-for-bit from a
 // seed, which is what the paper-figure experiments and the deterministic
-// tests rely on.
+// tests rely on. A peer's one clock is its clock model (internal/vclock)
+// reading the virtual clock, as a deployed process has only its own.
 package simrt
 
 import (
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/eventsim"
 	"repro/internal/netem"
 	"repro/internal/runtime"
+	"repro/internal/vclock"
 	"repro/internal/wire"
 )
 
@@ -24,23 +27,29 @@ type Runtime struct {
 	net    *netem.Network
 	hosts  []netem.NodeID
 	peerOf map[netem.NodeID]int
+	clocks []vclock.Clock
 	rng    *rand.Rand
 }
 
 var _ runtime.Runtime = (*Runtime)(nil)
 var _ runtime.Transport = (*Runtime)(nil)
 
-// New adapts an existing network: one peer per host, in host order. It
-// draws one value from the simulator's random stream to seed the planning
-// RNG (exactly as the pre-runtime fabric constructor did, preserving
-// deterministic results).
-func New(net *netem.Network) *Runtime {
+// New adapts an existing network: one peer per host, in host order, peer
+// i on the clock model clocks[i] — every clock perfect when none is given.
+// It draws one value from the simulator's random stream to seed the
+// planning RNG (exactly as the pre-runtime fabric constructor did,
+// preserving deterministic results).
+func New(net *netem.Network, clocks ...vclock.Clock) *Runtime {
 	hosts := net.Topology().Hosts()
+	if len(clocks) == 0 {
+		clocks = slices.Repeat([]vclock.Clock{vclock.Perfect()}, len(hosts))
+	}
 	r := &Runtime{
 		sim:    net.Sim(),
 		net:    net,
 		hosts:  hosts,
 		peerOf: make(map[netem.NodeID]int, len(hosts)),
+		clocks: clocks,
 		rng:    rand.New(rand.NewSource(net.Sim().Rand().Int63())),
 	}
 	for i, h := range hosts {
@@ -59,8 +68,9 @@ type TopoOptions struct {
 
 // NewPaper builds a self-contained simulated runtime over the paper's
 // transit-stub topology: a fresh simulator and network seeded from seed,
-// with one peer per host. This is the one-call testbed most tests want.
-func NewPaper(seed int64, hosts int, o TopoOptions) *Runtime {
+// with one peer per host, clocked as New's are. This is the one-call
+// testbed most tests want.
+func NewPaper(seed int64, hosts int, o TopoOptions, clocks ...vclock.Clock) *Runtime {
 	sim := eventsim.New(seed)
 	rng := rand.New(rand.NewSource(seed))
 	p := netem.PaperTopology(hosts)
@@ -74,7 +84,7 @@ func NewPaper(seed int64, hosts int, o TopoOptions) *Runtime {
 		p.Loss = o.Loss
 	}
 	topo := netem.GenerateTransitStub(p, rng)
-	return New(netem.New(sim, topo))
+	return New(netem.New(sim, topo), clocks...)
 }
 
 // Sim returns the driving simulator.
@@ -88,8 +98,9 @@ func (r *Runtime) Net() *netem.Network { return r.net }
 // NumPeers returns the federation size.
 func (r *Runtime) NumPeers() int { return len(r.hosts) }
 
-// Clock returns the shared virtual clock (identical for every peer).
-func (r *Runtime) Clock(peer int) runtime.Clock { return simClock{r.sim} }
+// Clock returns a peer's clock: the virtual clock as the peer's clock model
+// reports it.
+func (r *Runtime) Clock(peer int) runtime.Clock { return peerClock{r.sim, r.clocks[peer]} }
 
 // Transport returns the emulated network as a peer-indexed transport.
 func (r *Runtime) Transport() runtime.Transport { return r }
@@ -114,7 +125,7 @@ func classOf(c runtime.Class) netem.TrafficClass {
 }
 
 // datagram is one frame in flight: a copy of its wire bytes and the
-// virtual time it left.
+// virtual (true) time it left.
 type datagram struct {
 	bytes  []byte
 	sentAt time.Duration
@@ -134,9 +145,11 @@ func (r *Runtime) Send(from, to int, class runtime.Class, size int, payload any)
 }
 
 // Handle registers a peer's delivery handler, translating host IDs back to
-// peer indices and decoding each frame. An envelope's SentAt is its send
-// time: every peer shares the one virtual clock.
+// peer indices and decoding each frame. A message's SentAt is the
+// receiver's clock read at the moment the frame was sent, so the receiver
+// measures the flight on its own oscillator.
 func (r *Runtime) Handle(peer int, h runtime.Handler) {
+	ck := r.clocks[peer]
 	r.net.Handle(r.hosts[peer], func(from netem.NodeID, payload any, size int) {
 		src, ok := r.peerOf[from]
 		if !ok {
@@ -147,10 +160,7 @@ func (r *Runtime) Handle(peer int, h runtime.Handler) {
 		if err != nil {
 			return
 		}
-		if e, ok := msg.(*wire.Envelope); ok {
-			e.SentAt = d.sentAt
-		}
-		h(src, msg, size)
+		h(src, wire.StampSentAt(msg, ck.Reported(d.sentAt)), size)
 	})
 }
 
@@ -194,14 +204,22 @@ func (r *Runtime) DataBytes() int64 {
 	return r.net.Accounting().TotalBytes(netem.ClassData)
 }
 
-// simClock adapts the simulator to runtime.Clock. eventsim's Timer and
-// Ticker already satisfy the runtime interfaces.
-type simClock struct{ sim *eventsim.Sim }
+// peerClock adapts the simulator to runtime.Clock through one peer's
+// clock model: Now is the model's reading of virtual time, and a delay
+// runs on the model's oscillator (a fast clock's second passes in less
+// than a virtual one). eventsim's Timer and Ticker already satisfy the
+// runtime interfaces.
+type peerClock struct {
+	sim *eventsim.Sim
+	ck  vclock.Clock
+}
 
-func (c simClock) Now() time.Duration { return c.sim.Now() }
+func (c peerClock) Now() time.Duration { return c.ck.Reported(c.sim.Now()) }
 
-func (c simClock) After(d time.Duration, fn func()) runtime.Timer { return c.sim.After(d, fn) }
+func (c peerClock) After(d time.Duration, fn func()) runtime.Timer {
+	return c.sim.After(time.Duration(float64(d)/c.ck.Skew), fn)
+}
 
-func (c simClock) Every(period time.Duration, fn func()) runtime.Ticker {
-	return c.sim.Every(period, fn)
+func (c peerClock) Every(period time.Duration, fn func()) runtime.Ticker {
+	return c.sim.Every(time.Duration(float64(period)/c.ck.Skew), fn)
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/runtime"
 	"repro/internal/tuple"
+	"repro/internal/vclock"
 	"repro/internal/wire"
 )
 
@@ -89,8 +90,8 @@ func TestNewPaperDeterministic(t *testing.T) {
 
 // Send carries a copy of a Frame's bytes, so the sender may reuse them at
 // once, and the receiver gets the message decoded from them — with an
-// envelope's SentAt set to its virtual send time. Any other payload is
-// refused.
+// envelope's SentAt set to its send time (perfect clocks read virtual
+// time). Any other payload is refused.
 func TestFramesCrossTheCodec(t *testing.T) {
 	rt := NewPaper(2, 4, TopoOptions{Stubs: 2, Transits: 1})
 	var got []any
@@ -116,5 +117,35 @@ func TestFramesCrossTheCodec(t *testing.T) {
 	}
 	if e.S.Query != "q" || e.S.Count != 7 || e.SentAt != sentAt {
 		t.Fatalf("delivered %q count %d SentAt %v, want q, 7, %v", e.S.Query, e.S.Count, e.SentAt, sentAt)
+	}
+}
+
+// A peer's clock is its clock model's: Now reports the model's reading of
+// virtual time, a timer runs on the model's oscillator, and an install
+// arriving at the peer carries as SentAt the peer's clock read at the
+// moment it was sent.
+func TestPeerClockModel(t *testing.T) {
+	net := NewPaper(3, 4, TopoOptions{Stubs: 2, Transits: 1}).Net()
+	ck := vclock.Clock{Offset: -time.Hour, Skew: 1.25}
+	rt := New(net, vclock.Perfect(), ck, vclock.Perfect(), vclock.Perfect())
+	rt.RunFor(2 * time.Second)
+	if got, want := rt.Clock(1).Now(), ck.Reported(rt.Now()); got != want || rt.Clock(0).Now() != rt.Now() {
+		t.Fatalf("peer 1 reads %v, want %v; peer 0 reads %v at %v", got, want, rt.Clock(0).Now(), rt.Now())
+	}
+	fired := time.Duration(-1)
+	start := rt.Now()
+	rt.Clock(1).After(5*time.Second, func() { fired = rt.Now() - start })
+	rt.RunFor(10 * time.Second)
+	if fired != 4*time.Second {
+		t.Fatalf("a 5 s timer on a 1.25× oscillator fired after %v of virtual time, want 4s", fired)
+	}
+
+	var got []any
+	rt.Handle(1, func(from int, payload any, size int) { got = append(got, payload) })
+	sentAt := rt.Clock(1).Now()
+	rt.Send(0, 1, runtime.ClassControl, 0, frame(t, wire.Install{Meta: wire.QueryMeta{Name: "q"}}))
+	rt.RunFor(time.Second)
+	if len(got) != 1 || got[0].(wire.Install).SentAt != sentAt {
+		t.Fatalf("delivered %#v, want an install with SentAt %v", got, sentAt)
 	}
 }

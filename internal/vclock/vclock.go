@@ -3,6 +3,12 @@
 // across PlanetLab (§5: 20% of nodes offset by more than half a second, a
 // handful in excess of 3000 seconds).
 //
+// The model is the simulator's alone: simrt.New takes one Clock per peer
+// and that peer's runtime clock reads time and runs timers through it, so
+// a peer never knows its clock is modelled — it has one clock, as a
+// deployed process does, and measures every interval on it. The peer core
+// (internal/mortar) does not import this package.
+//
 // Terminology follows the network-measurement community, as the paper does:
 // *offset* is a difference in reported time, *skew* is a difference in clock
 // frequency.
@@ -28,13 +34,6 @@ func Perfect() Clock { return Clock{Skew: 1} }
 // Reported returns the node-local reading at true time t.
 func (c Clock) Reported(t time.Duration) time.Duration {
 	return c.Offset + time.Duration(float64(t)*c.Skew)
-}
-
-// Elapsed returns the node-local measurement of a true interval d. Only skew
-// matters here: offset shifts the epoch, not interval measurement. This is
-// how syncless ages accumulate on a node.
-func (c Clock) Elapsed(d time.Duration) time.Duration {
-	return time.Duration(float64(d) * c.Skew)
 }
 
 // Distribution describes a population of node clocks. Offsets come from a
@@ -93,23 +92,4 @@ func (d Distribution) SamplePopulation(rng *rand.Rand, n int) []Clock {
 		out[i] = d.Sample(rng)
 	}
 	return out
-}
-
-// FractionBeyond reports the fraction of the clocks whose absolute offset
-// exceeds lim. Used by tests to validate the distribution's shape.
-func FractionBeyond(clocks []Clock, lim time.Duration) float64 {
-	if len(clocks) == 0 {
-		return 0
-	}
-	n := 0
-	for _, c := range clocks {
-		off := c.Offset
-		if off < 0 {
-			off = -off
-		}
-		if off > lim {
-			n++
-		}
-	}
-	return float64(n) / float64(len(clocks))
 }

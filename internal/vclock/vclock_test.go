@@ -13,9 +13,6 @@ func TestPerfectClockIsIdentity(t *testing.T) {
 		if c.Reported(d) != d {
 			t.Fatalf("Reported(%v) = %v", d, c.Reported(d))
 		}
-		if c.Elapsed(d) != d {
-			t.Fatalf("Elapsed(%v) = %v", d, c.Elapsed(d))
-		}
 	}
 }
 
@@ -24,26 +21,26 @@ func TestOffsetShiftsEpochOnly(t *testing.T) {
 	if got := c.Reported(10 * time.Second); got != 13*time.Second {
 		t.Fatalf("Reported = %v, want 13s", got)
 	}
-	if got := c.Elapsed(10 * time.Second); got != 10*time.Second {
-		t.Fatalf("Elapsed = %v, want 10s (offset must not affect intervals)", got)
+	if got := c.Reported(12*time.Second) - c.Reported(2*time.Second); got != 10*time.Second {
+		t.Fatalf("measured interval = %v, want 10s (offset must not affect intervals)", got)
 	}
 }
 
 func TestSkewScalesIntervals(t *testing.T) {
-	c := Clock{Skew: 1.5}
-	if got := c.Elapsed(10 * time.Second); got != 15*time.Second {
-		t.Fatalf("Elapsed = %v, want 15s", got)
+	c := Clock{Offset: time.Second, Skew: 1.5}
+	if got := c.Reported(12*time.Second) - c.Reported(2*time.Second); got != 15*time.Second {
+		t.Fatalf("measured interval = %v, want 15s", got)
 	}
 }
 
 func TestPlanetLabShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	clocks := PlanetLab(1).SamplePopulation(rng, 20000)
-	frac := FractionBeyond(clocks, 500*time.Millisecond)
+	frac := fractionBeyond(clocks, 500*time.Millisecond)
 	if frac < 0.15 || frac > 0.27 {
 		t.Fatalf("fraction beyond 500ms = %.3f, want ~0.20", frac)
 	}
-	huge := FractionBeyond(clocks, 3000*time.Second)
+	huge := fractionBeyond(clocks, 3000*time.Second)
 	if huge <= 0 || huge > 0.02 {
 		t.Fatalf("fraction beyond 3000s = %.4f, want small but nonzero", huge)
 	}
@@ -96,16 +93,17 @@ func TestPropertyReportedMonotonic(t *testing.T) {
 	}
 }
 
-// Property: Elapsed is additive: Elapsed(a+b) == Elapsed(a)+Elapsed(b)
-// within rounding of one nanosecond per term.
+// Property: the time a clock measures elapsing is additive: across a+b it
+// reads what it reads across a and then b, within rounding of one
+// nanosecond per reading.
 func TestPropertyElapsedAdditive(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	f := func(aMS, bMS uint16) bool {
 		c := PlanetLab(1).Sample(rng)
 		a := time.Duration(aMS) * time.Millisecond
 		b := time.Duration(bMS) * time.Millisecond
-		sum := c.Elapsed(a + b)
-		parts := c.Elapsed(a) + c.Elapsed(b)
+		sum := c.Reported(a+b) - c.Reported(0)
+		parts := c.Reported(a) - c.Reported(0) + c.Reported(a+b) - c.Reported(a)
 		diff := sum - parts
 		if diff < 0 {
 			diff = -diff
@@ -115,4 +113,23 @@ func TestPropertyElapsedAdditive(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// fractionBeyond reports the fraction of the clocks whose absolute offset
+// exceeds lim. It validates the distribution's shape.
+func fractionBeyond(clocks []Clock, lim time.Duration) float64 {
+	if len(clocks) == 0 {
+		return 0
+	}
+	n := 0
+	for _, c := range clocks {
+		off := c.Offset
+		if off < 0 {
+			off = -off
+		}
+		if off > lim {
+			n++
+		}
+	}
+	return float64(n) / float64(len(clocks))
 }

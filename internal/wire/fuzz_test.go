@@ -90,7 +90,7 @@ func FuzzDecodeSummary(f *testing.F) {
 
 // FuzzDecodeValue also seeds every value shape at the edge numbers, so
 // both the float and the integral kinds start from a valid encoding, and
-// the value of every committed v8 envelope and of every v6 envelope
+// the value of every committed v9 envelope and of every v6 envelope
 // capture, a refused form worth mutating from.
 func FuzzDecodeValue(f *testing.F) {
 	for _, x := range edgeNumbers() {
@@ -102,10 +102,10 @@ func FuzzDecodeValue(f *testing.F) {
 			f.Add(w.Bytes())
 		}
 	}
-	for _, v8 := range v8Captured(f) {
-		if v8[1] == MsgEnvelope {
-			start, end := valueSpan(f, v8)
-			f.Add(v8[start:end])
+	for _, v9 := range v9Captured(f) {
+		if v9[1] == MsgEnvelope {
+			start, end := valueSpan(f, v9)
+			f.Add(v9[start:end])
 		}
 	}
 	// A v6 envelope differs from its v7 re-encoding in the value alone.

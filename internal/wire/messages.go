@@ -27,18 +27,20 @@ import (
 // like a change to netrt's transport header, is therefore an all-at-once
 // upgrade: every process of a federation runs the same release.
 //
-// Version 8 sends a summary only what its receiver cannot compute. One
-// flags byte holds the boundary bit, the TTL-down counter in two bits, and
-// whether a window index and an epoch follow: a syncless time-window
-// summary travels without its index, which the receiver recomputes from
-// the age (§5.1), and epoch 0 costs no byte. The age is scaled at
-// microsecond precision. Values take their shortest lossless form (since
+// Version 9 carries a query's frame time, not its issue instant: QueryMeta
+// ends in Age, a varint of nanoseconds. Version 8 sent a summary only what
+// its receiver cannot compute. One flags byte holds the boundary bit, the
+// TTL-down counter in two bits, and whether a window index and an epoch
+// follow: a syncless time-window summary travels without its index, which
+// the receiver recomputes from the age (§5.1), and epoch 0 costs no byte.
+// A summary's age is scaled at microsecond precision. Values take their
+// shortest lossless form (since
 // version 7): a bit array is the shorter of dense words and set-bit gaps,
 // sorted and ordered keys are front-coded, and values whose numbers are
 // all small integers take their integral kind (scored entries flag their
 // score and payload columns apart). The envelope carries no SentAt and
 // the heartbeat is [Seq][Hash].
-const Version = 8
+const Version = 9
 
 // AllEpochs is the Remove.Epoch / RemovedMark.Epoch value meaning the
 // removal covers every epoch of the query — a whole-query removal.
@@ -85,10 +87,12 @@ type QueryMeta struct {
 	FilterKey string
 	// Root is the peer hosting the root operator and topology service.
 	Root int
-	// IssuedSim records when the query was issued. Installing peers
-	// subtract the install message's age from their reference clock so
-	// syncless indices share an epoch despite install deltas (§5.1).
-	IssuedSim time.Duration
+	// Age is the sender's frame time for the query as the message left
+	// (§5.1: t_ref begins at the age of the install message). A peer
+	// installing from the message starts its frame at Age plus the flight
+	// since the message's SentAt; a root installing a query at Age, or at
+	// its running epoch's frame time for a replan.
+	Age time.Duration
 }
 
 // Neighbors is one peer's position in a query's tree set: its parent,
@@ -115,10 +119,11 @@ type Envelope struct {
 	S       tuple.Summary
 	Tree    int // tree of the current hop
 	TTLDown uint8
-	// SentAt is the transmit time in the receiver's clock frame, from which
-	// the receiver derives the flight time (UdpCC RTT/2). It is not on the
-	// wire: netrt sets it at delivery from the measured flight, simrt hands
-	// the sender's object to the receiver.
+	// SentAt is the transmit time on the receiver's clock, from which the
+	// receiver derives the flight time (UdpCC RTT/2). It is not on the
+	// wire: the transport sets it at delivery (StampSentAt) — netrt from
+	// the measured flight, simrt from the receiver's clock read at the
+	// moment of sending.
 	SentAt time.Duration
 	// Epoch is the query epoch the summary belongs to: during a migration
 	// both epochs of a query run side by side and a summary must only ever
@@ -143,6 +148,7 @@ type Install struct {
 	Members map[int]Neighbors
 	// Forward maps peer -> the chunk members it must forward to.
 	Forward map[int][]int
+	SentAt  time.Duration // as on Envelope, for QueryMeta.Age
 }
 
 // Remove multicasts a query removal along the same chunking. Epoch scopes
@@ -198,7 +204,8 @@ func (m RemovedMark) Covers(seq uint64, epoch uint32) bool {
 type ReconSummary struct {
 	Installed map[QueryKey]uint64 // (name, epoch) -> seq
 	Removed   map[string][]RemovedMark
-	Metas     []QueryMeta // metadata for everything installed, so the peer can adopt
+	Metas     []QueryMeta   // metadata for everything installed, so the peer can adopt
+	SentAt    time.Duration // as on Envelope, for QueryMeta.Age
 }
 
 // ReconDefs is the reply: metadata the receiver was missing and removals
@@ -206,6 +213,7 @@ type ReconSummary struct {
 type ReconDefs struct {
 	Metas   []QueryMeta
 	Removed map[string][]RemovedMark
+	SentAt  time.Duration // as on Envelope, for QueryMeta.Age
 }
 
 // TopoRequest asks a query root (the topology server) for the requester's
@@ -237,6 +245,25 @@ type InstallAck struct {
 	Epoch uint32
 	Seq   uint64
 	Peer  int
+}
+
+// StampSentAt returns a delivered message with its SentAt, if it has one,
+// set to at, the transmit time on the receiver's clock.
+func StampSentAt(msg any, at time.Duration) any {
+	switch m := msg.(type) {
+	case *Envelope:
+		m.SentAt = at
+	case Install:
+		m.SentAt = at
+		return m
+	case ReconSummary:
+		m.SentAt = at
+		return m
+	case ReconDefs:
+		m.SentAt = at
+		return m
+	}
+	return msg
 }
 
 func (w *Buffer) appendKind(k byte) { w.b = append(w.b, Version, k) }
@@ -408,7 +435,7 @@ func EncodeQueryMeta(w *Buffer, m QueryMeta) {
 	w.PutVarint(int64(m.Window.SlideN))
 	w.PutString(m.FilterKey)
 	w.PutVarint(int64(m.Root))
-	w.PutDuration(m.IssuedSim)
+	w.PutDuration(m.Age)
 }
 
 // DecodeQueryMeta reads query metadata.
@@ -465,7 +492,7 @@ func DecodeQueryMeta(r *Reader) (m QueryMeta, err error) {
 		return
 	}
 	m.Root = int(iv)
-	m.IssuedSim, err = r.Duration()
+	m.Age, err = r.Duration()
 	return
 }
 

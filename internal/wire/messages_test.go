@@ -22,7 +22,7 @@ func sampleMeta() QueryMeta {
 		Window:    tuple.WindowSpec{Kind: tuple.TimeWindow, Range: 2 * time.Second, Slide: time.Second},
 		FilterKey: "aa:bb:cc",
 		Root:      3,
-		IssuedSim: 1500 * time.Millisecond,
+		Age:       1500 * time.Millisecond,
 	}
 }
 
@@ -36,7 +36,7 @@ func sampleNeighbors() Neighbors {
 }
 
 // sampleMessages returns one instance of every message kind, the full set
-// the peers exchange. v5Frames to v8Frames hold their captured
+// the peers exchange. v5Frames to v9Frames hold their captured
 // encodings: an edit here must leave capturedMessages returning
 // what was captured.
 func sampleMessages() []any {
@@ -123,7 +123,7 @@ func sampleMessages() []any {
 }
 
 // Every message kind must round-trip through the framed codec unchanged
-// but for an envelope's SentAt, which the receiving runtime sets, and its
+// but for SentAt, which the receiving runtime sets, and an envelope's
 // age, which travels at µs precision — this is
 // the property the socket runtime relies on: what a netrt receiver decodes
 // is exactly what the sender's fabric passed to send.
@@ -142,6 +142,35 @@ func TestMessageRoundTripAllKinds(t *testing.T) {
 		}
 		if msg = asDecoded(msg); !reflect.DeepEqual(got, msg) {
 			t.Fatalf("round trip %T:\n got %#v\nwant %#v", msg, got, msg)
+		}
+	}
+}
+
+// StampSentAt sets the SentAt of exactly the kinds a receiver frames from
+// — the envelope, the install and both reconciliation messages — and
+// passes every other kind through as it came.
+func TestStampSentAt(t *testing.T) {
+	const at = 42 * time.Millisecond
+	for _, msg := range sampleMessages() {
+		got := StampSentAt(msg, at)
+		var sentAt time.Duration
+		switch m := got.(type) {
+		case *Envelope:
+			sentAt = m.SentAt
+		case Install:
+			sentAt = m.SentAt
+		case ReconSummary:
+			sentAt = m.SentAt
+		case ReconDefs:
+			sentAt = m.SentAt
+		default:
+			if !reflect.DeepEqual(got, msg) {
+				t.Fatalf("%T changed to %#v", msg, got)
+			}
+			continue
+		}
+		if sentAt != at {
+			t.Fatalf("%T stamped SentAt %v, want %v", msg, sentAt, at)
 		}
 	}
 }

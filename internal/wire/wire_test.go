@@ -247,7 +247,7 @@ func TestSummarySizeReasonable(t *testing.T) {
 	}
 	for _, k := range sketchKinds {
 		v6, v7, v8 := hexFrame(t, v6SketchFrames[k]), hexFrame(t, v7SketchFrames[k]), hexFrame(t, v8SketchFrames[k])
-		msg, err := DecodeMessage(v8)
+		msg, err := DecodeMessage(hexFrame(t, v9SketchFrames[k]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +256,7 @@ func TestSummarySizeReasonable(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Only the value differs between a v6 envelope and its v7
-		// re-encoding, and v8 wrote the value as v7 did.
+		// re-encoding, and v8 and v9 write the value as v7 did.
 		got := [3]int{len(v6) - len(v7) + w.Len(), w.Len(), len(v7) - len(v8)}
 		if got != want[k] {
 			t.Errorf("%s: value %d B at v6, %d at v7; envelope %d B shorter at v8; want %v", k, got[0], got[1], got[2], want[k])

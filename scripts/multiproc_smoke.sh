@@ -24,6 +24,12 @@
 # decoded its install without them would sit on its timer, and its summaries
 # would reach the coordinator's operators after their windows had left.
 #
+# The coordinator starts 1.5 s after its workers, not a whole number of
+# the query's 1 s windows: each process's clock counts from its own
+# start, so a worker indexing windows against any clock reading but the
+# install's age would sit half a window off the coordinator's frame, which
+# re-indexing by age cannot hide.
+#
 # Usage: scripts/multiproc_smoke.sh   (from the repo root)
 # Env:   SMOKE_BASE_PORT (default 47300), SMOKE_DURATION (default 45s)
 set -euo pipefail
@@ -67,6 +73,7 @@ echo "query $QUERY as count() from sensors window time 1s slide 1s trees 6 bf 2"
 pids+=($!)
 "$tmp/mortard" -peers-file "$tmp/peers.txt" -host 8-11 -join "$JOIN" -mtu "$MTU" -msl "$tmp/query.msl" -duration 90s > "$tmp/w2.log" 2>&1 &
 pids+=($!)
+sleep 1.5
 "$tmp/mortard" -peers-file "$tmp/peers.txt" -host 0-3 -listen "$JOIN" -mtu "$MTU" -msl "$tmp/query.msl" -duration "$DUR" -serve "$GW" > "$tmp/coord.log" 2>&1 &
 coord=$!
 pids+=("$coord")
