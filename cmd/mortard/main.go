@@ -480,6 +480,11 @@ func (c *config) writePeersFile(out io.Writer) error {
 	return nil
 }
 
+// gatewayReadHeaderTimeout bounds how long the gateway waits for a
+// request's headers, so a client that opens a connection and stalls holds
+// no server goroutine for longer.
+const gatewayReadHeaderTimeout = 10 * time.Second
+
 // startGateway serves the HTTP plane over fed on addr, returning a
 // shutdown func.
 func startGateway(fed *federation.Federation, addr string, out io.Writer) (func(), error) {
@@ -488,7 +493,7 @@ func startGateway(fed *federation.Federation, addr string, out io.Writer) (func(
 		return nil, err
 	}
 	gw := gateway.NewServer(fed, gateway.Options{})
-	srv := &http.Server{Handler: gw}
+	srv := &http.Server{Handler: gw, ReadHeaderTimeout: gatewayReadHeaderTimeout}
 	fmt.Fprintf(out, "# gateway listening on http://%s\n", ln.Addr())
 	go srv.Serve(ln)
 	return func() {

@@ -46,6 +46,11 @@ type Options struct {
 // request gets 429.
 const maxStreams = 256
 
+// maxInstallBody bounds an install request's body. A query spec is a few
+// hundred bytes; past 1 MiB the install is refused with 413 before it is
+// decoded further.
+const maxInstallBody = 1 << 20
+
 func (o Options) withDefaults() Options {
 	if o.MaxQueries <= 0 {
 		o.MaxQueries = 256
@@ -215,7 +220,13 @@ func (s *Server) releaseInstall() {
 
 func (s *Server) handleInstall(w http.ResponseWriter, r *http.Request) {
 	var sp Spec
+	r.Body = http.MaxBytesReader(w, r.Body, maxInstallBody)
 	if err := json.NewDecoder(r.Body).Decode(&sp); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("install body over %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, "bad install body: "+err.Error(), http.StatusBadRequest)
 		return
 	}

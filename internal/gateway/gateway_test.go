@@ -149,6 +149,29 @@ func TestAdmissionLimits(t *testing.T) {
 	}
 }
 
+// An install body past 1 MiB is refused with 413 and installs nothing; a
+// normal install next to it is created.
+func TestInstallBodyLimit(t *testing.T) {
+	_, fed, ts := newTestPlane(t, 4, Options{})
+	big := fmt.Sprintf(`{"name":"big","op":"count","window_ms":200,"args":[%q]}`, strings.Repeat("a", maxInstallBody))
+	resp, err := http.Post(ts.URL+"/v1/queries", "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("install of %d B: got %d, want 413", len(big), resp.StatusCode)
+	}
+	if resp := install(t, ts, countSpec("a")); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("normal install: got %d, want 201", resp.StatusCode)
+	}
+	for _, st := range fed.Queries() {
+		if st.Name == "big" {
+			t.Fatal("the oversized install was installed")
+		}
+	}
+}
+
 // During a make-before-break migration both plan epochs report each window
 // and the best report wins. A late epoch's report of an older window takes
 // that window's slot; it is never listed behind newer windows.

@@ -126,9 +126,9 @@ type Stats struct {
 	LateAtRoot atomic.Uint64
 	// Dropped counts tuples dropped by the routing policy (no live
 	// destination or TTL exhausted), arriving summaries a peer could
-	// not merge (no wired instance, a value without the operator's
-	// shape, or no index where the instance reads one), and arriving
-	// messages of a kind no peer sends (an envelope batch). A peer the
+	// not merge (no wired instance holds their Seq, a value without the
+	// operator's shape, or no index where the instance reads one), and
+	// arriving messages of a kind no peer sends (an envelope batch). A peer the
 	// transport holds down (SetDown) counts nothing: what its operators
 	// still make goes nowhere (routeNew), and a dead sensor is no loss.
 	//
@@ -150,6 +150,10 @@ type Stats struct {
 	// EpochsRetired counts completed epoch migrations: the root observed
 	// the new epoch fully wired and multicast the old epoch's retirement.
 	EpochsRetired atomic.Uint64
+	// InstallsRefused counts installs a peer refused because a live
+	// instance of another (name, epoch) holds their Seq (installLocal): a
+	// summary names its operator by Seq, so a Seq may name one instance.
+	InstallsRefused atomic.Uint64
 	// ControlBytes counts encoded bytes of every control-class message the
 	// local peers transmitted (heartbeats, reconciliation, installs,
 	// removes, topology, acks). With DataBytes it splits network load the

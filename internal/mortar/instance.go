@@ -225,7 +225,7 @@ func (inst *instance) beginDrain(drain time.Duration) {
 	inst.drainTimer = p.rtc.After(drain, func() {
 		if cur, ok := p.insts[key]; ok && cur == inst {
 			inst.stop()
-			delete(p.insts, key)
+			p.deleteInst(key)
 			p.pruneNeighborState()
 		}
 	})
@@ -738,10 +738,13 @@ func (inst *instance) emit(n int64, s tuple.Summary, complete bool) {
 // --- Summary arrival (§3.3, §4) ---
 
 func (p *Peer) handleSummary(src int, env *envelope) {
-	// Summaries merge only into the instance of their own epoch: two live
-	// epochs of a query are two disjoint tree sets, and cross-epoch merging
-	// would double-count the sources that feed both.
-	inst, ok := p.insts[instKey{name: env.S.Query, epoch: env.Epoch}]
+	// A summary names its operator by the Seq of the install that made it,
+	// and merges only into the instance of that install: two live epochs
+	// of a query are two disjoint tree sets, and cross-epoch merging would
+	// double-count the sources that feed both; a superseded install of the
+	// name (a removed and re-created query) counts a membership the
+	// current one does not.
+	inst, ok := p.bySeq[env.Seq]
 	if !ok || !inst.wired {
 		// We cannot process or even consult tree levels; best-effort drop.
 		p.fab.Stats.Dropped.Add(1)
@@ -761,6 +764,7 @@ func (p *Peer) handleSummary(src int, env *envelope) {
 		return
 	}
 	s := env.S
+	s.Query = inst.meta.Name // not on the wire: the Seq named the instance
 	// The transport measures one-hop flight time (UdpCC RTT/2) on this
 	// peer's clock, and it adds to the tuple's age.
 	s.Age += p.now() - env.SentAt
@@ -964,7 +968,7 @@ func (inst *instance) send(s tuple.Summary, t, to int, ttlDown uint8) {
 	p, fab := inst.peer, inst.peer.fab
 	fab.Stats.SummariesStaged.Add(1)
 	env := envPool.Get().(*envelope)
-	*env = envelope{S: s, Tree: t, TTLDown: ttlDown, Epoch: inst.meta.Epoch}
+	*env = envelope{S: s, Tree: t, TTLDown: ttlDown, Seq: inst.meta.Seq}
 	fab.send(p.id, to, runtime.ClassData, env)
 	*env = envelope{}
 	envPool.Put(env)

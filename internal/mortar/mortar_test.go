@@ -13,7 +13,7 @@ import (
 )
 
 // testbed builds a small fabric over a simulated transit-stub topology.
-func testbed(t *testing.T, hosts int, seed int64, cfg Config, clocks []vclock.Clock) (*Fabric, *simrt.Runtime) {
+func testbed(t testing.TB, hosts int, seed int64, cfg Config, clocks []vclock.Clock) (*Fabric, *simrt.Runtime) {
 	t.Helper()
 	rt := simrt.NewPaper(seed, hosts, simrt.TopoOptions{Stubs: 8, Transits: 2}, clocks...)
 	fab, err := NewFabric(rt, cfg)

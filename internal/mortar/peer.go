@@ -28,6 +28,10 @@ type Peer struct {
 	rtc runtime.Clock // the peer's one clock: time, timers, frames
 
 	insts map[instKey]*instance
+	// bySeq indexes insts by install Seq, the name an arriving summary
+	// gives its operator (wire.Envelope.Seq). addInst and deleteInst keep
+	// the two maps in step.
+	bySeq map[uint64]*instance
 	// removed caches removal commands per query name as a non-dominated
 	// mark set (see wire.RemovedMark): a whole-query removal and a later
 	// epoch retirement cover incomparable rectangles, and both must keep
@@ -55,6 +59,7 @@ func newPeer(f *Fabric, id int, rtc runtime.Clock) *Peer {
 		id:          id,
 		rtc:         rtc,
 		insts:       make(map[instKey]*instance),
+		bySeq:       make(map[uint64]*instance),
 		removed:     make(map[string][]wire.RemovedMark),
 		lastHeard:   make(map[int]time.Duration),
 		hbSeqSeen:   make(map[int]uint64),
@@ -78,6 +83,20 @@ func (p *Peer) sortedInstKeys() []instKey {
 		return keys[i].epoch < keys[j].epoch
 	})
 	return keys
+}
+
+// addInst hosts inst under its (name, epoch) and its install Seq.
+func (p *Peer) addInst(key instKey, inst *instance) {
+	p.insts[key] = inst
+	p.bySeq[inst.meta.Seq] = inst
+}
+
+// deleteInst stops hosting the instance under key.
+func (p *Peer) deleteInst(key instKey) {
+	if inst, ok := p.insts[key]; ok {
+		delete(p.bySeq, inst.meta.Seq)
+		delete(p.insts, key)
+	}
 }
 
 // ID returns the peer's fabric index.

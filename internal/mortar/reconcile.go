@@ -141,12 +141,18 @@ func (p *Peer) startInstall(def *QueryDef) {
 // installLocal creates (or refreshes) the operator instance for
 // (meta.Name, meta.Epoch), its frame reading meta.Age when this peer's
 // clock read sentAt — the message's transmit time, or now at the root.
-// def is non-nil only at the root/issuer.
+// def is non-nil only at the root/issuer. An install whose Seq a live
+// instance of another (name, epoch) holds is refused and counted
+// (Stats.InstallsRefused): summaries name their operator by Seq alone.
 func (p *Peer) installLocal(meta QueryMeta, nb *neighbors, def *QueryDef, sentAt time.Duration) {
 	if p.covered(meta.Name, meta.Seq, meta.Epoch) {
 		return // removal supersedes this install
 	}
 	key := instKey{name: meta.Name, epoch: meta.Epoch}
+	if held, ok := p.bySeq[meta.Seq]; ok && (instKey{held.meta.Name, held.meta.Epoch}) != key {
+		p.fab.Stats.InstallsRefused.Add(1)
+		return
+	}
 	replaced := false
 	if old, ok := p.insts[key]; ok {
 		if old.meta.Seq >= meta.Seq {
@@ -156,7 +162,7 @@ func (p *Peer) installLocal(meta QueryMeta, nb *neighbors, def *QueryDef, sentAt
 			return
 		}
 		old.stop()
-		delete(p.insts, key)
+		p.deleteInst(key)
 		replaced = true
 	}
 	inst, err := p.newInstance(meta, sentAt)
@@ -167,7 +173,7 @@ func (p *Peer) installLocal(meta QueryMeta, nb *neighbors, def *QueryDef, sentAt
 		return // unknown operator on this peer; reconciliation may retry
 	}
 	inst.def = def
-	p.insts[key] = inst
+	p.addInst(key, inst)
 	if nb != nil {
 		inst.wire(*nb)
 		if replaced {
@@ -447,7 +453,7 @@ func (p *Peer) removeLocal(name string, seq uint64, epoch uint32) {
 		}
 		if epoch == wire.AllEpochs {
 			inst.stop()
-			delete(p.insts, k)
+			p.deleteInst(k)
 			// The removed query's tree edges may have been the only reason
 			// we tracked some neighbors; drop their liveness and dedup
 			// state.

@@ -490,7 +490,8 @@ func TestDeadlineIgnoresDataPhase(t *testing.T) {
 		inst := root.insts[instKey{name: "sum0"}]
 		deliver := func(age time.Duration) {
 			root.deliver(inst.nb.Children[0][0], &envelope{
-				S:      tuple.Summary{Query: "sum0", Value: 1.0, Count: 1, Age: age},
+				S:      tuple.Summary{Value: 1.0, Count: 1, Age: age},
+				Seq:    inst.meta.Seq,
 				SentAt: rt.Now(),
 			}, 0)
 		}

@@ -227,7 +227,8 @@ func TestMalformedSummaryValueDropped(t *testing.T) {
 				from int
 			}{{p, inst.nb.Children[0][0]}, {root, rootInst.nb.Children[0][0]}} {
 				to.p.deliver(to.from, &envelope{
-					S:      tuple.Summary{Query: "q", Value: c.bad, Count: 1, Levels: []int16{0, 0}},
+					S:      tuple.Summary{Value: c.bad, Count: 1, Levels: []int16{0, 0}},
+					Seq:    inst.meta.Seq,
 					SentAt: rt.Now(),
 				}, 0)
 			}
@@ -295,7 +296,8 @@ func TestUnindexedSummaryDroppedWhereIndexIsRead(t *testing.T) {
 				from int
 			}{{p, inst.nb.Children[0][0]}, {root, rootInst.nb.Children[0][0]}} {
 				to.p.deliver(to.from, &envelope{
-					S:      tuple.Summary{Query: "q", Value: 1.0, Count: 1, Levels: []int16{0, 0}},
+					S:      tuple.Summary{Value: 1.0, Count: 1, Levels: []int16{0, 0}},
+					Seq:    inst.meta.Seq,
 					SentAt: rt.Now(),
 				}, 0)
 			}

@@ -18,10 +18,14 @@ import (
 
 // installQuery compiles and installs a tumbling-window query over all peers
 // from a pinned planning seed: queries installed with the same seed, bf and d
-// get the same trees — co-planned tenants, which share every next hop.
+// get the same trees — co-planned tenants, which share every next hop. A
+// meta without a Seq installs at Seq 1; tenants of one fabric each need
+// their own.
 func installQuery(t *testing.T, fab *Fabric, rt *simrt.Runtime, meta QueryMeta, bf, d int) *QueryDef {
 	t.Helper()
-	meta.Seq = 1
+	if meta.Seq == 0 {
+		meta.Seq = 1
+	}
 	def, err := fab.CompileWith(meta, nil, uniformCoords(fab.NumPeers(), 7), bf, d, rand.New(rand.NewSource(42)))
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +167,9 @@ func TestEachSummaryIsOneFrame(t *testing.T) {
 	setup := func(t *testing.T) (*Fabric, *simrt.Runtime, *Peer, []*instance, *[][]envelope) {
 		fab, rt := testbed(t, 30, 11, DefaultConfig(), nil)
 		for qi := 0; qi < tenants; qi++ {
-			installQuery(t, fab, rt, sumMeta(fmt.Sprintf("sum%d", qi), 0), 4, 1)
+			meta := sumMeta(fmt.Sprintf("sum%d", qi), 0)
+			meta.Seq = uint64(qi + 1)
+			installQuery(t, fab, rt, meta, 4, 1)
 		}
 		rt.RunFor(10 * time.Second) // wired, and every parent heard from
 		p, _ := interiorPeer(t, fab, "sum0")
@@ -192,7 +198,7 @@ func TestEachSummaryIsOneFrame(t *testing.T) {
 				t.Fatalf("parent received a frame of %d entries (%v), want one summary a frame", len(f), frames)
 			}
 			if f[0].SentAt != sentAt {
-				t.Fatalf("entry of %q stamped %v, want the turn's own time %v", f[0].S.Query, f[0].SentAt, sentAt)
+				t.Fatalf("entry of Seq %d stamped %v, want the turn's own time %v", f[0].Seq, f[0].SentAt, sentAt)
 			}
 		}
 	}
@@ -207,16 +213,17 @@ func TestEachSummaryIsOneFrame(t *testing.T) {
 				// A partial counting the operator's whole subtree completes
 				// its window on arrival.
 				p.deliver(child, &envelope{
-					S:      tuple.Summary{Query: inst.meta.Name, Value: 1.0, Count: inst.nb.Subtree[0], Age: 400 * time.Millisecond},
+					S:      tuple.Summary{Value: 1.0, Count: inst.nb.Subtree[0], Age: 400 * time.Millisecond},
+					Seq:    inst.meta.Seq,
 					SentAt: arrived,
 				}, 0)
 			}
 		})
 		rt.RunFor(time.Second)
 		requireFrames(t, fab, *frames, tenants, arrived)
-		seen := map[string]bool{}
+		seen := map[uint64]bool{}
 		for _, f := range *frames {
-			seen[f[0].S.Query] = true
+			seen[f[0].Seq] = true
 		}
 		if len(seen) != tenants {
 			t.Fatalf("frames carry %v, want one summary per tenant", seen)
@@ -283,6 +290,7 @@ func TestChainReentryLosesAndDuplicatesNothing(t *testing.T) {
 	up.FilterKey = "s" // sensor raws only: the chained results carry no key
 	installQuery(t, fab, rt, up, 4, 2)
 	down := sumMeta("down", 1)
+	down.Seq = 2
 	installQuery(t, fab, rt, down, 4, 2)
 	var upTotal, downTotal float64
 	var injected int

@@ -359,12 +359,16 @@ func TestLargeInstallUnderLossReachesCompleteness(t *testing.T) {
 
 	cfg := mortar.DefaultConfig()
 	cfg.HeartbeatPeriod = 500 * time.Millisecond
-	// A fat query name rides in the install metadata AND in every summary
-	// envelope, so the data plane exercises fragmentation continuously.
+	// A fat query name rides in the install metadata, and a fat key in
+	// every summary envelope: each sensor's raw carries it and every
+	// window's top-1 entry is that key, so the install and the data plane
+	// both exercise fragmentation continuously.
+	fat := strings.Repeat("k", 2000)
 	meta := mortar.QueryMeta{
 		Name:   "big-" + strings.Repeat("q", 2000),
 		Seq:    1,
-		OpName: "count",
+		OpName: "topk",
+		OpArgs: []string{"1", "0"},
 		Window: tuple.WindowSpec{Kind: tuple.TimeWindow, Range: 500 * time.Millisecond, Slide: 500 * time.Millisecond},
 		Root:   0,
 	}
@@ -422,7 +426,7 @@ func TestLargeInstallUnderLossReachesCompleteness(t *testing.T) {
 			ck := rt.Clock(p)
 			ck.After(time.Duration(rng.Int63n(int64(250*time.Millisecond))), func() {
 				ck.Every(500*time.Millisecond, func() {
-					fab.Inject(p, tuple.Raw{Vals: []float64{1}})
+					fab.Inject(p, tuple.Raw{Key: fat, Vals: []float64{1}})
 				})
 			})
 		}

@@ -189,6 +189,9 @@ type Runtime struct {
 	// frame (see NetStats). duplicated counts the control frames sent twice.
 	ctlBytes, dataBytes               atomic.Uint64
 	ctlFrames, dataFrames, duplicated atomic.Uint64
+	// headerBytes counts the transport header bytes of the in-MTU frames
+	// Send writes (NetStats.HeaderBytes).
+	headerBytes atomic.Uint64
 
 	// Datagram-level counters (see NetStats): datagrams actually written,
 	// trains among them, and the frames those trains carried.
@@ -584,6 +587,7 @@ func (r *Runtime) Send(from, to int, class runtime.Class, size int, payload any)
 	}
 	// One pooled buffer carries header and body; the common in-MTU path
 	// hands it to the pacer without a single heap allocation.
+	r.headerBytes.Add(uint64(len(head)))
 	w := wire.GetBuffer()
 	w.PutRaw(head)
 	w.PutRaw(body)

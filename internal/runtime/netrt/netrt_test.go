@@ -80,7 +80,7 @@ func TestLoopbackSendReceive(t *testing.T) {
 	mu.Unlock()
 
 	// A fabric-style Frame payload transmits its pre-encoded bytes.
-	env := &wire.Envelope{S: tuple.Summary{Query: "q", Value: float64(3), Count: 1, Levels: []int16{0}}}
+	env := &wire.Envelope{S: tuple.Summary{Value: float64(3), Count: 1, Levels: []int16{0}}, Seq: 5}
 	var w wire.Buffer
 	if err := wire.EncodeMessage(&w, env); err != nil {
 		t.Fatal(err)
@@ -94,14 +94,14 @@ func TestLoopbackSendReceive(t *testing.T) {
 	mu.Lock()
 	got2, ok := got[1].(*wire.Envelope)
 	mu.Unlock()
-	if !ok || got2.S.Query != "q" || got2.S.Value.(float64) != 3 {
+	if !ok || got2.Seq != 5 || got2.S.Value.(float64) != 3 {
 		t.Fatalf("envelope arrived as %#v", got[1])
 	}
 }
 
-// v9Envelope is the "cpu-sum" envelope (Count 42) the wire package's
-// sampleMessages opens with, as this release writes it.
-const v9Envelope = "0901076370752d73756d160f2b03e25d2a030922040401060004"
+// v10Envelope is the "cpu-sum" envelope (Seq 12, Count 42) the wire
+// package's sampleMessages opens with, as this release writes it.
+const v10Envelope = "0a010c060f2be25d2a030922040401060004"
 
 // The v5 header kind (ns stamps and a class byte) is no longer read. Sent
 // from a raw socket claiming to be peer 1, a datagram of it carrying a
@@ -128,7 +128,7 @@ func TestOldHeaderKindDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := hex.DecodeString(v9Envelope)
+	body, err := hex.DecodeString(v10Envelope)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,10 +238,7 @@ func TestRetiredKindsDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := hex.DecodeString("09020a4d") // the heartbeat {Seq 10, Hash 77}
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := []byte{wire.Version, 2, 10, 77} // the heartbeat {Seq 10, Hash 77}
 	samples := rt.NetStats().RTTSamples
 	_, _, dropped := rt.Stats()
 	for _, bad := range [][]byte{
@@ -333,7 +330,7 @@ func TestRefusedDatagramsCounted(t *testing.T) {
 			rt.SetDown(0, c.downTo)
 			rt.SetDown(1, c.downFrom)
 			_, delivered, dropped := rt.Stats()
-			for _, b := range [][]byte{c.b, {8, 1, 0, 0x09, 0x02, 0x0a, 0x4d}} { // then the heartbeat {Seq 10}
+			for _, b := range [][]byte{c.b, {8, 1, 0, wire.Version, 2, 10, 77}} { // then the heartbeat {Seq 10}
 				if _, err := raw.WriteToUDP(b, addr); err != nil {
 					t.Fatal(err)
 				}

@@ -37,6 +37,12 @@ type NetStats struct {
 	// RTTSamples counts the RTT samples the local peers took: one per
 	// echoed stamp and one per pong.
 	RTTSamples uint64
+	// HeaderBytes counts the transport header bytes Send wrote ahead of
+	// the message frames that fit the MTU: the kind byte, the two peer
+	// indices, and the transmit stamp and the echo and its hold where the
+	// frame carries them. ClassBytes counts them too, once per frame, with
+	// the message bodies. A fragmented frame writes no such header.
+	HeaderBytes uint64
 }
 
 // NetStats returns the datagram-level counters.
@@ -50,6 +56,7 @@ func (r *Runtime) NetStats() NetStats {
 		DataFrames:  r.dataFrames.Load(),
 		Duplicated:  r.duplicated.Load(),
 		RTTSamples:  r.rttSamples.Load(),
+		HeaderBytes: r.headerBytes.Load(),
 	}
 }
 

@@ -101,7 +101,7 @@ func TestFramesCrossTheCodec(t *testing.T) {
 	}
 	rt.RunFor(time.Second)
 	sentAt := rt.Now()
-	env := &wire.Envelope{S: tuple.Summary{Query: "q", Count: 7}, SentAt: time.Hour}
+	env := &wire.Envelope{S: tuple.Summary{Count: 7}, Seq: 3, SentAt: time.Hour}
 	fr := frame(t, env)
 	if !rt.Send(0, 1, runtime.ClassData, len(fr.Bytes), fr) {
 		t.Fatal("send refused")
@@ -115,8 +115,8 @@ func TestFramesCrossTheCodec(t *testing.T) {
 	if !ok || e == env {
 		t.Fatalf("delivered %T %p, want a decoded *wire.Envelope", got[0], got[0])
 	}
-	if e.S.Query != "q" || e.S.Count != 7 || e.SentAt != sentAt {
-		t.Fatalf("delivered %q count %d SentAt %v, want q, 7, %v", e.S.Query, e.S.Count, e.SentAt, sentAt)
+	if e.Seq != 3 || e.S.Count != 7 || e.SentAt != sentAt {
+		t.Fatalf("delivered Seq %d count %d SentAt %v, want 3, 7, %v", e.Seq, e.S.Count, e.SentAt, sentAt)
 	}
 }
 

@@ -146,8 +146,7 @@ func EncodeEnvelopeBatch(w *Buffer, b *EnvelopeBatch) error {
 // DecodeEnvelopeBatch reads a batch payload, materializing every entry as
 // a standalone envelope: levels reconstructed from the base vector plus
 // the entry's diff, query name and epoch resolved through the key table,
-// SentAt copied from the batch. Query names are interned, as in
-// DecodeSummary.
+// SentAt copied from the batch. Query names are interned.
 func DecodeEnvelopeBatch(r *Reader) (*EnvelopeBatch, error) {
 	sc := batchScratchPool.Get().(*batchScratch)
 	defer batchScratchPool.Put(sc)

@@ -90,7 +90,7 @@ func FuzzDecodeSummary(f *testing.F) {
 
 // FuzzDecodeValue also seeds every value shape at the edge numbers, so
 // both the float and the integral kinds start from a valid encoding, and
-// the value of every committed v9 envelope and of every v6 envelope
+// the value of every committed v10 envelope and of every v6 envelope
 // capture, a refused form worth mutating from.
 func FuzzDecodeValue(f *testing.F) {
 	for _, x := range edgeNumbers() {
@@ -102,10 +102,10 @@ func FuzzDecodeValue(f *testing.F) {
 			f.Add(w.Bytes())
 		}
 	}
-	for _, v9 := range v9Captured(f) {
-		if v9[1] == MsgEnvelope {
-			start, end := valueSpan(f, v9)
-			f.Add(v9[start:end])
+	for _, v10 := range v10Captured(f) {
+		if v10[1] == MsgEnvelope {
+			start, end := valueSpan(f, v10)
+			f.Add(v10[start:end])
 		}
 	}
 	// A v6 envelope differs from its v7 re-encoding in the value alone.
@@ -126,18 +126,14 @@ func FuzzDecodeValue(f *testing.F) {
 }
 
 // valueSpan returns where the value of an envelope frame lies: after the
-// summary's query, flags, index and epoch where flagged, age, count and
-// hops.
+// summary's install Seq, flags, index where flagged, age, count and hops.
 func valueSpan(t testing.TB, frame []byte) (start, end int) {
 	r := NewReader(frame[2:])
-	r.InternedString()
+	r.Uvarint()
 	flags, _ := r.Byte()
 	if flags&flagIndex != 0 {
 		r.Scaled()
 		r.Scaled()
-	}
-	if flags&flagEpoch != 0 {
-		r.Uvarint()
 	}
 	r.Scaled()
 	r.Uvarint()

@@ -2,8 +2,9 @@ package wire
 
 import "sync"
 
-// The data plane decodes the same handful of query names on every summary
-// envelope; a process-wide intern table turns those per-message string
+// The batch codec decodes the same handful of query names in every key
+// table (a single envelope names its operator by install Seq and carries
+// no name); a process-wide intern table turns those per-message string
 // allocations into map lookups. The m[string(b)] form below compiles to a
 // no-allocation map access, so interning an already-known key costs no
 // heap at all.

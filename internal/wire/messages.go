@@ -27,20 +27,22 @@ import (
 // like a change to netrt's transport header, is therefore an all-at-once
 // upgrade: every process of a federation runs the same release.
 //
+// Version 10 names a summary's operator by the Seq of the install that
+// made it, one uvarint where version 9 wrote the query's name; the Seq
+// implies the epoch, so a summary carries none (flags bit 4 is reserved).
 // Version 9 carries a query's frame time, not its issue instant: QueryMeta
 // ends in Age, a varint of nanoseconds. Version 8 sent a summary only what
 // its receiver cannot compute. One flags byte holds the boundary bit, the
-// TTL-down counter in two bits, and whether a window index and an epoch
-// follow: a syncless time-window summary travels without its index, which
-// the receiver recomputes from the age (§5.1), and epoch 0 costs no byte.
-// A summary's age is scaled at microsecond precision. Values take their
-// shortest lossless form (since
+// TTL-down counter in two bits, and whether a window index follows: a
+// syncless time-window summary travels without its index, which the
+// receiver recomputes from the age (§5.1). A summary's age is scaled at
+// microsecond precision. Values take their shortest lossless form (since
 // version 7): a bit array is the shorter of dense words and set-bit gaps,
 // sorted and ordered keys are front-coded, and values whose numbers are
 // all small integers take their integral kind (scored entries flag their
 // score and payload columns apart). The envelope carries no SentAt and
 // the heartbeat is [Seq][Hash].
-const Version = 9
+const Version = 10
 
 // AllEpochs is the Remove.Epoch / RemovedMark.Epoch value meaning the
 // removal covers every epoch of the query — a whole-query removal.
@@ -115,19 +117,27 @@ type Neighbors struct {
 // the tree the current hop travels on and the TTL-down counter bounding
 // flex-down steps. The per-tree level history lives in the summary itself
 // (tuple.Summary.Levels) because it survives merging.
+//
+// On the wire the envelope names its operator by Seq alone: S.Query and
+// Epoch are not encoded and a decoded envelope returns them "" and 0. The
+// receiver resolves the Seq to its installed instance, which knows both.
 type Envelope struct {
 	S       tuple.Summary
 	Tree    int // tree of the current hop
 	TTLDown uint8
+	// Seq is the QueryMeta.Seq of the install that made the sending
+	// instance. Each live (name, epoch) owns its Seq, so it names the
+	// instance — the query and the epoch whose tree set the summary may
+	// merge into — at every peer that runs the same install.
+	Seq uint64
 	// SentAt is the transmit time on the receiver's clock, from which the
 	// receiver derives the flight time (UdpCC RTT/2). It is not on the
 	// wire: the transport sets it at delivery (StampSentAt) — netrt from
 	// the measured flight, simrt from the receiver's clock read at the
 	// moment of sending.
 	SentAt time.Duration
-	// Epoch is the query epoch the summary belongs to: during a migration
-	// both epochs of a query run side by side and a summary must only ever
-	// merge into the instance of its own tree set.
+	// Epoch is the query epoch the summary belongs to. It is not on the
+	// wire (the Seq implies it); the batch codec alone reads it.
 	Epoch uint32
 }
 
@@ -369,19 +379,20 @@ func DecodeMessage(b []byte) (any, error) {
 // --- Envelope ---
 
 // EncodeEnvelope appends an envelope payload: the summary with its routing
-// state and query epoch, then the hop's tree. SentAt is not encoded.
+// state and install Seq, then the hop's tree. SentAt, S.Query and Epoch are
+// not encoded.
 func EncodeEnvelope(w *Buffer, e *Envelope) error {
-	if err := EncodeSummary(w, e.S, e.TTLDown, e.Epoch); err != nil {
+	if err := EncodeSummary(w, e.S, e.TTLDown, e.Seq); err != nil {
 		return err
 	}
 	w.PutVarint(int64(e.Tree))
 	return nil
 }
 
-// DecodeEnvelope reads an envelope payload. SentAt is not on the wire and
-// comes back 0.
+// DecodeEnvelope reads an envelope payload. SentAt, S.Query and Epoch are
+// not on the wire and come back zero.
 func DecodeEnvelope(r *Reader) (e Envelope, err error) {
-	if e.S, e.TTLDown, e.Epoch, err = DecodeSummary(r); err != nil {
+	if e.S, e.TTLDown, e.Seq, err = DecodeSummary(r); err != nil {
 		return
 	}
 	var tree int64

@@ -36,7 +36,7 @@ func sampleNeighbors() Neighbors {
 }
 
 // sampleMessages returns one instance of every message kind, the full set
-// the peers exchange. v5Frames to v9Frames hold their captured
+// the peers exchange. v5Frames to v10Frames hold their captured
 // encodings: an edit here must leave capturedMessages returning
 // what was captured.
 func sampleMessages() []any {
@@ -53,6 +53,7 @@ func sampleMessages() []any {
 			},
 			Tree:    2,
 			TTLDown: 1,
+			Seq:     12,
 			SentAt:  123456 * time.Microsecond,
 			Epoch:   3,
 		},

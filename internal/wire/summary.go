@@ -7,27 +7,28 @@ import (
 	"repro/internal/tuple"
 )
 
-// A summary's flags byte: the boundary bit, whether a window index and an
-// epoch follow, and the TTL-down counter in two bits. The other bits are
+// A summary's flags byte: the boundary bit, whether a window index
+// follows, and the TTL-down counter in two bits. The other bits are
 // reserved and decode as corrupt.
 const (
 	flagBoundary = 1 << 0
 	flagIndex    = 1 << 1
 	ttlDownShift = 2
 	maxTTLDown   = 3 // the largest TTL-down counter two bits hold
-	flagEpoch    = 1 << 4
-	flagsKnown   = flagBoundary | flagIndex | maxTTLDown<<ttlDownShift | flagEpoch
+	flagsKnown   = flagBoundary | flagIndex | maxTTLDown<<ttlDownShift
 )
 
 // EncodeSummary appends a summary tuple with its routing state: the
-// per-tree last-visited levels, the TTL-down counter (§3.3) and the query
-// epoch. A zero index is not written: a real window always has TE > TB,
+// per-tree last-visited levels and the TTL-down counter (§3.3). The
+// operator is named by seq, the Seq of the install that made the sending
+// instance, which implies the epoch: neither s.Query nor an epoch is
+// written. A zero index is not written: a real window always has TE > TB,
 // and a syncless receiver computes a time window's index from the age
 // (§5.1), so its sender zeroes it. A written index is scaled (PutScaled):
 // TB, then TE as a delta from TB, which wraps the way int64 arithmetic
-// does, so every pair round-trips. Epoch 0 is not written either. The age
-// is rounded to the microsecond and scaled.
-func EncodeSummary(w *Buffer, s tuple.Summary, ttlDown uint8, epoch uint32) error {
+// does, so every pair round-trips. The age is rounded to the microsecond
+// and scaled.
+func EncodeSummary(w *Buffer, s tuple.Summary, ttlDown uint8, seq uint64) error {
 	if ttlDown > maxTTLDown {
 		return fmt.Errorf("wire: TTL-down %d over %d", ttlDown, maxTTLDown)
 	}
@@ -39,17 +40,11 @@ func EncodeSummary(w *Buffer, s tuple.Summary, ttlDown uint8, epoch uint32) erro
 	if index {
 		flags |= flagIndex
 	}
-	if epoch != 0 {
-		flags |= flagEpoch
-	}
-	w.PutString(s.Query)
+	w.PutUvarint(seq)
 	w.b = append(w.b, flags)
 	if index {
 		w.PutScaled(s.Index.TB)
 		w.PutScaled(s.Index.TE - s.Index.TB)
-	}
-	if epoch != 0 {
-		w.PutUvarint(uint64(epoch))
 	}
 	w.PutScaled(s.Age.Round(time.Microsecond))
 	w.PutUvarint(uint64(s.Count))
@@ -64,12 +59,12 @@ func EncodeSummary(w *Buffer, s tuple.Summary, ttlDown uint8, epoch uint32) erro
 	return nil
 }
 
-// DecodeSummary reads a summary encoded by EncodeSummary; a summary sent
-// without its index comes back with a zero Index. The query name is
-// interned: every envelope of a query carries the same few names, so
-// steady-state decode performs no string allocation for them.
-func DecodeSummary(r *Reader) (s tuple.Summary, ttlDown uint8, epoch uint32, err error) {
-	if s.Query, err = r.InternedString(); err != nil {
+// DecodeSummary reads a summary encoded by EncodeSummary and the install
+// Seq it names. The summary comes back with no Query (the receiver names it
+// from the instance the Seq resolves to), and with a zero Index when it
+// was sent without one.
+func DecodeSummary(r *Reader) (s tuple.Summary, ttlDown uint8, seq uint64, err error) {
+	if seq, err = r.Uvarint(); err != nil {
 		return
 	}
 	var flags byte
@@ -91,11 +86,6 @@ func DecodeSummary(r *Reader) (s tuple.Summary, ttlDown uint8, epoch uint32, err
 			return
 		}
 		s.Index.TE = s.Index.TB + span
-	}
-	if flags&flagEpoch != 0 {
-		if epoch, err = r.epoch(); err != nil {
-			return
-		}
 	}
 	if s.Age, err = r.Scaled(); err != nil {
 		return

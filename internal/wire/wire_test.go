@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -118,46 +119,47 @@ func TestSummaryRoundTrip(t *testing.T) {
 	if err := EncodeSummary(&w, s, 2, 9); err != nil {
 		t.Fatal(err)
 	}
-	got, ttl, epoch, err := DecodeSummary(NewReader(w.Bytes()))
+	got, ttl, seq, err := DecodeSummary(NewReader(w.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Query = "" // the Seq names the operator; the name is not on the wire
 	if !reflect.DeepEqual(got, s) {
 		t.Fatalf("summary: got %+v want %+v", got, s)
 	}
-	if ttl != 2 || epoch != 9 {
-		t.Fatalf("ttl = %d, epoch = %d", ttl, epoch)
+	if ttl != 2 || seq != 9 {
+		t.Fatalf("ttl = %d, seq = %d", ttl, seq)
 	}
 }
 
-// The flags byte after the query name carries the boundary bit, the
-// TTL-down counter and whether an index and an epoch follow. A zero index
-// and epoch 0 take no byte; a reserved bit, a cut flags byte and a flag
-// whose field is cut off are corrupt; a counter over two bits does not
-// encode.
+// The flags byte after the install Seq carries the boundary bit, the
+// TTL-down counter and whether an index follows. A zero index takes no
+// byte; a reserved bit (bit 4 among them, which flagged an epoch before
+// version 10), a cut flags byte and a flagged index that is cut off are
+// corrupt; a counter over two bits does not encode.
 func TestSummaryFlags(t *testing.T) {
 	s := tuple.Summary{Query: "q", Index: tuple.Index{TB: time.Second, TE: 2 * time.Second}, Boundary: true, Levels: []int16{}}
-	enc := func(s tuple.Summary, ttl uint8, epoch uint32) []byte {
+	enc := func(s tuple.Summary, ttl uint8, seq uint64) []byte {
 		t.Helper()
 		var w Buffer
-		if err := EncodeSummary(&w, s, ttl, epoch); err != nil {
+		if err := EncodeSummary(&w, s, ttl, seq); err != nil {
 			t.Fatal(err)
 		}
 		return w.Bytes()
 	}
-	const flagsAt = 2 // after the 1-byte name length and "q"
+	const flagsAt = 1 // after the 1-byte Seq
 	full := enc(s, 3, 5)
-	if f := full[flagsAt]; f != flagBoundary|flagIndex|3<<ttlDownShift|flagEpoch {
+	if f := full[flagsAt]; f != flagBoundary|flagIndex|3<<ttlDownShift {
 		t.Fatalf("flags %#x", f)
 	}
 	bare := s
 	bare.Index = tuple.Index{}
-	if got := len(full) - len(enc(bare, 3, 0)); got != 3 { // 1 s and its 1 s span, epoch 5
-		t.Fatalf("zero index and epoch 0 save %d B, want 3", got)
+	if got := len(full) - len(enc(bare, 3, 5)); got != 2 { // 1 s and its 1 s span
+		t.Fatalf("zero index saves %d B, want 2", got)
 	}
-	got, ttl, epoch, err := DecodeSummary(NewReader(enc(bare, 1, 0)))
-	if err != nil || got.Index != (tuple.Index{}) || !got.Boundary || ttl != 1 || epoch != 0 {
-		t.Fatalf("bare summary: %+v ttl %d epoch %d, %v", got, ttl, epoch, err)
+	got, ttl, seq, err := DecodeSummary(NewReader(enc(bare, 1, 5)))
+	if err != nil || got.Index != (tuple.Index{}) || !got.Boundary || ttl != 1 || seq != 5 {
+		t.Fatalf("bare summary: %+v ttl %d seq %d, %v", got, ttl, seq, err)
 	}
 	reserved := func(bit uint) []byte {
 		b := append([]byte(nil), full...)
@@ -168,12 +170,12 @@ func TestSummaryFlags(t *testing.T) {
 		name string
 		b    []byte
 	}{
+		{"reserved bit 4", reserved(4)},
 		{"reserved bit 5", reserved(5)},
 		{"reserved bit 6", reserved(6)},
 		{"reserved bit 7", reserved(7)},
 		{"no flags byte", full[:flagsAt]},
 		{"index flagged, cut", full[:flagsAt+1]},
-		{"epoch flagged, cut", full[:flagsAt+3]},
 	} {
 		if _, _, _, err := DecodeSummary(NewReader(c.b)); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", c.name, err)
@@ -203,26 +205,29 @@ func TestValueTwinKinds(t *testing.T) {
 }
 
 // The fanin-wan-shaped sum envelope ("mass", TB 20 s, TE +250 ms, Age
-// 140.123456 ms, Count 5, 2 levels, epoch 1) is 48 B at v5, 28 B at v6
-// and v7, and 25 B at v8; as a syncless time-window operator sends it, at
-// epoch 0 and without its 4 B index, it is 20 B. No value shape, integral
-// or not, encodes longer than it did at v5 but for a byte a key; a bit
-// array is sized by its own forms (TestBitArrayForms). The captured
-// sketch-wan values each shrink from v6 to v7 by the pinned lengths, and
-// their envelopes' headers from v7 to v8; every length comes from the
-// committed frames.
+// 140.123456 ms, Count 5, 2 levels, epoch 1, Seq 2) is 48 B at v5, 28 B at
+// v6 and v7, 25 B at v8 and v9, and 20 B at v10, where one Seq byte takes
+// the place of the name and its length byte (5 B) and the epoch byte; as a
+// syncless time-window operator sends it, at epoch 0 and without its 4 B
+// index, it is 20 B at v8 and 16 B at v10. No value shape, integral or
+// not, encodes longer than it did at v5 but for a byte a key; a bit array
+// is sized by its own forms (TestBitArrayForms). The captured sketch-wan
+// values each shrink from v6 to v7 by the pinned lengths, their
+// envelopes' headers from v7 to v8, and from v9 to v10 by their tenant's
+// name and its length byte less the one Seq byte; every length comes from
+// the committed frames.
 func TestSummarySizeReasonable(t *testing.T) {
 	n := len(sampleMessages())
 	sum := capturedMessages()[n+1].(*Envelope)
 	if sum.S.Value != any(float64(1234)) {
 		t.Fatalf("entry %d is %#v, not the sum envelope", n+1, sum.S.Value)
 	}
-	if v5, v6, v7, v8 := len(v5Frame(t, n+1)), len(v6Frame(t, n+1)), len(v7Frame(t, n+1)), len(v8Frame(t, n+1)); v5 != 48 || v6 != 28 || v7 != 28 || v8 != 25 {
-		t.Fatalf("sum envelope is %d B at v5, %d at v6, %d at v7, %d at v8; want 48, 28, 28, 25", v5, v6, v7, v8)
+	if v5, v6, v7, v8, v9, v10 := len(v5Frame(t, n+1)), len(v6Frame(t, n+1)), len(v7Frame(t, n+1)), len(v8Frame(t, n+1)), len(v9Frame(t, n+1)), len(v10Frame(t, n+1)); v5 != 48 || v6 != 28 || v7 != 28 || v8 != 25 || v9 != 25 || v10 != 20 {
+		t.Fatalf("sum envelope is %d B at v5, %d at v6, %d at v7, %d at v8, %d at v9, %d at v10; want 48, 28, 28, 25, 25, 20", v5, v6, v7, v8, v9, v10)
 	}
 	syncless := len(v8Frames) - v8Shapes
-	if e := capturedMessages()[syncless].(*Envelope); e.S.Index != (tuple.Index{}) || e.Epoch != 0 || len(v8Frame(t, syncless)) != 20 {
-		t.Fatalf("syncless sum envelope %+v is %d B at v8, want 20", e, len(v8Frame(t, syncless)))
+	if e := capturedMessages()[syncless].(*Envelope); e.S.Index != (tuple.Index{}) || e.Epoch != 0 || len(v8Frame(t, syncless)) != 20 || len(v10Frame(t, syncless)) != 16 {
+		t.Fatalf("syncless sum envelope %+v is %d B at v8 and %d at v10, want 20 and 16", e, len(v8Frame(t, syncless)), len(v10Frame(t, syncless)))
 	}
 	// Entry n is the same envelope with a nil value (one tag byte), so the
 	// captured frames give each value's v5 length.
@@ -242,12 +247,13 @@ func TestSummarySizeReasonable(t *testing.T) {
 			t.Fatalf("%#v takes %d B at v8, %d at v5", v, w.Len(), v5)
 		}
 	}
-	want := map[string][3]int{ // v6, v7 value bytes; v7 − v8 envelope bytes
-		"bloom": {131, 84, 7}, "distinct": {138, 40, 8}, "entropy": {288, 234, 8}, "topk": {209, 133, 7},
+	want := map[string][4]int{ // v6, v7 value bytes; v7 − v8 and v9 − v10 envelope bytes
+		"bloom": {131, 84, 7, 5}, "distinct": {138, 40, 8, 8}, "entropy": {288, 234, 8, 7}, "topk": {209, 133, 7, 4},
 	}
 	for _, k := range sketchKinds {
 		v6, v7, v8 := hexFrame(t, v6SketchFrames[k]), hexFrame(t, v7SketchFrames[k]), hexFrame(t, v8SketchFrames[k])
-		msg, err := DecodeMessage(hexFrame(t, v9SketchFrames[k]))
+		v9, v10 := hexFrame(t, v9SketchFrames[k]), hexFrame(t, v10SketchFrames[k])
+		msg, err := DecodeMessage(v10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,11 +262,26 @@ func TestSummarySizeReasonable(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Only the value differs between a v6 envelope and its v7
-		// re-encoding, and v8 and v9 write the value as v7 did.
-		got := [3]int{len(v6) - len(v7) + w.Len(), w.Len(), len(v7) - len(v8)}
+		// re-encoding, and v8 to v10 write the value as v7 did.
+		got := [4]int{len(v6) - len(v7) + w.Len(), w.Len(), len(v7) - len(v8), len(v9) - len(v10)}
 		if got != want[k] {
-			t.Errorf("%s: value %d B at v6, %d at v7; envelope %d B shorter at v8; want %v", k, got[0], got[1], got[2], want[k])
+			t.Errorf("%s: value %d B at v6, %d at v7; envelope %d B shorter at v8 and %d at v10; want %v", k, got[0], got[1], got[2], got[3], want[k])
 		}
+	}
+	// The name is not on the wire: a 1-character and a 200-character
+	// query name make envelopes of one length.
+	lens := map[int]int{}
+	for _, name := range []string{"q", strings.Repeat("q", 200)} {
+		e := *sum
+		e.S.Query = name
+		w.Reset()
+		if err := EncodeMessage(&w, &e); err != nil {
+			t.Fatal(err)
+		}
+		lens[len(name)] = w.Len()
+	}
+	if lens[1] != lens[200] || lens[1] != len(v10Frame(t, n+1)) {
+		t.Fatalf("envelopes named by 1 and 200 characters are %d and %d B, want %d", lens[1], lens[200], len(v10Frame(t, n+1)))
 	}
 }
 
@@ -288,9 +309,10 @@ func TestPropertyRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: summaries with arbitrary envelope state round-trip.
+// Property: summaries with arbitrary envelope state round-trip, all but
+// the query name, which is not on the wire.
 func TestPropertySummaryRoundTrip(t *testing.T) {
-	f := func(q string, tb, te, age int32, count uint16, boundary bool, v float64, nl uint8, ttl uint8, epoch uint32) bool {
+	f := func(q string, tb, te, age int32, count uint16, boundary bool, v float64, nl uint8, ttl uint8, seq uint64) bool {
 		ttl %= maxTTLDown + 1
 		levels := make([]int16, int(nl)%8)
 		for i := range levels {
@@ -306,12 +328,13 @@ func TestPropertySummaryRoundTrip(t *testing.T) {
 			Levels:   levels,
 		}
 		var w Buffer
-		if err := EncodeSummary(&w, s, ttl, epoch); err != nil {
+		if err := EncodeSummary(&w, s, ttl, seq); err != nil {
 			return false
 		}
-		got, gttl, gepoch, err := DecodeSummary(NewReader(w.Bytes()))
+		got, gttl, gseq, err := DecodeSummary(NewReader(w.Bytes()))
+		s.Query = ""
 		s.Age = s.Age.Round(time.Microsecond) // the age travels at µs precision
-		return err == nil && reflect.DeepEqual(got, s) && gttl == ttl && gepoch == epoch
+		return err == nil && reflect.DeepEqual(got, s) && gttl == ttl && gseq == seq
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
