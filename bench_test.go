@@ -424,7 +424,7 @@ func benchFragment(b *testing.B, size int) {
 		frags := netrt.SplitFragments(uint64(i+1), payload, mtuPayload)
 		var msg []byte
 		for _, f := range frags {
-			m, err := ra.Add(0, f, now)
+			m, _, err := ra.Add(0, f, now)
 			if err != nil {
 				b.Fatal(err)
 			}

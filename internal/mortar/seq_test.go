@@ -44,15 +44,27 @@ func TestSupersededInstallDropped(t *testing.T) {
 		t.Fatalf("leaf %d runs %+v, want the Seq 1 install it was down for the removal of", leaf, old)
 	}
 
-	// Record the leaf's summaries to its parents while it runs Seq 1, and
-	// every root window that closes before it runs Seq 3.
-	stale := 0
+	// Record the leaf's summaries to its parents while it runs Seq 1 —
+	// each one's own delivery must count exactly one drop, the simulator
+	// running nothing else meanwhile — and every root window that closes
+	// before it runs Seq 3.
+	stale, merged := 0, 0
 	for pa := range parents {
 		rt.Handle(pa, func(src int, payload any, size int) {
-			if _, ok := payload.(*envelope); ok && src == leaf && fab.Peer(leaf).insts[instKey{name: "q"}] == old {
-				stale++
+			env, ok := payload.(*envelope)
+			if !ok || src != leaf || fab.Peer(leaf).insts[instKey{name: "q"}] != old {
+				fab.Peer(pa).deliver(src, payload, size)
+				return
 			}
+			stale++
+			if env.Seq != 1 || fab.Peer(pa).bySeq[1] != nil {
+				t.Errorf("leaf summary names Seq %d; parent %d runs %v at Seq 1", env.Seq, pa, fab.Peer(pa).bySeq[1])
+			}
+			before := fab.Stats.Dropped.Load()
 			fab.Peer(pa).deliver(src, payload, size)
+			if fab.Stats.Dropped.Load()-before != 1 {
+				merged++
+			}
 		})
 	}
 	var counts []int
@@ -61,7 +73,6 @@ func TestSupersededInstallDropped(t *testing.T) {
 			counts = append(counts, r.Count)
 		}
 	})
-	dropped := fab.Stats.Dropped.Load()
 	fab.SetDown(leaf, false)
 	for i := 0; i < 40 && fab.Peer(leaf).insts[instKey{name: "q"}] == old; i++ {
 		rt.RunFor(500 * time.Millisecond)
@@ -72,8 +83,8 @@ func TestSupersededInstallDropped(t *testing.T) {
 	if stale == 0 {
 		t.Fatal("the leaf sent no summary while it ran the superseded install")
 	}
-	if got := fab.Stats.Dropped.Load() - dropped; got < uint64(stale) {
-		t.Fatalf("%d summaries of the superseded install reached its parents, %d drops counted", stale, got)
+	if merged != 0 {
+		t.Fatalf("%d of the %d summaries of the superseded install reaching its parents were not dropped", merged, stale)
 	}
 	if len(counts) == 0 {
 		t.Fatal("no root window closed while the leaf ran Seq 1")

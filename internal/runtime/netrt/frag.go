@@ -103,6 +103,7 @@ type reasmStream struct {
 	parts    [][]byte
 	have     int
 	bytes    int       // payload received
+	first    time.Time // earliest fragment arrival
 	last     time.Time // newest fragment arrival
 	lastNack time.Time
 	nacks    int
@@ -155,20 +156,22 @@ func (ra *Reassembler) Stats() (completed, evicted uint64) {
 }
 
 // Add folds one fragment in, retaining f.Payload. It returns the complete
-// frame once the stream's last fragment lands, nil while the stream is
-// still partial, and an error for fragments no honest splitter produces
-// (the stream is evicted then — a sender that contradicts itself cannot be
-// reassembled).
-func (ra *Reassembler) Add(src int, f wire.Fragment, now time.Time) ([]byte, error) {
+// frame once the stream's last fragment lands, with the time its first
+// fragment arrived, nil while the stream is still partial, and an error for
+// fragments no honest splitter produces (the stream is evicted then — a
+// sender that contradicts itself cannot be reassembled). The train left its
+// sender back to back, so the first arrival, not the last, is one flight
+// after the send: a NACK repair round between the two is flight too.
+func (ra *Reassembler) Add(src int, f wire.Fragment, now time.Time) ([]byte, time.Time, error) {
 	if f.Count == 0 || f.Index >= f.Count {
-		return nil, fmt.Errorf("netrt: fragment %d/%d malformed", f.Index, f.Count)
+		return nil, time.Time{}, fmt.Errorf("netrt: fragment %d/%d malformed", f.Index, f.Count)
 	}
 	// An honest fragment train has at least fragHeadroom payload bytes per
 	// fragment (the minimum MTU minus the header budget), so Count beyond
 	// maxMessage/fragHeadroom cannot describe an acceptable frame; checking
 	// first keeps a forged Count from sizing a huge parts slice.
 	if int64(f.Count) > maxMessage/fragHeadroom+1 {
-		return nil, fmt.Errorf("netrt: fragment count %d exceeds the %d-byte frame bound", f.Count, maxMessage)
+		return nil, time.Time{}, fmt.Errorf("netrt: fragment count %d exceeds the %d-byte frame bound", f.Count, maxMessage)
 	}
 	ra.mu.Lock()
 	defer ra.mu.Unlock()
@@ -184,17 +187,17 @@ func (ra *Reassembler) Add(src int, f wire.Fragment, now time.Time) ([]byte, err
 				break
 			}
 		}
-		st = &reasmStream{parts: make([][]byte, f.Count)}
+		st = &reasmStream{parts: make([][]byte, f.Count), first: now}
 		ra.streams[key] = st
 		ra.bytes += slots
 	}
 	if int(f.Count) != len(st.parts) {
 		ra.dropLocked(key, st)
-		return nil, fmt.Errorf("netrt: stream %d changed fragment count", f.Stream)
+		return nil, time.Time{}, fmt.Errorf("netrt: stream %d changed fragment count", f.Stream)
 	}
 	st.last = now
 	if st.parts[f.Index] != nil {
-		return nil, nil // duplicate fragment (retransmit raced the NACK)
+		return nil, time.Time{}, nil // duplicate fragment (retransmit raced the NACK)
 	}
 	st.parts[f.Index] = f.Payload
 	st.have++
@@ -202,7 +205,7 @@ func (ra *Reassembler) Add(src int, f wire.Fragment, now time.Time) ([]byte, err
 	ra.bytes += len(f.Payload)
 	if st.bytes > maxMessage {
 		ra.dropLocked(key, st)
-		return nil, fmt.Errorf("netrt: stream %d exceeds the %d-byte frame bound", f.Stream, maxMessage)
+		return nil, time.Time{}, fmt.Errorf("netrt: stream %d exceeds the %d-byte frame bound", f.Stream, maxMessage)
 	}
 	// Growth must honour the total bound too, not just stream creation:
 	// otherwise maxReasmStreams tiny streams could each swell toward
@@ -214,11 +217,11 @@ func (ra *Reassembler) Add(src int, f wire.Fragment, now time.Time) ([]byte, err
 			break
 		}
 		if _, alive := ra.streams[key]; !alive {
-			return nil, nil
+			return nil, time.Time{}, nil
 		}
 	}
 	if st.have < len(st.parts) {
-		return nil, nil
+		return nil, time.Time{}, nil
 	}
 	msg := make([]byte, 0, st.bytes)
 	for _, p := range st.parts {
@@ -227,7 +230,7 @@ func (ra *Reassembler) Add(src int, f wire.Fragment, now time.Time) ([]byte, err
 	ra.bytes -= st.held()
 	delete(ra.streams, key)
 	ra.completed++
-	return msg, nil
+	return msg, st.first, nil
 }
 
 // Sweep evicts streams idle past reasmStaleAfter and returns repair

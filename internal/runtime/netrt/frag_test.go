@@ -31,7 +31,7 @@ func TestSplitReassembleRoundTrip(t *testing.T) {
 		perm := rng.Perm(len(frags))
 		var got []byte
 		for i, pi := range perm {
-			msg, err := ra.Add(3, frags[pi], now)
+			msg, _, err := ra.Add(3, frags[pi], now)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,6 +49,31 @@ func TestSplitReassembleRoundTrip(t *testing.T) {
 		if ra.Bytes() != 0 || ra.Streams() != 0 {
 			t.Fatalf("size %d: reassembler retains %d bytes / %d streams after completion", size, ra.Bytes(), ra.Streams())
 		}
+	}
+}
+
+// A repaired frame dates from its first fragment: the receive path stamps
+// the frame's send time one flight before that arrival, so the NACK round
+// that brought the missing fragment counts as flight, not as age the
+// frame never had.
+func TestReassemblerReportsFirstArrival(t *testing.T) {
+	ra := netrt.NewReassembler(256)
+	frags := netrt.SplitFragments(5, bytes.Repeat([]byte{7}, 200), 64)
+	if len(frags) < 3 {
+		t.Fatalf("%d fragments, want at least 3", len(frags))
+	}
+	t0 := time.Now()
+	for i, f := range frags[1:] { // the first fragment is lost
+		if msg, _, err := ra.Add(2, f, t0.Add(time.Duration(i)*time.Millisecond)); err != nil || msg != nil {
+			t.Fatalf("fragment %d: msg %v, err %v; want a partial stream", f.Index, msg != nil, err)
+		}
+	}
+	msg, first, err := ra.Add(2, frags[0], t0.Add(netrt.NackDelay+5*time.Millisecond))
+	if err != nil || len(msg) != 200 {
+		t.Fatalf("repair: %d bytes, err %v; want the 200-byte frame", len(msg), err)
+	}
+	if !first.Equal(t0) {
+		t.Fatalf("first arrival %v after the train's first datagram, want 0", first.Sub(t0))
 	}
 }
 
@@ -91,7 +116,7 @@ func TestReassemblerInterleavedSenders(t *testing.T) {
 	now := time.Now()
 	done := map[key][]byte{}
 	for _, st := range steps {
-		msg, err := ra.Add(st.src, st.frag, now)
+		msg, _, err := ra.Add(st.src, st.frag, now)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +153,7 @@ func TestReassemblerBoundedAndEvictsStaleStreams(t *testing.T) {
 		now := base.Add(time.Duration(s) * time.Millisecond)
 		for _, idx := range []uint32{0, 2, 3} {
 			f := wire.Fragment{Stream: uint64(s), Index: idx, Count: 4, Payload: payload}
-			if _, err := ra.Add(s%5, f, now); err != nil {
+			if _, _, err := ra.Add(s%5, f, now); err != nil {
 				t.Fatal(err)
 			}
 			if ra.Bytes() > netrt.MaxReasmBytes {
@@ -174,14 +199,14 @@ func TestReassemblerBoundsStreamGrowth(t *testing.T) {
 	// arrives).
 	for s := 0; s < 16; s++ {
 		f := wire.Fragment{Stream: uint64(s), Index: 0, Count: 32, Payload: []byte{1}}
-		if _, err := ra.Add(s%4, f, now); err != nil {
+		if _, _, err := ra.Add(s%4, f, now); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 1; i < 31; i++ {
 		for s := 0; s < 16; s++ {
 			f := wire.Fragment{Stream: uint64(s), Index: uint32(i), Count: 32, Payload: payload}
-			if _, err := ra.Add(s%4, f, now.Add(time.Duration(i)*time.Millisecond)); err != nil {
+			if _, _, err := ra.Add(s%4, f, now.Add(time.Duration(i)*time.Millisecond)); err != nil {
 				t.Fatal(err)
 			}
 			if ra.Bytes() > netrt.MaxReasmBytes {
@@ -207,7 +232,7 @@ func TestReassemblerBoundsForgedCountSlots(t *testing.T) {
 	now := time.Now()
 	for s := 0; s < netrt.MaxReasmStreams; s++ {
 		f := wire.Fragment{Stream: uint64(s), Index: 0, Count: count, Payload: []byte{1}}
-		if _, err := ra.Add(7, f, now.Add(time.Duration(s)*time.Millisecond)); err != nil {
+		if _, _, err := ra.Add(7, f, now.Add(time.Duration(s)*time.Millisecond)); err != nil {
 			t.Fatal(err)
 		}
 		if ra.Bytes() > netrt.MaxReasmBytes {
@@ -230,7 +255,7 @@ func TestReassemblerBoundsForgedCountSlots(t *testing.T) {
 func TestReassemblerRejectsForgedCount(t *testing.T) {
 	ra := netrt.NewReassembler(256)
 	f := wire.Fragment{Stream: 1, Index: 0, Count: 1 << 30, Payload: []byte("x")}
-	if _, err := ra.Add(0, f, time.Now()); err == nil {
+	if _, _, err := ra.Add(0, f, time.Now()); err == nil {
 		t.Fatal("forged count accepted")
 	}
 	if ra.Streams() != 0 {
@@ -337,9 +362,41 @@ func TestDuplicatedFrameOverTheMTU(t *testing.T) {
 // configured MTU, under 10% simulated datagram loss on every datagram, and
 // still reaches full completeness — the simulator's baseline, where every
 // live peer's sensor reaches the window (simBaseline pins that at the
-// federation size). The install multicast, heartbeats, reconciliation, and
-// the fat data envelopes all share the fragmentation path.
+// federation size). A fat query name rides in the install metadata only —
+// a summary names its operator by the install's Seq — so the install
+// multicast, heartbeats and reconciliation fragment while every summary
+// travels in one datagram: the shape any long-named query has.
 func TestLargeInstallUnderLossReachesCompleteness(t *testing.T) {
+	largeInstallUnderLoss(t, mortar.QueryMeta{
+		Name:   "big-" + strings.Repeat("q", 2000),
+		Seq:    1,
+		OpName: "count",
+		Window: tuple.WindowSpec{Kind: tuple.TimeWindow, Range: 500 * time.Millisecond, Slide: 500 * time.Millisecond},
+		Root:   0,
+	}, "")
+}
+
+// TestFatSummariesUnderLossReachCompleteness is the same federation with
+// the data plane fragmenting too: each sensor's raw carries a fat key and
+// every window's top-1 entry is that key, so every summary envelope is a
+// fragment train as well as every install message.
+func TestFatSummariesUnderLossReachCompleteness(t *testing.T) {
+	largeInstallUnderLoss(t, mortar.QueryMeta{
+		Name:   "big-" + strings.Repeat("q", 2000),
+		Seq:    1,
+		OpName: "topk",
+		OpArgs: []string{"1", "0"},
+		Window: tuple.WindowSpec{Kind: tuple.TimeWindow, Range: 500 * time.Millisecond, Slide: 500 * time.Millisecond},
+		Root:   0,
+	}, strings.Repeat("k", 2000))
+}
+
+// largeInstallUnderLoss installs meta over nine peers in three netrt
+// runtimes (MTU 512, 10 % loss), feeds every peer's sensor one raw keyed
+// key each 500 ms, and requires a result counting all nine peers, none
+// counting more until 3 s after the first full one, a fragment train
+// longer than 3 MTUs, and at least one NACK repair.
+func largeInstallUnderLoss(t *testing.T, meta mortar.QueryMeta, key string) {
 	const (
 		peers = 9
 		mtu   = 512
@@ -359,19 +416,6 @@ func TestLargeInstallUnderLossReachesCompleteness(t *testing.T) {
 
 	cfg := mortar.DefaultConfig()
 	cfg.HeartbeatPeriod = 500 * time.Millisecond
-	// A fat query name rides in the install metadata, and a fat key in
-	// every summary envelope: each sensor's raw carries it and every
-	// window's top-1 entry is that key, so the install and the data plane
-	// both exercise fragmentation continuously.
-	fat := strings.Repeat("k", 2000)
-	meta := mortar.QueryMeta{
-		Name:   "big-" + strings.Repeat("q", 2000),
-		Seq:    1,
-		OpName: "topk",
-		OpArgs: []string{"1", "0"},
-		Window: tuple.WindowSpec{Kind: tuple.TimeWindow, Range: 500 * time.Millisecond, Slide: 500 * time.Millisecond},
-		Root:   0,
-	}
 	// The acceptance bound: even an empty install chunk of this query is
 	// bigger than 3 MTUs, so every install message must fragment.
 	var iw wire.Buffer
@@ -426,7 +470,7 @@ func TestLargeInstallUnderLossReachesCompleteness(t *testing.T) {
 			ck := rt.Clock(p)
 			ck.After(time.Duration(rng.Int63n(int64(250*time.Millisecond))), func() {
 				ck.Every(500*time.Millisecond, func() {
-					fab.Inject(p, tuple.Raw{Key: fat, Vals: []float64{1}})
+					fab.Inject(p, tuple.Raw{Key: key, Vals: []float64{1}})
 				})
 			})
 		}
@@ -442,6 +486,10 @@ func TestLargeInstallUnderLossReachesCompleteness(t *testing.T) {
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
+	// A few windows more: a member counted twice — one source's two slides
+	// re-indexed into one window where two peers' frames disagree — would
+	// read above the baseline.
+	time.Sleep(3 * time.Second)
 	mu.Lock()
 	got := best
 	mu.Unlock()
@@ -570,7 +618,7 @@ func FuzzReassembler(f *testing.F) {
 				sent[key] = payload
 			}
 			now = now.Add(time.Millisecond)
-			msg, err := ra.Add(src, wire.Fragment{Stream: stream, Index: index, Count: count, Payload: payload}, now)
+			msg, _, err := ra.Add(src, wire.Fragment{Stream: stream, Index: index, Count: count, Payload: payload}, now)
 			check("Add")
 			if err != nil || msg == nil {
 				continue

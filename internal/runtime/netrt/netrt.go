@@ -689,7 +689,7 @@ func (r *Runtime) acceptFrame(b []byte) bool {
 		if h.echo != 0 {
 			r.observe(peer, src, rttSample(now, h.echo, h.hold))
 		}
-		r.deliverWire(peer, src, rd.Rest())
+		r.deliverWire(peer, src, rd.Rest(), now)
 
 	case frameFrag:
 		if r.down[peer].Load() {
@@ -699,12 +699,12 @@ func (r *Runtime) acceptFrame(b []byte) bool {
 		if err != nil || rd.Remaining() != 0 {
 			return false
 		}
-		msg, err := lp.reasm.Add(src, f, time.Now())
+		msg, first, err := lp.reasm.Add(src, f, r.start.Add(now))
 		if err != nil {
 			return false
 		}
 		if msg != nil {
-			r.deliverWire(peer, src, msg)
+			r.deliverWire(peer, src, msg, first.Sub(r.start))
 		}
 
 	case frameNack:
@@ -731,8 +731,9 @@ func (r *Runtime) acceptFrame(b []byte) bool {
 // stream — and posts it into the peer's mailbox. It always queues (Post,
 // never Exec): the handler runs on the peer's own goroutine, so a slow
 // handler never stalls the socket's receive loop and the other peers
-// behind it.
-func (r *Runtime) deliverWire(peer, src int, frame []byte) {
+// behind it. arrived is when, on the runtime's clock, the frame's first
+// datagram came in.
+func (r *Runtime) deliverWire(peer, src int, frame []byte, arrived time.Duration) {
 	msg, err := wire.DecodeMessage(frame)
 	if err != nil {
 		r.dropped.Add(1)
@@ -742,8 +743,11 @@ func (r *Runtime) deliverWire(peer, src int, frame []byte) {
 	// No frame carries a SentAt: the sender's clock base is not the
 	// receiver's. Set it on the receiver's clock from the transport's
 	// measured one-way flight time — the peer derives exactly that from it
-	// (UdpCC measures RTT/2 at the transport, not via host timestamps).
-	msg = wire.StampSentAt(msg, time.Since(r.start)-r.Latency(peer, src))
+	// (UdpCC measures RTT/2 at the transport, not via host timestamps) —
+	// before the frame's first datagram arrived: a fragment train's repair
+	// wait is flight too, and a receiver that took it for none would run
+	// an installed query's frame behind its sender's by that wait.
+	msg = wire.StampSentAt(msg, arrived-r.Latency(peer, src))
 	hp := lp.hand.Load()
 	if hp == nil || *hp == nil {
 		r.dropped.Add(1)
